@@ -38,6 +38,7 @@ from .geometry import (
     scalar_product,
     sigma,
     sigma_coordinates,
+    sigma_gradient,
     squared_length,
 )
 from .equivalence import (

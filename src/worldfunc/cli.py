@@ -13,7 +13,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -167,7 +166,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, outputs,
         "command": command,
         "seed": seed,
         "config": _to_jsonable(config),
-        "threads": os.environ.get("WORLDFUNC_THREADS"),
         "started_utc": started,
         "finished_utc": _utcnow(),
         "outputs": {p.name: {"path": str(p), "sha256": _sha256(p)} for p in outputs},
@@ -446,3 +444,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

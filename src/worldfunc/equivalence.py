@@ -40,11 +40,15 @@ from .geometry import (
     as_point,
     scalar_product,
     sigma,
+    sigma_gradient,
     squared_length,
 )
 
-_FD_STEP = 1e-6
 _RANK_CUTOFF = 1e-8
+# closed-form 2x2 normal equations are used while det(J J^T) > this times
+# (trace J J^T)^2, i.e. for condition numbers of J up to about 1e5; the
+# rounding of det then costs at most ~1e-6 relative in the pseudo-inverse
+_GRAM_CUTOFF = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +141,8 @@ class _ResidualMap:
 
     The sigma terms involving only p0, p1, q0 are precomputed; each batch
     evaluation then needs a single vectorized sigma call over the stacked
-    reference points, which keeps the multistart iteration cheap.
+    reference points, and each Jacobian a single ``sigma_gradient`` call over
+    the same stack, which keeps the multistart iteration cheap.
     """
 
     def __init__(self, g, p0, p1, q0):
@@ -157,21 +162,43 @@ class _ResidualMap:
         return np.stack([r_par, r_len], axis=-1)
 
     def jacobian(self, X):
-        """Central-difference Jacobian rows (m, 2, n), one fused batch call."""
-        m, n = X.shape
-        h = _FD_STEP * np.maximum(1.0, np.abs(X).max(axis=1))
-        shifts = (np.array([1.0, -1.0])[:, None, None, None]
-                  * h[None, None, :, None] * np.eye(n)[None, :, None, :])
-        pert = X[None, None, :, :] + shifts  # (2, n, m, n)
-        R = self(pert.reshape(2 * n * m, n)).reshape(2, n, m, 2)
-        J = (R[0] - R[1]) / (2.0 * h)[None, :, None]  # (n, m, 2)
-        return np.moveaxis(J, 0, 2)
+        """Analytic Jacobian rows (m, 2, n) of the residuals at X of shape (m, n).
+
+        The residuals are sums of sigma(ref, X), so with
+        G_k = d sigma(ref_k, X) / dX the rows are G_0 - G_1 - G_2 (parallelism)
+        and 2 G_2 (length).
+        """
+        G = sigma_gradient(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m, n)
+        return np.stack([G[0] - G[1] - G[2], 2.0 * G[2]], axis=1)
+
+
+def _pinv_rows(J):
+    """Moore-Penrose pseudo-inverses (m, n, 2) of Jacobian rows J (m, 2, n).
+
+    Rows whose Gram matrix J J^T = [[a, b], [b, c]] is well conditioned take
+    the closed form J^T (J J^T)^-1; the rest, e.g. the rank-1 Jacobian at the
+    tangential Euclidean solution, fall back to the SVD of ``np.linalg.pinv``.
+    """
+    Jt = J.transpose(0, 2, 1)
+    gram = J @ Jt
+    a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    det = a * c - b * b
+    closed = det > _GRAM_CUTOFF * (a + c) ** 2
+    adj = np.empty_like(gram)  # adjugate: (J J^T)^-1 = adj / det
+    adj[:, 0, 0], adj[:, 1, 1] = c, a
+    adj[:, 0, 1] = adj[:, 1, 0] = -b
+    P = Jt @ (adj / np.where(closed, det, 1.0)[:, None, None])
+    if not closed.all():
+        P[~closed] = np.linalg.pinv(J[~closed])
+    return P
 
 
 def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
     """Damped pseudo-inverse Newton on the 2-equation residual map.
 
-    Runs all rows of X0 simultaneously.  Returns (points, residual_rows,
+    Runs all rows of X0 simultaneously, stepping with the analytic Jacobian
+    and ``_pinv_rows`` (closed-form 2x2 normal equations, SVD only for
+    ill-conditioned rows).  Returns (points, residual_rows,
     converged_mask); rows whose line search cannot improve stall out and are
     left unconverged rather than raising.
     """
@@ -193,7 +220,7 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
             ia, Xa, J = ia[keep], Xa[keep], J[keep]
             if ia.size == 0:
                 continue
-        step = -np.einsum("mij,mj->mi", np.linalg.pinv(J), res[ia])
+        step = -np.einsum("mij,mj->mi", _pinv_rows(J), res[ia])
         # backtracking: halve the step until the residual norm drops
         lam = np.ones(ia.size)
         accepted = np.zeros(ia.size, dtype=bool)
@@ -225,19 +252,28 @@ def _sorted_dedupe(points, radius, quality=None):
     """Greedy chart-distance dedupe with a deterministic order.
 
     Lower-quality values claim their cluster first, so the best-converged
-    point represents it; the output is sorted lexicographically so the merge
+    point represents it: a point is kept when it lies farther than radius
+    from every point kept before it.  All pairwise distances come from one
+    broadcast matrix.  The output is sorted lexicographically so the merge
     order never shows in the result.
     """
     if quality is None:
         quality = np.zeros(len(points))
     order = np.lexsort(tuple(points.T[::-1]) + (np.asarray(quality),))
-    accepted: list[np.ndarray] = []
-    for idx in order:
-        p = points[idx]
-        if all(np.linalg.norm(p - a) > radius for a in accepted):
-            accepted.append(p)
-    accepted.sort(key=lambda p: tuple(p))
-    return accepted
+    ordered = points[order]
+    diff = ordered[:, None, :] - ordered[None, :, :]
+    # matmul rounds each sum of squares like the BLAS dot behind a 1-D
+    # np.linalg.norm, so a distance equal to the radius merges exactly as in
+    # the per-pair loop the tests keep as reference
+    near = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0]) <= radius
+    free = np.ones(len(order), dtype=bool)  # not within radius of an accepted point
+    accepted = []
+    for i in range(len(order)):
+        if free[i]:
+            accepted.append(order[i])
+            free &= ~near[i]
+    kept = points[accepted]
+    return list(kept[np.lexsort(kept.T[::-1])])
 
 
 def _tangent_dimension(rmap: _ResidualMap, rep, tol_abs, probe, max_iter=30):

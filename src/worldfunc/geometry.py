@@ -21,7 +21,8 @@ discrete geometry admits no point pairs with squared distance in
 (0, 2*lambda0_sq): distances below sqrt(2)*lambda0 do not occur.
 
 All sigma implementations are symmetric by construction and broadcast over
-leading axes of the coordinate arrays.
+leading axes of the coordinate arrays; ``sigma_gradient`` gives their exact
+derivative in the end point, F'(sigma_M) eta (q - p).
 """
 
 from __future__ import annotations
@@ -180,6 +181,27 @@ class DeformationFunction:
             out = _piecewise_linear(x, self.table[:, 0], self.table[:, 1])
         return float(out) if np.ndim(out) == 0 else out
 
+    def slope(self, sigma_m):
+        """Derivative F'(sigma_M).
+
+        1 for the identity and for the discrete shift off the cone (the jump
+        at sigma_M = 0 has no derivative; 1 is returned there too), the ramp
+        slope 1 + lambda0_sq/sigma0 inside |sigma_M| <= sigma0 for the grainy
+        ramp, and the segment slope for tables, with the end segments
+        extended linearly.  At a table breakpoint the right segment's slope
+        is returned.
+        """
+        x = np.asarray(sigma_m, dtype=float)
+        if self.kind in ("identity", "discrete-shift"):
+            out = np.ones_like(x)
+        elif self.kind == "grainy-ramp":
+            out = _grainy_slope(x, self.lambda0_sq, self.sigma0)
+        else:
+            xs, ys = self.table[:, 0], self.table[:, 1]
+            seg = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+            out = (np.diff(ys) / np.diff(xs))[seg]
+        return float(out) if np.ndim(out) == 0 else out
+
     def to_dict(self) -> dict:
         if self.kind == "table":
             return {"F_table": self.table.tolist()}
@@ -220,6 +242,13 @@ def _grainy_sigma(sm, lambda0_sq, sigma0):
         return sm + lambda0_sq * np.sign(sm)
     ramp = np.where(np.abs(sm) > sigma0, np.sign(sm), sm / sigma0)
     return sm + lambda0_sq * ramp
+
+
+def _grainy_slope(sm, lambda0_sq, sigma0):
+    # sigma0 = 0 is the discrete shift: slope 1 off the cone
+    if sigma0 == 0.0:
+        return np.ones_like(sm)
+    return np.where(np.abs(sm) > sigma0, 1.0, 1.0 + lambda0_sq / sigma0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +349,11 @@ def _finish(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _sigma_m(d):
+    """Minkowski world function of coordinate differences d (last axis)."""
+    return 0.5 * (d[..., 0] ** 2 - np.sum(d[..., 1:] ** 2, axis=-1))
+
+
 def sigma(g: Geometry, p, q):
     """World function sigma(p, q); symmetric, sigma(p, p) = 0 exactly.
 
@@ -330,7 +364,7 @@ def sigma(g: Geometry, p, q):
     d = p - q
     if g.kind == "euclidean":
         return _finish(0.5 * np.sum(d * d, axis=-1))
-    sm = 0.5 * (d[..., 0] ** 2 - np.sum(d[..., 1:] ** 2, axis=-1))
+    sm = _sigma_m(d)
     if g.kind == "minkowski":
         return _finish(sm)
     if g.kind == "discrete":
@@ -338,6 +372,36 @@ def sigma(g: Geometry, p, q):
     if g.kind == "grainy":
         return _finish(_grainy_sigma(sm, g.lambda0_sq, g.sigma0))
     return _finish(g.deformation(sm))
+
+
+_ETA = np.array([1.0, -1.0, -1.0, -1.0])  # Minkowski metric diagonal
+
+
+def sigma_gradient(g: Geometry, p, q):
+    """Gradient of sigma(p, q) in the end point q; broadcasts like ``sigma``.
+
+    Every world function here is a function F of the flat one, so the
+    gradient is exact: F'(sigma_M) eta (q - p), with eta the Minkowski
+    metric diagonal (the identity in the Euclidean geometry) and F' = 1 in
+    the Euclidean, Minkowski and discrete geometries.  The discrete shift
+    jumps at sigma_M = 0 and has no derivative on the cone; slope 1 is used
+    there.  By symmetry of sigma the gradient in p is
+    ``sigma_gradient(g, q, p)``, which is exactly ``-sigma_gradient(g, p, q)``.
+    """
+    p = _coords(g, p)
+    q = _coords(g, q)
+    d = q - p
+    if g.kind == "euclidean":
+        return d
+    eta_d = d * _ETA
+    if g.kind in ("minkowski", "discrete"):
+        return eta_d
+    sm = _sigma_m(d)
+    if g.kind == "grainy":
+        slope = _grainy_slope(sm, g.lambda0_sq, g.sigma0)
+    else:
+        slope = g.deformation.slope(sm)
+    return np.asarray(slope)[..., None] * eta_d
 
 
 def deformation_value(g: Geometry, sigma_m):

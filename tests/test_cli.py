@@ -3,6 +3,10 @@
 import json
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,12 +232,24 @@ def test_density_bad_grid_exits_1(tmp_path):
 # manifests
 # ---------------------------------------------------------------------------
 
-def test_manifest_records_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("WORLDFUNC_THREADS", "4")
+def test_manifest_has_no_threads_key(tmp_path):
+    # nothing in the package is parallel, so the manifest claims no thread cap
     assert run(["density", "--lambda0-sq", 0.01, "--sigma0", 0.03,
                 "--grid", "0:1:3", "--out-dir", tmp_path]) == 0
     manifest = json.loads((tmp_path / "density_manifest.json").read_text())
-    assert manifest["threads"] == "4"
+    assert "threads" not in manifest
+
+
+def test_module_entry_point_runs(tmp_path):
+    src = str(Path(wf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "worldfunc.cli", "density", "--lambda0-sq", "0.01",
+         "--sigma0", "0.03", "--grid", "0:1:3", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "density_manifest.json").is_file()
 
 
 def test_manifest_digests_and_full_precision(tmp_path):

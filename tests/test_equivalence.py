@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import worldfunc as wf
-from worldfunc import Geometry, GeomVector, SolverConfig, TubeSamplerConfig
+from worldfunc import DeformationFunction, Geometry, GeomVector, SolverConfig, TubeSamplerConfig
+from worldfunc.equivalence import _pinv_rows, _ResidualMap, _sorted_dedupe
 
 
 MINK = Geometry.minkowski()
@@ -191,6 +193,116 @@ def test_solver_config_from_combined_dict():
     assert cfg.starts == 256 and cfg.box_half_width == 5.0
     tcfg = TubeSamplerConfig.from_dict(d)
     assert tcfg.stations == 64 and tcfg.directions == 16
+
+
+# ---------------------------------------------------------------------------
+# solver internals: Jacobian, pseudo-inverse, dedupe
+# ---------------------------------------------------------------------------
+
+def test_residual_jacobian_matches_central_differences():
+    rng = np.random.default_rng(14)
+    geoms = [EUCLID3, MINK, Geometry.discrete(0.01), Geometry.grainy(0.2, 1.5),
+             Geometry.deformed(DeformationFunction.from_table([[-5, -5.5], [0, 0], [5, 5.5]]))]
+    for g in geoms:
+        p0, p1, q0 = rng.uniform(-2, 2, (3, g.dim))
+        rmap = _ResidualMap(g, p0, p1, q0)
+        X = rng.uniform(-2, 2, (6, g.dim))
+        h = 1e-6
+        fd = np.stack([(rmap(X + h * e) - rmap(X - h * e)) / (2 * h) for e in np.eye(g.dim)],
+                      axis=-1)  # (m, 2, n)
+        np.testing.assert_allclose(rmap.jacobian(X), fd, rtol=1e-6, atol=1e-6)
+
+
+def _stack(seed, m, n, cond):
+    """(m, 2, n) rows J = U diag(s) V^T with condition number <= cond and
+    magnitudes spread over six decades."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(m, 2, 2)))[0]
+    V = np.linalg.qr(rng.normal(size=(m, n, 2)))[0]
+    s = rng.uniform(1.0 / cond, 1.0, (m, 2)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+    return np.einsum("mij,mj,mkj->mik", U, s, V)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(2, 6))
+def test_closed_form_pinv_matches_svd_pinv(seed, m, n):
+    J = _stack(seed, m, n, cond=100.0)
+    want = np.linalg.pinv(J)
+    err = np.abs(_pinv_rows(J) - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-10 * np.abs(want).max(axis=(1, 2)))
+
+
+def test_pinv_falls_back_to_svd_on_rank_one_rows(monkeypatch):
+    J = _stack(15, 8, 4, cond=10.0)
+    J[1, 1] = 2.0 * J[1, 0]          # parallel rows
+    J[4, 1] = -3.0 * J[4, 0]         # parallel up to rounding
+    J[6, 0] = 0.0                    # vanishing parallelism row, as at the Euclidean root
+    J[7] = 0.0                       # no gradient at all
+    rank_one = [1, 4, 6, 7]
+    svd_pinv = np.linalg.pinv
+    want = svd_pinv(J)
+    seen = []
+
+    def spy(a):
+        seen.append(a.copy())
+        return svd_pinv(a)
+
+    monkeypatch.setattr(np.linalg, "pinv", spy)
+    P = _pinv_rows(J)
+    assert len(seen) == 1 and np.array_equal(seen[0], J[rank_one])
+    assert np.array_equal(P[rank_one], want[rank_one])
+    np.testing.assert_allclose(P, want, rtol=1e-10, atol=1e-12)
+
+
+def _reference_dedupe(points, radius, quality=None):
+    """The per-pair greedy loop that _sorted_dedupe replaced, kept as the reference."""
+    if quality is None:
+        quality = np.zeros(len(points))
+    order = np.lexsort(tuple(points.T[::-1]) + (np.asarray(quality),))
+    accepted = []
+    for idx in order:
+        p = points[idx]
+        if all(np.linalg.norm(p - a) > radius for a in accepted):
+            accepted.append(p)
+    accepted.sort(key=lambda p: tuple(p))
+    return accepted
+
+
+def _dedupe_clouds():
+    rng = np.random.default_rng(16)
+    base = rng.uniform(-1, 1, (12, 4))
+    dup = np.concatenate([base, base[::2], base[:3], base[:1]])
+    yield dup, 1e-4, rng.integers(0, 3, len(dup)).astype(float)
+    yield dup, 1e-4, None
+    # spacings of exactly the radius (dyadic, so every distance is exact):
+    # a point at the radius merges, one at twice the radius survives
+    line = np.array([[0.25 * k, 0.0, 0.0] for k in range(7)])
+    yield line, 0.25, None
+    yield line[::-1].copy(), 0.25, np.zeros(7)
+    yield line, 0.25, np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    diag = np.array([[0.0, 0.0], [0.375, 0.5], [0.75, 1.0], [0.375, 0.0], [0.0, 0.5]])
+    yield diag, 0.625, np.array([0.5, 0.5, 0.25, 0.5, 0.25])
+    yield diag, 0.5, np.full(5, 0.5)
+    for k in range(40):
+        centers = rng.uniform(-2, 2, (rng.integers(1, 6), 3 + k % 2))
+        pick = centers[rng.integers(0, len(centers), 30)]
+        pts = pick + rng.normal(scale=0.02, size=pick.shape) * rng.integers(0, 2, (30, 1))
+        yield pts, 0.03, rng.integers(0, 4, 30) * 1e-10
+    # the radius is a pairwise distance itself: its pair must still merge,
+    # which needs each distance rounded exactly as the loop rounds it
+    for k in range(1000):
+        pts = rng.uniform(-1, 1, (rng.integers(2, 30), 3 + k % 2)) * 10.0 ** rng.uniform(-6, 1)
+        i, j = rng.choice(len(pts), 2, replace=False)
+        yield pts, np.linalg.norm(pts[i] - pts[j]), rng.integers(0, 3, len(pts)).astype(float)
+
+
+def test_sorted_dedupe_matches_reference_loop_bitwise():
+    for points, radius, quality in _dedupe_clouds():
+        got = _sorted_dedupe(points, radius, quality)
+        want = _reference_dedupe(points, radius, quality)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
 
 
 # ---------------------------------------------------------------------------

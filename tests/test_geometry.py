@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import worldfunc as wf
 from worldfunc import Geometry, GeomVector, UnitConstants, DeformationFunction
@@ -400,3 +402,68 @@ def test_deformation_value():
     assert wf.deformation_value(MINK, 1.23) == 0.0
     with pytest.raises(wf.WorldFunctionError):
         wf.deformation_value(EUCLID3, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# sigma gradient
+# ---------------------------------------------------------------------------
+
+_TABLE = [[-5, -5.5], [-1, -1.2], [0, 0], [0.5, 0.7], [5, 5.5]]
+
+# (geometry, sigma_M values where F' jumps); Euclidean dims 1-5 and every
+# substrate kind, with ramps wide enough for random points to land inside
+GRADIENT_CASES = [(Geometry.euclidean(d), ()) for d in range(1, 6)] + [
+    (MINK, ()),
+    (Geometry.discrete(0.01), (0.0,)),
+    (Geometry.grainy(0.01, 0.03), (-0.03, 0.03)),
+    (Geometry.grainy(0.2, 1.5), (-1.5, 1.5)),
+    (Geometry.grainy(0.2, 0.0), (0.0,)),
+    (Geometry.deformed(DeformationFunction.from_table(_TABLE)), tuple(x for x, _ in _TABLE)),
+    (Geometry.deformed(DeformationFunction.grainy_ramp(0.2, 1.5)), (-1.5, 1.5)),
+    (Geometry.deformed(DeformationFunction.discrete_shift(0.01)), (0.0,)),
+    (Geometry.deformed(DeformationFunction.identity()), ()),
+]
+_CASE_IDS = [f"{g.kind}{i}" for i, (g, _) in enumerate(GRADIENT_CASES)]
+
+
+def _draw_pair(data, dim):
+    pts = arrays(np.float64, dim, elements=st.floats(-3.0, 3.0))
+    return data.draw(pts), data.draw(pts)
+
+
+@pytest.mark.parametrize("g,kinks", GRADIENT_CASES, ids=_CASE_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sigma_gradient_matches_central_differences(g, kinks, data):
+    p, q = _draw_pair(data, g.dim)
+    d = q - p
+    sm = 0.5 * (d[0] ** 2 - d[1:] @ d[1:])
+    # central differences are exact for a quadratic away from F's kinks
+    assume(all(abs(sm - k) > 1e-3 for k in kinks))
+    h = 1e-6
+    fd = np.array([(wf.sigma(g, p, q + h * e) - wf.sigma(g, p, q - h * e)) / (2 * h)
+                   for e in np.eye(g.dim)])
+    np.testing.assert_allclose(wf.sigma_gradient(g, p, q), fd, rtol=1e-7, atol=1e-7)
+
+
+@pytest.mark.parametrize("g,kinks", GRADIENT_CASES, ids=_CASE_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sigma_gradient_in_origin_is_negated(g, kinks, data):
+    p, q = _draw_pair(data, g.dim)
+    # sigma is symmetric, so d sigma/dp = sigma_gradient(g, q, p); exact, kinks included
+    assert np.array_equal(wf.sigma_gradient(g, q, p), -wf.sigma_gradient(g, p, q))
+
+
+def test_deformation_slopes():
+    x = np.array([-7.0, -5.0, -2.0, -1.0, -0.01, 0.0, 0.2, 0.5, 3.0, 9.0])
+    assert np.array_equal(DeformationFunction.identity().slope(x), np.ones_like(x))
+    # the discrete shift jumps at 0; slope 1 is used there as everywhere else
+    assert np.array_equal(DeformationFunction.discrete_shift(0.01).slope(x), np.ones_like(x))
+    ramp = DeformationFunction.grainy_ramp(0.01, 0.5)
+    assert np.array_equal(ramp.slope(x), np.where(np.abs(x) <= 0.5, 1.02, 1.0))
+    table = DeformationFunction.from_table(_TABLE)
+    seg = [4.3 / 4, 4.3 / 4, 4.3 / 4, 1.2, 1.2, 1.4, 1.4, 4.8 / 4.5, 4.8 / 4.5, 4.8 / 4.5]
+    np.testing.assert_allclose(table.slope(x), seg, rtol=1e-15)
+    assert table.slope(-100.0) == table.slope(-6.0)  # first segment extended
+    assert isinstance(table.slope(0.25), float)
