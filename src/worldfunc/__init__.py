@@ -40,6 +40,7 @@ from .geometry import (
     sigma_coordinates,
     sigma_gradient,
     squared_length,
+    triangle_defect,
 )
 from .equivalence import (
     CollinearityReport,

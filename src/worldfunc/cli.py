@@ -34,6 +34,7 @@ from .geometry import (
     Geometry,
     GeomVector,
     UnitConstants,
+    as_point,
     relative_density,
     sigma,
 )
@@ -98,6 +99,11 @@ def parse_point(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad point {text!r}: {exc}") from exc
+
+
+def _load_points(path: str, dim: int) -> np.ndarray:
+    """(m, dim) array of a JSON point list, each point checked by ``as_point``."""
+    return np.array([as_point(p, dim=dim) for p in _load_json(path)]).reshape(-1, dim)
 
 
 def _load_json(path: str):
@@ -188,16 +194,14 @@ def _utcnow() -> str:
 def cmd_sigma(args) -> int:
     started = _utcnow()
     g = parse_geometry(args.geometry)
-    pts = [np.asarray(p, dtype=float) for p in _load_json(args.points)]
-    rows = []
-    for i in range(len(pts)):
-        for j in range(i, len(pts)):
-            rows.append((i, j, sigma(g, pts[i], pts[j])))
+    pts = _load_points(args.points, g.dim)
+    i, j = np.triu_indices(len(pts))
+    rows = zip(i, j, sigma(g, pts[i], pts[j]))
     out = Path(args.out_dir) / args.out
     _write_csv(out, "i,j,sigma", rows)
     config = {"geometry": g.to_dict(), "points": args.points, "out": str(out)}
     _write_manifest(Path(args.out_dir), "sigma", config, args.seed, [out], started)
-    print(f"wrote {len(rows)} sigma values to {out}")
+    print(f"wrote {i.size} sigma values to {out}")
     return 0
 
 
@@ -270,17 +274,16 @@ def cmd_object(args) -> int:
     env = Envelope.cylinder() if args.envelope == "cylinder" \
         else Envelope.from_dict(_load_json(args.envelope))
     if args.probes:
-        probes = [np.asarray(p, dtype=float) for p in _load_json(args.probes)]
+        probes = _load_points(args.probes, g.dim)
     else:
         rng = np.random.default_rng(args.seed)
         center = np.mean(np.stack(sk.points), axis=0)
-        probes = [center + rng.uniform(-args.box_half_width, args.box_half_width, g.dim)
-                  for _ in range(args.random)]
-    rows = []
-    for p in probes:
-        val = evaluate_envelope(g, sk, env, p)
-        member = object_membership(g, sk, env, p, args.tol)
-        rows.append((*p, val, 1.0 if member else 0.0))
+        probes = center + rng.uniform(-args.box_half_width, args.box_half_width,
+                                      (args.random, g.dim))
+    # an envelope without R terms evaluates to one value for all probes
+    vals = np.broadcast_to(evaluate_envelope(g, sk, env, probes), (len(probes),))
+    member = np.broadcast_to(object_membership(g, sk, env, probes, args.tol), (len(probes),))
+    rows = np.column_stack([probes, vals, member.astype(float)])
     out = Path(args.out_dir) / args.out
     coords = ",".join(f"x{i}" for i in range(g.dim))
     _write_csv(out, f"{coords},envelope_value,member", rows)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     FamilyUndefinedError,
@@ -37,11 +36,13 @@ from .errors import (
 from .geometry import (
     Geometry,
     GeomVector,
+    _scalar_product_arrays,
     as_point,
     scalar_product,
     sigma,
     sigma_gradient,
     squared_length,
+    triangle_defect,
 )
 
 _RANK_CUTOFF = 1e-8
@@ -49,6 +50,8 @@ _RANK_CUTOFF = 1e-8
 # (trace J J^T)^2, i.e. for condition numbers of J up to about 1e5; the
 # rounding of det then costs at most ~1e-6 relative in the pseudo-inverse
 _GRAM_CUTOFF = 1e-10
+# draws per block of the Euclidean witness search: its memory is independent of the budget
+_WITNESS_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +69,20 @@ class EquivalenceReport:
 
 def is_equivalent(g: Geometry, a: GeomVector, b: GeomVector, tol: float = 1e-9) -> EquivalenceReport:
     """Joint parallelism + equal-length test; reflexive and symmetric by construction."""
-    two_a = squared_length(g, a)
-    two_b = squared_length(g, b)
-    ab = scalar_product(g, a, b)
+    eq, r_par, r_len, scale = _equivalence_residuals(g, a.origin, a.end, b.origin, b.end, tol)
+    return EquivalenceReport(bool(eq), float(r_par), float(r_len), float(scale), tol)
+
+
+def _equivalence_residuals(g, a0, a1, b0, b1, tol):
+    """(equivalent, residual_parallel, residual_length, scale) of a0a1 vs b0b1; broadcasts."""
+    two_a = 2.0 * np.asarray(sigma(g, a0, a1))
+    two_b = 2.0 * np.asarray(sigma(g, b0, b1))
+    ab = np.asarray(_scalar_product_arrays(g, a0, a1, b0, b1))
     r_len = two_a - two_b
     r_par = ab - 0.5 * (two_a + two_b)
-    scale = max(1.0, abs(two_a), abs(two_b))
-    eq = abs(r_par) <= tol * scale and abs(r_len) <= tol * scale
-    return EquivalenceReport(eq, r_par, r_len, scale, tol)
+    scale = np.maximum(1.0, np.maximum(np.abs(two_a), np.abs(two_b)))
+    eq = (np.abs(r_par) <= tol * scale) & (np.abs(r_len) <= tol * scale)
+    return eq, r_par, r_len, scale
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +352,8 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         # test, and merge whatever collapsed together
         polished, pres, _ = _newton(rmap, np.array(reps), 0.0, 12)
         pnorm = np.abs(pres).max(axis=1)
-        keep = [i for i, x in enumerate(polished)
-                if is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x), cfg.tol).equivalent]
-        reps = (_sorted_dedupe(polished[keep], radius, pnorm[keep]) if keep else [])
+        keep = _equivalence_residuals(g, p0, p1, q0, polished, cfg.tol)[0]
+        reps = _sorted_dedupe(polished[keep], radius, pnorm[keep]) if keep.any() else []
 
     if not reps:
         if g.kind in ("euclidean", "minkowski"):
@@ -362,10 +370,8 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         if d_i >= dim_est:
             dim_est, rank = d_i, r_i
 
-    residuals = []
-    for x in reps:
-        rep = is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x), cfg.tol)
-        residuals.append((rep.residual_parallel, rep.residual_length))
+    _, r_par, r_len, _ = _equivalence_residuals(g, p0, p1, q0, np.array(reps), cfg.tol)
+    residuals = list(zip(r_par.tolist(), r_len.tolist()))
 
     if len(reps) == 1 and dim_est == 0:
         variance = "single"
@@ -421,28 +427,29 @@ def find_intransitivity_witness(g: Geometry, seed: int = 0, budget: int = 10000,
     """Search for vectors (a, b, c) with a eqv b, b eqv c but not a eqv c.
 
     For geometries on the Minkowski substrate the search draws spacelike base
-    vectors and equips them with two null shifts, which are exactly
-    equivalent to the base in any deformation; distinct shifts are generally
-    not equivalent to each other.  In the Euclidean geometry the search draws
-    translated copies (the only equivalents) and honestly exhausts the
-    budget: no witness exists.  Deterministic for a given seed; returns None
-    when the budget is spent.
+    vectors and equips them with two null shifts (``minkowski_spacelike_family``,
+    equivalent to the base in exact arithmetic but not always numerically, see
+    there); distinct shifts are generally not equivalent to each other.  In
+    the Euclidean geometry the search draws translated copies (the only
+    equivalents) in blocks and honestly exhausts the budget: no witness
+    exists.  Deterministic for a given seed; returns the first witness in
+    draw order, or None when the budget is spent.
     """
     rng = np.random.default_rng(seed)
     if not g.has_minkowski_substrate:
-        for _ in range(budget):
-            o = rng.uniform(-1, 1, g.dim)
-            e = o + rng.uniform(-1, 1, g.dim)
-            b = GeomVector(o, e)
-            t1 = rng.uniform(-2, 2, g.dim)
-            t2 = rng.uniform(-2, 2, g.dim)
-            a = GeomVector(b.origin + t1, b.end + t1)
-            c = GeomVector(b.origin + t2, b.end + t2)
-            r_ab = is_equivalent(g, a, b, tol)
-            r_bc = is_equivalent(g, b, c, tol)
-            r_ac = is_equivalent(g, a, c, tol)
-            if r_ab.equivalent and r_bc.equivalent and not r_ac.equivalent:
-                return a, b, c
+        # per draw: origin, end offset and two translations, as drawn one by one
+        low = np.array([-1.0, -1.0, -2.0, -2.0])[:, None]
+        for start in range(0, budget, _WITNESS_BLOCK):
+            m = min(_WITNESS_BLOCK, budget - start)
+            o, off, t1, t2 = rng.uniform(low, -low, size=(m, 4, g.dim)).transpose(1, 0, 2)
+            e = o + off
+            a0, a1, c0, c1 = o + t1, e + t1, o + t2, e + t2
+            hit = (_equivalence_residuals(g, a0, a1, o, e, tol)[0]
+                   & _equivalence_residuals(g, o, e, c0, c1, tol)[0]
+                   & ~_equivalence_residuals(g, a0, a1, c0, c1, tol)[0])
+            if hit.any():
+                i = int(np.argmax(hit))
+                return GeomVector(a0[i], a1[i]), GeomVector(o[i], e[i]), GeomVector(c0[i], c1[i])
         return None
 
     for _ in range(budget):
@@ -531,20 +538,16 @@ def segment_membership(g: Geometry, p0, p1, r, tol: float = 1e-9) -> SegmentRepo
 
         defect = sqrt(2 s(p0,r)) + sqrt(2 s(r,p1)) - sqrt(2 s(p0,p1))
 
-    Points where any sigma is negative are out of the real-distance domain
-    and reported as non-members with in_domain = False.
+    Points where any sigma is negative (see ``triangle_defect``) are out of
+    the real-distance domain and reported as non-members with in_domain = False.
     """
     p0 = as_point(p0, dim=g.dim)
     p1 = as_point(p1, dim=g.dim)
     r = as_point(r, dim=g.dim)
     s_ab = sigma(g, p0, p1)
-    if s_ab <= 0:
+    defect = triangle_defect(g, p0, p1, r)
+    if s_ab <= 0 or math.isnan(defect):
         return SegmentReport(False, float("nan"), False)
-    s_ar = sigma(g, p0, r)
-    s_rb = sigma(g, r, p1)
-    if s_ar < 0 or s_rb < 0:
-        return SegmentReport(False, float("nan"), False)
-    defect = math.sqrt(2.0 * s_ar) + math.sqrt(2.0 * s_rb) - math.sqrt(2.0 * s_ab)
     return SegmentReport(abs(defect) <= tol * math.sqrt(2.0 * s_ab), defect, True)
 
 
@@ -580,7 +583,8 @@ class TubeSample:
     """Sampled tube of a segment: per-station transverse radii and a point cloud.
 
     ``radii[s, d]`` is the radius at which the triangle defect crosses zero
-    along direction d at station s (NaN where no crossing was bracketed);
+    along direction d at station s (NaN where no crossing was bracketed, or
+    where the defect is NaN inside the bracket);
     ``profile[s]`` averages the directions that found one.  ``points`` holds
     rows (t, r, coords...) of sampled members, t being the chart arc length
     of the station from p0.
@@ -599,9 +603,10 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
 
     For each longitudinal station the triangle defect is scanned along
     transverse chart directions (drawn once from the seeded generator in the
-    orthogonal complement of the segment direction) and its zero crossing is
-    refined by 1-D root finding.  In the Euclidean geometry, and for
-    timelike Minkowski segments, the radius profile vanishes; deformed
+    orthogonal complement of the segment direction); the first grid cell with
+    finite ends of opposite sign brackets its zero crossing, and all brackets
+    are bisected together to a width of 1e-13.  In the Euclidean geometry, and
+    for timelike Minkowski segments, the radius profile vanishes; deformed
     geometries yield genuinely thick tubes.  Stations where no direction
     brackets a crossing are marked empty, never fatal.
     """
@@ -628,52 +633,35 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
     bases = p0[None, :] + fractions[:, None] * u[None, :]
     r_grid = np.linspace(0.0, r_max, cfg.scan_points)
 
-    # vectorized defect over (stations, directions, grid)
-    probe = (bases[:, None, None, :] + r_grid[None, None, :, None] * dirs[None, :, None, :])
-    with np.errstate(invalid="ignore"):
-        s_ar = np.asarray(sigma(g, p0, probe))
-        s_rb = np.asarray(sigma(g, probe, p1))
-        defect = np.where(
-            (s_ar < 0) | (s_rb < 0), np.nan,
-            np.sqrt(np.maximum(2.0 * s_ar, 0.0)) + np.sqrt(np.maximum(2.0 * s_rb, 0.0))
-            - math.sqrt(2.0 * s_ab))
+    # defect over (stations, directions, grid)
+    defect = triangle_defect(g, p0, p1, bases[:, None, None, :]
+                             + r_grid[None, None, :, None] * dirs[None, :, None, :])
+    at_zero = np.abs(defect[..., 0]) <= defect_tol  # False where NaN
+    radii = np.where(at_zero, 0.0, np.nan)
+    # first grid cell with finite ends of opposite sign (or a zero) per ray
+    a, b = defect[..., :-1], defect[..., 1:]
+    cell = np.isfinite(a) & np.isfinite(b) & (a * b <= 0.0) & ~at_zero[..., None]
+    si, di, k = np.nonzero(cell & (np.cumsum(cell, axis=-1) == 1))
 
-    radii = np.full((cfg.stations, cfg.directions), np.nan)
-    for si in range(cfg.stations):
-        base = bases[si]
-        for di in range(cfg.directions):
-            vals = defect[si, di]
-            if np.isfinite(vals[0]) and abs(vals[0]) <= defect_tol:
-                radii[si, di] = 0.0
-                continue
-            bracket = None
-            for k in range(1, cfg.scan_points):
-                a, b = vals[k - 1], vals[k]
-                if np.isfinite(a) and np.isfinite(b) and a * b <= 0.0:
-                    bracket = (r_grid[k - 1], r_grid[k])
-                    break
-            if bracket is None:
-                continue
-
-            def f(r, base=base, d=dirs[di]):
-                rep = segment_membership(g, p0, p1, base + r * d, cfg.tol)
-                return rep.defect if rep.in_domain else np.nan
-
-            try:
-                radii[si, di] = brentq(f, bracket[0], bracket[1], xtol=1e-13, rtol=1e-15)
-            except ValueError:
-                continue
+    # bisect every bracket at once to a width of 1e-13; a bracket whose
+    # defect turns NaN inside is not refined on NaN but reported as NaN
+    lo, hi, f_lo = r_grid[k], r_grid[k + 1], defect[si, di, k]
+    finite = np.ones(si.size, dtype=bool)
+    width = float(np.max(hi - lo, initial=0.0))
+    for _ in range(math.ceil(math.log2(max(width, 1e-13) / 1e-13))):
+        mid = 0.5 * (lo + hi)
+        f_mid = triangle_defect(g, p0, p1, bases[si] + mid[:, None] * dirs[di])
+        finite &= np.isfinite(f_mid)
+        left = f_lo * f_mid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
+    radii[si, di] = np.where(finite, 0.5 * (lo + hi), np.nan)
 
     found = np.isfinite(radii)
     counts = found.sum(axis=1)
     sums = np.where(found, radii, 0.0).sum(axis=1)
     profile = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    rows = []
-    for si in range(cfg.stations):
-        for di in range(cfg.directions):
-            r = radii[si, di]
-            if np.isfinite(r):
-                coords = bases[si] + r * dirs[di]
-                rows.append([fractions[si] * length, r, *coords])
-    points = np.array(rows) if rows else np.empty((0, 2 + g.dim))
+    si, di = np.nonzero(found)
+    r = radii[si, di]
+    points = np.column_stack([fractions[si] * length, r, bases[si] + r[:, None] * dirs[di]])
     return TubeSample(fractions, fractions * length, bases, radii, profile, points)

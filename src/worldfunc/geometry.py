@@ -460,6 +460,19 @@ def relative_density(lambda0_sq: float, sigma0: float, sigma_g) -> float:
     return _finish(out)
 
 
+def triangle_defect(g: Geometry, p0, p1, r):
+    """Triangle defect sqrt(2 s(p0,r)) + sqrt(2 s(r,p1)) - sqrt(2 s(p0,p1)).
+
+    Broadcasts like ``sigma``; NaN where any of the three sigma values is
+    negative (the defect concerns real distances only).
+    """
+    s_ar = np.asarray(sigma(g, p0, r))
+    s_rb = np.asarray(sigma(g, r, p1))
+    s_ab = np.asarray(sigma(g, p0, p1))
+    with np.errstate(invalid="ignore"):  # sqrt of a negative sigma is the NaN
+        return _finish(np.sqrt(2.0 * s_ar) + np.sqrt(2.0 * s_rb) - np.sqrt(2.0 * s_ab))
+
+
 @dataclass(frozen=True)
 class TriangleReport:
     holds: bool
@@ -468,26 +481,19 @@ class TriangleReport:
 
 
 def check_triangle_axiom(g: Geometry, triples, tol: float = 1e-9) -> list[TriangleReport]:
-    """Evaluate the triangle defect sqrt(2 s(p0,r)) + sqrt(2 s(r,p1)) - sqrt(2 s(p0,p1)).
+    """Evaluate the triangle defect (``triangle_defect``) of triples (p0, p1, r).
 
-    Each triple is (p0, p1, r).  Triples where any of the three sigma values
-    is negative are skipped (the axiom concerns real distances only);
-    otherwise the axiom holds iff slack >= -tol.
+    Triples where any of the three sigma values is negative are skipped (the
+    axiom concerns real distances only); otherwise the axiom holds iff
+    slack >= -tol.
     """
     arr = np.asarray(triples, dtype=float)
     if arr.ndim == 2:
         arr = arr[None, ...]
-    if arr.ndim != 3 or arr.shape[1] != 3:
-        raise InvalidInputError("triples must have shape (m, 3, dim)")
-    p0, p1, r = arr[:, 0], arr[:, 1], arr[:, 2]
-    s_ar = np.atleast_1d(sigma(g, p0, r))
-    s_rb = np.atleast_1d(sigma(g, r, p1))
-    s_ab = np.atleast_1d(sigma(g, p0, p1))
-    skipped = (s_ar < 0) | (s_rb < 0) | (s_ab < 0)
-    slack = np.full(arr.shape[0], np.nan)
-    ok = ~skipped
-    slack[ok] = (np.sqrt(2.0 * s_ar[ok]) + np.sqrt(2.0 * s_rb[ok])
-                 - np.sqrt(2.0 * s_ab[ok]))
+    if arr.ndim != 3 or arr.shape[1] != 3 or not np.all(np.isfinite(arr)):
+        raise InvalidInputError("triples must be finite, of shape (m, 3, dim)")
+    slack = triangle_defect(g, arr[:, 0], arr[:, 1], arr[:, 2])
+    skipped = np.isnan(slack)
     holds = skipped | (slack >= -tol)
     return [TriangleReport(bool(h), float(s), bool(k))
             for h, s, k in zip(holds, slack, skipped)]

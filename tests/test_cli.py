@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import worldfunc as wf
@@ -42,6 +43,27 @@ def test_sigma_command(tmp_path):
     assert header == ["i", "j", "sigma"]
     table = {(int(i), int(j)): s for i, j, s in rows}
     assert table[(0, 1)] == 0.5 and table[(0, 2)] == -0.5 and table[(0, 0)] == 0.0
+
+
+@pytest.mark.parametrize("spec,dim", [("euclidean:dim=3", 3), ("minkowski", 4),
+                                      ("discrete:lambda0_sq=0.01", 4),
+                                      ("grainy:lambda0_sq=0.01,sigma0=0.03", 4)])
+def test_sigma_command_matches_per_pair_loop(tmp_path, spec, dim):
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (40, dim))
+    f = write_points(tmp_path / "pts.json", pts.tolist())
+    assert run(["sigma", "--geometry", spec, "--points", f, "--out-dir", tmp_path]) == 0
+    # the per-pair loop the command replaced, kept as reference
+    g = parse_geometry(spec)
+    want = ["i,j,sigma"] + [f"{i},{j},{wf.sigma(g, pts[i], pts[j])!r}"
+                            for i in range(len(pts)) for j in range(i, len(pts))]
+    assert (tmp_path / "sigma.csv").read_text() == "\n".join(want) + "\n"
+
+
+def test_sigma_non_finite_point_exits_2(tmp_path):
+    pts = tmp_path / "pts.json"
+    pts.write_text("[[0, 0, 0, 0], [NaN, 0, 0, 0]]")
+    assert run(["sigma", "--geometry", "minkowski", "--points", pts,
+                "--out-dir", tmp_path]) == 2
 
 
 def test_sigma_missing_file_exits_1(tmp_path):
@@ -167,6 +189,39 @@ def test_object_command(tmp_path):
     header, rows = read_csv(tmp_path / "object_probes.csv")
     assert header == ["x0", "x1", "x2", "envelope_value", "member"]
     assert [r[-1] for r in rows] == [1.0, 1.0, 0.0]
+
+
+_NO_R_ENVELOPE = {"op": "-", "args": [{"op": "sigma", "points": ["P0", "P1"]},
+                                     {"op": "const", "value": 0.25}]}
+
+
+@pytest.mark.parametrize("spec,dim,envelope", [
+    ("euclidean:dim=3", 3, "cylinder"),
+    ("discrete:lambda0_sq=0.01", 4, "cylinder"),
+    ("minkowski", 4, _NO_R_ENVELOPE),  # one value for every probe
+], ids=["euclidean-cylinder", "discrete-cylinder", "no-R-expression"])
+def test_object_command_matches_per_probe_loop(tmp_path, spec, dim, envelope):
+    sk_pts = np.random.default_rng(4).uniform(-1.0, 1.0, (3, dim))
+    sk_file = write_points(tmp_path / "sk.json", sk_pts.tolist())
+    env_arg = envelope
+    if envelope != "cylinder":
+        env_arg = tmp_path / "env.json"
+        env_arg.write_text(json.dumps(envelope))
+    assert run(["object", "--geometry", spec, "--skeleton", sk_file, "--envelope", env_arg,
+                "--random", 300, "--seed", 9, "--out-dir", tmp_path]) == 0
+    # the per-probe loop the command replaced, kept as reference
+    g = parse_geometry(spec)
+    sk = wf.Skeleton(tuple(sk_pts))
+    env = wf.Envelope.cylinder() if envelope == "cylinder" else wf.Envelope.from_dict(envelope)
+    rng = np.random.default_rng(9)
+    center = np.mean(np.stack(sk.points), axis=0)
+    want = [",".join(f"x{i}" for i in range(dim)) + ",envelope_value,member"]
+    for _ in range(300):
+        p = center + rng.uniform(-2.0, 2.0, dim)
+        val = wf.evaluate_envelope(g, sk, env, p)
+        member = wf.object_membership(g, sk, env, p, 1e-9)
+        want.append(",".join(repr(float(v)) for v in (*p, val, 1.0 if member else 0.0)))
+    assert (tmp_path / "object_probes.csv").read_text() == "\n".join(want) + "\n"
 
 
 def test_object_command_expression_envelope(tmp_path):

@@ -2,6 +2,11 @@
 collinearity, segments and tube sampling."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,8 @@ from scipy.optimize import brentq
 
 import worldfunc as wf
 from worldfunc import DeformationFunction, Geometry, GeomVector, SolverConfig, TubeSamplerConfig
-from worldfunc.equivalence import _pinv_rows, _ResidualMap, _sorted_dedupe
+import worldfunc.equivalence as eqv
+from worldfunc.equivalence import _WITNESS_BLOCK, _pinv_rows, _ResidualMap, _sorted_dedupe
 
 
 MINK = Geometry.minkowski()
@@ -417,6 +423,59 @@ def test_witness_none_in_euclidean():
     assert wf.find_intransitivity_witness(EUCLID3, seed=5, budget=300) is None
 
 
+def test_batched_residuals_match_scalar_reports_bitwise():
+    rng = np.random.default_rng(21)
+    for g in (EUCLID3, MINK, Geometry.discrete(0.01), Geometry.grainy(0.01, 0.03)):
+        ends = rng.uniform(-1.0, 1.0, (4, 200, g.dim))
+        ends[2:, :100] = ends[:2, :100] + rng.uniform(-2.0, 2.0, g.dim)  # translated copies
+        eq, r_par, r_len, scale = eqv._equivalence_residuals(g, *ends, 1e-9)
+        for k in range(200):
+            rep = wf.is_equivalent(g, GeomVector(ends[0, k], ends[1, k]),
+                                   GeomVector(ends[2, k], ends[3, k]))
+            assert (rep.equivalent, rep.residual_parallel, rep.residual_length, rep.scale) \
+                == (eq[k], r_par[k], r_len[k], scale[k])
+
+
+def test_euclidean_witness_blocks_replay_the_per_draw_stream(monkeypatch):
+    seen = []
+
+    def spy(g, a0, a1, b0, b1, tol):
+        seen.append((a0, a1, b0, b1))
+        return residuals(g, a0, a1, b0, b1, tol)
+
+    residuals = eqv._equivalence_residuals
+    monkeypatch.setattr(eqv, "_equivalence_residuals", spy)
+    budget = 2 * _WITNESS_BLOCK + 7
+    assert wf.find_intransitivity_witness(EUCLID3, seed=11, budget=budget) is None
+    assert len(seen) == 9  # three tests (a~b, b~c, a~c) per block
+    # the per-draw loop the blocks replaced, kept as reference
+    rng = np.random.default_rng(11)
+    want = []
+    for _ in range(budget):
+        o = rng.uniform(-1, 1, 3)
+        e = o + rng.uniform(-1, 1, 3)
+        t1 = rng.uniform(-2, 2, 3)
+        t2 = rng.uniform(-2, 2, 3)
+        want.append(np.concatenate([o + t1, e + t1, o, e, o + t2, e + t2]))
+    ab, bc = seen[0::3], seen[1::3]
+    got = np.concatenate([np.hstack([*x[:4], *y[2:]]) for x, y in zip(ab, bc)])
+    assert np.array_equal(got, np.array(want))
+
+
+def test_euclidean_witness_memory_does_not_grow_with_budget():
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            assert wf.find_intransitivity_witness(EUCLID3, seed=2, budget=budget) is None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    wf.find_intransitivity_witness(EUCLID3, seed=2, budget=10)  # first-call allocations, untraced
+    small = peak(2 * _WITNESS_BLOCK)
+    assert peak(16 * _WITNESS_BLOCK) < 1.2 * small
+
+
 def test_witness_deterministic():
     w1 = wf.find_intransitivity_witness(MINK, seed=9)
     w2 = wf.find_intransitivity_witness(MINK, seed=9)
@@ -549,6 +608,96 @@ def test_tube_empty_stations_not_fatal():
 def test_tube_requires_positive_sigma():
     with pytest.raises(wf.InvalidInputError):
         wf.sample_segment_tube(MINK, ORIGIN4, (0, 1, 0, 0))
+
+
+def _scalar_defect(g, p0, p1, r):
+    s_ar, s_rb, s_ab = wf.sigma(g, p0, r), wf.sigma(g, r, p1), wf.sigma(g, p0, p1)
+    if min(s_ar, s_rb, s_ab) < 0:
+        return math.nan
+    return math.sqrt(2.0 * s_ar) + math.sqrt(2.0 * s_rb) - math.sqrt(2.0 * s_ab)
+
+
+def _brentq_tube_radii(g, p0, p1, cfg):
+    """Tube radii by the per-(station, direction) scan and scalar brentq
+    refinement that the batched sampler replaced, kept as reference."""
+    p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
+    defect_tol = cfg.tol * math.sqrt(2.0 * wf.sigma(g, p0, p1))
+    u = p1 - p0
+    length = float(np.linalg.norm(u))
+    r_max = cfg.max_radius if cfg.max_radius is not None else length
+    _, _, vt = np.linalg.svd((u / length)[None, :])
+    raw = np.random.default_rng(cfg.seed).normal(size=(cfg.directions, g.dim - 1))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    dirs = raw @ vt[1:]
+    r_grid = np.linspace(0.0, r_max, cfg.scan_points)
+    radii = np.full((cfg.stations, cfg.directions), np.nan)
+    for si, frac in enumerate(np.linspace(0.0, 1.0, cfg.stations)):
+        base = p0 + frac * u
+        for di, d in enumerate(dirs):
+            f = lambda r: _scalar_defect(g, p0, p1, base + r * d)  # noqa: E731
+            vals = [f(r) for r in r_grid]
+            if abs(vals[0]) <= defect_tol:
+                radii[si, di] = 0.0
+                continue
+            for k in range(1, len(r_grid)):
+                a, b = vals[k - 1], vals[k]
+                if math.isfinite(a) and math.isfinite(b) and a * b <= 0.0:
+                    try:
+                        radii[si, di] = brentq(f, r_grid[k - 1], r_grid[k],
+                                               xtol=1e-13, rtol=1e-15)
+                    except ValueError:
+                        pass
+                    break
+    return radii
+
+
+@pytest.mark.parametrize("g,p0,p1,cfg", [
+    (Geometry.discrete(0.02), ORIGIN4, (2, 0, 0, 0), TubeSamplerConfig(stations=33, directions=8)),
+    (Geometry.discrete(0.01), (0.1, 0.2, -0.3, 0.1), (3, 0.5, 0.2, -0.4),
+     TubeSamplerConfig(stations=9, directions=6, seed=3)),
+    (Geometry.grainy(0.01, 0.03), ORIGIN4, (2, 0, 0, 0), TubeSamplerConfig(stations=17, directions=6)),
+    (EUCLID3, (0, 0, 0), (2, 0, 0), TubeSamplerConfig(stations=17, directions=6)),
+], ids=["discrete", "discrete-tilted", "grainy", "euclidean"])
+def test_tube_radii_match_brentq_reference(g, p0, p1, cfg):
+    got = wf.sample_segment_tube(g, p0, p1, cfg).radii
+    want = _brentq_tube_radii(g, p0, p1, cfg)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.isfinite(want).any()
+    assert np.nanmax(np.abs(got - want)) <= 1e-12
+
+
+def test_tube_bracket_with_nan_inside_is_reported_nan(monkeypatch):
+    g = Geometry.discrete(0.02)
+    cfg = TubeSamplerConfig(stations=9, directions=4)
+    clean = wf.sample_segment_tube(g, ORIGIN4, (2, 0, 0, 0), cfg).radii
+    kernel = eqv.triangle_defect
+
+    def nan_in_first_bracket(g, p0, p1, r):
+        out = kernel(g, p0, p1, r)
+        if np.ndim(r) == 2:  # the bisection: one row per bracket
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(eqv, "triangle_defect", nan_in_first_bracket)
+    radii = wf.sample_segment_tube(g, ORIGIN4, (2, 0, 0, 0), cfg).radii
+    first = np.flatnonzero(np.isfinite(clean) & (clean != 0.0))[0]
+    assert np.isnan(radii.flat[first])
+    radii.flat[first] = clean.flat[first]
+    assert np.array_equal(radii, clean, equal_nan=True)
+
+
+def test_package_imports_and_samples_tubes_without_scipy():
+    src = str(Path(wf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import worldfunc as wf\n"
+            "t = wf.sample_segment_tube(wf.Geometry.discrete(0.02), (0, 0, 0, 0), (2, 0, 0, 0),\n"
+            "                           wf.TubeSamplerConfig(stations=9, directions=4))\n"
+            "assert abs(t.profile[4] - 0.03 ** 0.5) < 1e-6, t.profile\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_segment_members_are_line_members_euclidean():

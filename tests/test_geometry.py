@@ -211,6 +211,34 @@ def test_triangle_axiom_skips_spacelike():
     assert report.skipped and report.holds and math.isnan(report.slack)
 
 
+def test_triangle_axiom_rejects_non_finite_triples():
+    with pytest.raises(wf.InvalidInputError):
+        wf.check_triangle_axiom(MINK, [((0, 0, 0, 0), (2, 0, 0, 0), (1, math.nan, 0, 0))])
+
+
+def _scalar_defect(g, p0, p1, r):
+    """Per-triple triangle defect from three scalar sigma calls; NaN where any
+    sigma is negative."""
+    s_ar, s_rb, s_ab = wf.sigma(g, p0, r), wf.sigma(g, r, p1), wf.sigma(g, p0, p1)
+    if min(s_ar, s_rb, s_ab) < 0:
+        return math.nan
+    return math.sqrt(2.0 * s_ar) + math.sqrt(2.0 * s_rb) - math.sqrt(2.0 * s_ab)
+
+
+@pytest.mark.parametrize("g", random_geometries(), ids=lambda g: f"{g.kind}{g.dim}")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_triangle_defect_matches_scalar_formula_bitwise(g, data):
+    triples = data.draw(arrays(np.float64, (6, 3, g.dim), elements=st.floats(-3.0, 3.0)))
+    got = wf.triangle_defect(g, triples[:, 0], triples[:, 1], triples[:, 2])
+    want = np.array([_scalar_defect(g, *t) for t in triples])
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    one = wf.triangle_defect(g, *triples[0])
+    assert isinstance(one, float) and (math.isnan(one) if nan[0] else one == want[0])
+
+
 # ---------------------------------------------------------------------------
 # metric tensor and sigma coordinates
 # ---------------------------------------------------------------------------
