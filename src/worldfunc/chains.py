@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError, WorldFunctionError
-from .geometry import Geometry, GeomVector, UnitConstants, as_point, deformation_value
+from .geometry import (Geometry, GeomVector, UnitConstants, _mdot, _sigma_m, as_point,
+                       deformation_value)
 from .equivalence import is_equivalent
 from .objects import Skeleton
 
@@ -160,13 +161,10 @@ def w_correction(dfun, pk_s, pl_s, pk_s1, pl_s1) -> float:
     with d(P, Q) = dfun(sigma_M(P, Q)).  Cancels pairwise when all four
     arguments see the same deformation value.
     """
-    pts = [as_point(p, dim=4) for p in (pk_s, pl_s, pk_s1, pl_s1)]
-    pk_s, pl_s, pk_s1, pl_s1 = pts
+    pk_s, pl_s, pk_s1, pl_s1 = [as_point(p, dim=4) for p in (pk_s, pl_s, pk_s1, pl_s1)]
 
     def d(p, q):
-        diff = p - q
-        sm = 0.5 * (diff[0] ** 2 - float(diff[1:] @ diff[1:]))
-        return float(dfun(sm))
+        return float(dfun(_sigma_m(p - q)))
 
     return d(pk_s, pl_s1) + d(pl_s, pk_s1) - d(pk_s, pk_s1) - d(pl_s, pl_s1)
 
@@ -174,10 +172,6 @@ def w_correction(dfun, pk_s, pl_s, pk_s1, pl_s1) -> float:
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
-
-def _mdot(x, y):
-    return x[..., 0] * y[..., 0] - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
-
 
 def _rest_frame_dyad(u):
     """Two Minkowski-orthonormal spacelike directions orthogonal to timelike u.

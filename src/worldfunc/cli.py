@@ -29,15 +29,7 @@ from .equivalence import (
     solve_equivalent,
 )
 from .errors import WorldFunctionError
-from .geometry import (
-    DeformationFunction,
-    Geometry,
-    GeomVector,
-    UnitConstants,
-    as_point,
-    relative_density,
-    sigma,
-)
+from .geometry import Geometry, GeomVector, as_point, relative_density, sigma
 from .objects import Envelope, Skeleton, evaluate_envelope, object_membership
 
 
@@ -63,35 +55,28 @@ def _fmt(x) -> str:
 def parse_geometry(spec: str) -> Geometry:
     """Geometry mini-language: 'euclidean:dim=3', 'minkowski',
     'discrete:lambda0_sq=0.01', 'grainy:lambda0_sq=0.01,sigma0=0.03',
-    'deformed:file=F.json'; or '@path.json' for a full serialized spec."""
-    if spec.startswith("@"):
-        return Geometry.from_dict(_load_json(spec[1:]))
-    kind, _, rest = spec.partition(":")
-    opts = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise UsageError(f"malformed geometry option {item!r}")
-            opts[key.strip()] = val.strip()
+    'deformed:file=F.json'; or '@path.json' for a full serialized spec.
+
+    Either form becomes the dict that ``Geometry.from_dict`` reads; a deformed
+    spec takes that dict, its F and units, from the file."""
     try:
-        if kind == "euclidean":
-            return Geometry.euclidean(int(opts.get("dim", 3)))
-        if kind == "minkowski":
-            return Geometry.minkowski()
-        if kind == "discrete":
-            return Geometry.discrete(float(opts["lambda0_sq"]))
-        if kind == "grainy":
-            return Geometry.grainy(float(opts["lambda0_sq"]), float(opts["sigma0"]))
+        if spec.startswith("@"):
+            return Geometry.from_dict(_load_json(spec[1:]))
+        kind, _, rest = spec.partition(":")
+        opts = {}
+        if rest:
+            for item in rest.split(","):
+                key, _, val = item.partition("=")
+                if not val:
+                    raise UsageError(f"malformed geometry option {item!r}")
+                opts[key.strip()] = val.strip()
         if kind == "deformed":
-            d = _load_json(opts["file"])
-            return Geometry.deformed(DeformationFunction.from_dict(d),
-                                     units=UnitConstants.from_dict(d.get("units", {})))
+            opts = _load_json(opts["file"])
+        return Geometry.from_dict({**opts, "kind": kind})
     except KeyError as exc:
-        raise UsageError(f"geometry {kind!r} is missing option {exc.args[0]!r}") from exc
+        raise UsageError(f"geometry {spec!r} is missing option {exc.args[0]!r}") from exc
     except (ValueError, WorldFunctionError) as exc:
         raise UsageError(f"bad geometry spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown geometry kind {kind!r}")
 
 
 def parse_point(text: str) -> list[float]:

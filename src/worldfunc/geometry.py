@@ -16,9 +16,14 @@ Supported world functions::
     grainy      sigma_g = sigma_M + lambda0_sq * ramp(sigma_M; sigma0)
     deformed    sigma   = F(sigma_M),  F(0) = 0
 
-with sgn(0) = 0, so sigma(P, P) = 0 holds exactly for every variant.  The
-discrete geometry admits no point pairs with squared distance in
-(0, 2*lambda0_sq): distances below sqrt(2)*lambda0 do not occur.
+Every geometry but the Euclidean one is sigma = F(sigma_M) and carries its
+F as a ``DeformationFunction``.  The built-in F are one formula,
+F(x) = x + lambda0_sq * ramp(x; sigma0) with ramp = sgn(x) outside
+|x| <= sigma0 and x / sigma0 inside: sigma0 = 0 is the discrete shift and
+lambda0_sq = 0 the identity of the Minkowski geometry.  With sgn(0) = 0,
+sigma(P, P) = 0 holds exactly for every variant.  The discrete geometry
+admits no point pairs with squared distance in (0, 2*lambda0_sq): distances
+below sqrt(2)*lambda0 do not occur.
 
 All sigma implementations are symmetric by construction and broadcast over
 leading axes of the coordinate arrays; ``sigma_gradient`` gives their exact
@@ -41,8 +46,6 @@ from .errors import (
 )
 
 SIGNATURE_DIM = 4  # Minkowski-based charts are four-dimensional
-
-_SUBSTRATE_KINDS = ("minkowski", "discrete", "grainy", "deformed")
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +126,43 @@ class UnitConstants:
         return cls(hbar=float(d.get("hbar", 1.0)), c=float(d.get("c", 1.0)), b=float(d.get("b", 1.0)))
 
 
+# parameters each deformation kind reads; the others are held at 0
+_PARAMS = {"identity": (), "discrete-shift": ("lambda0_sq",),
+           "grainy-ramp": ("lambda0_sq", "sigma0"), "table": ()}
+
+
+def _finish(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _finite(name: str, value) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise InvalidInputError(f"{name} must be finite, got {v}")
+    return v
+
+
 class DeformationFunction:
     """Scalar function F applied to the Minkowski world function, F(0) = 0.
 
-    Built-ins: ``identity``, ``discrete-shift`` (needs lambda0_sq) and
-    ``grainy-ramp`` (needs lambda0_sq, sigma0).  User functions are piecewise
-    linear tables of (sigma_M, sigma) breakpoints; outside the table range
-    the end segments are extended linearly.
+    The built-ins are one formula, F(x) = x + lambda0_sq * ramp(x; sigma0),
+    with ramp(x; sigma0) = sgn(x) for |x| > sigma0 and x / sigma0 inside
+    (sgn(x) when sigma0 = 0): ``identity`` (lambda0_sq = 0),
+    ``discrete-shift`` (sigma0 = 0) and ``grainy-ramp``; their parameters
+    must be finite.  The Minkowski, discrete and grainy geometries each carry
+    theirs.  User functions are piecewise linear tables of (sigma_M, sigma)
+    breakpoints; outside the table range the end segments are extended
+    linearly.
     """
 
     def __init__(self, kind: str, *, lambda0_sq: float = 0.0, sigma0: float = 0.0,
                  table: np.ndarray | None = None):
+        if kind not in _PARAMS:
+            raise InvalidInputError(f"unknown deformation function {kind!r}")
         self.kind = kind
-        self.lambda0_sq = float(lambda0_sq)
-        self.sigma0 = float(sigma0)
+        used = _PARAMS[kind]
+        self.lambda0_sq = _finite("lambda0_sq", lambda0_sq) if "lambda0_sq" in used else 0.0
+        self.sigma0 = _finite("sigma0", sigma0) if "sigma0" in used else 0.0
         self.table = None
         if kind == "table":
             tab = np.asarray(table, dtype=float)
@@ -147,11 +173,9 @@ class DeformationFunction:
             if not np.all(np.diff(tab[:, 0]) > 0):
                 raise InvalidInputError("table breakpoints must be strictly increasing in sigma_M")
             self.table = tab
-        elif kind not in ("identity", "discrete-shift", "grainy-ramp"):
-            raise InvalidInputError(f"unknown deformation function {kind!r}")
-        if float(self(0.0)) != 0.0:
-            raise InvalidInputError(
-                "deformation must satisfy F(0) = 0 exactly; add a (0, 0) breakpoint")
+            if float(self(0.0)) != 0.0:
+                raise InvalidInputError(
+                    "deformation must satisfy F(0) = 0 exactly; add a (0, 0) breakpoint")
 
     @classmethod
     def identity(cls) -> "DeformationFunction":
@@ -169,57 +193,57 @@ class DeformationFunction:
     def from_table(cls, pairs) -> "DeformationFunction":
         return cls("table", table=pairs)
 
-    def __call__(self, sigma_m):
-        x = np.asarray(sigma_m, dtype=float)
-        if self.kind == "identity":
-            out = x
-        elif self.kind == "discrete-shift":
-            out = x + self.lambda0_sq * np.sign(x)
-        elif self.kind == "grainy-ramp":
-            out = _grainy_sigma(x, self.lambda0_sq, self.sigma0)
+    def _shift(self, x):
+        """F(x) - x; exactly lambda0_sq * ramp(x; sigma0) for the built-ins."""
+        if self.table is not None:
+            return _piecewise_linear(x, *self.table.T) - x
+        if self.sigma0 == 0.0:  # the discrete shift exactly, not a 0/0 ramp
+            ramp = np.sign(x)
         else:
-            out = _piecewise_linear(x, self.table[:, 0], self.table[:, 1])
-        return float(out) if np.ndim(out) == 0 else out
+            ramp = np.where(np.abs(x) > self.sigma0, np.sign(x), x / self.sigma0)
+        return self.lambda0_sq * ramp
+
+    def __call__(self, sigma_m):
+        # [()] makes a 0-d input a numpy scalar: scalar sigma calls stay on
+        # the cheap scalar arithmetic instead of 0-d array ufuncs
+        x = np.asarray(sigma_m, dtype=float)[()]
+        if self.table is not None:
+            return _finish(_piecewise_linear(x, *self.table.T))
+        return _finish(x + self._shift(x))
 
     def slope(self, sigma_m):
         """Derivative F'(sigma_M).
 
-        1 for the identity and for the discrete shift off the cone (the jump
-        at sigma_M = 0 has no derivative; 1 is returned there too), the ramp
-        slope 1 + lambda0_sq/sigma0 inside |sigma_M| <= sigma0 for the grainy
-        ramp, and the segment slope for tables, with the end segments
-        extended linearly.  At a table breakpoint the right segment's slope
-        is returned.
+        1 outside the ramp of a built-in, and everywhere for the identity and
+        the discrete shift (whose jump at sigma_M = 0 has no derivative; 1 is
+        returned there too); 1 + lambda0_sq/sigma0 inside |sigma_M| <= sigma0;
+        the segment slope for tables, with the end segments extended
+        linearly.  At a table breakpoint the right segment's slope is
+        returned.
         """
         x = np.asarray(sigma_m, dtype=float)
-        if self.kind in ("identity", "discrete-shift"):
-            out = np.ones_like(x)
-        elif self.kind == "grainy-ramp":
-            out = _grainy_slope(x, self.lambda0_sq, self.sigma0)
-        else:
-            xs, ys = self.table[:, 0], self.table[:, 1]
+        if self.table is not None:
+            xs, ys = self.table.T
             seg = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
             out = (np.diff(ys) / np.diff(xs))[seg]
-        return float(out) if np.ndim(out) == 0 else out
+        elif self.sigma0 == 0.0:
+            out = np.ones_like(x)
+        else:
+            out = np.where(np.abs(x) > self.sigma0, 1.0, 1.0 + self.lambda0_sq / self.sigma0)
+        return _finish(out)
 
     def to_dict(self) -> dict:
         if self.kind == "table":
             return {"F_table": self.table.tolist()}
-        d = {"F_builtin": self.kind}
-        if self.kind == "discrete-shift":
-            d["lambda0_sq"] = self.lambda0_sq
-        elif self.kind == "grainy-ramp":
-            d["lambda0_sq"] = self.lambda0_sq
-            d["sigma0"] = self.sigma0
-        return d
+        params = {name: getattr(self, name) for name in _PARAMS[self.kind]}
+        return {"F_builtin": self.kind, **params}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeformationFunction":
         if "F_table" in d and d["F_table"] is not None:
             return cls.from_table(d["F_table"])
-        kind = d.get("F_builtin", "identity")
-        return cls(kind, lambda0_sq=float(d.get("lambda0_sq", 0.0)),
-                   sigma0=float(d.get("sigma0", 0.0)))
+        return cls(d.get("F_builtin", "identity"), lambda0_sq=d.get("lambda0_sq", 0.0),
+                   sigma0=d.get("sigma0", 0.0))
 
 
 def _piecewise_linear(x, xs, ys):
@@ -235,22 +259,6 @@ def _piecewise_linear(x, xs, ys):
     return v
 
 
-def _grainy_sigma(sm, lambda0_sq, sigma0):
-    # sigma0 = 0 must reproduce the discrete shift exactly (same branch,
-    # including sgn(0) = 0), not a 0/0 ramp
-    if sigma0 == 0.0:
-        return sm + lambda0_sq * np.sign(sm)
-    ramp = np.where(np.abs(sm) > sigma0, np.sign(sm), sm / sigma0)
-    return sm + lambda0_sq * ramp
-
-
-def _grainy_slope(sm, lambda0_sq, sigma0):
-    # sigma0 = 0 is the discrete shift: slope 1 off the cone
-    if sigma0 == 0.0:
-        return np.ones_like(sm)
-    return np.where(np.abs(sm) > sigma0, 1.0, 1.0 + lambda0_sq / sigma0)
-
-
 # ---------------------------------------------------------------------------
 # geometry specification
 # ---------------------------------------------------------------------------
@@ -259,7 +267,9 @@ def _grainy_slope(sm, lambda0_sq, sigma0):
 class Geometry:
     """A world-function description plus unit constants.
 
-    Use the classmethod constructors; ``kind`` selects the sigma variant.
+    Use the classmethod constructors.  ``kind`` names the sigma variant;
+    every kind but ``euclidean`` carries its F in ``deformation``, and sigma
+    is computed from that alone.
     """
 
     kind: str
@@ -269,6 +279,10 @@ class Geometry:
     deformation: DeformationFunction | None = None
     units: UnitConstants = field(default_factory=UnitConstants)
 
+    def __post_init__(self):
+        if (self.deformation is None) != (self.kind == "euclidean"):
+            raise InvalidInputError("build geometries with the Geometry classmethod constructors")
+
     @classmethod
     def euclidean(cls, dim: int, units: UnitConstants | None = None) -> "Geometry":
         if dim < 1:
@@ -277,13 +291,16 @@ class Geometry:
 
     @classmethod
     def minkowski(cls, units: UnitConstants | None = None) -> "Geometry":
-        return cls("minkowski", units=units or UnitConstants())
+        return cls("minkowski", deformation=DeformationFunction.identity(),
+                   units=units or UnitConstants())
 
     @classmethod
     def discrete(cls, lambda0_sq: float, units: UnitConstants | None = None) -> "Geometry":
         if not lambda0_sq > 0:
             raise InvalidInputError("discrete geometry requires lambda0_sq > 0")
-        return cls("discrete", lambda0_sq=float(lambda0_sq), units=units or UnitConstants())
+        return cls("discrete", lambda0_sq=float(lambda0_sq),
+                   deformation=DeformationFunction.discrete_shift(lambda0_sq),
+                   units=units or UnitConstants())
 
     @classmethod
     def discrete_from_units(cls, units: UnitConstants) -> "Geometry":
@@ -296,6 +313,7 @@ class Geometry:
         if lambda0_sq < 0 or sigma0 < 0:
             raise InvalidInputError("grainy geometry requires lambda0_sq >= 0 and sigma0 >= 0")
         return cls("grainy", lambda0_sq=float(lambda0_sq), sigma0=float(sigma0),
+                   deformation=DeformationFunction.grainy_ramp(lambda0_sq, sigma0),
                    units=units or UnitConstants())
 
     @classmethod
@@ -305,12 +323,12 @@ class Geometry:
 
     @property
     def has_minkowski_substrate(self) -> bool:
-        return self.kind in _SUBSTRATE_KINDS
+        return self.deformation is not None
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "dim": self.dim, "lambda0_sq": self.lambda0_sq,
              "sigma0": self.sigma0, "units": self.units.to_dict()}
-        if self.deformation is not None:
+        if self.kind == "deformed":
             d.update(self.deformation.to_dict())
         return d
 
@@ -325,8 +343,7 @@ class Geometry:
         if kind == "discrete":
             return cls.discrete(float(d["lambda0_sq"]), units=units)
         if kind == "grainy":
-            return cls.grainy(float(d.get("lambda0_sq", 0.0)),
-                              float(d.get("sigma0", 0.0)), units=units)
+            return cls.grainy(float(d["lambda0_sq"]), float(d["sigma0"]), units=units)
         if kind == "deformed":
             return cls.deformed(DeformationFunction.from_dict(d), units=units)
         raise InvalidInputError(f"unknown geometry kind {kind!r}")
@@ -345,13 +362,15 @@ def _coords(g: Geometry, p) -> np.ndarray:
     return arr
 
 
-def _finish(value):
-    return float(value) if np.ndim(value) == 0 else value
+def _mdot(x, y):
+    """Minkowski scalar product (signature +,-,-,-) over the last axis."""
+    xy = x * y  # one contiguous product; the strided per-slice products cost more
+    return xy[..., 0] - np.sum(xy[..., 1:], axis=-1)
 
 
 def _sigma_m(d):
     """Minkowski world function of coordinate differences d (last axis)."""
-    return 0.5 * (d[..., 0] ** 2 - np.sum(d[..., 1:] ** 2, axis=-1))
+    return 0.5 * _mdot(d, d)
 
 
 def sigma(g: Geometry, p, q):
@@ -362,16 +381,9 @@ def sigma(g: Geometry, p, q):
     p = _coords(g, p)
     q = _coords(g, q)
     d = p - q
-    if g.kind == "euclidean":
+    if g.deformation is None:
         return _finish(0.5 * np.sum(d * d, axis=-1))
-    sm = _sigma_m(d)
-    if g.kind == "minkowski":
-        return _finish(sm)
-    if g.kind == "discrete":
-        return _finish(sm + g.lambda0_sq * np.sign(sm))
-    if g.kind == "grainy":
-        return _finish(_grainy_sigma(sm, g.lambda0_sq, g.sigma0))
-    return _finish(g.deformation(sm))
+    return g.deformation(_sigma_m(d))
 
 
 _ETA = np.array([1.0, -1.0, -1.0, -1.0])  # Minkowski metric diagonal
@@ -382,42 +394,29 @@ def sigma_gradient(g: Geometry, p, q):
 
     Every world function here is a function F of the flat one, so the
     gradient is exact: F'(sigma_M) eta (q - p), with eta the Minkowski
-    metric diagonal (the identity in the Euclidean geometry) and F' = 1 in
-    the Euclidean, Minkowski and discrete geometries.  The discrete shift
-    jumps at sigma_M = 0 and has no derivative on the cone; slope 1 is used
-    there.  By symmetry of sigma the gradient in p is
+    metric diagonal and F' from ``DeformationFunction.slope``; in the
+    Euclidean geometry it is q - p.  The discrete shift jumps at sigma_M = 0
+    and has no derivative on the cone; slope 1 is used there.  By symmetry
+    of sigma the gradient in p is
     ``sigma_gradient(g, q, p)``, which is exactly ``-sigma_gradient(g, p, q)``.
     """
     p = _coords(g, p)
     q = _coords(g, q)
     d = q - p
-    if g.kind == "euclidean":
+    if g.deformation is None:
         return d
-    eta_d = d * _ETA
-    if g.kind in ("minkowski", "discrete"):
-        return eta_d
-    sm = _sigma_m(d)
-    if g.kind == "grainy":
-        slope = _grainy_slope(sm, g.lambda0_sq, g.sigma0)
-    else:
-        slope = g.deformation.slope(sm)
-    return np.asarray(slope)[..., None] * eta_d
+    return np.asarray(g.deformation.slope(_sigma_m(d)))[..., None] * (d * _ETA)
 
 
 def deformation_value(g: Geometry, sigma_m):
-    """Deformation d(sigma_M) = sigma(sigma_M) - sigma_M of a substrate geometry."""
+    """Deformation d(sigma_M) = F(sigma_M) - sigma_M of a substrate geometry.
+
+    Exactly lambda0_sq * ramp(sigma_M; sigma0) for the built-in F (a signed
+    zero for the identity), F(sigma_M) - sigma_M for tables.
+    """
     if not g.has_minkowski_substrate:
-        raise WorldFunctionError(f"{g.kind} geometry has no Minkowski substrate")
-    sm = np.asarray(sigma_m, dtype=float)
-    if g.kind == "minkowski":
-        out = np.zeros_like(sm)
-    elif g.kind == "discrete":
-        out = g.lambda0_sq * np.sign(sm)
-    elif g.kind == "grainy":
-        out = _grainy_sigma(sm, g.lambda0_sq, g.sigma0) - sm
-    else:
-        out = g.deformation(sm) - sm
-    return _finish(out)
+        raise WorldFunctionError("the Euclidean geometry has no Minkowski substrate")
+    return _finish(g.deformation._shift(np.asarray(sigma_m, dtype=float)))
 
 
 def scalar_product(g: Geometry, a: GeomVector, b: GeomVector) -> float:
@@ -450,6 +449,7 @@ def relative_density(lambda0_sq: float, sigma0: float, sigma_g) -> float:
     For sigma0 -> 0 the inner density goes to 0: the discrete limit.  With
     lambda0_sq = sigma0 = 0 the geometry is undeformed and rho = 1 everywhere.
     """
+    lambda0_sq, sigma0 = _finite("lambda0_sq", lambda0_sq), _finite("sigma0", sigma0)
     if lambda0_sq < 0 or sigma0 < 0:
         raise InvalidInputError("lambda0_sq and sigma0 must be non-negative")
     edge = sigma0 + lambda0_sq

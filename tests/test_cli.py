@@ -86,6 +86,29 @@ def test_geometry_minilanguage():
         parse_geometry("discrete")  # missing lambda0_sq
 
 
+def test_grainy_spec_needs_both_options(tmp_path, capsys):
+    pts = write_points(tmp_path / "p.json", [[0, 0, 0, 0]])
+    assert run(["sigma", "--geometry", "grainy", "--points", pts, "--out-dir", tmp_path]) == 1
+    assert "missing option 'lambda0_sq'" in capsys.readouterr().err
+    spec = tmp_path / "geom.json"
+    spec.write_text(json.dumps({"kind": "grainy", "lambda0_sq": 0.01}))
+    assert run(["sigma", "--geometry", f"@{spec}", "--points", pts, "--out-dir", tmp_path]) == 1
+    assert "missing option 'sigma0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["grainy:lambda0_sq=nan,sigma0=0.03",
+                                  "grainy:lambda0_sq=0.01,sigma0=nan",
+                                  "grainy:lambda0_sq=inf,sigma0=0.03",
+                                  "discrete:lambda0_sq=inf"])
+def test_non_finite_geometry_parameters_exit_1(tmp_path, capsys, spec):
+    pts = write_points(tmp_path / "p.json", [[0, 0, 0, 0], [1, 0, 0, 0]])
+    assert run(["sigma", "--geometry", spec, "--points", pts, "--out-dir", tmp_path]) == 1
+    assert run(["chain", "--geometry", spec, "--link-sigma-m", 0.5, "--steps", 3,
+                "--out-dir", tmp_path]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_deformed_geometry_from_file(tmp_path):
     fspec = tmp_path / "F.json"
     fspec.write_text(json.dumps({"F_table": [[-10, -10], [0, 0], [10, 10]]}))
@@ -276,6 +299,14 @@ def test_density_command(tmp_path):
     assert header == ["sigma_g", "rho"]
     rho = {round(sg, 6): r for sg, r in rows}
     assert rho[-0.05] == 1.0 and rho[0.0] == 0.75 and rho[0.025] == 0.75
+
+
+@pytest.mark.parametrize("lam,s0", [("nan", "0.03"), ("0.01", "nan"), ("inf", "0.03"),
+                                    ("-0.01", "0.03")])
+def test_density_bad_parameters_exit_2(tmp_path, lam, s0):
+    assert run(["density", "--lambda0-sq", lam, "--sigma0", s0,
+                "--grid=-0.1:0.1:5", "--out-dir", tmp_path]) == 2
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_density_bad_grid_exits_1(tmp_path):

@@ -495,3 +495,123 @@ def test_deformation_slopes():
     np.testing.assert_allclose(table.slope(x), seg, rtol=1e-15)
     assert table.slope(-100.0) == table.slope(-6.0)  # first segment extended
     assert isinstance(table.slope(0.25), float)
+
+
+# ---------------------------------------------------------------------------
+# one deformation dispatch
+# ---------------------------------------------------------------------------
+
+def _ramp(x, sigma0):
+    # per-kind reference: sgn for the discrete shift, the grainy ramp inside sigma0
+    if sigma0 == 0.0:
+        return np.sign(x)
+    return np.where(np.abs(x) > sigma0, np.sign(x), x / sigma0)
+
+
+# built-in geometry, the same F as a deformed geometry, reference d(sigma_M)
+BUILTIN_TWINS = [
+    (MINK, DeformationFunction.identity(), lambda x: np.zeros_like(x)),
+    (Geometry.discrete(0.01), DeformationFunction.discrete_shift(0.01),
+     lambda x: 0.01 * np.sign(x)),
+    (Geometry.grainy(0.01, 0.03), DeformationFunction.grainy_ramp(0.01, 0.03),
+     lambda x: 0.01 * _ramp(x, 0.03)),
+    (Geometry.grainy(0.2, 1.5), DeformationFunction.grainy_ramp(0.2, 1.5),
+     lambda x: 0.2 * _ramp(x, 1.5)),
+    (Geometry.grainy(0.01, 0.0), DeformationFunction.grainy_ramp(0.01, 0.0),
+     lambda x: 0.01 * np.sign(x)),
+]
+_TWIN_IDS = [f"{g.kind}{i}" for i, (g, _, _) in enumerate(BUILTIN_TWINS)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("g,F,ref", BUILTIN_TWINS, ids=_TWIN_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_builtin_kinds_equal_their_deformed_twins_bitwise(g, F, ref, data):
+    twin = Geometry.deformed(F)
+    kind = data.draw(st.sampled_from(["random", "null", "coincident"]))
+    if kind == "random":
+        p, q = _draw_pair(data, 4)
+    else:
+        # dyadic origin plus an exactly representable null shift (3,2,2,1)/8
+        p = np.array(data.draw(st.lists(st.integers(-24, 24), min_size=4, max_size=4))) / 8.0
+        q = p + np.array([3.0, 2.0, -2.0, 1.0]) / 8.0 if kind == "null" else p.copy()
+    assert _bits(wf.sigma(g, p, q)) == _bits(wf.sigma(twin, p, q))
+    assert _bits(wf.sigma_gradient(g, p, q)) == _bits(wf.sigma_gradient(twin, p, q))
+    sm = wf.sigma(MINK, p, q)
+    x = np.array([sm, data.draw(st.floats(-3.0, 3.0))])
+    assert np.array_equal(wf.deformation_value(g, x), ref(x))
+    assert np.array_equal(wf.deformation_value(twin, x), ref(x))
+
+
+_UNITS = {"hbar": 1.0, "c": 1.0, "b": 1.0}
+
+
+@pytest.mark.parametrize("g,want", [
+    (Geometry.euclidean(3),
+     {"kind": "euclidean", "dim": 3, "lambda0_sq": 0.0, "sigma0": 0.0, "units": _UNITS}),
+    (MINK, {"kind": "minkowski", "dim": 4, "lambda0_sq": 0.0, "sigma0": 0.0, "units": _UNITS}),
+    (Geometry.discrete(0.01),
+     {"kind": "discrete", "dim": 4, "lambda0_sq": 0.01, "sigma0": 0.0, "units": _UNITS}),
+    (Geometry.grainy(0.01, 0.03),
+     {"kind": "grainy", "dim": 4, "lambda0_sq": 0.01, "sigma0": 0.03, "units": _UNITS}),
+    (Geometry.deformed(DeformationFunction.from_table([[-5, -5.5], [0, 0], [5, 5.5]])),
+     {"kind": "deformed", "dim": 4, "lambda0_sq": 0.0, "sigma0": 0.0, "units": _UNITS,
+      "F_table": [[-5.0, -5.5], [0.0, 0.0], [5.0, 5.5]]}),
+    (Geometry.deformed(DeformationFunction.identity()),
+     {"kind": "deformed", "dim": 4, "lambda0_sq": 0.0, "sigma0": 0.0, "units": _UNITS,
+      "F_builtin": "identity"}),
+    (Geometry.deformed(DeformationFunction.discrete_shift(0.01)),
+     {"kind": "deformed", "dim": 4, "lambda0_sq": 0.01, "sigma0": 0.0, "units": _UNITS,
+      "F_builtin": "discrete-shift"}),
+    (Geometry.deformed(DeformationFunction.grainy_ramp(0.01, 0.03)),
+     {"kind": "deformed", "dim": 4, "lambda0_sq": 0.01, "sigma0": 0.03, "units": _UNITS,
+      "F_builtin": "grainy-ramp"}),
+], ids=lambda v: v.kind if isinstance(v, Geometry) else "")
+def test_to_dict_is_pinned(g, want):
+    # key order included: the serialized form must not drift
+    assert list(g.to_dict().items()) == list(want.items())
+
+
+def test_builtin_deformation_ignores_parameters_of_other_kinds():
+    F = DeformationFunction.from_dict({"F_builtin": "discrete-shift", "lambda0_sq": 0.01,
+                                       "sigma0": 0.5})
+    assert F(0.02) == 0.02 + 0.01 and F.to_dict() == {"F_builtin": "discrete-shift",
+                                                      "lambda0_sq": 0.01}
+    I = DeformationFunction("identity", lambda0_sq=0.5, sigma0=0.5)
+    assert I(0.25) == 0.25 and I.to_dict() == {"F_builtin": "identity"}
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: Geometry.grainy(math.nan, 0.03), "lambda0_sq"),
+    (lambda: Geometry.grainy(0.01, math.nan), "sigma0"),
+    (lambda: Geometry.grainy(math.inf, 0.03), "lambda0_sq"),
+    (lambda: Geometry.grainy(0.01, math.inf), "sigma0"),
+    (lambda: Geometry.discrete(math.inf), "lambda0_sq"),
+    (lambda: DeformationFunction.discrete_shift(math.nan), "lambda0_sq"),
+    (lambda: Geometry.from_dict({"kind": "deformed", "F_builtin": "grainy-ramp",
+                                 "lambda0_sq": "nan", "sigma0": 0.03}), "lambda0_sq"),
+    (lambda: wf.relative_density(math.nan, 0.03, 0.0), "lambda0_sq"),
+    (lambda: wf.relative_density(0.01, math.inf, 0.0), "sigma0"),
+], ids=["grainy-nan-l", "grainy-nan-s", "grainy-inf-l", "grainy-inf-s", "discrete-inf",
+        "shift-nan", "deformed-nan", "density-nan", "density-inf"])
+def test_non_finite_deformation_parameters_rejected(make, name):
+    with pytest.raises(wf.InvalidInputError, match=f"{name} must be finite"):
+        make()
+
+
+def test_serialized_grainy_needs_both_parameters():
+    with pytest.raises(KeyError):
+        Geometry.from_dict({"kind": "grainy", "lambda0_sq": 0.01})
+
+
+def test_geometry_carries_a_deformation_exactly_off_the_euclidean_kind():
+    assert not Geometry.euclidean(3).has_minkowski_substrate
+    assert all(g.has_minkowski_substrate for g, _, _ in BUILTIN_TWINS)
+    with pytest.raises(wf.InvalidInputError):
+        Geometry("minkowski")
+    with pytest.raises(wf.InvalidInputError):
+        Geometry("euclidean", dim=3, deformation=DeformationFunction.identity())
