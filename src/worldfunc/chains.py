@@ -173,33 +173,54 @@ def w_correction(dfun, pk_s, pl_s, pk_s1, pl_s1) -> float:
 # stepping
 # ---------------------------------------------------------------------------
 
+# lab x and y axes as component-major columns, broadcast against (4, m) rows
+_LAB_X = np.array([[0.0], [1.0], [0.0], [0.0]])
+_LAB_Y = np.array([[0.0], [0.0], [1.0], [0.0]])
+
+
+def _mdot_cm(x, y):
+    """Minkowski products (signature +,-,-,-) of component-major (4, m) rows.
+
+    The spatial terms are added left to right starting from +0.0, which is
+    the order of the 3-element ``np.sum`` in ``geometry._mdot``: each product
+    equals that of the (m, 4) layout bit for bit, signed zeros included.
+    """
+    xy = x * y
+    return xy[0] - np.add.reduce(xy[1:], axis=0, initial=0.0)
+
+
 def _rest_frame_dyad(u):
     """Two Minkowski-orthonormal spacelike directions orthogonal to timelike u.
 
-    Gram-Schmidt of the lab x and y axes against u; never degenerate for unit
-    timelike u because its time component dominates.  Deterministic, so the
+    u holds m unit timelike directions as component-major (4, m) rows, and so
+    do the returned w1, w2.  Gram-Schmidt of the lab x and y axes against u;
+    never degenerate for unit timelike u because its time component
+    dominates.  Every product with a zero component of a lab axis is kept, so
+    NaN, inf and signed zeros propagate bit for bit as in the row-major
+    (m, 4) reference loop of tests/test_chains.py.  Deterministic, so the
     only stochastic input of a step is the azimuth.
     """
-    m = u.shape[0]
-    e1 = np.zeros((m, 4))
-    e1[:, 1] = 1.0
-    e2 = np.zeros((m, 4))
-    e2[:, 2] = 1.0
-    w1 = e1 - _mdot(e1, u)[:, None] * u
-    w1 = w1 / np.sqrt(-_mdot(w1, w1))[:, None]
-    w2 = e2 - _mdot(e2, u)[:, None] * u
-    w2 = w2 + _mdot(w2, w1)[:, None] * w1  # w1 . w1 = -1
-    w2 = w2 / np.sqrt(-_mdot(w2, w2))[:, None]
+    w1 = _LAB_X - _mdot_cm(_LAB_X, u) * u
+    w1 /= np.sqrt(-_mdot_cm(w1, w1))
+    w2 = _LAB_Y - _mdot_cm(_LAB_Y, u) * u
+    w2 += _mdot_cm(w2, w1) * w1  # w1 . w1 = -1
+    w2 /= np.sqrt(-_mdot_cm(w2, w2))
     return w1, w2
 
 
 def _tilt(u, cosh_dphi, sinh_dphi, azimuth):
+    """Tilt the (4, m) unit directions u by dphi about the (m,) azimuths."""
     w1, w2 = _rest_frame_dyad(u)
-    e = np.cos(azimuth)[:, None] * w1 + np.sin(azimuth)[:, None] * w2
-    nxt = cosh_dphi * u + sinh_dphi * e
+    w1 *= np.cos(azimuth)
+    w2 *= np.sin(azimuth)
+    w1 += w2  # the tilt direction e
+    w1 *= sinh_dphi
+    nxt = cosh_dphi * u
+    nxt += w1
     # renormalize every step: rounding in the norm would otherwise compound
     # by cosh^2(dphi) per link and ruin length conservation on long chains
-    return nxt / np.sqrt(_mdot(nxt, nxt))[:, None]
+    nxt /= np.sqrt(_mdot_cm(nxt, nxt))
+    return nxt
 
 
 def step_chain(state, params: ChainParams, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -213,12 +234,12 @@ def step_chain(state, params: ChainParams, rng) -> tuple[np.ndarray, np.ndarray]
     if not two_sm > 0:
         raise InvalidStateError("chain state must have a timelike leading vector")
     length = math.sqrt(two_sm)
-    u = (disp / length)[None, :]
+    u = (disp / length)[:, None]
     sigma_m = 0.5 * two_sm
     d = float(deformation_value(params.geometry, sigma_m))
     dphi = deflection_angle(d, sigma_m)
     azimuth = np.array([rng.uniform(0.0, 2.0 * math.pi)])
-    u_next = _tilt(u, math.cosh(dphi), math.sinh(dphi), azimuth)[0]
+    u_next = _tilt(u, math.cosh(dphi), math.sinh(dphi), azimuth)[:, 0]
     return p1, p1 + length * u_next
 
 
@@ -298,6 +319,13 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
     reductions run in fixed chain order, so the statistics are bit-identical
     for a given (params, seed) under any schedule.
 
+    Layout: the directions are component-major (4, ensemble) rows stepped by
+    the same ``_tilt`` kernel as ``step_chain``, and the azimuths a
+    (steps, ensemble) table whose column i is chain i's stream, so a step
+    reads one contiguous row.  Every statistic and point is bit-identical to
+    the row-major (ensemble, 4) reference loop of tests/test_chains.py, NaN
+    positions and signed zeros included.
+
     Returns ChainStats, or (ChainStats, points) with chain points of shape
     (ensemble, steps + 2, 4) when keep_chains is set: points[i, k] is the
     k-th point of chain i, starting at the origin.
@@ -308,30 +336,34 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
     dphi = deflection_angle(d, params.link_sigma_m)
     cosh_dphi, sinh_dphi = math.cosh(dphi), math.sinh(dphi)
 
-    azimuths = np.empty((E, S))
+    azimuths = np.empty((S, E))
     for i in range(E):
-        azimuths[i] = chain_rng(params.seed, i).uniform(0.0, 2.0 * math.pi, S)
+        azimuths[:, i] = chain_rng(params.seed, i).uniform(0.0, 2.0 * math.pi, S)
 
-    u = np.zeros((E, 4))
-    u[:, 0] = 1.0  # initial link along the time axis, shared by all chains
+    u = np.zeros((4, E))
+    u[0] = 1.0  # initial link along the time axis, shared by all chains
     mean_t = np.empty(S)
     var_transverse = np.empty(S)
     mean_angle = np.empty(S)
     drift = np.zeros(E)
+    # var runs over a chain-major (ensemble, 3) copy of the transverse
+    # components: over the (3, ensemble) rows it sums in another order
+    transverse = np.empty((E, 3))
     points = None
     if keep_chains:
         points = np.zeros((E, S + 2, 4))
         points[:, 1, 0] = length
 
     for s in range(S):
-        u_next = _tilt(u, cosh_dphi, sinh_dphi, azimuths[:, s])
-        mean_angle[s] = np.arccosh(np.maximum(1.0, _mdot(u, u_next))).mean()
+        u_next = _tilt(u, cosh_dphi, sinh_dphi, azimuths[s])
+        mean_angle[s] = np.arccosh(np.maximum(1.0, _mdot_cm(u, u_next))).mean()
         u = u_next
-        mean_t[s] = length * u[:, 0].mean()
-        var_transverse[s] = length * length * u[:, 1:].var(axis=0, ddof=0).sum()
-        drift = np.maximum(drift, np.abs(_mdot(u, u) - 1.0))
+        mean_t[s] = length * u[0].mean()
+        np.copyto(transverse, u[1:].T)
+        var_transverse[s] = length * length * transverse.var(axis=0, ddof=0).sum()
+        np.maximum(drift, np.abs(_mdot_cm(u, u) - 1.0), out=drift)
         if keep_chains:
-            points[:, s + 2] = points[:, s + 1] + length * u
+            np.add(points[:, s + 1], (length * u).T, out=points[:, s + 2])
 
     stats = ChainStats(np.arange(1, S + 1), mean_t, var_transverse, mean_angle, drift)
     return (stats, points) if keep_chains else stats

@@ -46,12 +46,6 @@ class _Parser(argparse.ArgumentParser):
 # parsing helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def parse_geometry(spec: str) -> Geometry:
     """Geometry mini-language: 'euclidean:dim=3', 'minkowski',
     'discrete:lambda0_sq=0.01', 'grainy:lambda0_sq=0.01,sigma0=0.03',
@@ -61,7 +55,7 @@ def parse_geometry(spec: str) -> Geometry:
     spec takes that dict, its F and units, from the file."""
     try:
         if spec.startswith("@"):
-            return Geometry.from_dict(_load_json(spec[1:]))
+            return Geometry.from_dict(_load_spec(spec, spec[1:]))
         kind, _, rest = spec.partition(":")
         opts = {}
         if rest:
@@ -71,12 +65,20 @@ def parse_geometry(spec: str) -> Geometry:
                     raise UsageError(f"malformed geometry option {item!r}")
                 opts[key.strip()] = val.strip()
         if kind == "deformed":
-            opts = _load_json(opts["file"])
+            opts = _load_spec(spec, opts["file"])
         return Geometry.from_dict({**opts, "kind": kind})
     except KeyError as exc:
         raise UsageError(f"geometry {spec!r} is missing option {exc.args[0]!r}") from exc
-    except (ValueError, WorldFunctionError) as exc:
+    except (TypeError, ValueError, WorldFunctionError) as exc:
         raise UsageError(f"bad geometry spec {spec!r}: {exc}") from exc
+
+
+def _load_spec(spec: str, path: str) -> dict:
+    """The JSON object of a geometry spec file."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise UsageError(f"bad geometry spec {spec!r}: {path} must hold a JSON object")
+    return obj
 
 
 def parse_point(text: str) -> list[float]:
@@ -121,16 +123,31 @@ def _to_jsonable(obj):
 # output plumbing
 # ---------------------------------------------------------------------------
 
+_CSV_BLOCK = 4096  # rows per formatted block of _write_csv
+
+
 def _write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """CSV of equal-length 1-D columns: integer columns as ``str``, every
+    other column as the round-trip ``repr`` of its float64 values.
+
+    Rows are formatted from ``tolist()`` by one ``%`` template per row, a
+    block at a time, so the Python objects alive at once stay bounded.
+    """
+    cols = [c if c.dtype.kind in "iu" else np.asarray(c, dtype=float)
+            for c in map(np.asarray, columns)]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%r" for c in cols) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(cols[0]), _CSV_BLOCK):
+            block = zip(*(c[start:start + _CSV_BLOCK].tolist() for c in cols))
+            fh.write("".join(map(row.__mod__, block)))
 
 
 def _write_json(path: Path, payload: dict) -> str:
@@ -181,9 +198,8 @@ def cmd_sigma(args) -> int:
     g = parse_geometry(args.geometry)
     pts = _load_points(args.points, g.dim)
     i, j = np.triu_indices(len(pts))
-    rows = zip(i, j, sigma(g, pts[i], pts[j]))
     out = Path(args.out_dir) / args.out
-    _write_csv(out, "i,j,sigma", rows)
+    _write_csv(out, "i,j,sigma", i, j, sigma(g, pts[i], pts[j]))
     config = {"geometry": g.to_dict(), "points": args.points, "out": str(out)}
     _write_manifest(Path(args.out_dir), "sigma", config, args.seed, [out], started)
     print(f"wrote {i.size} sigma values to {out}")
@@ -242,10 +258,9 @@ def cmd_tube(args) -> int:
     out_dir = Path(args.out_dir)
     cloud = out_dir / args.out_cloud
     coords = ",".join(f"x{i}" for i in range(g.dim))
-    _write_csv(cloud, f"t,r,{coords}", tube.points)
+    _write_csv(cloud, f"t,r,{coords}", *tube.points.T)
     profile = out_dir / args.out_profile
-    _write_csv(profile, "t,radius",
-               zip(tube.arc_positions, tube.profile))
+    _write_csv(profile, "t,radius", tube.arc_positions, tube.profile)
     config = {"geometry": g.to_dict(), "p0": args.p0, "p1": args.p1, **cfg.to_dict()}
     _write_manifest(out_dir, "tube", config, args.seed, [cloud, profile], started)
     print(f"wrote {tube.points.shape[0]} member points to {cloud}, profile to {profile}")
@@ -268,14 +283,13 @@ def cmd_object(args) -> int:
     # an envelope without R terms evaluates to one value for all probes
     vals = np.broadcast_to(evaluate_envelope(g, sk, env, probes), (len(probes),))
     member = np.broadcast_to(object_membership(g, sk, env, probes, args.tol), (len(probes),))
-    rows = np.column_stack([probes, vals, member.astype(float)])
     out = Path(args.out_dir) / args.out
     coords = ",".join(f"x{i}" for i in range(g.dim))
-    _write_csv(out, f"{coords},envelope_value,member", rows)
+    _write_csv(out, f"{coords},envelope_value,member", *probes.T, vals, member)
     config = {"geometry": g.to_dict(), "skeleton": args.skeleton,
               "envelope": args.envelope, "probes": len(probes), "tol": args.tol}
     _write_manifest(Path(args.out_dir), "object", config, args.seed, [out], started)
-    print(f"wrote {len(rows)} probes to {out}")
+    print(f"wrote {len(probes)} probes to {out}")
     return 0
 
 
@@ -289,15 +303,15 @@ def cmd_chain(args) -> int:
     if args.raw:
         stats, points = simulate_ensemble(params, keep_chains=True)
         raw = out_dir / args.out_raw
-        rows = ((i, k, *points[i, k])
-                for i in range(points.shape[0]) for k in range(points.shape[1]))
-        _write_csv(raw, "chain_id,step,x0,x1,x2,x3", rows)
+        chains, steps = points.shape[:2]
+        _write_csv(raw, "chain_id,step,x0,x1,x2,x3", np.repeat(np.arange(chains), steps),
+                   np.tile(np.arange(steps), chains), *points.reshape(-1, 4).T)
         outputs.append(raw)
     else:
         stats = simulate_ensemble(params)
     out = out_dir / args.out_stats
     _write_csv(out, "step,mean_t,var_transverse,mean_angle",
-               zip(stats.step, stats.mean_t, stats.var_transverse, stats.mean_angle))
+               stats.step, stats.mean_t, stats.var_transverse, stats.mean_angle)
     outputs.insert(0, out)
     extras = {"deflection_angle": params.deflection,
               "max_link_length_drift": float(stats.link_length_drift.max())}
@@ -311,12 +325,15 @@ def cmd_density(args) -> int:
     started = _utcnow()
     try:
         lo, hi, count = args.grid.split(":")
-        grid = np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise UsageError(f"bad grid {args.grid!r}, expected MIN:MAX:COUNT") from exc
+    if not (np.isfinite(lo) and np.isfinite(hi) and count >= 0):
+        raise UsageError(f"bad grid {args.grid!r}: MIN and MAX must be finite, COUNT >= 0")
+    grid = np.linspace(lo, hi, count)
     rho = relative_density(args.lambda0_sq, args.sigma0, grid)
     out = Path(args.out_dir) / args.out
-    _write_csv(out, "sigma_g,rho", zip(grid, np.atleast_1d(rho)))
+    _write_csv(out, "sigma_g,rho", grid, np.atleast_1d(rho))
     config = {"lambda0_sq": args.lambda0_sq, "sigma0": args.sigma0, "grid": args.grid}
     _write_manifest(Path(args.out_dir), "density", config, args.seed, [out], started)
     print(f"wrote {grid.size} density values to {out}")

@@ -164,11 +164,11 @@ class _ResidualMap:
     def __call__(self, X):
         """X of shape (m, n) -> residual rows (m, 2)."""
         s = sigma(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m)
-        ab = s[0] + self.const - s[1]
+        res = np.empty((X.shape[0], 2))
         two_b = 2.0 * s[2]
-        r_par = ab - 0.5 * (self.two_a + two_b)
-        r_len = two_b - self.two_a
-        return np.stack([r_par, r_len], axis=-1)
+        res[:, 0] = (s[0] + self.const - s[1]) - 0.5 * (self.two_a + two_b)
+        res[:, 1] = two_b - self.two_a
+        return res
 
     def jacobian(self, X):
         """Analytic Jacobian rows (m, 2, n) of the residuals at X of shape (m, n).
@@ -178,7 +178,11 @@ class _ResidualMap:
         and 2 G_2 (length).
         """
         G = sigma_gradient(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m, n)
-        return np.stack([G[0] - G[1] - G[2], 2.0 * G[2]], axis=1)
+        J = np.empty((X.shape[0], 2, X.shape[1]))
+        np.subtract(G[0], G[1], out=J[:, 0])
+        J[:, 0] -= G[2]
+        np.multiply(2.0, G[2], out=J[:, 1])
+        return J
 
 
 def _pinv_rows(J):
@@ -209,7 +213,8 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
     and ``_pinv_rows`` (closed-form 2x2 normal equations, SVD only for
     ill-conditioned rows).  Returns (points, residual_rows,
     converged_mask); rows whose line search cannot improve stall out and are
-    left unconverged rather than raising.
+    left unconverged rather than raising.  An accepted trial keeps the
+    residual row and norm its line search computed.
     """
     X = np.array(X0, dtype=float)
     res = rmap(X)
@@ -233,24 +238,29 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
         # backtracking: halve the step until the residual norm drops
         lam = np.ones(ia.size)
         accepted = np.zeros(ia.size, dtype=bool)
-        best = rnorm[ia].copy()
+        best = rnorm[ia].copy()  # the accepted norm once a row is accepted
         Xnew = Xa.copy()
+        Rnew = np.empty((ia.size, 2))
         for _ in range(9):
             rem = np.flatnonzero(~accepted)
             if rem.size == 0:
                 break
             trial = Xa[rem] + lam[rem, None] * step[rem]
-            tnorm = np.abs(rmap(trial)).max(axis=1)
+            tres = rmap(trial)
+            tnorm = np.abs(tres).max(axis=1)
             ok = tnorm < best[rem]
-            Xnew[rem[ok]] = trial[ok]
+            took = rem[ok]
+            Xnew[took] = trial[ok]
+            Rnew[took] = tres[ok]
+            best[took] = tnorm[ok]
             lam[rem[~ok]] *= 0.5
-            accepted[rem[ok]] = True
+            accepted[took] = True
         X[ia[accepted]] = Xnew[accepted]
         # rows that could not improve stall out for good
         active[ia[~accepted]] = False
         moved = ia[accepted]
-        res[moved] = rmap(X[moved])
-        rnorm[moved] = np.abs(res[moved]).max(axis=1)
+        res[moved] = Rnew[accepted]
+        rnorm[moved] = best[accepted]
         newly = moved[rnorm[moved] <= tol_abs]
         converged[newly] = True
         active[newly] = False

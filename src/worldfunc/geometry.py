@@ -123,6 +123,8 @@ class UnitConstants:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UnitConstants":
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"units must be a mapping, got {type(d).__name__}")
         return cls(hbar=float(d.get("hbar", 1.0)), c=float(d.get("c", 1.0)), b=float(d.get("b", 1.0)))
 
 

@@ -274,3 +274,144 @@ def test_mass_constant_along_chain():
     masses = [wf.particle_mass(units, 2.0 * wf.sigma(g, link[0], link[1]))
               for link in chain.links]
     assert np.ptp(masses) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the component-major step kernel against the (ensemble, 4) loop it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_mdot(x, y):
+    xy = x * y
+    return xy[..., 0] - np.sum(xy[..., 1:], axis=-1)
+
+
+def _ref_tilt(u, cosh_dphi, sinh_dphi, azimuth):
+    m = u.shape[0]
+    e1 = np.zeros((m, 4))
+    e1[:, 1] = 1.0
+    e2 = np.zeros((m, 4))
+    e2[:, 2] = 1.0
+    w1 = e1 - _ref_mdot(e1, u)[:, None] * u
+    w1 = w1 / np.sqrt(-_ref_mdot(w1, w1))[:, None]
+    w2 = e2 - _ref_mdot(e2, u)[:, None] * u
+    w2 = w2 + _ref_mdot(w2, w1)[:, None] * w1
+    w2 = w2 / np.sqrt(-_ref_mdot(w2, w2))[:, None]
+    e = np.cos(azimuth)[:, None] * w1 + np.sin(azimuth)[:, None] * w2
+    nxt = cosh_dphi * u + sinh_dphi * e
+    return nxt / np.sqrt(_ref_mdot(nxt, nxt))[:, None]
+
+
+def _ref_step_chain(state, params, rng):
+    p0, p1 = np.asarray(state[0], float), np.asarray(state[1], float)
+    disp = p1 - p0
+    two_sm = float(_ref_mdot(disp, disp))
+    length = math.sqrt(two_sm)
+    sigma_m = 0.5 * two_sm
+    dphi = wf.deflection_angle(float(wf.deformation_value(params.geometry, sigma_m)), sigma_m)
+    azimuth = np.array([rng.uniform(0.0, 2.0 * math.pi)])
+    u_next = _ref_tilt((disp / length)[None, :], math.cosh(dphi), math.sinh(dphi), azimuth)[0]
+    return p1, p1 + length * u_next
+
+
+def _ref_ensemble(params):
+    E, S = params.ensemble, params.steps
+    length = math.sqrt(2.0 * params.link_sigma_m)
+    dphi = wf.deflection_angle(params.deformation_strength, params.link_sigma_m)
+    azimuths = np.empty((E, S))
+    for i in range(E):
+        azimuths[i] = wf.chain_rng(params.seed, i).uniform(0.0, 2.0 * math.pi, S)
+    u = np.zeros((E, 4))
+    u[:, 0] = 1.0
+    mean_t, var_transverse, mean_angle = np.empty(S), np.empty(S), np.empty(S)
+    drift = np.zeros(E)
+    points = np.zeros((E, S + 2, 4))
+    points[:, 1, 0] = length
+    for s in range(S):
+        u_next = _ref_tilt(u, math.cosh(dphi), math.sinh(dphi), azimuths[:, s])
+        mean_angle[s] = np.arccosh(np.maximum(1.0, _ref_mdot(u, u_next))).mean()
+        u = u_next
+        mean_t[s] = length * u[:, 0].mean()
+        var_transverse[s] = length * length * u[:, 1:].var(axis=0, ddof=0).sum()
+        drift = np.maximum(drift, np.abs(_ref_mdot(u, u) - 1.0))
+        points[:, s + 2] = points[:, s + 1] + length * u
+    return (mean_t, var_transverse, mean_angle, drift), points
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("g,sigma_m,steps,ensemble,seed,nonfinite", [
+    (Geometry.discrete(0.02), 0.5, 400, 40, 1, True),  # boosts overflow: NaN chains
+    (Geometry.discrete(0.005), 0.5, 200, 64, 42, False),
+    (Geometry.discrete(1e-5), 0.5, 200, 33, 2, False),
+    (Geometry.discrete(0.02), 1.0, 150, 17, 9, False),
+    (Geometry.grainy(0.01, 0.03), 0.5, 100, 10, 5, False),
+    (MINK, 0.5, 50, 8, 0, False),
+    (Geometry.discrete(0.02), 0.5, 300, 1, 2, True),
+], ids=["discrete-0.02-nan", "discrete-0.005", "discrete-1e-5", "discrete-sigma-1",
+        "grainy", "minkowski", "one-chain"])
+def test_ensemble_bit_identical_to_row_major_loop(g, sigma_m, steps, ensemble, seed, nonfinite):
+    params = ChainParams(geometry=g, link_sigma_m=sigma_m, steps=steps,
+                         ensemble=ensemble, seed=seed)
+    with np.errstate(all="ignore"):
+        want, want_points = _ref_ensemble(params)
+        stats, points = wf.simulate_ensemble(params, keep_chains=True)
+        plain = wf.simulate_ensemble(params)
+    assert (~np.isfinite(want_points).all(axis=(1, 2))).any() == nonfinite
+    assert _same_bits(points, want_points)  # NaN positions and sign bits too
+    for got in (stats, plain):
+        assert _same_bits(got.mean_t, want[0])
+        assert _same_bits(got.var_transverse, want[1])
+        assert _same_bits(got.mean_angle, want[2])
+        assert _same_bits(got.link_length_drift, want[3])
+
+
+def _odd_states():
+    z = -0.0
+    rng = np.random.default_rng(5)
+    states = []
+    for _ in range(60):
+        p0 = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4)
+        v = rng.normal(size=3) * 10.0 ** rng.integers(-6, 3)
+        t = math.sqrt(1.0 + v @ v) * rng.choice([-1.0, 1.0]) * 10.0 ** rng.integers(-3, 4)
+        states.append((p0, p0 + np.concatenate([[t], v * abs(t)])))
+    # signed zeros, past-directed links, extreme magnitudes and subnormals
+    for p1 in ([1.0, z, z, z], [-1.0, z, z, z], [-1.0, 0.0, z, 0.0], [2.0, z, 0.5, z],
+               [1e300, 1e299, z, z], [1.0, 1e-320, z, -1e-320]):
+        states.append((np.zeros(4), np.array(p1)))
+        states.append((np.full(4, z), np.array(p1)))
+    return states
+
+
+@pytest.mark.parametrize("g", [MINK, Geometry.discrete(0.005), Geometry.discrete(0.3)],
+                         ids=["minkowski", "discrete-0.005", "discrete-0.3"])
+def test_step_chain_bit_identical_to_row_major_step(g):
+    params = ChainParams(geometry=g, link_sigma_m=0.5, steps=1)
+    rng, ref_rng = wf.chain_rng(7, 0), wf.chain_rng(7, 0)
+    for state in _odd_states():
+        disp = state[1] - state[0]
+        with np.errstate(all="ignore"):
+            if not _ref_mdot(disp, disp) > 0:  # not timelike, or overflowing
+                with pytest.raises(wf.InvalidStateError):
+                    wf.step_chain(state, params, rng)
+                continue
+            got = wf.step_chain(state, params, rng)
+            want = _ref_step_chain(state, params, ref_rng)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), state
+
+
+def test_component_major_mdot_keeps_np_sum_order_and_signed_zeros():
+    from worldfunc.chains import _mdot_cm
+    rng = np.random.default_rng(0)
+    for m in (1, 64, 1000):
+        x = rng.normal(size=(m, 4)) * 10.0 ** rng.integers(-8, 9, size=(m, 4))
+        y = rng.normal(size=(m, 4)) * 10.0 ** rng.integers(-8, 9, size=(m, 4))
+        assert _same_bits(_mdot_cm(x.T.copy(), y.T.copy()), _ref_mdot(x, y))
+    # every combination of special values: np.sum starts from +0.0, so a
+    # sum of three -0.0 terms is +0.0 and -0.0 - (+0.0) stays -0.0
+    vals = [0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 1e-310]
+    grid = np.array(np.meshgrid(vals, vals, vals, vals)).reshape(4, -1)
+    with np.errstate(all="ignore"):
+        assert _same_bits(_mdot_cm(grid, np.ones_like(grid)), _ref_mdot(grid.T, 1.0))

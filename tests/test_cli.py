@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import worldfunc as wf
-from worldfunc.cli import main, parse_geometry
+from worldfunc.cli import _write_csv, main, parse_geometry
 
 
 def run(argv):
@@ -114,6 +114,29 @@ def test_deformed_geometry_from_file(tmp_path):
     fspec.write_text(json.dumps({"F_table": [[-10, -10], [0, 0], [10, 10]]}))
     g = parse_geometry(f"deformed:file={fspec}")
     assert wf.sigma(g, (0, 0, 0, 0), (1, 0, 0, 0)) == 0.5
+
+
+@pytest.mark.parametrize("form", ["@{}", "deformed:file={}"])
+@pytest.mark.parametrize("content", ["[1, 2]", '"discrete"', "3.5", "null"])
+def test_geometry_file_without_json_object_exits_1(tmp_path, capsys, form, content):
+    spec = tmp_path / "spec.json"
+    spec.write_text(content)
+    pts = write_points(tmp_path / "p.json", [[0, 0, 0, 0]])
+    assert run(["sigma", "--geometry", form.format(spec), "--points", pts,
+                "--out-dir", tmp_path]) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("content", [{"kind": "discrete", "lambda0_sq": [0.01]},
+                                     {"kind": "minkowski", "units": [1.0]}])
+def test_geometry_file_with_wrongly_typed_value_exits_1(tmp_path, capsys, content):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(content))
+    pts = write_points(tmp_path / "p.json", [[0, 0, 0, 0]])
+    assert run(["sigma", "--geometry", f"@{spec}", "--points", pts,
+                "--out-dir", tmp_path]) == 1
+    assert "bad geometry spec" in capsys.readouterr().err
 
 
 def test_geometry_from_serialized_spec_file(tmp_path):
@@ -314,6 +337,14 @@ def test_density_bad_grid_exits_1(tmp_path):
                 "--grid", "oops", "--out-dir", tmp_path]) == 1
 
 
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "0:inf:3", "-inf:1:3", "0:1:-2"])
+def test_density_non_finite_grid_exits_1(tmp_path, capsys, grid):
+    assert run(["density", "--lambda0-sq", 0.01, "--sigma0", 0.03,
+                f"--grid={grid}", "--out-dir", tmp_path]) == 1
+    assert "bad grid" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*"))
+
+
 # ---------------------------------------------------------------------------
 # manifests
 # ---------------------------------------------------------------------------
@@ -350,3 +381,90 @@ def test_manifest_digests_and_full_precision(tmp_path):
     _, rows = read_csv(tmp_path / "sigma.csv")
     want = wf.sigma(wf.Geometry.euclidean(3), (0, 0, 0), (0.1, 0.2, 0.3))
     assert rows[1][2] == want
+
+
+# ---------------------------------------------------------------------------
+# the bulk CSV writer against the per-value writer it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_fmt(x):
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def _ref_csv(header, rows):
+    return "\n".join([header, *(",".join(_ref_fmt(v) for v in row) for row in rows)]) + "\n"
+
+
+def test_write_csv_matches_per_value_writer(tmp_path):
+    floats = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-310, -1.5e300, 0.1, 1 / 3])
+    ints = np.arange(-4, 5, dtype=np.int64)
+    flags = floats > 0
+    _write_csv(tmp_path / "t.csv", "a,b,c,d", ints, floats, flags, floats[::-1])
+    want = _ref_csv("a,b,c,d", zip(ints, floats, flags.astype(float), floats[::-1]))
+    assert (tmp_path / "t.csv").read_text() == want
+    assert "-0.0" in want and "nan" in want and "-inf" in want
+    _write_csv(tmp_path / "empty.csv", "a,b", ints[:0], floats[:0])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
+def test_chain_raw_and_stats_match_per_value_writer(tmp_path):
+    # lambda0_sq = 0.02 overflows the boosts, so chains and statistics hold NaN
+    params = wf.ChainParams(geometry=wf.Geometry.discrete(0.02), link_sigma_m=0.5,
+                            steps=400, ensemble=40, seed=1)
+    with np.errstate(all="ignore"):
+        assert run(["chain", "--geometry", "discrete:lambda0_sq=0.02", "--link-sigma-m", 0.5,
+                    "--steps", 400, "--ensemble", 40, "--seed", 1, "--raw",
+                    "--out-dir", tmp_path]) == 0
+        stats, points = wf.simulate_ensemble(params, keep_chains=True)
+    raw = _ref_csv("chain_id,step,x0,x1,x2,x3",
+                   ((i, k, *points[i, k]) for i in range(40) for k in range(402)))
+    assert "nan" in raw
+    assert (tmp_path / "chains.csv").read_text() == raw
+    assert (tmp_path / "chain_stats.csv").read_text() == _ref_csv(
+        "step,mean_t,var_transverse,mean_angle",
+        zip(stats.step, stats.mean_t, stats.var_transverse, stats.mean_angle))
+
+
+def test_sigma_tube_object_density_match_per_value_writer(tmp_path):
+    g = wf.Geometry.discrete(0.02)
+    pts = [[0.0, -0.0, 0.5, -0.0], [1.0, 0.25, -0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]]
+    f = write_points(tmp_path / "pts.json", pts)
+    assert run(["sigma", "--geometry", "discrete:lambda0_sq=0.02", "--points", f,
+                "--out-dir", tmp_path]) == 0
+    i, j = np.triu_indices(3)
+    pts_arr = np.array(pts)
+    assert (tmp_path / "sigma.csv").read_text() == _ref_csv(
+        "i,j,sigma", zip(i, j, wf.sigma(g, pts_arr[i], pts_arr[j])))
+
+    assert run(["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0",
+                "--p1", "2,0,0,0", "--stations", 9, "--directions", 4, "--seed", 3,
+                "--out-dir", tmp_path]) == 0
+    tube = wf.sample_segment_tube(g, [0, 0, 0, 0], [2, 0, 0, 0],
+                                  wf.TubeSamplerConfig(stations=9, directions=4, seed=3,
+                                                       tol=1e-9))
+    assert (tmp_path / "tube_cloud.csv").read_text() == _ref_csv(
+        "t,r,x0,x1,x2,x3", tube.points)
+    assert (tmp_path / "tube_profile.csv").read_text() == _ref_csv(
+        "t,radius", zip(tube.arc_positions, tube.profile))
+
+    sk = write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+    probes = [[-0.0, 0.0, 0.5], [1.0, -0.0, 0.25], [0.0, 2.0, -0.0]]
+    pf = write_points(tmp_path / "probes.json", probes)
+    assert run(["object", "--geometry", "euclidean:dim=3", "--skeleton", sk,
+                "--probes", pf, "--out-dir", tmp_path]) == 0
+    e3 = wf.Geometry.euclidean(3)
+    skel = wf.Skeleton(tuple(np.array(p, float) for p in [[0, 0, 0], [0, 0, 1], [1, 0, 0]]))
+    env = wf.Envelope.cylinder()
+    rows = [(*p, wf.evaluate_envelope(e3, skel, env, np.array(p)),
+             float(wf.object_membership(e3, skel, env, np.array(p), 1e-9))) for p in probes]
+    text = (tmp_path / "object_probes.csv").read_text()
+    assert text == _ref_csv("x0,x1,x2,envelope_value,member", rows)
+    assert "-0.0" in text
+
+    assert run(["density", "--lambda0-sq", 0.01, "--sigma0", 0.03, "--grid=-0.1:0.1:41",
+                "--out-dir", tmp_path]) == 0
+    grid = np.linspace(-0.1, 0.1, 41)
+    assert (tmp_path / "density.csv").read_text() == _ref_csv(
+        "sigma_g,rho", zip(grid, wf.relative_density(0.01, 0.03, grid)))

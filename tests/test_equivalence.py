@@ -219,6 +219,42 @@ def test_residual_jacobian_matches_central_differences():
         np.testing.assert_allclose(rmap.jacobian(X), fd, rtol=1e-6, atol=1e-6)
 
 
+_SOLVER_GEOMS = [EUCLID3, MINK, Geometry.discrete(0.01), Geometry.grainy(0.2, 1.5),
+                 Geometry.deformed(DeformationFunction.from_table([[-5, -5.5], [0, 0], [5, 5.5]]))]
+
+
+def test_residual_map_fills_the_rows_of_the_stacked_form():
+    rng = np.random.default_rng(20)
+    for g in _SOLVER_GEOMS:
+        p0, p1, q0 = rng.uniform(-2, 2, (3, g.dim))
+        rmap = _ResidualMap(g, p0, p1, q0)
+        X = rng.uniform(-2, 2, (7, g.dim))
+        # the np.stack forms the preallocated rows replaced, kept as reference
+        s = wf.sigma(g, rmap.refs[:, None, :], X[None, :, :])
+        two_b = 2.0 * s[2]
+        want = np.stack([s[0] + rmap.const - s[1] - 0.5 * (rmap.two_a + two_b),
+                         two_b - rmap.two_a], axis=-1)
+        assert rmap(X).tobytes() == want.tobytes()
+        G = wf.sigma_gradient(g, rmap.refs[:, None, :], X[None, :, :])
+        want_j = np.stack([G[0] - G[1] - G[2], 2.0 * G[2]], axis=1)
+        assert rmap.jacobian(X).tobytes() == want_j.tobytes()
+
+
+def test_newton_keeps_residuals_equal_to_a_fresh_evaluation():
+    # accepted trials keep the residual rows their line search computed; they
+    # equal a fresh evaluation at the returned points, row by row and bit for bit
+    rng = np.random.default_rng(21)
+    for g in _SOLVER_GEOMS:
+        p0, p1, q0 = rng.uniform(-2, 2, (3, g.dim))
+        rmap = _ResidualMap(g, p0, p1, q0)
+        X0 = rng.uniform(-3, 3, (16, g.dim))
+        X, res, _ = eqv._newton(rmap, X0, 1e-9, 60)
+        assert (X != X0).any(axis=1).sum() >= 8  # most rows took accepted steps
+        assert res.tobytes() == rmap(X).tobytes()
+        for row in range(len(X)):
+            assert res[row].tobytes() == rmap(X[row:row + 1])[0].tobytes()
+
+
 def _stack(seed, m, n, cond):
     """(m, 2, n) rows J = U diag(s) V^T with condition number <= cond and
     magnitudes spread over six decades."""
