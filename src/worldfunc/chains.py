@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError, WorldFunctionError
-from .geometry import (Geometry, GeomVector, UnitConstants, _mdot, _sigma_m, as_point,
-                       deformation_value)
-from .equivalence import is_equivalent
+from .geometry import Geometry, UnitConstants, _mdot, _sigma_m, as_point, deformation_value
+from .equivalence import _skeleton_pair_reports
 from .objects import Skeleton
 
 
@@ -283,27 +282,18 @@ def verify_link_equivalence(g: Geometry, chain: WorldChain, tol: float = 1e-9) -
 
     For every adjacent link pair and every skeleton pair (k, l) the parallel
     and length residuals of the equivalence relation are evaluated with
-    sigma = sigma_M + d.  Accepts arbitrary skeleton sizes, so externally
-    produced composite-particle chains can be validated too.
+    sigma = sigma_M + d, all in one batched call whose reports equal per-pair
+    ``is_equivalent`` calls bit for bit.  Accepts arbitrary skeleton sizes, so
+    externally produced composite-particle chains can be validated too.
     """
     if not g.has_minkowski_substrate:
         raise WorldFunctionError("link verification needs a Minkowski-substrate geometry")
-    out = []
-    size = len(chain[0])
-    for s in range(len(chain) - 1):
-        cur, nxt = chain[s], chain[s + 1]
-        reports = {}
-        worst = 0.0
-        ok = True
-        for k in range(size):
-            for l in range(k + 1, size):
-                rep = is_equivalent(g, GeomVector(cur[k], cur[l]),
-                                    GeomVector(nxt[k], nxt[l]), tol)
-                reports[(k, l)] = rep
-                worst = max(worst, abs(rep.residual_parallel), abs(rep.residual_length))
-                ok = ok and rep.equivalent
-        out.append(LinkStepReport(s, reports, worst, ok))
-    return out
+    pts = np.array([link.points for link in chain.links])  # (links, size, dim)
+    (eq, r_par, r_len, _), reports = _skeleton_pair_reports(g, pts[:-1], pts[1:], tol)
+    # fmax: a NaN residual never becomes the worst one, nor does it hide a finite one
+    worst = np.fmax.reduce(np.fmax(np.abs(r_par), np.abs(r_len)), axis=-1, initial=0.0)
+    return [LinkStepReport(s, rep, float(w), bool(ok))
+            for s, (rep, w, ok) in enumerate(zip(reports, worst, eq.all(axis=-1)))]
 
 
 # ---------------------------------------------------------------------------

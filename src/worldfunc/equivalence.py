@@ -15,9 +15,10 @@ solving the two equations for the end point Q1 of a vector at Q0 equivalent
 to a given one may yield no solution, exactly one, or a whole manifold.
 ``solve_equivalent`` explores that structure with a multistart damped Newton
 iteration and reports representatives plus a tangent-space dimension
-estimate; ``find_intransitivity_witness`` searches for triples breaking
-transitivity; the segment/tube operations expose the thickness that straight
-lines acquire under deformation.
+estimate; ``find_intransitivity_witness`` tests blocks of candidate triples
+for broken transitivity with the batched residual kernel that also checks
+skeleton and chain-link equivalence; the segment/tube operations expose the
+thickness that straight lines acquire under deformation.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ _RANK_CUTOFF = 1e-8
 # (trace J J^T)^2, i.e. for condition numbers of J up to about 1e5; the
 # rounding of det then costs at most ~1e-6 relative in the pseudo-inverse
 _GRAM_CUTOFF = 1e-10
-# draws per block of the Euclidean witness search: its memory is independent of the budget
+# candidate triples per block of the witness search: its memory is independent of the budget
 _WITNESS_BLOCK = 1024
 
 
@@ -83,6 +84,20 @@ def _equivalence_residuals(g, a0, a1, b0, b1, tol):
     scale = np.maximum(1.0, np.maximum(np.abs(two_a), np.abs(two_b)))
     eq = (np.abs(r_par) <= tol * scale) & (np.abs(r_len) <= tol * scale)
     return eq, r_par, r_len, scale
+
+
+def _skeleton_pair_reports(g, a, b, tol):
+    """Equivalence of a[..., i] a[..., k] and b[..., i] b[..., k] for all pairs i < k.
+
+    a, b: skeleton stacks (..., size, dim), tested in one call.  Returns the
+    (..., pairs) residual arrays and per skeleton the {(i, k): report} dict of
+    per-pair ``is_equivalent`` calls, bit for bit.
+    """
+    i, k = np.triu_indices(a.shape[-2], 1)
+    res = _equivalence_residuals(g, a[..., i, :], a[..., k, :], b[..., i, :], b[..., k, :], tol)
+    pairs = list(zip(i.tolist(), k.tolist()))
+    rows = zip(*(np.reshape(x, (-1, len(pairs))).tolist() for x in res))
+    return res, [{p: EquivalenceReport(*rep, tol) for p, *rep in zip(pairs, *row)} for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -436,70 +451,64 @@ def find_intransitivity_witness(g: Geometry, seed: int = 0, budget: int = 10000,
                                 tol: float = 1e-9):
     """Search for vectors (a, b, c) with a eqv b, b eqv c but not a eqv c.
 
-    For geometries on the Minkowski substrate the search draws spacelike base
-    vectors and equips them with two null shifts (``minkowski_spacelike_family``,
-    equivalent to the base in exact arithmetic but not always numerically, see
-    there); distinct shifts are generally not equivalent to each other.  In
-    the Euclidean geometry the search draws translated copies (the only
-    equivalents) in blocks and honestly exhausts the budget: no witness
-    exists.  Deterministic for a given seed; returns the first witness in
-    draw order, or None when the budget is spent.
+    Every geometry draws candidates in blocks of ``_WITNESS_BLOCK``, each
+    tested by three batched ``_equivalence_residuals`` calls.  On the
+    Minkowski substrate a and c are two null shifts of a spacelike b
+    (``_null_shift_block``), equivalent to b in exact arithmetic but not always
+    numerically, and generally not to each other.  In the Euclidean geometry
+    they are translated copies of b (its only equivalents) and the search
+    honestly exhausts the budget.  Deterministic for a given seed; returns the
+    first witness in draw order, or None when the budget is spent.
     """
     rng = np.random.default_rng(seed)
-    if not g.has_minkowski_substrate:
-        # per draw: origin, end offset and two translations, as drawn one by one
-        low = np.array([-1.0, -1.0, -2.0, -2.0])[:, None]
-        for start in range(0, budget, _WITNESS_BLOCK):
-            m = min(_WITNESS_BLOCK, budget - start)
+    low = np.array([-1.0, -1.0, -2.0, -2.0])[:, None]  # Euclidean origin, end offset, shifts
+    for start in range(0, budget, _WITNESS_BLOCK):
+        m = min(_WITNESS_BLOCK, budget - start)
+        if g.has_minkowski_substrate:
+            o, e, a0, a1, c0, c1 = _null_shift_block(rng, m)
+        else:
             o, off, t1, t2 = rng.uniform(low, -low, size=(m, 4, g.dim)).transpose(1, 0, 2)
             e = o + off
             a0, a1, c0, c1 = o + t1, e + t1, o + t2, e + t2
-            hit = (_equivalence_residuals(g, a0, a1, o, e, tol)[0]
-                   & _equivalence_residuals(g, o, e, c0, c1, tol)[0]
-                   & ~_equivalence_residuals(g, a0, a1, c0, c1, tol)[0])
-            if hit.any():
-                i = int(np.argmax(hit))
-                return GeomVector(a0[i], a1[i]), GeomVector(o[i], e[i]), GeomVector(c0[i], c1[i])
-        return None
-
-    for _ in range(budget):
-        origin = rng.uniform(-1, 1, 4)
-        y0 = rng.uniform(-0.5, 0.5)
-        yv = rng.uniform(-1, 1, 3)
-        nv = float(np.linalg.norm(yv))
-        if nv < 0.8 or y0 * y0 >= nv * nv - 0.1:  # want clearly spacelike
-            continue
-        b = GeomVector(origin, origin + np.concatenate([[y0], yv]))
-        members = []
-        for _k in range(2):
-            alpha = rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
-            azimuth = rng.uniform(0.0, 2.0 * math.pi)
-            members.append(_null_shift_member(b, alpha, azimuth))
-        a, c = members
-        r_ab = is_equivalent(g, a, b, tol)
-        r_bc = is_equivalent(g, b, c, tol)
-        r_ac = is_equivalent(g, a, c, tol)
-        if r_ab.equivalent and r_bc.equivalent and not r_ac.equivalent:
-            return a, b, c
+        hit = (_equivalence_residuals(g, a0, a1, o, e, tol)[0]
+               & _equivalence_residuals(g, o, e, c0, c1, tol)[0]
+               & ~_equivalence_residuals(g, a0, a1, c0, c1, tol)[0])
+        if hit.any():
+            i = int(np.argmax(hit))
+            return GeomVector(a0[i], a1[i]), GeomVector(o[i], e[i]), GeomVector(c0[i], c1[i])
     return None
 
 
-def _null_shift_member(y: GeomVector, alpha: float, azimuth: float) -> GeomVector:
-    """Family member of a spacelike y with the cone direction set by an azimuth."""
-    disp = y.displacement
-    y0, yv = disp[0], disp[1:]
-    nv = float(np.linalg.norm(yv))
-    yhat = yv / nv
-    cos_phi = y0 / nv
-    sin_phi = math.sqrt(max(0.0, 1.0 - cos_phi * cos_phi))
+# (low, high) per null-shift draw: origin, base displacement (y0, y_vec), the
+# shift magnitudes |alpha| and the cone azimuths of a and c
+_NULL_BOUNDS = np.array([(-1.0, 1.0)] * 4 + [(-0.5, 0.5)] + [(-1.0, 1.0)] * 3
+                        + [(0.2, 2.0)] * 2 + [(0.0, 2.0 * math.pi)] * 2).T
+
+
+def _null_shift_block(rng, m):
+    """Point rows (o, e, a0, a1, c0, c1) of m bases b and two null shifts a, c each.
+
+    The shifts share b's origin and end at o + (y + (alpha, alpha n)) as in
+    ``minkowski_spacelike_family``, with the unit n on b's cone (y_vec . n =
+    y0) at the drawn azimuth.  A row whose base is not clearly spacelike gets
+    a = c = b, which reflexivity makes a non-witness.
+    """
+    draw = rng.uniform(*_NULL_BOUNDS, size=(m, 12))
+    o, y, (alpha, azimuth) = draw[:, :4], draw[:, 4:8], draw[:, 8:].T.reshape(2, 2, m, 1)
+    alpha = alpha * rng.choice([-1.0, 1.0], size=(2, m, 1))
+    y0, yv = y[:, :1], y[:, 1:]
+    nv = np.linalg.norm(yv, axis=1, keepdims=True)
+    spacelike = (nv >= 0.8) & (y0 * y0 < nv * nv - 0.1)
+    yhat, cos_phi = yv / nv, y0 / nv
+    sin_phi = np.sqrt(np.maximum(0.0, 1.0 - cos_phi * cos_phi))
     # orthonormal pair spanning the plane orthogonal to yhat
-    pick = np.zeros(3)
-    pick[int(np.argmin(np.abs(yhat)))] = 1.0
-    e1 = np.cross(yhat, pick)
-    e1 /= np.linalg.norm(e1)
+    e1 = np.cross(yhat, np.eye(3)[np.argmin(np.abs(yhat), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(yhat, e1)
-    n_hat = cos_phi * yhat + sin_phi * (math.cos(azimuth) * e1 + math.sin(azimuth) * e2)
-    return minkowski_spacelike_family(y, alpha, n_hat)
+    n_hat = cos_phi * yhat + sin_phi * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
+    e = o + y
+    a1, c1 = np.where(spacelike, o + (y + np.concatenate([alpha, alpha * n_hat], axis=-1)), e)
+    return o, e, o, a1, o, c1
 
 
 # ---------------------------------------------------------------------------

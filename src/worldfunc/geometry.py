@@ -271,13 +271,11 @@ class Geometry:
 
     Use the classmethod constructors.  ``kind`` names the sigma variant;
     every kind but ``euclidean`` carries its F in ``deformation``, and sigma
-    is computed from that alone.
+    is computed from that alone; ``lambda0_sq`` and ``sigma0`` read it.
     """
 
     kind: str
     dim: int = SIGNATURE_DIM
-    lambda0_sq: float = 0.0
-    sigma0: float = 0.0
     deformation: DeformationFunction | None = None
     units: UnitConstants = field(default_factory=UnitConstants)
 
@@ -300,8 +298,7 @@ class Geometry:
     def discrete(cls, lambda0_sq: float, units: UnitConstants | None = None) -> "Geometry":
         if not lambda0_sq > 0:
             raise InvalidInputError("discrete geometry requires lambda0_sq > 0")
-        return cls("discrete", lambda0_sq=float(lambda0_sq),
-                   deformation=DeformationFunction.discrete_shift(lambda0_sq),
+        return cls("discrete", deformation=DeformationFunction.discrete_shift(lambda0_sq),
                    units=units or UnitConstants())
 
     @classmethod
@@ -314,8 +311,7 @@ class Geometry:
                units: UnitConstants | None = None) -> "Geometry":
         if lambda0_sq < 0 or sigma0 < 0:
             raise InvalidInputError("grainy geometry requires lambda0_sq >= 0 and sigma0 >= 0")
-        return cls("grainy", lambda0_sq=float(lambda0_sq), sigma0=float(sigma0),
-                   deformation=DeformationFunction.grainy_ramp(lambda0_sq, sigma0),
+        return cls("grainy", deformation=DeformationFunction.grainy_ramp(lambda0_sq, sigma0),
                    units=units or UnitConstants())
 
     @classmethod
@@ -326,6 +322,16 @@ class Geometry:
     @property
     def has_minkowski_substrate(self) -> bool:
         return self.deformation is not None
+
+    @property
+    def lambda0_sq(self) -> float:
+        """The deformation's lambda0_sq; 0 for the Euclidean geometry and tables."""
+        return 0.0 if self.deformation is None else self.deformation.lambda0_sq
+
+    @property
+    def sigma0(self) -> float:
+        """The deformation's sigma0; 0 unless it is a grainy ramp."""
+        return 0.0 if self.deformation is None else self.deformation.sigma0
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "dim": self.dim, "lambda0_sq": self.lambda0_sq,
@@ -508,19 +514,16 @@ def metric_tensor(g: Geometry, origin, basis) -> tuple[np.ndarray, np.ndarray]:
     invertible (max |g^kj g_jl - delta| < 1e-10), else DegenerateBasisError.
     """
     o = as_point(origin, dim=g.dim)
-    pts = [as_point(s, dim=g.dim) for s in basis]
+    pts = np.array([as_point(s, dim=g.dim) for s in basis])
     if len(pts) != g.dim:
         raise DimensionMismatchError(f"basis needs {g.dim} points, got {len(pts)}")
-    n = g.dim
-    gkl = np.empty((n, n))
-    for k in range(n):
-        for l in range(k, n):
-            gkl[k, l] = gkl[l, k] = _scalar_product_arrays(g, o, pts[k], o, pts[l])
+    # one broadcast call; g_lk = g_kl bit for bit by the symmetry of sigma
+    gkl = np.asarray(_scalar_product_arrays(g, o, pts[:, None], o, pts[None]))
     try:
         ginv = np.linalg.inv(gkl)
     except np.linalg.LinAlgError as exc:
         raise DegenerateBasisError(f"singular metric tensor: {exc}") from exc
-    defect = np.abs(ginv @ gkl - np.eye(n)).max()
+    defect = np.abs(ginv @ gkl - np.eye(g.dim)).max()
     if not np.isfinite(defect) or defect >= 1e-10:
         raise DegenerateBasisError(f"metric tensor numerically singular (inverse defect {defect:.3e})")
     return gkl, ginv
@@ -535,9 +538,9 @@ def sigma_coordinates(g: Geometry, v: GeomVector, origin, basis) -> np.ndarray:
     the chart coordinate differences end - origin.
     """
     _, ginv = metric_tensor(g, origin, basis)
-    o = as_point(origin, dim=g.dim)
-    cov = np.array([_scalar_product_arrays(g, v.origin, v.end, o, as_point(s, dim=g.dim))
-                    for s in basis])
+    # metric_tensor has validated origin and basis
+    cov = _scalar_product_arrays(g, v.origin, v.end, np.asarray(origin, dtype=float),
+                                 np.asarray(basis, dtype=float))
     return ginv @ cov
 
 

@@ -19,8 +19,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, EnvelopeEvalError, InvalidInputError
-from .equivalence import EquivalenceReport, is_equivalent
-from .geometry import Geometry, GeomVector, _finish, as_point, sigma
+from .equivalence import EquivalenceReport, _skeleton_pair_reports
+from .geometry import Geometry, _finish, as_point, sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +196,8 @@ def evaluate_envelope(g: Geometry, sk: Skeleton, env: Envelope, r):
 def _membership_scale(g: Geometry, sk: Skeleton, env: Envelope) -> float:
     # envelope magnitude at skeleton scale: evaluate at the skeleton points
     # themselves (for the cylinder this is max |F2|, reached at P0)
-    vals = [abs(evaluate_envelope(g, sk, env, p)) for p in sk.points]
-    return max(1.0, *vals)
+    vals = np.abs(np.ravel(evaluate_envelope(g, sk, env, np.array(sk.points))))
+    return float(np.fmax.reduce(vals, initial=1.0))  # a NaN value never sets the scale
 
 
 def object_membership(g: Geometry, sk: Skeleton, env: Envelope, r, tol: float = 1e-9):
@@ -264,17 +264,11 @@ def skeletons_equivalent(g: Geometry, a: Skeleton, b: Skeleton,
                          tol: float = 1e-9) -> SkeletonEquivalenceReport:
     """Pairwise-vector equivalence of two skeletons of equal size.
 
-    All pairs i < k are tested (i > k follows by symmetry, i = k trivially);
-    the report localizes every failing pair.
+    All pairs i < k are tested in one batched call (i > k follows by
+    symmetry, i = k trivially); the report localizes every failing pair.
     """
     if len(a) != len(b):
         raise InvalidInputError(f"skeleton sizes differ: {len(a)} vs {len(b)}")
-    reports = {}
-    failing = []
-    for i in range(len(a)):
-        for k in range(i + 1, len(a)):
-            rep = is_equivalent(g, GeomVector(a[i], a[k]), GeomVector(b[i], b[k]), tol)
-            reports[(i, k)] = rep
-            if not rep.equivalent:
-                failing.append((i, k))
-    return SkeletonEquivalenceReport(not failing, reports, tuple(failing))
+    _, (reports,) = _skeleton_pair_reports(g, np.asarray(a.points), np.asarray(b.points), tol)
+    failing = tuple(pair for pair, rep in reports.items() if not rep.equivalent)
+    return SkeletonEquivalenceReport(not failing, reports, failing)

@@ -191,6 +191,53 @@ def test_verify_accepts_composite_skeleton_chains():
     assert set(reports[0].pair_reports) == {(0, 1), (0, 2), (1, 2)}
 
 
+def _verify_reference(g, chain, tol=1e-9):
+    # the per-pair double loop the batched check replaced, kept as reference
+    out = []
+    size = len(chain[0])
+    for s in range(len(chain) - 1):
+        cur, nxt = chain[s], chain[s + 1]
+        reports, worst, ok = {}, 0.0, True
+        for k in range(size):
+            for l in range(k + 1, size):
+                rep = wf.is_equivalent(g, wf.GeomVector(cur[k], cur[l]),
+                                       wf.GeomVector(nxt[k], nxt[l]), tol)
+                reports[(k, l)] = rep
+                worst = max(worst, abs(rep.residual_parallel), abs(rep.residual_length))
+                ok = ok and rep.equivalent
+        out.append((s, reports, worst, ok))
+    return out
+
+
+def _composite_chain(rng, links, size):
+    # random size-point skeletons, link s+1 starting where link s ends (point 1)
+    pts = rng.uniform(-1.0, 1.0, (links, size, 4))
+    pts[1:, 0] = pts[:-1, 1]
+    return WorldChain(tuple(Skeleton(tuple(p)) for p in pts))
+
+
+@pytest.mark.parametrize("g", [MINK, Geometry.discrete(0.005), Geometry.grainy(0.01, 0.03)],
+                         ids=lambda g: g.kind)
+@pytest.mark.parametrize("make", ["generated-200", "composite-2", "composite-3", "one-link"])
+def test_verify_link_equivalence_matches_the_per_pair_loop_bitwise(g, make):
+    if make == "generated-200":
+        chain = wf.generate_chain(ChainParams(geometry=g, link_sigma_m=0.5, steps=200, seed=4))
+    else:
+        links = 1 if make == "one-link" else 40
+        chain = _composite_chain(np.random.default_rng(6), links, 3 if make.endswith("3") else 2)
+    got = wf.verify_link_equivalence(g, chain)
+    want = _verify_reference(g, chain)
+    assert len(got) == len(want) == len(chain) - 1
+    for r, (s, reports, worst, ok) in zip(got, want):
+        assert (r.step, r.ok, list(r.pair_reports)) == (s, ok, list(reports))
+        assert np.float64(r.max_abs_residual).tobytes() == np.float64(worst).tobytes()
+        for pair, rep in reports.items():
+            mine = r.pair_reports[pair]
+            assert mine.equivalent == rep.equivalent
+            assert np.array([mine.residual_parallel, mine.residual_length, mine.scale]).tobytes() \
+                == np.array([rep.residual_parallel, rep.residual_length, rep.scale]).tobytes()
+
+
 def test_worldchain_rejects_broken_connectivity():
     a = Skeleton((np.zeros(4), np.array([1.0, 0, 0, 0])))
     b = Skeleton((np.array([2.0, 0, 0, 0]), np.array([3.0, 0, 0, 0])))

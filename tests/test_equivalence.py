@@ -33,6 +33,44 @@ def mdot(x, y):
 # is_equivalent
 # ---------------------------------------------------------------------------
 
+EVERY_KIND = [EUCLID3, MINK, Geometry.discrete(0.01), Geometry.grainy(0.01, 0.03),
+              Geometry.deformed(DeformationFunction.from_table([[-5, -5.5], [0, 0], [5, 5.5]]))]
+_NULL = np.array([3.0, 2.0, -2.0, 1.0]) / 8.0  # exactly null on the dyadic grid
+
+
+def _draw_vector(data, g):
+    """A random vector, or on the Minkowski substrate sometimes an exactly null one."""
+    coord = st.floats(-3.0, 3.0) | st.integers(-24, 24).map(lambda k: k / 8.0)
+    o, e = (np.array(data.draw(st.lists(coord, min_size=g.dim, max_size=g.dim)))
+            for _ in range(2))
+    if g.has_minkowski_substrate and data.draw(st.booleans()):
+        o = np.round(o * 8.0) / 8.0
+        e = o + _NULL
+    return GeomVector(o, e)
+
+
+@pytest.mark.parametrize("g", EVERY_KIND, ids=lambda g: g.kind)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_is_equivalent_is_reflexive_with_exact_zero_residuals(g, data):
+    a = _draw_vector(data, g)
+    rep = wf.is_equivalent(g, a, a)
+    assert rep.equivalent
+    assert rep.residual_parallel == 0.0 and rep.residual_length == 0.0
+
+
+@pytest.mark.parametrize("g", EVERY_KIND, ids=lambda g: g.kind)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_is_equivalent_is_symmetric_bitwise(g, data):
+    a, b = _draw_vector(data, g), _draw_vector(data, g)
+    ab, ba = wf.is_equivalent(g, a, b), wf.is_equivalent(g, b, a)
+    assert ab.equivalent == ba.equivalent
+    assert np.float64(ab.residual_parallel).tobytes() == np.float64(ba.residual_parallel).tobytes()
+    assert ab.residual_length == -ba.residual_length  # x - y = -(y - x) exactly; 0.0 == -0.0
+    assert ab.scale == ba.scale
+
+
 def test_identical_vectors_have_exact_zero_residuals():
     a = GeomVector((0.3, -1, 2, 0.5), (1, 0.2, -0.7, 2))
     rep = wf.is_equivalent(MINK, a, GeomVector(a.origin, a.end))
@@ -517,6 +555,32 @@ def test_witness_deterministic():
     w2 = wf.find_intransitivity_witness(MINK, seed=9)
     assert np.array_equal(w1[0].end, w2[0].end)
     assert np.array_equal(w1[2].end, w2[2].end)
+
+
+def test_null_shift_rows_are_spacelike_family_members():
+    m = 400
+    o, e, a0, a1, c0, c1 = eqv._null_shift_block(np.random.default_rng(5), m)
+    assert np.array_equal(a0, o) and np.array_equal(c0, o)
+    # the block's draws replayed, and each member rebuilt one by one
+    rng = np.random.default_rng(5)
+    draw = rng.uniform(*eqv._NULL_BOUNDS, size=(m, 12))
+    signs = rng.choice([-1.0, 1.0], size=(2, m))
+    members = 0
+    for i in range(m):
+        b = GeomVector(o[i], e[i])
+        y0, yv = draw[i, 4], draw[i, 5:8]
+        nv = float(np.linalg.norm(yv))
+        if nv < 0.8 or y0 * y0 >= nv * nv - 0.1:  # not clearly spacelike: a = c = b
+            assert np.array_equal(a1[i], e[i]) and np.array_equal(c1[i], e[i])
+            continue
+        for k, end in enumerate((a1[i], c1[i])):
+            n_hat = _cone_direction(y0, yv, draw[i, 10 + k])
+            x = wf.minkowski_spacelike_family(b, draw[i, 8 + k] * signs[k, i], n_hat)
+            assert np.abs(end - x.end).max() <= 1e-14
+            rep = wf.is_equivalent(MINK, GeomVector(o[i], end), b)
+            assert abs(rep.residual_parallel) < 1e-12 and abs(rep.residual_length) < 1e-12
+            members += 1
+    assert members > m  # most bases are spacelike
 
 
 # ---------------------------------------------------------------------------

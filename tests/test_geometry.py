@@ -1,6 +1,7 @@
 """Kernel tests: world functions, scalar products, density, triangle axiom,
 metric tensor, sigma coordinates, angles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from worldfunc import Geometry, GeomVector, UnitConstants, DeformationFunction
 
 EUCLID3 = Geometry.euclidean(3)
 MINK = Geometry.minkowski()
+ORIGIN4 = (0, 0, 0, 0)
 
 
 def random_geometries():
@@ -281,6 +283,32 @@ def test_sigma_coordinates_translation_invariant():
     v = GeomVector((1, 1, 1), (2, 1, 1))
     coords = wf.sigma_coordinates(EUCLID3, v, (0, 0, 0), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert np.abs(coords - np.array([1.0, 0.0, 0.0])).max() < 1e-12
+
+
+@pytest.mark.parametrize("g", random_geometries() + [Geometry.euclidean(9)],
+                         ids=lambda g: f"{g.kind}{g.dim}")
+def test_metric_tensor_and_sigma_coordinates_match_the_pair_loop_bitwise(g):
+    # the per-pair loops the broadcast calls replaced, kept as reference
+    rng = np.random.default_rng(17)
+    o = rng.uniform(-1.0, 1.0, g.dim)
+    basis = list(o + np.eye(g.dim) + rng.uniform(-0.3, 0.3, (g.dim, g.dim)))
+    v = GeomVector(*rng.uniform(-1.0, 1.0, (2, g.dim)))
+    want = np.empty((g.dim, g.dim))
+    for k in range(g.dim):
+        for l in range(k, g.dim):
+            want[k, l] = want[l, k] = wf.scalar_product(g, GeomVector(o, basis[k]),
+                                                        GeomVector(o, basis[l]))
+    cov = np.array([wf.scalar_product(g, v, GeomVector(o, s)) for s in basis])
+    gkl, ginv = wf.metric_tensor(g, o, basis)
+    assert _bits(gkl) == _bits(want)
+    assert _bits(wf.sigma_coordinates(g, v, o, basis)) == _bits(ginv @ cov)
+
+
+def test_basis_size_checked():
+    with pytest.raises(wf.DimensionMismatchError, match="needs 2 points, got 0"):
+        wf.metric_tensor(Geometry.euclidean(2), (0, 0), [])
+    with pytest.raises(wf.DimensionMismatchError, match="needs 4 points, got 3"):
+        wf.sigma_coordinates(MINK, GeomVector(ORIGIN4, (1, 0, 0, 0)), ORIGIN4, STD4[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +634,25 @@ def test_non_finite_deformation_parameters_rejected(make, name):
 def test_serialized_grainy_needs_both_parameters():
     with pytest.raises(KeyError):
         Geometry.from_dict({"kind": "grainy", "lambda0_sq": 0.01})
+
+
+def test_deformation_parameters_are_read_from_the_deformation():
+    # lambda0_sq and sigma0 used to be settable fields that could contradict
+    # the deformation: sigma used one value, from_dict(to_dict()) the other
+    assert [f.name for f in dataclasses.fields(Geometry)] == ["kind", "dim", "deformation", "units"]
+    with pytest.raises(TypeError):
+        Geometry("discrete", lambda0_sq=0.5, deformation=DeformationFunction.discrete_shift(0.01))
+    g = Geometry("discrete", deformation=DeformationFunction.discrete_shift(0.01))
+    assert (g.lambda0_sq, g.sigma0) == (0.01, 0.0)
+    p, q = (0.1, 0, 0, 0), ORIGIN4
+    assert wf.sigma(g, p, q) == wf.sigma(Geometry.from_dict(g.to_dict()), p, q)
+    assert wf.sigma(g, p, q) == pytest.approx(0.015, abs=1e-15)
+    assert (Geometry.grainy(0.01, 0.03).lambda0_sq, Geometry.grainy(0.01, 0.03).sigma0) == (0.01, 0.03)
+    for g in (Geometry.euclidean(3), MINK, Geometry.deformed(DeformationFunction.from_table(
+            [[-1, -2], [0, 0], [1, 2]]))):
+        assert (g.lambda0_sq, g.sigma0) == (0.0, 0.0)
+    with pytest.raises(AttributeError):
+        g.lambda0_sq = 0.5
 
 
 def test_geometry_carries_a_deformation_exactly_off_the_euclidean_kind():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import worldfunc as wf
+import worldfunc.objects as objects
 from worldfunc import Const, Envelope, Geometry, GeomVector, Op, SigmaTerm, Skeleton
 
 
@@ -162,6 +163,17 @@ def test_batched_envelope_matches_scalar():
         assert batch[i] == wf.evaluate_envelope(EUCLID3, sk, env, p)
 
 
+@pytest.mark.parametrize("g", [EUCLID3, MINK, Geometry.discrete(0.01)], ids=lambda g: g.kind)
+def test_membership_scale_matches_the_per_point_loop(g):
+    # the per-point loop the batched envelope call replaced, kept as reference
+    rng = np.random.default_rng(8)
+    sk = Skeleton(tuple(rng.uniform(-1.0, 1.0, (3, g.dim))))
+    for env in (Envelope.cylinder(), sphere_envelope(), Envelope.from_expression(Const(-4.0))):
+        want = max(1.0, *[abs(wf.evaluate_envelope(g, sk, env, p)) for p in sk.points])
+        assert np.float64(objects._membership_scale(g, sk, env)).tobytes() \
+            == np.float64(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # skeleton equivalence
 # ---------------------------------------------------------------------------
@@ -198,6 +210,30 @@ def test_skeletons_equivalent_symmetric():
     b = Skeleton(((0, 0, 0, 0), (0.7, 1, 0, 0.7), (1, 0, 0, 0)))
     assert wf.skeletons_equivalent(MINK, a, b).equivalent == \
         wf.skeletons_equivalent(MINK, b, a).equivalent
+
+
+def _report_bits(rep):
+    return rep.equivalent, np.array([rep.residual_parallel, rep.residual_length,
+                                     rep.scale, rep.tol]).tobytes()
+
+
+@pytest.mark.parametrize("g", [EUCLID3, MINK, Geometry.discrete(0.01), Geometry.grainy(0.01, 0.03)],
+                         ids=lambda g: g.kind)
+@pytest.mark.parametrize("size", [2, 3, 5])
+def test_skeletons_equivalent_matches_the_per_pair_loop_bitwise(g, size):
+    rng = np.random.default_rng(size)
+    for trial in range(20):
+        a = rng.uniform(-1.0, 1.0, (size, g.dim))
+        # translated copies (equivalent) or independent skeletons
+        b = a + rng.uniform(-2.0, 2.0, g.dim) if trial % 2 else rng.uniform(-1.0, 1.0, (size, g.dim))
+        rep = wf.skeletons_equivalent(g, Skeleton(tuple(a)), Skeleton(tuple(b)))
+        # the per-pair loop the batched call replaced, kept as reference
+        want = {(i, k): wf.is_equivalent(g, GeomVector(a[i], a[k]), GeomVector(b[i], b[k]))
+                for i in range(size) for k in range(i + 1, size)}
+        assert list(rep.pair_reports) == list(want)
+        assert all(_report_bits(rep.pair_reports[p]) == _report_bits(w) for p, w in want.items())
+        assert rep.failing_pairs == tuple(p for p, w in want.items() if not w.equivalent)
+        assert rep.equivalent == all(w.equivalent for w in want.values())
 
 
 def test_skeletons_equivalent_size_mismatch():
