@@ -9,9 +9,10 @@ its Minkowski length and to tilt by a fixed hyperbolic angle
 
 where d is the deformation strength at the link.  The tilt axis is left
 open by the dynamics, so the chain wobbles: here the tilt direction is
-drawn by a uniform azimuth on a deterministic spatial dyad in the previous
-link's rest frame, isolated behind the rng stream so alternative cone
-distributions can be injected.
+drawn by a uniform azimuth in the (x, y) plane of the previous link's rest
+frame, isolated behind the rng stream so alternative cone distributions can
+be injected.  A step carries the spatial velocity v alone; u0 = sqrt(1 +
+|v|^2) is derived, so every direction lies on the unit hyperboloid.
 
 Ensembles use counter-based per-chain rng streams derived from
 (seed, chain index), so results are reproducible bit for bit under any
@@ -107,8 +108,13 @@ class ChainStats:
     var_transverse[s]  ensemble variance of the transverse displacement
                        increment of link s, summed over the 3 spatial axes
     mean_angle[s]      mean measured hyperbolic angle between links s-1 and s
-    link_length_drift  per chain, max relative drift of the squared Minkowski
-                       link length along the chain
+    link_length_drift  per chain, max of |u0^2 - |v|^2 - 1| / u0^2 along the
+                       chain: the rounding of the derived u0, not a drift
+    max_gamma          per chain, the largest u0 (boost factor) along the chain
+
+    mean_angle is measured from the stored velocities, whose absolute rounding
+    is about u0 * 2^-52: once that approaches sinh(dphi) (u0 ~ 1e8 at
+    dphi ~ 0.3) a chain's tilt is no longer resolved and its angle is off.
     """
 
     step: np.ndarray
@@ -116,6 +122,7 @@ class ChainStats:
     var_transverse: np.ndarray
     mean_angle: np.ndarray
     link_length_drift: np.ndarray
+    max_gamma: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -172,60 +179,49 @@ def w_correction(dfun, pk_s, pl_s, pk_s1, pl_s1) -> float:
 # stepping
 # ---------------------------------------------------------------------------
 
-# lab x and y axes as component-major columns, broadcast against (4, m) rows
-_LAB_X = np.array([[0.0], [1.0], [0.0], [0.0]])
-_LAB_Y = np.array([[0.0], [0.0], [1.0], [0.0]])
+def _gamma(v):
+    """|v|^2 and u0 = sqrt(1 + |v|^2) of (3, m) spatial velocity rows."""
+    vv = np.einsum("im,im->m", v, v)
+    return vv, np.sqrt(1.0 + vv)
 
 
-def _mdot_cm(x, y):
-    """Minkowski products (signature +,-,-,-) of component-major (4, m) rows.
+def _tilt(v, u0, cosh_dphi, sinh_dphi, azimuth):
+    """Tilt the (3, m) spatial velocities v (u0 = sqrt(1 + |v|^2)) by dphi
+    towards n = (cos a, sin a, 0) of their rest frames, a the (m,) azimuths.
 
-    The spatial terms are added left to right starting from +0.0, which is
-    the order of the 3-element ``np.sum`` in ``geometry._mdot``: each product
-    equals that of the (m, 4) layout bit for bit, signed zeros included.
+    The pure boost of velocity v (Jackson, Classical Electrodynamics, 11.3)
+    gives v' = (cosh dphi + sinh dphi (v.n) / (1 + u0)) v + sinh dphi n in
+    closed form: the coefficient of v lies in [e^-dphi, e^dphi], so nothing
+    cancels and no intermediate value exceeds O(u0).
     """
-    xy = x * y
-    return xy[0] - np.add.reduce(xy[1:], axis=0, initial=0.0)
-
-
-def _rest_frame_dyad(u):
-    """Two Minkowski-orthonormal spacelike directions orthogonal to timelike u.
-
-    u holds m unit timelike directions as component-major (4, m) rows, and so
-    do the returned w1, w2.  Gram-Schmidt of the lab x and y axes against u;
-    never degenerate for unit timelike u because its time component
-    dominates.  Every product with a zero component of a lab axis is kept, so
-    NaN, inf and signed zeros propagate bit for bit as in the row-major
-    (m, 4) reference loop of tests/test_chains.py.  Deterministic, so the
-    only stochastic input of a step is the azimuth.
-    """
-    w1 = _LAB_X - _mdot_cm(_LAB_X, u) * u
-    w1 /= np.sqrt(-_mdot_cm(w1, w1))
-    w2 = _LAB_Y - _mdot_cm(_LAB_Y, u) * u
-    w2 += _mdot_cm(w2, w1) * w1  # w1 . w1 = -1
-    w2 /= np.sqrt(-_mdot_cm(w2, w2))
-    return w1, w2
-
-
-def _tilt(u, cosh_dphi, sinh_dphi, azimuth):
-    """Tilt the (4, m) unit directions u by dphi about the (m,) azimuths."""
-    w1, w2 = _rest_frame_dyad(u)
-    w1 *= np.cos(azimuth)
-    w2 *= np.sin(azimuth)
-    w1 += w2  # the tilt direction e
-    w1 *= sinh_dphi
-    nxt = cosh_dphi * u
-    nxt += w1
-    # renormalize every step: rounding in the norm would otherwise compound
-    # by cosh^2(dphi) per link and ruin length conservation on long chains
-    nxt /= np.sqrt(_mdot_cm(nxt, nxt))
+    cos_a, sin_a = np.cos(azimuth), np.sin(azimuth)
+    nxt = (cosh_dphi + sinh_dphi * (v[0] * cos_a + v[1] * sin_a) / (1.0 + u0)) * v
+    nxt[0] += sinh_dphi * cos_a
+    nxt[1] += sinh_dphi * sin_a
     return nxt
+
+
+def _angle(v, vv, v_next):
+    """Hyperbolic angles between unit directions of (3, m) velocities v, v'.
+
+    v' is split along and across v; with m = sqrt(1 + |v'_perp|^2) the angle
+    is asinh(|(m sinh(asinh(v'_par / m) - asinh|v|), v'_perp)|), which never
+    forms the cancelling u0 u0' - v.v'.
+    """
+    speed = np.sqrt(vv)
+    unit = v / np.where(speed > 0.0, speed, 1.0)  # v = 0: all of v' is transverse
+    par = np.einsum("im,im->m", unit, v_next)
+    perp = v_next - par * unit
+    pp = np.einsum("im,im->m", perp, perp)
+    m = np.sqrt(1.0 + pp)
+    along = m * np.sinh(np.arcsinh(par / m) - np.arcsinh(speed))
+    return np.arcsinh(np.hypot(along, np.sqrt(pp)))
 
 
 def step_chain(state, params: ChainParams, rng) -> tuple[np.ndarray, np.ndarray]:
     """Advance one link: the next link starts at the previous end, keeps the
     Minkowski length, and tilts by the deflection angle about a uniformly
-    drawn azimuth."""
+    drawn azimuth.  A past-directed link stays past-directed."""
     p0 = as_point(state[0], dim=4)
     p1 = as_point(state[1], dim=4)
     disp = p1 - p0
@@ -233,13 +229,14 @@ def step_chain(state, params: ChainParams, rng) -> tuple[np.ndarray, np.ndarray]
     if not two_sm > 0:
         raise InvalidStateError("chain state must have a timelike leading vector")
     length = math.sqrt(two_sm)
-    u = (disp / length)[:, None]
+    scale = math.copysign(length, disp[0])  # disp / scale is future-directed
+    v = disp[1:, None] / scale
     sigma_m = 0.5 * two_sm
     d = float(deformation_value(params.geometry, sigma_m))
     dphi = deflection_angle(d, sigma_m)
     azimuth = np.array([rng.uniform(0.0, 2.0 * math.pi)])
-    u_next = _tilt(u, math.cosh(dphi), math.sinh(dphi), azimuth)[:, 0]
-    return p1, p1 + length * u_next
+    v_next = _tilt(v, _gamma(v)[1], math.cosh(dphi), math.sinh(dphi), azimuth)
+    return p1, p1 + scale * np.concatenate([_gamma(v_next)[1], v_next[:, 0]])
 
 
 def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -309,12 +306,10 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
     reductions run in fixed chain order, so the statistics are bit-identical
     for a given (params, seed) under any schedule.
 
-    Layout: the directions are component-major (4, ensemble) rows stepped by
-    the same ``_tilt`` kernel as ``step_chain``, and the azimuths a
-    (steps, ensemble) table whose column i is chain i's stream, so a step
-    reads one contiguous row.  Every statistic and point is bit-identical to
-    the row-major (ensemble, 4) reference loop of tests/test_chains.py, NaN
-    positions and signed zeros included.
+    The velocities are component-major (3, ensemble) rows stepped by the
+    ``_tilt`` kernel of ``step_chain``; column i of the (steps, ensemble)
+    azimuth table is chain i's stream.  A state that is no longer finite
+    (|v|^2 overflows near |v| = 1e154) raises InvalidStateError.
 
     Returns ChainStats, or (ChainStats, points) with chain points of shape
     (ensemble, steps + 2, 4) when keep_chains is set: points[i, k] is the
@@ -322,38 +317,36 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
     """
     E, S = params.ensemble, params.steps
     length = math.sqrt(2.0 * params.link_sigma_m)
-    d = params.deformation_strength
-    dphi = deflection_angle(d, params.link_sigma_m)
-    cosh_dphi, sinh_dphi = math.cosh(dphi), math.sinh(dphi)
+    cosh_dphi, sinh_dphi = math.cosh(params.deflection), math.sinh(params.deflection)
 
     azimuths = np.empty((S, E))
     for i in range(E):
         azimuths[:, i] = chain_rng(params.seed, i).uniform(0.0, 2.0 * math.pi, S)
 
-    u = np.zeros((4, E))
-    u[0] = 1.0  # initial link along the time axis, shared by all chains
-    mean_t = np.empty(S)
-    var_transverse = np.empty(S)
-    mean_angle = np.empty(S)
+    v = np.zeros((3, E))  # initial link along the time axis, shared by all chains
+    vv, u0 = _gamma(v)
+    mean_t, var_transverse, mean_angle = np.empty((3, S))
     drift = np.zeros(E)
-    # var runs over a chain-major (ensemble, 3) copy of the transverse
-    # components: over the (3, ensemble) rows it sums in another order
-    transverse = np.empty((E, 3))
+    max_gamma = np.ones(E)
     points = None
     if keep_chains:
         points = np.zeros((E, S + 2, 4))
         points[:, 1, 0] = length
 
     for s in range(S):
-        u_next = _tilt(u, cosh_dphi, sinh_dphi, azimuths[s])
-        mean_angle[s] = np.arccosh(np.maximum(1.0, _mdot_cm(u, u_next))).mean()
-        u = u_next
-        mean_t[s] = length * u[0].mean()
-        np.copyto(transverse, u[1:].T)
-        var_transverse[s] = length * length * transverse.var(axis=0, ddof=0).sum()
-        np.maximum(drift, np.abs(_mdot_cm(u, u) - 1.0), out=drift)
+        v_next = _tilt(v, u0, cosh_dphi, sinh_dphi, azimuths[s])
+        with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+            vv_next, u0 = _gamma(v_next)
+        mean_t[s] = length * u0.mean()
+        if not math.isfinite(mean_t[s]):
+            raise InvalidStateError(f"chain state overflowed at step {s + 1} (u0 beyond 1e154)")
+        mean_angle[s] = _angle(v, vv, v_next).mean()
+        v, vv = v_next, vv_next
+        var_transverse[s] = length * length * v.var(axis=1).sum()
+        np.maximum(drift, np.abs(u0 * u0 - vv - 1.0) / (u0 * u0), out=drift)
+        np.maximum(max_gamma, u0, out=max_gamma)
         if keep_chains:
-            np.add(points[:, s + 1], (length * u).T, out=points[:, s + 2])
+            np.add(points[:, s + 1], length * np.vstack((u0, v)).T, out=points[:, s + 2])
 
-    stats = ChainStats(np.arange(1, S + 1), mean_t, var_transverse, mean_angle, drift)
+    stats = ChainStats(np.arange(1, S + 1), mean_t, var_transverse, mean_angle, drift, max_gamma)
     return (stats, points) if keep_chains else stats

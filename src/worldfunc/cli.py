@@ -126,12 +126,6 @@ def _to_jsonable(obj):
 _CSV_BLOCK = 4096  # rows per formatted block of _write_csv
 
 
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _write_csv(path: Path, header: str, *columns) -> None:
     """CSV of equal-length 1-D columns: integer columns as ``str``, every
     other column as the round-trip ``repr`` of its float64 values.
@@ -151,9 +145,15 @@ def _write_csv(path: Path, header: str, *columns) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> str:
+    """Write and return strict JSON; a non-finite value is a numerical failure."""
     payload = {"schema_version": 1, **_to_jsonable(payload)}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_text(path, text)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise WorldFunctionError(f"{path.name} would hold a non-finite value") from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
     return text
 
 
@@ -166,23 +166,19 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed, outputs,
-                    started: str, extras: dict | None = None) -> Path:
+                    started: str, extras: dict | None = None) -> None:
     manifest = {
-        "schema_version": 1,
         "tool": "worldfunc",
         "version": __version__,
         "command": command,
         "seed": seed,
-        "config": _to_jsonable(config),
+        "config": config,
         "started_utc": started,
         "finished_utc": _utcnow(),
         "outputs": {p.name: {"path": str(p), "sha256": _sha256(p)} for p in outputs},
+        **(extras or {}),
     }
-    if extras:
-        manifest.update(_to_jsonable(extras))
-    path = out_dir / f"{command}_manifest.json"
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    _write_json(out_dir / f"{command}_manifest.json", manifest)
 
 
 def _utcnow() -> str:
@@ -314,7 +310,8 @@ def cmd_chain(args) -> int:
                stats.step, stats.mean_t, stats.var_transverse, stats.mean_angle)
     outputs.insert(0, out)
     extras = {"deflection_angle": params.deflection,
-              "max_link_length_drift": float(stats.link_length_drift.max())}
+              "max_link_length_drift": float(stats.link_length_drift.max()),
+              "max_gamma": float(stats.max_gamma.max())}
     _write_manifest(out_dir, "chain", params.to_dict(), args.seed, outputs, started,
                     extras=extras)
     print(f"wrote chain statistics for {params.ensemble} chains x {params.steps} steps to {out}")

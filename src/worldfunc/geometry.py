@@ -265,6 +265,10 @@ def _piecewise_linear(x, xs, ys):
 # geometry specification
 # ---------------------------------------------------------------------------
 
+# the deformation kind each built-in geometry kind carries
+_CARRIES = {"minkowski": "identity", "discrete": "discrete-shift", "grainy": "grainy-ramp"}
+
+
 @dataclass(frozen=True, eq=False)
 class Geometry:
     """A world-function description plus unit constants.
@@ -282,6 +286,10 @@ class Geometry:
     def __post_init__(self):
         if (self.deformation is None) != (self.kind == "euclidean"):
             raise InvalidInputError("build geometries with the Geometry classmethod constructors")
+        want = _CARRIES.get(self.kind)
+        if want and self.deformation.kind != want:
+            raise InvalidInputError(f"a {self.kind} geometry carries a {want} deformation, "
+                                    f"not {self.deformation.kind}")
 
     @classmethod
     def euclidean(cls, dim: int, units: UnitConstants | None = None) -> "Geometry":

@@ -1,11 +1,13 @@
 """World-chain dynamics: deflection law, stepping, link verification,
 ensembles and their determinism."""
 
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import worldfunc as wf
 from worldfunc import ChainParams, Geometry, Skeleton, UnitConstants, WorldChain
@@ -324,141 +326,126 @@ def test_mass_constant_along_chain():
 
 
 # ---------------------------------------------------------------------------
-# the component-major step kernel against the (ensemble, 4) loop it replaced
+# the closed-form boost at high boost factors
 # ---------------------------------------------------------------------------
 
-def _ref_mdot(x, y):
-    xy = x * y
-    return xy[..., 0] - np.sum(xy[..., 1:], axis=-1)
+def test_high_boost_ensemble_stays_finite_on_the_hyperboloid():
+    # at lambda0_sq = 0.02 the rapidity walk reaches u0 ~ 1e16; chains used
+    # to go NaN here once a Gram-Schmidt rest-frame dyad cancelled
+    params = ChainParams(geometry=Geometry.discrete(0.02), link_sigma_m=0.5,
+                         steps=1000, ensemble=1000, seed=1)
+    stats, points = wf.simulate_ensemble(params, keep_chains=True)
+    assert np.isfinite(points).all()
+    for row in (stats.mean_t, stats.var_transverse, stats.mean_angle):
+        assert np.isfinite(row).all()
+    assert stats.link_length_drift.max() <= 1e-12
+    assert 1e8 < stats.max_gamma.max() < 1e154
 
 
-def _ref_tilt(u, cosh_dphi, sinh_dphi, azimuth):
-    m = u.shape[0]
-    e1 = np.zeros((m, 4))
-    e1[:, 1] = 1.0
-    e2 = np.zeros((m, 4))
-    e2[:, 2] = 1.0
-    w1 = e1 - _ref_mdot(e1, u)[:, None] * u
-    w1 = w1 / np.sqrt(-_ref_mdot(w1, w1))[:, None]
-    w2 = e2 - _ref_mdot(e2, u)[:, None] * u
-    w2 = w2 + _ref_mdot(w2, w1)[:, None] * w1
-    w2 = w2 / np.sqrt(-_ref_mdot(w2, w2))[:, None]
-    e = np.cos(azimuth)[:, None] * w1 + np.sin(azimuth)[:, None] * w2
-    nxt = cosh_dphi * u + sinh_dphi * e
-    return nxt / np.sqrt(_ref_mdot(nxt, nxt))[:, None]
+def test_readme_ensemble_angles_match_the_deflection_law():
+    params = ChainParams(geometry=Geometry.discrete(0.005), link_sigma_m=0.5,
+                         steps=1000, ensemble=1000, seed=42)
+    stats = wf.simulate_ensemble(params)
+    assert stats.max_gamma.max() > 1e6
+    assert np.abs(stats.mean_angle - params.deflection).max() <= 1e-9
+    assert stats.link_length_drift.max() <= 1e-12
 
 
-def _ref_step_chain(state, params, rng):
-    p0, p1 = np.asarray(state[0], float), np.asarray(state[1], float)
-    disp = p1 - p0
-    two_sm = float(_ref_mdot(disp, disp))
-    length = math.sqrt(two_sm)
-    sigma_m = 0.5 * two_sm
-    dphi = wf.deflection_angle(float(wf.deformation_value(params.geometry, sigma_m)), sigma_m)
-    azimuth = np.array([rng.uniform(0.0, 2.0 * math.pi)])
-    u_next = _ref_tilt((disp / length)[None, :], math.cosh(dphi), math.sinh(dphi), azimuth)[0]
-    return p1, p1 + length * u_next
+def test_max_gamma_is_the_largest_link_time_component():
+    params = ChainParams(geometry=Geometry.discrete(0.01), link_sigma_m=0.5,
+                         steps=300, ensemble=16, seed=3)
+    stats, points = wf.simulate_ensemble(params, keep_chains=True)
+    u0 = np.diff(points[:, :, 0], axis=1)  # link length 1
+    np.testing.assert_allclose(stats.max_gamma, u0.max(axis=1), rtol=1e-12)
+    assert stats.max_gamma.shape == (16,) and (stats.max_gamma >= 1.0).all()
 
 
-def _ref_ensemble(params):
-    E, S = params.ensemble, params.steps
-    length = math.sqrt(2.0 * params.link_sigma_m)
-    dphi = wf.deflection_angle(params.deformation_strength, params.link_sigma_m)
-    azimuths = np.empty((E, S))
-    for i in range(E):
-        azimuths[i] = wf.chain_rng(params.seed, i).uniform(0.0, 2.0 * math.pi, S)
-    u = np.zeros((E, 4))
-    u[:, 0] = 1.0
-    mean_t, var_transverse, mean_angle = np.empty(S), np.empty(S), np.empty(S)
-    drift = np.zeros(E)
-    points = np.zeros((E, S + 2, 4))
-    points[:, 1, 0] = length
-    for s in range(S):
-        u_next = _ref_tilt(u, math.cosh(dphi), math.sinh(dphi), azimuths[:, s])
-        mean_angle[s] = np.arccosh(np.maximum(1.0, _ref_mdot(u, u_next))).mean()
-        u = u_next
-        mean_t[s] = length * u[:, 0].mean()
-        var_transverse[s] = length * length * u[:, 1:].var(axis=0, ddof=0).sum()
-        drift = np.maximum(drift, np.abs(_ref_mdot(u, u) - 1.0))
-        points[:, s + 2] = points[:, s + 1] + length * u
-    return (mean_t, var_transverse, mean_angle, drift), points
+def test_overflowing_ensemble_raises():
+    # dphi ~ 5.3 per link: |v| passes 1e154 within a few hundred steps
+    params = ChainParams(geometry=Geometry.discrete(50.0), link_sigma_m=0.5,
+                         steps=400, ensemble=4, seed=0)
+    with pytest.raises(wf.InvalidStateError, match="overflowed at step"):
+        wf.simulate_ensemble(params)
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+def test_angle_has_no_cancellation_at_high_boost():
+    from worldfunc.chains import _angle, _gamma, _tilt
+    mpmath.mp.dps = 60
+    rng = np.random.default_rng(8)
+    dphi = wf.deflection_angle(0.02, 0.5)
+    for scale in (0.0, 1e-3, 1.0, 1e2, 1e4):
+        v = rng.normal(size=(3, 50)) * scale
+        vv, u0 = _gamma(v)
+        nxt = _tilt(v, u0, math.cosh(dphi), math.sinh(dphi), rng.uniform(0, 2 * math.pi, 50))
+        got = _angle(v, vv, nxt)
+        for i in range(50):
+            a = [mpmath.mpf(float(x)) for x in v[:, i]]
+            b = [mpmath.mpf(float(x)) for x in nxt[:, i]]
+            a0 = mpmath.sqrt(1 + sum(x * x for x in a))
+            b0 = mpmath.sqrt(1 + sum(x * x for x in b))
+            want = mpmath.acosh(a0 * b0 - sum(x * y for x, y in zip(a, b)))
+            assert abs(got[i] - float(want)) <= 1e-15 * (1.0 + float(a0))
+            assert abs(float(want) - dphi) <= 1e-15 * (1.0 + float(a0))
 
 
-@pytest.mark.parametrize("g,sigma_m,steps,ensemble,seed,nonfinite", [
-    (Geometry.discrete(0.02), 0.5, 400, 40, 1, True),  # boosts overflow: NaN chains
-    (Geometry.discrete(0.005), 0.5, 200, 64, 42, False),
-    (Geometry.discrete(1e-5), 0.5, 200, 33, 2, False),
-    (Geometry.discrete(0.02), 1.0, 150, 17, 9, False),
-    (Geometry.grainy(0.01, 0.03), 0.5, 100, 10, 5, False),
-    (MINK, 0.5, 50, 8, 0, False),
-    (Geometry.discrete(0.02), 0.5, 300, 1, 2, True),
-], ids=["discrete-0.02-nan", "discrete-0.005", "discrete-1e-5", "discrete-sigma-1",
-        "grainy", "minkowski", "one-chain"])
-def test_ensemble_bit_identical_to_row_major_loop(g, sigma_m, steps, ensemble, seed, nonfinite):
-    params = ChainParams(geometry=g, link_sigma_m=sigma_m, steps=steps,
-                         ensemble=ensemble, seed=seed)
-    with np.errstate(all="ignore"):
-        want, want_points = _ref_ensemble(params)
-        stats, points = wf.simulate_ensemble(params, keep_chains=True)
-        plain = wf.simulate_ensemble(params)
-    assert (~np.isfinite(want_points).all(axis=(1, 2))).any() == nonfinite
-    assert _same_bits(points, want_points)  # NaN positions and sign bits too
-    for got in (stats, plain):
-        assert _same_bits(got.mean_t, want[0])
-        assert _same_bits(got.var_transverse, want[1])
-        assert _same_bits(got.mean_angle, want[2])
-        assert _same_bits(got.link_length_drift, want[3])
-
-
-def _odd_states():
-    z = -0.0
-    rng = np.random.default_rng(5)
-    states = []
-    for _ in range(60):
-        p0 = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4)
-        v = rng.normal(size=3) * 10.0 ** rng.integers(-6, 3)
-        t = math.sqrt(1.0 + v @ v) * rng.choice([-1.0, 1.0]) * 10.0 ** rng.integers(-3, 4)
-        states.append((p0, p0 + np.concatenate([[t], v * abs(t)])))
-    # signed zeros, past-directed links, extreme magnitudes and subnormals
-    for p1 in ([1.0, z, z, z], [-1.0, z, z, z], [-1.0, 0.0, z, 0.0], [2.0, z, 0.5, z],
-               [1e300, 1e299, z, z], [1.0, 1e-320, z, -1e-320]):
-        states.append((np.zeros(4), np.array(p1)))
-        states.append((np.full(4, z), np.array(p1)))
-    return states
-
-
-@pytest.mark.parametrize("g", [MINK, Geometry.discrete(0.005), Geometry.discrete(0.3)],
-                         ids=["minkowski", "discrete-0.005", "discrete-0.3"])
-def test_step_chain_bit_identical_to_row_major_step(g):
+def test_past_directed_step_stays_past_directed():
+    g = Geometry.discrete(0.005)
     params = ChainParams(geometry=g, link_sigma_m=0.5, steps=1)
-    rng, ref_rng = wf.chain_rng(7, 0), wf.chain_rng(7, 0)
-    for state in _odd_states():
-        disp = state[1] - state[0]
-        with np.errstate(all="ignore"):
-            if not _ref_mdot(disp, disp) > 0:  # not timelike, or overflowing
-                with pytest.raises(wf.InvalidStateError):
-                    wf.step_chain(state, params, rng)
-                continue
-            got = wf.step_chain(state, params, rng)
-            want = _ref_step_chain(state, params, ref_rng)
-        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), state
+    rng = wf.chain_rng(4, 0)
+    state = (np.zeros(4), np.array([-2.0, 0.3, -1.5, 0.2]))
+    prev = state[1] - state[0]
+    two_sm = mdot(prev, prev)
+    want = wf.deflection_angle(0.005, 0.5 * two_sm)
+    for _ in range(200):
+        state = wf.step_chain(state, params, rng)
+        cur = state[1] - state[0]
+        assert cur[0] < 0
+        assert abs(mdot(cur, cur) - two_sm) <= 1e-12 * abs(cur[0]) ** 2
+        cosh_phi = mdot(prev, cur) / two_sm
+        assert abs(math.acosh(max(1.0, cosh_phi)) - want) < 1e-9
+        prev = cur
 
 
-def test_component_major_mdot_keeps_np_sum_order_and_signed_zeros():
-    from worldfunc.chains import _mdot_cm
-    rng = np.random.default_rng(0)
-    for m in (1, 64, 1000):
-        x = rng.normal(size=(m, 4)) * 10.0 ** rng.integers(-8, 9, size=(m, 4))
-        y = rng.normal(size=(m, 4)) * 10.0 ** rng.integers(-8, 9, size=(m, 4))
-        assert _same_bits(_mdot_cm(x.T.copy(), y.T.copy()), _ref_mdot(x, y))
-    # every combination of special values: np.sum starts from +0.0, so a
-    # sum of three -0.0 terms is +0.0 and -0.0 - (+0.0) stays -0.0
-    vals = [0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 1e-310]
-    grid = np.array(np.meshgrid(vals, vals, vals, vals)).reshape(4, -1)
-    with np.errstate(all="ignore"):
-        assert _same_bits(_mdot_cm(grid, np.ones_like(grid)), _ref_mdot(grid.T, 1.0))
+def test_step_chain_mirrors_past_directed_links():
+    # time reversal of the state mirrors the step: the same azimuth tilts
+    # -u to exactly the negated future-directed result
+    g = Geometry.discrete(0.01)
+    params = ChainParams(geometry=g, link_sigma_m=0.5, steps=1)
+    disp = np.array([1.5, 0.4, -0.7, 0.1])
+    p1, fut = wf.step_chain((np.zeros(4), disp), params, wf.chain_rng(2, 0))
+    q1, past = wf.step_chain((np.zeros(4), -disp), params, wf.chain_rng(2, 0))
+    assert np.array_equal(past - q1, -(fut - p1))
+
+
+def test_ensemble_links_verify_as_equivalent_in_the_deformed_geometry():
+    # small boosts: every adjacent link pair keeps its Minkowski length and
+    # the shared chain point gives the parallel residual -lambda0_sq exactly
+    g = Geometry.discrete(0.005)
+    params = ChainParams(geometry=g, link_sigma_m=0.5, steps=60, ensemble=12, seed=5)
+    stats, points = wf.simulate_ensemble(params, keep_chains=True)
+    assert stats.max_gamma.max() < 10.0
+    for chain_points in points:
+        chain = WorldChain(tuple(Skeleton((p, q)) for p, q in zip(chain_points, chain_points[1:])))
+        for r in wf.verify_link_equivalence(g, chain):
+            pair = r.pair_reports[(0, 1)]
+            assert abs(pair.residual_length) <= 1e-12
+            assert pair.residual_parallel == pytest.approx(-0.005, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["minkowski", "discrete", "grainy", "deformed"]),
+       lam=st.floats(1e-12, 1e3), sigma0=st.floats(0.0, 1e3),
+       link_sigma_m=st.floats(1e-12, 1e12), steps=st.integers(1, 10**6),
+       ensemble=st.integers(1, 10**6), seed=st.integers(0, 2**63))
+def test_chain_params_serialization_round_trips(kind, lam, sigma0, link_sigma_m, steps,
+                                                ensemble, seed):
+    g = {"minkowski": MINK, "discrete": Geometry.discrete(lam),
+         "grainy": Geometry.grainy(lam, sigma0),
+         "deformed": Geometry.deformed(wf.DeformationFunction.from_table(
+             [[-1.0, -1.0 - lam], [0.0, 0.0], [1.0, 1.0 + lam]]))}[kind]
+    params = ChainParams(geometry=g, link_sigma_m=link_sigma_m, steps=steps,
+                         ensemble=ensemble, seed=seed)
+    d = params.to_dict()
+    back = ChainParams.from_dict(json.loads(json.dumps(d)))
+    assert back.to_dict() == d
+    assert back.deformation_strength == params.deformation_strength

@@ -383,6 +383,43 @@ def test_manifest_digests_and_full_precision(tmp_path):
     assert rows[1][2] == want
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_manifest_is_canonical_strict_json(tmp_path):
+    assert run(["density", "--lambda0-sq", 0.01, "--sigma0", 0.03,
+                "--grid", "0:1:3", "--out-dir", tmp_path]) == 0
+    text = (tmp_path / "density_manifest.json").read_text()
+    manifest = _strict_json(text)
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert manifest["schema_version"] == 1 and manifest["command"] == "density"
+
+
+def test_eqv_check_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the residuals overflow to inf and NaN, which strict JSON cannot hold
+    with np.errstate(all="ignore"):
+        assert run(["eqv", "check", "--geometry", "minkowski",
+                    "--a-origin", "0,0,0,0", "--a-end", "1e200,0,0,0",
+                    "--b-origin", "0,0,0,0", "--b-end", "0,1e200,0,0",
+                    "--out-dir", tmp_path]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*"))
+
+
+def test_high_boost_chain_manifest_is_strict_json(tmp_path):
+    # the README example at 64 chains used to write "max_link_length_drift": NaN
+    argv = ["chain", "--geometry", "discrete:lambda0_sq=0.005", "--link-sigma-m", 0.5,
+            "--steps", 1000, "--ensemble", 64, "--seed", 42, "--out-dir", tmp_path]
+    assert run(argv) == 0
+    manifest = _strict_json((tmp_path / "chain_manifest.json").read_text())
+    assert manifest["max_link_length_drift"] <= 1e-12
+    stats = wf.simulate_ensemble(wf.ChainParams.from_dict(manifest["config"]))
+    assert manifest["max_gamma"] == stats.max_gamma.max() > 1e3
+
+
 # ---------------------------------------------------------------------------
 # the bulk CSV writer against the per-value writer it replaced
 # ---------------------------------------------------------------------------
@@ -410,7 +447,7 @@ def test_write_csv_matches_per_value_writer(tmp_path):
 
 
 def test_chain_raw_and_stats_match_per_value_writer(tmp_path):
-    # lambda0_sq = 0.02 overflows the boosts, so chains and statistics hold NaN
+    # lambda0_sq = 0.02 boosts chains to u0 ~ 6e6, and every value stays finite
     params = wf.ChainParams(geometry=wf.Geometry.discrete(0.02), link_sigma_m=0.5,
                             steps=400, ensemble=40, seed=1)
     with np.errstate(all="ignore"):
@@ -420,7 +457,7 @@ def test_chain_raw_and_stats_match_per_value_writer(tmp_path):
         stats, points = wf.simulate_ensemble(params, keep_chains=True)
     raw = _ref_csv("chain_id,step,x0,x1,x2,x3",
                    ((i, k, *points[i, k]) for i in range(40) for k in range(402)))
-    assert "nan" in raw
+    assert "nan" not in raw
     assert (tmp_path / "chains.csv").read_text() == raw
     assert (tmp_path / "chain_stats.csv").read_text() == _ref_csv(
         "step,mean_t,var_transverse,mean_angle",

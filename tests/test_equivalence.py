@@ -1,6 +1,7 @@
 """Equivalence relation, multistart solver, spacelike family, intransitivity,
 collinearity, segments and tube sampling."""
 
+import json
 import math
 import os
 import subprocess
@@ -809,3 +810,27 @@ def test_segment_members_are_line_members_euclidean():
         r = p0 + t * (p1 - p0)
         assert wf.segment_membership(EUCLID3, p0, p1, r, 1e-9).member
         assert wf.line_membership(EUCLID3, p0, axis, r, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# configuration round trips
+# ---------------------------------------------------------------------------
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_INTS = st.integers(0, 2**63)
+
+
+@settings(max_examples=100, deadline=None)
+@given(starts=_INTS, max_iter=_INTS, tol=_FLOATS, dedupe_radius=_FLOATS,
+       box_half_width=_FLOATS, seed=_INTS)
+def test_solver_config_serialization_round_trips(**fields):
+    cfg = SolverConfig(**fields)
+    assert SolverConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(stations=_INTS, directions=_INTS, tol=_FLOATS, seed=_INTS,
+       max_radius=st.none() | _FLOATS, scan_points=_INTS)
+def test_tube_sampler_config_serialization_round_trips(**fields):
+    cfg = TubeSamplerConfig(**fields)
+    assert TubeSamplerConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg

@@ -662,3 +662,38 @@ def test_geometry_carries_a_deformation_exactly_off_the_euclidean_kind():
         Geometry("minkowski")
     with pytest.raises(wf.InvalidInputError):
         Geometry("euclidean", dim=3, deformation=DeformationFunction.identity())
+
+
+def test_builtin_kind_rejects_a_deformation_of_another_kind():
+    # sigma would use the deformation, from_dict(to_dict()) the kind's own F:
+    # 0.00667 against 0.015, and 0.505 against 0.005
+    with pytest.raises(wf.InvalidInputError, match="discrete-shift deformation, not grainy-ramp"):
+        Geometry("discrete", deformation=DeformationFunction.grainy_ramp(0.01, 0.03))
+    with pytest.raises(wf.InvalidInputError, match="identity deformation, not discrete-shift"):
+        Geometry("minkowski", deformation=DeformationFunction.discrete_shift(0.5))
+    builtins = {"identity": DeformationFunction.identity(),
+                "discrete-shift": DeformationFunction.discrete_shift(0.01),
+                "grainy-ramp": DeformationFunction.grainy_ramp(0.01, 0.03),
+                "table": DeformationFunction.from_table([[-1, -2], [0, 0], [1, 2]])}
+    carried = {"minkowski": "identity", "discrete": "discrete-shift", "grainy": "grainy-ramp"}
+    for kind in ("minkowski", "discrete", "grainy", "deformed"):
+        for name, dfun in builtins.items():
+            if kind == "deformed" or carried[kind] == name:
+                g = Geometry(kind, deformation=dfun)
+                p = (0.1, 0, 0, 0)
+                assert wf.sigma(Geometry.from_dict(g.to_dict()), p, ORIGIN4) == wf.sigma(g, p, ORIGIN4)
+            else:
+                with pytest.raises(wf.InvalidInputError):
+                    Geometry(kind, deformation=dfun)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("g", random_geometries(), ids=lambda g: f"{g.kind}{g.dim}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sigma_of_a_point_with_itself_is_exactly_zero(g, data):
+    pts = data.draw(arrays(np.float64, (5, g.dim), elements=_FINITE))
+    assert wf.sigma(g, pts[0], pts[0]) == 0.0
+    assert np.array_equal(wf.sigma(g, pts, pts), np.zeros(5))
