@@ -39,6 +39,7 @@ from .geometry import (
     sigma,
     sigma_coordinates,
     sigma_gradient,
+    sigma_hessian,
     squared_length,
     triangle_defect,
 )

@@ -14,6 +14,7 @@ import datetime
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .equivalence import (
     sample_segment_tube,
     solve_equivalent,
 )
-from .errors import WorldFunctionError
+from .errors import InvalidInputError, WorldFunctionError
 from .geometry import Geometry, GeomVector, as_point, relative_density, sigma
 from .objects import Envelope, Skeleton, evaluate_envelope, object_membership
 
@@ -117,6 +118,14 @@ def _to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
     return obj
+
+
+def _config(cls, **values):
+    """A solver or tube config from options; a rejected value is a usage error."""
+    try:
+        return cls(**values)
+    except InvalidInputError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +218,12 @@ def cmd_eqv(args) -> int:
     if args.mode == "check":
         a = GeomVector(parse_point(args.a_origin), parse_point(args.a_end))
         b = GeomVector(parse_point(args.b_origin), parse_point(args.b_end))
-        rep = is_equivalent(g, a, b, args.tol)
-        payload = {"equivalent": rep.equivalent,
-                   "residual_parallel": rep.residual_parallel,
-                   "residual_length": rep.residual_length,
-                   "scale": rep.scale, "tol": rep.tol}
         out = out_dir / "eqv_check.json"
-        text = _write_json(out, payload)
+        text = _write_json(out, asdict(is_equivalent(g, a, b, args.tol)))
     elif args.mode == "solve":
-        cfg = SolverConfig(starts=args.starts, max_iter=args.max_iter, tol=args.tol,
-                           dedupe_radius=args.dedupe_radius,
-                           box_half_width=args.box_half_width, seed=args.seed)
+        cfg = _config(SolverConfig, starts=args.starts, max_iter=args.max_iter, tol=args.tol,
+                      dedupe_radius=args.dedupe_radius,
+                      box_half_width=args.box_half_width, seed=args.seed)
         sol = solve_equivalent(g, parse_point(args.p0), parse_point(args.p1),
                                parse_point(args.q0), cfg)
         out = out_dir / "eqv_solve.json"
@@ -247,9 +251,9 @@ def cmd_eqv(args) -> int:
 def cmd_tube(args) -> int:
     started = _utcnow()
     g = parse_geometry(args.geometry)
-    cfg = TubeSamplerConfig(stations=args.stations, directions=args.directions,
-                            tol=args.tol, seed=args.seed, max_radius=args.max_radius,
-                            scan_points=args.scan_points)
+    cfg = _config(TubeSamplerConfig, stations=args.stations, directions=args.directions,
+                  tol=args.tol, seed=args.seed, max_radius=args.max_radius,
+                  scan_points=args.scan_points)
     tube = sample_segment_tube(g, parse_point(args.p0), parse_point(args.p1), cfg)
     out_dir = Path(args.out_dir)
     cloud = out_dir / args.out_cloud
@@ -371,10 +375,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--p0")
     p.add_argument("--p1")
     p.add_argument("--q0")
-    p.add_argument("--starts", type=int, default=256)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--dedupe-radius", type=float, default=1e-4)
-    p.add_argument("--box-half-width", type=float, default=5.0)
+    p.add_argument("--starts", type=int, default=SolverConfig.starts)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--dedupe-radius", type=float, default=SolverConfig.dedupe_radius)
+    p.add_argument("--box-half-width", type=float, default=SolverConfig.box_half_width)
     p.add_argument("--budget", type=int, default=10000)
     p.set_defaults(func=cmd_eqv)
 
@@ -382,10 +386,10 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--p0", required=True)
     p.add_argument("--p1", required=True)
-    p.add_argument("--stations", type=int, default=64)
-    p.add_argument("--directions", type=int, default=16)
-    p.add_argument("--max-radius", type=float, default=None)
-    p.add_argument("--scan-points", type=int, default=64)
+    p.add_argument("--stations", type=int, default=TubeSamplerConfig.stations)
+    p.add_argument("--directions", type=int, default=TubeSamplerConfig.directions)
+    p.add_argument("--max-radius", type=float, default=TubeSamplerConfig.max_radius)
+    p.add_argument("--scan-points", type=int, default=TubeSamplerConfig.scan_points)
     p.add_argument("--out-cloud", default="tube_cloud.csv")
     p.add_argument("--out-profile", default="tube_profile.csv")
     p.set_defaults(func=cmd_tube)

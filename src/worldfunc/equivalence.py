@@ -14,8 +14,9 @@ Outside the Euclidean geometry the relation is generally intransitive:
 solving the two equations for the end point Q1 of a vector at Q0 equivalent
 to a given one may yield no solution, exactly one, or a whole manifold.
 ``solve_equivalent`` explores that structure with a multistart damped Newton
-iteration and reports representatives plus a tangent-space dimension
-estimate; ``find_intransitivity_witness`` tests blocks of candidate triples
+iteration and reports representatives, each classified in closed form by a
+second-order test at the root as isolated or on an (n - 2)-dimensional
+solution manifold; ``find_intransitivity_witness`` tests blocks of candidate triples
 for broken transitivity with the batched residual kernel that also checks
 skeleton and chain-link equivalence; the segment/tube operations expose the
 thickness that straight lines acquire under deformation.
@@ -24,7 +25,7 @@ thickness that straight lines acquire under deformation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,11 +38,13 @@ from .errors import (
 from .geometry import (
     Geometry,
     GeomVector,
+    _Config,
     _scalar_product_arrays,
     as_point,
     scalar_product,
     sigma,
     sigma_gradient,
+    sigma_hessian,
     squared_length,
     triangle_defect,
 )
@@ -105,26 +108,13 @@ def _skeleton_pair_reports(g, a, b, tol):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Config):
     starts: int = 256
     max_iter: int = 100
     tol: float = 1e-9
     dedupe_radius: float = 1e-4
     box_half_width: float = 5.0
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {"starts": self.starts, "max_iter": self.max_iter, "tol": self.tol,
-                "dedupe_radius": self.dedupe_radius,
-                "box_half_width": self.box_half_width, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        return cls(starts=int(d.get("starts", 256)), max_iter=int(d.get("max_iter", 100)),
-                   tol=float(d.get("tol", 1e-9)),
-                   dedupe_radius=float(d.get("dedupe_radius", 1e-4)),
-                   box_half_width=float(d.get("box_half_width", 5.0)),
-                   seed=int(d.get("seed", 0)))
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,12 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Representative solutions of the equivalence equations at one point."""
+    """Representative solutions of the equivalence equations at one point.
+
+    ``manifold_dim_estimate`` is 0 when every representative is an isolated
+    root and n - 2 when one lies on a solution manifold (see
+    ``_manifold_dims``).
+    """
 
     representatives: list
     variance: str  # "zero" | "single" | "multi"
@@ -151,12 +146,7 @@ class SolutionSet:
             "manifold_dim_estimate": self.manifold_dim_estimate,
             "representatives": [r.tolist() for r in self.representatives],
             "residuals": [list(r) for r in self.residuals],
-            "diagnostics": {
-                "starts_attempted": self.diagnostics.starts_attempted,
-                "converged_count": self.diagnostics.converged_count,
-                "dedupe_radius": self.diagnostics.dedupe_radius,
-                "jacobian_rank": self.diagnostics.jacobian_rank,
-            },
+            "diagnostics": asdict(self.diagnostics),
         }
 
 
@@ -198,6 +188,11 @@ class _ResidualMap:
         J[:, 0] -= G[2]
         np.multiply(2.0, G[2], out=J[:, 1])
         return J
+
+    def hessian(self, X):
+        """Residual Hessians (m, 2, n, n) at X of shape (m, n), rows combined as in ``jacobian``."""
+        H = sigma_hessian(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m, n, n)
+        return np.stack([H[0] - H[1] - H[2], 2.0 * H[2]], axis=1)
 
 
 def _pinv_rows(J):
@@ -310,28 +305,28 @@ def _sorted_dedupe(points, radius, quality=None):
     return list(kept[np.lexsort(kept.T[::-1])])
 
 
-def _tangent_dimension(rmap: _ResidualMap, rep, tol_abs, probe, max_iter=30):
-    """Validated tangent-space dimension at a converged representative.
+def _manifold_dims(rmap: _ResidualMap, reps, radius):
+    """Solution-set dimension (0 or n - 2) and Jacobian rank at each representative.
 
-    The kernel of the residual Jacobian bounds the solution-manifold
-    dimension from above, but it over-counts at tangential intersections
-    (the unique Euclidean solution has a rank-1 Jacobian).  Each kernel
-    direction is therefore probed: step away, re-converge, and count the
-    direction only if a distinct solution exists out there.
+    With J = U S V^T, c = U[:, -1] and K the rows of V^T after the first, the
+    residual combination c . r on K is s_min y0 + y^T A y / 2 to second order,
+    A = K (c . H) K^T for the residual Hessians H.  A definite A keeps the
+    roots within 2 s_min / min|eig A| of the representative: it is isolated
+    when that is within the dedupe radius.  Otherwise the roots form an
+    (n - 2)-manifold: by the implicit function theorem at full rank, a cone
+    at rank 1 (Griewank, SIAM Review 27, 1985).
     """
-    J = rmap.jacobian(rep[None, :])[0]
-    _, sv, Vt = np.linalg.svd(J)
-    if sv.size == 0 or sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int((sv > _RANK_CUTOFF * sv[0]).sum())
-    kernel = Vt[rank:]
-    if kernel.size == 0:
-        return 0, rank
-    starts = rep[None, :] + probe * kernel
-    Xc, _, conv = _newton(rmap, starts, tol_abs, max_iter)
-    moved = np.linalg.norm(Xc - rep[None, :], axis=1) >= 0.5 * probe
-    return int((conv & moved).sum()), rank
+    J = rmap.jacobian(reps)
+    U, S, Vt = np.linalg.svd(J)
+    rank = (S > _RANK_CUTOFF * S[:, :1]).sum(axis=1)
+    if rmap.n < 3:
+        return np.zeros(len(reps), dtype=int), rank
+    K = Vt[:, 1:]
+    cH = np.einsum("mi,mijk->mjk", U[:, :, -1], rmap.hessian(reps))
+    eig = np.linalg.eigvalsh(K @ cH @ K.transpose(0, 2, 1))
+    definite = (eig[:, 0] > 0.0) | (eig[:, -1] < 0.0)
+    isolated = definite & (2.0 * S[:, -1] <= radius * np.abs(eig).min(axis=1))
+    return np.where(isolated, 0, rmap.n - 2), rank
 
 
 def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -> SolutionSet:
@@ -339,11 +334,12 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
 
     Starts from the chart-translation guess plus seeded random points in a
     box around Q0; converged solutions are deduplicated (sorted, by chart
-    distance) and classified:
+    distance), polished and classified by a second-order test at each
+    representative (``_manifold_dims``):
 
     * ``zero``   -- no solution found (an empty set is a valid outcome),
-    * ``single`` -- one representative and a zero-dimensional tangent space,
-    * ``multi``  -- several representatives or a positive-dimensional manifold.
+    * ``single`` -- one representative, an isolated root,
+    * ``multi``  -- several representatives or an (n - 2)-dimensional manifold.
     """
     cfg = cfg or SolverConfig()
     p0 = as_point(p0, dim=g.dim)
@@ -384,26 +380,19 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         if g.kind in ("euclidean", "minkowski"):
             raise SolverFailureError(
                 "no start converged although this geometry has an analytic solution")
-        diags = SolverDiagnostics(cfg.starts, 0, radius, 0)
+        diags = SolverDiagnostics(len(starts), 0, radius, 0)
         return SolutionSet([], "zero", 0, [], diags)
 
-    probe = max(10.0 * radius, 1e-3 * chart_scale)
-    dim_est, rank = 0, 0
-    probe_idx = sorted({0, len(reps) // 2, len(reps) - 1})
-    for i in probe_idx:
-        d_i, r_i = _tangent_dimension(rmap, reps[i], tol_abs, probe)
-        if d_i >= dim_est:
-            dim_est, rank = d_i, r_i
-
+    dims, ranks = _manifold_dims(rmap, np.array(reps), radius)
     _, r_par, r_len, _ = _equivalence_residuals(g, p0, p1, q0, np.array(reps), cfg.tol)
     residuals = list(zip(r_par.tolist(), r_len.tolist()))
 
-    if len(reps) == 1 and dim_est == 0:
+    if len(reps) == 1 and dims[0] == 0:
         variance = "single"
     else:
         variance = "multi"
-    diags = SolverDiagnostics(cfg.starts, int(conv.sum()), radius, rank)
-    return SolutionSet(reps, variance, dim_est, residuals, diags)
+    diags = SolverDiagnostics(len(starts), int(conv.sum()), radius, int(ranks[np.argmax(dims)]))
+    return SolutionSet(reps, variance, int(dims.max()), residuals, diags)
 
 
 # ---------------------------------------------------------------------------
@@ -575,26 +564,13 @@ def segment_membership(g: Geometry, p0, p1, r, tol: float = 1e-9) -> SegmentRepo
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TubeSamplerConfig:
+class TubeSamplerConfig(_Config):
     stations: int = 64
     directions: int = 16
     tol: float = 1e-9
     seed: int = 0
     max_radius: float | None = None  # default: chart length of the segment
     scan_points: int = 64
-
-    def to_dict(self) -> dict:
-        return {"stations": self.stations, "directions": self.directions,
-                "tol": self.tol, "seed": self.seed,
-                "max_radius": self.max_radius, "scan_points": self.scan_points}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TubeSamplerConfig":
-        return cls(stations=int(d.get("stations", 64)),
-                   directions=int(d.get("directions", 16)),
-                   tol=float(d.get("tol", 1e-9)), seed=int(d.get("seed", 0)),
-                   max_radius=d.get("max_radius"),
-                   scan_points=int(d.get("scan_points", 64)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,13 +27,14 @@ below sqrt(2)*lambda0 do not occur.
 
 All sigma implementations are symmetric by construction and broadcast over
 leading axes of the coordinate arrays; ``sigma_gradient`` gives their exact
-derivative in the end point, F'(sigma_M) eta (q - p).
+derivative in the end point, F'(sigma_M) eta (q - p), and ``sigma_hessian``
+the second derivative F'(sigma_M) eta off the kinks of F.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -95,8 +96,36 @@ class GeomVector:
 # unit constants and deformation functions
 # ---------------------------------------------------------------------------
 
+class _Config:
+    """Dict round trip and float check of a frozen config dataclass.
+
+    ``from_dict`` reads the fields present in a mapping, each coerced to the
+    type of its default (float for an optional field, whose default is None);
+    a non-finite float field raises ``InvalidInputError``.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), float):
+                _finite(f.name, getattr(self, f.name))
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"{cls.__name__} needs a mapping, got {type(d).__name__}")
+
+        def coerce(f, v):
+            if f.default is None:
+                return None if v is None else float(v)
+            return type(f.default)(v)
+        return cls(**{f.name: coerce(f, d[f.name]) for f in fields(cls) if f.name in d})
+
+
 @dataclass(frozen=True)
-class UnitConstants:
+class UnitConstants(_Config):
     """Action, speed and mass-per-length constants tying geometry to dynamics.
 
     The elementary area hbar / (2 b c) is the discrete-geometry deformation
@@ -117,15 +146,6 @@ class UnitConstants:
     def elementary_area(self) -> float:
         """lambda0^2 = hbar / (2 b c)."""
         return self.hbar / (2.0 * self.b * self.c)
-
-    def to_dict(self) -> dict:
-        return {"hbar": self.hbar, "c": self.c, "b": self.b}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UnitConstants":
-        if not isinstance(d, dict):
-            raise InvalidInputError(f"units must be a mapping, got {type(d).__name__}")
-        return cls(hbar=float(d.get("hbar", 1.0)), c=float(d.get("c", 1.0)), b=float(d.get("b", 1.0)))
 
 
 # parameters each deformation kind reads; the others are held at 0
@@ -422,6 +442,22 @@ def sigma_gradient(g: Geometry, p, q):
     if g.deformation is None:
         return d
     return np.asarray(g.deformation.slope(_sigma_m(d)))[..., None] * (d * _ETA)
+
+
+def sigma_hessian(g: Geometry, p, q):
+    """Hessian (..., n, n) of sigma(p, q) in the end point q; broadcasts like ``sigma``.
+
+    F'(sigma_M) eta, the identity in the Euclidean geometry: the term
+    F''(sigma_M) eta d d^T eta vanishes off the kinks of every built-in F and
+    table, and at a kink or the discrete jump the slope is the one
+    ``sigma_gradient`` uses.
+    """
+    p = _coords(g, p)
+    q = _coords(g, q)
+    d = q - p
+    if g.deformation is None:
+        return np.ones(d.shape[:-1] + (1, 1)) * np.eye(g.dim)
+    return np.asarray(g.deformation.slope(_sigma_m(d)))[..., None, None] * np.diag(_ETA)
 
 
 def deformation_value(g: Geometry, sigma_m):

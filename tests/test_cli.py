@@ -178,6 +178,20 @@ def test_eqv_solve(tmp_path, capsys):
     assert len(payload["representatives"]) >= 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "1,0,0,0",
+     "--q0", "0,0,0,0", "--box-half-width", "inf"],
+    ["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "1,0,0,0",
+     "--q0", "0,0,0,0", "--tol", "nan"],
+    ["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0", "--p1", "2,0,0,0",
+     "--max-radius", "nan"],
+])
+def test_non_finite_config_is_a_usage_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eqv_witness(tmp_path, capsys):
     assert run(["eqv", "witness", "--geometry", "discrete:lambda0_sq=0.01",
                 "--seed", 7, "--out-dir", tmp_path]) == 0

@@ -226,6 +226,70 @@ def test_tube_deterministic_for_fixed_seed():
     assert np.array_equal(t1.points, t2.points)
 
 
+def test_solve_minkowski_near_cone_timelike_is_single():
+    # reverse Cauchy-Schwarz: the timelike solution is unique however close to the cone
+    sol = wf.solve_equivalent(MINK, ORIGIN4, (1.001, 1, 0, 0), ORIGIN4, SolverConfig(seed=0))
+    assert (sol.variance, sol.manifold_dim_estimate) == ("single", 0)
+    assert np.abs(sol.representatives[0] - np.array([1.001, 1, 0, 0])).max() < 1e-9
+
+
+def test_solve_spacelike_single_start_sees_the_family():
+    # the translation guess alone is a point of the 2-dimensional spacelike family
+    sol = wf.solve_equivalent(MINK, ORIGIN4, (0, 1, 0, 0), ORIGIN4, SolverConfig(starts=1))
+    assert len(sol.representatives) == 1
+    assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 2)
+
+
+def _near_cone_input(rng):
+    # the solve benchmark's near-cone class: |dt| within 1e-3 of |dx|
+    p0, q0 = rng.uniform(-1.0, 1.0, 4), rng.uniform(-1.0, 1.0, 4)
+    v = rng.normal(size=3)
+    r = rng.uniform(0.3, 1.5)
+    dt = r * (1.0 + rng.uniform(-1e-3, 1e-3)) * rng.choice([-1.0, 1.0])
+    return p0, p0 + np.concatenate([[dt], r * v / np.linalg.norm(v)]), q0
+
+
+def test_solve_near_cone_timelike_draws_are_single():
+    rng = np.random.default_rng(123)
+    variances, k = [], 0
+    while len(variances) < 40:
+        p0, p1, q0 = _near_cone_input(rng)
+        if mdot(p1 - p0, p1 - p0) > 0:
+            sol = wf.solve_equivalent(MINK, p0, p1, q0, SolverConfig(starts=64, seed=k))
+            variances.append(sol.variance)
+        k += 1
+    assert variances.count("single") >= 38
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_solve_euclidean_low_dims_single(dim):
+    rng = np.random.default_rng(dim)
+    for k in range(10):
+        p0, p1, q0 = rng.uniform(-3, 3, (3, dim))
+        sol = wf.solve_equivalent(Geometry.euclidean(dim), p0, p1, q0, SolverConfig(starts=4, seed=k))
+        assert (sol.variance, sol.manifold_dim_estimate) == ("single", 0)
+        assert np.linalg.norm(sol.representatives[0] - (q0 + p1 - p0)) < 1e-6
+
+
+def test_solve_runs_newton_twice(monkeypatch):
+    # the main pass and the polish; classification re-solves nothing
+    calls = []
+    newton = eqv._newton
+
+    def counted(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(eqv, "_newton", counted)
+    wf.solve_equivalent(MINK, ORIGIN4, (0, 1, 0, 0), ORIGIN4, SolverConfig(starts=16))
+    assert len(calls) == 2
+
+
+def test_solve_reports_the_starts_it_ran():
+    sol = wf.solve_equivalent(MINK, ORIGIN4, (1, 0, 0, 0), ORIGIN4, SolverConfig(starts=-3))
+    assert sol.diagnostics.starts_attempted == 1
+
+
 def test_solve_requires_distinct_points():
     with pytest.raises(wf.InvalidInputError):
         wf.solve_equivalent(EUCLID3, (1, 1, 1), (1, 1, 1), (0, 0, 0))
@@ -238,6 +302,26 @@ def test_solver_config_from_combined_dict():
     assert cfg.starts == 256 and cfg.box_half_width == 5.0
     tcfg = TubeSamplerConfig.from_dict(d)
     assert tcfg.stations == 64 and tcfg.directions == 16
+
+
+def test_config_from_dict_coerces_to_field_types():
+    tcfg = TubeSamplerConfig.from_dict({"max_radius": "1.5", "stations": "9", "directions": 4.0})
+    assert (tcfg.max_radius, tcfg.stations, tcfg.directions) == (1.5, 9, 4)
+    assert type(tcfg.max_radius) is float and type(tcfg.stations) is int
+    tube = wf.sample_segment_tube(Geometry.discrete(0.02), ORIGIN4, (2, 0, 0, 0), tcfg)
+    assert np.nanmax(tube.radii) <= 1.5
+    assert SolverConfig.from_dict({"tol": "1e-8"}).tol == 1e-8
+
+
+@pytest.mark.parametrize("cls,field", [(SolverConfig, "tol"), (SolverConfig, "dedupe_radius"),
+                                       (SolverConfig, "box_half_width"),
+                                       (TubeSamplerConfig, "tol"), (TubeSamplerConfig, "max_radius")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_floats(cls, field, value):
+    with pytest.raises(wf.InvalidInputError, match=field):
+        cls(**{field: value})
+    with pytest.raises(wf.InvalidInputError, match=field):
+        cls.from_dict({field: str(value)})
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,22 @@ def test_sigma_gradient_matches_central_differences(g, kinks, data):
 @pytest.mark.parametrize("g,kinks", GRADIENT_CASES, ids=_CASE_IDS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
+def test_sigma_hessian_matches_central_differences(g, kinks, data):
+    p, q = _draw_pair(data, g.dim)
+    d = q - p
+    sm = 0.5 * (d[0] ** 2 - d[1:] @ d[1:])
+    # the gradient is linear in q between F's kinks, so its central differences are exact there
+    assume(all(abs(sm - k) > 1e-3 for k in kinks))
+    h = 1e-6
+    fd = np.array([(wf.sigma_gradient(g, p, q + h * e) - wf.sigma_gradient(g, p, q - h * e)) / (2 * h)
+                   for e in np.eye(g.dim)])
+    np.testing.assert_allclose(wf.sigma_hessian(g, p, q), fd, rtol=1e-7, atol=1e-7)
+    assert wf.sigma_hessian(g, p, np.stack([q, p, q])).shape == (3, g.dim, g.dim)
+
+
+@pytest.mark.parametrize("g,kinks", GRADIENT_CASES, ids=_CASE_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
 def test_sigma_gradient_in_origin_is_negated(g, kinks, data):
     p, q = _draw_pair(data, g.dim)
     # sigma is symmetric, so d sigma/dp = sigma_gradient(g, q, p); exact, kinks included
