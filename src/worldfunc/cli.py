@@ -29,7 +29,7 @@ from .equivalence import (
     sample_segment_tube,
     solve_equivalent,
 )
-from .errors import InvalidInputError, WorldFunctionError
+from .errors import WorldFunctionError
 from .geometry import Geometry, GeomVector, as_point, relative_density, sigma
 from .objects import Envelope, Skeleton, evaluate_envelope, object_membership
 
@@ -89,6 +89,17 @@ def parse_point(text: str) -> list[float]:
         raise UsageError(f"bad point {text!r}: {exc}") from exc
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of a float option that must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _load_points(path: str, dim: int) -> np.ndarray:
     """(m, dim) array of a JSON point list, each point checked by ``as_point``."""
     return np.array([as_point(p, dim=dim) for p in _load_json(path)]).reshape(-1, dim)
@@ -118,14 +129,6 @@ def _to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
     return obj
-
-
-def _config(cls, **values):
-    """A solver or tube config from options; a rejected value is a usage error."""
-    try:
-        return cls(**values)
-    except InvalidInputError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +224,9 @@ def cmd_eqv(args) -> int:
         out = out_dir / "eqv_check.json"
         text = _write_json(out, asdict(is_equivalent(g, a, b, args.tol)))
     elif args.mode == "solve":
-        cfg = _config(SolverConfig, starts=args.starts, max_iter=args.max_iter, tol=args.tol,
-                      dedupe_radius=args.dedupe_radius,
-                      box_half_width=args.box_half_width, seed=args.seed)
+        cfg = SolverConfig(starts=args.starts, max_iter=args.max_iter, tol=args.tol,
+                           dedupe_radius=args.dedupe_radius,
+                           box_half_width=args.box_half_width, seed=args.seed)
         sol = solve_equivalent(g, parse_point(args.p0), parse_point(args.p1),
                                parse_point(args.q0), cfg)
         out = out_dir / "eqv_solve.json"
@@ -251,9 +254,9 @@ def cmd_eqv(args) -> int:
 def cmd_tube(args) -> int:
     started = _utcnow()
     g = parse_geometry(args.geometry)
-    cfg = _config(TubeSamplerConfig, stations=args.stations, directions=args.directions,
-                  tol=args.tol, seed=args.seed, max_radius=args.max_radius,
-                  scan_points=args.scan_points)
+    cfg = TubeSamplerConfig(stations=args.stations, directions=args.directions,
+                            tol=args.tol, seed=args.seed, max_radius=args.max_radius,
+                            scan_points=args.scan_points)
     tube = sample_segment_tube(g, parse_point(args.p0), parse_point(args.p1), cfg)
     out_dir = Path(args.out_dir)
     cloud = out_dir / args.out_cloud
@@ -357,7 +360,7 @@ def _build_parser() -> _Parser:
                             "grainy:lambda0_sq=X,sigma0=Y | deformed:file=F.json | @spec.json")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_finite_float, default=1e-9)
 
     p = sub.add_parser("sigma", help="table of world-function values for a point file")
     common(p)
@@ -377,8 +380,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--q0")
     p.add_argument("--starts", type=int, default=SolverConfig.starts)
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    p.add_argument("--dedupe-radius", type=float, default=SolverConfig.dedupe_radius)
-    p.add_argument("--box-half-width", type=float, default=SolverConfig.box_half_width)
+    p.add_argument("--dedupe-radius", type=_finite_float, default=SolverConfig.dedupe_radius)
+    p.add_argument("--box-half-width", type=_finite_float, default=SolverConfig.box_half_width)
     p.add_argument("--budget", type=int, default=10000)
     p.set_defaults(func=cmd_eqv)
 
@@ -388,7 +391,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p1", required=True)
     p.add_argument("--stations", type=int, default=TubeSamplerConfig.stations)
     p.add_argument("--directions", type=int, default=TubeSamplerConfig.directions)
-    p.add_argument("--max-radius", type=float, default=TubeSamplerConfig.max_radius)
+    p.add_argument("--max-radius", type=_finite_float, default=TubeSamplerConfig.max_radius)
     p.add_argument("--scan-points", type=int, default=TubeSamplerConfig.scan_points)
     p.add_argument("--out-cloud", default="tube_cloud.csv")
     p.add_argument("--out-profile", default="tube_profile.csv")
@@ -402,7 +405,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--probes", help="JSON file with probe points")
     p.add_argument("--random", type=int, default=1000,
                    help="number of random probes when --probes is absent")
-    p.add_argument("--box-half-width", type=float, default=2.0)
+    p.add_argument("--box-half-width", type=_finite_float, default=2.0)
     p.add_argument("--out", default="object_probes.csv")
     p.set_defaults(func=cmd_object)
 

@@ -56,6 +56,12 @@ _RANK_CUTOFF = 1e-8
 _GRAM_CUTOFF = 1e-10
 # candidate triples per block of the witness search: its memory is independent of the budget
 _WITNESS_BLOCK = 1024
+# Newton line-search step lengths, all tried in one residual call.  Near the
+# light cone a start can crawl for dozens of iterations at steps of
+# 1/128-1/32, each gaining under 1 %; such a start stalls at 1/16.  A floor
+# of 1/8 or 1/4 would lose 11 or 14 % of the converged near-cone starts
+# where 1/16 loses 6 %.
+_LADDER = 0.5 ** np.arange(5)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +125,16 @@ class SolverConfig(_Config):
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """What the main Newton pass did: ``iterations`` counts its step-ladder
+    evaluations, ``stalled_count`` the starts that no rung of the ladder
+    improved (the polish pass is not counted)."""
+
     starts_attempted: int
     converged_count: int
     dedupe_radius: float
     jacobian_rank: int
+    iterations: int
+    stalled_count: int
 
 
 @dataclass(frozen=True)
@@ -221,16 +233,25 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
 
     Runs all rows of X0 simultaneously, stepping with the analytic Jacobian
     and ``_pinv_rows`` (closed-form 2x2 normal equations, SVD only for
-    ill-conditioned rows).  Returns (points, residual_rows,
-    converged_mask); rows whose line search cannot improve stall out and are
-    left unconverged rather than raising.  An accepted trial keeps the
-    residual row and norm its line search computed.
+    ill-conditioned rows).  The line search evaluates the whole ``_LADDER``
+    of step lengths 1 ... 1/16 in one residual call, and each row takes the
+    first rung that lowers its max-norm residual: exactly a sequential
+    halving capped at five trials, since residual rows do not depend on the
+    batch.  A row that no rung improves, such as a start that could only
+    crawl to a near-cone root by shorter steps, stalls out unconverged
+    rather than raising; an accepted trial keeps the residual row and norm
+    the ladder computed.
+
+    Returns (points, residual_rows, converged_mask, stalled_mask,
+    iterations), iterations counting the ladder evaluations.
     """
     X = np.array(X0, dtype=float)
     res = rmap(X)
     rnorm = np.abs(res).max(axis=1)
     converged = rnorm <= tol_abs
+    stalled = np.zeros(len(X), dtype=bool)
     active = ~converged
+    iterations = 0
     for _ in range(max_iter):
         if not active.any():
             break
@@ -240,41 +261,27 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
         bad = ~np.all(np.isfinite(J), axis=(1, 2))
         if bad.any():
             active[ia[bad]] = False
-            keep = ~bad
-            ia, Xa, J = ia[keep], Xa[keep], J[keep]
+            ia, Xa, J = ia[~bad], Xa[~bad], J[~bad]
             if ia.size == 0:
-                continue
-        step = -np.einsum("mij,mj->mi", _pinv_rows(J), res[ia])
-        # backtracking: halve the step until the residual norm drops
-        lam = np.ones(ia.size)
-        accepted = np.zeros(ia.size, dtype=bool)
-        best = rnorm[ia].copy()  # the accepted norm once a row is accepted
-        Xnew = Xa.copy()
-        Rnew = np.empty((ia.size, 2))
-        for _ in range(9):
-            rem = np.flatnonzero(~accepted)
-            if rem.size == 0:
                 break
-            trial = Xa[rem] + lam[rem, None] * step[rem]
-            tres = rmap(trial)
-            tnorm = np.abs(tres).max(axis=1)
-            ok = tnorm < best[rem]
-            took = rem[ok]
-            Xnew[took] = trial[ok]
-            Rnew[took] = tres[ok]
-            best[took] = tnorm[ok]
-            lam[rem[~ok]] *= 0.5
-            accepted[took] = True
-        X[ia[accepted]] = Xnew[accepted]
-        # rows that could not improve stall out for good
-        active[ia[~accepted]] = False
+        iterations += 1
+        step = -np.einsum("mij,mj->mi", _pinv_rows(J), res[ia])
+        trial = Xa + _LADDER[:, None, None] * step  # (rungs, rows, n)
+        tres = rmap(trial.reshape(-1, X.shape[1])).reshape(len(_LADDER), ia.size, 2)
+        tnorm = np.abs(tres).max(axis=2)
+        ok = tnorm < rnorm[ia]
+        accepted = ok.any(axis=0)
+        rung = ok.argmax(axis=0)[accepted]
         moved = ia[accepted]
-        res[moved] = Rnew[accepted]
-        rnorm[moved] = best[accepted]
+        X[moved] = trial[rung, accepted]
+        res[moved] = tres[rung, accepted]
+        rnorm[moved] = tnorm[rung, accepted]
+        stalled[ia[~accepted]] = True
+        active[ia[~accepted]] = False
         newly = moved[rnorm[moved] <= tol_abs]
         converged[newly] = True
         active[newly] = False
-    return X, res, converged
+    return X, res, converged, stalled, iterations
 
 
 def _sorted_dedupe(points, radius, quality=None):
@@ -361,7 +368,7 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         starts[1:] = q0 + rng.uniform(-cfg.box_half_width, cfg.box_half_width,
                                       size=(cfg.starts - 1, g.dim))
 
-    X, res, conv = _newton(rmap, starts, tol_abs, cfg.max_iter)
+    X, res, conv, stalled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
     reps = []
     if conv.any():
         rnorm = np.abs(res[conv]).max(axis=1)
@@ -371,7 +378,7 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         # position to O(sqrt(tol)); iterate the cluster representatives on
         # to the numerical floor, keep those that still pass the pairwise
         # test, and merge whatever collapsed together
-        polished, pres, _ = _newton(rmap, np.array(reps), 0.0, 12)
+        polished, pres, *_ = _newton(rmap, np.array(reps), 0.0, 12)
         pnorm = np.abs(pres).max(axis=1)
         keep = _equivalence_residuals(g, p0, p1, q0, polished, cfg.tol)[0]
         reps = _sorted_dedupe(polished[keep], radius, pnorm[keep]) if keep.any() else []
@@ -380,7 +387,7 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         if g.kind in ("euclidean", "minkowski"):
             raise SolverFailureError(
                 "no start converged although this geometry has an analytic solution")
-        diags = SolverDiagnostics(len(starts), 0, radius, 0)
+        diags = SolverDiagnostics(len(starts), 0, radius, 0, iterations, int(stalled.sum()))
         return SolutionSet([], "zero", 0, [], diags)
 
     dims, ranks = _manifold_dims(rmap, np.array(reps), radius)
@@ -391,7 +398,8 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         variance = "single"
     else:
         variance = "multi"
-    diags = SolverDiagnostics(len(starts), int(conv.sum()), radius, int(ranks[np.argmax(dims)]))
+    diags = SolverDiagnostics(len(starts), int(conv.sum()), radius, int(ranks[np.argmax(dims)]),
+                              iterations, int(stalled.sum()))
     return SolutionSet(reps, variance, int(dims.max()), residuals, diags)
 
 

@@ -185,8 +185,20 @@ def test_eqv_solve(tmp_path, capsys):
      "--q0", "0,0,0,0", "--tol", "nan"],
     ["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0", "--p1", "2,0,0,0",
      "--max-radius", "nan"],
+    ["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0", "--a-end", "1,0,0,0",
+     "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0", "--tol", "nan"],
+    ["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0", "--a-end", "1,0,0,0",
+     "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0", "--tol", "1e-9x"],
+    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--tol", "nan"],
+    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json",
+     "--box-half-width", "inf"],
+    ["sigma", "--geometry", "minkowski", "--points", "pts.json", "--tol=-inf"],
 ])
-def test_non_finite_config_is_a_usage_error(tmp_path, capsys, argv):
+def test_non_finite_config_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # valid input files, so only the non-finite option can fail the command
+    monkeypatch.chdir(tmp_path)
+    write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+    write_points(tmp_path / "pts.json", [[0, 0, 0, 0], [1, 0, 0, 0]])
     assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -290,6 +290,17 @@ def test_solve_reports_the_starts_it_ran():
     assert sol.diagnostics.starts_attempted == 1
 
 
+def test_near_cone_discrete_solve_reports_stalled_starts():
+    # near the cone of the discrete geometry starts crawl and stall at the 1/16 rung
+    p0, p1, q0 = _near_cone_input(np.random.default_rng(25))
+    sol = wf.solve_equivalent(Geometry.discrete(0.01), p0, p1, q0, SolverConfig(starts=64))
+    diags = sol.diagnostics
+    assert diags.stalled_count > 0
+    assert diags.converged_count + diags.stalled_count <= diags.starts_attempted
+    assert diags.iterations > 0
+    assert sol.to_dict()["diagnostics"]["stalled_count"] == diags.stalled_count
+
+
 def test_solve_requires_distinct_points():
     with pytest.raises(wf.InvalidInputError):
         wf.solve_equivalent(EUCLID3, (1, 1, 1), (1, 1, 1), (0, 0, 0))
@@ -371,11 +382,103 @@ def test_newton_keeps_residuals_equal_to_a_fresh_evaluation():
         p0, p1, q0 = rng.uniform(-2, 2, (3, g.dim))
         rmap = _ResidualMap(g, p0, p1, q0)
         X0 = rng.uniform(-3, 3, (16, g.dim))
-        X, res, _ = eqv._newton(rmap, X0, 1e-9, 60)
+        X, res, *_ = eqv._newton(rmap, X0, 1e-9, 60)
         assert (X != X0).any(axis=1).sum() >= 8  # most rows took accepted steps
         assert res.tobytes() == rmap(X).tobytes()
         for row in range(len(X)):
             assert res[row].tobytes() == rmap(X[row:row + 1])[0].tobytes()
+
+
+def _reference_newton(rmap, X0, tol_abs, max_iter):
+    """The sequential backtracking the step ladder replaced, capped at the
+    ladder's five trials and kept as the reference: one residual call per
+    halving, on the rows not yet accepted.  Returns (X, res, converged, stalled)."""
+    X = np.array(X0, dtype=float)
+    res = rmap(X)
+    rnorm = np.abs(res).max(axis=1)
+    converged = rnorm <= tol_abs
+    stalled = np.zeros(len(X), dtype=bool)
+    active = ~converged
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        ia = np.flatnonzero(active)
+        Xa = X[ia]
+        J = rmap.jacobian(Xa)
+        bad = ~np.all(np.isfinite(J), axis=(1, 2))
+        if bad.any():
+            active[ia[bad]] = False
+            ia, Xa, J = ia[~bad], Xa[~bad], J[~bad]
+            if ia.size == 0:
+                break
+        step = -np.einsum("mij,mj->mi", _pinv_rows(J), res[ia])
+        lam = np.ones(ia.size)
+        accepted = np.zeros(ia.size, dtype=bool)
+        best = rnorm[ia].copy()
+        Xnew = Xa.copy()
+        Rnew = np.empty((ia.size, 2))
+        for _ in range(5):
+            rem = np.flatnonzero(~accepted)
+            if rem.size == 0:
+                break
+            trial = Xa[rem] + lam[rem, None] * step[rem]
+            tres = rmap(trial)
+            tnorm = np.abs(tres).max(axis=1)
+            ok = tnorm < best[rem]
+            took = rem[ok]
+            Xnew[took] = trial[ok]
+            Rnew[took] = tres[ok]
+            best[took] = tnorm[ok]
+            lam[rem[~ok]] *= 0.5
+            accepted[took] = True
+        X[ia[accepted]] = Xnew[accepted]
+        stalled[ia[~accepted]] = True
+        active[ia[~accepted]] = False
+        moved = ia[accepted]
+        res[moved] = Rnew[accepted]
+        rnorm[moved] = best[accepted]
+        newly = moved[rnorm[moved] <= tol_abs]
+        converged[newly] = True
+        active[newly] = False
+    return X, res, converged, stalled
+
+
+def test_newton_ladder_matches_capped_sequential_backtracking_bitwise():
+    rng = np.random.default_rng(22)
+    stalled_rows = converged_rows = 0
+    for g in _SOLVER_GEOMS:
+        draws = [rng.uniform(-2, 2, (3, g.dim))]
+        if g.has_minkowski_substrate:  # the near-cone class, whose starts crawl and stall
+            draws += [_near_cone_input(rng) for _ in range(3)]
+        for p0, p1, q0 in draws:
+            rmap = _ResidualMap(g, p0, p1, q0)
+            X0 = q0 + rng.uniform(-5, 5, (64, g.dim))
+            for tol_abs, max_iter in ((1e-9 * max(1.0, abs(rmap.two_a)), 100), (0.0, 12)):
+                X, res, conv, stalled, _ = eqv._newton(rmap, X0, tol_abs, max_iter)
+                want = _reference_newton(rmap, X0, tol_abs, max_iter)
+                for got, ref in zip((X, res, conv, stalled), want):
+                    assert got.tobytes() == ref.tobytes()
+                stalled_rows += stalled.sum()
+                converged_rows += conv.sum()
+    assert stalled_rows > 0 and converged_rows > 0
+
+
+def test_newton_makes_one_residual_call_per_iteration(monkeypatch):
+    p0, p1, q0 = _near_cone_input(np.random.default_rng(23))
+    rmap = _ResidualMap(Geometry.discrete(0.01), p0, p1, q0)
+    rows = []
+    call = _ResidualMap.__call__
+
+    def spy(self, X):
+        rows.append(len(X))
+        return call(self, X)
+
+    monkeypatch.setattr(_ResidualMap, "__call__", spy)
+    X0 = q0 + np.random.default_rng(24).uniform(-5, 5, (64, 4))
+    *_, iterations = eqv._newton(rmap, X0, 1e-9, 100)
+    assert iterations > 1 and len(rows) == iterations + 1  # the initial evaluation
+    assert rows[0] == 64
+    assert all(m % len(eqv._LADDER) == 0 for m in rows[1:])
 
 
 def _stack(seed, m, n, cond):
