@@ -100,6 +100,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _count(minimum: int):
+    """argparse type of an integer count option that must be >= minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
 def _load_points(path: str, dim: int) -> np.ndarray:
     """(m, dim) array of a JSON point list, each point checked by ``as_point``."""
     return np.array([as_point(p, dim=dim) for p in _load_json(path)]).reshape(-1, dim)
@@ -382,17 +395,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--dedupe-radius", type=_finite_float, default=SolverConfig.dedupe_radius)
     p.add_argument("--box-half-width", type=_finite_float, default=SolverConfig.box_half_width)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=_count(0), default=10000)
     p.set_defaults(func=cmd_eqv)
 
     p = sub.add_parser("tube", help="sample a segment as a tube")
     common(p)
     p.add_argument("--p0", required=True)
     p.add_argument("--p1", required=True)
-    p.add_argument("--stations", type=int, default=TubeSamplerConfig.stations)
-    p.add_argument("--directions", type=int, default=TubeSamplerConfig.directions)
+    p.add_argument("--stations", type=_count(0), default=TubeSamplerConfig.stations)
+    p.add_argument("--directions", type=_count(0), default=TubeSamplerConfig.directions)
     p.add_argument("--max-radius", type=_finite_float, default=TubeSamplerConfig.max_radius)
-    p.add_argument("--scan-points", type=int, default=TubeSamplerConfig.scan_points)
+    p.add_argument("--scan-points", type=_count(1), default=TubeSamplerConfig.scan_points)
     p.add_argument("--out-cloud", default="tube_cloud.csv")
     p.add_argument("--out-profile", default="tube_profile.csv")
     p.set_defaults(func=cmd_tube)
@@ -403,7 +416,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--envelope", default="cylinder",
                    help="'cylinder' or a JSON expression file")
     p.add_argument("--probes", help="JSON file with probe points")
-    p.add_argument("--random", type=int, default=1000,
+    p.add_argument("--random", type=_count(0), default=1000,
                    help="number of random probes when --probes is absent")
     p.add_argument("--box-half-width", type=_finite_float, default=2.0)
     p.add_argument("--out", default="object_probes.csv")
@@ -413,8 +426,8 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--link-sigma-m", type=float, required=True,
                    help="Minkowski world function per link (2 sigma_M = squared length)")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--ensemble", type=int, default=1)
+    p.add_argument("--steps", type=_count(1), required=True)
+    p.add_argument("--ensemble", type=_count(1), default=1)
     p.add_argument("--raw", action="store_true", help="also write raw chain points")
     p.add_argument("--out-stats", default="chain_stats.csv")
     p.add_argument("--out-raw", default="chains.csv")

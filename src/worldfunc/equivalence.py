@@ -60,8 +60,11 @@ _WITNESS_BLOCK = 1024
 # light cone a start can crawl for dozens of iterations at steps of
 # 1/128-1/32, each gaining under 1 %; such a start stalls at 1/16.  A floor
 # of 1/8 or 1/4 would lose 11 or 14 % of the converged near-cone starts
-# where 1/16 loses 6 %.
+# where 1/16 loses 6 %.  A row approaching a double root (its last accepted
+# step cut the residual norm by a ratio within _DOUBLE_BAND of 1/4) tries the
+# ladder scaled by 2, i.e. 2 ... 1/8, in the same call.
 _LADDER = 0.5 ** np.arange(5)
+_DOUBLE_BAND = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +128,14 @@ class SolverConfig(_Config):
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
-    """What the main Newton pass did: ``iterations`` counts its step-ladder
-    evaluations, ``stalled_count`` the starts that no rung of the ladder
-    improved (the polish pass is not counted)."""
+    """What the solver did.
+
+    ``iterations`` counts the step-ladder evaluations of the main Newton
+    pass, ``stalled_count`` its starts that no rung of the ladder improved
+    and ``doubled_steps`` its row steps accepted at the doubled step
+    lambda = 2 (the polish pass is not counted).  ``merged_count`` counts the
+    representatives an isolated root absorbed into its tolerance tube.
+    """
 
     starts_attempted: int
     converged_count: int
@@ -135,6 +143,8 @@ class SolverDiagnostics:
     jacobian_rank: int
     iterations: int
     stalled_count: int
+    doubled_steps: int
+    merged_count: int
 
 
 @dataclass(frozen=True)
@@ -237,13 +247,19 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
     of step lengths 1 ... 1/16 in one residual call, and each row takes the
     first rung that lowers its max-norm residual: exactly a sequential
     halving capped at five trials, since residual rows do not depend on the
-    batch.  A row that no rung improves, such as a start that could only
-    crawl to a near-cone root by shorter steps, stalls out unconverged
-    rather than raising; an accepted trial keeps the residual row and norm
-    the ladder computed.
+    batch.  At a double root, such as the tangential Euclidean solution, a
+    full step only halves the distance and the residual norm falls by 1/4 per
+    step; a row whose last accepted ratio was that close to 1/4 evaluates
+    the ladder scaled by 2 instead, and takes lambda = 2 only where it beats
+    lambda = 1 (Decker, Keller & Kelley, SIAM J. Numer. Anal. 20, 1983).
+    A row that no rung improves, such as a start that could only crawl to a
+    near-cone root by shorter steps, stalls out unconverged rather than
+    raising; an accepted trial keeps the residual row and norm the ladder
+    computed.
 
     Returns (points, residual_rows, converged_mask, stalled_mask,
-    iterations), iterations counting the ladder evaluations.
+    doubled_steps, iterations), iterations counting the ladder evaluations
+    and doubled_steps the row steps accepted at lambda = 2.
     """
     X = np.array(X0, dtype=float)
     res = rmap(X)
@@ -251,7 +267,8 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
     converged = rnorm <= tol_abs
     stalled = np.zeros(len(X), dtype=bool)
     active = ~converged
-    iterations = 0
+    ratio = np.ones(len(X))  # last accepted residual norm over the one before
+    doubled_steps = iterations = 0
     for _ in range(max_iter):
         if not active.any():
             break
@@ -266,13 +283,18 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
                 break
         iterations += 1
         step = -np.einsum("mij,mj->mi", _pinv_rows(J), res[ia])
-        trial = Xa + _LADDER[:, None, None] * step  # (rungs, rows, n)
+        double = np.abs(ratio[ia] - 0.25) < _DOUBLE_BAND
+        lam = _LADDER[:, None] * np.where(double, 2.0, 1.0)  # (rungs, rows)
+        trial = Xa + lam[..., None] * step
         tres = rmap(trial.reshape(-1, X.shape[1])).reshape(len(_LADDER), ia.size, 2)
         tnorm = np.abs(tres).max(axis=2)
         ok = tnorm < rnorm[ia]
+        ok[0] &= ~double | (tnorm[0] < tnorm[1])  # lambda = 2 only where it beats 1
         accepted = ok.any(axis=0)
         rung = ok.argmax(axis=0)[accepted]
         moved = ia[accepted]
+        doubled_steps += int(np.count_nonzero(double[accepted] & (rung == 0)))
+        ratio[moved] = tnorm[rung, accepted] / rnorm[moved]
         X[moved] = trial[rung, accepted]
         res[moved] = tres[rung, accepted]
         rnorm[moved] = tnorm[rung, accepted]
@@ -281,7 +303,7 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
         newly = moved[rnorm[moved] <= tol_abs]
         converged[newly] = True
         active[newly] = False
-    return X, res, converged, stalled, iterations
+    return X, res, converged, stalled, doubled_steps, iterations
 
 
 def _sorted_dedupe(points, radius, quality=None):
@@ -296,24 +318,33 @@ def _sorted_dedupe(points, radius, quality=None):
     if quality is None:
         quality = np.zeros(len(points))
     order = np.lexsort(tuple(points.T[::-1]) + (np.asarray(quality),))
-    ordered = points[order]
-    diff = ordered[:, None, :] - ordered[None, :, :]
-    # matmul rounds each sum of squares like the BLAS dot behind a 1-D
-    # np.linalg.norm, so a distance equal to the radius merges exactly as in
-    # the per-pair loop the tests keep as reference
-    near = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0]) <= radius
-    free = np.ones(len(order), dtype=bool)  # not within radius of an accepted point
-    accepted = []
-    for i in range(len(order)):
-        if free[i]:
-            accepted.append(order[i])
-            free &= ~near[i]
-    kept = points[accepted]
+    kept = points[_greedy_cover(_chart_distances(points) <= radius, order)]
     return list(kept[np.lexsort(kept.T[::-1])])
 
 
-def _manifold_dims(rmap: _ResidualMap, reps, radius):
-    """Solution-set dimension (0 or n - 2) and Jacobian rank at each representative.
+def _greedy_cover(near, order):
+    """Mask of the points kept when, in the given order, each point that no
+    kept point is near is kept itself; near[i, j] says i covers j."""
+    free = np.ones(len(order), dtype=bool)  # not near a kept point
+    kept = np.zeros(len(order), dtype=bool)
+    for i in order:
+        if free[i]:
+            kept[i] = True
+            free &= ~near[i]
+    return kept
+
+
+def _chart_distances(points):
+    """Matrix (m, m) of chart distances between the rows of points (m, n)."""
+    diff = points[:, None, :] - points[None, :, :]
+    # matmul rounds each sum of squares like the BLAS dot behind a 1-D
+    # np.linalg.norm, so a distance equal to the radius merges exactly as in
+    # the per-pair loop the tests keep as reference
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+
+
+def _manifold_dims(rmap: _ResidualMap, reps, radius, tol_abs):
+    """Solution-set dimension (0 or n - 2), Jacobian rank and tube reach at each representative.
 
     With J = U S V^T, c = U[:, -1] and K the rows of V^T after the first, the
     residual combination c . r on K is s_min y0 + y^T A y / 2 to second order,
@@ -321,19 +352,30 @@ def _manifold_dims(rmap: _ResidualMap, reps, radius):
     roots within 2 s_min / min|eig A| of the representative: it is isolated
     when that is within the dedupe radius.  Otherwise the roots form an
     (n - 2)-manifold: by the implicit function theorem at full rank, a cone
-    at rank 1 (Griewank, SIAM Review 27, 1985).
+    at rank 1 (Griewank, SIAM Review 27, 1985).  The reach of an isolated
+    root, sqrt(2 tol_abs / min|eig A|), bounds its tolerance tube: beyond it
+    the definite model puts the residual above tol_abs.  Manifold
+    representatives, and every one for n < 3, have reach 0.
     """
     J = rmap.jacobian(reps)
     U, S, Vt = np.linalg.svd(J)
     rank = (S > _RANK_CUTOFF * S[:, :1]).sum(axis=1)
     if rmap.n < 3:
-        return np.zeros(len(reps), dtype=int), rank
+        return np.zeros(len(reps), dtype=int), rank, np.zeros(len(reps))
     K = Vt[:, 1:]
     cH = np.einsum("mi,mijk->mjk", U[:, :, -1], rmap.hessian(reps))
     eig = np.linalg.eigvalsh(K @ cH @ K.transpose(0, 2, 1))
     definite = (eig[:, 0] > 0.0) | (eig[:, -1] < 0.0)
-    isolated = definite & (2.0 * S[:, -1] <= radius * np.abs(eig).min(axis=1))
-    return np.where(isolated, 0, rmap.n - 2), rank
+    eig_min = np.abs(eig).min(axis=1)
+    isolated = definite & (2.0 * S[:, -1] <= radius * eig_min)
+    reach = np.sqrt(2.0 * tol_abs / np.where(isolated, eig_min, np.inf))
+    return np.where(isolated, 0, rmap.n - 2), rank, reach
+
+
+def _absorb_tubes(reps, reach, rnorm):
+    """Mask of the representatives left when each isolated root, from the
+    lowest residual norm up, absorbs every other one within its reach."""
+    return _greedy_cover(_chart_distances(reps) <= reach[:, None], np.argsort(rnorm, kind="stable"))
 
 
 def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -> SolutionSet:
@@ -342,7 +384,8 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     Starts from the chart-translation guess plus seeded random points in a
     box around Q0; converged solutions are deduplicated (sorted, by chart
     distance), polished and classified by a second-order test at each
-    representative (``_manifold_dims``):
+    representative (``_manifold_dims``); an isolated root then absorbs the
+    representatives within its tolerance-tube reach (``_absorb_tubes``):
 
     * ``zero``   -- no solution found (an empty set is a valid outcome),
     * ``single`` -- one representative, an isolated root,
@@ -368,7 +411,7 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         starts[1:] = q0 + rng.uniform(-cfg.box_half_width, cfg.box_half_width,
                                       size=(cfg.starts - 1, g.dim))
 
-    X, res, conv, stalled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
+    X, res, conv, stalled, doubled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
     reps = []
     if conv.any():
         rnorm = np.abs(res[conv]).max(axis=1)
@@ -387,11 +430,16 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         if g.kind in ("euclidean", "minkowski"):
             raise SolverFailureError(
                 "no start converged although this geometry has an analytic solution")
-        diags = SolverDiagnostics(len(starts), 0, radius, 0, iterations, int(stalled.sum()))
+        diags = SolverDiagnostics(len(starts), 0, radius, 0, iterations, int(stalled.sum()),
+                                  doubled, 0)
         return SolutionSet([], "zero", 0, [], diags)
 
-    dims, ranks = _manifold_dims(rmap, np.array(reps), radius)
-    _, r_par, r_len, _ = _equivalence_residuals(g, p0, p1, q0, np.array(reps), cfg.tol)
+    reps = np.array(reps)
+    dims, ranks, reach = _manifold_dims(rmap, reps, radius, tol_abs)
+    _, r_par, r_len, _ = _equivalence_residuals(g, p0, p1, q0, reps, cfg.tol)
+    # a polished point left in the tolerance tube of an isolated root is that root
+    kept = _absorb_tubes(reps, reach, np.maximum(np.abs(r_par), np.abs(r_len)))
+    reps, dims, ranks, r_par, r_len = (a[kept] for a in (reps, dims, ranks, r_par, r_len))
     residuals = list(zip(r_par.tolist(), r_len.tolist()))
 
     if len(reps) == 1 and dims[0] == 0:
@@ -399,8 +447,8 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     else:
         variance = "multi"
     diags = SolverDiagnostics(len(starts), int(conv.sum()), radius, int(ranks[np.argmax(dims)]),
-                              iterations, int(stalled.sum()))
-    return SolutionSet(reps, variance, int(dims.max()), residuals, diags)
+                              iterations, int(stalled.sum()), doubled, int(np.count_nonzero(~kept)))
+    return SolutionSet(list(reps), variance, int(dims.max()), residuals, diags)
 
 
 # ---------------------------------------------------------------------------

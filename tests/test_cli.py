@@ -204,6 +204,38 @@ def test_non_finite_config_is_a_usage_error(tmp_path, capsys, monkeypatch, argv)
     assert not (tmp_path / "out").exists()
 
 
+_TUBE = ["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0", "--p1", "2,0,0,0"]
+_CHAIN = ["chain", "--geometry", "minkowski", "--link-sigma-m", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--random", "-1"],
+    _TUBE + ["--stations", "-1"],
+    _TUBE + ["--directions", "-2"],
+    _TUBE + ["--scan-points", "0"],
+    _TUBE + ["--stations", "2.5"],
+    ["eqv", "witness", "--geometry", "minkowski", "--budget", "-5"],
+    _CHAIN + ["--steps", "0"],
+    _CHAIN + ["--steps", "10", "--ensemble", "0"],
+])
+def test_bad_count_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # a valid skeleton file, so only the count option can fail the command
+    monkeypatch.chdir(tmp_path)
+    write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+    assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+    assert "must be an integer >=" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_counts_are_accepted(tmp_path, capsys):
+    assert run(["eqv", "witness", "--geometry", "minkowski", "--budget", 0,
+                "--out-dir", tmp_path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"budget": 0, "found": False,
+                                                   "schema_version": 1}
+    assert run(_TUBE + ["--stations", 0, "--out-dir", tmp_path]) == 0
+    assert run(_CHAIN + ["--steps", 1, "--out-dir", tmp_path]) == 0
+
+
 def test_eqv_witness(tmp_path, capsys):
     assert run(["eqv", "witness", "--geometry", "discrete:lambda0_sq=0.01",
                 "--seed", 7, "--out-dir", tmp_path]) == 0

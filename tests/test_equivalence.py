@@ -258,7 +258,56 @@ def test_solve_near_cone_timelike_draws_are_single():
             sol = wf.solve_equivalent(MINK, p0, p1, q0, SolverConfig(starts=64, seed=k))
             variances.append(sol.variance)
         k += 1
-    assert variances.count("single") >= 38
+    assert variances.count("single") == 40
+
+
+def test_euclidean_solves_converge_in_few_iterations():
+    # the tangential double root: the doubled step takes a start there in a
+    # few iterations where plain damped Newton quarters the residual per step
+    rng = np.random.default_rng(2024)
+    doubled = 0
+    for k in range(50):
+        p0, p1, q0 = rng.uniform(-3, 3, (3, 3))
+        sol = wf.solve_equivalent(EUCLID3, p0, p1, q0, SolverConfig(starts=4, max_iter=60, seed=k))
+        assert sol.variance == "single"
+        assert sol.diagnostics.iterations <= 8
+        doubled += sol.diagnostics.doubled_steps
+    assert doubled > 0
+    assert sol.to_dict()["diagnostics"]["doubled_steps"] == sol.diagnostics.doubled_steps
+
+
+def test_isolated_root_reach_keeps_a_distinct_root():
+    # the translation answer is isolated; a second exact root 0.229 away (max
+    # norm) lies on a solution manifold and is far outside the root's reach
+    p0 = (-0.8165807124878153, 0.14862374614827378, 0.4798234986473213, 0.029716628985286375)
+    p1 = (0.4196950711205416, 0.6205046280559159, 0.48847170140365115, 0.47754936645513846)
+    q0 = (-0.10638926858575526, -0.8764879816358493, 0.6690337363294017, 0.10649896836813677)
+    sol = wf.solve_equivalent(Geometry.discrete(0.01), p0, p1, q0, SolverConfig(starts=64, seed=41))
+    assert sol.variance == "multi"
+    assert len(sol.representatives) == 2
+    assert np.abs(np.subtract(*sol.representatives)).max() == pytest.approx(0.229, abs=1e-3)
+    assert np.abs(sol.residuals).max() <= 1e-15
+    assert sol.diagnostics.merged_count == 0
+
+
+def test_isolated_root_absorbs_its_tolerance_tube():
+    # a point 1e-6 from the near-cone timelike root still passes the residual
+    # test; the root's reach absorbs it into one isolated representative
+    p0, p1, q0 = np.zeros(4), np.array([1.001, 1.0, 0.0, 0.0]), np.zeros(4)
+    rmap = _ResidualMap(MINK, p0, p1, q0)
+    tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+    tube_point = p1 + np.array([0.0, 0.0, 1e-6, 0.0])
+    assert np.abs(rmap(tube_point[None])).max() <= tol_abs
+    reps = np.array([p1, tube_point])
+    dims, _, reach = eqv._manifold_dims(rmap, reps, 1e-4, tol_abs)
+    assert dims[0] == 0 and reach[0] > 1e-6
+    assert eqv._absorb_tubes(reps, reach, np.abs(rmap(reps)).max(axis=1)).tolist() == [True, False]
+    # manifold representatives have no reach: the spacelike family keeps every point
+    rmap = _ResidualMap(MINK, p0, np.array([0.0, 1.0, 0.0, 0.0]), q0)
+    family = np.array([[a, 1.0, a, 0.0] for a in (0.0, 1e-6, 2e-6)])
+    dims, _, reach = eqv._manifold_dims(rmap, family, 1e-4, 1e-9)
+    assert dims.tolist() == [2, 2, 2] and not reach.any()
+    assert eqv._absorb_tubes(family, reach, np.zeros(3)).all()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -299,6 +348,7 @@ def test_near_cone_discrete_solve_reports_stalled_starts():
     assert diags.converged_count + diags.stalled_count <= diags.starts_attempted
     assert diags.iterations > 0
     assert sol.to_dict()["diagnostics"]["stalled_count"] == diags.stalled_count
+    assert sol.to_dict()["diagnostics"]["merged_count"] == diags.merged_count
 
 
 def test_solve_requires_distinct_points():
@@ -392,13 +442,17 @@ def test_newton_keeps_residuals_equal_to_a_fresh_evaluation():
 def _reference_newton(rmap, X0, tol_abs, max_iter):
     """The sequential backtracking the step ladder replaced, capped at the
     ladder's five trials and kept as the reference: one residual call per
-    halving, on the rows not yet accepted.  Returns (X, res, converged, stalled)."""
+    halving, on the rows not yet accepted.  A row whose last accepted step cut
+    its residual norm by a ratio near 1/4 starts at lambda = 2 and keeps that
+    trial only where it beats a lambda = 1 trial.  Returns (X, res, converged,
+    stalled)."""
     X = np.array(X0, dtype=float)
     res = rmap(X)
     rnorm = np.abs(res).max(axis=1)
     converged = rnorm <= tol_abs
     stalled = np.zeros(len(X), dtype=bool)
     active = ~converged
+    ratio = np.ones(len(X))
     for _ in range(max_iter):
         if not active.any():
             break
@@ -412,7 +466,7 @@ def _reference_newton(rmap, X0, tol_abs, max_iter):
             if ia.size == 0:
                 break
         step = -np.einsum("mij,mj->mi", _pinv_rows(J), res[ia])
-        lam = np.ones(ia.size)
+        lam = np.where(np.abs(ratio[ia] - 0.25) < 0.05, 2.0, 1.0)
         accepted = np.zeros(ia.size, dtype=bool)
         best = rnorm[ia].copy()
         Xnew = Xa.copy()
@@ -425,6 +479,10 @@ def _reference_newton(rmap, X0, tol_abs, max_iter):
             tres = rmap(trial)
             tnorm = np.abs(tres).max(axis=1)
             ok = tnorm < best[rem]
+            two = lam[rem] == 2.0
+            if two.any():
+                at_one = np.abs(rmap(Xa[rem[two]] + step[rem[two]])).max(axis=1)
+                ok[two] &= tnorm[two] < at_one
             took = rem[ok]
             Xnew[took] = trial[ok]
             Rnew[took] = tres[ok]
@@ -435,6 +493,7 @@ def _reference_newton(rmap, X0, tol_abs, max_iter):
         stalled[ia[~accepted]] = True
         active[ia[~accepted]] = False
         moved = ia[accepted]
+        ratio[moved] = best[accepted] / rnorm[moved]
         res[moved] = Rnew[accepted]
         rnorm[moved] = best[accepted]
         newly = moved[rnorm[moved] <= tol_abs]
@@ -445,7 +504,7 @@ def _reference_newton(rmap, X0, tol_abs, max_iter):
 
 def test_newton_ladder_matches_capped_sequential_backtracking_bitwise():
     rng = np.random.default_rng(22)
-    stalled_rows = converged_rows = 0
+    stalled_rows = converged_rows = doubled_steps = 0
     for g in _SOLVER_GEOMS:
         draws = [rng.uniform(-2, 2, (3, g.dim))]
         if g.has_minkowski_substrate:  # the near-cone class, whose starts crawl and stall
@@ -454,13 +513,14 @@ def test_newton_ladder_matches_capped_sequential_backtracking_bitwise():
             rmap = _ResidualMap(g, p0, p1, q0)
             X0 = q0 + rng.uniform(-5, 5, (64, g.dim))
             for tol_abs, max_iter in ((1e-9 * max(1.0, abs(rmap.two_a)), 100), (0.0, 12)):
-                X, res, conv, stalled, _ = eqv._newton(rmap, X0, tol_abs, max_iter)
+                X, res, conv, stalled, doubled, _ = eqv._newton(rmap, X0, tol_abs, max_iter)
                 want = _reference_newton(rmap, X0, tol_abs, max_iter)
                 for got, ref in zip((X, res, conv, stalled), want):
                     assert got.tobytes() == ref.tobytes()
                 stalled_rows += stalled.sum()
                 converged_rows += conv.sum()
-    assert stalled_rows > 0 and converged_rows > 0
+                doubled_steps += doubled
+    assert stalled_rows > 0 and converged_rows > 0 and doubled_steps > 0
 
 
 def test_newton_makes_one_residual_call_per_iteration(monkeypatch):
