@@ -16,7 +16,9 @@ be injected.  A step carries the spatial velocity v alone; u0 = sqrt(1 +
 
 Ensembles use counter-based per-chain rng streams derived from
 (seed, chain index), so results are reproducible bit for bit under any
-execution order.
+execution order.  Their transverse spread is diffusive, growing linearly
+with the step, only while k sinh^2(delta_phi) << 1; beyond it grows
+exponentially (see ``ChainStats``).
 """
 
 from __future__ import annotations
@@ -111,6 +113,11 @@ class ChainStats:
     link_length_drift  per chain, max of |u0^2 - |v|^2 - 1| / u0^2 along the
                        chain: the rounding of the derived u0, not a drift
     max_gamma          per chain, the largest u0 (boost factor) along the chain
+
+    For link k = s + 1 of an ensemble of E chains, E mean_t[s] = length
+    cosh^k(dphi) exactly, and E var_transverse[s] = length^2 (2/3)
+    ((1 + 1.5 sinh^2 dphi)^k - 1) (E - 1)/E: near-linear in k only while
+    k sinh^2(dphi) << 1, exponential beyond, and heavy-tailed at late steps.
 
     mean_angle is measured from the stored velocities, whose absolute rounding
     is about u0 * 2^-52: once that approaches sinh(dphi) (u0 ~ 1e8 at

@@ -128,22 +128,6 @@ def _load_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -170,10 +154,15 @@ def _write_csv(path: Path, header: str, *columns) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> str:
-    """Write and return strict JSON; a non-finite value is a numerical failure."""
-    payload = {"schema_version": 1, **_to_jsonable(payload)}
+    """Write and return strict JSON; a non-finite value is a numerical failure.
+
+    numpy arrays and scalars are written through ``tolist()``; np.float64 is
+    a float and needs nothing.
+    """
+    payload = {"schema_version": 1, **payload}
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda o: o.tolist()) + "\n"
     except ValueError as exc:
         raise WorldFunctionError(f"{path.name} would hold a non-finite value") from exc
     path.parent.mkdir(parents=True, exist_ok=True)

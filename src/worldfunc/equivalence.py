@@ -134,7 +134,9 @@ class SolverDiagnostics:
     pass, ``stalled_count`` its starts that no rung of the ladder improved
     and ``doubled_steps`` its row steps accepted at the doubled step
     lambda = 2 (the polish pass is not counted).  ``merged_count`` counts the
-    representatives an isolated root absorbed into its tolerance tube.
+    polished representatives the final cover dropped: those that collapsed
+    onto another within the dedupe radius, and those an isolated root
+    absorbed into its tolerance tube.
     """
 
     starts_attempted: int
@@ -175,10 +177,10 @@ class SolutionSet:
 class _ResidualMap:
     """Residuals of the two equivalence equations as a function of the end point.
 
-    The sigma terms involving only p0, p1, q0 are precomputed; each batch
-    evaluation then needs a single vectorized sigma call over the stacked
-    reference points, and each Jacobian a single ``sigma_gradient`` call over
-    the same stack, which keeps the multistart iteration cheap.
+    The rows are ``_equivalence_residuals``'s (r_par, r_len) of P0P1 against
+    Q0X, bit for bit.  The sigma terms involving only p0, p1, q0 are
+    precomputed, so a batch needs one sigma call over the stacked reference
+    points and a Jacobian one ``sigma_gradient`` call over the same stack.
     """
 
     def __init__(self, g, p0, p1, q0):
@@ -186,15 +188,17 @@ class _ResidualMap:
         self.n = p0.shape[0]
         self.refs = np.stack([p0, p1, q0])  # (3, n)
         self.two_a = 2.0 * sigma(g, p0, p1)
-        self.const = sigma(g, p1, q0) - sigma(g, p0, q0)
+        self.s_p1q0 = sigma(g, p1, q0)
+        self.s_p0q0 = sigma(g, p0, q0)
 
     def __call__(self, X):
         """X of shape (m, n) -> residual rows (m, 2)."""
         s = sigma(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m)
         res = np.empty((X.shape[0], 2))
         two_b = 2.0 * s[2]
-        res[:, 0] = (s[0] + self.const - s[1]) - 0.5 * (self.two_a + two_b)
-        res[:, 1] = two_b - self.two_a
+        # (a.b) associated as in _scalar_product_arrays
+        res[:, 0] = (((s[0] + self.s_p1q0) - self.s_p0q0) - s[1]) - 0.5 * (self.two_a + two_b)
+        res[:, 1] = self.two_a - two_b
         return res
 
     def jacobian(self, X):
@@ -202,19 +206,19 @@ class _ResidualMap:
 
         The residuals are sums of sigma(ref, X), so with
         G_k = d sigma(ref_k, X) / dX the rows are G_0 - G_1 - G_2 (parallelism)
-        and 2 G_2 (length).
+        and -2 G_2 (length).
         """
         G = sigma_gradient(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m, n)
         J = np.empty((X.shape[0], 2, X.shape[1]))
         np.subtract(G[0], G[1], out=J[:, 0])
         J[:, 0] -= G[2]
-        np.multiply(2.0, G[2], out=J[:, 1])
+        np.multiply(-2.0, G[2], out=J[:, 1])
         return J
 
     def hessian(self, X):
         """Residual Hessians (m, 2, n, n) at X of shape (m, n), rows combined as in ``jacobian``."""
         H = sigma_hessian(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m, n, n)
-        return np.stack([H[0] - H[1] - H[2], 2.0 * H[2]], axis=1)
+        return np.stack([H[0] - H[1] - H[2], -2.0 * H[2]], axis=1)
 
 
 def _pinv_rows(J):
@@ -306,20 +310,20 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
     return X, res, converged, stalled, doubled_steps, iterations
 
 
-def _sorted_dedupe(points, radius, quality=None):
-    """Greedy chart-distance dedupe with a deterministic order.
+def _sorted_dedupe(points, radius, quality):
+    """Indices of the rows kept by a greedy chart-distance dedupe with a deterministic order.
 
-    Lower-quality values claim their cluster first, so the best-converged
-    point represents it: a point is kept when it lies farther than radius
-    from every point kept before it.  All pairwise distances come from one
-    broadcast matrix.  The output is sorted lexicographically so the merge
-    order never shows in the result.
+    Lower-quality values claim their cluster first, ties in coordinate
+    order, so the best-converged point represents it: a point is kept when
+    it lies farther than radius from every point kept before it.  radius is
+    one scalar or a radius per row, the reach of the row as a kept point.
+    All pairwise distances come from one broadcast matrix.  The indices are
+    sorted lexicographically by point, so the merge order never shows in the
+    result and rows of other arrays can travel with their points.
     """
-    if quality is None:
-        quality = np.zeros(len(points))
-    order = np.lexsort(tuple(points.T[::-1]) + (np.asarray(quality),))
-    kept = points[_greedy_cover(_chart_distances(points) <= radius, order)]
-    return list(kept[np.lexsort(kept.T[::-1])])
+    order = np.lexsort(tuple(points.T[::-1]) + (quality,))
+    kept = np.flatnonzero(_greedy_cover(_chart_distances(points) <= np.reshape(radius, (-1, 1)), order))
+    return kept[np.lexsort(points[kept].T[::-1])]
 
 
 def _greedy_cover(near, order):
@@ -372,20 +376,17 @@ def _manifold_dims(rmap: _ResidualMap, reps, radius, tol_abs):
     return np.where(isolated, 0, rmap.n - 2), rank, reach
 
 
-def _absorb_tubes(reps, reach, rnorm):
-    """Mask of the representatives left when each isolated root, from the
-    lowest residual norm up, absorbs every other one within its reach."""
-    return _greedy_cover(_chart_distances(reps) <= reach[:, None], np.argsort(rnorm, kind="stable"))
-
-
 def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -> SolutionSet:
     """Find end points Q1 such that the vector Q0Q1 is equivalent to P0P1.
 
     Starts from the chart-translation guess plus seeded random points in a
     box around Q0; converged solutions are deduplicated (sorted, by chart
     distance), polished and classified by a second-order test at each
-    representative (``_manifold_dims``); an isolated root then absorbs the
-    representatives within its tolerance-tube reach (``_absorb_tubes``):
+    representative (``_manifold_dims``).  One cover then merges the polished
+    points, each covering the larger of the dedupe radius and its
+    tolerance-tube reach.  The reported residuals are the rows Newton
+    computed at the representatives, equal to ``is_equivalent``'s (r_par,
+    r_len) of P0P1 against Q0Q1 bit for bit:
 
     * ``zero``   -- no solution found (an empty set is a valid outcome),
     * ``single`` -- one representative, an isolated root,
@@ -412,21 +413,7 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
                                       size=(cfg.starts - 1, g.dim))
 
     X, res, conv, stalled, doubled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
-    reps = []
-    if conv.any():
-        rnorm = np.abs(res[conv]).max(axis=1)
-        reps = _sorted_dedupe(X[conv], radius, rnorm)
-    if reps:
-        # polish: at tangential solutions a residual of tol only pins the
-        # position to O(sqrt(tol)); iterate the cluster representatives on
-        # to the numerical floor, keep those that still pass the pairwise
-        # test, and merge whatever collapsed together
-        polished, pres, *_ = _newton(rmap, np.array(reps), 0.0, 12)
-        pnorm = np.abs(pres).max(axis=1)
-        keep = _equivalence_residuals(g, p0, p1, q0, polished, cfg.tol)[0]
-        reps = _sorted_dedupe(polished[keep], radius, pnorm[keep]) if keep.any() else []
-
-    if not reps:
+    if not conv.any():
         if g.kind in ("euclidean", "minkowski"):
             raise SolverFailureError(
                 "no start converged although this geometry has an analytic solution")
@@ -434,21 +421,23 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
                                   doubled, 0)
         return SolutionSet([], "zero", 0, [], diags)
 
-    reps = np.array(reps)
+    # polish: at tangential solutions a residual of tol only pins the
+    # position to O(sqrt(tol)); iterate the cluster representatives on to the
+    # numerical floor.  Only steps that lower the residual are taken, so every
+    # polished row stays within tol_abs and passes the pairwise test.
+    X, res = X[conv], res[conv]
+    idx = _sorted_dedupe(X, radius, np.abs(res).max(axis=1))
+    reps, res, *_ = _newton(rmap, X[idx], 0.0, 12)
     dims, ranks, reach = _manifold_dims(rmap, reps, radius, tol_abs)
-    _, r_par, r_len, _ = _equivalence_residuals(g, p0, p1, q0, reps, cfg.tol)
-    # a polished point left in the tolerance tube of an isolated root is that root
-    kept = _absorb_tubes(reps, reach, np.maximum(np.abs(r_par), np.abs(r_len)))
-    reps, dims, ranks, r_par, r_len = (a[kept] for a in (reps, dims, ranks, r_par, r_len))
-    residuals = list(zip(r_par.tolist(), r_len.tolist()))
+    # one cover merges whatever collapsed together, and a point left in the
+    # tolerance tube of an isolated root is that root
+    kept = _sorted_dedupe(reps, np.maximum(radius, reach), np.abs(res).max(axis=1))
+    reps, res, dims, ranks = reps[kept], res[kept], dims[kept], ranks[kept]
 
-    if len(reps) == 1 and dims[0] == 0:
-        variance = "single"
-    else:
-        variance = "multi"
+    variance = "single" if len(reps) == 1 and dims[0] == 0 else "multi"
     diags = SolverDiagnostics(len(starts), int(conv.sum()), radius, int(ranks[np.argmax(dims)]),
-                              iterations, int(stalled.sum()), doubled, int(np.count_nonzero(~kept)))
-    return SolutionSet(list(reps), variance, int(dims.max()), residuals, diags)
+                              iterations, int(stalled.sum()), doubled, len(idx) - len(kept))
+    return SolutionSet(list(reps), variance, int(dims.max()), list(map(tuple, res.tolist())), diags)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +616,12 @@ class TubeSamplerConfig(_Config):
     seed: int = 0
     max_radius: float | None = None  # default: chart length of the segment
     scan_points: int = 64
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name, minimum in (("stations", 0), ("directions", 0), ("scan_points", 1)):
+            if getattr(self, name) < minimum:
+                raise InvalidInputError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)

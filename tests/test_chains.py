@@ -297,6 +297,22 @@ def test_ensemble_matches_scalar_stepping():
         assert np.abs(ref - points[i]).max() < 1e-13
 
 
+@pytest.mark.parametrize("lam", [0.005, 1e-5])
+def test_ensemble_mean_t_matches_the_exact_oracle(lam):
+    # the boost gives u0' = cosh(dphi) u0 + sinh(dphi) |v| cos(theta) with a
+    # uniform azimuth, E cos(theta) = 0: so E mean_t[k - 1] = length cosh^k(dphi).
+    # The first link is the same for every chain, exact up to rounding.
+    params = ChainParams(geometry=Geometry.discrete(lam), link_sigma_m=0.5,
+                         steps=100, ensemble=1000, seed=42)
+    stats, points = wf.simulate_ensemble(params, keep_chains=True)
+    link_t = np.diff(points[:, 1:, 0], axis=1)  # (ensemble, steps): time component of link k
+    length = math.sqrt(2.0 * params.link_sigma_m)
+    for k in (1, 10, 100):
+        want = length * math.cosh(params.deflection) ** k
+        se = link_t[:, k - 1].std(ddof=1) / math.sqrt(params.ensemble)
+        assert abs(stats.mean_t[k - 1] - want) <= 4.0 * se + 1e-14 * want
+
+
 def test_chain_params_validation():
     with pytest.raises(wf.InvalidInputError):
         ChainParams(geometry=Geometry.euclidean(3), link_sigma_m=0.5, steps=5)

@@ -301,13 +301,14 @@ def test_isolated_root_absorbs_its_tolerance_tube():
     reps = np.array([p1, tube_point])
     dims, _, reach = eqv._manifold_dims(rmap, reps, 1e-4, tol_abs)
     assert dims[0] == 0 and reach[0] > 1e-6
-    assert eqv._absorb_tubes(reps, reach, np.abs(rmap(reps)).max(axis=1)).tolist() == [True, False]
+    # the one cover, each point reaching only as far as its tube
+    assert eqv._sorted_dedupe(reps, reach, np.abs(rmap(reps)).max(axis=1)).tolist() == [0]
     # manifold representatives have no reach: the spacelike family keeps every point
     rmap = _ResidualMap(MINK, p0, np.array([0.0, 1.0, 0.0, 0.0]), q0)
     family = np.array([[a, 1.0, a, 0.0] for a in (0.0, 1e-6, 2e-6)])
     dims, _, reach = eqv._manifold_dims(rmap, family, 1e-4, 1e-9)
     assert dims.tolist() == [2, 2, 2] and not reach.any()
-    assert eqv._absorb_tubes(family, reach, np.zeros(3)).all()
+    assert eqv._sorted_dedupe(family, reach, np.zeros(3)).tolist() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -332,6 +333,39 @@ def test_solve_runs_newton_twice(monkeypatch):
     monkeypatch.setattr(eqv, "_newton", counted)
     wf.solve_equivalent(MINK, ORIGIN4, (0, 1, 0, 0), ORIGIN4, SolverConfig(starts=16))
     assert len(calls) == 2
+
+
+def test_solve_evaluates_each_residual_once(monkeypatch):
+    # the reported residuals are Newton's own rows: the pairwise test is never re-run
+    calls = []
+    residuals = eqv._equivalence_residuals
+
+    def spy(*args):
+        calls.append(args)
+        return residuals(*args)
+
+    monkeypatch.setattr(eqv, "_equivalence_residuals", spy)
+    for g, p1 in ((MINK, (0, 1, 0, 0)), (MINK, (1.001, 1, 0, 0)), (Geometry.discrete(0.01), (0.3, 1, 0, 0))):
+        sol = wf.solve_equivalent(g, ORIGIN4, p1, (0.1, 0.2, 0, 0), SolverConfig(starts=16))
+        assert sol.representatives
+    assert calls == []
+
+
+def test_solve_residuals_are_the_pairwise_test_bit_for_bit():
+    rng = np.random.default_rng(26)
+    checked = 0
+    for g in _SOLVER_GEOMS:
+        for k in range(6):
+            p0, p1, q0 = rng.uniform(-2, 2, (3, g.dim))
+            sol = wf.solve_equivalent(g, p0, p1, q0, SolverConfig(starts=32, seed=k))
+            assert len(sol.residuals) == len(sol.representatives)
+            for x, (r_par, r_len) in zip(sol.representatives, sol.residuals):
+                rep = wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x))
+                assert rep.equivalent
+                got = np.array([rep.residual_parallel, rep.residual_length])
+                assert got.tobytes() == np.array([r_par, r_len]).tobytes()
+                checked += 1
+    assert checked >= 30
 
 
 def test_solve_reports_the_starts_it_ran():
@@ -413,14 +447,13 @@ def test_residual_map_fills_the_rows_of_the_stacked_form():
         p0, p1, q0 = rng.uniform(-2, 2, (3, g.dim))
         rmap = _ResidualMap(g, p0, p1, q0)
         X = rng.uniform(-2, 2, (7, g.dim))
-        # the np.stack forms the preallocated rows replaced, kept as reference
-        s = wf.sigma(g, rmap.refs[:, None, :], X[None, :, :])
-        two_b = 2.0 * s[2]
-        want = np.stack([s[0] + rmap.const - s[1] - 0.5 * (rmap.two_a + two_b),
-                         two_b - rmap.two_a], axis=-1)
+        # the rows are the pairwise test's (r_par, r_len) of P0P1 against Q0X
+        _, r_par, r_len, _ = eqv._equivalence_residuals(g, p0, p1, q0, X, 1e-9)
+        want = np.stack([r_par, r_len], axis=-1)
         assert rmap(X).tobytes() == want.tobytes()
+        # the np.stack form the preallocated Jacobian rows replaced, kept as reference
         G = wf.sigma_gradient(g, rmap.refs[:, None, :], X[None, :, :])
-        want_j = np.stack([G[0] - G[1] - G[2], 2.0 * G[2]], axis=1)
+        want_j = np.stack([G[0] - G[1] - G[2], -2.0 * G[2]], axis=1)
         assert rmap.jacobian(X).tobytes() == want_j.tobytes()
 
 
@@ -582,10 +615,8 @@ def test_pinv_falls_back_to_svd_on_rank_one_rows(monkeypatch):
     np.testing.assert_allclose(P, want, rtol=1e-10, atol=1e-12)
 
 
-def _reference_dedupe(points, radius, quality=None):
+def _reference_dedupe(points, radius, quality):
     """The per-pair greedy loop that _sorted_dedupe replaced, kept as the reference."""
-    if quality is None:
-        quality = np.zeros(len(points))
     order = np.lexsort(tuple(points.T[::-1]) + (np.asarray(quality),))
     accepted = []
     for idx in order:
@@ -601,11 +632,11 @@ def _dedupe_clouds():
     base = rng.uniform(-1, 1, (12, 4))
     dup = np.concatenate([base, base[::2], base[:3], base[:1]])
     yield dup, 1e-4, rng.integers(0, 3, len(dup)).astype(float)
-    yield dup, 1e-4, None
+    yield dup, 1e-4, np.zeros(len(dup))
     # spacings of exactly the radius (dyadic, so every distance is exact):
     # a point at the radius merges, one at twice the radius survives
     line = np.array([[0.25 * k, 0.0, 0.0] for k in range(7)])
-    yield line, 0.25, None
+    yield line, 0.25, np.zeros(7)
     yield line[::-1].copy(), 0.25, np.zeros(7)
     yield line, 0.25, np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
     diag = np.array([[0.0, 0.0], [0.375, 0.5], [0.75, 1.0], [0.375, 0.0], [0.0, 0.5]])
@@ -626,7 +657,7 @@ def _dedupe_clouds():
 
 def test_sorted_dedupe_matches_reference_loop_bitwise():
     for points, radius, quality in _dedupe_clouds():
-        got = _sorted_dedupe(points, radius, quality)
+        got = points[_sorted_dedupe(points, radius, quality)]
         want = _reference_dedupe(points, radius, quality)
         assert len(got) == len(want)
         for x, y in zip(got, want):
@@ -918,6 +949,23 @@ def test_segment_domain_flag():
 # tube sampling
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("field,value", [("stations", -1), ("directions", -1), ("scan_points", 0)])
+def test_tube_config_rejects_counts_the_sampler_cannot_use(field, value):
+    with pytest.raises(wf.InvalidInputError, match=field):
+        TubeSamplerConfig(**{field: value})
+    with pytest.raises(wf.InvalidInputError, match=field):
+        TubeSamplerConfig.from_dict({field: value})
+
+
+def test_tube_config_accepts_the_smallest_counts():
+    cfg = TubeSamplerConfig(stations=0, directions=0, scan_points=1)
+    tube = wf.sample_segment_tube(Geometry.discrete(0.02), ORIGIN4, (2, 0, 0, 0), cfg)
+    assert tube.radii.shape == (0, 0) and tube.points.shape[0] == 0
+    tube = wf.sample_segment_tube(Geometry.discrete(0.02), ORIGIN4, (2, 0, 0, 0),
+                                  TubeSamplerConfig(stations=3, directions=2, scan_points=1))
+    assert tube.radii.shape == (3, 2)
+
+
 def test_tube_euclidean_profile_is_zero():
     tube = wf.sample_segment_tube(EUCLID3, (0, 0, 0), (2, 0, 0),
                                   TubeSamplerConfig(stations=17, directions=6, seed=0))
@@ -1077,7 +1125,7 @@ def test_solver_config_serialization_round_trips(**fields):
 
 @settings(max_examples=100, deadline=None)
 @given(stations=_INTS, directions=_INTS, tol=_FLOATS, seed=_INTS,
-       max_radius=st.none() | _FLOATS, scan_points=_INTS)
+       max_radius=st.none() | _FLOATS, scan_points=st.integers(1, 2**63))
 def test_tube_sampler_config_serialization_round_trips(**fields):
     cfg = TubeSamplerConfig(**fields)
     assert TubeSamplerConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
