@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -39,6 +41,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts like a negative number (-1,0,0,0 or
+        # -0.1:0.1:11) is a value, not an option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise UsageError(message)
 
@@ -200,62 +208,58 @@ def _utcnow() -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its outputs and returns (config, outputs, message,
+# manifest extras); main() stamps the run and writes the manifest
 # ---------------------------------------------------------------------------
 
-def cmd_sigma(args) -> int:
-    started = _utcnow()
-    g = parse_geometry(args.geometry)
+def cmd_sigma(args, g):
     pts = _load_points(args.points, g.dim)
     i, j = np.triu_indices(len(pts))
     out = Path(args.out_dir) / args.out
     _write_csv(out, "i,j,sigma", i, j, sigma(g, pts[i], pts[j]))
     config = {"geometry": g.to_dict(), "points": args.points, "out": str(out)}
-    _write_manifest(Path(args.out_dir), "sigma", config, args.seed, [out], started)
-    print(f"wrote {i.size} sigma values to {out}")
-    return 0
+    return config, [out], f"wrote {i.size} sigma values to {out}", None
 
 
-def cmd_eqv(args) -> int:
-    started = _utcnow()
-    g = parse_geometry(args.geometry)
-    out_dir = Path(args.out_dir)
-    if args.mode == "check":
-        a = GeomVector(parse_point(args.a_origin), parse_point(args.a_end))
-        b = GeomVector(parse_point(args.b_origin), parse_point(args.b_end))
-        out = out_dir / "eqv_check.json"
-        text = _write_json(out, asdict(is_equivalent(g, a, b, args.tol)))
-    elif args.mode == "solve":
-        cfg = SolverConfig(starts=args.starts, max_iter=args.max_iter, tol=args.tol,
-                           dedupe_radius=args.dedupe_radius,
-                           box_half_width=args.box_half_width, seed=args.seed)
-        sol = solve_equivalent(g, parse_point(args.p0), parse_point(args.p1),
-                               parse_point(args.q0), cfg)
-        out = out_dir / "eqv_solve.json"
-        text = _write_json(out, sol.to_dict())
-    else:
-        witness = find_intransitivity_witness(g, seed=args.seed, budget=args.budget)
-        if witness is None:
-            payload = {"found": False, "budget": args.budget}
-        else:
-            a, b, c = witness
-            payload = {"found": True,
-                       "a": {"origin": a.origin, "end": a.end},
-                       "b": {"origin": b.origin, "end": b.end},
-                       "c": {"origin": c.origin, "end": c.end}}
-        out = out_dir / "eqv_witness.json"
-        text = _write_json(out, payload)
+def _eqv_result(args, g, payload):
+    """Write an eqv mode's JSON payload, which is also its message; the
+    config records every option of the mode."""
+    out = Path(args.out_dir) / f"eqv_{args.mode}.json"
+    text = _write_json(out, payload)
     config = {"geometry": g.to_dict(), "mode": args.mode,
-              "args": {k: v for k, v in vars(args).items()
-                       if k not in ("func", "command") and v is not None}}
-    _write_manifest(out_dir, f"eqv_{args.mode}", config, args.seed, [out], started)
-    sys.stdout.write(text)
-    return 0
+              "args": {k: v for k, v in vars(args).items() if k not in ("func", "command")}}
+    return config, [out], text.rstrip("\n"), None
 
 
-def cmd_tube(args) -> int:
-    started = _utcnow()
-    g = parse_geometry(args.geometry)
+def cmd_eqv_check(args, g):
+    a = GeomVector(parse_point(args.a_origin), parse_point(args.a_end))
+    b = GeomVector(parse_point(args.b_origin), parse_point(args.b_end))
+    return _eqv_result(args, g, asdict(is_equivalent(g, a, b, args.tol)))
+
+
+def cmd_eqv_solve(args, g):
+    cfg = SolverConfig(starts=args.starts, max_iter=args.max_iter, tol=args.tol,
+                       dedupe_radius=args.dedupe_radius,
+                       box_half_width=args.box_half_width, seed=args.seed)
+    sol = solve_equivalent(g, parse_point(args.p0), parse_point(args.p1),
+                           parse_point(args.q0), cfg)
+    return _eqv_result(args, g, sol.to_dict())
+
+
+def cmd_eqv_witness(args, g):
+    witness = find_intransitivity_witness(g, seed=args.seed, budget=args.budget, tol=args.tol)
+    if witness is None:
+        payload = {"found": False, "budget": args.budget}
+    else:
+        a, b, c = witness
+        payload = {"found": True,
+                   "a": {"origin": a.origin, "end": a.end},
+                   "b": {"origin": b.origin, "end": b.end},
+                   "c": {"origin": c.origin, "end": c.end}}
+    return _eqv_result(args, g, payload)
+
+
+def cmd_tube(args, g):
     cfg = TubeSamplerConfig(stations=args.stations, directions=args.directions,
                             tol=args.tol, seed=args.seed, max_radius=args.max_radius,
                             scan_points=args.scan_points)
@@ -267,14 +271,11 @@ def cmd_tube(args) -> int:
     profile = out_dir / args.out_profile
     _write_csv(profile, "t,radius", tube.arc_positions, tube.profile)
     config = {"geometry": g.to_dict(), "p0": args.p0, "p1": args.p1, **cfg.to_dict()}
-    _write_manifest(out_dir, "tube", config, args.seed, [cloud, profile], started)
-    print(f"wrote {tube.points.shape[0]} member points to {cloud}, profile to {profile}")
-    return 0
+    message = f"wrote {tube.points.shape[0]} member points to {cloud}, profile to {profile}"
+    return config, [cloud, profile], message, None
 
 
-def cmd_object(args) -> int:
-    started = _utcnow()
-    g = parse_geometry(args.geometry)
+def cmd_object(args, g):
     sk = Skeleton(tuple(np.asarray(p, dtype=float) for p in _load_json(args.skeleton)))
     env = Envelope.cylinder() if args.envelope == "cylinder" \
         else Envelope.from_dict(_load_json(args.envelope))
@@ -293,14 +294,10 @@ def cmd_object(args) -> int:
     _write_csv(out, f"{coords},envelope_value,member", *probes.T, vals, member)
     config = {"geometry": g.to_dict(), "skeleton": args.skeleton,
               "envelope": args.envelope, "probes": len(probes), "tol": args.tol}
-    _write_manifest(Path(args.out_dir), "object", config, args.seed, [out], started)
-    print(f"wrote {len(probes)} probes to {out}")
-    return 0
+    return config, [out], f"wrote {len(probes)} probes to {out}", None
 
 
-def cmd_chain(args) -> int:
-    started = _utcnow()
-    g = parse_geometry(args.geometry)
+def cmd_chain(args, g):
     params = ChainParams(geometry=g, link_sigma_m=args.link_sigma_m,
                          steps=args.steps, ensemble=args.ensemble, seed=args.seed)
     out_dir = Path(args.out_dir)
@@ -321,14 +318,11 @@ def cmd_chain(args) -> int:
     extras = {"deflection_angle": params.deflection,
               "max_link_length_drift": float(stats.link_length_drift.max()),
               "max_gamma": float(stats.max_gamma.max())}
-    _write_manifest(out_dir, "chain", params.to_dict(), args.seed, outputs, started,
-                    extras=extras)
-    print(f"wrote chain statistics for {params.ensemble} chains x {params.steps} steps to {out}")
-    return 0
+    message = f"wrote chain statistics for {params.ensemble} chains x {params.steps} steps to {out}"
+    return params.to_dict(), outputs, message, extras
 
 
-def cmd_density(args) -> int:
-    started = _utcnow()
+def cmd_density(args, _g):
     try:
         lo, hi, count = args.grid.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -341,54 +335,56 @@ def cmd_density(args) -> int:
     out = Path(args.out_dir) / args.out
     _write_csv(out, "sigma_g,rho", grid, np.atleast_1d(rho))
     config = {"lambda0_sq": args.lambda0_sq, "sigma0": args.sigma0, "grid": args.grid}
-    _write_manifest(Path(args.out_dir), "density", config, args.seed, [out], started)
-    print(f"wrote {grid.size} density values to {out}")
-    return 0
+    return config, [out], f"wrote {grid.size} density values to {out}", None
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every command, built once: parse_args keeps no state in it."""
     parser = _Parser(prog="worldfunc",
                      description="Desk experiments on world-function geometries")
     parser.add_argument("--version", action="version", version=f"worldfunc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--geometry", required=True,
-                       help="euclidean:dim=N | minkowski | discrete:lambda0_sq=X | "
-                            "grainy:lambda0_sq=X,sigma0=Y | deformed:file=F.json | @spec.json")
+    def command(subparsers, name, func, help, geometry=True, tol=False):
+        """A command's parser with those of the shared options that it reads."""
+        p = subparsers.add_parser(name, help=help)
+        if geometry:
+            p.add_argument("--geometry", required=True,
+                           help="euclidean:dim=N | minkowski | discrete:lambda0_sq=X | "
+                                "grainy:lambda0_sq=X,sigma0=Y | deformed:file=F.json | @spec.json")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--tol", type=_finite_float, default=1e-9)
+        if tol:
+            p.add_argument("--tol", type=_finite_float, default=1e-9)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sigma", help="table of world-function values for a point file")
-    common(p)
+    p = command(sub, "sigma", cmd_sigma, "table of world-function values for a point file")
     p.add_argument("--points", required=True, help="JSON file with an array of points")
     p.add_argument("--out", default="sigma.csv")
-    p.set_defaults(func=cmd_sigma)
 
-    p = sub.add_parser("eqv", help="equivalence check / solve / intransitivity witness")
-    p.add_argument("mode", choices=["check", "solve", "witness"])
-    common(p)
-    p.add_argument("--a-origin")
-    p.add_argument("--a-end")
-    p.add_argument("--b-origin")
-    p.add_argument("--b-end")
-    p.add_argument("--p0")
-    p.add_argument("--p1")
-    p.add_argument("--q0")
-    p.add_argument("--starts", type=int, default=SolverConfig.starts)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    eqv = sub.add_parser("eqv", help="equivalence check / solve / intransitivity witness")
+    modes = eqv.add_subparsers(dest="mode", required=True)
+    p = command(modes, "check", cmd_eqv_check, "test two vectors for equivalence", tol=True)
+    for name in ("--a-origin", "--a-end", "--b-origin", "--b-end"):
+        p.add_argument(name, required=True)
+    p = command(modes, "solve", cmd_eqv_solve, "end points Q1 with Q0Q1 equivalent to P0P1",
+                tol=True)
+    for name in ("--p0", "--p1", "--q0"):
+        p.add_argument(name, required=True)
+    p.add_argument("--starts", type=_count(1), default=SolverConfig.starts)
+    p.add_argument("--max-iter", type=_count(0), default=SolverConfig.max_iter)
     p.add_argument("--dedupe-radius", type=_finite_float, default=SolverConfig.dedupe_radius)
     p.add_argument("--box-half-width", type=_finite_float, default=SolverConfig.box_half_width)
+    p = command(modes, "witness", cmd_eqv_witness, "search for an intransitive triple", tol=True)
     p.add_argument("--budget", type=_count(0), default=10000)
-    p.set_defaults(func=cmd_eqv)
 
-    p = sub.add_parser("tube", help="sample a segment as a tube")
-    common(p)
+    p = command(sub, "tube", cmd_tube, "sample a segment as a tube", tol=True)
     p.add_argument("--p0", required=True)
     p.add_argument("--p1", required=True)
     p.add_argument("--stations", type=_count(0), default=TubeSamplerConfig.stations)
@@ -397,10 +393,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--scan-points", type=_count(1), default=TubeSamplerConfig.scan_points)
     p.add_argument("--out-cloud", default="tube_cloud.csv")
     p.add_argument("--out-profile", default="tube_profile.csv")
-    p.set_defaults(func=cmd_tube)
 
-    p = sub.add_parser("object", help="probe membership of a skeleton/envelope object")
-    common(p)
+    p = command(sub, "object", cmd_object, "probe membership of a skeleton/envelope object",
+                tol=True)
     p.add_argument("--skeleton", required=True, help="JSON file with skeleton points")
     p.add_argument("--envelope", default="cylinder",
                    help="'cylinder' or a JSON expression file")
@@ -409,10 +404,8 @@ def _build_parser() -> _Parser:
                    help="number of random probes when --probes is absent")
     p.add_argument("--box-half-width", type=_finite_float, default=2.0)
     p.add_argument("--out", default="object_probes.csv")
-    p.set_defaults(func=cmd_object)
 
-    p = sub.add_parser("chain", help="simulate a world-chain ensemble")
-    common(p)
+    p = command(sub, "chain", cmd_chain, "simulate a world-chain ensemble")
     p.add_argument("--link-sigma-m", type=float, required=True,
                    help="Minkowski world function per link (2 sigma_M = squared length)")
     p.add_argument("--steps", type=_count(1), required=True)
@@ -420,31 +413,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--raw", action="store_true", help="also write raw chain points")
     p.add_argument("--out-stats", default="chain_stats.csv")
     p.add_argument("--out-raw", default="chains.csv")
-    p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("density", help="relative point density over a sigma_g grid")
+    p = command(sub, "density", cmd_density, "relative point density over a sigma_g grid",
+                geometry=False)
     p.add_argument("--lambda0-sq", type=float, required=True)
     p.add_argument("--sigma0", type=float, required=True)
     p.add_argument("--grid", required=True, help="MIN:MAX:COUNT")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=".")
     p.add_argument("--out", default="density.csv")
-    p.set_defaults(func=cmd_density)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "eqv":
-            needed = {"check": ["a_origin", "a_end", "b_origin", "b_end"],
-                      "solve": ["p0", "p1", "q0"], "witness": []}[args.mode]
-            for name in needed:
-                if getattr(args, name) is None:
-                    raise UsageError(f"eqv {args.mode} requires --{name.replace('_', '-')}")
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        started = _utcnow()
+        g = parse_geometry(args.geometry) if "geometry" in args else None
+        config, outputs, message, extras = args.func(args, g)
+        command = f"eqv_{args.mode}" if args.command == "eqv" else args.command
+        _write_manifest(Path(args.out_dir), command, config, args.seed, outputs, started, extras)
+        print(message)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

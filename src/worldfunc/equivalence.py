@@ -322,29 +322,20 @@ def _sorted_dedupe(points, radius, quality):
     result and rows of other arrays can travel with their points.
     """
     order = np.lexsort(tuple(points.T[::-1]) + (quality,))
-    kept = np.flatnonzero(_greedy_cover(_chart_distances(points) <= np.reshape(radius, (-1, 1)), order))
-    return kept[np.lexsort(points[kept].T[::-1])]
-
-
-def _greedy_cover(near, order):
-    """Mask of the points kept when, in the given order, each point that no
-    kept point is near is kept itself; near[i, j] says i covers j."""
-    free = np.ones(len(order), dtype=bool)  # not near a kept point
-    kept = np.zeros(len(order), dtype=bool)
-    for i in order:
-        if free[i]:
-            kept[i] = True
-            free &= ~near[i]
-    return kept
-
-
-def _chart_distances(points):
-    """Matrix (m, m) of chart distances between the rows of points (m, n)."""
     diff = points[:, None, :] - points[None, :, :]
     # matmul rounds each sum of squares like the BLAS dot behind a 1-D
     # np.linalg.norm, so a distance equal to the radius merges exactly as in
     # the per-pair loop the tests keep as reference
-    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    near = dist <= np.reshape(radius, (-1, 1))  # near[i, j]: kept point i covers j
+    free = np.ones(len(points), dtype=bool)  # not near a kept point
+    kept = np.zeros(len(points), dtype=bool)
+    for i in order:
+        if free[i]:
+            kept[i] = True
+            free &= ~near[i]
+    kept = np.flatnonzero(kept)
+    return kept[np.lexsort(points[kept].T[::-1])]
 
 
 def _manifold_dims(rmap: _ResidualMap, reps, radius, tol_abs):

@@ -310,11 +310,14 @@ class Geometry:
         if want and self.deformation.kind != want:
             raise InvalidInputError(f"a {self.kind} geometry carries a {want} deformation, "
                                     f"not {self.deformation.kind}")
+        if self.kind == "euclidean" and self.dim < 1:
+            raise InvalidInputError("euclidean dimension must be >= 1")
+        if self.kind != "euclidean" and self.dim != SIGNATURE_DIM:
+            raise InvalidInputError(f"a {self.kind} geometry has dimension {SIGNATURE_DIM}, "
+                                    f"not {self.dim}")
 
     @classmethod
     def euclidean(cls, dim: int, units: UnitConstants | None = None) -> "Geometry":
-        if dim < 1:
-            raise InvalidInputError("euclidean dimension must be >= 1")
         return cls("euclidean", dim=int(dim), units=units or UnitConstants())
 
     @classmethod

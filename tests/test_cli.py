@@ -192,7 +192,7 @@ def test_eqv_solve(tmp_path, capsys):
     ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--tol", "nan"],
     ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json",
      "--box-half-width", "inf"],
-    ["sigma", "--geometry", "minkowski", "--points", "pts.json", "--tol=-inf"],
+    ["eqv", "witness", "--geometry", "minkowski", "--tol=-inf"],
 ])
 def test_non_finite_config_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     # valid input files, so only the non-finite option can fail the command
@@ -206,6 +206,10 @@ def test_non_finite_config_is_a_usage_error(tmp_path, capsys, monkeypatch, argv)
 
 _TUBE = ["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0", "--p1", "2,0,0,0"]
 _CHAIN = ["chain", "--geometry", "minkowski", "--link-sigma-m", "0.5"]
+_SOLVE = ["eqv", "solve", "--geometry", "discrete:lambda0_sq=0.01", "--p0", "0,0,0,0",
+          "--p1", "0.3,1,0,0", "--q0", "0.1,0.2,0,0"]
+_CHECK = ["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0",
+          "--a-end", "1,0,0,0", "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -217,6 +221,8 @@ _CHAIN = ["chain", "--geometry", "minkowski", "--link-sigma-m", "0.5"]
     ["eqv", "witness", "--geometry", "minkowski", "--budget", "-5"],
     _CHAIN + ["--steps", "0"],
     _CHAIN + ["--steps", "10", "--ensemble", "0"],
+    _SOLVE + ["--max-iter", "-1"],
+    _SOLVE + ["--starts", "0"],
 ])
 def test_bad_count_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     # a valid skeleton file, so only the count option can fail the command
@@ -225,6 +231,65 @@ def test_bad_count_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
     assert "must be an integer >=" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigma", "--geometry", "minkowski", "--points", "pts.json", "--tol", "1e-3"],
+    _CHAIN + ["--steps", "3", "--tol", "1e-3"],
+    _CHECK + ["--starts", "4"],
+    _CHECK + ["--p0", "0,0,0,0"],
+    _SOLVE + ["--budget", "5"],
+    _SOLVE + ["--a-origin", "0,0,0,0"],
+    ["eqv", "witness", "--geometry", "minkowski", "--starts", "4"],
+    ["eqv", "witness", "--geometry", "minkowski", "--max-iter", "4"],
+])
+def test_unread_option_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # each command takes only the options it reads
+    monkeypatch.chdir(tmp_path)
+    write_points(tmp_path / "pts.json", [[0, 0, 0, 0], [1, 0, 0, 0]])
+    assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode,vectors", [
+    ("check", ["--a-origin", "--a-end", "--b-origin", "--b-end"]),
+    ("solve", ["--p0", "--p1", "--q0"]),
+])
+def test_eqv_mode_requires_each_vector_option(tmp_path, capsys, mode, vectors):
+    argv = {"check": _CHECK, "solve": _SOLVE}[mode]
+    for name in vectors:
+        i = argv.index(name)
+        assert run(argv[:i] + argv[i + 2:] + ["--out-dir", tmp_path]) == 1
+        assert f"the following arguments are required: {name}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*"))
+
+
+def test_eqv_manifest_records_the_options_of_its_mode(tmp_path):
+    assert run(["eqv", "witness", "--geometry", "minkowski", "--budget", 0,
+                "--out-dir", tmp_path]) == 0
+    manifest = json.loads((tmp_path / "eqv_witness_manifest.json").read_text())
+    assert manifest["config"]["args"] == {
+        "budget": 0, "geometry": "minkowski", "mode": "witness",
+        "out_dir": str(tmp_path), "seed": 0, "tol": 1e-9}
+
+
+def test_negative_first_coordinate_needs_no_equals_form(tmp_path):
+    assert run(["eqv", "solve", "--geometry", "minkowski", "--p0", "-1,0,0,0",
+                "--p1", "0,0,0,0", "--q0", "0,0,0,0", "--starts", 4,
+                "--out-dir", tmp_path / "spaced"]) == 0
+    assert run(["eqv", "solve", "--geometry", "minkowski", "--p0=-1,0,0,0",
+                "--p1", "0,0,0,0", "--q0", "0,0,0,0", "--starts", 4,
+                "--out-dir", tmp_path / "equals"]) == 0
+    spaced, equals = (json.loads((tmp_path / d / "eqv_solve.json").read_text())
+                      for d in ("spaced", "equals"))
+    assert spaced == equals and spaced["variance"] == "single"
+    assert run(["eqv", "check", "--geometry", "minkowski", "--a-origin", "-.5,0,0,0",
+                "--a-end", "0.5,0,0,0", "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0",
+                "--out-dir", tmp_path]) == 0
+    assert run(["density", "--lambda0-sq", 0.01, "--sigma0", 0.03, "--grid", "-0.1:0.1:11",
+                "--out-dir", tmp_path]) == 0
+    assert len((tmp_path / "density.csv").read_text().splitlines()) == 12
 
 
 def test_zero_counts_are_accepted(tmp_path, capsys):
@@ -248,6 +313,14 @@ def test_eqv_witness(tmp_path, capsys):
     assert wf.is_equivalent(g, a, b).equivalent
     assert wf.is_equivalent(g, b, c).equivalent
     assert not wf.is_equivalent(g, a, c).equivalent
+
+
+def test_eqv_witness_honours_tol(tmp_path, capsys):
+    # the library finds no witness at tol = 100, so neither may the CLI
+    assert wf.find_intransitivity_witness(wf.Geometry.discrete(0.01), seed=7, tol=100) is None
+    assert run(["eqv", "witness", "--geometry", "discrete:lambda0_sq=0.01",
+                "--seed", 7, "--tol", 100, "--out-dir", tmp_path]) == 0
+    assert json.loads(capsys.readouterr().out)["found"] is False
 
 
 def test_eqv_witness_none_euclidean(tmp_path, capsys):

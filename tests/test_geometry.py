@@ -680,6 +680,16 @@ def test_geometry_carries_a_deformation_exactly_off_the_euclidean_kind():
         Geometry("euclidean", dim=3, deformation=DeformationFunction.identity())
 
 
+def test_geometry_checks_its_dimension_however_built():
+    # every kind but euclidean is four-dimensional, which sigma_gradient relies on
+    with pytest.raises(wf.InvalidInputError, match="dimension 4, not 3"):
+        Geometry("minkowski", dim=3, deformation=DeformationFunction.identity())
+    with pytest.raises(wf.InvalidInputError, match="dimension 4, not 5"):
+        Geometry("deformed", dim=5, deformation=DeformationFunction.discrete_shift(0.01))
+    with pytest.raises(wf.InvalidInputError, match="euclidean dimension must be >= 1"):
+        Geometry("euclidean", dim=0)
+
+
 def test_builtin_kind_rejects_a_deformation_of_another_kind():
     # sigma would use the deformation, from_dict(to_dict()) the kind's own F:
     # 0.00667 against 0.015, and 0.505 against 0.005
