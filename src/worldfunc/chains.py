@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError, WorldFunctionError
-from .geometry import Geometry, UnitConstants, _mdot, _sigma_m, as_point, deformation_value
+from .geometry import Geometry, UnitConstants, _Config, _mdot, _sigma_m, as_point, deformation_value
 from .equivalence import _skeleton_pair_reports
 from .objects import Skeleton
 
@@ -66,7 +66,7 @@ class WorldChain:
 
 
 @dataclass(frozen=True)
-class ChainParams:
+class ChainParams(_Config):
     """Ensemble description: geometry, Minkowski sigma per link, sizes, seed."""
 
     geometry: Geometry
@@ -75,13 +75,14 @@ class ChainParams:
     ensemble: int = 1
     seed: int = 0
 
+    _MINIMUMS = {"steps": 1, "ensemble": 1, "seed": 0}
+
     def __post_init__(self):
+        super().__post_init__()
         if not self.geometry.has_minkowski_substrate:
             raise InvalidInputError("chain dynamics needs a Minkowski-substrate geometry")
         if not self.link_sigma_m > 0:
             raise InvalidInputError("link_sigma_m must be positive (timelike links)")
-        if self.steps < 1 or self.ensemble < 1:
-            raise InvalidInputError("steps and ensemble must be at least 1")
 
     @property
     def deformation_strength(self) -> float:

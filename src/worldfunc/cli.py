@@ -108,6 +108,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type of a float option that must be finite and >= 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _count(minimum: int):
     """argparse type of an integer count option that must be >= minimum."""
     def parse(text: str) -> int:
@@ -357,7 +365,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--geometry", required=True,
                            help="euclidean:dim=N | minkowski | discrete:lambda0_sq=X | "
                                 "grainy:lambda0_sq=X,sigma0=Y | deformed:file=F.json | @spec.json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_count(0), default=0)
         p.add_argument("--out-dir", default=".")
         if tol:
             p.add_argument("--tol", type=_finite_float, default=1e-9)
@@ -379,8 +387,8 @@ def _build_parser() -> _Parser:
         p.add_argument(name, required=True)
     p.add_argument("--starts", type=_count(1), default=SolverConfig.starts)
     p.add_argument("--max-iter", type=_count(0), default=SolverConfig.max_iter)
-    p.add_argument("--dedupe-radius", type=_finite_float, default=SolverConfig.dedupe_radius)
-    p.add_argument("--box-half-width", type=_finite_float, default=SolverConfig.box_half_width)
+    p.add_argument("--dedupe-radius", type=_nonnegative_float, default=SolverConfig.dedupe_radius)
+    p.add_argument("--box-half-width", type=_nonnegative_float, default=SolverConfig.box_half_width)
     p = command(modes, "witness", cmd_eqv_witness, "search for an intransitive triple", tol=True)
     p.add_argument("--budget", type=_count(0), default=10000)
 
@@ -402,11 +410,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--probes", help="JSON file with probe points")
     p.add_argument("--random", type=_count(0), default=1000,
                    help="number of random probes when --probes is absent")
-    p.add_argument("--box-half-width", type=_finite_float, default=2.0)
+    p.add_argument("--box-half-width", type=_nonnegative_float, default=2.0)
     p.add_argument("--out", default="object_probes.csv")
 
     p = command(sub, "chain", cmd_chain, "simulate a world-chain ensemble")
-    p.add_argument("--link-sigma-m", type=float, required=True,
+    p.add_argument("--link-sigma-m", type=_finite_float, required=True,
                    help="Minkowski world function per link (2 sigma_M = squared length)")
     p.add_argument("--steps", type=_count(1), required=True)
     p.add_argument("--ensemble", type=_count(1), default=1)
@@ -416,8 +424,8 @@ def _build_parser() -> _Parser:
 
     p = command(sub, "density", cmd_density, "relative point density over a sigma_g grid",
                 geometry=False)
-    p.add_argument("--lambda0-sq", type=float, required=True)
-    p.add_argument("--sigma0", type=float, required=True)
+    p.add_argument("--lambda0-sq", type=_finite_float, required=True)
+    p.add_argument("--sigma0", type=_finite_float, required=True)
     p.add_argument("--grid", required=True, help="MIN:MAX:COUNT")
     p.add_argument("--out", default="density.csv")
 

@@ -125,6 +125,8 @@ class SolverConfig(_Config):
     box_half_width: float = 5.0
     seed: int = 0
 
+    _MINIMUMS = {"dedupe_radius": 0.0, "box_half_width": 0.0, "seed": 0}
+
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
@@ -608,11 +610,7 @@ class TubeSamplerConfig(_Config):
     max_radius: float | None = None  # default: chart length of the segment
     scan_points: int = 64
 
-    def __post_init__(self):
-        super().__post_init__()
-        for name, minimum in (("stations", 0), ("directions", 0), ("scan_points", 1)):
-            if getattr(self, name) < minimum:
-                raise InvalidInputError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
+    _MINIMUMS = {"stations": 0, "directions": 0, "seed": 0, "scan_points": 1}
 
 
 @dataclass(frozen=True, eq=False)

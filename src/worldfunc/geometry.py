@@ -17,13 +17,13 @@ Supported world functions::
     deformed    sigma   = F(sigma_M),  F(0) = 0
 
 Every geometry but the Euclidean one is sigma = F(sigma_M) and carries its
-F as a ``DeformationFunction``.  The built-in F are one formula,
-F(x) = x + lambda0_sq * ramp(x; sigma0) with ramp = sgn(x) outside
-|x| <= sigma0 and x / sigma0 inside: sigma0 = 0 is the discrete shift and
-lambda0_sq = 0 the identity of the Minkowski geometry.  With sgn(0) = 0,
-sigma(P, P) = 0 holds exactly for every variant.  The discrete geometry
-admits no point pairs with squared distance in (0, 2*lambda0_sq): distances
-below sqrt(2)*lambda0 do not occur.
+F as a ``DeformationFunction``, from which its ``kind`` is read.  The
+built-in F are one formula, F(x) = x + lambda0_sq * ramp(x; sigma0) with
+ramp = sgn(x) outside |x| <= sigma0 and x / sigma0 inside: lambda0_sq = 0
+is the identity (minkowski), else sigma0 = 0 the discrete shift; a table is
+deformed.  With sgn(0) = 0, sigma(P, P) = 0 holds exactly for every
+variant.  The discrete geometry admits no point pairs with squared distance
+in (0, 2*lambda0_sq): distances below sqrt(2)*lambda0 do not occur.
 
 All sigma implementations are symmetric by construction and broadcast over
 leading axes of the coordinate arrays; ``sigma_gradient`` gives their exact
@@ -97,17 +97,23 @@ class GeomVector:
 # ---------------------------------------------------------------------------
 
 class _Config:
-    """Dict round trip and float check of a frozen config dataclass.
+    """Dict round trip and field checks of a frozen config dataclass.
 
     ``from_dict`` reads the fields present in a mapping, each coerced to the
-    type of its default (float for an optional field, whose default is None);
-    a non-finite float field raises ``InvalidInputError``.
+    type of its default (float for an optional field, whose default is None).
+    A non-finite float field, or a field below its entry in ``_MINIMUMS``,
+    raises ``InvalidInputError`` naming the field.
     """
+
+    _MINIMUMS = {}  # field name -> smallest value the field may take
 
     def __post_init__(self):
         for f in fields(self):
             if isinstance(getattr(self, f.name), float):
                 _finite(f.name, getattr(self, f.name))
+        for name, minimum in self._MINIMUMS.items():
+            if getattr(self, name) < minimum:
+                raise InvalidInputError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -148,20 +154,17 @@ class UnitConstants(_Config):
         return self.hbar / (2.0 * self.b * self.c)
 
 
-# parameters each deformation kind reads; the others are held at 0
-_PARAMS = {"identity": (), "discrete-shift": ("lambda0_sq",),
-           "grainy-ramp": ("lambda0_sq", "sigma0"), "table": ()}
-
-
 def _finish(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _finite(name: str, value) -> float:
+def _finite(name: str, value, minimum: float = -math.inf) -> float:
     v = float(value)
     if not math.isfinite(v):
         raise InvalidInputError(f"{name} must be finite, got {v}")
-    return v
+    if v < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum:g}, got {v}")
+    return v + 0.0  # -0.0 becomes 0.0
 
 
 class DeformationFunction:
@@ -170,23 +173,22 @@ class DeformationFunction:
     The built-ins are one formula, F(x) = x + lambda0_sq * ramp(x; sigma0),
     with ramp(x; sigma0) = sgn(x) for |x| > sigma0 and x / sigma0 inside
     (sgn(x) when sigma0 = 0): ``identity`` (lambda0_sq = 0),
-    ``discrete-shift`` (sigma0 = 0) and ``grainy-ramp``; their parameters
-    must be finite.  The Minkowski, discrete and grainy geometries each carry
-    theirs.  User functions are piecewise linear tables of (sigma_M, sigma)
-    breakpoints; outside the table range the end segments are extended
-    linearly.
+    ``discrete_shift`` (sigma0 = 0) and ``grainy_ramp``.  Both parameters
+    must be finite and >= 0; sigma0 is held at 0 when lambda0_sq is, so
+    equal F have equal parameters.  User functions are piecewise linear
+    tables of (sigma_M, sigma) breakpoints; outside the table range the end
+    segments are extended linearly.
     """
 
-    def __init__(self, kind: str, *, lambda0_sq: float = 0.0, sigma0: float = 0.0,
+    def __init__(self, *, lambda0_sq: float = 0.0, sigma0: float = 0.0,
                  table: np.ndarray | None = None):
-        if kind not in _PARAMS:
-            raise InvalidInputError(f"unknown deformation function {kind!r}")
-        self.kind = kind
-        used = _PARAMS[kind]
-        self.lambda0_sq = _finite("lambda0_sq", lambda0_sq) if "lambda0_sq" in used else 0.0
-        self.sigma0 = _finite("sigma0", sigma0) if "sigma0" in used else 0.0
+        self.lambda0_sq = _finite("lambda0_sq", lambda0_sq, 0.0)
+        sigma0 = _finite("sigma0", sigma0, 0.0)
+        self.sigma0 = sigma0 if self.lambda0_sq else 0.0  # no shift, so no ramp to widen
         self.table = None
-        if kind == "table":
+        if table is not None:
+            if self.lambda0_sq:
+                raise InvalidInputError("a table deformation takes no lambda0_sq or sigma0")
             tab = np.asarray(table, dtype=float)
             if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
                 raise InvalidInputError("table must be a list of at least two (sigma_M, sigma) pairs")
@@ -201,19 +203,19 @@ class DeformationFunction:
 
     @classmethod
     def identity(cls) -> "DeformationFunction":
-        return cls("identity")
+        return cls()
 
     @classmethod
     def discrete_shift(cls, lambda0_sq: float) -> "DeformationFunction":
-        return cls("discrete-shift", lambda0_sq=lambda0_sq)
+        return cls(lambda0_sq=lambda0_sq)
 
     @classmethod
     def grainy_ramp(cls, lambda0_sq: float, sigma0: float) -> "DeformationFunction":
-        return cls("grainy-ramp", lambda0_sq=lambda0_sq, sigma0=sigma0)
+        return cls(lambda0_sq=lambda0_sq, sigma0=sigma0)
 
     @classmethod
     def from_table(cls, pairs) -> "DeformationFunction":
-        return cls("table", table=pairs)
+        return cls(table=pairs)
 
     def _shift(self, x):
         """F(x) - x; exactly lambda0_sq * ramp(x; sigma0) for the built-ins."""
@@ -222,7 +224,8 @@ class DeformationFunction:
         if self.sigma0 == 0.0:  # the discrete shift exactly, not a 0/0 ramp
             ramp = np.sign(x)
         else:
-            ramp = np.where(np.abs(x) > self.sigma0, np.sign(x), x / self.sigma0)
+            # |quotient| <= 1 cannot overflow; outside the ramp it is sgn(x) exactly
+            ramp = np.clip(x, -self.sigma0, self.sigma0) / self.sigma0
         return self.lambda0_sq * ramp
 
     def __call__(self, sigma_m):
@@ -254,19 +257,6 @@ class DeformationFunction:
             out = np.where(np.abs(x) > self.sigma0, 1.0, 1.0 + self.lambda0_sq / self.sigma0)
         return _finish(out)
 
-    def to_dict(self) -> dict:
-        if self.kind == "table":
-            return {"F_table": self.table.tolist()}
-        params = {name: getattr(self, name) for name in _PARAMS[self.kind]}
-        return {"F_builtin": self.kind, **params}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeformationFunction":
-        if "F_table" in d and d["F_table"] is not None:
-            return cls.from_table(d["F_table"])
-        return cls(d.get("F_builtin", "identity"), lambda0_sq=d.get("lambda0_sq", 0.0),
-                   sigma0=d.get("sigma0", 0.0))
-
 
 def _piecewise_linear(x, xs, ys):
     v = np.interp(x, xs, ys)
@@ -285,52 +275,39 @@ def _piecewise_linear(x, xs, ys):
 # geometry specification
 # ---------------------------------------------------------------------------
 
-# the deformation kind each built-in geometry kind carries
-_CARRIES = {"minkowski": "identity", "discrete": "discrete-shift", "grainy": "grainy-ramp"}
-
-
 @dataclass(frozen=True, eq=False)
 class Geometry:
-    """A world-function description plus unit constants.
+    """A world function plus unit constants.
 
-    Use the classmethod constructors.  ``kind`` names the sigma variant;
-    every kind but ``euclidean`` carries its F in ``deformation``, and sigma
-    is computed from that alone; ``lambda0_sq`` and ``sigma0`` read it.
+    Use the classmethod constructors.  ``deformation`` is the F of sigma =
+    F(sigma_M), None for the Euclidean geometry; sigma, ``kind``,
+    ``lambda0_sq`` and ``sigma0`` are all read from it.
     """
 
-    kind: str
     dim: int = SIGNATURE_DIM
     deformation: DeformationFunction | None = None
     units: UnitConstants = field(default_factory=UnitConstants)
 
     def __post_init__(self):
-        if (self.deformation is None) != (self.kind == "euclidean"):
-            raise InvalidInputError("build geometries with the Geometry classmethod constructors")
-        want = _CARRIES.get(self.kind)
-        if want and self.deformation.kind != want:
-            raise InvalidInputError(f"a {self.kind} geometry carries a {want} deformation, "
-                                    f"not {self.deformation.kind}")
-        if self.kind == "euclidean" and self.dim < 1:
+        if self.deformation is None and self.dim < 1:
             raise InvalidInputError("euclidean dimension must be >= 1")
-        if self.kind != "euclidean" and self.dim != SIGNATURE_DIM:
+        if self.deformation is not None and self.dim != SIGNATURE_DIM:
             raise InvalidInputError(f"a {self.kind} geometry has dimension {SIGNATURE_DIM}, "
                                     f"not {self.dim}")
 
     @classmethod
     def euclidean(cls, dim: int, units: UnitConstants | None = None) -> "Geometry":
-        return cls("euclidean", dim=int(dim), units=units or UnitConstants())
+        return cls(int(dim), units=units or UnitConstants())
 
     @classmethod
     def minkowski(cls, units: UnitConstants | None = None) -> "Geometry":
-        return cls("minkowski", deformation=DeformationFunction.identity(),
-                   units=units or UnitConstants())
+        return cls.deformed(DeformationFunction.identity(), units=units)
 
     @classmethod
     def discrete(cls, lambda0_sq: float, units: UnitConstants | None = None) -> "Geometry":
         if not lambda0_sq > 0:
             raise InvalidInputError("discrete geometry requires lambda0_sq > 0")
-        return cls("discrete", deformation=DeformationFunction.discrete_shift(lambda0_sq),
-                   units=units or UnitConstants())
+        return cls.deformed(DeformationFunction.discrete_shift(lambda0_sq), units=units)
 
     @classmethod
     def discrete_from_units(cls, units: UnitConstants) -> "Geometry":
@@ -340,15 +317,26 @@ class Geometry:
     @classmethod
     def grainy(cls, lambda0_sq: float, sigma0: float,
                units: UnitConstants | None = None) -> "Geometry":
-        if lambda0_sq < 0 or sigma0 < 0:
-            raise InvalidInputError("grainy geometry requires lambda0_sq >= 0 and sigma0 >= 0")
-        return cls("grainy", deformation=DeformationFunction.grainy_ramp(lambda0_sq, sigma0),
-                   units=units or UnitConstants())
+        return cls.deformed(DeformationFunction.grainy_ramp(lambda0_sq, sigma0), units=units)
 
     @classmethod
     def deformed(cls, deformation: DeformationFunction,
                  units: UnitConstants | None = None) -> "Geometry":
-        return cls("deformed", deformation=deformation, units=units or UnitConstants())
+        return cls(deformation=deformation, units=units or UnitConstants())
+
+    @property
+    def kind(self) -> str:
+        """The variant, read from F: ``euclidean`` without one, ``deformed``
+        for a table, else ``minkowski`` (lambda0_sq = 0), ``discrete``
+        (sigma0 = 0) or ``grainy``."""
+        F = self.deformation
+        if F is None:
+            return "euclidean"
+        if F.table is not None:
+            return "deformed"
+        if F.lambda0_sq == 0.0:
+            return "minkowski"
+        return "discrete" if F.sigma0 == 0.0 else "grainy"
 
     @property
     def has_minkowski_substrate(self) -> bool:
@@ -361,18 +349,19 @@ class Geometry:
 
     @property
     def sigma0(self) -> float:
-        """The deformation's sigma0; 0 unless it is a grainy ramp."""
+        """The deformation's sigma0; 0 unless the geometry is grainy."""
         return 0.0 if self.deformation is None else self.deformation.sigma0
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "dim": self.dim, "lambda0_sq": self.lambda0_sq,
              "sigma0": self.sigma0, "units": self.units.to_dict()}
         if self.kind == "deformed":
-            d.update(self.deformation.to_dict())
+            d["F_table"] = self.deformation.table.tolist()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Geometry":
+        """Parse a serialized geometry; ``deformed`` means a table (``F_table``)."""
         kind = d.get("kind")
         units = UnitConstants.from_dict(d.get("units", {}))
         if kind == "euclidean":
@@ -384,7 +373,7 @@ class Geometry:
         if kind == "grainy":
             return cls.grainy(float(d["lambda0_sq"]), float(d["sigma0"]), units=units)
         if kind == "deformed":
-            return cls.deformed(DeformationFunction.from_dict(d), units=units)
+            return cls.deformed(DeformationFunction.from_table(d["F_table"]), units=units)
         raise InvalidInputError(f"unknown geometry kind {kind!r}")
 
 
@@ -504,13 +493,11 @@ def relative_density(lambda0_sq: float, sigma0: float, sigma_g) -> float:
     For sigma0 -> 0 the inner density goes to 0: the discrete limit.  With
     lambda0_sq = sigma0 = 0 the geometry is undeformed and rho = 1 everywhere.
     """
-    lambda0_sq, sigma0 = _finite("lambda0_sq", lambda0_sq), _finite("sigma0", sigma0)
-    if lambda0_sq < 0 or sigma0 < 0:
-        raise InvalidInputError("lambda0_sq and sigma0 must be non-negative")
-    edge = sigma0 + lambda0_sq
+    F = DeformationFunction.grainy_ramp(lambda0_sq, sigma0)
+    edge = F.sigma0 + F.lambda0_sq
     if edge == 0.0:
         return _finish(np.ones_like(np.asarray(sigma_g, dtype=float)))
-    inner = sigma0 / edge
+    inner = F.sigma0 / edge
     out = np.where(np.abs(np.asarray(sigma_g, dtype=float)) > edge, 1.0, inner)
     return _finish(out)
 

@@ -313,6 +313,25 @@ def test_ensemble_mean_t_matches_the_exact_oracle(lam):
         assert abs(stats.mean_t[k - 1] - want) <= 4.0 * se + 1e-14 * want
 
 
+@pytest.mark.parametrize("lam", [0.005, 1e-5])
+def test_ensemble_var_transverse_matches_the_exact_oracle(lam):
+    # |v_k|^2 = (2/3)((1 + 1.5 sinh^2 dphi)^k - 1) in expectation, and
+    # var_transverse is the (ddof = 0) ensemble variance of length * v, so
+    # E var_transverse[k - 1] = length^2 E|v_k|^2 (E - 1) / E; it is the mean of
+    # the per-chain squared deviations, checked against their standard error
+    params = ChainParams(geometry=Geometry.discrete(lam), link_sigma_m=0.5,
+                         steps=100, ensemble=1000, seed=42)
+    stats, points = wf.simulate_ensemble(params, keep_chains=True)
+    links = np.diff(points[:, 1:, 1:], axis=1)  # (ensemble, steps, 3): length * v of link k
+    length, E = math.sqrt(2.0 * params.link_sigma_m), params.ensemble
+    for k in (1, 10, 100):
+        v_sq = 2.0 / 3.0 * ((1.0 + 1.5 * math.sinh(params.deflection) ** 2) ** k - 1.0)
+        want = length ** 2 * v_sq * (E - 1) / E
+        dev = ((links[:, k - 1] - links[:, k - 1].mean(axis=0)) ** 2).sum(axis=1)
+        se = dev.std(ddof=1) / math.sqrt(E)
+        assert abs(stats.var_transverse[k - 1] - want) <= 4.0 * se
+
+
 def test_chain_params_validation():
     with pytest.raises(wf.InvalidInputError):
         ChainParams(geometry=Geometry.euclidean(3), link_sigma_m=0.5, steps=5)
@@ -320,6 +339,10 @@ def test_chain_params_validation():
         ChainParams(geometry=MINK, link_sigma_m=-1.0, steps=5)
     with pytest.raises(wf.InvalidInputError):
         ChainParams(geometry=MINK, link_sigma_m=0.5, steps=0)
+    with pytest.raises(wf.InvalidInputError, match="seed must be >= 0"):
+        ChainParams(geometry=MINK, link_sigma_m=0.5, steps=5, seed=-1)
+    with pytest.raises(wf.InvalidInputError, match="link_sigma_m must be finite"):
+        ChainParams(geometry=MINK, link_sigma_m=math.inf, steps=5)
 
 
 def test_chain_params_roundtrip_and_derived():

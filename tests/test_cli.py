@@ -193,6 +193,12 @@ def test_eqv_solve(tmp_path, capsys):
     ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json",
      "--box-half-width", "inf"],
     ["eqv", "witness", "--geometry", "minkowski", "--tol=-inf"],
+    ["density", "--lambda0-sq", "nan", "--sigma0", "0.03", "--grid=-0.1:0.1:5"],
+    ["density", "--lambda0-sq", "0.01", "--sigma0", "nan", "--grid=-0.1:0.1:5"],
+    ["density", "--lambda0-sq", "inf", "--sigma0", "0.03", "--grid=-0.1:0.1:5"],
+    ["chain", "--geometry", "minkowski", "--link-sigma-m", "nan", "--steps", "3"],
+    ["chain", "--geometry", "minkowski", "--link-sigma-m", "inf", "--steps", "3"],
+    ["density", "--lambda0-sq", "0.01", "--sigma0=-inf", "--grid=-0.1:0.1:5"],
 ])
 def test_non_finite_config_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     # valid input files, so only the non-finite option can fail the command
@@ -223,6 +229,15 @@ _CHECK = ["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0",
     _CHAIN + ["--steps", "10", "--ensemble", "0"],
     _SOLVE + ["--max-iter", "-1"],
     _SOLVE + ["--starts", "0"],
+    ["eqv", "witness", "--geometry", "minkowski", "--seed", "-2"],
+    _TUBE + ["--seed", "-2"],
+    _CHAIN + ["--steps", "3", "--seed", "-2"],
+    _SOLVE + ["--seed", "-1"],
+    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--seed", "-1"],
+    _CHECK + ["--seed", "-1"],
+    ["sigma", "--geometry", "euclidean:dim=3", "--points", "sk.json", "--seed", "-1"],
+    ["density", "--lambda0-sq", "0.01", "--sigma0", "0.03", "--grid=-0.1:0.1:5",
+     "--seed", "-1"],
 ])
 def test_bad_count_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     # a valid skeleton file, so only the count option can fail the command
@@ -230,6 +245,21 @@ def test_bad_count_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
     assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
     assert "must be an integer >=" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    _SOLVE + ["--dedupe-radius", "-1", "--starts", "4"],
+    _SOLVE + ["--box-half-width", "-1"],
+    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--box-half-width", "-1"],
+])
+def test_negative_width_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # --dedupe-radius -1 used to exit 0 with multi (nothing merged), a negative
+    # --box-half-width ended in numpy's "high - low < 0" traceback
+    monkeypatch.chdir(tmp_path)
+    write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+    assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+    assert "must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -455,8 +485,9 @@ def test_density_command(tmp_path):
     assert rho[-0.05] == 1.0 and rho[0.0] == 0.75 and rho[0.025] == 0.75
 
 
-@pytest.mark.parametrize("lam,s0", [("nan", "0.03"), ("0.01", "nan"), ("inf", "0.03"),
-                                    ("-0.01", "0.03")])
+# non-finite parameters are usage errors (test_non_finite_config_is_a_usage_error);
+# a negative one is rejected by relative_density itself
+@pytest.mark.parametrize("lam,s0", [("-0.01", "0.03")])
 def test_density_bad_parameters_exit_2(tmp_path, lam, s0):
     assert run(["density", "--lambda0-sq", lam, "--sigma0", s0,
                 "--grid=-0.1:0.1:5", "--out-dir", tmp_path]) == 2

@@ -957,6 +957,18 @@ def test_tube_config_rejects_counts_the_sampler_cannot_use(field, value):
         TubeSamplerConfig.from_dict({field: value})
 
 
+@pytest.mark.parametrize("cls,field,value", [
+    (SolverConfig, "dedupe_radius", -1.0), (SolverConfig, "box_half_width", -1.0),
+    (SolverConfig, "seed", -1), (TubeSamplerConfig, "seed", -1)])
+def test_config_rejects_negative_widths_and_seeds(cls, field, value):
+    # a negative dedupe radius merged nothing and made every root a manifold;
+    # a negative box or seed ended in a numpy traceback
+    with pytest.raises(wf.InvalidInputError, match=f"{field} must be >= 0"):
+        cls(**{field: value})
+    with pytest.raises(wf.InvalidInputError, match=f"{field} must be >= 0"):
+        cls.from_dict({field: value})
+
+
 def test_tube_config_accepts_the_smallest_counts():
     cfg = TubeSamplerConfig(stations=0, directions=0, scan_points=1)
     tube = wf.sample_segment_tube(Geometry.discrete(0.02), ORIGIN4, (2, 0, 0, 0), cfg)
@@ -1112,12 +1124,13 @@ def test_segment_members_are_line_members_euclidean():
 # ---------------------------------------------------------------------------
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 _INTS = st.integers(0, 2**63)
 
 
 @settings(max_examples=100, deadline=None)
-@given(starts=_INTS, max_iter=_INTS, tol=_FLOATS, dedupe_radius=_FLOATS,
-       box_half_width=_FLOATS, seed=_INTS)
+@given(starts=_INTS, max_iter=_INTS, tol=_FLOATS, dedupe_radius=_NONNEGATIVE,
+       box_half_width=_NONNEGATIVE, seed=_INTS)
 def test_solver_config_serialization_round_trips(**fields):
     cfg = SolverConfig(**fields)
     assert SolverConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg

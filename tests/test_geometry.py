@@ -3,6 +3,7 @@ metric tensor, sigma coordinates, angles."""
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -479,7 +480,10 @@ GRADIENT_CASES = [(Geometry.euclidean(d), ()) for d in range(1, 6)] + [
     (Geometry.deformed(DeformationFunction.discrete_shift(0.01)), (0.0,)),
     (Geometry.deformed(DeformationFunction.identity()), ()),
 ]
-_CASE_IDS = [f"{g.kind}{i}" for i, (g, _) in enumerate(GRADIENT_CASES)]
+# ids name the constructor: the kind read from F differs for grainy(0.2, 0)
+# and the deformed built-ins
+_CASE_IDS = [f"{name}{i}" for i, name in enumerate(
+    ["euclidean"] * 5 + ["minkowski", "discrete"] + ["grainy"] * 3 + ["deformed"] * 4)]
 
 
 def _draw_pair(data, dim):
@@ -525,6 +529,16 @@ def test_sigma_gradient_in_origin_is_negated(g, kinks, data):
     p, q = _draw_pair(data, g.dim)
     # sigma is symmetric, so d sigma/dp = sigma_gradient(g, q, p); exact, kinks included
     assert np.array_equal(wf.sigma_gradient(g, q, p), -wf.sigma_gradient(g, p, q))
+
+
+def test_grainy_ramp_with_a_tiny_sigma0_does_not_warn():
+    # far outside a tiny ramp x / sigma0 overflows: the ramp must clip before dividing
+    F = DeformationFunction.grainy_ramp(0.01, 1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert F(1e10) == 1e10 + 0.01 and F(-1e10) == -1e10 - 0.01
+        assert np.array_equal(F(np.array([-1e10, 0.0, 1e10])), [-1e10 - 0.01, 0.0, 1e10 + 0.01])
+        assert wf.deformation_value(Geometry.deformed(F), 1e300) == 0.01
 
 
 def test_deformation_slopes():
@@ -605,28 +619,44 @@ _UNITS = {"hbar": 1.0, "c": 1.0, "b": 1.0}
     (Geometry.deformed(DeformationFunction.from_table([[-5, -5.5], [0, 0], [5, 5.5]])),
      {"kind": "deformed", "dim": 4, "lambda0_sq": 0.0, "sigma0": 0.0, "units": _UNITS,
       "F_table": [[-5.0, -5.5], [0.0, 0.0], [5.0, 5.5]]}),
-    (Geometry.deformed(DeformationFunction.identity()),
-     {"kind": "deformed", "dim": 4, "lambda0_sq": 0.0, "sigma0": 0.0, "units": _UNITS,
-      "F_builtin": "identity"}),
-    (Geometry.deformed(DeformationFunction.discrete_shift(0.01)),
-     {"kind": "deformed", "dim": 4, "lambda0_sq": 0.01, "sigma0": 0.0, "units": _UNITS,
-      "F_builtin": "discrete-shift"}),
-    (Geometry.deformed(DeformationFunction.grainy_ramp(0.01, 0.03)),
-     {"kind": "deformed", "dim": 4, "lambda0_sq": 0.01, "sigma0": 0.03, "units": _UNITS,
-      "F_builtin": "grainy-ramp"}),
 ], ids=lambda v: v.kind if isinstance(v, Geometry) else "")
 def test_to_dict_is_pinned(g, want):
     # key order included: the serialized form must not drift
     assert list(g.to_dict().items()) == list(want.items())
 
 
-def test_builtin_deformation_ignores_parameters_of_other_kinds():
-    F = DeformationFunction.from_dict({"F_builtin": "discrete-shift", "lambda0_sq": 0.01,
-                                       "sigma0": 0.5})
-    assert F(0.02) == 0.02 + 0.01 and F.to_dict() == {"F_builtin": "discrete-shift",
-                                                      "lambda0_sq": 0.01}
-    I = DeformationFunction("identity", lambda0_sq=0.5, sigma0=0.5)
-    assert I(0.25) == 0.25 and I.to_dict() == {"F_builtin": "identity"}
+# twins: one F reached through two constructors
+SERIALIZATION_TWINS = [
+    (Geometry.deformed(DeformationFunction.discrete_shift(0.01)), Geometry.discrete(0.01)),
+    (Geometry.grainy(0.01, 0.0), Geometry.discrete(0.01)),
+    (Geometry.grainy(0.0, 0.03), MINK),
+    (Geometry.deformed(DeformationFunction.identity()), MINK),
+    (Geometry.deformed(DeformationFunction.grainy_ramp(0.01, 0.03)), Geometry.grainy(0.01, 0.03)),
+]
+
+
+def test_twin_geometries_serialize_identically():
+    # the kind is read from F, so the same F gives the same description
+    # whichever constructor built it
+    for g, twin in SERIALIZATION_TWINS:
+        assert g.to_dict() == twin.to_dict()
+        assert Geometry.from_dict(g.to_dict()).to_dict() == twin.to_dict()
+    # equal F have equal parameters: without a shift the ramp width is dropped
+    F = DeformationFunction(sigma0=0.5)
+    assert (F.lambda0_sq, F.sigma0, F(0.25)) == (0.0, 0.0, 0.25)
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: DeformationFunction(lambda0_sq=-0.01), "lambda0_sq must be >= 0"),
+    (lambda: DeformationFunction(lambda0_sq=0.01, sigma0=-0.03), "sigma0 must be >= 0"),
+    (lambda: Geometry.grainy(0.0, -0.03), "sigma0 must be >= 0"),
+    (lambda: wf.relative_density(0.01, -0.03, 0.0), "sigma0 must be >= 0"),
+    (lambda: DeformationFunction(lambda0_sq=0.01, table=[[-1, -2], [0, 0], [1, 2]]),
+     "takes no lambda0_sq"),
+], ids=["negative-l", "negative-s", "grainy-negative-s", "density-negative-s", "table-and-l"])
+def test_deformation_rejects_parameters_it_cannot_use(make, match):
+    with pytest.raises(wf.InvalidInputError, match=match):
+        make()
 
 
 @pytest.mark.parametrize("make,name", [
@@ -636,12 +666,12 @@ def test_builtin_deformation_ignores_parameters_of_other_kinds():
     (lambda: Geometry.grainy(0.01, math.inf), "sigma0"),
     (lambda: Geometry.discrete(math.inf), "lambda0_sq"),
     (lambda: DeformationFunction.discrete_shift(math.nan), "lambda0_sq"),
-    (lambda: Geometry.from_dict({"kind": "deformed", "F_builtin": "grainy-ramp",
-                                 "lambda0_sq": "nan", "sigma0": 0.03}), "lambda0_sq"),
+    (lambda: Geometry.from_dict({"kind": "grainy", "lambda0_sq": "nan", "sigma0": 0.03}),
+     "lambda0_sq"),
     (lambda: wf.relative_density(math.nan, 0.03, 0.0), "lambda0_sq"),
     (lambda: wf.relative_density(0.01, math.inf, 0.0), "sigma0"),
 ], ids=["grainy-nan-l", "grainy-nan-s", "grainy-inf-l", "grainy-inf-s", "discrete-inf",
-        "shift-nan", "deformed-nan", "density-nan", "density-inf"])
+        "shift-nan", "spec-nan", "density-nan", "density-inf"])
 def test_non_finite_deformation_parameters_rejected(make, name):
     with pytest.raises(wf.InvalidInputError, match=f"{name} must be finite"):
         make()
@@ -655,10 +685,10 @@ def test_serialized_grainy_needs_both_parameters():
 def test_deformation_parameters_are_read_from_the_deformation():
     # lambda0_sq and sigma0 used to be settable fields that could contradict
     # the deformation: sigma used one value, from_dict(to_dict()) the other
-    assert [f.name for f in dataclasses.fields(Geometry)] == ["kind", "dim", "deformation", "units"]
+    assert [f.name for f in dataclasses.fields(Geometry)] == ["dim", "deformation", "units"]
     with pytest.raises(TypeError):
-        Geometry("discrete", lambda0_sq=0.5, deformation=DeformationFunction.discrete_shift(0.01))
-    g = Geometry("discrete", deformation=DeformationFunction.discrete_shift(0.01))
+        Geometry(lambda0_sq=0.5, deformation=DeformationFunction.discrete_shift(0.01))
+    g = Geometry(deformation=DeformationFunction.discrete_shift(0.01))
     assert (g.lambda0_sq, g.sigma0) == (0.01, 0.0)
     p, q = (0.1, 0, 0, 0), ORIGIN4
     assert wf.sigma(g, p, q) == wf.sigma(Geometry.from_dict(g.to_dict()), p, q)
@@ -674,43 +704,21 @@ def test_deformation_parameters_are_read_from_the_deformation():
 def test_geometry_carries_a_deformation_exactly_off_the_euclidean_kind():
     assert not Geometry.euclidean(3).has_minkowski_substrate
     assert all(g.has_minkowski_substrate for g, _, _ in BUILTIN_TWINS)
-    with pytest.raises(wf.InvalidInputError):
-        Geometry("minkowski")
-    with pytest.raises(wf.InvalidInputError):
-        Geometry("euclidean", dim=3, deformation=DeformationFunction.identity())
+    # the kind is read from the deformation, so the two cannot disagree
+    assert Geometry(dim=3).kind == "euclidean"
+    assert Geometry(deformation=DeformationFunction.identity()).kind == "minkowski"
+    with pytest.raises(AttributeError):
+        MINK.kind = "euclidean"
 
 
 def test_geometry_checks_its_dimension_however_built():
     # every kind but euclidean is four-dimensional, which sigma_gradient relies on
     with pytest.raises(wf.InvalidInputError, match="dimension 4, not 3"):
-        Geometry("minkowski", dim=3, deformation=DeformationFunction.identity())
+        Geometry(dim=3, deformation=DeformationFunction.identity())
     with pytest.raises(wf.InvalidInputError, match="dimension 4, not 5"):
-        Geometry("deformed", dim=5, deformation=DeformationFunction.discrete_shift(0.01))
+        Geometry(dim=5, deformation=DeformationFunction.discrete_shift(0.01))
     with pytest.raises(wf.InvalidInputError, match="euclidean dimension must be >= 1"):
-        Geometry("euclidean", dim=0)
-
-
-def test_builtin_kind_rejects_a_deformation_of_another_kind():
-    # sigma would use the deformation, from_dict(to_dict()) the kind's own F:
-    # 0.00667 against 0.015, and 0.505 against 0.005
-    with pytest.raises(wf.InvalidInputError, match="discrete-shift deformation, not grainy-ramp"):
-        Geometry("discrete", deformation=DeformationFunction.grainy_ramp(0.01, 0.03))
-    with pytest.raises(wf.InvalidInputError, match="identity deformation, not discrete-shift"):
-        Geometry("minkowski", deformation=DeformationFunction.discrete_shift(0.5))
-    builtins = {"identity": DeformationFunction.identity(),
-                "discrete-shift": DeformationFunction.discrete_shift(0.01),
-                "grainy-ramp": DeformationFunction.grainy_ramp(0.01, 0.03),
-                "table": DeformationFunction.from_table([[-1, -2], [0, 0], [1, 2]])}
-    carried = {"minkowski": "identity", "discrete": "discrete-shift", "grainy": "grainy-ramp"}
-    for kind in ("minkowski", "discrete", "grainy", "deformed"):
-        for name, dfun in builtins.items():
-            if kind == "deformed" or carried[kind] == name:
-                g = Geometry(kind, deformation=dfun)
-                p = (0.1, 0, 0, 0)
-                assert wf.sigma(Geometry.from_dict(g.to_dict()), p, ORIGIN4) == wf.sigma(g, p, ORIGIN4)
-            else:
-                with pytest.raises(wf.InvalidInputError):
-                    Geometry(kind, deformation=dfun)
+        Geometry(dim=0)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
