@@ -578,7 +578,9 @@ BUILTIN_TWINS = [
     (Geometry.grainy(0.01, 0.0), DeformationFunction.grainy_ramp(0.01, 0.0),
      lambda x: 0.01 * np.sign(x)),
 ]
-_TWIN_IDS = [f"{g.kind}{i}" for i, (g, _, _) in enumerate(BUILTIN_TWINS)]
+# ids name the constructor: the kind is read from F, so grainy(0.01, 0) reads discrete
+_TWIN_IDS = [f"{name}{i}" for i, name in
+             enumerate(["minkowski", "discrete", "grainy", "grainy", "grainy"])]
 
 
 def _bits(x):
@@ -619,9 +621,16 @@ _UNITS = {"hbar": 1.0, "c": 1.0, "b": 1.0}
     (Geometry.deformed(DeformationFunction.from_table([[-5, -5.5], [0, 0], [5, 5.5]])),
      {"kind": "deformed", "dim": 4, "lambda0_sq": 0.0, "sigma0": 0.0, "units": _UNITS,
       "F_table": [[-5.0, -5.5], [0.0, 0.0], [5.0, 5.5]]}),
-], ids=lambda v: v.kind if isinstance(v, Geometry) else "")
+    (Geometry.deformed(DeformationFunction.identity()),
+     {"kind": "minkowski", "dim": 4, "lambda0_sq": 0.0, "sigma0": 0.0, "units": _UNITS}),
+    (Geometry.deformed(DeformationFunction.discrete_shift(0.01)),
+     {"kind": "discrete", "dim": 4, "lambda0_sq": 0.01, "sigma0": 0.0, "units": _UNITS}),
+    (Geometry.deformed(DeformationFunction.grainy_ramp(0.01, 0.03)),
+     {"kind": "grainy", "dim": 4, "lambda0_sq": 0.01, "sigma0": 0.03, "units": _UNITS}),
+], ids=["euclidean-", "minkowski-", "discrete-", "grainy-"] + ["deformed-"] * 4)
 def test_to_dict_is_pinned(g, want):
-    # key order included: the serialized form must not drift
+    # key order included: the serialized form must not drift; ids name the
+    # constructor, and a built-in F reached through deformed() keeps its kind
     assert list(g.to_dict().items()) == list(want.items())
 
 
@@ -641,9 +650,18 @@ def test_twin_geometries_serialize_identically():
     for g, twin in SERIALIZATION_TWINS:
         assert g.to_dict() == twin.to_dict()
         assert Geometry.from_dict(g.to_dict()).to_dict() == twin.to_dict()
+
+
+def test_builtin_deformation_ignores_parameters_of_other_kinds():
     # equal F have equal parameters: without a shift the ramp width is dropped
     F = DeformationFunction(sigma0=0.5)
     assert (F.lambda0_sq, F.sigma0, F(0.25)) == (0.0, 0.0, 0.25)
+    assert Geometry.deformed(F).to_dict() == MINK.to_dict()
+    S = DeformationFunction.discrete_shift(0.01)
+    assert (S.lambda0_sq, S.sigma0, S(0.02)) == (0.01, 0.0, 0.02 + 0.01)
+    # a serialized discrete geometry has no ramp width to carry
+    g = Geometry.from_dict({"kind": "discrete", "lambda0_sq": 0.01, "sigma0": 0.5})
+    assert (g.sigma0, g.to_dict()) == (0.0, Geometry.discrete(0.01).to_dict())
 
 
 @pytest.mark.parametrize("make,match", [
@@ -719,6 +737,22 @@ def test_geometry_checks_its_dimension_however_built():
         Geometry(dim=5, deformation=DeformationFunction.discrete_shift(0.01))
     with pytest.raises(wf.InvalidInputError, match="euclidean dimension must be >= 1"):
         Geometry(dim=0)
+
+
+def test_builtin_kind_rejects_a_deformation_of_another_kind():
+    # sigma uses the deformation and from_dict(to_dict()) the kind, so the
+    # kind is no field of its own: it is read from F and cannot disagree
+    with pytest.raises(TypeError):
+        Geometry(kind="discrete", deformation=DeformationFunction.grainy_ramp(0.01, 0.03))
+    builtins = {"minkowski": DeformationFunction.identity(),
+                "discrete": DeformationFunction.discrete_shift(0.01),
+                "grainy": DeformationFunction.grainy_ramp(0.01, 0.03),
+                "deformed": DeformationFunction.from_table([[-1, -2], [0, 0], [1, 2]])}
+    p = (0.1, 0, 0, 0)
+    for kind, dfun in builtins.items():
+        g = Geometry(deformation=dfun)
+        assert g.kind == kind
+        assert wf.sigma(Geometry.from_dict(g.to_dict()), p, ORIGIN4) == wf.sigma(g, p, ORIGIN4)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
