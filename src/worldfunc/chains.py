@@ -187,40 +187,42 @@ def w_correction(dfun, pk_s, pl_s, pk_s1, pl_s1) -> float:
 # stepping
 # ---------------------------------------------------------------------------
 
-def _gamma(v):
-    """|v|^2 and u0 = sqrt(1 + |v|^2) of (3, m) spatial velocity rows."""
-    vv = np.einsum("im,im->m", v, v)
-    return vv, np.sqrt(1.0 + vv)
+def _gamma(v, vv=None, u0=None):
+    """|v|^2 and u0 = sqrt(1 + |v|^2) of (..., 3, m) spatial velocity rows,
+    written into vv and u0 when they are given."""
+    vv = np.einsum("...im,...im->...m", v, v, out=vv)
+    return vv, np.sqrt(1.0 + vv, out=u0)
 
 
-def _tilt(v, u0, cosh_dphi, sinh_dphi, azimuth):
+def _tilt(v, u0, cosh_dphi, sinh_dphi, cos_a, sin_a, out=None):
     """Tilt the (3, m) spatial velocities v (u0 = sqrt(1 + |v|^2)) by dphi
-    towards n = (cos a, sin a, 0) of their rest frames, a the (m,) azimuths.
+    towards n = (cos a, sin a, 0) of their rest frames, given the (m,) rows
+    cos a and sin a of the azimuths; the result is written into out if given.
 
     The pure boost of velocity v (Jackson, Classical Electrodynamics, 11.3)
     gives v' = (cosh dphi + sinh dphi (v.n) / (1 + u0)) v + sinh dphi n in
     closed form: the coefficient of v lies in [e^-dphi, e^dphi], so nothing
     cancels and no intermediate value exceeds O(u0).
     """
-    cos_a, sin_a = np.cos(azimuth), np.sin(azimuth)
-    nxt = (cosh_dphi + sinh_dphi * (v[0] * cos_a + v[1] * sin_a) / (1.0 + u0)) * v
+    nxt = np.multiply(cosh_dphi + sinh_dphi * (v[0] * cos_a + v[1] * sin_a) / (1.0 + u0), v,
+                      out=out)
     nxt[0] += sinh_dphi * cos_a
     nxt[1] += sinh_dphi * sin_a
     return nxt
 
 
 def _angle(v, vv, v_next):
-    """Hyperbolic angles between unit directions of (3, m) velocities v, v'.
+    """Hyperbolic angles between unit directions of (..., 3, m) velocities v, v'.
 
     v' is split along and across v; with m = sqrt(1 + |v'_perp|^2) the angle
     is asinh(|(m sinh(asinh(v'_par / m) - asinh|v|), v'_perp)|), which never
     forms the cancelling u0 u0' - v.v'.
     """
     speed = np.sqrt(vv)
-    unit = v / np.where(speed > 0.0, speed, 1.0)  # v = 0: all of v' is transverse
-    par = np.einsum("im,im->m", unit, v_next)
-    perp = v_next - par * unit
-    pp = np.einsum("im,im->m", perp, perp)
+    unit = v / np.where(speed > 0.0, speed, 1.0)[..., None, :]  # v = 0: all of v' is transverse
+    par = np.einsum("...im,...im->...m", unit, v_next)
+    perp = v_next - par[..., None, :] * unit
+    pp = np.einsum("...im,...im->...m", perp, perp)
     m = np.sqrt(1.0 + pp)
     along = m * np.sinh(np.arcsinh(par / m) - np.arcsinh(speed))
     return np.arcsinh(np.hypot(along, np.sqrt(pp)))
@@ -243,7 +245,8 @@ def step_chain(state, params: ChainParams, rng) -> tuple[np.ndarray, np.ndarray]
     d = float(deformation_value(params.geometry, sigma_m))
     dphi = deflection_angle(d, sigma_m)
     azimuth = np.array([rng.uniform(0.0, 2.0 * math.pi)])
-    v_next = _tilt(v, _gamma(v)[1], math.cosh(dphi), math.sinh(dphi), azimuth)
+    v_next = _tilt(v, _gamma(v)[1], math.cosh(dphi), math.sinh(dphi),
+                   np.cos(azimuth), np.sin(azimuth))
     return p1, p1 + scale * np.concatenate([_gamma(v_next)[1], v_next[:, 0]])
 
 
@@ -305,6 +308,9 @@ def verify_link_equivalence(g: Geometry, chain: WorldChain, tol: float = 1e-9) -
 # ensembles
 # ---------------------------------------------------------------------------
 
+_BLOCK_CHAIN_STEPS = 8192  # chain steps per block of simulate_ensemble
+
+
 def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
     """Run the ensemble and aggregate per-step statistics.
 
@@ -314,25 +320,35 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
     reductions run in fixed chain order, so the statistics are bit-identical
     for a given (params, seed) under any schedule.
 
-    The velocities are component-major (3, ensemble) rows stepped by the
-    ``_tilt`` kernel of ``step_chain``; column i of the (steps, ensemble)
-    azimuth table is chain i's stream.  A state that is no longer finite
-    (|v|^2 overflows near |v| = 1e154) raises InvalidStateError.
+    The steps run in blocks of B = max(1, _BLOCK_CHAIN_STEPS // ensemble).
+    Row i of the chain-major (ensemble, steps) azimuth table is chain i's
+    stream; each block takes the cosines and sines of its B columns at once.
+    Within a block a step only tilts and re-derives u0: the velocities go
+    into component-major (B + 1, 3, ensemble) rows, |v|^2 and u0 into
+    (B + 1, ensemble) rows, row 0 holding the block's incoming link.  The
+    statistics, drift, max_gamma and kept points are then reduced over the
+    whole block, each row in the same order as one step at a time (the points
+    by a cumulative sum from the block's first point), so they and reruns are
+    bit-identical to a step-by-step loop.  A state that is no longer finite
+    (|v|^2 overflows near |v| = 1e154) raises InvalidStateError naming the
+    first such step.
 
     Returns ChainStats, or (ChainStats, points) with chain points of shape
     (ensemble, steps + 2, 4) when keep_chains is set: points[i, k] is the
     k-th point of chain i, starting at the origin.
     """
     E, S = params.ensemble, params.steps
+    B = max(1, _BLOCK_CHAIN_STEPS // E)
     length = math.sqrt(2.0 * params.link_sigma_m)
     cosh_dphi, sinh_dphi = math.cosh(params.deflection), math.sinh(params.deflection)
 
-    azimuths = np.empty((S, E))
+    azimuths = np.empty((E, S))
     for i in range(E):
-        azimuths[:, i] = chain_rng(params.seed, i).uniform(0.0, 2.0 * math.pi, S)
+        azimuths[i] = chain_rng(params.seed, i).uniform(0.0, 2.0 * math.pi, S)
 
-    v = np.zeros((3, E))  # initial link along the time axis, shared by all chains
-    vv, u0 = _gamma(v)
+    # row 0: the initial link along the time axis, shared by all chains
+    v, vv, u0 = np.zeros((B + 1, 3, E)), np.zeros((B + 1, E)), np.ones((B + 1, E))
+    cos_a, sin_a = np.empty((2, B, E))
     mean_t, var_transverse, mean_angle = np.empty((3, S))
     drift = np.zeros(E)
     max_gamma = np.ones(E)
@@ -341,20 +357,32 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
         points = np.zeros((E, S + 2, 4))
         points[:, 1, 0] = length
 
-    for s in range(S):
-        v_next = _tilt(v, u0, cosh_dphi, sinh_dphi, azimuths[s])
-        with np.errstate(over="ignore", invalid="ignore"):  # raised just below
-            vv_next, u0 = _gamma(v_next)
-        mean_t[s] = length * u0.mean()
-        if not math.isfinite(mean_t[s]):
-            raise InvalidStateError(f"chain state overflowed at step {s + 1} (u0 beyond 1e154)")
-        mean_angle[s] = _angle(v, vv, v_next).mean()
-        v, vv = v_next, vv_next
-        var_transverse[s] = length * length * v.var(axis=1).sum()
-        np.maximum(drift, np.abs(u0 * u0 - vv - 1.0) / (u0 * u0), out=drift)
-        np.maximum(max_gamma, u0, out=max_gamma)
+    for s0 in range(0, S, B):
+        b = min(B, S - s0)
+        np.cos(azimuths.T[s0:s0 + b], out=cos_a[:b])
+        np.sin(azimuths.T[s0:s0 + b], out=sin_a[:b])
+        with np.errstate(over="ignore", invalid="ignore"):  # raised after the block
+            for k in range(b):
+                _tilt(v[k], u0[k], cosh_dphi, sinh_dphi, cos_a[k], sin_a[k], out=v[k + 1])
+                _gamma(v[k + 1], vv[k + 1], u0[k + 1])
+        block = slice(s0, s0 + b)
+        v_new, vv_new, u0_new = v[1:b + 1], vv[1:b + 1], u0[1:b + 1]
+        mean_t[block] = length * u0_new.mean(axis=1)
+        finite = np.isfinite(mean_t[block])
+        if not finite.all():
+            raise InvalidStateError(f"chain state overflowed at step {s0 + finite.argmin() + 1} "
+                                    "(u0 beyond 1e154)")
+        mean_angle[block] = _angle(v[:b], vv[:b], v_new).mean(axis=1)
+        var_transverse[block] = length * length * v_new.var(axis=2).sum(axis=1)
+        u0_sq = u0_new * u0_new
+        np.maximum(drift, (np.abs(u0_sq - vv_new - 1.0) / u0_sq).max(axis=0), out=drift)
+        np.maximum(max_gamma, u0_new.max(axis=0), out=max_gamma)
         if keep_chains:
-            np.add(points[:, s + 1], length * np.vstack((u0, v)).T, out=points[:, s + 2])
+            run = points[:, s0 + 1:s0 + b + 2]  # run[:, 0] is the block's first point
+            run[:, 1:, 0] = length * u0_new.T
+            run[:, 1:, 1:] = length * v_new.transpose(2, 0, 1)
+            np.cumsum(run, axis=1, out=run)
+        v[0], vv[0], u0[0] = v[b], vv[b], u0[b]
 
     stats = ChainStats(np.arange(1, S + 1), mean_t, var_transverse, mean_angle, drift, max_gamma)
     return (stats, points) if keep_chains else stats

@@ -31,7 +31,7 @@ from .equivalence import (
     sample_segment_tube,
     solve_equivalent,
 )
-from .errors import WorldFunctionError
+from .errors import InvalidInputError, WorldFunctionError
 from .geometry import Geometry, GeomVector, as_point, relative_density, sigma
 from .objects import Envelope, Skeleton, evaluate_envelope, object_membership
 
@@ -127,6 +127,15 @@ def _count(minimum: int):
             raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
         return value
     return parse
+
+
+def _configured(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on a command's own options: an input that
+    fails its validation is a usage error, not a numerical failure."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidInputError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_points(path: str, dim: int) -> np.ndarray:
@@ -246,9 +255,9 @@ def cmd_eqv_check(args, g):
 
 
 def cmd_eqv_solve(args, g):
-    cfg = SolverConfig(starts=args.starts, max_iter=args.max_iter, tol=args.tol,
-                       dedupe_radius=args.dedupe_radius,
-                       box_half_width=args.box_half_width, seed=args.seed)
+    cfg = _configured(SolverConfig, starts=args.starts, max_iter=args.max_iter, tol=args.tol,
+                      dedupe_radius=args.dedupe_radius,
+                      box_half_width=args.box_half_width, seed=args.seed)
     sol = solve_equivalent(g, parse_point(args.p0), parse_point(args.p1),
                            parse_point(args.q0), cfg)
     return _eqv_result(args, g, sol.to_dict())
@@ -268,9 +277,9 @@ def cmd_eqv_witness(args, g):
 
 
 def cmd_tube(args, g):
-    cfg = TubeSamplerConfig(stations=args.stations, directions=args.directions,
-                            tol=args.tol, seed=args.seed, max_radius=args.max_radius,
-                            scan_points=args.scan_points)
+    cfg = _configured(TubeSamplerConfig, stations=args.stations, directions=args.directions,
+                      tol=args.tol, seed=args.seed, max_radius=args.max_radius,
+                      scan_points=args.scan_points)
     tube = sample_segment_tube(g, parse_point(args.p0), parse_point(args.p1), cfg)
     out_dir = Path(args.out_dir)
     cloud = out_dir / args.out_cloud
@@ -306,7 +315,7 @@ def cmd_object(args, g):
 
 
 def cmd_chain(args, g):
-    params = ChainParams(geometry=g, link_sigma_m=args.link_sigma_m,
+    params = _configured(ChainParams, geometry=g, link_sigma_m=args.link_sigma_m,
                          steps=args.steps, ensemble=args.ensemble, seed=args.seed)
     out_dir = Path(args.out_dir)
     outputs = []
@@ -339,7 +348,7 @@ def cmd_density(args, _g):
     if not (np.isfinite(lo) and np.isfinite(hi) and count >= 0):
         raise UsageError(f"bad grid {args.grid!r}: MIN and MAX must be finite, COUNT >= 0")
     grid = np.linspace(lo, hi, count)
-    rho = relative_density(args.lambda0_sq, args.sigma0, grid)
+    rho = _configured(relative_density, args.lambda0_sq, args.sigma0, grid)
     out = Path(args.out_dir) / args.out
     _write_csv(out, "sigma_g,rho", grid, np.atleast_1d(rho))
     config = {"lambda0_sq": args.lambda0_sq, "sigma0": args.sigma0, "grid": args.grid}
@@ -368,7 +377,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=_count(0), default=0)
         p.add_argument("--out-dir", default=".")
         if tol:
-            p.add_argument("--tol", type=_finite_float, default=1e-9)
+            p.add_argument("--tol", type=_nonnegative_float, default=1e-9)
         p.set_defaults(func=func)
         return p
 
@@ -397,7 +406,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p1", required=True)
     p.add_argument("--stations", type=_count(0), default=TubeSamplerConfig.stations)
     p.add_argument("--directions", type=_count(0), default=TubeSamplerConfig.directions)
-    p.add_argument("--max-radius", type=_finite_float, default=TubeSamplerConfig.max_radius)
+    p.add_argument("--max-radius", type=_nonnegative_float, default=TubeSamplerConfig.max_radius)
     p.add_argument("--scan-points", type=_count(1), default=TubeSamplerConfig.scan_points)
     p.add_argument("--out-cloud", default="tube_cloud.csv")
     p.add_argument("--out-profile", default="tube_profile.csv")

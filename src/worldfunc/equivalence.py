@@ -125,7 +125,7 @@ class SolverConfig(_Config):
     box_half_width: float = 5.0
     seed: int = 0
 
-    _MINIMUMS = {"dedupe_radius": 0.0, "box_half_width": 0.0, "seed": 0}
+    _MINIMUMS = {"tol": 0.0, "dedupe_radius": 0.0, "box_half_width": 0.0, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -610,7 +610,8 @@ class TubeSamplerConfig(_Config):
     max_radius: float | None = None  # default: chart length of the segment
     scan_points: int = 64
 
-    _MINIMUMS = {"stations": 0, "directions": 0, "seed": 0, "scan_points": 1}
+    _MINIMUMS = {"stations": 0, "directions": 0, "tol": 0.0, "seed": 0, "max_radius": 0.0,
+                 "scan_points": 1}
 
 
 @dataclass(frozen=True, eq=False)

@@ -101,8 +101,9 @@ class _Config:
 
     ``from_dict`` reads the fields present in a mapping, each coerced to the
     type of its default (float for an optional field, whose default is None).
-    A non-finite float field, or a field below its entry in ``_MINIMUMS``,
-    raises ``InvalidInputError`` naming the field.
+    A non-finite float field, or a field below its entry in ``_MINIMUMS``
+    (an optional field may also be None), raises ``InvalidInputError``
+    naming the field.
     """
 
     _MINIMUMS = {}  # field name -> smallest value the field may take
@@ -112,7 +113,7 @@ class _Config:
             if isinstance(getattr(self, f.name), float):
                 _finite(f.name, getattr(self, f.name))
         for name, minimum in self._MINIMUMS.items():
-            if getattr(self, name) < minimum:
+            if getattr(self, name) is not None and getattr(self, name) < minimum:
                 raise InvalidInputError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:

@@ -403,7 +403,7 @@ def test_overflowing_ensemble_raises():
     # dphi ~ 5.3 per link: |v| passes 1e154 within a few hundred steps
     params = ChainParams(geometry=Geometry.discrete(50.0), link_sigma_m=0.5,
                          steps=400, ensemble=4, seed=0)
-    with pytest.raises(wf.InvalidStateError, match="overflowed at step"):
+    with pytest.raises(wf.InvalidStateError, match="overflowed at step 82 "):
         wf.simulate_ensemble(params)
 
 
@@ -415,7 +415,8 @@ def test_angle_has_no_cancellation_at_high_boost():
     for scale in (0.0, 1e-3, 1.0, 1e2, 1e4):
         v = rng.normal(size=(3, 50)) * scale
         vv, u0 = _gamma(v)
-        nxt = _tilt(v, u0, math.cosh(dphi), math.sinh(dphi), rng.uniform(0, 2 * math.pi, 50))
+        azimuth = rng.uniform(0, 2 * math.pi, 50)
+        nxt = _tilt(v, u0, math.cosh(dphi), math.sinh(dphi), np.cos(azimuth), np.sin(azimuth))
         got = _angle(v, vv, nxt)
         for i in range(50):
             a = [mpmath.mpf(float(x)) for x in v[:, i]]
@@ -488,3 +489,136 @@ def test_chain_params_serialization_round_trips(kind, lam, sigma0, link_sigma_m,
     back = ChainParams.from_dict(json.loads(json.dumps(d)))
     assert back.to_dict() == d
     assert back.deformation_strength == params.deformation_strength
+
+
+# ---------------------------------------------------------------------------
+# the blocked ensemble loop against the per-step loop
+# ---------------------------------------------------------------------------
+
+def _reference_ensemble(params, keep_chains=False):
+    # the per-step loop that the blocked simulate_ensemble replaced, kept as
+    # reference: an (S, E) azimuth table, every statistic reduced per step
+    from worldfunc.chains import ChainStats, _angle, _gamma, _tilt
+    E, S = params.ensemble, params.steps
+    length = math.sqrt(2.0 * params.link_sigma_m)
+    cosh_dphi, sinh_dphi = math.cosh(params.deflection), math.sinh(params.deflection)
+    azimuths = np.empty((S, E))
+    for i in range(E):
+        azimuths[:, i] = wf.chain_rng(params.seed, i).uniform(0.0, 2.0 * math.pi, S)
+    v = np.zeros((3, E))
+    vv, u0 = _gamma(v)
+    mean_t, var_transverse, mean_angle = np.empty((3, S))
+    drift = np.zeros(E)
+    max_gamma = np.ones(E)
+    points = None
+    if keep_chains:
+        points = np.zeros((E, S + 2, 4))
+        points[:, 1, 0] = length
+    for s in range(S):
+        v_next = _tilt(v, u0, cosh_dphi, sinh_dphi, np.cos(azimuths[s]), np.sin(azimuths[s]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vv_next, u0 = _gamma(v_next)
+        mean_t[s] = length * u0.mean()
+        if not math.isfinite(mean_t[s]):
+            raise wf.InvalidStateError(f"chain state overflowed at step {s + 1} (u0 beyond 1e154)")
+        mean_angle[s] = _angle(v, vv, v_next).mean()
+        v, vv = v_next, vv_next
+        var_transverse[s] = length * length * v.var(axis=1).sum()
+        np.maximum(drift, np.abs(u0 * u0 - vv - 1.0) / (u0 * u0), out=drift)
+        np.maximum(max_gamma, u0, out=max_gamma)
+        if keep_chains:
+            np.add(points[:, s + 1], length * np.vstack((u0, v)).T, out=points[:, s + 2])
+    stats = ChainStats(np.arange(1, S + 1), mean_t, var_transverse, mean_angle, drift, max_gamma)
+    return (stats, points) if keep_chains else stats
+
+
+_STATS_FIELDS = ("step", "mean_t", "var_transverse", "mean_angle", "link_length_drift",
+                 "max_gamma")
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ensemble,budget", [(4, 4 * 5), (1000, None), (3, 3 * 7)])
+def test_overflow_mid_block_names_the_first_non_finite_step(monkeypatch, ensemble, budget):
+    # the overflow falls inside a block of several steps: the steps after it
+    # in that block run on inf/NaN states, and the error still names the step
+    # of the per-step loop
+    from worldfunc import chains
+    if budget is not None:
+        monkeypatch.setattr(chains, "_BLOCK_CHAIN_STEPS", budget)
+    params = ChainParams(geometry=Geometry.discrete(50.0), link_sigma_m=0.5,
+                         steps=400, ensemble=ensemble, seed=0)
+    with pytest.raises(wf.InvalidStateError) as want:
+        _reference_ensemble(params)
+    step = int(str(want.value).split("step ")[1].split()[0])
+    block = max(1, chains._BLOCK_CHAIN_STEPS // ensemble)
+    assert block > 1 and (step - 1) % block != 0  # not the first step of its block
+    with pytest.raises(wf.InvalidStateError) as got:
+        wf.simulate_ensemble(params)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble=st.integers(1, 70), steps=st.integers(1, 300),
+       lam=st.sampled_from([0.0, 1e-5, 0.005, 0.02, 0.3, 50.0]), seed=st.integers(0, 2**32),
+       keep_chains=st.booleans(),
+       budget=st.sampled_from([None, 1, 64, 500]) | st.integers(1, 4000))
+def test_blocked_ensemble_is_bit_identical_to_the_per_step_loop(ensemble, steps, lam, seed,
+                                                               keep_chains, budget):
+    # budget None keeps the module's block size (B >= 117 at 70 chains); the
+    # others make blocks of one step up to whole runs, with a short last block.
+    # At lambda0_sq = 50 the state overflows within ~100 steps: both raise alike
+    from unittest import mock
+    from worldfunc import chains
+    params = ChainParams(geometry=Geometry.discrete(lam) if lam else MINK, link_sigma_m=0.5,
+                         steps=steps, ensemble=ensemble, seed=seed)
+    with mock.patch.object(chains, "_BLOCK_CHAIN_STEPS", budget or chains._BLOCK_CHAIN_STEPS):
+        try:
+            want = _reference_ensemble(params, keep_chains)
+        except wf.InvalidStateError as exc:
+            with pytest.raises(wf.InvalidStateError) as raised:
+                wf.simulate_ensemble(params, keep_chains)
+            assert str(raised.value) == str(exc)
+            return
+        got = wf.simulate_ensemble(params, keep_chains)
+    if keep_chains:
+        (got, got_points), (want, want_points) = got, want
+        _assert_same_bits(got_points, want_points)
+    for name in _STATS_FIELDS:
+        _assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("lam,ensemble,steps", [(0.005, 1000, 40), (0.02, 64, 1000),
+                                                (0.01, 1, 30), (0.01, 3000, 11)])
+def test_blocked_ensemble_matches_the_per_step_loop_at_module_block_size(lam, ensemble, steps):
+    # B = 8, 128, 8192 (one block) and 2 steps per block
+    params = ChainParams(geometry=Geometry.discrete(lam), link_sigma_m=0.5, steps=steps,
+                         ensemble=ensemble, seed=42)
+    (got, got_points) = wf.simulate_ensemble(params, keep_chains=True)
+    (want, want_points) = _reference_ensemble(params, keep_chains=True)
+    _assert_same_bits(got_points, want_points)
+    for name in _STATS_FIELDS:
+        _assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def test_ensemble_statistics_do_not_depend_on_chain_order(monkeypatch):
+    # permuting the per-chain streams permutes the per-chain outputs exactly;
+    # the ensemble means and variances only reassociate their sums
+    from worldfunc import chains
+    params = ChainParams(geometry=Geometry.discrete(0.005), link_sigma_m=0.5, steps=200,
+                         ensemble=300, seed=7)
+    stats, points = wf.simulate_ensemble(params, keep_chains=True)
+    perm = np.random.default_rng(3).permutation(params.ensemble)
+    chain_rng = chains.chain_rng
+    monkeypatch.setattr(chains, "chain_rng", lambda seed, i: chain_rng(seed, int(perm[i])))
+    shuffled, shuffled_points = wf.simulate_ensemble(params, keep_chains=True)
+    assert not np.array_equal(perm, np.arange(params.ensemble))
+    _assert_same_bits(shuffled_points, points[perm])
+    _assert_same_bits(shuffled.link_length_drift, stats.link_length_drift[perm])
+    _assert_same_bits(shuffled.max_gamma, stats.max_gamma[perm])
+    for name in ("mean_t", "var_transverse", "mean_angle"):
+        np.testing.assert_allclose(getattr(shuffled, name), getattr(stats, name),
+                                   rtol=1e-12, atol=0)

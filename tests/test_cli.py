@@ -210,6 +210,56 @@ def test_non_finite_config_is_a_usage_error(tmp_path, capsys, monkeypatch, argv)
     assert not (tmp_path / "out").exists()
 
 
+_CHECK_SAME = ["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0",
+               "--a-end", "1,0,0,0", "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0"]
+
+
+@pytest.mark.parametrize("argv", [
+    _CHECK_SAME + ["--tol", "-1"],
+    ["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "0,1,0,0",
+     "--q0", "0,0,0,0", "--tol", "-1", "--starts", "4"],
+    ["eqv", "witness", "--geometry", "minkowski", "--tol=-1e-9"],
+    ["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0", "--p1", "2,0,0,0",
+     "--tol", "-1"],
+    ["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0", "--p1", "2,0,0,0",
+     "--max-radius", "-1"],
+    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--tol", "-1"],
+])
+def test_negative_tolerance_or_radius_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+    assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eqv_check_is_reflexive_at_zero_tolerance(tmp_path, capsys):
+    assert run(_CHECK_SAME + ["--tol", "0", "--out-dir", tmp_path]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalent"] is True
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["chain", "--geometry", "minkowski", "--link-sigma-m", "0", "--steps", "3"],
+     "link_sigma_m must be positive"),
+    (["chain", "--geometry", "euclidean:dim=3", "--link-sigma-m", "0.5", "--steps", "3"],
+     "needs a Minkowski-substrate geometry"),
+    (["density", "--lambda0-sq", "-0.01", "--sigma0", "0.03", "--grid=-0.1:0.1:5"],
+     "lambda0_sq must be >= 0"),
+])
+def test_invalid_command_configuration_is_a_usage_error(tmp_path, capsys, argv, message):
+    # the library's InvalidInputError on a command's own options exits 1, not 2
+    assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_chain_is_a_numerical_failure(tmp_path, capsys):
+    assert run(["chain", "--geometry", "discrete:lambda0_sq=50", "--link-sigma-m", "0.5",
+                "--steps", "400", "--ensemble", "4", "--out-dir", tmp_path / "out"]) == 2
+    assert "overflowed at step 82" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 _TUBE = ["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0", "--p1", "2,0,0,0"]
 _CHAIN = ["chain", "--geometry", "minkowski", "--link-sigma-m", "0.5"]
 _SOLVE = ["eqv", "solve", "--geometry", "discrete:lambda0_sq=0.01", "--p0", "0,0,0,0",
@@ -485,13 +535,13 @@ def test_density_command(tmp_path):
     assert rho[-0.05] == 1.0 and rho[0.0] == 0.75 and rho[0.025] == 0.75
 
 
-# non-finite parameters are usage errors (test_non_finite_config_is_a_usage_error);
-# a negative one is rejected by relative_density itself
+# non-finite parameters are rejected at parse time (test_non_finite_config_is_a_usage_error);
+# a negative one by relative_density's validation, which is a usage error too
 @pytest.mark.parametrize("lam,s0", [("-0.01", "0.03")])
-def test_density_bad_parameters_exit_2(tmp_path, lam, s0):
+def test_density_bad_parameters_exit_1(tmp_path, lam, s0):
     assert run(["density", "--lambda0-sq", lam, "--sigma0", s0,
-                "--grid=-0.1:0.1:5", "--out-dir", tmp_path]) == 2
-    assert not list(tmp_path.glob("*.csv"))
+                "--grid=-0.1:0.1:5", "--out-dir", tmp_path]) == 1
+    assert not list(tmp_path.glob("*"))
 
 
 def test_density_bad_grid_exits_1(tmp_path):

@@ -419,6 +419,23 @@ def test_config_rejects_non_finite_floats(cls, field, value):
         cls.from_dict({field: str(value)})
 
 
+@pytest.mark.parametrize("cls,field", [(SolverConfig, "tol"), (TubeSamplerConfig, "tol"),
+                                       (TubeSamplerConfig, "max_radius")])
+def test_config_rejects_negative_tolerance_and_radius(cls, field):
+    with pytest.raises(wf.InvalidInputError, match=f"{field} must be >= 0"):
+        cls(**{field: -1e-12})
+    with pytest.raises(wf.InvalidInputError, match=f"{field} must be >= 0"):
+        cls.from_dict({field: "-1"})
+    assert getattr(cls(**{field: 0.0}), field) == 0.0
+
+
+def test_tube_max_radius_may_be_none_or_zero():
+    assert TubeSamplerConfig(max_radius=None).max_radius is None
+    tube = wf.sample_segment_tube(Geometry.discrete(0.02), ORIGIN4, (2, 0, 0, 0),
+                                  TubeSamplerConfig(stations=5, directions=4, max_radius=0.0))
+    assert np.isnan(tube.radii[1:-1]).all()
+
+
 # ---------------------------------------------------------------------------
 # solver internals: Jacobian, pseudo-inverse, dedupe
 # ---------------------------------------------------------------------------
@@ -1123,13 +1140,12 @@ def test_segment_members_are_line_members_euclidean():
 # configuration round trips
 # ---------------------------------------------------------------------------
 
-_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 _INTS = st.integers(0, 2**63)
 
 
 @settings(max_examples=100, deadline=None)
-@given(starts=_INTS, max_iter=_INTS, tol=_FLOATS, dedupe_radius=_NONNEGATIVE,
+@given(starts=_INTS, max_iter=_INTS, tol=_NONNEGATIVE, dedupe_radius=_NONNEGATIVE,
        box_half_width=_NONNEGATIVE, seed=_INTS)
 def test_solver_config_serialization_round_trips(**fields):
     cfg = SolverConfig(**fields)
@@ -1137,8 +1153,8 @@ def test_solver_config_serialization_round_trips(**fields):
 
 
 @settings(max_examples=100, deadline=None)
-@given(stations=_INTS, directions=_INTS, tol=_FLOATS, seed=_INTS,
-       max_radius=st.none() | _FLOATS, scan_points=st.integers(1, 2**63))
+@given(stations=_INTS, directions=_INTS, tol=_NONNEGATIVE, seed=_INTS,
+       max_radius=st.none() | _NONNEGATIVE, scan_points=st.integers(1, 2**63))
 def test_tube_sampler_config_serialization_round_trips(**fields):
     cfg = TubeSamplerConfig(**fields)
     assert TubeSamplerConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
