@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError, WorldFunctionError
-from .geometry import Geometry, UnitConstants, _Config, _mdot, _sigma_m, as_point, deformation_value
+from .geometry import (Geometry, UnitConstants, _Config, _finite, _integral, _mdot, _sigma_m,
+                       as_point, deformation_value)
 from .equivalence import _skeleton_pair_reports
 from .objects import Skeleton
 
@@ -98,9 +99,8 @@ class ChainParams(_Config):
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChainParams":
-        return cls(geometry=Geometry.from_dict(d["geometry"]),
-                   link_sigma_m=float(d["link_sigma_m"]), steps=int(d["steps"]),
-                   ensemble=int(d.get("ensemble", 1)), seed=int(d.get("seed", 0)))
+        return cls(geometry=Geometry.from_dict(d["geometry"]), link_sigma_m=float(d["link_sigma_m"]),
+                   **{k: _integral(k, d[k]) for k in ("steps", "ensemble", "seed") if k in d})
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,16 +139,14 @@ class ChainStats:
 
 def deflection_angle(d: float, sigma_m_link: float) -> float:
     """Hyperbolic tilt per link: 2 asinh(sqrt(d / (2 sigma_M))), d >= 0."""
-    if not sigma_m_link > 0:
+    if not _finite("sigma_m_link", sigma_m_link) > 0:
         raise InvalidInputError("sigma_m_link must be positive")
-    if d < 0:
-        raise InvalidInputError("deformation strength must be non-negative")
-    return 2.0 * math.asinh(math.sqrt(d / (2.0 * sigma_m_link)))
+    return 2.0 * math.asinh(math.sqrt(_finite("d", d, 0.0) / (2.0 * sigma_m_link)))
 
 
 def particle_mass(units: UnitConstants, two_sigma_link: float) -> float:
     """Geometric mass m = b * mu with mu = sqrt(2 sigma) the invariant link length."""
-    if not two_sigma_link > 0:
+    if not _finite("two_sigma_link", two_sigma_link) > 0:
         raise InvalidInputError("two_sigma_link must be positive")
     return units.b * math.sqrt(two_sigma_link)
 
@@ -161,7 +159,7 @@ def particle_mass_inverse_convention(units: UnitConstants, two_sigma_m_link: flo
     The two mass formulas use opposite roles for b; both are exposed and no
     attempt is made to reconcile the conventions.
     """
-    arg = two_sigma_m_link + units.hbar / (units.b * units.c)
+    arg = _finite("two_sigma_m_link", two_sigma_m_link) + units.hbar / (units.b * units.c)
     if not arg > 0:
         raise InvalidInputError("mass argument must be positive")
     return math.sqrt(arg) / units.b
@@ -294,6 +292,7 @@ def verify_link_equivalence(g: Geometry, chain: WorldChain, tol: float = 1e-9) -
     ``is_equivalent`` calls bit for bit.  Accepts arbitrary skeleton sizes, so
     externally produced composite-particle chains can be validated too.
     """
+    _finite("tol", tol, 0.0)
     if not g.has_minkowski_substrate:
         raise WorldFunctionError("link verification needs a Minkowski-substrate geometry")
     pts = np.array([link.points for link in chain.links])  # (links, size, dim)

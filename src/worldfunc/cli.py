@@ -1,10 +1,11 @@
 """Command-line frontend: desk experiments on world-function geometries.
 
-Every command resolves its full configuration, honors --seed, writes CSV/JSON
-outputs with round-trip decimal precision and emits a run manifest with
-sha256 digests, so a run can be reproduced bit for bit from the manifest.
+Every command resolves its full configuration, writes CSV/JSON outputs with
+round-trip decimal precision and emits a run manifest with sha256 digests, so
+a run can be reproduced bit for bit from the manifest.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure.
+Exit codes: 0 success; 1 a usage error or an input the library rejects
+(InvalidInputError); 2 any other WorldFunctionError, a numerical failure.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .equivalence import (
     solve_equivalent,
 )
 from .errors import InvalidInputError, WorldFunctionError
-from .geometry import Geometry, GeomVector, as_point, relative_density, sigma
+from .geometry import Geometry, GeomVector, _finite, as_point, relative_density, sigma
 from .objects import Envelope, Skeleton, evaluate_envelope, object_membership
 
 
@@ -95,47 +96,6 @@ def parse_point(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad point {text!r}: {exc}") from exc
-
-
-def _finite_float(text: str) -> float:
-    """argparse type of a float option that must be finite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    """argparse type of a float option that must be finite and >= 0."""
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
-def _count(minimum: int):
-    """argparse type of an integer count option that must be >= minimum."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
-        return value
-    return parse
-
-
-def _configured(build, *args, **kwargs):
-    """``build(*args, **kwargs)`` on a command's own options: an input that
-    fails its validation is a usage error, not a numerical failure."""
-    try:
-        return build(*args, **kwargs)
-    except InvalidInputError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _load_points(path: str, dim: int) -> np.ndarray:
@@ -255,9 +215,9 @@ def cmd_eqv_check(args, g):
 
 
 def cmd_eqv_solve(args, g):
-    cfg = _configured(SolverConfig, starts=args.starts, max_iter=args.max_iter, tol=args.tol,
-                      dedupe_radius=args.dedupe_radius,
-                      box_half_width=args.box_half_width, seed=args.seed)
+    cfg = SolverConfig(starts=args.starts, max_iter=args.max_iter, tol=args.tol,
+                       dedupe_radius=args.dedupe_radius, box_half_width=args.box_half_width,
+                       seed=args.seed)
     sol = solve_equivalent(g, parse_point(args.p0), parse_point(args.p1),
                            parse_point(args.q0), cfg)
     return _eqv_result(args, g, sol.to_dict())
@@ -277,9 +237,9 @@ def cmd_eqv_witness(args, g):
 
 
 def cmd_tube(args, g):
-    cfg = _configured(TubeSamplerConfig, stations=args.stations, directions=args.directions,
-                      tol=args.tol, seed=args.seed, max_radius=args.max_radius,
-                      scan_points=args.scan_points)
+    cfg = TubeSamplerConfig(stations=args.stations, directions=args.directions, tol=args.tol,
+                            seed=args.seed, max_radius=args.max_radius,
+                            scan_points=args.scan_points)
     tube = sample_segment_tube(g, parse_point(args.p0), parse_point(args.p1), cfg)
     out_dir = Path(args.out_dir)
     cloud = out_dir / args.out_cloud
@@ -293,6 +253,10 @@ def cmd_tube(args, g):
 
 
 def cmd_object(args, g):
+    for name in ("random", "seed"):
+        if getattr(args, name) < 0:
+            raise UsageError(f"--{name} must be an integer >= 0, got {getattr(args, name)}")
+    _finite("--box-half-width", args.box_half_width, 0.0)
     sk = Skeleton(tuple(np.asarray(p, dtype=float) for p in _load_json(args.skeleton)))
     env = Envelope.cylinder() if args.envelope == "cylinder" \
         else Envelope.from_dict(_load_json(args.envelope))
@@ -315,8 +279,8 @@ def cmd_object(args, g):
 
 
 def cmd_chain(args, g):
-    params = _configured(ChainParams, geometry=g, link_sigma_m=args.link_sigma_m,
-                         steps=args.steps, ensemble=args.ensemble, seed=args.seed)
+    params = ChainParams(geometry=g, link_sigma_m=args.link_sigma_m, steps=args.steps,
+                         ensemble=args.ensemble, seed=args.seed)
     out_dir = Path(args.out_dir)
     outputs = []
     if args.raw:
@@ -348,7 +312,7 @@ def cmd_density(args, _g):
     if not (np.isfinite(lo) and np.isfinite(hi) and count >= 0):
         raise UsageError(f"bad grid {args.grid!r}: MIN and MAX must be finite, COUNT >= 0")
     grid = np.linspace(lo, hi, count)
-    rho = _configured(relative_density, args.lambda0_sq, args.sigma0, grid)
+    rho = relative_density(args.lambda0_sq, args.sigma0, grid)
     out = Path(args.out_dir) / args.out
     _write_csv(out, "sigma_g,rho", grid, np.atleast_1d(rho))
     config = {"lambda0_sq": args.lambda0_sq, "sigma0": args.sigma0, "grid": args.grid}
@@ -367,74 +331,74 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"worldfunc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subparsers, name, func, help, geometry=True, tol=False):
+    def command(subparsers, name, func, help, geometry=True, seed=True, tol=True):
         """A command's parser with those of the shared options that it reads."""
         p = subparsers.add_parser(name, help=help)
         if geometry:
             p.add_argument("--geometry", required=True,
                            help="euclidean:dim=N | minkowski | discrete:lambda0_sq=X | "
                                 "grainy:lambda0_sq=X,sigma0=Y | deformed:file=F.json | @spec.json")
-        p.add_argument("--seed", type=_count(0), default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=".")
         if tol:
-            p.add_argument("--tol", type=_nonnegative_float, default=1e-9)
+            p.add_argument("--tol", type=float, default=1e-9)
         p.set_defaults(func=func)
         return p
 
-    p = command(sub, "sigma", cmd_sigma, "table of world-function values for a point file")
+    p = command(sub, "sigma", cmd_sigma, "table of world-function values for a point file",
+                seed=False, tol=False)
     p.add_argument("--points", required=True, help="JSON file with an array of points")
     p.add_argument("--out", default="sigma.csv")
 
     eqv = sub.add_parser("eqv", help="equivalence check / solve / intransitivity witness")
     modes = eqv.add_subparsers(dest="mode", required=True)
-    p = command(modes, "check", cmd_eqv_check, "test two vectors for equivalence", tol=True)
+    p = command(modes, "check", cmd_eqv_check, "test two vectors for equivalence", seed=False)
     for name in ("--a-origin", "--a-end", "--b-origin", "--b-end"):
         p.add_argument(name, required=True)
-    p = command(modes, "solve", cmd_eqv_solve, "end points Q1 with Q0Q1 equivalent to P0P1",
-                tol=True)
+    p = command(modes, "solve", cmd_eqv_solve, "end points Q1 with Q0Q1 equivalent to P0P1")
     for name in ("--p0", "--p1", "--q0"):
         p.add_argument(name, required=True)
-    p.add_argument("--starts", type=_count(1), default=SolverConfig.starts)
-    p.add_argument("--max-iter", type=_count(0), default=SolverConfig.max_iter)
-    p.add_argument("--dedupe-radius", type=_nonnegative_float, default=SolverConfig.dedupe_radius)
-    p.add_argument("--box-half-width", type=_nonnegative_float, default=SolverConfig.box_half_width)
-    p = command(modes, "witness", cmd_eqv_witness, "search for an intransitive triple", tol=True)
-    p.add_argument("--budget", type=_count(0), default=10000)
+    p.add_argument("--starts", type=int, default=SolverConfig.starts)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--dedupe-radius", type=float, default=SolverConfig.dedupe_radius)
+    p.add_argument("--box-half-width", type=float, default=SolverConfig.box_half_width)
+    p = command(modes, "witness", cmd_eqv_witness, "search for an intransitive triple")
+    p.add_argument("--budget", type=int, default=10000)
 
-    p = command(sub, "tube", cmd_tube, "sample a segment as a tube", tol=True)
+    p = command(sub, "tube", cmd_tube, "sample a segment as a tube")
     p.add_argument("--p0", required=True)
     p.add_argument("--p1", required=True)
-    p.add_argument("--stations", type=_count(0), default=TubeSamplerConfig.stations)
-    p.add_argument("--directions", type=_count(0), default=TubeSamplerConfig.directions)
-    p.add_argument("--max-radius", type=_nonnegative_float, default=TubeSamplerConfig.max_radius)
-    p.add_argument("--scan-points", type=_count(1), default=TubeSamplerConfig.scan_points)
+    p.add_argument("--stations", type=int, default=TubeSamplerConfig.stations)
+    p.add_argument("--directions", type=int, default=TubeSamplerConfig.directions)
+    p.add_argument("--max-radius", type=float, default=TubeSamplerConfig.max_radius)
+    p.add_argument("--scan-points", type=int, default=TubeSamplerConfig.scan_points)
     p.add_argument("--out-cloud", default="tube_cloud.csv")
     p.add_argument("--out-profile", default="tube_profile.csv")
 
-    p = command(sub, "object", cmd_object, "probe membership of a skeleton/envelope object",
-                tol=True)
+    p = command(sub, "object", cmd_object, "probe membership of a skeleton/envelope object")
     p.add_argument("--skeleton", required=True, help="JSON file with skeleton points")
     p.add_argument("--envelope", default="cylinder",
                    help="'cylinder' or a JSON expression file")
     p.add_argument("--probes", help="JSON file with probe points")
-    p.add_argument("--random", type=_count(0), default=1000,
+    p.add_argument("--random", type=int, default=1000,
                    help="number of random probes when --probes is absent")
-    p.add_argument("--box-half-width", type=_nonnegative_float, default=2.0)
+    p.add_argument("--box-half-width", type=float, default=2.0)
     p.add_argument("--out", default="object_probes.csv")
 
-    p = command(sub, "chain", cmd_chain, "simulate a world-chain ensemble")
-    p.add_argument("--link-sigma-m", type=_finite_float, required=True,
+    p = command(sub, "chain", cmd_chain, "simulate a world-chain ensemble", tol=False)
+    p.add_argument("--link-sigma-m", type=float, required=True,
                    help="Minkowski world function per link (2 sigma_M = squared length)")
-    p.add_argument("--steps", type=_count(1), required=True)
-    p.add_argument("--ensemble", type=_count(1), default=1)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--ensemble", type=int, default=1)
     p.add_argument("--raw", action="store_true", help="also write raw chain points")
     p.add_argument("--out-stats", default="chain_stats.csv")
     p.add_argument("--out-raw", default="chains.csv")
 
     p = command(sub, "density", cmd_density, "relative point density over a sigma_g grid",
-                geometry=False)
-    p.add_argument("--lambda0-sq", type=_finite_float, required=True)
-    p.add_argument("--sigma0", type=_finite_float, required=True)
+                geometry=False, seed=False, tol=False)
+    p.add_argument("--lambda0-sq", type=float, required=True)
+    p.add_argument("--sigma0", type=float, required=True)
     p.add_argument("--grid", required=True, help="MIN:MAX:COUNT")
     p.add_argument("--out", default="density.csv")
 
@@ -448,10 +412,11 @@ def main(argv=None) -> int:
         g = parse_geometry(args.geometry) if "geometry" in args else None
         config, outputs, message, extras = args.func(args, g)
         command = f"eqv_{args.mode}" if args.command == "eqv" else args.command
-        _write_manifest(Path(args.out_dir), command, config, args.seed, outputs, started, extras)
+        _write_manifest(Path(args.out_dir), command, config, vars(args).get("seed"), outputs,
+                        started, extras)
         print(message)
         return 0
-    except UsageError as exc:
+    except (UsageError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except WorldFunctionError as exc:

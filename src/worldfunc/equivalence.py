@@ -39,6 +39,7 @@ from .geometry import (
     Geometry,
     GeomVector,
     _Config,
+    _finite,
     _scalar_product_arrays,
     as_point,
     scalar_product,
@@ -81,7 +82,14 @@ class EquivalenceReport:
 
 
 def is_equivalent(g: Geometry, a: GeomVector, b: GeomVector, tol: float = 1e-9) -> EquivalenceReport:
-    """Joint parallelism + equal-length test; reflexive and symmetric by construction."""
+    """Joint parallelism + equal-length test; reflexive and symmetric by construction.
+
+    It sees the float light cone, not the exact one: in ``Geometry.discrete(0.01)``
+    the exactly null vector (0,0,0,0) -> (0.3,0.1,0.2,0.2) has float sigma_M =
+    -1.4e-17, so sigma_d = -0.01, and its translate by (0.1,0,0,0) has sigma_M =
+    0 and sigma_d = 0: the two are not equivalent, residual_length = -2 lambda0_sq.
+    """
+    _finite("tol", tol, 0.0)
     eq, r_par, r_len, scale = _equivalence_residuals(g, a.origin, a.end, b.origin, b.end, tol)
     return EquivalenceReport(bool(eq), float(r_par), float(r_len), float(scale), tol)
 
@@ -125,7 +133,8 @@ class SolverConfig(_Config):
     box_half_width: float = 5.0
     seed: int = 0
 
-    _MINIMUMS = {"tol": 0.0, "dedupe_radius": 0.0, "box_half_width": 0.0, "seed": 0}
+    _MINIMUMS = {"starts": 1, "max_iter": 0, "tol": 0.0, "dedupe_radius": 0.0,
+                 "box_half_width": 0.0, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -399,11 +408,10 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     radius = cfg.dedupe_radius * chart_scale
 
     rng = np.random.default_rng(cfg.seed)
-    starts = np.empty((max(1, cfg.starts), g.dim))
+    starts = np.empty((cfg.starts, g.dim))
     starts[0] = q0 + u  # translation guess: exact in Euclidean and Minkowski
-    if cfg.starts > 1:
-        starts[1:] = q0 + rng.uniform(-cfg.box_half_width, cfg.box_half_width,
-                                      size=(cfg.starts - 1, g.dim))
+    starts[1:] = q0 + rng.uniform(-cfg.box_half_width, cfg.box_half_width,
+                                  size=(cfg.starts - 1, g.dim))
 
     X, res, conv, stalled, doubled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
     if not conv.any():
@@ -452,6 +460,7 @@ def minkowski_spacelike_family(y: GeomVector, alpha: float, n_hat,
     continuous F; a jump of F at 0 (the discrete shift) can amplify the
     last-ulp rounding of |n|^2 into a finite parallel residual.
     """
+    _finite("tol", tol, 0.0)
     if y.dim != 4:
         raise InvalidInputError("the spacelike family lives in the 4-d Minkowski chart")
     if squared_length(_MINKOWSKI, y) >= 0:
@@ -487,6 +496,9 @@ def find_intransitivity_witness(g: Geometry, seed: int = 0, budget: int = 10000,
     honestly exhausts the budget.  Deterministic for a given seed; returns the
     first witness in draw order, or None when the budget is spent.
     """
+    _finite("budget", budget, 0.0)
+    _finite("seed", seed, 0.0)
+    _finite("tol", tol, 0.0)
     rng = np.random.default_rng(seed)
     low = np.array([-1.0, -1.0, -2.0, -2.0])[:, None]  # Euclidean origin, end offset, shifts
     for start in range(0, budget, _WITNESS_BLOCK):
@@ -551,6 +563,7 @@ class CollinearityReport:
 
 def is_collinear(g: Geometry, a: GeomVector, b: GeomVector, tol: float = 1e-9) -> CollinearityReport:
     """Gram-determinant collinearity: |a|^2 |b|^2 - (a.b)^2 = 0."""
+    _finite("tol", tol, 0.0)
     two_a = squared_length(g, a)
     two_b = squared_length(g, b)
     ab = scalar_product(g, a, b)
@@ -567,8 +580,6 @@ def line_membership(g: Geometry, q0, direction: GeomVector, r, tol: float = 1e-9
     """
     if np.array_equal(direction.origin, direction.end):
         raise InvalidInputError("direction vector must have distinct points")
-    q0 = as_point(q0, dim=g.dim)
-    r = as_point(r, dim=g.dim)
     return is_collinear(g, GeomVector(q0, r), direction, tol).collinear
 
 
@@ -586,7 +597,11 @@ def segment_membership(g: Geometry, p0, p1, r, tol: float = 1e-9) -> SegmentRepo
 
     Points where any sigma is negative (see ``triangle_defect``) are out of
     the real-distance domain and reported as non-members with in_domain = False.
+    On the light cone the float sigma_M decides (see ``is_equivalent``): in
+    ``Geometry.discrete(0.01)`` r = (0.3,0.1,0.2,0.2) is out of the domain of
+    p0 = (0,0,0,0), p1 = (2,0,0,0), and translated by (0.1,0,0,0) all three are in.
     """
+    _finite("tol", tol, 0.0)
     p0 = as_point(p0, dim=g.dim)
     p1 = as_point(p1, dim=g.dim)
     r = as_point(r, dim=g.dim)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,8 +100,8 @@ class GeomVector:
 class _Config:
     """Dict round trip and field checks of a frozen config dataclass.
 
-    ``from_dict`` reads the fields present in a mapping, each coerced to the
-    type of its default (float for an optional field, whose default is None).
+    ``from_dict`` reads the fields present in a mapping, an int field through
+    ``_integral`` and any other as a float (or None for an optional field).
     A non-finite float field, or a field below its entry in ``_MINIMUMS``
     (an optional field may also be None), raises ``InvalidInputError``
     naming the field.
@@ -110,11 +111,9 @@ class _Config:
 
     def __post_init__(self):
         for f in fields(self):
-            if isinstance(getattr(self, f.name), float):
-                _finite(f.name, getattr(self, f.name))
-        for name, minimum in self._MINIMUMS.items():
-            if getattr(self, name) is not None and getattr(self, name) < minimum:
-                raise InvalidInputError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
+            v = getattr(self, f.name)
+            if isinstance(v, float) or (f.name in self._MINIMUMS and v is not None):
+                _finite(f.name, v, self._MINIMUMS.get(f.name, -math.inf))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -125,9 +124,9 @@ class _Config:
             raise InvalidInputError(f"{cls.__name__} needs a mapping, got {type(d).__name__}")
 
         def coerce(f, v):
-            if f.default is None:
-                return None if v is None else float(v)
-            return type(f.default)(v)
+            if isinstance(f.default, int):
+                return _integral(f.name, v)
+            return None if v is None and f.default is None else float(v)
         return cls(**{f.name: coerce(f, d[f.name]) for f in fields(cls) if f.name in d})
 
 
@@ -162,10 +161,23 @@ def _finish(value):
 def _finite(name: str, value, minimum: float = -math.inf) -> float:
     v = float(value)
     if not math.isfinite(v):
-        raise InvalidInputError(f"{name} must be finite, got {v}")
+        raise InvalidInputError(f"{name} must be finite, got {value}")
     if v < minimum:
-        raise InvalidInputError(f"{name} must be >= {minimum:g}, got {v}")
+        raise InvalidInputError(f"{name} must be >= {minimum:g}, got {value}")
     return v + 0.0  # -0.0 becomes 0.0
+
+
+def _integral(name: str, value) -> int:
+    """The value of an integer field: an int, or a float or string holding an
+    integral number ("9", 4.0).  A bool, a fraction or any other value
+    raises InvalidInputError naming the field."""
+    try:
+        number = None if isinstance(value, bool) else Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number.denominator != 1:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(number)
 
 
 class DeformationFunction:
@@ -298,7 +310,7 @@ class Geometry:
 
     @classmethod
     def euclidean(cls, dim: int, units: UnitConstants | None = None) -> "Geometry":
-        return cls(int(dim), units=units or UnitConstants())
+        return cls(_integral("dim", dim), units=units or UnitConstants())
 
     @classmethod
     def minkowski(cls, units: UnitConstants | None = None) -> "Geometry":
@@ -366,7 +378,7 @@ class Geometry:
         kind = d.get("kind")
         units = UnitConstants.from_dict(d.get("units", {}))
         if kind == "euclidean":
-            return cls.euclidean(int(d.get("dim", 3)), units=units)
+            return cls.euclidean(d.get("dim", 3), units=units)
         if kind == "minkowski":
             return cls.minkowski(units=units)
         if kind == "discrete":
@@ -530,6 +542,7 @@ def check_triangle_axiom(g: Geometry, triples, tol: float = 1e-9) -> list[Triang
     axiom concerns real distances only); otherwise the axiom holds iff
     slack >= -tol.
     """
+    _finite("tol", tol, 0.0)
     arr = np.asarray(triples, dtype=float)
     if arr.ndim == 2:
         arr = arr[None, ...]
@@ -585,6 +598,7 @@ def euclidean_angle(g: Geometry, a: GeomVector, b: GeomVector, tol: float = 1e-9
     A ratio beyond [-1 - tol, 1 + tol] means the geometry is outside the
     Euclidean regime at these vectors; that raises rather than clamping.
     """
+    _finite("tol", tol, 0.0)
     two_a = squared_length(g, a)
     two_b = squared_length(g, b)
     if two_a <= 0 or two_b <= 0:

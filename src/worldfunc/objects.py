@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EnvelopeEvalError, InvalidInputError
 from .equivalence import EquivalenceReport, _skeleton_pair_reports
-from .geometry import Geometry, _finish, as_point, sigma
+from .geometry import Geometry, _finish, _finite, as_point, sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +103,7 @@ class Envelope:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Envelope":
-        if d.get("op") == "cylinder":
+        if isinstance(d, dict) and d.get("op") == "cylinder":
             return cls.cylinder()
         return cls("expression", _node_from_dict(d))
 
@@ -118,18 +118,22 @@ def _node_to_dict(node) -> dict:
     raise InvalidInputError(f"not an envelope node: {node!r}")
 
 
-def _node_from_dict(d: dict):
-    op = d.get("op")
-    if op == "sigma":
-        pts = d.get("points") or d.get("args")
-        if not pts or len(pts) != 2:
-            raise InvalidInputError("sigma node needs two point labels")
-        return SigmaTerm(str(pts[0]), str(pts[1]))
-    if op == "const":
-        return Const(float(d["value"]))
-    if op in ("+", "-", "*", "/"):
-        return Op(op, tuple(_node_from_dict(a) for a in d.get("args", ())))
-    raise InvalidInputError(f"unknown envelope op {op!r}")
+def _node_from_dict(d: dict, path: str = ""):
+    """The node of d; a malformed one raises InvalidInputError naming its path."""
+    try:
+        op = d.get("op")
+        if op == "sigma":
+            a, b = d.get("points") or d.get("args")
+            return SigmaTerm(str(a), str(b))
+        if op == "const":
+            return Const(float(d["value"]))
+        args = list(d.get("args", ())) if op in ("+", "-", "*", "/") else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"malformed envelope node at {path or '/'}: {type(exc).__name__}: {exc}") from exc
+    if args is None:
+        raise InvalidInputError(f"unknown envelope op {op!r} at {path or '/'}")
+    return Op(op, tuple(_node_from_dict(a, f"{path}/args[{i}]") for i, a in enumerate(args)))
 
 
 def _eval_node(node, lookup, path):
@@ -205,6 +209,7 @@ def object_membership(g: Geometry, sk: Skeleton, env: Envelope, r, tol: float = 
 
     Batched running points yield a boolean array.
     """
+    _finite("tol", tol, 0.0)
     values = evaluate_envelope(g, sk, env, r)
     inside = np.abs(values) <= tol * _membership_scale(g, sk, env)
     return bool(inside) if np.ndim(inside) == 0 else inside
@@ -239,9 +244,7 @@ def cylinder_envelope(g: Geometry, p0, p1, q, r):
 
     r may carry batch axes.
     """
-    p0 = as_point(p0, dim=g.dim)
-    p1 = as_point(p1, dim=g.dim)
-    if np.array_equal(p0, p1):
+    if np.array_equal(p0, p1):  # gram_F2 checks the points
         raise InvalidInputError("cylinder axis needs two distinct points")
     return _finish(np.asarray(gram_F2(g, p0, p1, q)) - np.asarray(gram_F2(g, p0, p1, r)))
 
@@ -267,6 +270,7 @@ def skeletons_equivalent(g: Geometry, a: Skeleton, b: Skeleton,
     All pairs i < k are tested in one batched call (i > k follows by
     symmetry, i = k trivially); the report localizes every failing pair.
     """
+    _finite("tol", tol, 0.0)
     if len(a) != len(b):
         raise InvalidInputError(f"skeleton sizes differ: {len(a)} vs {len(b)}")
     _, (reports,) = _skeleton_pair_reports(g, np.asarray(a.points), np.asarray(b.points), tol)

@@ -62,11 +62,23 @@ def test_deflection_rejects_bad_arguments():
         wf.deflection_angle(-0.01, 0.5)
 
 
+@pytest.mark.parametrize("d,sigma_m", [(math.nan, 0.5), (math.inf, 0.5), (0.01, math.inf),
+                                       (0.01, math.nan)])
+def test_deflection_rejects_non_finite_arguments(d, sigma_m):
+    # deflection_angle(nan, 0.5) returned nan, deflection_angle(0.01, inf) returned 0.0
+    with pytest.raises(wf.InvalidInputError, match="must be finite"):
+        wf.deflection_angle(d, sigma_m)
+
+
 def test_particle_mass():
     assert wf.particle_mass(UnitConstants(b=1.0), 1.0) == 1.0
     assert wf.particle_mass(UnitConstants(b=2.0), 1.0) == 2.0
     with pytest.raises(wf.InvalidInputError):
         wf.particle_mass(UnitConstants(), 0.0)
+    # an infinite link length used to give an infinite mass
+    for two_sigma in (math.inf, math.nan):
+        with pytest.raises(wf.InvalidInputError, match="two_sigma_link must be finite"):
+            wf.particle_mass(UnitConstants(), two_sigma)
 
 
 def test_particle_mass_inverse_convention():
@@ -352,6 +364,17 @@ def test_chain_params_roundtrip_and_derived():
     assert back.link_sigma_m == 0.5 and back.geometry.kind == "discrete"
     assert params.deformation_strength == 0.005
     assert params.deflection == wf.deflection_angle(0.005, 0.5)
+
+
+@pytest.mark.parametrize("field,value", [("steps", 3.9), ("ensemble", 2.5), ("seed", True),
+                                         ("steps", "3.9")])
+def test_chain_params_from_dict_rejects_non_integral_counts(field, value):
+    # from_dict used to truncate: "steps": 3.9 ran 3 steps
+    d = {**ChainParams(geometry=MINK, link_sigma_m=0.5, steps=5).to_dict(), field: value}
+    with pytest.raises(wf.InvalidInputError, match=f"{field} must be an integer"):
+        ChainParams.from_dict(d)
+    d[field] = 4.0 if field != "seed" else "4"
+    assert getattr(ChainParams.from_dict(d), field) == 4
 
 
 def test_mass_constant_along_chain():

@@ -59,11 +59,11 @@ def test_sigma_command_matches_per_pair_loop(tmp_path, spec, dim):
     assert (tmp_path / "sigma.csv").read_text() == "\n".join(want) + "\n"
 
 
-def test_sigma_non_finite_point_exits_2(tmp_path):
+def test_sigma_non_finite_point_exits_1(tmp_path):
     pts = tmp_path / "pts.json"
     pts.write_text("[[0, 0, 0, 0], [NaN, 0, 0, 0]]")
     assert run(["sigma", "--geometry", "minkowski", "--points", pts,
-                "--out-dir", tmp_path]) == 2
+                "--out-dir", tmp_path]) == 1
 
 
 def test_sigma_missing_file_exits_1(tmp_path):
@@ -129,7 +129,8 @@ def test_geometry_file_without_json_object_exits_1(tmp_path, capsys, form, conte
 
 
 @pytest.mark.parametrize("content", [{"kind": "discrete", "lambda0_sq": [0.01]},
-                                     {"kind": "minkowski", "units": [1.0]}])
+                                     {"kind": "minkowski", "units": [1.0]},
+                                     {"kind": "euclidean", "dim": 2.7}])
 def test_geometry_file_with_wrongly_typed_value_exits_1(tmp_path, capsys, content):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(content))
@@ -178,35 +179,51 @@ def test_eqv_solve(tmp_path, capsys):
     assert len(payload["representatives"]) >= 3
 
 
-@pytest.mark.parametrize("argv", [
-    ["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "1,0,0,0",
-     "--q0", "0,0,0,0", "--box-half-width", "inf"],
-    ["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "1,0,0,0",
-     "--q0", "0,0,0,0", "--tol", "nan"],
-    ["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0", "--p1", "2,0,0,0",
-     "--max-radius", "nan"],
-    ["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0", "--a-end", "1,0,0,0",
-     "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0", "--tol", "nan"],
-    ["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0", "--a-end", "1,0,0,0",
-     "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0", "--tol", "1e-9x"],
-    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--tol", "nan"],
-    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json",
-     "--box-half-width", "inf"],
-    ["eqv", "witness", "--geometry", "minkowski", "--tol=-inf"],
-    ["density", "--lambda0-sq", "nan", "--sigma0", "0.03", "--grid=-0.1:0.1:5"],
-    ["density", "--lambda0-sq", "0.01", "--sigma0", "nan", "--grid=-0.1:0.1:5"],
-    ["density", "--lambda0-sq", "inf", "--sigma0", "0.03", "--grid=-0.1:0.1:5"],
-    ["chain", "--geometry", "minkowski", "--link-sigma-m", "nan", "--steps", "3"],
-    ["chain", "--geometry", "minkowski", "--link-sigma-m", "inf", "--steps", "3"],
-    ["density", "--lambda0-sq", "0.01", "--sigma0=-inf", "--grid=-0.1:0.1:5"],
-])
-def test_non_finite_config_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+def _ids(cases):
+    """argv0, argv1, ...: one id per (argv, message) case."""
+    return [f"argv{i}" for i in range(len(cases))]
+
+
+_NON_FINITE = [
+    (["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "1,0,0,0",
+      "--q0", "0,0,0,0", "--box-half-width", "inf"], "box_half_width must be finite"),
+    (["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "1,0,0,0",
+      "--q0", "0,0,0,0", "--tol", "nan"], "tol must be finite"),
+    (["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0", "--p1", "2,0,0,0",
+      "--max-radius", "nan"], "max_radius must be finite"),
+    (["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0", "--a-end", "1,0,0,0",
+      "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0", "--tol", "nan"], "tol must be finite"),
+    (["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0", "--a-end", "1,0,0,0",
+      "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0", "--tol", "1e-9x"],
+     "argument --tol: invalid float value: '1e-9x'"),
+    (["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--tol", "nan"],
+     "tol must be finite"),
+    (["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json",
+      "--box-half-width", "inf"], "--box-half-width must be finite"),
+    (["eqv", "witness", "--geometry", "minkowski", "--tol=-inf"], "tol must be finite"),
+    (["density", "--lambda0-sq", "nan", "--sigma0", "0.03", "--grid=-0.1:0.1:5"],
+     "lambda0_sq must be finite"),
+    (["density", "--lambda0-sq", "0.01", "--sigma0", "nan", "--grid=-0.1:0.1:5"],
+     "sigma0 must be finite"),
+    (["density", "--lambda0-sq", "inf", "--sigma0", "0.03", "--grid=-0.1:0.1:5"],
+     "lambda0_sq must be finite"),
+    (["chain", "--geometry", "minkowski", "--link-sigma-m", "nan", "--steps", "3"],
+     "link_sigma_m must be finite"),
+    (["chain", "--geometry", "minkowski", "--link-sigma-m", "inf", "--steps", "3"],
+     "link_sigma_m must be finite"),
+    (["density", "--lambda0-sq", "0.01", "--sigma0=-inf", "--grid=-0.1:0.1:5"],
+     "sigma0 must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _NON_FINITE, ids=_ids(_NON_FINITE))
+def test_non_finite_config_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, message):
     # valid input files, so only the non-finite option can fail the command
     monkeypatch.chdir(tmp_path)
     write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
     write_points(tmp_path / "pts.json", [[0, 0, 0, 0], [1, 0, 0, 0]])
     assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
-    assert "must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -253,6 +270,35 @@ def test_invalid_command_configuration_is_a_usage_error(tmp_path, capsys, argv, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sigma", "--geometry", "minkowski", "--points", "nan.json"],
+     "point coordinates must be finite"),
+    (["tube", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "0,1,0,0"],
+     "tube sampling requires sigma(p0, p1) > 0"),
+    (["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "0,0,0,0",
+      "--q0", "0,0,0,0"], "p0 and p1 must differ"),
+    (["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0", "--a-end", "1,0,0",
+      "--b-origin", "0,0,0", "--b-end", "1,0,0"], "dimension 3"),
+    (["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--envelope", "p7.json"],
+     "unknown point 'P7' at /args[0]"),
+    (["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--envelope", "c.json"],
+     "malformed envelope node at /: KeyError: 'value'"),
+], ids=["nan-point", "spacelike-tube", "equal-solve-points", "3d-check-on-minkowski",
+        "envelope-P7", "envelope-const-without-value"])
+def test_input_the_library_rejects_exits_1(tmp_path, capsys, monkeypatch, argv, message):
+    # an InvalidInputError is an input error wherever it is raised: exit 1, nothing written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.json").write_text("[[0, 0, 0, 0], [NaN, 0, 0, 0]]")
+    write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+    (tmp_path / "p7.json").write_text(json.dumps(
+        {"op": "-", "args": [{"op": "sigma", "points": ["P7", "R"]}, {"op": "const", "value": 1}]}))
+    (tmp_path / "c.json").write_text('{"op": "const"}')
+    assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_overflowing_chain_is_a_numerical_failure(tmp_path, capsys):
     assert run(["chain", "--geometry", "discrete:lambda0_sq=50", "--link-sigma-m", "0.5",
                 "--steps", "400", "--ensemble", "4", "--out-dir", tmp_path / "out"]) == 2
@@ -268,33 +314,34 @@ _CHECK = ["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0",
           "--a-end", "1,0,0,0", "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--random", "-1"],
-    _TUBE + ["--stations", "-1"],
-    _TUBE + ["--directions", "-2"],
-    _TUBE + ["--scan-points", "0"],
-    _TUBE + ["--stations", "2.5"],
-    ["eqv", "witness", "--geometry", "minkowski", "--budget", "-5"],
-    _CHAIN + ["--steps", "0"],
-    _CHAIN + ["--steps", "10", "--ensemble", "0"],
-    _SOLVE + ["--max-iter", "-1"],
-    _SOLVE + ["--starts", "0"],
-    ["eqv", "witness", "--geometry", "minkowski", "--seed", "-2"],
-    _TUBE + ["--seed", "-2"],
-    _CHAIN + ["--steps", "3", "--seed", "-2"],
-    _SOLVE + ["--seed", "-1"],
-    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--seed", "-1"],
-    _CHECK + ["--seed", "-1"],
-    ["sigma", "--geometry", "euclidean:dim=3", "--points", "sk.json", "--seed", "-1"],
-    ["density", "--lambda0-sq", "0.01", "--sigma0", "0.03", "--grid=-0.1:0.1:5",
-     "--seed", "-1"],
-])
-def test_bad_count_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+_BAD_COUNTS = [
+    (["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--random", "-1"],
+     "--random must be an integer >= 0"),
+    (_TUBE + ["--stations", "-1"], "stations must be >= 0"),
+    (_TUBE + ["--directions", "-2"], "directions must be >= 0"),
+    (_TUBE + ["--scan-points", "0"], "scan_points must be >= 1"),
+    (_TUBE + ["--stations", "2.5"], "argument --stations: invalid int value: '2.5'"),
+    (["eqv", "witness", "--geometry", "minkowski", "--budget", "-5"], "budget must be >= 0"),
+    (_CHAIN + ["--steps", "0"], "steps must be >= 1"),
+    (_CHAIN + ["--steps", "10", "--ensemble", "0"], "ensemble must be >= 1"),
+    (_SOLVE + ["--max-iter", "-1"], "max_iter must be >= 0"),
+    (_SOLVE + ["--starts", "0"], "starts must be >= 1"),
+    (["eqv", "witness", "--geometry", "minkowski", "--seed", "-2"], "seed must be >= 0"),
+    (_TUBE + ["--seed", "-2"], "seed must be >= 0"),
+    (_CHAIN + ["--steps", "3", "--seed", "-2"], "seed must be >= 0"),
+    (_SOLVE + ["--seed", "-1"], "seed must be >= 0"),
+    (["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--seed", "-1"],
+     "--seed must be an integer >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _BAD_COUNTS, ids=_ids(_BAD_COUNTS))
+def test_bad_count_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, message):
     # a valid skeleton file, so only the count option can fail the command
     monkeypatch.chdir(tmp_path)
     write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
     assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
-    assert "must be an integer >=" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -322,6 +369,10 @@ def test_negative_width_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     _SOLVE + ["--a-origin", "0,0,0,0"],
     ["eqv", "witness", "--geometry", "minkowski", "--starts", "4"],
     ["eqv", "witness", "--geometry", "minkowski", "--max-iter", "4"],
+    # sigma, eqv check and density draw nothing
+    _CHECK + ["--seed", "-1"],
+    ["sigma", "--geometry", "minkowski", "--points", "pts.json", "--seed", "-1"],
+    ["density", "--lambda0-sq", "0.01", "--sigma0", "0.03", "--grid=-0.1:0.1:5", "--seed", "-1"],
 ])
 def test_unread_option_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     # each command takes only the options it reads
@@ -427,9 +478,9 @@ def test_tube_command(tmp_path):
     assert rows
 
 
-def test_tube_spacelike_exits_2(tmp_path):
+def test_tube_spacelike_exits_1(tmp_path):
     assert run(["tube", "--geometry", "minkowski", "--p0", "0,0,0,0",
-                "--p1", "0,1,0,0", "--out-dir", tmp_path]) == 2
+                "--p1", "0,1,0,0", "--out-dir", tmp_path]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +639,8 @@ def test_manifest_digests_and_full_precision(tmp_path):
     manifest = json.loads((tmp_path / "sigma_manifest.json").read_text())
     blob = (tmp_path / "sigma.csv").read_bytes()
     assert manifest["outputs"]["sigma.csv"]["sha256"] == hashlib.sha256(blob).hexdigest()
-    assert manifest["tool"] == "worldfunc" and manifest["seed"] == 0
+    # sigma draws nothing, so it takes no --seed and records none
+    assert manifest["tool"] == "worldfunc" and manifest["seed"] is None
     # round-trip precision: the printed value parses back to the exact float
     _, rows = read_csv(tmp_path / "sigma.csv")
     want = wf.sigma(wf.Geometry.euclidean(3), (0, 0, 0), (0.1, 0.2, 0.3))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import worldfunc as wf
@@ -369,8 +369,18 @@ def test_solve_residuals_are_the_pairwise_test_bit_for_bit():
 
 
 def test_solve_reports_the_starts_it_ran():
-    sol = wf.solve_equivalent(MINK, ORIGIN4, (1, 0, 0, 0), ORIGIN4, SolverConfig(starts=-3))
+    # a count below one start used to run one start silently
+    for starts in (0, -3):
+        with pytest.raises(wf.InvalidInputError, match="starts must be >= 1"):
+            SolverConfig(starts=starts)
+    sol = wf.solve_equivalent(MINK, ORIGIN4, (1, 0, 0, 0), ORIGIN4, SolverConfig(starts=1))
     assert sol.diagnostics.starts_attempted == 1
+
+
+def test_solver_config_rejects_a_negative_iteration_count():
+    with pytest.raises(wf.InvalidInputError, match="max_iter must be >= 0"):
+        SolverConfig(max_iter=-1)
+    assert SolverConfig(max_iter=0).max_iter == 0
 
 
 def test_near_cone_discrete_solve_reports_stalled_starts():
@@ -406,6 +416,16 @@ def test_config_from_dict_coerces_to_field_types():
     tube = wf.sample_segment_tube(Geometry.discrete(0.02), ORIGIN4, (2, 0, 0, 0), tcfg)
     assert np.nanmax(tube.radii) <= 1.5
     assert SolverConfig.from_dict({"tol": "1e-8"}).tol == 1e-8
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (SolverConfig, "starts", 2.7), (SolverConfig, "starts", "2.7"), (SolverConfig, "seed", True),
+    (TubeSamplerConfig, "stations", 9.5), (TubeSamplerConfig, "directions", False),
+    (TubeSamplerConfig, "scan_points", math.inf), (TubeSamplerConfig, "seed", "x")])
+def test_config_from_dict_rejects_non_integral_counts(cls, field, value):
+    # from_dict used to truncate: {"starts": 2.7} ran 2 starts
+    with pytest.raises(wf.InvalidInputError, match=f"{field} must be an integer"):
+        cls.from_dict({field: value})
 
 
 @pytest.mark.parametrize("cls,field", [(SolverConfig, "tol"), (SolverConfig, "dedupe_radius"),
@@ -846,6 +866,13 @@ def test_euclidean_witness_memory_does_not_grow_with_budget():
     assert peak(16 * _WITNESS_BLOCK) < 1.2 * small
 
 
+@pytest.mark.parametrize("arg", ["budget", "seed"])
+def test_witness_rejects_a_negative_budget_or_seed(arg):
+    # a negative budget used to search nothing and report no witness
+    with pytest.raises(wf.InvalidInputError, match=f"{arg} must be >= 0"):
+        wf.find_intransitivity_witness(MINK, **{arg: -5 if arg == "budget" else -1})
+
+
 def test_witness_deterministic():
     w1 = wf.find_intransitivity_witness(MINK, seed=9)
     w2 = wf.find_intransitivity_witness(MINK, seed=9)
@@ -1145,7 +1172,7 @@ _INTS = st.integers(0, 2**63)
 
 
 @settings(max_examples=100, deadline=None)
-@given(starts=_INTS, max_iter=_INTS, tol=_NONNEGATIVE, dedupe_radius=_NONNEGATIVE,
+@given(starts=st.integers(1, 2**63), max_iter=_INTS, tol=_NONNEGATIVE, dedupe_radius=_NONNEGATIVE,
        box_half_width=_NONNEGATIVE, seed=_INTS)
 def test_solver_config_serialization_round_trips(**fields):
     cfg = SolverConfig(**fields)
@@ -1158,3 +1185,59 @@ def test_solver_config_serialization_round_trips(**fields):
 def test_tube_sampler_config_serialization_round_trips(**fields):
     cfg = TubeSamplerConfig(**fields)
     assert TubeSamplerConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+# ---------------------------------------------------------------------------
+# tolerance arguments: finite and >= 0, checked by the function that takes them
+# ---------------------------------------------------------------------------
+
+_A4 = GeomVector(ORIGIN4, (1, 0.5, 0, 0))
+_SK3 = wf.Skeleton(((0, 0, 0), (0, 0, 1), (1, 0, 0)))
+_CHAIN = wf.generate_chain(wf.ChainParams(geometry=Geometry.discrete(0.01), link_sigma_m=0.5,
+                                          steps=2))
+_TOL_TAKERS = {
+    "is_equivalent": lambda tol: wf.is_equivalent(MINK, _A4, _A4, tol),
+    "is_collinear": lambda tol: wf.is_collinear(MINK, _A4, _A4, tol),
+    "line_membership": lambda tol: wf.line_membership(MINK, ORIGIN4, _A4, (2, 1, 0, 0), tol),
+    "segment_membership": lambda tol: wf.segment_membership(MINK, ORIGIN4, (2, 0, 0, 0),
+                                                            (1, 0, 0, 0), tol),
+    "minkowski_spacelike_family": lambda tol: wf.minkowski_spacelike_family(
+        GeomVector(ORIGIN4, (0, 1, 0, 0)), 0.3, (0, 1, 0), tol),
+    "find_intransitivity_witness": lambda tol: wf.find_intransitivity_witness(
+        MINK, budget=0, tol=tol),
+    "object_membership": lambda tol: wf.object_membership(
+        EUCLID3, _SK3, wf.Envelope.cylinder(), (1, 0, 0.5), tol),
+    "skeletons_equivalent": lambda tol: wf.skeletons_equivalent(EUCLID3, _SK3, _SK3, tol),
+    "verify_link_equivalence": lambda tol: wf.verify_link_equivalence(
+        Geometry.discrete(0.01), _CHAIN, tol),
+    "check_triangle_axiom": lambda tol: wf.check_triangle_axiom(
+        EUCLID3, [[(0, 0, 0), (2, 0, 0), (1, 0, 0)]], tol),
+    "euclidean_angle": lambda tol: wf.euclidean_angle(
+        EUCLID3, GeomVector((0, 0, 0), (1, 0, 0)), GeomVector((0, 0, 0), (0, 1, 0)), tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOL_TAKERS))
+@settings(max_examples=25, deadline=None)
+@given(tol=st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.nan, math.inf]))
+@example(tol=-1e-9)
+@example(tol=math.nan)
+@example(tol=math.inf)
+@example(tol=-math.inf)
+def test_negative_or_non_finite_tolerance_is_rejected(name, tol):
+    # a negative tol used to make is_equivalent(g, a, a) report a not equivalent to itself
+    with pytest.raises(wf.InvalidInputError, match="tol must be"):
+        _TOL_TAKERS[name](tol)
+
+
+@pytest.mark.parametrize("name", sorted(_TOL_TAKERS))
+def test_zero_tolerance_is_accepted(name):
+    _TOL_TAKERS[name](0.0)
+
+
+@pytest.mark.parametrize("g", EVERY_KIND, ids=lambda g: g.kind)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_equivalent_is_reflexive_at_zero_tolerance(g, data):
+    a = _draw_vector(data, g)
+    assert wf.is_equivalent(g, a, a, 0.0).equivalent

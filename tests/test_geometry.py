@@ -427,6 +427,17 @@ def test_geometry_constructor_validation():
         Geometry.euclidean(0)
 
 
+@pytest.mark.parametrize("dim", [2.7, True, "2.5", None])
+def test_euclidean_dimension_must_be_an_integer(dim):
+    # int(dim) used to run {"dim": 2.7} as 2-d and {"dim": true} as 1-d
+    with pytest.raises(wf.InvalidInputError, match="dim must be an integer"):
+        Geometry.from_dict({"kind": "euclidean", "dim": dim})
+    with pytest.raises(wf.InvalidInputError, match="dim must be an integer"):
+        Geometry.euclidean(dim)
+    assert Geometry.from_dict({"kind": "euclidean", "dim": 2.0}).dim == 2
+    assert Geometry.from_dict({"kind": "euclidean", "dim": "5"}).dim == 5
+
+
 def test_geometry_serialization_roundtrip():
     geoms = random_geometries() + [Geometry.deformed(DeformationFunction.identity())]
     rng = np.random.default_rng(9)

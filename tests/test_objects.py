@@ -71,6 +71,24 @@ def test_envelope_unknown_label_rejected():
         wf.evaluate_envelope(EUCLID3, sk, env, (0, 0, 0))
 
 
+@pytest.mark.parametrize("d,message", [
+    ({"op": "const"}, "malformed envelope node at /: KeyError: 'value'"),
+    ([1, 2], "malformed envelope node at /: AttributeError"),
+    ({"op": "const", "value": "x"}, "malformed envelope node at /: ValueError"),
+    ({"op": "+", "args": 5}, "malformed envelope node at /: TypeError"),
+    ({"op": "-", "args": [{"op": "const", "value": 1}, {"op": "*", "args": [7]}]},
+     "malformed envelope node at /args[1]/args[0]: AttributeError"),
+    ({"op": "+", "args": [{"op": "sigma", "points": ["P0"]}]},
+     "malformed envelope node at /args[0]: ValueError"),
+    ({"op": "+", "args": [{"op": "pow"}]}, "unknown envelope op 'pow' at /args[0]"),
+])
+def test_malformed_envelope_dict_names_the_node(d, message):
+    # these used to raise KeyError, AttributeError, ValueError or TypeError
+    with pytest.raises(wf.InvalidInputError) as err:
+        Envelope.from_dict(d)
+    assert str(err.value).startswith(message)
+
+
 def test_cylinder_envelope_needs_three_point_skeleton():
     sk = Skeleton(((0, 0, 0), (0, 0, 1)))
     with pytest.raises(wf.InvalidInputError):
