@@ -83,7 +83,6 @@ from .chains import (
     deflection_angle,
     generate_chain,
     particle_mass,
-    particle_mass_inverse_convention,
     simulate_ensemble,
     step_chain,
     verify_link_equivalence,

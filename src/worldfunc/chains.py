@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError, WorldFunctionError
-from .geometry import (Geometry, UnitConstants, _Config, _finite, _integral, _mdot, _sigma_m,
+from .geometry import (Geometry, UnitConstants, _Config, _finite, _mdot, _sigma_m,
                        as_point, deformation_value)
 from .equivalence import _skeleton_pair_reports
 from .objects import Skeleton
@@ -93,15 +93,6 @@ class ChainParams(_Config):
     def deflection(self) -> float:
         return deflection_angle(self.deformation_strength, self.link_sigma_m)
 
-    def to_dict(self) -> dict:
-        return {"geometry": self.geometry.to_dict(), "link_sigma_m": self.link_sigma_m,
-                "steps": self.steps, "ensemble": self.ensemble, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChainParams":
-        return cls(geometry=Geometry.from_dict(d["geometry"]), link_sigma_m=float(d["link_sigma_m"]),
-                   **{k: _integral(k, d[k]) for k in ("steps", "ensemble", "seed") if k in d})
-
 
 @dataclass(frozen=True, eq=False)
 class ChainStats:
@@ -149,20 +140,6 @@ def particle_mass(units: UnitConstants, two_sigma_link: float) -> float:
     if not _finite("two_sigma_link", two_sigma_link) > 0:
         raise InvalidInputError("two_sigma_link must be positive")
     return units.b * math.sqrt(two_sigma_link)
-
-
-def particle_mass_inverse_convention(units: UnitConstants, two_sigma_m_link: float) -> float:
-    """Mass in the inverse-b convention from the Minkowski part of the link:
-
-        m = (1/b) sqrt(2 sigma_M + hbar / (b c))
-
-    The two mass formulas use opposite roles for b; both are exposed and no
-    attempt is made to reconcile the conventions.
-    """
-    arg = _finite("two_sigma_m_link", two_sigma_m_link) + units.hbar / (units.b * units.c)
-    if not arg > 0:
-        raise InvalidInputError("mass argument must be positive")
-    return math.sqrt(arg) / units.b
 
 
 def w_correction(dfun, pk_s, pl_s, pk_s1, pl_s1) -> float:

@@ -75,11 +75,11 @@ def parse_geometry(spec: str) -> Geometry:
                     raise UsageError(f"malformed geometry option {item!r}")
                 opts[key.strip()] = val.strip()
         if kind == "deformed":
+            if "file" not in opts:
+                raise UsageError(f"geometry {spec!r} is missing option 'file'")
             opts = _load_spec(spec, opts["file"])
         return Geometry.from_dict({**opts, "kind": kind})
-    except KeyError as exc:
-        raise UsageError(f"geometry {spec!r} is missing option {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, WorldFunctionError) as exc:
+    except WorldFunctionError as exc:
         raise UsageError(f"bad geometry spec {spec!r}: {exc}") from exc
 
 
@@ -215,11 +215,8 @@ def cmd_eqv_check(args, g):
 
 
 def cmd_eqv_solve(args, g):
-    cfg = SolverConfig(starts=args.starts, max_iter=args.max_iter, tol=args.tol,
-                       dedupe_radius=args.dedupe_radius, box_half_width=args.box_half_width,
-                       seed=args.seed)
-    sol = solve_equivalent(g, parse_point(args.p0), parse_point(args.p1),
-                           parse_point(args.q0), cfg)
+    points = [parse_point(p) for p in (args.p0, args.p1, args.q0)]
+    sol = solve_equivalent(g, *points, SolverConfig.from_dict(vars(args)))
     return _eqv_result(args, g, sol.to_dict())
 
 
@@ -237,9 +234,7 @@ def cmd_eqv_witness(args, g):
 
 
 def cmd_tube(args, g):
-    cfg = TubeSamplerConfig(stations=args.stations, directions=args.directions, tol=args.tol,
-                            seed=args.seed, max_radius=args.max_radius,
-                            scan_points=args.scan_points)
+    cfg = TubeSamplerConfig.from_dict(vars(args))
     tube = sample_segment_tube(g, parse_point(args.p0), parse_point(args.p1), cfg)
     out_dir = Path(args.out_dir)
     cloud = out_dir / args.out_cloud
@@ -279,8 +274,7 @@ def cmd_object(args, g):
 
 
 def cmd_chain(args, g):
-    params = ChainParams(geometry=g, link_sigma_m=args.link_sigma_m, steps=args.steps,
-                         ensemble=args.ensemble, seed=args.seed)
+    params = ChainParams.from_dict({**vars(args), "geometry": g})
     out_dir = Path(args.out_dir)
     outputs = []
     if args.raw:
@@ -331,18 +325,23 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"worldfunc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subparsers, name, func, help, geometry=True, seed=True, tol=True):
-        """A command's parser with those of the shared options that it reads."""
+    def command(subparsers, name, func, help, geometry=True, seed=True, tol=True, config=None):
+        """A command's parser with the shared options it reads, or one per config field."""
         p = subparsers.add_parser(name, help=help)
         if geometry:
             p.add_argument("--geometry", required=True,
                            help="euclidean:dim=N | minkowski | discrete:lambda0_sq=X | "
                                 "grainy:lambda0_sq=X,sigma0=Y | deformed:file=F.json | @spec.json")
-        if seed:
+        if seed and config is None:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=".")
-        if tol:
+        if tol and config is None:
             p.add_argument("--tol", type=float, default=1e-9)
+        for field, kind, _, _ in config._fields() if config else ():
+            if field != "geometry":  # a field without a default has no class attribute
+                p.add_argument("--" + field.replace("_", "-"), type=kind,
+                               default=getattr(config, field, None),
+                               required=not hasattr(config, field))
         p.set_defaults(func=func)
         return p
 
@@ -356,23 +355,16 @@ def _build_parser() -> _Parser:
     p = command(modes, "check", cmd_eqv_check, "test two vectors for equivalence", seed=False)
     for name in ("--a-origin", "--a-end", "--b-origin", "--b-end"):
         p.add_argument(name, required=True)
-    p = command(modes, "solve", cmd_eqv_solve, "end points Q1 with Q0Q1 equivalent to P0P1")
+    p = command(modes, "solve", cmd_eqv_solve, "end points Q1 with Q0Q1 equivalent to P0P1",
+                config=SolverConfig)
     for name in ("--p0", "--p1", "--q0"):
         p.add_argument(name, required=True)
-    p.add_argument("--starts", type=int, default=SolverConfig.starts)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    p.add_argument("--dedupe-radius", type=float, default=SolverConfig.dedupe_radius)
-    p.add_argument("--box-half-width", type=float, default=SolverConfig.box_half_width)
     p = command(modes, "witness", cmd_eqv_witness, "search for an intransitive triple")
     p.add_argument("--budget", type=int, default=10000)
 
-    p = command(sub, "tube", cmd_tube, "sample a segment as a tube")
+    p = command(sub, "tube", cmd_tube, "sample a segment as a tube", config=TubeSamplerConfig)
     p.add_argument("--p0", required=True)
     p.add_argument("--p1", required=True)
-    p.add_argument("--stations", type=int, default=TubeSamplerConfig.stations)
-    p.add_argument("--directions", type=int, default=TubeSamplerConfig.directions)
-    p.add_argument("--max-radius", type=float, default=TubeSamplerConfig.max_radius)
-    p.add_argument("--scan-points", type=int, default=TubeSamplerConfig.scan_points)
     p.add_argument("--out-cloud", default="tube_cloud.csv")
     p.add_argument("--out-profile", default="tube_profile.csv")
 
@@ -386,11 +378,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--box-half-width", type=float, default=2.0)
     p.add_argument("--out", default="object_probes.csv")
 
-    p = command(sub, "chain", cmd_chain, "simulate a world-chain ensemble", tol=False)
-    p.add_argument("--link-sigma-m", type=float, required=True,
-                   help="Minkowski world function per link (2 sigma_M = squared length)")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--ensemble", type=int, default=1)
+    p = command(sub, "chain", cmd_chain, "simulate a world-chain ensemble", config=ChainParams)
     p.add_argument("--raw", action="store_true", help="also write raw chain points")
     p.add_argument("--out-stats", default="chain_stats.csv")
     p.add_argument("--out-raw", default="chains.csv")

@@ -40,6 +40,7 @@ from .geometry import (
     GeomVector,
     _Config,
     _finite,
+    _integral,
     _scalar_product_arrays,
     as_point,
     scalar_product,
@@ -496,8 +497,8 @@ def find_intransitivity_witness(g: Geometry, seed: int = 0, budget: int = 10000,
     honestly exhausts the budget.  Deterministic for a given seed; returns the
     first witness in draw order, or None when the budget is spent.
     """
-    _finite("budget", budget, 0.0)
-    _finite("seed", seed, 0.0)
+    budget = _integral("budget", budget, 0)
+    seed = _integral("seed", seed, 0)
     _finite("tol", tol, 0.0)
     rng = np.random.default_rng(seed)
     low = np.array([-1.0, -1.0, -2.0, -2.0])[:, None]  # Euclidean origin, end offset, shifts

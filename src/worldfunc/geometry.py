@@ -33,8 +33,10 @@ the second derivative F'(sigma_M) eta off the kinks of F.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -98,36 +100,46 @@ class GeomVector:
 # ---------------------------------------------------------------------------
 
 class _Config:
-    """Dict round trip and field checks of a frozen config dataclass.
-
-    ``from_dict`` reads the fields present in a mapping, an int field through
-    ``_integral`` and any other as a float (or None for an optional field).
-    A non-finite float field, or a field below its entry in ``_MINIMUMS``
-    (an optional field may also be None), raises ``InvalidInputError``
-    naming the field.
-    """
+    """A frozen config dataclass, each field declared once by its name, annotated
+    type, default and ``_MINIMUMS`` entry.  Construction stores each field as its
+    type (int via ``_integral``, float via ``_finite``, ``Geometry`` from a mapping)
+    or raises ``InvalidInputError`` naming it; ``from_dict`` is the same path."""
 
     _MINIMUMS = {}  # field name -> smallest value the field may take
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, float) or (f.name in self._MINIMUMS and v is not None):
-                _finite(f.name, v, self._MINIMUMS.get(f.name, -math.inf))
+        for name, kind, optional, minimum in self._fields():
+            value = getattr(self, name)
+            if kind is int:
+                value = _integral(name, value, minimum)
+            elif kind is not float:
+                value = value if isinstance(value, kind) else kind.from_dict(value)
+            elif not (value is None and optional or type(value) is float
+                      and math.isfinite(value) and value >= minimum):
+                value = _finite(name, value, minimum)  # else it is stored as given
+            vars(self)[name] = value  # frozen: past the dataclass's __setattr__
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.to_dict() if hasattr(v, "to_dict") else v for k, v in d.items()}
 
     @classmethod
     def from_dict(cls, d: dict):
         if not isinstance(d, dict):
             raise InvalidInputError(f"{cls.__name__} needs a mapping, got {type(d).__name__}")
+        missing = [f.name for f in fields(cls) if f.name not in d and f.default is MISSING]
+        if missing:  # no config field has a default_factory
+            raise InvalidInputError(f"{cls.__name__} needs {', '.join(missing)}")
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
-        def coerce(f, v):
-            if isinstance(f.default, int):
-                return _integral(f.name, v)
-            return None if v is None and f.default is None else float(v)
-        return cls(**{f.name: coerce(f, d[f.name]) for f in fields(cls) if f.name in d})
+    @classmethod
+    @functools.cache
+    def _fields(cls) -> tuple:
+        """(name, type, optional, minimum) of each field; optional is ``type | None``."""
+        hints = typing.get_type_hints(cls)
+        args = {f.name: typing.get_args(hints[f.name]) for f in fields(cls)}  # (float, NoneType)
+        return tuple((name, a[0] if a else hints[name], bool(a), cls._MINIMUMS.get(name, -math.inf))
+                     for name, a in args.items())
 
 
 @dataclass(frozen=True)
@@ -143,9 +155,9 @@ class UnitConstants(_Config):
     b: float = 1.0
 
     def __post_init__(self):
-        for name in ("hbar", "c", "b"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
+        super().__post_init__()
+        for name, v in self.to_dict().items():
+            if not v > 0:
                 raise InvalidInputError(f"unit constant {name} must be positive, got {v}")
 
     @property
@@ -159,7 +171,10 @@ def _finish(value):
 
 
 def _finite(name: str, value, minimum: float = -math.inf) -> float:
-    v = float(value)
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}") from exc
     if not math.isfinite(v):
         raise InvalidInputError(f"{name} must be finite, got {value}")
     if v < minimum:
@@ -167,16 +182,18 @@ def _finite(name: str, value, minimum: float = -math.inf) -> float:
     return v + 0.0  # -0.0 becomes 0.0
 
 
-def _integral(name: str, value) -> int:
-    """The value of an integer field: an int, or a float or string holding an
-    integral number ("9", 4.0).  A bool, a fraction or any other value
-    raises InvalidInputError naming the field."""
-    try:
-        number = None if isinstance(value, bool) else Fraction(value)
+def _integral(name: str, value, minimum: float = -math.inf) -> int:
+    """The value of an integer field, at least ``minimum``: an int, or a float
+    or string holding an integral number ("9", 4.0).  A bool, a fraction, a
+    smaller value or any other value raises InvalidInputError naming the field."""
+    try:  # an int is its own Fraction, of denominator 1
+        number = value if type(value) is int else Fraction(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or number.denominator != 1:
+    if number is None or isinstance(value, bool) or number.denominator != 1:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if number < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum:g}, got {value}")
     return int(number)
 
 
@@ -189,8 +206,8 @@ class DeformationFunction:
     ``discrete_shift`` (sigma0 = 0) and ``grainy_ramp``.  Both parameters
     must be finite and >= 0; sigma0 is held at 0 when lambda0_sq is, so
     equal F have equal parameters.  User functions are piecewise linear
-    tables of (sigma_M, sigma) breakpoints; outside the table range the end
-    segments are extended linearly.
+    tables of (sigma_M, sigma) breakpoints, strictly increasing in both,
+    whose end segments are extended linearly beyond the table.
     """
 
     def __init__(self, *, lambda0_sq: float = 0.0, sigma0: float = 0.0,
@@ -202,13 +219,18 @@ class DeformationFunction:
         if table is not None:
             if self.lambda0_sq:
                 raise InvalidInputError("a table deformation takes no lambda0_sq or sigma0")
-            tab = np.asarray(table, dtype=float)
+            try:
+                tab = np.asarray(table, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"table must hold numbers: {exc}") from exc
             if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
                 raise InvalidInputError("table must be a list of at least two (sigma_M, sigma) pairs")
             if not np.all(np.isfinite(tab)):
                 raise InvalidInputError("table breakpoints must be finite")
-            if not np.all(np.diff(tab[:, 0]) > 0):
-                raise InvalidInputError("table breakpoints must be strictly increasing in sigma_M")
+            k = int(np.argmin(np.all(np.diff(tab, axis=0) > 0, axis=1)))  # first bad segment
+            if not np.all(tab[k + 1] > tab[k]):
+                raise InvalidInputError(f"table must be strictly increasing: segment {k} from "
+                                        f"{tab[k].tolist()} to {tab[k + 1].tolist()} is not")
             self.table = tab
             if float(self(0.0)) != 0.0:
                 raise InvalidInputError(
@@ -318,7 +340,7 @@ class Geometry:
 
     @classmethod
     def discrete(cls, lambda0_sq: float, units: UnitConstants | None = None) -> "Geometry":
-        if not lambda0_sq > 0:
+        if not _finite("lambda0_sq", lambda0_sq) > 0:
             raise InvalidInputError("discrete geometry requires lambda0_sq > 0")
         return cls.deformed(DeformationFunction.discrete_shift(lambda0_sq), units=units)
 
@@ -375,6 +397,8 @@ class Geometry:
     @classmethod
     def from_dict(cls, d: dict) -> "Geometry":
         """Parse a serialized geometry; ``deformed`` means a table (``F_table``)."""
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"a geometry must be a mapping, got {type(d).__name__}")
         kind = d.get("kind")
         units = UnitConstants.from_dict(d.get("units", {}))
         if kind == "euclidean":
@@ -382,10 +406,12 @@ class Geometry:
         if kind == "minkowski":
             return cls.minkowski(units=units)
         if kind == "discrete":
-            return cls.discrete(float(d["lambda0_sq"]), units=units)
+            return cls.discrete(d.get("lambda0_sq"), units=units)  # _finite names a missing one
         if kind == "grainy":
-            return cls.grainy(float(d["lambda0_sq"]), float(d["sigma0"]), units=units)
+            return cls.grainy(d.get("lambda0_sq"), d.get("sigma0"), units=units)
         if kind == "deformed":
+            if d.get("F_table") is None:
+                raise InvalidInputError("a deformed geometry needs F_table")
             return cls.deformed(DeformationFunction.from_table(d["F_table"]), units=units)
         raise InvalidInputError(f"unknown geometry kind {kind!r}")
 

@@ -81,12 +81,6 @@ def test_particle_mass():
             wf.particle_mass(UnitConstants(), two_sigma)
 
 
-def test_particle_mass_inverse_convention():
-    u = UnitConstants(hbar=0.02, c=1.0, b=1.0)
-    assert wf.particle_mass_inverse_convention(u, 1.0) == math.sqrt(1.02)
-    assert wf.particle_mass_inverse_convention(u, 1.0) == pytest.approx(1.009950, abs=1e-6)
-
-
 def test_w_correction_constant_deformation_on_generic_points():
     # all four pairwise arguments timelike: pairwise cancellation
     pts = [np.array([10.0 * k, 0.1 * k, 0, 0]) for k in range(4)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import worldfunc as wf
-from worldfunc.cli import _write_csv, main, parse_geometry
+from worldfunc.cli import UsageError, _write_csv, main, parse_geometry
 
 
 def run(argv):
@@ -82,18 +82,20 @@ def test_geometry_minilanguage():
     assert g.kind == "euclidean" and g.dim == 5
     g = parse_geometry("grainy:lambda0_sq=0.01,sigma0=0.03")
     assert g.lambda0_sq == 0.01 and g.sigma0 == 0.03
-    with pytest.raises(Exception):
-        parse_geometry("discrete")  # missing lambda0_sq
+    with pytest.raises(UsageError, match="lambda0_sq must be a real number, got None"):
+        parse_geometry("discrete")
+    with pytest.raises(UsageError, match="missing option 'file'"):
+        parse_geometry("deformed")
 
 
 def test_grainy_spec_needs_both_options(tmp_path, capsys):
     pts = write_points(tmp_path / "p.json", [[0, 0, 0, 0]])
     assert run(["sigma", "--geometry", "grainy", "--points", pts, "--out-dir", tmp_path]) == 1
-    assert "missing option 'lambda0_sq'" in capsys.readouterr().err
+    assert "lambda0_sq must be a real number" in capsys.readouterr().err
     spec = tmp_path / "geom.json"
     spec.write_text(json.dumps({"kind": "grainy", "lambda0_sq": 0.01}))
     assert run(["sigma", "--geometry", f"@{spec}", "--points", pts, "--out-dir", tmp_path]) == 1
-    assert "missing option 'sigma0'" in capsys.readouterr().err
+    assert "sigma0 must be a real number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["grainy:lambda0_sq=nan,sigma0=0.03",
@@ -130,7 +132,13 @@ def test_geometry_file_without_json_object_exits_1(tmp_path, capsys, form, conte
 
 @pytest.mark.parametrize("content", [{"kind": "discrete", "lambda0_sq": [0.01]},
                                      {"kind": "minkowski", "units": [1.0]},
-                                     {"kind": "euclidean", "dim": 2.7}])
+                                     {"kind": "minkowski", "units": {"hbar": "x"}},
+                                     {"kind": "euclidean", "dim": 2.7},
+                                     {"kind": "discrete"},
+                                     {"kind": ["discrete"]},
+                                     {"kind": "deformed", "F_table": [["a", 0], [0, 0]]},
+                                     {"kind": "deformed", "F_table": [[-2, -2], [0, 0], [0.5, 0.5],
+                                                                      [1, 0.5], [2, 1.5]]}])
 def test_geometry_file_with_wrongly_typed_value_exits_1(tmp_path, capsys, content):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(content))

@@ -416,6 +416,14 @@ def test_config_from_dict_coerces_to_field_types():
     tube = wf.sample_segment_tube(Geometry.discrete(0.02), ORIGIN4, (2, 0, 0, 0), tcfg)
     assert np.nanmax(tube.radii) <= 1.5
     assert SolverConfig.from_dict({"tol": "1e-8"}).tol == 1e-8
+    # the constructor is the same path: SolverConfig(tol="1e-8") used to fail in the solve
+    cfg = SolverConfig(tol="1e-8", starts=4.0)
+    assert (type(cfg.tol), type(cfg.starts)) == (float, int)
+    assert wf.solve_equivalent(EUCLID3, (0, 0, 0), (1, 0, 0), (0, 1, 0), cfg).variance == "single"
+    params = wf.ChainParams(geometry=MINK.to_dict(), link_sigma_m="0.5", steps=3.0)
+    assert (type(params.link_sigma_m), type(params.steps)) == (float, int)
+    assert params.geometry.kind == "minkowski"
+    assert wf.UnitConstants(hbar="2", c=1).to_dict() == {"hbar": 2.0, "c": 1.0, "b": 1.0}
 
 
 @pytest.mark.parametrize("cls,field,value", [
@@ -1168,23 +1176,98 @@ def test_segment_members_are_line_members_euclidean():
 # ---------------------------------------------------------------------------
 
 _NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _INTS = st.integers(0, 2**63)
+# strategies of the valid values of each config field
+_CONFIG_FIELDS = {
+    SolverConfig: dict(starts=st.integers(1, 2**63), max_iter=_INTS, tol=_NONNEGATIVE,
+                       dedupe_radius=_NONNEGATIVE, box_half_width=_NONNEGATIVE, seed=_INTS),
+    TubeSamplerConfig: dict(stations=_INTS, directions=_INTS, tol=_NONNEGATIVE, seed=_INTS,
+                            max_radius=st.none() | _NONNEGATIVE,
+                            scan_points=st.integers(1, 2**63)),
+    wf.UnitConstants: dict(hbar=_POSITIVE, c=_POSITIVE, b=_POSITIVE),
+    wf.ChainParams: dict(geometry=st.sampled_from(EVERY_KIND[1:]), link_sigma_m=_POSITIVE,
+                         steps=st.integers(1, 2**63), ensemble=st.integers(1, 2**63),
+                         seed=_INTS),
+}
 
 
+@pytest.mark.parametrize("cls", list(_CONFIG_FIELDS), ids=lambda cls: cls.__name__)
 @settings(max_examples=100, deadline=None)
-@given(starts=st.integers(1, 2**63), max_iter=_INTS, tol=_NONNEGATIVE, dedupe_radius=_NONNEGATIVE,
-       box_half_width=_NONNEGATIVE, seed=_INTS)
-def test_solver_config_serialization_round_trips(**fields):
-    cfg = SolverConfig(**fields)
-    assert SolverConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+@given(data=st.data())
+def test_config_serialization_round_trips(cls, data):
+    cfg = cls(**data.draw(st.fixed_dictionaries(_CONFIG_FIELDS[cls])))
+    back = cls.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert back.to_dict() == cfg.to_dict()
+    if cls is not wf.ChainParams:  # a geometry compares by identity
+        assert back == cfg
 
 
-@settings(max_examples=100, deadline=None)
-@given(stations=_INTS, directions=_INTS, tol=_NONNEGATIVE, seed=_INTS,
-       max_radius=st.none() | _NONNEGATIVE, scan_points=st.integers(1, 2**63))
-def test_tube_sampler_config_serialization_round_trips(**fields):
-    cfg = TubeSamplerConfig(**fields)
-    assert TubeSamplerConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+def _field_value(valid):
+    """A field's valid values, the same as text or a float, and values of no field's type."""
+    return st.one_of(valid, valid.map(lambda v: v.to_dict() if hasattr(v, "to_dict") else str(v)),
+                     st.integers(-3, 3).map(float), st.none(), st.booleans(),
+                     st.floats(), st.text(max_size=3), st.lists(st.integers(), max_size=1),
+                     st.just(10**400))
+
+
+def _built(make):
+    """The dict of the config make() builds, or the message of its InvalidInputError."""
+    try:
+        return make().to_dict()
+    except wf.InvalidInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cls", list(_CONFIG_FIELDS), ids=lambda cls: cls.__name__)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_config_constructor_and_from_dict_agree(cls, data):
+    # one construction path: equal configs or the same InvalidInputError, never a raw error
+    d = data.draw(st.fixed_dictionaries(
+        {k: _field_value(v) for k, v in _CONFIG_FIELDS[cls].items()}))
+    built = _built(lambda: cls(**d))
+    assert built == _built(lambda: cls.from_dict(d))
+    if isinstance(built, dict):  # numeric text and integral floats are stored as their type
+        cfg = cls(**d)
+        for name, kind, optional, _ in cls._fields():
+            value = getattr(cfg, name)
+            assert type(value) is kind or (optional and value is None)
+
+
+_RAW_ERRORS = {
+    "geometry-without-its-key": (lambda: Geometry.from_dict({"kind": "discrete"}), "lambda0_sq"),
+    "geometry-not-a-mapping": (lambda: Geometry.from_dict([1]), "geometry"),
+    "grainy-without-sigma0": (lambda: Geometry.from_dict({"kind": "grainy", "lambda0_sq": 0.01}),
+                              "sigma0"),
+    "deformed-without-table": (lambda: Geometry.from_dict({"kind": "deformed"}), "F_table"),
+    "chain-without-link": (lambda: wf.ChainParams.from_dict(
+        {"geometry": MINK.to_dict(), "steps": 3}), "link_sigma_m"),
+    "chain-geometry-text": (lambda: wf.ChainParams.from_dict(
+        {"geometry": "x", "link_sigma_m": 0.5, "steps": 3}), "geometry"),
+    "solver-tol-list": (lambda: SolverConfig.from_dict({"tol": [1]}), "tol"),
+    "units-hbar-list": (lambda: wf.UnitConstants.from_dict({"hbar": [1]}), "hbar"),
+    "solver-tol-text": (lambda: SolverConfig(tol="1e-8x"), "tol"),
+    "solver-starts-fraction": (lambda: SolverConfig(starts=2.5), "starts"),
+    "tube-stations-fraction": (lambda: TubeSamplerConfig(stations=2.5), "stations"),
+    "chain-steps-fraction": (lambda: wf.ChainParams(geometry=MINK, link_sigma_m=0.5, steps=2.5),
+                             "steps"),
+    "chain-link-text": (lambda: wf.ChainParams(geometry=MINK, link_sigma_m="half", steps=3),
+                        "link_sigma_m"),
+    "units-hbar-text": (lambda: wf.UnitConstants(hbar="two"), "hbar"),
+    "witness-budget-fraction": (lambda: wf.find_intransitivity_witness(MINK, budget=2.5),
+                                "budget"),
+    "witness-seed-fraction": (lambda: wf.find_intransitivity_witness(MINK, seed=1.5), "seed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RAW_ERRORS))
+def test_bad_input_is_an_input_error_naming_its_field(name):
+    # each used to end in a KeyError, AttributeError, TypeError or ValueError, some only
+    # inside numpy after the config had been built
+    make, field = _RAW_ERRORS[name]
+    with pytest.raises(wf.InvalidInputError, match=field):
+        make()
 
 
 # ---------------------------------------------------------------------------

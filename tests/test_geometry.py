@@ -383,6 +383,9 @@ def test_deformation_table_requires_zero_at_zero():
         DeformationFunction.from_table([[-1, -0.9], [1, 1.2]])  # F(0) = 0.15 != 0
 
 
+_FLAT_TABLE = [(-2, -2), (0, 0), (0.5, 0.5), (1, 0.5), (2, 1.5)]
+
+
 def test_deformation_table_requires_increasing_breakpoints():
     with pytest.raises(wf.InvalidInputError):
         DeformationFunction.from_table([[1, 1], [0, 0], [2, 2]])
@@ -682,7 +685,14 @@ def test_builtin_deformation_ignores_parameters_of_other_kinds():
     (lambda: wf.relative_density(0.01, -0.03, 0.0), "sigma0 must be >= 0"),
     (lambda: DeformationFunction(lambda0_sq=0.01, table=[[-1, -2], [0, 0], [1, 2]]),
      "takes no lambda0_sq"),
-], ids=["negative-l", "negative-s", "grainy-negative-s", "density-negative-s", "table-and-l"])
+    # a flat or falling segment solves the length equation on a whole sigma_M interval
+    (lambda: DeformationFunction.from_table(_FLAT_TABLE),
+     r"segment 2 from \[0.5, 0.5\] to \[1.0, 0.5\]"),
+    (lambda: DeformationFunction.from_table([(-2, -2), (0, 0), (0.5, 0.5), (1, 0.4), (2, 1.5)]),
+     "strictly increasing: segment 2"),
+    (lambda: DeformationFunction.from_table([["a", 0], [0, 0]]), "table must hold numbers"),
+], ids=["negative-l", "negative-s", "grainy-negative-s", "density-negative-s", "table-and-l",
+        "flat-table", "falling-table", "table-of-text"])
 def test_deformation_rejects_parameters_it_cannot_use(make, match):
     with pytest.raises(wf.InvalidInputError, match=match):
         make()
@@ -707,7 +717,7 @@ def test_non_finite_deformation_parameters_rejected(make, name):
 
 
 def test_serialized_grainy_needs_both_parameters():
-    with pytest.raises(KeyError):
+    with pytest.raises(wf.InvalidInputError, match="sigma0"):
         Geometry.from_dict({"kind": "grainy", "lambda0_sq": 0.01})
 
 
