@@ -114,9 +114,8 @@ class _Config:
                 value = _integral(name, value, minimum)
             elif kind is not float:
                 value = value if isinstance(value, kind) else kind.from_dict(value)
-            elif not (value is None and optional or type(value) is float
-                      and math.isfinite(value) and value >= minimum):
-                value = _finite(name, value, minimum)  # else it is stored as given
+            elif not (value is None and optional):
+                value = _finite(name, value, minimum)
             vars(self)[name] = value  # frozen: past the dataclass's __setattr__
 
     def to_dict(self) -> dict:
@@ -340,9 +339,10 @@ class Geometry:
 
     @classmethod
     def discrete(cls, lambda0_sq: float, units: UnitConstants | None = None) -> "Geometry":
-        if not _finite("lambda0_sq", lambda0_sq) > 0:
+        F = DeformationFunction.discrete_shift(lambda0_sq)
+        if not F.lambda0_sq > 0:
             raise InvalidInputError("discrete geometry requires lambda0_sq > 0")
-        return cls.deformed(DeformationFunction.discrete_shift(lambda0_sq), units=units)
+        return cls.deformed(F, units=units)
 
     @classmethod
     def discrete_from_units(cls, units: UnitConstants) -> "Geometry":
@@ -396,22 +396,23 @@ class Geometry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Geometry":
-        """Parse a serialized geometry; ``deformed`` means a table (``F_table``)."""
+        """Parse a serialized geometry (``deformed``: an ``F_table``), naming a missing or null key."""
         if not isinstance(d, dict):
             raise InvalidInputError(f"a geometry must be a mapping, got {type(d).__name__}")
         kind = d.get("kind")
+        needs = {"discrete": ["lambda0_sq"], "grainy": ["lambda0_sq", "sigma0"], "deformed": ["F_table"]}
+        if missing := [key for key in needs.get(str(kind), []) if d.get(key) is None]:
+            raise InvalidInputError(f"a {kind} geometry needs {' and '.join(missing)}")
         units = UnitConstants.from_dict(d.get("units", {}))
         if kind == "euclidean":
             return cls.euclidean(d.get("dim", 3), units=units)
         if kind == "minkowski":
             return cls.minkowski(units=units)
         if kind == "discrete":
-            return cls.discrete(d.get("lambda0_sq"), units=units)  # _finite names a missing one
+            return cls.discrete(d["lambda0_sq"], units=units)
         if kind == "grainy":
-            return cls.grainy(d.get("lambda0_sq"), d.get("sigma0"), units=units)
+            return cls.grainy(d["lambda0_sq"], d["sigma0"], units=units)
         if kind == "deformed":
-            if d.get("F_table") is None:
-                raise InvalidInputError("a deformed geometry needs F_table")
             return cls.deformed(DeformationFunction.from_table(d["F_table"]), units=units)
         raise InvalidInputError(f"unknown geometry kind {kind!r}")
 

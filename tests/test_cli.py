@@ -82,7 +82,7 @@ def test_geometry_minilanguage():
     assert g.kind == "euclidean" and g.dim == 5
     g = parse_geometry("grainy:lambda0_sq=0.01,sigma0=0.03")
     assert g.lambda0_sq == 0.01 and g.sigma0 == 0.03
-    with pytest.raises(UsageError, match="lambda0_sq must be a real number, got None"):
+    with pytest.raises(UsageError, match="a discrete geometry needs lambda0_sq"):
         parse_geometry("discrete")
     with pytest.raises(UsageError, match="missing option 'file'"):
         parse_geometry("deformed")
@@ -91,11 +91,11 @@ def test_geometry_minilanguage():
 def test_grainy_spec_needs_both_options(tmp_path, capsys):
     pts = write_points(tmp_path / "p.json", [[0, 0, 0, 0]])
     assert run(["sigma", "--geometry", "grainy", "--points", pts, "--out-dir", tmp_path]) == 1
-    assert "lambda0_sq must be a real number" in capsys.readouterr().err
+    assert "a grainy geometry needs lambda0_sq and sigma0" in capsys.readouterr().err
     spec = tmp_path / "geom.json"
     spec.write_text(json.dumps({"kind": "grainy", "lambda0_sq": 0.01}))
     assert run(["sigma", "--geometry", f"@{spec}", "--points", pts, "--out-dir", tmp_path]) == 1
-    assert "sigma0 must be a real number" in capsys.readouterr().err
+    assert "a grainy geometry needs sigma0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["grainy:lambda0_sq=nan,sigma0=0.03",

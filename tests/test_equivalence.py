@@ -424,6 +424,8 @@ def test_config_from_dict_coerces_to_field_types():
     assert (type(params.link_sigma_m), type(params.steps)) == (float, int)
     assert params.geometry.kind == "minkowski"
     assert wf.UnitConstants(hbar="2", c=1).to_dict() == {"hbar": 2.0, "c": 1.0, "b": 1.0}
+    # a float takes the same path as a string: -0.0 is stored as 0.0 either way
+    assert math.copysign(1, SolverConfig(tol=-0.0).tol) == math.copysign(1, SolverConfig(tol="-0").tol) == 1
 
 
 @pytest.mark.parametrize("cls,field,value", [
@@ -1236,7 +1238,10 @@ def test_config_constructor_and_from_dict_agree(cls, data):
 
 
 _RAW_ERRORS = {
-    "geometry-without-its-key": (lambda: Geometry.from_dict({"kind": "discrete"}), "lambda0_sq"),
+    "geometry-without-its-key": (lambda: Geometry.from_dict({"kind": "discrete"}),
+                                 "a discrete geometry needs lambda0_sq"),
+    "geometry-with-a-null-key": (lambda: Geometry.from_dict(
+        {"kind": "grainy", "lambda0_sq": None, "sigma0": 0.03}), "a grainy geometry needs lambda0_sq"),
     "geometry-not-a-mapping": (lambda: Geometry.from_dict([1]), "geometry"),
     "grainy-without-sigma0": (lambda: Geometry.from_dict({"kind": "grainy", "lambda0_sq": 0.01}),
                               "sigma0"),
