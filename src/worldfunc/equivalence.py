@@ -13,7 +13,9 @@ keeps the report symmetric in (a, b).
 Outside the Euclidean geometry the relation is generally intransitive:
 solving the two equations for the end point Q1 of a vector at Q0 equivalent
 to a given one may yield no solution, exactly one, or a whole manifold.
-``solve_equivalent`` explores that structure with a multistart damped Newton
+In the Euclidean geometry the solution is exactly the translation Q0 + (P1 -
+P0), and ``solve_equivalent`` returns it in closed form.  On the Minkowski
+substrate it explores the structure with a multistart damped Newton
 iteration and reports representatives, each classified in closed form by a
 second-order test at the root as isolated or on an (n - 2)-dimensional
 solution manifold; ``find_intransitivity_witness`` tests blocks of candidate triples
@@ -127,6 +129,14 @@ def _skeleton_pair_reports(g, a, b, tol):
 
 @dataclass(frozen=True)
 class SolverConfig(_Config):
+    """Multistart Newton settings of ``solve_equivalent``.
+
+    ``tol`` and ``dedupe_radius`` apply to every geometry.  ``starts``,
+    ``max_iter``, ``box_half_width`` and ``seed`` drive the Newton search on
+    the Minkowski substrate and are not read for the Euclidean geometry,
+    whose one solution is computed in closed form.
+    """
+
     starts: int = 256
     max_iter: int = 100
     tol: float = 1e-9
@@ -142,13 +152,16 @@ class SolverConfig(_Config):
 class SolverDiagnostics:
     """What the solver did.
 
-    ``iterations`` counts the step-ladder evaluations of the main Newton
-    pass, ``stalled_count`` its starts that no rung of the ladder improved
-    and ``doubled_steps`` its row steps accepted at the doubled step
-    lambda = 2 (the polish pass is not counted).  ``merged_count`` counts the
-    polished representatives the final cover dropped: those that collapsed
-    onto another within the dedupe radius, and those an isolated root
-    absorbed into its tolerance tube.
+    A Euclidean solve runs no Newton: it reports 0 starts, converged rows,
+    iterations, stalls, doubled steps and merges, and rank 1, the rank of
+    the Jacobian at the translation, whose parallelism row vanishes there.
+    On the Minkowski substrate ``iterations`` counts the step-ladder
+    evaluations of the main Newton pass, ``stalled_count`` its starts that
+    no rung of the ladder improved and ``doubled_steps`` its row steps
+    accepted at the doubled step lambda = 2 (the polish pass is not
+    counted).  ``merged_count`` counts the polished representatives the
+    final cover dropped: those that collapsed onto another within the dedupe
+    radius, and those an isolated root absorbed into its tolerance tube.
     """
 
     starts_attempted: int
@@ -167,7 +180,8 @@ class SolutionSet:
 
     ``manifold_dim_estimate`` is 0 when every representative is an isolated
     root and n - 2 when one lies on a solution manifold (see
-    ``_manifold_dims``).
+    ``_manifold_dims``).  A Euclidean set is exact: ``single``, dimension 0,
+    the translation as its one representative.
     """
 
     representatives: list
@@ -382,20 +396,28 @@ def _manifold_dims(rmap: _ResidualMap, reps, radius, tol_abs):
 def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -> SolutionSet:
     """Find end points Q1 such that the vector Q0Q1 is equivalent to P0P1.
 
-    Starts from the chart-translation guess plus seeded random points in a
-    box around Q0; converged solutions are deduplicated (sorted, by chart
-    distance), polished and classified by a second-order test at each
-    representative (``_manifold_dims``).  One cover then merges the polished
-    points, each covering the larger of the dedupe radius and its
-    tolerance-tube reach.  The reported residuals are the rows Newton
-    computed at the representatives, equal to ``is_equivalent``'s (r_par,
-    r_len) of P0P1 against Q0Q1 bit for bit:
+    In the Euclidean geometry, with Y = Q1 - Q0 and u = P1 - P0, the length
+    equation is |Y|^2 = |u|^2 and the parallelism equation <Y, u> = |u|^2,
+    so Cauchy-Schwarz equality forces Y = u: the result is the translation
+    Q0 + u, ``single``, found without Newton (``cfg``'s ``starts``,
+    ``max_iter``, ``box_half_width`` and ``seed`` are not read).  It is
+    still checked by the pairwise test's residuals, and a translation that
+    fails them at ``tol`` in float arithmetic raises ``SolverFailureError``.
+
+    On the Minkowski substrate the solve starts from the chart-translation
+    guess plus seeded random points in a box around Q0; converged solutions
+    are deduplicated (sorted, by chart distance), polished and classified by
+    a second-order test at each representative (``_manifold_dims``).  One
+    cover then merges the polished points, each covering the larger of the
+    dedupe radius and its tolerance-tube reach.  The reported residuals are
+    the rows Newton computed at the representatives, equal to
+    ``is_equivalent``'s (r_par, r_len) of P0P1 against Q0Q1 bit for bit:
 
     * ``zero``   -- no solution found (an empty set is a valid outcome),
     * ``single`` -- one representative, an isolated root,
     * ``multi``  -- several representatives or an (n - 2)-dimensional manifold.
     """
-    cfg = cfg or SolverConfig()
+    cfg = SolverConfig._given(cfg)
     p0 = as_point(p0, dim=g.dim)
     p1 = as_point(p1, dim=g.dim)
     q0 = as_point(q0, dim=g.dim)
@@ -407,16 +429,25 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     rmap = _ResidualMap(g, p0, p1, q0)
     tol_abs = cfg.tol * max(1.0, abs(rmap.two_a))
     radius = cfg.dedupe_radius * chart_scale
+    if g.kind == "euclidean":
+        X = q0 + u
+        res = rmap(X[None])
+        if np.abs(res).max() > tol_abs:
+            raise SolverFailureError(
+                "the translation q0 + (p1 - p0), this geometry's one solution, fails the "
+                "equivalence test at tol in float arithmetic")
+        diags = SolverDiagnostics(0, 0, radius, 1, 0, 0, 0, 0)
+        return SolutionSet([X], "single", 0, list(map(tuple, res.tolist())), diags)
 
     rng = np.random.default_rng(cfg.seed)
     starts = np.empty((cfg.starts, g.dim))
-    starts[0] = q0 + u  # translation guess: exact in Euclidean and Minkowski
+    starts[0] = q0 + u  # translation guess: exact in Minkowski
     starts[1:] = q0 + rng.uniform(-cfg.box_half_width, cfg.box_half_width,
                                   size=(cfg.starts - 1, g.dim))
 
     X, res, conv, stalled, doubled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
     if not conv.any():
-        if g.kind in ("euclidean", "minkowski"):
+        if g.kind == "minkowski":
             raise SolverFailureError(
                 "no start converged although this geometry has an analytic solution")
         diags = SolverDiagnostics(len(starts), 0, radius, 0, iterations, int(stalled.sum()),
@@ -662,7 +693,7 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
     geometries yield genuinely thick tubes.  Stations where no direction
     brackets a crossing are marked empty, never fatal.
     """
-    cfg = cfg or TubeSamplerConfig()
+    cfg = TubeSamplerConfig._given(cfg)
     p0 = as_point(p0, dim=g.dim)
     p1 = as_point(p1, dim=g.dim)
     s_ab = sigma(g, p0, p1)

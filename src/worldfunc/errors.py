@@ -31,7 +31,7 @@ class InvalidDirectionError(WorldFunctionError, ValueError):
 
 
 class SolverFailureError(WorldFunctionError, RuntimeError):
-    """No start converged although an analytic solution is known to exist."""
+    """The solver missed or could not verify a solution known to exist."""
 
 
 class InvalidStateError(WorldFunctionError, ValueError):

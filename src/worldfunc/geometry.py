@@ -132,6 +132,17 @@ class _Config:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     @classmethod
+    def _given(cls, cfg):
+        """cfg as passed to a library function: the defaults for None, else an instance."""
+        if cfg is None:
+            return cls()
+        if not isinstance(cfg, cls):
+            raise InvalidInputError(f"cfg must be a {cls.__name__} or None, got "
+                                    f"{type(cfg).__name__}; parse a mapping with "
+                                    f"{cls.__name__}.from_dict")
+        return cfg
+
+    @classmethod
     @functools.cache
     def _fields(cls) -> tuple:
         """(name, type, optional, minimum) of each field; optional is ``type | None``."""
@@ -315,7 +326,10 @@ class Geometry:
 
     Use the classmethod constructors.  ``deformation`` is the F of sigma =
     F(sigma_M), None for the Euclidean geometry; sigma, ``kind``,
-    ``lambda0_sq`` and ``sigma0`` are all read from it.
+    ``lambda0_sq`` and ``sigma0`` are all read from it.  However built, the
+    geometry stores ``dim`` through ``_integral`` and ``units`` as a
+    ``UnitConstants`` (None for the defaults, a mapping through
+    ``UnitConstants.from_dict``), or raises ``InvalidInputError``.
     """
 
     dim: int = SIGNATURE_DIM
@@ -323,15 +337,20 @@ class Geometry:
     units: UnitConstants = field(default_factory=UnitConstants)
 
     def __post_init__(self):
-        if self.deformation is None and self.dim < 1:
+        dim = vars(self)["dim"] = _integral("dim", self.dim)  # frozen: past __setattr__
+        if self.deformation is None and dim < 1:
             raise InvalidInputError("euclidean dimension must be >= 1")
-        if self.deformation is not None and self.dim != SIGNATURE_DIM:
+        if self.deformation is not None and dim != SIGNATURE_DIM:
             raise InvalidInputError(f"a {self.kind} geometry has dimension {SIGNATURE_DIM}, "
-                                    f"not {self.dim}")
+                                    f"not {dim}")
+        units = UnitConstants() if self.units is None else self.units
+        if not isinstance(units, UnitConstants):
+            units = UnitConstants.from_dict(units)  # InvalidInputError unless a mapping
+        vars(self)["units"] = units
 
     @classmethod
     def euclidean(cls, dim: int, units: UnitConstants | None = None) -> "Geometry":
-        return cls(_integral("dim", dim), units=units or UnitConstants())
+        return cls(dim, units=units)
 
     @classmethod
     def minkowski(cls, units: UnitConstants | None = None) -> "Geometry":
@@ -357,7 +376,7 @@ class Geometry:
     @classmethod
     def deformed(cls, deformation: DeformationFunction,
                  units: UnitConstants | None = None) -> "Geometry":
-        return cls(deformation=deformation, units=units or UnitConstants())
+        return cls(deformation=deformation, units=units)
 
     @property
     def kind(self) -> str:

@@ -263,17 +263,98 @@ def test_solve_near_cone_timelike_draws_are_single():
 
 def test_euclidean_solves_converge_in_few_iterations():
     # the tangential double root: the doubled step takes a start there in a
-    # few iterations where plain damped Newton quarters the residual per step
+    # few iterations where plain damped Newton quarters the residual per step.
+    # solve_equivalent returns the Euclidean translation in closed form, so
+    # Newton runs here on the starts of SolverConfig(starts=4, seed=k)
     rng = np.random.default_rng(2024)
     doubled = 0
     for k in range(50):
         p0, p1, q0 = rng.uniform(-3, 3, (3, 3))
-        sol = wf.solve_equivalent(EUCLID3, p0, p1, q0, SolverConfig(starts=4, max_iter=60, seed=k))
-        assert sol.variance == "single"
-        assert sol.diagnostics.iterations <= 8
-        doubled += sol.diagnostics.doubled_steps
+        rmap = _ResidualMap(EUCLID3, p0, p1, q0)
+        starts = np.vstack([q0 + (p1 - p0), q0 + np.random.default_rng(k).uniform(-5, 5, (3, 3))])
+        tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+        X, _, conv, _, steps, iterations = eqv._newton(rmap, starts, tol_abs, 60)
+        assert conv.any()
+        assert np.abs(X[conv] - (q0 + (p1 - p0))).max() < 1e-4
+        assert iterations <= 8
+        doubled += steps
     assert doubled > 0
+    # the timelike Minkowski root is a substrate tangent point the solve reaches by doubled steps
+    sol = wf.solve_equivalent(MINK, ORIGIN4, (1.001, 1, 0, 0), ORIGIN4, SolverConfig(starts=64))
+    assert sol.diagnostics.doubled_steps > 0
     assert sol.to_dict()["diagnostics"]["doubled_steps"] == sol.diagnostics.doubled_steps
+
+
+_COORD = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 5))
+def test_euclidean_solve_is_the_translation_in_closed_form(data, dim):
+    p0, p1, q0 = (np.array(data.draw(st.lists(_COORD, min_size=dim, max_size=dim)))
+                  for _ in range(3))
+    if not np.array_equal(p0, p1):
+        _assert_closed_form(Geometry.euclidean(dim), p0, p1, q0)
+
+
+def _assert_closed_form(g, p0, p1, q0):
+    """|Y|^2 = <Y, u> = |u|^2 forces Y = u: the translation is the one solution,
+    returned, without Newton, exactly when it passes the pairwise test at tol."""
+    X = q0 + (p1 - p0)
+    rep = wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, X))
+    passes = (max(abs(rep.residual_parallel), abs(rep.residual_length))
+              <= 1e-9 * max(1.0, abs(2.0 * wf.sigma(g, p0, p1))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eqv, "_newton", _no_newton)
+        if not passes:
+            with pytest.raises(wf.SolverFailureError, match="translation"):
+                wf.solve_equivalent(g, p0, p1, q0)
+            return False
+        sol = wf.solve_equivalent(g, p0, p1, q0)
+    assert (sol.variance, sol.manifold_dim_estimate) == ("single", 0)
+    assert len(sol.representatives) == 1
+    assert sol.representatives[0].tobytes() == X.tobytes()
+    assert np.array(sol.residuals).tobytes() == np.array([[rep.residual_parallel,
+                                                          rep.residual_length]]).tobytes()
+    return True
+
+
+def _no_newton(*args):
+    raise AssertionError("a Euclidean solve ran Newton")
+
+
+@pytest.mark.parametrize("p0, p1, q0", [
+    ((1e8, 0, 0), (1e8 + 0.1, 0.3, 0.7), (0.1, 0.2, 0.3)),
+    ((1e3, -1e3, 1e3), (1e3 + 1e-4, -1e3 + 1e-4, 1e3), (-1e3, 1e3, -1e3)),
+])
+def test_euclidean_solve_refuses_a_translation_that_fails_the_test(p0, p1, q0):
+    # the rounding of sigma(p0, X) at large coordinates exceeds tol for a
+    # short P0P1: no unverified point is returned
+    assert not _assert_closed_form(EUCLID3, *map(np.array, (p0, p1, q0)))
+
+
+def test_euclidean_solve_diagnostics_say_no_newton_ran():
+    cfgs = [None, SolverConfig(starts=1, max_iter=0, box_half_width=0.0, seed=9)]
+    sols = [wf.solve_equivalent(EUCLID3, (0, 0, 0), (1, 2, -1), (0.5, -1, 2), cfg) for cfg in cfgs]
+    d = sols[0].diagnostics
+    assert (d.starts_attempted, d.converged_count, d.iterations) == (0, 0, 0)
+    assert (d.stalled_count, d.doubled_steps, d.merged_count, d.jacobian_rank) == (0, 0, 0, 1)
+    assert d.dedupe_radius == 1e-4 * math.sqrt(6.0)
+    out = sols[0].to_dict()
+    assert out["diagnostics"]["starts_attempted"] == 0 and out["diagnostics"]["iterations"] == 0
+    assert out["representatives"] == [[1.5, 1.0, 1.0]]
+    # starts, max_iter, box_half_width and seed are not read
+    assert sols[1].to_dict() == out
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: wf.solve_equivalent(EUCLID3, (0, 0, 0), (1, 0, 0), (0, 0, 0), cfg),
+    lambda cfg: wf.sample_segment_tube(EUCLID3, (0, 0, 0), (1, 0, 0), cfg),
+], ids=["solve_equivalent", "sample_segment_tube"])
+@pytest.mark.parametrize("cfg", [{"stations": 3}, {}, 3, "starts=4"])
+def test_config_argument_must_be_the_config_class(call, cfg):
+    with pytest.raises(wf.InvalidInputError, match=r"Config or None.*Config\.from_dict"):
+        call(cfg)
 
 
 def test_isolated_root_reach_keeps_a_distinct_root():

@@ -760,6 +760,34 @@ def test_geometry_checks_its_dimension_however_built():
         Geometry(dim=0)
 
 
+@pytest.mark.parametrize("dim", [2.5, True, None, "x", [3]])
+def test_geometry_dimension_is_an_integer_however_built(dim):
+    with pytest.raises(wf.InvalidInputError, match="dim must be an integer"):
+        Geometry(dim=dim)
+    with pytest.raises(wf.InvalidInputError, match="dim must be an integer"):
+        Geometry.euclidean(dim)
+
+
+def test_geometry_stores_an_integral_dimension_as_int():
+    for dim in ("3", 3.0, np.int64(3)):
+        g = Geometry(dim=dim)
+        assert type(g.dim) is int and g.dim == 3
+        assert Geometry.from_dict(g.to_dict()).dim == 3
+    assert Geometry(dim="4", deformation=DeformationFunction.identity()).dim == 4
+
+
+def test_geometry_stores_its_units_as_unit_constants():
+    for g in (Geometry.euclidean(3, units={"hbar": 2}), Geometry(dim=3, units={"hbar": 2}),
+              Geometry.discrete(0.01, units={"hbar": 2})):
+        assert g.units == UnitConstants(hbar=2.0)
+        assert g.to_dict()["units"] == {"hbar": 2.0, "c": 1.0, "b": 1.0}
+    assert Geometry.minkowski(units=None).units == UnitConstants()
+    with pytest.raises(wf.InvalidInputError, match="UnitConstants needs a mapping"):
+        Geometry.euclidean(3, units=[2.0])
+    with pytest.raises(wf.InvalidInputError, match="hbar must be positive"):
+        Geometry(dim=3, units={"hbar": -1})
+
+
 def test_builtin_kind_rejects_a_deformation_of_another_kind():
     # sigma uses the deformation and from_dict(to_dict()) the kind, so the
     # kind is no field of its own: it is read from F and cannot disagree
