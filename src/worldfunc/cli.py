@@ -98,9 +98,11 @@ def parse_point(text: str) -> list[float]:
         raise UsageError(f"bad point {text!r}: {exc}") from exc
 
 
-def _load_points(path: str, dim: int) -> np.ndarray:
-    """(m, dim) array of a JSON point list, each point checked by ``as_point``."""
-    return np.array([as_point(p, dim=dim) for p in _load_json(path)]).reshape(-1, dim)
+def _load_points(path: str, dim: int | None = None) -> list:
+    """The points of a JSON array file, each checked by ``as_point``."""
+    if not isinstance(points := _load_json(path), list):
+        raise UsageError(f"{path} must hold a JSON array of points, not {type(points).__name__}")
+    return [as_point(p, dim=dim) for p in points]
 
 
 def _load_json(path: str):
@@ -190,7 +192,7 @@ def _utcnow() -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_sigma(args, g):
-    pts = _load_points(args.points, g.dim)
+    pts = np.reshape(_load_points(args.points, g.dim), (-1, g.dim))
     i, j = np.triu_indices(len(pts))
     out = Path(args.out_dir) / args.out
     _write_csv(out, "i,j,sigma", i, j, sigma(g, pts[i], pts[j]))
@@ -252,11 +254,11 @@ def cmd_object(args, g):
         if getattr(args, name) < 0:
             raise UsageError(f"--{name} must be an integer >= 0, got {getattr(args, name)}")
     _finite("--box-half-width", args.box_half_width, 0.0)
-    sk = Skeleton(tuple(np.asarray(p, dtype=float) for p in _load_json(args.skeleton)))
+    sk = Skeleton(_load_points(args.skeleton))
     env = Envelope.cylinder() if args.envelope == "cylinder" \
         else Envelope.from_dict(_load_json(args.envelope))
     if args.probes:
-        probes = _load_points(args.probes, g.dim)
+        probes = np.reshape(_load_points(args.probes, g.dim), (-1, g.dim))
     else:
         rng = np.random.default_rng(args.seed)
         center = np.mean(np.stack(sk.points), axis=0)
@@ -359,7 +361,7 @@ def _build_parser() -> _Parser:
                 config=SolverConfig)
     for name in ("--p0", "--p1", "--q0"):
         p.add_argument(name, required=True)
-    p = command(modes, "witness", cmd_eqv_witness, "search for an intransitive triple")
+    p = command(modes, "witness", cmd_eqv_witness, "build an intransitive triple")
     p.add_argument("--budget", type=int, default=10000)
 
     p = command(sub, "tube", cmd_tube, "sample a segment as a tube", config=TubeSamplerConfig)

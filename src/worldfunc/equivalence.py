@@ -18,14 +18,15 @@ P0), and ``solve_equivalent`` returns it in closed form.  On the Minkowski
 substrate it explores the structure with a multistart damped Newton
 iteration and reports representatives, each classified in closed form by a
 second-order test at the root as isolated or on an (n - 2)-dimensional
-solution manifold; ``find_intransitivity_witness`` tests blocks of candidate triples
-for broken transitivity with the batched residual kernel that also checks
-skeleton and chain-link equivalence; the segment/tube operations expose the
-thickness that straight lines acquire under deformation.
+solution manifold; ``find_intransitivity_witness`` builds broken-transitivity
+witnesses from one exact null-shift template, confirmed by the batched residual
+kernel that also checks skeleton and chain-link equivalence; the segment/tube
+operations expose the thickness that straight lines acquire under deformation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -376,13 +377,11 @@ def _manifold_dims(rmap: _ResidualMap, reps, radius, tol_abs):
     at rank 1 (Griewank, SIAM Review 27, 1985).  The reach of an isolated
     root, sqrt(2 tol_abs / min|eig A|), bounds its tolerance tube: beyond it
     the definite model puts the residual above tol_abs.  Manifold
-    representatives, and every one for n < 3, have reach 0.
+    representatives have reach 0.
     """
     J = rmap.jacobian(reps)
     U, S, Vt = np.linalg.svd(J)
     rank = (S > _RANK_CUTOFF * S[:, :1]).sum(axis=1)
-    if rmap.n < 3:
-        return np.zeros(len(reps), dtype=int), rank, np.zeros(len(reps))
     K = Vt[:, 1:]
     cH = np.einsum("mi,mijk->mjk", U[:, :, -1], rmap.hessian(reps))
     eig = np.linalg.eigvalsh(K @ cH @ K.transpose(0, 2, 1))
@@ -517,69 +516,56 @@ def minkowski_spacelike_family(y: GeomVector, alpha: float, n_hat,
 
 def find_intransitivity_witness(g: Geometry, seed: int = 0, budget: int = 10000,
                                 tol: float = 1e-9):
-    """Search for vectors (a, b, c) with a eqv b, b eqv c but not a eqv c.
+    """Vectors (a, b, c) with a eqv b, b eqv c but not a eqv c, or None.
 
-    Every geometry draws candidates in blocks of ``_WITNESS_BLOCK``, each
-    tested by three batched ``_equivalence_residuals`` calls.  On the
-    Minkowski substrate a and c are two null shifts of a spacelike b
-    (``_null_shift_block``), equivalent to b in exact arithmetic but not always
-    numerically, and generally not to each other.  In the Euclidean geometry
-    they are translated copies of b (its only equivalents) and the search
-    honestly exhausts the budget.  Deterministic for a given seed; returns the
-    first witness in draw order, or None when the budget is spent.
+    On the Minkowski substrate each candidate is ``_witness_block``'s exact
+    template, a base b and two null shifts a, c of it: a~b and b~c hold with
+    residuals exactly 0.0 under every F, and a~c has r_par = -F(sigma_M(s1 -
+    s2)) != 0 for every strictly increasing F.  ``seed`` draws the placements
+    and up to ``budget`` are tested, ``_WITNESS_BLOCK`` per batched residual
+    call; the first witness in draw order is returned, whatever the block size.
+    In the Euclidean geometry equivalence is translation (``solve_equivalent``),
+    which is transitive: None, with nothing drawn or tested.
     """
     budget = _integral("budget", budget, 0)
     seed = _integral("seed", seed, 0)
     _finite("tol", tol, 0.0)
+    if not g.has_minkowski_substrate:
+        return None
     rng = np.random.default_rng(seed)
-    low = np.array([-1.0, -1.0, -2.0, -2.0])[:, None]  # Euclidean origin, end offset, shifts
     for start in range(0, budget, _WITNESS_BLOCK):
-        m = min(_WITNESS_BLOCK, budget - start)
-        if g.has_minkowski_substrate:
-            o, e, a0, a1, c0, c1 = _null_shift_block(rng, m)
-        else:
-            o, off, t1, t2 = rng.uniform(low, -low, size=(m, 4, g.dim)).transpose(1, 0, 2)
-            e = o + off
-            a0, a1, c0, c1 = o + t1, e + t1, o + t2, e + t2
-        hit = (_equivalence_residuals(g, a0, a1, o, e, tol)[0]
-               & _equivalence_residuals(g, o, e, c0, c1, tol)[0]
-               & ~_equivalence_residuals(g, a0, a1, c0, c1, tol)[0])
+        o, e, a1, c1 = _witness_block(rng, min(_WITNESS_BLOCK, budget - start))
+        hit = (_equivalence_residuals(g, o, a1, o, e, tol)[0]
+               & _equivalence_residuals(g, o, e, o, c1, tol)[0]
+               & ~_equivalence_residuals(g, o, a1, o, c1, tol)[0])
         if hit.any():
             i = int(np.argmax(hit))
-            return GeomVector(a0[i], a1[i]), GeomVector(o[i], e[i]), GeomVector(c0[i], c1[i])
+            return GeomVector(o[i], a1[i]), GeomVector(o[i], e[i]), GeomVector(o[i], c1[i])
     return None
 
 
-# (low, high) per null-shift draw: origin, base displacement (y0, y_vec), the
-# shift magnitudes |alpha| and the cone azimuths of a and c
-_NULL_BOUNDS = np.array([(-1.0, 1.0)] * 4 + [(-0.5, 0.5)] + [(-1.0, 1.0)] * 3
-                        + [(0.2, 2.0)] * 2 + [(0.0, 2.0 * math.pi)] * 2).T
+# witness template y, s1, s2: <s1, s1> = <s2, s2> = <y, s1> = <y, s2> = 0, <y, y> = -10
+_TEMPLATE = np.array([[2.0, 3.0, 1.0, -2.0], [3.0, 2.0, 2.0, 1.0], [3.0, 2.0, -2.0, -1.0]])
+_AXES = np.array([(0,) + p for p in itertools.permutations((1, 2, 3))])  # time stays first
+# [low, high) per placement column: origin in units of 2^-10, spatial axis
+# order, three spatial signs, exponents j, k of the scales 2^-j of y, 2^-k of s
+_PLACEMENT = np.array([(-1024, 1025)] * 4 + [(0, 6)] + [(0, 2)] * 3 + [(0, 4)] * 2).T
 
 
-def _null_shift_block(rng, m):
-    """Point rows (o, e, a0, a1, c0, c1) of m bases b and two null shifts a, c each.
+def _witness_block(rng, m):
+    """Point rows (o, e, a1, c1) of m candidates b = o e, a = o a1, c = o c1.
 
-    The shifts share b's origin and end at o + (y + (alpha, alpha n)) as in
-    ``minkowski_spacelike_family``, with the unit n on b's cone (y_vec . n =
-    y0) at the drawn azimuth.  A row whose base is not clearly spacelike gets
-    a = c = b, which reflexivity makes a non-witness.
+    Row i of one integer draw places the template under a signed permutation
+    of the spatial axes at a dyadic origin: every coordinate difference is a
+    short dyadic number, so every sigma_M of a candidate is exact.
     """
-    draw = rng.uniform(*_NULL_BOUNDS, size=(m, 12))
-    o, y, (alpha, azimuth) = draw[:, :4], draw[:, 4:8], draw[:, 8:].T.reshape(2, 2, m, 1)
-    alpha = alpha * rng.choice([-1.0, 1.0], size=(2, m, 1))
-    y0, yv = y[:, :1], y[:, 1:]
-    nv = np.linalg.norm(yv, axis=1, keepdims=True)
-    spacelike = (nv >= 0.8) & (y0 * y0 < nv * nv - 0.1)
-    yhat, cos_phi = yv / nv, y0 / nv
-    sin_phi = np.sqrt(np.maximum(0.0, 1.0 - cos_phi * cos_phi))
-    # orthonormal pair spanning the plane orthogonal to yhat
-    e1 = np.cross(yhat, np.eye(3)[np.argmin(np.abs(yhat), axis=1)])
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(yhat, e1)
-    n_hat = cos_phi * yhat + sin_phi * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
-    e = o + y
-    a1, c1 = np.where(spacelike, o + (y + np.concatenate([alpha, alpha * n_hat], axis=-1)), e)
-    return o, e, o, a1, o, c1
+    draw = rng.integers(*_PLACEMENT, size=(m, _PLACEMENT.shape[1]))
+    signs = np.column_stack([np.ones(m), 1 - 2 * draw[:, 5:8]])
+    y, s1, s2 = _TEMPLATE[:, _AXES[draw[:, 4]]] * signs
+    o = draw[:, :4] / 1024.0
+    e = o + y * 0.5 ** draw[:, 8:9]
+    shift = 0.5 ** draw[:, 9:10]
+    return o, e, e + shift * s1, e + shift * s2
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,11 @@ SIGNATURE_DIM = 4  # Minkowski-based charts are four-dimensional
 # ---------------------------------------------------------------------------
 
 def as_point(p, dim: int | None = None) -> np.ndarray:
-    """Coerce to a 1-D float coordinate array, checking finiteness and dim."""
-    arr = np.asarray(p, dtype=float)
+    """Coerce to a 1-D float coordinate array, checking numbers, finiteness and dim."""
+    try:
+        arr = np.asarray(p, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"a point must be a flat list of numbers, got {p!r}") from exc
     if arr.ndim != 1:
         raise InvalidInputError(f"point must be a flat coordinate tuple, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -338,6 +341,9 @@ class Geometry:
 
     def __post_init__(self):
         dim = vars(self)["dim"] = _integral("dim", self.dim)  # frozen: past __setattr__
+        if not isinstance(self.deformation, (DeformationFunction, type(None))):
+            raise InvalidInputError(f"deformation must be a DeformationFunction or None, got "
+                                    f"{type(self.deformation).__name__}")
         if self.deformation is None and dim < 1:
             raise InvalidInputError("euclidean dimension must be >= 1")
         if self.deformation is not None and dim != SIGNATURE_DIM:

@@ -30,7 +30,11 @@ class Skeleton:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(as_point(p) for p in self.points)
+        try:
+            pts = tuple(as_point(p) for p in self.points)
+        except TypeError as exc:  # as_point raises InvalidInputError, so iter() failed
+            raise InvalidInputError(f"a skeleton takes a sequence of points, got "
+                                    f"{type(self.points).__name__}") from exc
         if len(pts) < 2:
             raise InvalidInputError("a skeleton needs at least two points")
         dim = pts[0].shape[0]

@@ -307,6 +307,33 @@ def test_input_the_library_rejects_exits_1(tmp_path, capsys, monkeypatch, argv, 
     assert not (tmp_path / "out").exists()
 
 
+_POINT_FILE_READERS = {
+    "sigma-points": ["sigma", "--geometry", "euclidean:dim=3", "--points", "bad.json"],
+    "object-skeleton": ["object", "--geometry", "euclidean:dim=3", "--skeleton", "bad.json"],
+    "object-probes": ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json",
+                      "--probes", "bad.json"],
+}
+_BAD_POINT_FILES = {
+    "number": ("5", "bad.json must hold a JSON array of points, not int"),
+    "object": ('{"a": [0, 0, 0]}', "bad.json must hold a JSON array of points, not dict"),
+    "string-coordinate": ('[[0, "x", 0], [1, 0, 0]]', "a point must be a flat list of numbers"),
+}
+
+
+@pytest.mark.parametrize("content", sorted(_BAD_POINT_FILES))
+@pytest.mark.parametrize("reader", sorted(_POINT_FILE_READERS))
+def test_malformed_point_file_is_an_input_error(tmp_path, capsys, monkeypatch, reader, content):
+    # each used to end in a TypeError or numpy ValueError traceback, not an error line
+    monkeypatch.chdir(tmp_path)
+    text, message = _BAD_POINT_FILES[content]
+    (tmp_path / "bad.json").write_text(text)
+    write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+    assert run(_POINT_FILE_READERS[reader] + ["--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_overflowing_chain_is_a_numerical_failure(tmp_path, capsys):
     assert run(["chain", "--geometry", "discrete:lambda0_sq=50", "--link-sigma-m", "0.5",
                 "--steps", "400", "--ensemble", "4", "--out-dir", tmp_path / "out"]) == 2

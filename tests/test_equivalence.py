@@ -1,6 +1,7 @@
 """Equivalence relation, multistart solver, spacelike family, intransitivity,
 collinearity, segments and tube sampling."""
 
+import itertools
 import json
 import math
 import os
@@ -917,7 +918,7 @@ def test_batched_residuals_match_scalar_reports_bitwise():
                 == (eq[k], r_par[k], r_len[k], scale[k])
 
 
-def test_euclidean_witness_blocks_replay_the_per_draw_stream(monkeypatch):
+def test_witness_blocks_replay_the_per_candidate_stream(monkeypatch):
     seen = []
 
     def spy(g, a0, a1, b0, b1, tol):
@@ -927,34 +928,120 @@ def test_euclidean_witness_blocks_replay_the_per_draw_stream(monkeypatch):
     residuals = eqv._equivalence_residuals
     monkeypatch.setattr(eqv, "_equivalence_residuals", spy)
     budget = 2 * _WITNESS_BLOCK + 7
-    assert wf.find_intransitivity_witness(EUCLID3, seed=11, budget=budget) is None
+    assert wf.find_intransitivity_witness(MINK, seed=11, budget=budget, tol=100) is None
     assert len(seen) == 9  # three tests (a~b, b~c, a~c) per block
-    # the per-draw loop the blocks replaced, kept as reference
+    # each candidate placed from its own integer draw, kept as reference
     rng = np.random.default_rng(11)
+    y, s1, s2 = np.array([[2, 3, 1, -2], [3, 2, 2, 1], [3, 2, -2, -1]], dtype=float)
+    orders = list(itertools.permutations((1, 2, 3)))
     want = []
     for _ in range(budget):
-        o = rng.uniform(-1, 1, 3)
-        e = o + rng.uniform(-1, 1, 3)
-        t1 = rng.uniform(-2, 2, 3)
-        t2 = rng.uniform(-2, 2, 3)
-        want.append(np.concatenate([o + t1, e + t1, o, e, o + t2, e + t2]))
+        *o, order, sx, sy, sz, j, k = rng.integers([-1024] * 4 + [0] * 6,
+                                                   [1025] * 4 + [6, 2, 2, 2, 4, 4])
+        axes = [0, *orders[order]]
+        signs = np.array([1, 1 - 2 * sx, 1 - 2 * sy, 1 - 2 * sz])
+        o = np.array(o) / 1024
+        e = o + 2.0 ** -j * signs * y[axes]
+        a1, c1 = (e + 2.0 ** -k * signs * s[axes] for s in (s1, s2))
+        want.append(np.concatenate([o, a1, o, e, o, e, o, c1]))
     ab, bc = seen[0::3], seen[1::3]
-    got = np.concatenate([np.hstack([*x[:4], *y[2:]]) for x, y in zip(ab, bc)])
+    got = np.concatenate([np.hstack([*x, *y]) for x, y in zip(ab, bc)])
     assert np.array_equal(got, np.array(want))
 
 
-def test_euclidean_witness_memory_does_not_grow_with_budget():
+def test_witness_memory_does_not_grow_with_budget():
     def peak(budget):
         tracemalloc.start()
         try:
-            assert wf.find_intransitivity_witness(EUCLID3, seed=2, budget=budget) is None
+            assert wf.find_intransitivity_witness(MINK, seed=2, budget=budget, tol=100) is None
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    wf.find_intransitivity_witness(EUCLID3, seed=2, budget=10)  # first-call allocations, untraced
+    wf.find_intransitivity_witness(MINK, seed=2, budget=10, tol=100)  # first-call allocations
     small = peak(2 * _WITNESS_BLOCK)
     assert peak(16 * _WITNESS_BLOCK) < 1.2 * small
+
+
+def test_witness_does_not_depend_on_the_block_size(monkeypatch):
+    # at tol = 2 a Minkowski candidate is a witness only for some scales of its
+    # base and shifts, so the first witness is not the first draw
+    want = wf.find_intransitivity_witness(MINK, seed=4, tol=2)
+    first = eqv._witness_block(np.random.default_rng(4), 1)
+    assert not np.array_equal(want[1].end, first[1][0])
+    for block in (1, 3, 5):
+        monkeypatch.setattr(eqv, "_WITNESS_BLOCK", block)
+        got = wf.find_intransitivity_witness(MINK, seed=4, tol=2)
+        for x, w in zip(got, want):
+            assert np.array_equal(x.origin, w.origin) and np.array_equal(x.end, w.end)
+
+
+def test_euclidean_witness_draws_and_tests_nothing(monkeypatch):
+    # translation is the Euclidean equivalence, and it is transitive
+    calls = []
+    monkeypatch.setattr(eqv, "_equivalence_residuals", lambda *args: calls.append(args))
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: calls.append(args))
+    for dim in (1, 2, 3):
+        assert wf.find_intransitivity_witness(Geometry.euclidean(dim), seed=3, budget=10**9) is None
+    assert calls == []
+    with pytest.raises(wf.InvalidInputError, match="budget must be >= 0"):
+        wf.find_intransitivity_witness(EUCLID3, budget=-1)
+
+
+_DEFORMED_TABLE = [[-2.0, -2.1], [-0.5, -0.52], [0.0, 0.0], [0.5, 0.53], [2.0, 2.1]]
+
+
+@pytest.mark.parametrize("g", [MINK, Geometry.discrete(0.01), Geometry.discrete(0.005),
+                               Geometry.grainy(0.01, 0.03),
+                               Geometry.deformed(DeformationFunction.from_table(_DEFORMED_TABLE))],
+                         ids=lambda g: g.kind)
+def test_every_candidate_of_the_first_block_is_a_witness(g):
+    for seed in range(10):
+        o, e, a1, c1 = eqv._witness_block(np.random.default_rng(seed), _WITNESS_BLOCK)
+        eq_ab, *res_ab = eqv._equivalence_residuals(g, o, a1, o, e, 1e-9)
+        eq_bc, *res_bc = eqv._equivalence_residuals(g, o, e, o, c1, 1e-9)
+        eq_ac = eqv._equivalence_residuals(g, o, a1, o, c1, 1e-9)[0]
+        assert eq_ab.all() and eq_bc.all() and not eq_ac.any()
+        assert not np.any(res_ab[:2]) and not np.any(res_bc[:2])  # residuals exactly 0.0
+        a, b, c = wf.find_intransitivity_witness(g, seed=seed)
+        for x, y in ((a, b), (b, c)):
+            rep = wf.is_equivalent(g, x, y)
+            assert rep.residual_parallel == 0.0 and rep.residual_length == 0.0
+        assert wf.find_intransitivity_witness(g, seed=seed, tol=100) is None
+
+
+@st.composite
+def _increasing_tables(draw):
+    """A strictly increasing table through (0, 0), segment slopes in [0.1, 5]."""
+    sides = [np.array(draw(st.lists(st.tuples(st.floats(0.05, 3.0), st.floats(0.1, 5.0)),
+                                    min_size=1, max_size=3))) for _ in range(2)]
+    (dxl, ml), (dxr, mr) = (side.T for side in sides)
+    left = -np.cumsum(np.column_stack([dxl, ml * dxl]), axis=0)[::-1]
+    right = np.cumsum(np.column_stack([dxr, mr * dxr]), axis=0)
+    return Geometry.deformed(DeformationFunction.from_table(np.vstack([left, [[0, 0]], right])))
+
+
+_SUBSTRATES = st.one_of(
+    st.just(MINK),
+    st.floats(1e-4, 0.1).map(Geometry.discrete),
+    st.tuples(st.floats(1e-4, 0.1), st.floats(1e-4, 0.5)).map(lambda t: Geometry.grainy(*t)),
+    _increasing_tables(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_SUBSTRATES, seed=st.integers(0, 50))
+def test_witness_is_exact_on_every_increasing_deformation(g, seed):
+    # a~b and b~c hold exactly for every F with F(0) = 0; a~c fails for every
+    # strictly increasing F, by -F(sigma_M(s1 - s2)) != 0
+    a, b, c = wf.find_intransitivity_witness(g, seed=seed)
+    for x, y in ((a, b), (b, c)):
+        rep = wf.is_equivalent(g, x, y)
+        assert rep.equivalent and rep.residual_parallel == 0.0 and rep.residual_length == 0.0
+    assert not wf.is_equivalent(g, a, c, 1e-9).equivalent
+    assert wf.find_intransitivity_witness(g, seed=seed, tol=100) is None
+    other = wf.find_intransitivity_witness(g, seed=seed + 51)
+    assert not all(np.array_equal(x.end, y.end) for x, y in zip((a, b, c), other))
 
 
 @pytest.mark.parametrize("arg", ["budget", "seed"])
@@ -973,28 +1060,19 @@ def test_witness_deterministic():
 
 def test_null_shift_rows_are_spacelike_family_members():
     m = 400
-    o, e, a0, a1, c0, c1 = eqv._null_shift_block(np.random.default_rng(5), m)
-    assert np.array_equal(a0, o) and np.array_equal(c0, o)
-    # the block's draws replayed, and each member rebuilt one by one
-    rng = np.random.default_rng(5)
-    draw = rng.uniform(*eqv._NULL_BOUNDS, size=(m, 12))
-    signs = rng.choice([-1.0, 1.0], size=(2, m))
-    members = 0
+    o, e, a1, c1 = eqv._witness_block(np.random.default_rng(5), m)
     for i in range(m):
         b = GeomVector(o[i], e[i])
-        y0, yv = draw[i, 4], draw[i, 5:8]
-        nv = float(np.linalg.norm(yv))
-        if nv < 0.8 or y0 * y0 >= nv * nv - 0.1:  # not clearly spacelike: a = c = b
-            assert np.array_equal(a1[i], e[i]) and np.array_equal(c1[i], e[i])
-            continue
-        for k, end in enumerate((a1[i], c1[i])):
-            n_hat = _cone_direction(y0, yv, draw[i, 10 + k])
-            x = wf.minkowski_spacelike_family(b, draw[i, 8 + k] * signs[k, i], n_hat)
+        assert wf.squared_length(MINK, b) < 0
+        for end in (a1[i], c1[i]):
+            shift = end - e[i]
+            x = wf.minkowski_spacelike_family(b, shift[0], shift[1:] / shift[0])
             assert np.abs(end - x.end).max() <= 1e-14
             rep = wf.is_equivalent(MINK, GeomVector(o[i], end), b)
-            assert abs(rep.residual_parallel) < 1e-12 and abs(rep.residual_length) < 1e-12
-            members += 1
-    assert members > m  # most bases are spacelike
+            assert rep.residual_parallel == 0.0 and rep.residual_length == 0.0
+        # a and c differ by the spacelike s1 - s2: r_par = -sigma_M(s1 - s2) > 0
+        rep = wf.is_equivalent(MINK, GeomVector(o[i], a1[i]), GeomVector(o[i], c1[i]))
+        assert rep.residual_parallel > 0 and not rep.equivalent
 
 
 # ---------------------------------------------------------------------------

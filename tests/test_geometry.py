@@ -788,6 +788,26 @@ def test_geometry_stores_its_units_as_unit_constants():
         Geometry(dim=3, units={"hbar": -1})
 
 
+@pytest.mark.parametrize("deformation", [lambda x: 2 * x, "minkowski", {"lambda0_sq": 0.01}],
+                         ids=["function", "name", "mapping"])
+def test_geometry_rejects_a_deformation_that_is_not_a_deformation_function(deformation):
+    # a plain function used to build and evaluate sigma, and then kind and
+    # to_dict() raised AttributeError: 'function' object has no attribute 'table'
+    with pytest.raises(wf.InvalidInputError, match="DeformationFunction or None"):
+        Geometry.deformed(deformation)
+    with pytest.raises(wf.InvalidInputError, match="DeformationFunction or None"):
+        Geometry(deformation=deformation)
+
+
+@pytest.mark.parametrize("point", [["x", 0], (0, "a"), {"a": 1}, [[0, 1], [2]]])
+def test_malformed_point_is_an_input_error(point):
+    # each used to leak numpy's ValueError or TypeError
+    with pytest.raises(wf.InvalidInputError, match="a point must be a flat list of numbers"):
+        wf.as_point(point)
+    with pytest.raises(wf.InvalidInputError, match="a point must be a flat list of numbers"):
+        GeomVector((0, 1), point)
+
+
 def test_builtin_kind_rejects_a_deformation_of_another_kind():
     # sigma uses the deformation and from_dict(to_dict()) the kind, so the
     # kind is no field of its own: it is read from F and cannot disagree

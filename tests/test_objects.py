@@ -31,6 +31,18 @@ def test_skeleton_dimension_consistency():
         Skeleton(((0, 0, 0), (1, 1)))
 
 
+@pytest.mark.parametrize("points,match", [
+    (5, "a skeleton takes a sequence of points, got int"),
+    (None, "a skeleton takes a sequence of points, got NoneType"),
+    ({"a": (0, 0, 0)}, "a point must be a flat list of numbers"),
+    ([(0, "x", 0), (1, 0, 0)], "a point must be a flat list of numbers"),
+])
+def test_malformed_skeleton_is_an_input_error(points, match):
+    # Skeleton(5) used to raise TypeError, a string coordinate numpy's ValueError
+    with pytest.raises(wf.InvalidInputError, match=match):
+        Skeleton(points)
+
+
 def test_skeleton_labels():
     sk = Skeleton(((0, 0), (1, 0), (0, 1)))
     assert sk.labels == ["P0", "P1", "P2"] and len(sk) == 3
