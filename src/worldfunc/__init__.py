@@ -39,7 +39,6 @@ from .geometry import (
     sigma,
     sigma_coordinates,
     sigma_gradient,
-    sigma_hessian,
     squared_length,
     triangle_defect,
 )

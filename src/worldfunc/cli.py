@@ -166,20 +166,23 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed, outputs,
-                    started: str, extras: dict | None = None) -> None:
+def _write_manifest(args, g, outputs, started: str, extras: dict | None = None) -> None:
+    """The run manifest; its config holds every parsed option, so the run can
+    be repeated from it, beside the geometry those options built."""
+    command = f"eqv_{args.mode}" if args.command == "eqv" else args.command
+    options = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
         "tool": "worldfunc",
         "version": __version__,
         "command": command,
-        "seed": seed,
-        "config": config,
+        "seed": options.get("seed"),
+        "config": {"args": options} if g is None else {"geometry": g.to_dict(), "args": options},
         "started_utc": started,
         "finished_utc": _utcnow(),
         "outputs": {p.name: {"path": str(p), "sha256": _sha256(p)} for p in outputs},
         **(extras or {}),
     }
-    _write_json(out_dir / f"{command}_manifest.json", manifest)
+    _write_json(Path(args.out_dir) / f"{command}_manifest.json", manifest)
 
 
 def _utcnow() -> str:
@@ -187,8 +190,8 @@ def _utcnow() -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands: each writes its outputs and returns (config, outputs, message,
-# manifest extras); main() stamps the run and writes the manifest
+# commands: each writes its outputs and returns (outputs, message, manifest
+# extras); main() records the options, stamps the run and writes the manifest
 # ---------------------------------------------------------------------------
 
 def cmd_sigma(args, g):
@@ -196,30 +199,25 @@ def cmd_sigma(args, g):
     i, j = np.triu_indices(len(pts))
     out = Path(args.out_dir) / args.out
     _write_csv(out, "i,j,sigma", i, j, sigma(g, pts[i], pts[j]))
-    config = {"geometry": g.to_dict(), "points": args.points, "out": str(out)}
-    return config, [out], f"wrote {i.size} sigma values to {out}", None
+    return [out], f"wrote {i.size} sigma values to {out}", None
 
 
-def _eqv_result(args, g, payload):
-    """Write an eqv mode's JSON payload, which is also its message; the
-    config records every option of the mode."""
+def _eqv_result(args, payload):
+    """Write an eqv mode's JSON payload, which is also its message."""
     out = Path(args.out_dir) / f"eqv_{args.mode}.json"
-    text = _write_json(out, payload)
-    config = {"geometry": g.to_dict(), "mode": args.mode,
-              "args": {k: v for k, v in vars(args).items() if k not in ("func", "command")}}
-    return config, [out], text.rstrip("\n"), None
+    return [out], _write_json(out, payload).rstrip("\n"), None
 
 
 def cmd_eqv_check(args, g):
     a = GeomVector(parse_point(args.a_origin), parse_point(args.a_end))
     b = GeomVector(parse_point(args.b_origin), parse_point(args.b_end))
-    return _eqv_result(args, g, asdict(is_equivalent(g, a, b, args.tol)))
+    return _eqv_result(args, asdict(is_equivalent(g, a, b, args.tol)))
 
 
 def cmd_eqv_solve(args, g):
     points = [parse_point(p) for p in (args.p0, args.p1, args.q0)]
     sol = solve_equivalent(g, *points, SolverConfig.from_dict(vars(args)))
-    return _eqv_result(args, g, sol.to_dict())
+    return _eqv_result(args, sol.to_dict())
 
 
 def cmd_eqv_witness(args, g):
@@ -232,7 +230,7 @@ def cmd_eqv_witness(args, g):
                    "a": {"origin": a.origin, "end": a.end},
                    "b": {"origin": b.origin, "end": b.end},
                    "c": {"origin": c.origin, "end": c.end}}
-    return _eqv_result(args, g, payload)
+    return _eqv_result(args, payload)
 
 
 def cmd_tube(args, g):
@@ -244,9 +242,8 @@ def cmd_tube(args, g):
     _write_csv(cloud, f"t,r,{coords}", *tube.points.T)
     profile = out_dir / args.out_profile
     _write_csv(profile, "t,radius", tube.arc_positions, tube.profile)
-    config = {"geometry": g.to_dict(), "p0": args.p0, "p1": args.p1, **cfg.to_dict()}
     message = f"wrote {tube.points.shape[0]} member points to {cloud}, profile to {profile}"
-    return config, [cloud, profile], message, None
+    return [cloud, profile], message, None
 
 
 def cmd_object(args, g):
@@ -254,7 +251,7 @@ def cmd_object(args, g):
         if getattr(args, name) < 0:
             raise UsageError(f"--{name} must be an integer >= 0, got {getattr(args, name)}")
     _finite("--box-half-width", args.box_half_width, 0.0)
-    sk = Skeleton(_load_points(args.skeleton))
+    sk = Skeleton(_load_points(args.skeleton, g.dim))
     env = Envelope.cylinder() if args.envelope == "cylinder" \
         else Envelope.from_dict(_load_json(args.envelope))
     if args.probes:
@@ -270,9 +267,7 @@ def cmd_object(args, g):
     out = Path(args.out_dir) / args.out
     coords = ",".join(f"x{i}" for i in range(g.dim))
     _write_csv(out, f"{coords},envelope_value,member", *probes.T, vals, member)
-    config = {"geometry": g.to_dict(), "skeleton": args.skeleton,
-              "envelope": args.envelope, "probes": len(probes), "tol": args.tol}
-    return config, [out], f"wrote {len(probes)} probes to {out}", None
+    return [out], f"wrote {len(probes)} probes to {out}", None
 
 
 def cmd_chain(args, g):
@@ -296,7 +291,7 @@ def cmd_chain(args, g):
               "max_link_length_drift": float(stats.link_length_drift.max()),
               "max_gamma": float(stats.max_gamma.max())}
     message = f"wrote chain statistics for {params.ensemble} chains x {params.steps} steps to {out}"
-    return params.to_dict(), outputs, message, extras
+    return outputs, message, extras
 
 
 def cmd_density(args, _g):
@@ -311,8 +306,7 @@ def cmd_density(args, _g):
     rho = relative_density(args.lambda0_sq, args.sigma0, grid)
     out = Path(args.out_dir) / args.out
     _write_csv(out, "sigma_g,rho", grid, np.atleast_1d(rho))
-    config = {"lambda0_sq": args.lambda0_sq, "sigma0": args.sigma0, "grid": args.grid}
-    return config, [out], f"wrote {grid.size} density values to {out}", None
+    return [out], f"wrote {grid.size} density values to {out}", None
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +394,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         started = _utcnow()
         g = parse_geometry(args.geometry) if "geometry" in args else None
-        config, outputs, message, extras = args.func(args, g)
-        command = f"eqv_{args.mode}" if args.command == "eqv" else args.command
-        _write_manifest(Path(args.out_dir), command, config, vars(args).get("seed"), outputs,
-                        started, extras)
+        outputs, message, extras = args.func(args, g)
+        _write_manifest(args, g, outputs, started, extras)
         print(message)
         return 0
     except (UsageError, InvalidInputError) as exc:

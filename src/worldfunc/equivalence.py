@@ -41,15 +41,16 @@ from .errors import (
 from .geometry import (
     Geometry,
     GeomVector,
+    _ETA,
     _Config,
     _finite,
     _integral,
     _scalar_product_arrays,
+    _sigma_m,
     as_point,
     scalar_product,
     sigma,
     sigma_gradient,
-    sigma_hessian,
     squared_length,
     triangle_defect,
 )
@@ -181,8 +182,11 @@ class SolutionSet:
 
     ``manifold_dim_estimate`` is 0 when every representative is an isolated
     root and n - 2 when one lies on a solution manifold (see
-    ``_manifold_dims``).  A Euclidean set is exact: ``single``, dimension 0,
-    the translation as its one representative.
+    ``_manifold_dims``).  It takes no other value, so a null P0P1 reads
+    n - 2 where the set is a line: (0,0,0,0) -> (1,1,0,0) at q0 = 0 on
+    Minkowski is ``multi``, dimension 2, with every representative within
+    5e-11 of q0 + t (p1 - p0).  A Euclidean set is exact: ``single``,
+    dimension 0, the translation as its one representative.
     """
 
     representatives: list
@@ -241,11 +245,6 @@ class _ResidualMap:
         J[:, 0] -= G[2]
         np.multiply(-2.0, G[2], out=J[:, 1])
         return J
-
-    def hessian(self, X):
-        """Residual Hessians (m, 2, n, n) at X of shape (m, n), rows combined as in ``jacobian``."""
-        H = sigma_hessian(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m, n, n)
-        return np.stack([H[0] - H[1] - H[2], -2.0 * H[2]], axis=1)
 
 
 def _pinv_rows(J):
@@ -370,7 +369,11 @@ def _manifold_dims(rmap: _ResidualMap, reps, radius, tol_abs):
 
     With J = U S V^T, c = U[:, -1] and K the rows of V^T after the first, the
     residual combination c . r on K is s_min y0 + y^T A y / 2 to second order,
-    A = K (c . H) K^T for the residual Hessians H.  A definite A keeps the
+    A = K (c . H) K^T for the residual Hessians H.  On the Minkowski
+    substrate each sigma(ref_k, X) has the Hessian F'(sigma_M) eta off the
+    kinks of F, so c . H is the diagonal (c_0 (s_0 - s_1 - s_2) - 2 c_1 s_2) eta
+    for the slopes s_k, read at X - ref_k as ``sigma_gradient`` reads them:
+    at a kink or the discrete jump the slope Newton used.  A definite A keeps the
     roots within 2 s_min / min|eig A| of the representative: it is isolated
     when that is within the dedupe radius.  Otherwise the roots form an
     (n - 2)-manifold: by the implicit function theorem at full rank, a cone
@@ -383,8 +386,10 @@ def _manifold_dims(rmap: _ResidualMap, reps, radius, tol_abs):
     U, S, Vt = np.linalg.svd(J)
     rank = (S > _RANK_CUTOFF * S[:, :1]).sum(axis=1)
     K = Vt[:, 1:]
-    cH = np.einsum("mi,mijk->mjk", U[:, :, -1], rmap.hessian(reps))
-    eig = np.linalg.eigvalsh(K @ cH @ K.transpose(0, 2, 1))
+    c = U[:, :, -1]
+    s = rmap.g.deformation.slope(_sigma_m(reps - rmap.refs[:, None, :]))  # (3, m)
+    cH = (c[:, 0] * ((s[0] - s[1]) - s[2]) + c[:, 1] * (-2.0 * s[2]))[:, None] * _ETA
+    eig = np.linalg.eigvalsh((K * cH[:, None, :]) @ K.transpose(0, 2, 1))
     definite = (eig[:, 0] > 0.0) | (eig[:, -1] < 0.0)
     eig_min = np.abs(eig).min(axis=1)
     isolated = definite & (2.0 * S[:, -1] <= radius * eig_min)

@@ -27,8 +27,7 @@ in (0, 2*lambda0_sq): distances below sqrt(2)*lambda0 do not occur.
 
 All sigma implementations are symmetric by construction and broadcast over
 leading axes of the coordinate arrays; ``sigma_gradient`` gives their exact
-derivative in the end point, F'(sigma_M) eta (q - p), and ``sigma_hessian``
-the second derivative F'(sigma_M) eta off the kinks of F.
+derivative in the end point, F'(sigma_M) eta (q - p).
 """
 
 from __future__ import annotations
@@ -499,22 +498,6 @@ def sigma_gradient(g: Geometry, p, q):
     if g.deformation is None:
         return d
     return np.asarray(g.deformation.slope(_sigma_m(d)))[..., None] * (d * _ETA)
-
-
-def sigma_hessian(g: Geometry, p, q):
-    """Hessian (..., n, n) of sigma(p, q) in the end point q; broadcasts like ``sigma``.
-
-    F'(sigma_M) eta, the identity in the Euclidean geometry: the term
-    F''(sigma_M) eta d d^T eta vanishes off the kinks of every built-in F and
-    table, and at a kink or the discrete jump the slope is the one
-    ``sigma_gradient`` uses.
-    """
-    p = _coords(g, p)
-    q = _coords(g, q)
-    d = q - p
-    if g.deformation is None:
-        return np.ones(d.shape[:-1] + (1, 1)) * np.eye(g.dim)
-    return np.asarray(g.deformation.slope(_sigma_m(d)))[..., None, None] * np.diag(_ETA)
 
 
 def deformation_value(g: Geometry, sigma_m):

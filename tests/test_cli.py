@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import worldfunc as wf
-from worldfunc.cli import UsageError, _write_csv, main, parse_geometry
+from worldfunc.cli import UsageError, _build_parser, _write_csv, main, parse_geometry
 
 
 def run(argv):
@@ -534,6 +534,16 @@ def test_object_command(tmp_path):
     assert [r[-1] for r in rows] == [1.0, 1.0, 0.0]
 
 
+def test_object_skeleton_of_another_dimension_is_an_input_error(tmp_path, capsys):
+    # the skeleton used to load without its dim and end in a numpy broadcast traceback
+    sk = write_points(tmp_path / "sk.json", [[0, 0], [1, 0]])
+    assert run(["object", "--geometry", "euclidean:dim=3", "--skeleton", sk, "--random", 3,
+                "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "point has dimension 2, expected 3" in err
+    assert not (tmp_path / "out").exists()
+
+
 _NO_R_ENVELOPE = {"op": "-", "args": [{"op": "sigma", "points": ["P0", "P1"]},
                                      {"op": "const", "value": 0.25}]}
 
@@ -655,6 +665,60 @@ def test_manifest_has_no_threads_key(tmp_path):
     assert "threads" not in manifest
 
 
+def _manifest_commands(tmp_path):
+    """(manifest name, argv) of every command, on small inputs."""
+    sk = write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
+    pts = write_points(tmp_path / "pts.json", [[0, 0, 0, 0], [1, 0.5, 0, 0]])
+    geometry = ["--geometry", "discrete:lambda0_sq=0.01"]
+    return [
+        ("sigma", ["sigma", *geometry, "--points", pts]),
+        ("eqv_check", ["eqv", "check", *geometry, "--a-origin", "0,0,0,0", "--a-end", "1,0,0,0",
+                       "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0"]),
+        ("eqv_solve", ["eqv", "solve", *geometry, "--p0", "0,0,0,0", "--p1", "1,0.5,0,0",
+                       "--q0", "0.1,0,0,0", "--starts", 4]),
+        ("eqv_witness", ["eqv", "witness", *geometry, "--budget", 64]),
+        ("tube", ["tube", *geometry, "--p0", "0,0,0,0", "--p1", "2,0,0,0", "--stations", 5]),
+        # the object manifest used to leave out --random, --box-half-width and --probes
+        ("object", ["object", "--geometry", "euclidean:dim=3", "--skeleton", sk, "--random", 50,
+                    "--box-half-width", 3, "--seed", 4]),
+        ("chain", ["chain", *geometry, "--link-sigma-m", 0.5, "--steps", 5, "--ensemble", 4]),
+        ("density", ["density", "--lambda0-sq", 0.01, "--sigma0", 0.03, "--grid", "0:1:3"]),
+    ]
+
+
+def _argv_from(command, args):
+    """The argv that parses to a manifest's recorded args."""
+    argv = command.split("_")
+    for key, value in args.items():
+        if key == "mode" or value is None or value is False:
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if value is not True:
+            argv.append(str(value))
+    return argv
+
+
+def test_every_manifest_records_every_parsed_option(tmp_path):
+    for name, argv in _manifest_commands(tmp_path):
+        argv = [str(a) for a in argv] + ["--out-dir", str(tmp_path / name)]
+        assert run(argv) == 0, name
+        manifest = json.loads((tmp_path / name / f"{name}_manifest.json").read_text())
+        parsed = vars(_build_parser().parse_args(argv))
+        want = {k: v for k, v in parsed.items() if k not in ("func", "command")}
+        assert manifest["config"]["args"] == want, name
+        if name == "density":  # the one command without a geometry
+            assert set(manifest["config"]) == {"args"}
+        else:
+            assert set(manifest["config"]) == {"args", "geometry"}, name
+            assert manifest["config"]["geometry"] == parse_geometry(want["geometry"]).to_dict()
+        # every command repeats from its recorded options, output for output
+        again = tmp_path / "again" / name
+        assert run(_argv_from(name, {**manifest["config"]["args"], "out_dir": again})) == 0, name
+        for out, entry in manifest["outputs"].items():
+            digest = hashlib.sha256((again / out).read_bytes()).hexdigest()
+            assert digest == entry["sha256"], (name, out)
+
+
 def test_module_entry_point_runs(tmp_path):
     src = str(Path(wf.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -715,7 +779,9 @@ def test_high_boost_chain_manifest_is_strict_json(tmp_path):
     assert run(argv) == 0
     manifest = _strict_json((tmp_path / "chain_manifest.json").read_text())
     assert manifest["max_link_length_drift"] <= 1e-12
-    stats = wf.simulate_ensemble(wf.ChainParams.from_dict(manifest["config"]))
+    config = manifest["config"]
+    stats = wf.simulate_ensemble(wf.ChainParams.from_dict({**config["args"],
+                                                           "geometry": config["geometry"]}))
     assert manifest["max_gamma"] == stats.max_gamma.max() > 1e3
 
 

