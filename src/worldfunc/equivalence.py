@@ -43,6 +43,7 @@ from .geometry import (
     GeomVector,
     _ETA,
     _Config,
+    _cells,
     _finite,
     _integral,
     _scalar_product_arrays,
@@ -490,11 +491,13 @@ def minkowski_spacelike_family(y: GeomVector, alpha: float, n_hat,
 
     The family shifts the end point by a null displacement (alpha, alpha*n)
     with n a unit 3-direction satisfying y_vec . n = y^0 (the cone-angle
-    constraint); every member passes ``is_equivalent`` against y in the
-    Minkowski geometry to within 1e-12.  In exact arithmetic the same holds
-    under any deformation F with F(0) = 0, and numerically under every
-    continuous F; a jump of F at 0 (the discrete shift) can amplify the
-    last-ulp rounding of |n|^2 into a finite parallel residual.
+    constraint).  Exactly, every member is equivalent to y under any F with
+    F(0) = 0.  In floats ``is_equivalent``'s residuals round sigma terms of
+    size alpha^2 and grow like alpha^2 2^-52: within 1e-12 for unit-scale y
+    at |alpha| <= 10, 7.8e-10 at alpha = 1e3, and r_par = -9.5e-7 (not
+    equivalent) at alpha = 1e5 for y = (0.1,0.2,0.3,0.4) -> (0.6,1.2,0.3,0.4),
+    n = (0.5, sqrt(0.75), 0).  A jump of F at 0 (the discrete shift) can turn
+    the last-ulp rounding of |n|^2 into a finite parallel residual.
     """
     _finite("tol", tol, 0.0)
     if y.dim != 4:
@@ -646,22 +649,20 @@ class TubeSamplerConfig(_Config):
     tol: float = 1e-9
     seed: int = 0
     max_radius: float | None = None  # default: chart length of the segment
-    scan_points: int = 64
 
-    _MINIMUMS = {"stations": 0, "directions": 0, "tol": 0.0, "seed": 0, "max_radius": 0.0,
-                 "scan_points": 1}
+    _MINIMUMS = {"stations": 0, "directions": 0, "tol": 0.0, "seed": 0, "max_radius": 0.0}
 
 
 @dataclass(frozen=True, eq=False)
 class TubeSample:
     """Sampled tube of a segment: per-station transverse radii and a point cloud.
 
-    ``radii[s, d]`` is the radius at which the triangle defect crosses zero
-    along direction d at station s (NaN where no crossing was bracketed, or
-    where the defect is NaN inside the bracket);
-    ``profile[s]`` averages the directions that found one.  ``points`` holds
-    rows (t, r, coords...) of sampled members, t being the chart arc length
-    of the station from p0.
+    ``radii[s, d]`` is the first radius at which the triangle defect crosses
+    zero along direction d at station s, NaN where ``sample_segment_tube``
+    brackets none; ``profile[s]`` averages the directions that found one.  A
+    station where no direction did is empty: its profile is NaN and it has
+    no points.  ``points`` holds rows (t, r, coords...) of sampled members,
+    t being the chart arc length of the station from p0.
     """
 
     fractions: np.ndarray
@@ -675,14 +676,16 @@ class TubeSample:
 def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = None) -> TubeSample:
     """Sample the segment between p0 and p1 as a tube.
 
-    For each longitudinal station the triangle defect is scanned along
-    transverse chart directions (drawn once from the seeded generator in the
-    orthogonal complement of the segment direction); the first grid cell with
-    finite ends of opposite sign brackets its zero crossing, and all brackets
-    are bisected together to a width of 1e-13.  In the Euclidean geometry, and
-    for timelike Minkowski segments, the radius profile vanishes; deformed
-    geometries yield genuinely thick tubes.  Stations where no direction
-    brackets a crossing are marked empty, never fatal.
+    Each station b sends rays b + r d, 0 <= r <= max_radius, along transverse
+    chart directions d (seeded, orthogonal to the segment).  On a ray sigma_M(p0, .)
+    and sigma_M(., p1) are quadratics in r whose closed-form crossings of F's
+    breakpoints (``_cells``) split it into intervals where the defect follows F's
+    linear cells.  The first interval in the domain whose ends differ in sign is
+    bisected on those lines to a width of 1e-13, all rays at once: a jump of F is
+    never bracketed.  The defect is concave within a cell (<d, d> < 0 and F
+    increases), so a cell whose ends are both negative may hold two roots; it is
+    not searched.  The Euclidean and Minkowski profiles vanish, deformed geometries
+    give thick tubes; a station where no direction brackets a crossing is empty.
     """
     cfg = TubeSamplerConfig._given(cfg)
     p0 = as_point(p0, dim=g.dim)
@@ -690,7 +693,6 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
     s_ab = sigma(g, p0, p1)
     if s_ab <= 0:
         raise InvalidInputError("tube sampling requires sigma(p0, p1) > 0")
-    defect_tol = cfg.tol * math.sqrt(2.0 * s_ab)
 
     u = p1 - p0
     length = float(np.linalg.norm(u))
@@ -705,31 +707,47 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
 
     fractions = np.linspace(0.0, 1.0, cfg.stations)
     bases = p0[None, :] + fractions[:, None] * u[None, :]
-    r_grid = np.linspace(0.0, r_max, cfg.scan_points)
+    at_zero = np.abs(triangle_defect(g, p0, p1, bases)) <= cfg.tol * math.sqrt(2.0 * s_ab)
 
-    # defect over (stations, directions, grid)
-    defect = triangle_defect(g, p0, p1, bases[:, None, None, :]
-                             + r_grid[None, None, :, None] * dirs[None, :, None, :])
-    at_zero = np.abs(defect[..., 0]) <= defect_tol  # False where NaN
-    radii = np.where(at_zero, 0.0, np.nan)
-    # first grid cell with finite ends of opposite sign (or a zero) per ray
-    a, b = defect[..., :-1], defect[..., 1:]
-    cell = np.isfinite(a) & np.isfinite(b) & (a * b <= 0.0) & ~at_zero[..., None]
-    si, di, k = np.nonzero(cell & (np.cumsum(cell, axis=-1) == 1))
+    # sigma_M(p0, R) and sigma_M(R, p1) are c0 + c1 r + c2 r^2 on axes (side, station, direction, r)
+    metric = _ETA if g.has_minkowski_substrate else np.ones(g.dim)
+    w = bases - np.stack([p0, p1])[:, None, :]
+    c0 = 0.5 * np.sum(w * w * metric, axis=-1)[..., None, None]
+    c1 = ((w * metric) @ dirs.T)[..., None]
+    c2 = 0.5 * np.sum(dirs * dirs * metric, axis=-1)[:, None]
+    xs, m, xa, ya = _cells(g.deformation)
 
-    # bisect every bracket at once to a width of 1e-13; a bracket whose
-    # defect turns NaN inside is not refined on NaN but reported as NaN
-    lo, hi, f_lo = r_grid[k], r_grid[k + 1], defect[si, di, k]
-    finite = np.ones(si.size, dtype=bool)
-    width = float(np.max(hi - lo, initial=0.0))
-    for _ in range(math.ceil(math.log2(max(width, 1e-13) / 1e-13))):
+    def defect(r, k):  # on the lines of cells k (side, ...), rounded up to 0 at sigma_M = 0
+        F = np.maximum(ya[k] + m[k] * (c0 + r * (c1 + r * c2) - xa[k]), 0.0)
+        return np.sqrt(2.0 * F[0]) + np.sqrt(2.0 * F[1]) - math.sqrt(2.0 * s_ab)
+
+    # the breakpoint crossings by the stable quadratic formula; one outside
+    # (0, r_max), or none, is r_max: an empty interval at the end of the ray
+    with np.errstate(invalid="ignore", divide="ignore"):  # a NaN is never a bracket
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * (c0 - xs)), c1))
+        roots = np.concatenate([*(q / c2), *((c0 - xs) / q)], axis=-1)
+        roots = np.sort(np.where((roots > 0.0) & (roots < r_max), roots, r_max), axis=-1)
+        lo = np.concatenate([np.zeros_like(roots[..., :1]), roots], axis=-1)
+        hi = np.concatenate([roots, np.full_like(roots[..., :1], r_max)], axis=-1)
         mid = 0.5 * (lo + hi)
-        f_mid = triangle_defect(g, p0, p1, bases[si] + mid[:, None] * dirs[di])
-        finite &= np.isfinite(f_mid)
-        left = f_lo * f_mid <= 0.0
-        hi = np.where(left, mid, hi)
-        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
-    radii[si, di] = np.where(finite, 0.5 * (lo + hi), np.nan)
+        k = np.searchsorted(xs, c0 + mid * (c1 + mid * c2))
+        f_lo = defect(lo, k)
+        # cells past the one ending at sigma_M = 0 are in the domain
+        cell = (k > np.searchsorted(xs, 0.0)).all(axis=0) & (f_lo * defect(hi, k) <= 0.0)
+        found = cell.any(axis=-1) & ~at_zero[:, None]
+        j = cell.argmax(axis=-1)[..., None]  # the first bracket of each ray
+        lo, hi, f_lo = (np.take_along_axis(a, j, axis=-1) for a in (lo, hi, f_lo))
+        k = np.take_along_axis(k, j[None], axis=-1)
+
+        # bisect every bracket at once to a width of 1e-13
+        width = float(np.max((hi - lo)[found], initial=0.0))
+        for _ in range(math.ceil(math.log2(max(width, 1e-13) / 1e-13))):
+            mid = 0.5 * (lo + hi)
+            f_mid = defect(mid, k)
+            left = f_lo * f_mid <= 0.0
+            hi = np.where(left, mid, hi)
+            lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
+    radii = np.where(found, 0.5 * (lo + hi)[..., 0], np.where(at_zero[:, None], 0.0, np.nan))
 
     found = np.isfinite(radii)
     counts = found.sum(axis=1)

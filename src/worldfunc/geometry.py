@@ -305,6 +305,23 @@ class DeformationFunction:
         return _finish(out)
 
 
+def _cells(F: DeformationFunction | None):
+    """Linear cells of F: (xs, m, xa, ya), F(x) = ya[k] + m[k] (x - xa[k]) on the open
+    cell k = (xs[k - 1], xs[k]), with xs[-1] = -inf and xs[len(xs)] = inf.  The
+    breakpoints are a table's (end segments extended) or the ramp edges +-sigma0,
+    and hold 0, so no cell crosses the light cone.  F None (Euclidean) is the identity."""
+    F = DeformationFunction.identity() if F is None else F
+    edges = [-F.sigma0, F.sigma0] if F.table is None else F.table[:, 0]
+    xs = np.union1d(edges, [0.0]) + 0.0  # one 0, never -0.0
+    inner = np.concatenate([[xs[0] - 1.0], 0.5 * (xs[:-1] + xs[1:]), [xs[-1] + 1.0]])
+    if F.table is None:  # anchored at 0: outside the ramp ya + m x is F's own x + lambda0_sq sgn(x)
+        ya = np.where(np.abs(inner) > F.sigma0, F.lambda0_sq * np.sign(inner), 0.0)
+        return xs, F.slope(inner), np.zeros_like(inner), ya
+    tx, ty = F.table.T  # anchored where np.interp and the extended end segments anchor
+    a = np.clip(np.searchsorted(tx, inner, side="right") - 1, 0, len(tx) - 1)
+    return xs, (np.diff(ty) / np.diff(tx))[np.minimum(a, len(tx) - 2)], tx[a], ty[a]
+
+
 def _piecewise_linear(x, xs, ys):
     v = np.interp(x, xs, ys)
     lo = x < xs[0]

@@ -354,7 +354,7 @@ _BAD_COUNTS = [
      "--random must be an integer >= 0"),
     (_TUBE + ["--stations", "-1"], "stations must be >= 0"),
     (_TUBE + ["--directions", "-2"], "directions must be >= 0"),
-    (_TUBE + ["--scan-points", "0"], "scan_points must be >= 1"),
+    (_TUBE + ["--directions", "2.5"], "argument --directions: invalid int value: '2.5'"),
     (_TUBE + ["--stations", "2.5"], "argument --stations: invalid int value: '2.5'"),
     (["eqv", "witness", "--geometry", "minkowski", "--budget", "-5"], "budget must be >= 0"),
     (_CHAIN + ["--steps", "0"], "steps must be >= 1"),
@@ -377,6 +377,13 @@ def test_bad_count_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, message
     write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
     assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tube_has_no_scan_points_option(tmp_path, capsys):
+    # the radii are bracketed by F's linear cells, not by a scan grid
+    assert run(_TUBE + ["--scan-points", "64", "--out-dir", tmp_path / "out"]) == 1
+    assert "unrecognized arguments: --scan-points" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import worldfunc as wf
 from worldfunc import Geometry, GeomVector, UnitConstants, DeformationFunction
+from worldfunc.geometry import _cells
 
 
 EUCLID3 = Geometry.euclidean(3)
@@ -571,6 +572,43 @@ def test_deformation_slopes():
     np.testing.assert_allclose(table.slope(x), seg, rtol=1e-15)
     assert table.slope(-100.0) == table.slope(-6.0)  # first segment extended
     assert isinstance(table.slope(0.25), float)
+
+
+# F's linear cells, one per (sigma_M breakpoint) interval; the Euclidean
+# geometry (None) is the identity, and a table need not list 0
+_CELL_CASES = [None, DeformationFunction.identity(), DeformationFunction.discrete_shift(0.01),
+               DeformationFunction.grainy_ramp(0.01, 0.03), DeformationFunction.grainy_ramp(0.2, 1.5),
+               DeformationFunction.from_table(_TABLE),
+               DeformationFunction.from_table([[-1, -1.3], [1, 1.3]])]
+_CELL_IDS = ["none", "identity", "discrete", "grainy", "grainy-wide", "table", "table-without-0"]
+
+
+@pytest.mark.parametrize("F", _CELL_CASES, ids=_CELL_IDS)
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(-20.0, 20.0) | st.floats(-0.1, 0.1) | st.floats(-1e-6, 1e-6))
+def test_cells_are_F_line_by_line(F, x):
+    xs, m, xa, ya = _cells(F)
+    assert 0.0 in xs and np.all(np.diff(xs) > 0) and len(m) == len(xa) == len(ya) == len(xs) + 1
+    assume(x not in xs)  # the cells are open
+    k = np.searchsorted(xs, x)
+    line = ya[k] + m[k] * (x - xa[k])
+    want = x if F is None else F(x)
+    if F is not None and F.table is not None:
+        assert line == want  # anchored where np.interp is
+    else:
+        assert abs(line - want) <= 2 * np.spacing(abs(want))
+    assert m[k] == (1.0 if F is None else F.slope(x))
+
+
+def test_cells_breakpoints():
+    assert _cells(None)[0].tolist() == [0.0]
+    assert _cells(DeformationFunction.discrete_shift(0.01))[0].tolist() == [0.0]
+    assert _cells(DeformationFunction.grainy_ramp(0.01, 0.03))[0].tolist() == [-0.03, 0.0, 0.03]
+    assert _cells(DeformationFunction.from_table(_TABLE))[0].tolist() == [x for x, _ in _TABLE]
+    xs, m, xa, ya = _cells(DeformationFunction.from_table([[-1, -1.3], [1, 1.3]]))
+    # 0 splits the one segment into two cells on its own line; both ends extended
+    assert xs.tolist() == [-1.0, 0.0, 1.0]
+    assert m.tolist() == [1.3] * 4 and xa.tolist() == [-1.0, -1.0, -1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
