@@ -1,8 +1,8 @@
 """Command-line frontend: desk experiments on world-function geometries.
 
 Every command resolves its full configuration, writes CSV/JSON outputs with
-round-trip decimal precision and emits a run manifest with sha256 digests, so
-a run can be reproduced bit for bit from the manifest.
+round-trip decimal precision (raw chain points as exact float64 .npy) and a
+run manifest with sha256 digests, so a run can be reproduced bit for bit.
 
 Exit codes: 0 success; 1 a usage error or an input the library rejects
 (InvalidInputError); 2 any other WorldFunctionError, a numerical failure.
@@ -272,26 +272,21 @@ def cmd_object(args, g):
 
 def cmd_chain(args, g):
     params = ChainParams.from_dict({**vars(args), "geometry": g})
-    out_dir = Path(args.out_dir)
-    outputs = []
+    out, raw = Path(args.out_dir) / args.out_stats, Path(args.out_dir) / args.out_raw
     if args.raw:
         stats, points = simulate_ensemble(params, keep_chains=True)
-        raw = out_dir / args.out_raw
-        chains, steps = points.shape[:2]
-        _write_csv(raw, "chain_id,step,x0,x1,x2,x3", np.repeat(np.arange(chains), steps),
-                   np.tile(np.arange(steps), chains), *points.reshape(-1, 4).T)
-        outputs.append(raw)
+        raw.parent.mkdir(parents=True, exist_ok=True)
+        with open(raw, "wb") as fh:  # np.save of a path would append .npy to its name
+            np.save(fh, points, allow_pickle=False)
     else:
         stats = simulate_ensemble(params)
-    out = out_dir / args.out_stats
     _write_csv(out, "step,mean_t,var_transverse,mean_angle",
                stats.step, stats.mean_t, stats.var_transverse, stats.mean_angle)
-    outputs.insert(0, out)
     extras = {"deflection_angle": params.deflection,
               "max_link_length_drift": float(stats.link_length_drift.max()),
               "max_gamma": float(stats.max_gamma.max())}
     message = f"wrote chain statistics for {params.ensemble} chains x {params.steps} steps to {out}"
-    return outputs, message, extras
+    return [out, raw] if args.raw else [out], message, extras
 
 
 def cmd_density(args, _g):
@@ -375,9 +370,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="object_probes.csv")
 
     p = command(sub, "chain", cmd_chain, "simulate a world-chain ensemble", config=ChainParams)
-    p.add_argument("--raw", action="store_true", help="also write raw chain points")
+    p.add_argument("--raw", action="store_true", help="also write the chain points as .npy")
     p.add_argument("--out-stats", default="chain_stats.csv")
-    p.add_argument("--out-raw", default="chains.csv")
+    p.add_argument("--out-raw", default="chains.npy")
 
     p = command(sub, "density", cmd_density, "relative point density over a sigma_g grid",
                 geometry=False, seed=False, tol=False)

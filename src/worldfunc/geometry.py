@@ -216,10 +216,11 @@ class DeformationFunction:
     with ramp(x; sigma0) = sgn(x) for |x| > sigma0 and x / sigma0 inside
     (sgn(x) when sigma0 = 0): ``identity`` (lambda0_sq = 0),
     ``discrete_shift`` (sigma0 = 0) and ``grainy_ramp``.  Both parameters
-    must be finite and >= 0; sigma0 is held at 0 when lambda0_sq is, so
-    equal F have equal parameters.  User functions are piecewise linear
-    tables of (sigma_M, sigma) breakpoints, strictly increasing in both,
-    whose end segments are extended linearly beyond the table.
+    must be finite and >= 0, and lambda0_sq / sigma0 finite; sigma0 is held
+    at 0 when lambda0_sq is, so equal F have equal parameters.  User
+    functions are piecewise linear tables of (sigma_M, sigma) breakpoints,
+    strictly increasing in both, every segment slope finite, whose end
+    segments are extended linearly beyond the table.
     """
 
     def __init__(self, *, lambda0_sq: float = 0.0, sigma0: float = 0.0,
@@ -227,6 +228,10 @@ class DeformationFunction:
         self.lambda0_sq = _finite("lambda0_sq", lambda0_sq, 0.0)
         sigma0 = _finite("sigma0", sigma0, 0.0)
         self.sigma0 = sigma0 if self.lambda0_sq else 0.0  # no shift, so no ramp to widen
+        if self.sigma0 and not math.isfinite(self.lambda0_sq / self.sigma0):
+            raise InvalidInputError(f"sigma0 = {sigma0!r} is too small for lambda0_sq = "
+                                    f"{self.lambda0_sq!r}: the ramp slope lambda0_sq / sigma0 "
+                                    "overflows")
         self.table = None
         if table is not None:
             if self.lambda0_sq:
@@ -243,6 +248,13 @@ class DeformationFunction:
             if not np.all(tab[k + 1] > tab[k]):
                 raise InvalidInputError(f"table must be strictly increasing: segment {k} from "
                                         f"{tab[k].tolist()} to {tab[k + 1].tolist()} is not")
+            with np.errstate(over="ignore"):  # a difference or quotient past DBL_MAX is inf
+                m = np.diff(tab[:, 1]) / np.diff(tab[:, 0])
+            k = int(np.argmin((m > 0) & (m < math.inf)))  # first segment of unusable slope
+            if not 0 < m[k] < math.inf:
+                raise InvalidInputError(f"table slope must be finite and > 0: segment {k} from "
+                                        f"{tab[k].tolist()} to {tab[k + 1].tolist()} has slope "
+                                        f"{m[k]}")
             self.table = tab
             if float(self(0.0)) != 0.0:
                 raise InvalidInputError(
@@ -291,7 +303,9 @@ class DeformationFunction:
         returned there too); 1 + lambda0_sq/sigma0 inside |sigma_M| <= sigma0;
         the segment slope for tables, with the end segments extended
         linearly.  At a table breakpoint the right segment's slope is
-        returned.
+        returned.  Every slope is finite and > 0: the constructor rejects a
+        sigma0 so small that lambda0_sq / sigma0 overflows, and a table
+        segment whose slope overflows or underflows to 0.
         """
         x = np.asarray(sigma_m, dtype=float)
         if self.table is not None:

@@ -491,7 +491,8 @@ def test_ensemble_links_verify_as_equivalent_in_the_deformed_geometry():
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["minkowski", "discrete", "grainy", "deformed"]),
-       lam=st.floats(1e-12, 1e3), sigma0=st.floats(0.0, 1e3),
+       # sigma0 keeps lam / sigma0 finite, as DeformationFunction requires
+       lam=st.floats(1e-12, 1e3), sigma0=st.just(0.0) | st.floats(1e-300, 1e3),
        link_sigma_m=st.floats(1e-12, 1e12), steps=st.integers(1, 10**6),
        ensemble=st.integers(1, 10**6), seed=st.integers(0, 2**63))
 def test_chain_params_serialization_round_trips(kind, lam, sigma0, link_sigma_m, steps,

@@ -111,6 +111,15 @@ def test_non_finite_geometry_parameters_exit_1(tmp_path, capsys, spec):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_geometry_whose_ramp_slope_overflows_exits_1(tmp_path, capsys):
+    pts = write_points(tmp_path / "p.json", [[0, 0, 0, 0], [1, 1, 0, 0]])
+    spec = "grainy:lambda0_sq=0.01,sigma0=5e-324"
+    assert run(["sigma", "--geometry", spec, "--points", pts, "--out-dir", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lambda0_sq / sigma0 overflows" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_deformed_geometry_from_file(tmp_path):
     fspec = tmp_path / "F.json"
     fspec.write_text(json.dumps({"F_table": [[-10, -10], [0, 0], [10, 10]]}))
@@ -609,8 +618,8 @@ def test_chain_command_and_reproducibility(tmp_path):
     stats_a = (tmp_path / "a" / "chain_stats.csv").read_bytes()
     stats_b = (tmp_path / "b" / "chain_stats.csv").read_bytes()
     assert stats_a == stats_b
-    raw_a = (tmp_path / "a" / "chains.csv").read_bytes()
-    raw_b = (tmp_path / "b" / "chains.csv").read_bytes()
+    raw_a = (tmp_path / "a" / "chains.npy").read_bytes()
+    raw_b = (tmp_path / "b" / "chains.npy").read_bytes()
     assert raw_a == raw_b
 
     header, rows = read_csv(tmp_path / "a" / "chain_stats.csv")
@@ -623,6 +632,31 @@ def test_chain_command_and_reproducibility(tmp_path):
     assert manifest["max_link_length_drift"] < 1e-12
     digest = hashlib.sha256(stats_a).hexdigest()
     assert manifest["outputs"]["chain_stats.csv"]["sha256"] == digest
+    assert manifest["outputs"]["chains.npy"]["sha256"] == hashlib.sha256(raw_a).hexdigest()
+
+
+def test_chain_raw_writes_exactly_the_named_file(tmp_path):
+    # np.save of a path would write pts.csv.npy; the directory does not exist yet
+    out = tmp_path / "x" / "y"
+    assert run(["chain", "--geometry", "discrete:lambda0_sq=0.005", "--link-sigma-m", 0.5,
+                "--steps", 5, "--ensemble", 3, "--raw", "--out-raw", "pts.csv",
+                "--out-dir", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["chain_manifest.json", "chain_stats.csv",
+                                                     "pts.csv"]
+    assert np.load(out / "pts.csv", allow_pickle=False).shape == (3, 7, 4)
+    manifest = json.loads((out / "chain_manifest.json").read_text())
+    assert manifest["config"]["args"]["out_raw"] == "pts.csv"
+    digest = hashlib.sha256((out / "pts.csv").read_bytes()).hexdigest()
+    assert manifest["outputs"]["pts.csv"] == {"path": str(out / "pts.csv"), "sha256": digest}
+
+
+def test_chain_without_raw_writes_only_the_stats(tmp_path):
+    assert run(["chain", "--geometry", "discrete:lambda0_sq=0.005", "--link-sigma-m", 0.5,
+                "--steps", 5, "--ensemble", 3, "--out-dir", tmp_path]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain_manifest.json",
+                                                          "chain_stats.csv"]
+    manifest = json.loads((tmp_path / "chain_manifest.json").read_text())
+    assert list(manifest["outputs"]) == ["chain_stats.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +861,11 @@ def test_chain_raw_and_stats_match_per_value_writer(tmp_path):
                     "--steps", 400, "--ensemble", 40, "--seed", 1, "--raw",
                     "--out-dir", tmp_path]) == 0
         stats, points = wf.simulate_ensemble(params, keep_chains=True)
-    raw = _ref_csv("chain_id,step,x0,x1,x2,x3",
-                   ((i, k, *points[i, k]) for i in range(40) for k in range(402)))
-    assert "nan" not in raw
-    assert (tmp_path / "chains.csv").read_text() == raw
+    raw = np.load(tmp_path / "chains.npy", allow_pickle=False)
+    assert raw.dtype == points.dtype == np.float64 and raw.shape == points.shape == (40, 402, 4)
+    assert np.all(np.isfinite(raw))
+    # bit for bit, so a -0.0 in place of a 0.0 counts
+    assert np.array_equal(raw.view(np.int64), points.view(np.int64))
     assert (tmp_path / "chain_stats.csv").read_text() == _ref_csv(
         "step,mean_t,var_transverse,mean_angle",
         zip(stats.step, stats.mean_t, stats.var_transverse, stats.mean_angle))

@@ -574,6 +574,24 @@ def test_deformation_slopes():
     assert isinstance(table.slope(0.25), float)
 
 
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.0, 1e300), sigma0=st.floats(0.0, 1e300), dy=st.floats(0.0, 1e300),
+       dx=st.floats(0.0, 1e300), x=st.floats(allow_nan=False))
+def test_every_accepted_deformation_has_finite_positive_slopes(lam, sigma0, dy, dx, x):
+    # a built-in F or a table with one drawn segment, wherever sigma_M lies
+    for make in (lambda: DeformationFunction.grainy_ramp(lam, sigma0),
+                 lambda: DeformationFunction.from_table([[-1, -1], [0, 0], [dx, dy]])):
+        try:
+            F = make()
+        except wf.InvalidInputError:
+            continue
+        assert 0.0 < F.slope(x) < math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = np.asarray(wf.sigma_gradient(Geometry.deformed(F), ORIGIN4, (1.0, 1.0, 0.0, 0.0)))
+        assert np.all(np.isfinite(g))
+
+
 # F's linear cells, one per (sigma_M breakpoint) interval; the Euclidean
 # geometry (None) is the identity, and a table need not list 0
 _CELL_CASES = [None, DeformationFunction.identity(), DeformationFunction.discrete_shift(0.01),
@@ -733,8 +751,15 @@ def test_builtin_deformation_ignores_parameters_of_other_kinds():
     (lambda: DeformationFunction.from_table([(-2, -2), (0, 0), (0.5, 0.5), (1, 0.4), (2, 1.5)]),
      "strictly increasing: segment 2"),
     (lambda: DeformationFunction.from_table([["a", 0], [0, 0]]), "table must hold numbers"),
+    # a slope that is not a finite positive float would make sigma_gradient inf or NaN
+    (lambda: Geometry.grainy(0.01, 5e-324), r"sigma0 = 5e-324 is too small for lambda0_sq"),
+    (lambda: DeformationFunction.from_table([[-1, -1], [0, 0], [5e-324, 1], [2, 3]]),
+     r"table slope must be finite and > 0: segment 1 from \[0.0, 0.0\] to \[5e-324, 1.0\]"),
+    (lambda: DeformationFunction.from_table([[-1e308, -1e308], [0, 0], [1e308, 1e-300]]),
+     "table slope must be finite and > 0: segment 1"),
 ], ids=["negative-l", "negative-s", "grainy-negative-s", "density-negative-s", "table-and-l",
-        "flat-table", "falling-table", "table-of-text"])
+        "flat-table", "falling-table", "table-of-text", "ramp-slope-overflows",
+        "table-slope-overflows", "table-slope-underflows"])
 def test_deformation_rejects_parameters_it_cannot_use(make, match):
     with pytest.raises(wf.InvalidInputError, match=match):
         make()
