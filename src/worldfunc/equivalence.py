@@ -15,10 +15,13 @@ solving the two equations for the end point Q1 of a vector at Q0 equivalent
 to a given one may yield no solution, exactly one, or a whole manifold.
 In the Euclidean geometry the solution is exactly the translation Q0 + (P1 -
 P0), and ``solve_equivalent`` returns it in closed form.  On the Minkowski
-substrate it explores the structure with a multistart damped Newton
-iteration and reports representatives, each classified in closed form by a
-second-order test at the root as isolated or on an (n - 2)-dimensional
-solution manifold; ``find_intransitivity_witness`` builds broken-transitivity
+substrate F is piecewise linear, so in each slope cell of F the equations are
+a quadric cut by a hyperplane: for a generic input the solve takes one exact
+root per non-empty cell (``_cell_starts``), and otherwise it explores the
+structure with a multistart damped Newton iteration.  Either way it reports
+representatives, each classified in closed form by a second-order test at the
+root as isolated or on an (n - 2)-dimensional solution manifold;
+``find_intransitivity_witness`` builds broken-transitivity
 witnesses from one exact null-shift template, confirmed by the batched residual
 kernel that also checks skeleton and chain-link equivalence; the segment/tube
 operations expose the thickness that straight lines acquire under deformation.
@@ -72,6 +75,11 @@ _WITNESS_BLOCK = 1024
 # ladder scaled by 2, i.e. 2 ... 1/8, in the same call.
 _LADDER = 0.5 ** np.arange(5)
 _DOUBLE_BAND = 0.05
+# the generic branch of solve_equivalent (_cell_starts) needs q0 farther than
+# sqrt(this) times the largest point from the line p0p1, and W = span(w0, u)
+# and each slope cell's normal n that far from null (Euclidean norms): the
+# cell points then carry ~1e-10 relative rounding, well inside tol
+_GENERIC_CUTOFF = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +140,16 @@ def _skeleton_pair_reports(g, a, b, tol):
 
 @dataclass(frozen=True)
 class SolverConfig(_Config):
-    """Multistart Newton settings of ``solve_equivalent``.
+    """Settings of ``solve_equivalent``.
 
-    ``tol`` and ``dedupe_radius`` apply to every geometry.  ``starts``,
-    ``max_iter``, ``box_half_width`` and ``seed`` drive the Newton search on
-    the Minkowski substrate and are not read for the Euclidean geometry,
-    whose one solution is computed in closed form.
+    ``tol`` and ``dedupe_radius`` apply to every geometry.  On the Minkowski
+    substrate ``max_iter`` caps the main Newton pass of both branches.
+    ``starts``, ``box_half_width`` and ``seed`` place the random starts of
+    the multistart, which runs only where the slope-cell walk does not
+    apply (q0 on the line p0p1, a null P0P1, ...); the generic branch starts
+    from one root per non-empty cell and reads none of the three.  The
+    Euclidean geometry, whose one solution is computed in closed form, reads
+    neither ``max_iter`` nor those three.
     """
 
     starts: int = 256
@@ -156,9 +168,14 @@ class SolverDiagnostics:
     """What the solver did.
 
     A Euclidean solve runs no Newton: it reports 0 starts, converged rows,
-    iterations, stalls, doubled steps and merges, and rank 1, the rank of
-    the Jacobian at the translation, whose parallelism row vanishes there.
-    On the Minkowski substrate ``iterations`` counts the step-ladder
+    iterations, stalls, doubled steps, merges and cells, and rank 1, the rank
+    of the Jacobian at the translation, whose parallelism row vanishes there.
+    On the Minkowski substrate ``starts_attempted`` counts the rows of the
+    main Newton pass: the translation guess, then either one root per
+    non-empty slope cell (``cells_examined`` cell pairs (i, j) of F walked,
+    ``cells_nonempty`` of them holding a surface or a tangent point) or the
+    random starts of the multistart, where both cell counts are 0.
+    ``iterations`` counts the step-ladder
     evaluations of the main Newton pass, ``stalled_count`` its starts that
     no rung of the ladder improved and ``doubled_steps`` its row steps
     accepted at the doubled step lambda = 2 (the polish pass is not
@@ -175,6 +192,8 @@ class SolverDiagnostics:
     stalled_count: int
     doubled_steps: int
     merged_count: int
+    cells_examined: int
+    cells_nonempty: int
 
 
 @dataclass(frozen=True)
@@ -398,6 +417,129 @@ def _manifold_dims(rmap: _ResidualMap, reps, radius, tol_abs):
     return np.where(isolated, 0, rmap.n - 2), rank, reach
 
 
+def _cell_starts(g, p0, p1, q0, rmap, tol_abs):
+    """One root per non-empty slope cell of F, or None outside the generic branch.
+
+    With Y = X - q0, u = p1 - p0 and w_k = q0 - p_k, the length equation is the
+    quadric <Y, Y> = <u, u> (F is injective), on which sigma_M(p_k, X) = c_k +
+    <Y, w_k> with c_k = sigma_M(u) + <w_k, w_k> / 2.  In the slope cell (i, j)
+    of ``_cells`` the parallelism equation is the hyperplane <Y, n> = L with
+    n = m_i w0 - m_j w1, cut by the cell's two intervals.  Write Y = Y_W + Y'
+    with Y_W in W = span(w0, w1) and Y' in its eta-complement.  On the line
+    Y_W = (L / <n, n>) n + s v of W, with v eta-orthogonal to n, the quadric
+    reads <Y', Y'> = rho(s) = <u, u> - L^2 / <n, n> - s^2 <v, v>, whose
+    extremum is s = 0.  With det G < 0 (G the eta-Gram matrix of w0, w1) the
+    complement is negative definite: the cell holds a surface where rho < 0
+    and a tangent point where rho only reaches 0 (within tol_rho, so that the
+    point passes at tol_abs).  With det G > 0 it is indefinite and every
+    point of the segment carries a hyperbola.  Each non-empty cell gives one
+    point, at ``_cell_point``'s s, with Y' along a fixed eta-eigendirection of
+    the complement.
+
+    The branch needs q0 off the line p0p1 (w0, w1 independent), G
+    non-singular and every n non-null (for i = j, n = m_i u: u is not null),
+    each by ``_GENERIC_CUTOFF``.  It returns the cells' points and the number
+    of cells examined.  None sends the solve to the multistart: q0 on (or
+    near) the line p0p1, a null W, u or n, or a cell whose verdict hangs on
+    an end of its segment, a breakpoint of F.  The sets where sigma_M(p_k, X)
+    is exactly 0, curves at the jump of the discrete F, are not walked.
+    """
+    u = p1 - p0
+    w = q0 - np.stack([p0, p1])
+    # W = span(w0, u): its Gram determinants in that basis, free of the
+    # cancellation in w0 - w1 = u; det is the eta one of (w0, w1) too
+    basis = np.stack([w[0], u])
+    gram_e = basis @ basis.T
+    det_e = gram_e[0, 0] * gram_e[1, 1] - gram_e[0, 1] * gram_e[0, 1]
+    gram = (basis * _ETA) @ basis.T
+    det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[0, 1]
+    xs, m, xa, ya = _cells(g.deformation)
+    i, j = np.divmod(np.arange(len(m) ** 2), len(m))
+    n = m[i, None] * u + (m[i] - m[j])[:, None] * w[1]  # m_i w0 - m_j w1
+    nn = np.sum(n * n * _ETA, axis=1)
+    scale = max(float(p @ p) for p in (p0, p1, q0))
+    if not (det_e > _GENERIC_CUTOFF * gram_e[1, 1] * scale and abs(det) > _GENERIC_CUTOFF * det_e
+            and np.all(np.abs(nn) > _GENERIC_CUTOFF * np.sum(n * n, axis=1))):
+        return None
+    uu = gram[1, 1]
+    c = 0.5 * (uu + np.sum(w * w * _ETA, axis=1))
+    # F(l0) - F(l1) = two_a + sigma(p0, q0) - sigma(p1, q0) on the quadric
+    K = rmap.two_a + rmap.s_p0q0 - rmap.s_p1q0
+    L = K - (ya[i] - m[i] * xa[i]) + (ya[j] - m[j] * xa[j]) - m[i] * c[0] + m[j] * c[1]
+    nw = (n * _ETA) @ np.stack([w[0], w[1], u]).T  # <n, w0>, <n, w1>, <n, u>
+    # (<Y, w0>, <Y, w1>) is gv at s = 0 and moves by (m_j, m_i) per unit of s along v
+    gv = (L / nn)[:, None] * nw[:, :2]
+    step = np.stack([m[j], m[i]], axis=1)
+    edges = np.concatenate([[-np.inf], xs, [np.inf]])
+    s_lo = ((np.stack([edges[i], edges[j]], axis=1) - c - gv) / step).max(axis=1)
+    s_hi = ((np.stack([edges[i + 1], edges[j + 1]], axis=1) - c - gv) / step).min(axis=1)
+    v = (nw[:, 2:] * w[0] - nw[:, :1] * u) / det
+    A = -np.sum(v * v * _ETA, axis=1)
+    C = uu - L * L / nn
+    if not (np.isfinite(A).all() and np.isfinite(C).all()):
+        return None
+
+    tol_rho = tol_abs / float(m.max())
+    cells, at = [], []
+    for p in np.flatnonzero(s_lo <= s_hi).tolist():
+        t = _cell_point(float(s_lo[p]), float(s_hi[p]), float(A[p]), float(C[p]), det < 0.0,
+                        tol_rho)
+        if t is None:
+            return None
+        if not math.isnan(t):
+            cells.append(p)
+            at.append(t)
+    s = np.array(at)
+    rho = A[cells] * s * s + C[cells]
+    rho[np.abs(rho) <= tol_rho] = 0.0  # a tangent point, within tol_abs of the quadric
+    Y = (L / nn)[cells, None] * n[cells] + s[:, None] * v[cells]
+    # the eta-complement of W, diagonalised: <e_a, e_b> = lam_a delta_ab, lam ascending
+    N = np.linalg.svd(basis * _ETA)[2][2:]
+    lam, V = np.linalg.eigh((N * _ETA) @ N.T)
+    E = V.T @ N
+    side = (rho > 0.0).astype(int)  # lam[0] < 0 always; lam[1] > 0 only where indefinite
+    Y += np.sqrt(np.maximum(rho / lam[side], 0.0))[:, None] * E[side]
+    return q0 + Y, len(m) ** 2
+
+
+def _cell_point(lo, hi, A, C, definite, tol_rho):
+    """s of one root on a cell's segment lo <= s <= hi, where <Y', Y'> = rho(s) = A s^2 + C.
+
+    NaN where the cell is empty, None where its verdict hangs on an end of the
+    segment, a breakpoint of F.  An indefinite complement has roots over every
+    s, a definite (negative) one over every s with rho(s) <= 0.  The point is
+    the extremum s = 0 where it is inside the segment and, for a definite
+    complement, on the surface (rho < -tol_rho) or a minimum of rho within
+    tol_rho of 0 (a tangent point).  Otherwise it is the middle of the first
+    part of the segment, split at the roots of rho, with roots over it.
+    """
+    if lo == hi:  # the line meets the box at a corner only
+        return None if not definite or A * lo * lo + C <= tol_rho else math.nan
+    if lo < 0.0 < hi and (not definite or C < -tol_rho or (A >= 0.0 and C <= tol_rho)):
+        return 0.0
+    if not definite:
+        return _middle(lo, hi)
+    r = math.sqrt(-C / A) if A and -C / A >= 0.0 else math.nan
+    cuts = [lo, *(x for x in (-r, r) if lo < x < hi), hi]
+    for a, z in zip(cuts, cuts[1:]):
+        s = _middle(a, z)
+        if A * s * s + C < 0.0:
+            return s
+    ends = [A * e * e + C for e in (lo, hi) if math.isfinite(e)]
+    return None if min(ends, default=math.inf) <= tol_rho else math.nan
+
+
+def _middle(lo, hi):
+    """A point strictly inside (lo, hi), finite whatever the ends."""
+    if math.isinf(lo) and math.isinf(hi):
+        return 0.0
+    if math.isinf(hi):
+        return lo + max(1.0, abs(lo))
+    if math.isinf(lo):
+        return hi - max(1.0, abs(hi))
+    return 0.5 * (lo + hi)
+
+
 def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -> SolutionSet:
     """Find end points Q1 such that the vector Q0Q1 is equivalent to P0P1.
 
@@ -409,10 +551,14 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     still checked by the pairwise test's residuals, and a translation that
     fails them at ``tol`` in float arithmetic raises ``SolverFailureError``.
 
-    On the Minkowski substrate the solve starts from the chart-translation
-    guess plus seeded random points in a box around Q0; converged solutions
-    are deduplicated (sorted, by chart distance), polished and classified by
-    a second-order test at each representative (``_manifold_dims``).  One
+    On the Minkowski substrate the Newton rows start from the
+    chart-translation guess.  For a generic input (Q0 off the line P0P1, no
+    null P0P1, see ``_cell_starts``) the other rows are one exact root per
+    non-empty slope cell of F, so the result does not depend on ``starts``,
+    ``box_half_width`` or ``seed``; any other input keeps the multistart's
+    seeded random points in a box around Q0.  Converged solutions are
+    deduplicated (sorted, by chart distance), polished and classified by a
+    second-order test at each representative (``_manifold_dims``).  One
     cover then merges the polished points, each covering the larger of the
     dedupe radius and its tolerance-tube reach.  The reported residuals are
     the rows Newton computed at the representatives, equal to
@@ -441,14 +587,22 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
             raise SolverFailureError(
                 "the translation q0 + (p1 - p0), this geometry's one solution, fails the "
                 "equivalence test at tol in float arithmetic")
-        diags = SolverDiagnostics(0, 0, radius, 1, 0, 0, 0, 0)
+        diags = SolverDiagnostics(0, 0, radius, 1, 0, 0, 0, 0, 0, 0)
         return SolutionSet([X], "single", 0, list(map(tuple, res.tolist())), diags)
 
-    rng = np.random.default_rng(cfg.seed)
-    starts = np.empty((cfg.starts, g.dim))
+    cells = _cell_starts(g, p0, p1, q0, rmap, tol_abs)
+    if cells is None:
+        rng = np.random.default_rng(cfg.seed)
+        starts = np.empty((cfg.starts, g.dim))
+        starts[1:] = q0 + rng.uniform(-cfg.box_half_width, cfg.box_half_width,
+                                      size=(cfg.starts - 1, g.dim))
+        examined = nonempty = 0
+    else:
+        roots, examined = cells
+        starts = np.empty((1 + len(roots), g.dim))
+        starts[1:] = roots
+        nonempty = len(roots)
     starts[0] = q0 + u  # translation guess: exact in Minkowski
-    starts[1:] = q0 + rng.uniform(-cfg.box_half_width, cfg.box_half_width,
-                                  size=(cfg.starts - 1, g.dim))
 
     X, res, conv, stalled, doubled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
     if not conv.any():
@@ -456,7 +610,7 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
             raise SolverFailureError(
                 "no start converged although this geometry has an analytic solution")
         diags = SolverDiagnostics(len(starts), 0, radius, 0, iterations, int(stalled.sum()),
-                                  doubled, 0)
+                                  doubled, 0, examined, nonempty)
         return SolutionSet([], "zero", 0, [], diags)
 
     # polish: at tangential solutions a residual of tol only pins the
@@ -474,7 +628,8 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
 
     variance = "single" if len(reps) == 1 and dims[0] == 0 else "multi"
     diags = SolverDiagnostics(len(starts), int(conv.sum()), radius, int(ranks[np.argmax(dims)]),
-                              iterations, int(stalled.sum()), doubled, len(idx) - len(kept))
+                              iterations, int(stalled.sum()), doubled, len(idx) - len(kept),
+                              examined, nonempty)
     return SolutionSet(list(reps), variance, int(dims.max()), list(map(tuple, res.tolist())), diags)
 
 

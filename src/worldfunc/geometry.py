@@ -326,7 +326,8 @@ def _cells(F: DeformationFunction | None):
     and hold 0, so no cell crosses the light cone.  F None (Euclidean) is the identity."""
     F = DeformationFunction.identity() if F is None else F
     edges = [-F.sigma0, F.sigma0] if F.table is None else F.table[:, 0]
-    xs = np.union1d(edges, [0.0]) + 0.0  # one 0, never -0.0
+    xs = np.sort(np.append(edges, 0.0))  # not np.union1d: np.unique imports numpy.ma
+    xs = xs[np.append(True, xs[1:] > xs[:-1])] + 0.0  # one 0, never -0.0
     inner = np.concatenate([[xs[0] - 1.0], 0.5 * (xs[:-1] + xs[1:]), [xs[-1] + 1.0]])
     if F.table is None:  # anchored at 0: outside the ramp ya + m x is F's own x + lambda0_sq sgn(x)
         ya = np.where(np.abs(inner) > F.sigma0, F.lambda0_sq * np.sign(inner), 0.0)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import worldfunc as wf
@@ -199,13 +199,15 @@ def test_solve_multivariant_in_continuous_deformation():
 
 
 def test_solve_zero_variance_reported_not_raised():
-    # with no iterations allowed and a start that is not a solution, the
-    # (possibly empty) outcome must classify as zero-variance, not raise
+    # with no iterations allowed and no start a solution, the (possibly empty)
+    # outcome must classify as zero-variance, not raise; q0 on the line p0p1
+    # keeps the multistart, whose starts are not roots
     g = Geometry.discrete(0.01)
-    sol = wf.solve_equivalent(g, ORIGIN4, (0, 1, 0, 0), (0.1, 0, 0, 0),
+    sol = wf.solve_equivalent(g, ORIGIN4, (0, 1, 0, 0), (0, 0.5, 0, 0),
                               SolverConfig(starts=4, max_iter=0, seed=0))
     assert sol.variance == "zero"
     assert sol.representatives == []
+    assert (sol.diagnostics.starts_attempted, sol.diagnostics.cells_examined) == (4, 0)
 
 
 def test_solver_deterministic_for_fixed_seed():
@@ -340,6 +342,7 @@ def test_euclidean_solve_diagnostics_say_no_newton_ran():
     d = sols[0].diagnostics
     assert (d.starts_attempted, d.converged_count, d.iterations) == (0, 0, 0)
     assert (d.stalled_count, d.doubled_steps, d.merged_count, d.jacobian_rank) == (0, 0, 0, 1)
+    assert (d.cells_examined, d.cells_nonempty) == (0, 0)
     assert d.dedupe_radius == 1e-4 * math.sqrt(6.0)
     out = sols[0].to_dict()
     assert out["diagnostics"]["starts_attempted"] == 0 and out["diagnostics"]["iterations"] == 0
@@ -359,15 +362,24 @@ def test_config_argument_must_be_the_config_class(call, cfg):
 
 
 def test_isolated_root_reach_keeps_a_distinct_root():
-    # the translation answer is isolated; a second exact root 0.229 away (max
-    # norm) lies on a solution manifold and is far outside the root's reach
-    p0 = (-0.8165807124878153, 0.14862374614827378, 0.4798234986473213, 0.029716628985286375)
-    p1 = (0.4196950711205416, 0.6205046280559159, 0.48847170140365115, 0.47754936645513846)
-    q0 = (-0.10638926858575526, -0.8764879816358493, 0.6690337363294017, 0.10649896836813677)
-    sol = wf.solve_equivalent(Geometry.discrete(0.01), p0, p1, q0, SolverConfig(starts=64, seed=41))
+    # the translation answer is an isolated tangent point of one slope cell; the
+    # root of another cell, 0.218 away (max norm), lies on a solution manifold
+    # far outside the isolated root's reach
+    p0 = np.array([-0.8165807124878153, 0.14862374614827378, 0.4798234986473213, 0.029716628985286375])
+    p1 = np.array([0.4196950711205416, 0.6205046280559159, 0.48847170140365115, 0.47754936645513846])
+    q0 = np.array([-0.10638926858575526, -0.8764879816358493, 0.6690337363294017, 0.10649896836813677])
+    g = Geometry.discrete(0.01)
+    sol = wf.solve_equivalent(g, p0, p1, q0, SolverConfig(starts=64, seed=41))
     assert sol.variance == "multi"
     assert len(sol.representatives) == 2
-    assert np.abs(np.subtract(*sol.representatives)).max() == pytest.approx(0.229, abs=1e-3)
+    reps = np.array(sol.representatives)
+    rmap = _ResidualMap(g, p0, p1, q0)
+    tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+    dims, _, reach = eqv._manifold_dims(rmap, reps, sol.diagnostics.dedupe_radius, tol_abs)
+    assert sorted(dims.tolist()) == [0, 2]
+    assert np.abs(reps[dims == 0] - (q0 + p1 - p0)).max() <= 1e-12
+    assert np.abs(np.subtract(*reps)).max() == pytest.approx(0.218, abs=1e-3)
+    assert np.linalg.norm(np.subtract(*reps)) > 10.0 * reach.max()
     assert np.abs(sol.residuals).max() <= 1e-15
     assert sol.diagnostics.merged_count == 0
 
@@ -416,6 +428,16 @@ def _manifold_dims_from_hessian_stacks(rmap, reps, radius, tol_abs):
 _KINK_TABLE = [[-2.0, -2.1], [-0.5, -0.52], [0.0, 0.0], [0.5, 0.53], [2.0, 2.1]]
 
 
+def _class_input(rng, cls):
+    """(p0, p1, q0), p0 and q0 uniform in [-1, 1]^4 and p1 - p0 future-pointing,
+    near the light cone (cls 0), timelike (1) or spacelike (2)."""
+    p0, q0 = rng.uniform(-1.0, 1.0, (2, 4))
+    v = rng.normal(size=3)
+    r = rng.uniform(0.3, 1.5)
+    dt = r * (1.0 + rng.uniform(-1e-3, 1e-3), rng.uniform(1.2, 2.0), rng.uniform(0.0, 0.8))[cls]
+    return p0, p0 + np.concatenate([[dt], r * v / np.linalg.norm(v)]), q0
+
+
 @pytest.mark.parametrize("g", [MINK, Geometry.discrete(0.01), Geometry.grainy(0.01, 0.125),
                                Geometry.deformed(DeformationFunction.from_table(_KINK_TABLE))],
                          ids=["minkowski", "discrete", "grainy", "table"])
@@ -423,11 +445,7 @@ def test_manifold_dims_match_the_hessian_stack_contraction(g):
     rng = np.random.default_rng(11)
     cases = []
     for k in range(6):  # near-cone, timelike and spacelike P0P1, two of each
-        p0, q0 = rng.uniform(-1.0, 1.0, (2, 4))
-        v = rng.normal(size=3)
-        r = rng.uniform(0.3, 1.5)
-        dt = r * (1.0 + rng.uniform(-1e-3, 1e-3), rng.uniform(1.2, 2.0), rng.uniform(0.0, 0.8))[k % 3]
-        p1 = p0 + np.concatenate([[dt], r * v / np.linalg.norm(v)])
+        p0, p1, q0 = _class_input(rng, k % 3)
         sol = wf.solve_equivalent(g, p0, p1, q0, SolverConfig(starts=16, seed=k))
         reps = np.array(sol.representatives).reshape(-1, 4)
         cases.append((p0, p1, q0, np.vstack([reps, reps + rng.normal(scale=1e-3, size=reps.shape),
@@ -523,15 +541,81 @@ def test_solver_config_rejects_a_negative_iteration_count():
 
 
 def test_near_cone_discrete_solve_reports_stalled_starts():
-    # near the cone of the discrete geometry starts crawl and stall at the 1/16 rung
-    p0, p1, q0 = _near_cone_input(np.random.default_rng(25))
-    sol = wf.solve_equivalent(Geometry.discrete(0.01), p0, p1, q0, SolverConfig(starts=64))
+    # near the cone of the discrete geometry starts crawl and stall at the 1/16
+    # rung; q0 = p0 keeps the multistart's random starts
+    p0, p1, _ = _near_cone_input(np.random.default_rng(25))
+    sol = wf.solve_equivalent(Geometry.discrete(0.01), p0, p1, p0, SolverConfig(starts=64))
     diags = sol.diagnostics
     assert diags.stalled_count > 0
     assert diags.converged_count + diags.stalled_count <= diags.starts_attempted
     assert diags.iterations > 0
     assert sol.to_dict()["diagnostics"]["stalled_count"] == diags.stalled_count
     assert sol.to_dict()["diagnostics"]["merged_count"] == diags.merged_count
+
+
+# ---------------------------------------------------------------------------
+# the generic branch: one root per non-empty slope cell of F
+# ---------------------------------------------------------------------------
+
+_CELL_GEOMS = [MINK, Geometry.discrete(0.01), Geometry.grainy(0.01, 0.03),
+               Geometry.deformed(DeformationFunction.from_table(_KINK_TABLE))]
+# a timelike grainy input the multistart reported `single` at starts=64, seed 42
+_GRAINY_MISS = (
+    np.array([0.7870774673541412, -0.42096038727593643, -0.1987541200403926, 0.5526787106043458]),
+    np.array([-0.6662348606024622, -1.0563405586902288, 0.28764262323083434, 0.2176592551078591]),
+    np.array([-0.4625623196756994, 0.5075521068720097, 0.13645920048634874, -0.5242619354361382]))
+
+
+@pytest.mark.parametrize("segment, definite, want", [
+    ((-math.inf, math.inf, 1.0, -4.0), True, 0.0),  # surface, its deepest point
+    ((-math.inf, math.inf, 1.0, 1e-12), True, 0.0),  # tangent point within tol_rho
+    ((1.0, 2.0, 1.0, -4.0), True, 1.5),  # surface off the extremum: the middle
+    ((1.0, 5.0, -1.0, 4.0), True, 3.5),  # rho < 0 beyond its root 2
+    ((-math.inf, math.inf, -1.0, 0.0), True, -1.0),  # rho = -s^2: not at the apex
+    ((3.0, 5.0, 1.0, -4.0), True, math.nan),  # rho > 0 on the whole segment: empty
+    ((2.0, 5.0, 1.0, -4.0), True, None),  # rho reaches 0 only at a breakpoint
+    ((1.0, math.inf, 2.0, 3.0), False, 2.0),  # indefinite: every point is on a hyperbola
+    ((1.0, 1.0, 2.0, 3.0), False, None),  # the line meets the box at a corner
+])
+def test_cell_point_verdicts(segment, definite, want):
+    got = eqv._cell_point(*segment, definite, 1e-9)
+    if want is None:
+        assert got is None
+    elif math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("starts", [1, 64, 1024])
+def test_grainy_surface_is_found_whatever_the_start_count(starts):
+    # cells (2, 1) and (2, 2) of F hold a 2-surface; the random box found it
+    # only from 256 starts on
+    g = Geometry.grainy(0.01, 0.03)
+    p0, p1, q0 = _GRAINY_MISS
+    for seed in (0, 1, 2, 3, 42):
+        sol = wf.solve_equivalent(g, p0, p1, q0, SolverConfig(starts=starts, seed=seed))
+        assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 2)
+        assert sol.diagnostics.cells_nonempty >= 1
+        for x, r in zip(sol.representatives, sol.residuals):
+            rep = wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x))
+            assert rep.equivalent
+            assert np.array([rep.residual_parallel, rep.residual_length]).tobytes() == np.array(r).tobytes()
+
+
+@pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
+def test_cell_starts_agree_with_the_multistart(g, monkeypatch):
+    # the oracle: the unchanged multistart at 1024 starts, run by taking the
+    # cell walk away
+    rng = np.random.default_rng(8)
+    inputs = [_class_input(rng, cls) for cls in (0, 1, 2, 0, 1, 2)]
+    cells = [wf.solve_equivalent(g, *pts) for pts in inputs]
+    monkeypatch.setattr(eqv, "_cell_starts", lambda *args: None)
+    for pts, sol in zip(inputs, cells):
+        assert sol.diagnostics.cells_examined == len(eqv._cells(g.deformation)[1]) ** 2
+        box = wf.solve_equivalent(g, *pts, SolverConfig(starts=1024))
+        assert box.diagnostics.cells_examined == 0
+        assert (sol.variance, sol.manifold_dim_estimate) == (box.variance, box.manifold_dim_estimate)
 
 
 def test_solve_requires_distinct_points():
@@ -1113,6 +1197,69 @@ def test_witness_is_exact_on_every_increasing_deformation(g, seed):
     assert wf.find_intransitivity_witness(g, seed=seed, tol=100) is None
     other = wf.find_intransitivity_witness(g, seed=seed + 51)
     assert not all(np.array_equal(x.end, y.end) for x, y in zip((a, b, c), other))
+
+
+# solve_equivalent on every increasing deformation: the cell walk reads no
+# random box, and an input it leaves keeps the multistart
+
+_POINT4 = st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=4, max_size=4).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_SUBSTRATES, p0=_POINT4, p1=_POINT4, q0=_POINT4, starts=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1), width=st.floats(0.0, 100.0))
+def test_generic_solve_reads_no_random_box(g, p0, p1, q0, starts, seed, width):
+    assume(not np.array_equal(p0, p1))
+    sol = wf.solve_equivalent(g, p0, p1, q0)
+    assume(sol.diagnostics.cells_examined > 0)
+    other = wf.solve_equivalent(g, p0, p1, q0, SolverConfig(starts=starts, seed=seed, box_half_width=width))
+    assert json.dumps(other.to_dict()) == json.dumps(sol.to_dict())
+
+
+def _multistart_reference(g, p0, p1, q0, cfg):
+    """``solve_equivalent``'s ``to_dict()`` as the multistart computed it before
+    the cell walk: the translation guess, then seeded starts in a box around q0.
+    None where it raises.  Kept as reference for the inputs the walk leaves."""
+    u = p1 - p0
+    rmap = _ResidualMap(g, p0, p1, q0)
+    tol_abs = cfg.tol * max(1.0, abs(rmap.two_a))
+    radius = cfg.dedupe_radius * max(1.0, float(np.linalg.norm(u)))
+    box = np.random.default_rng(cfg.seed).uniform(-cfg.box_half_width, cfg.box_half_width,
+                                                  size=(cfg.starts - 1, g.dim))
+    X, res, conv, stalled, doubled, iterations = eqv._newton(rmap, np.vstack([q0 + u, q0 + box]),
+                                                             tol_abs, cfg.max_iter)
+    diags = dict(starts_attempted=cfg.starts, converged_count=int(conv.sum()), dedupe_radius=radius,
+                 jacobian_rank=0, iterations=iterations, stalled_count=int(stalled.sum()),
+                 doubled_steps=doubled, merged_count=0, cells_examined=0, cells_nonempty=0)
+    if not conv.any():
+        return None if g.kind == "minkowski" else {
+            "variance": "zero", "manifold_dim_estimate": 0, "representatives": [], "residuals": [],
+            "diagnostics": diags}
+    X, res = X[conv], res[conv]
+    idx = _sorted_dedupe(X, radius, np.abs(res).max(axis=1))
+    reps, res, *_ = eqv._newton(rmap, X[idx], 0.0, 12)
+    dims, ranks, reach = eqv._manifold_dims(rmap, reps, radius, tol_abs)
+    kept = _sorted_dedupe(reps, np.maximum(radius, reach), np.abs(res).max(axis=1))
+    reps, res, dims, ranks = reps[kept], res[kept], dims[kept], ranks[kept]
+    diags.update(jacobian_rank=int(ranks[np.argmax(dims)]), merged_count=len(idx) - len(kept))
+    return {"variance": "single" if len(reps) == 1 and dims[0] == 0 else "multi",
+            "manifold_dim_estimate": int(dims.max()), "representatives": reps.tolist(),
+            "residuals": res.tolist(), "diagnostics": diags}
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=_SUBSTRATES, p0=_POINT4, p1=_POINT4, frac=st.sampled_from([0.0, 1.0, 0.5, -1.5, 2.0]),
+       starts=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_with_q0_on_the_line_p0p1_is_the_multistart(g, p0, p1, frac, starts, seed):
+    assume(not np.array_equal(p0, p1))
+    q0 = p0 + frac * (p1 - p0)
+    cfg = SolverConfig(starts=starts, seed=seed)
+    want = _multistart_reference(g, p0, p1, q0, cfg)
+    if want is None:
+        with pytest.raises(wf.SolverFailureError):
+            wf.solve_equivalent(g, p0, p1, q0, cfg)
+        return
+    assert json.dumps(wf.solve_equivalent(g, p0, p1, q0, cfg).to_dict()) == json.dumps(want)
 
 
 @pytest.mark.parametrize("arg", ["budget", "seed"])
