@@ -144,10 +144,10 @@ class SolverConfig(_Config):
 
     ``tol`` and ``dedupe_radius`` apply to every geometry.  On the Minkowski
     substrate ``max_iter`` caps the main Newton pass of both branches.
-    ``starts``, ``box_half_width`` and ``seed`` place the random starts of
-    the multistart, which runs only where the slope-cell walk does not
-    apply (q0 on the line p0p1, a null P0P1, ...); the generic branch starts
-    from one root per non-empty cell and reads none of the three.  The
+    ``starts``, ``box_half_width`` and ``seed`` place the multistart's rows
+    (the translation guess, then random starts), which run only where the
+    slope-cell walk does not apply (q0 on the line p0p1, a null P0P1, ...);
+    the generic branch's rows are its cell roots alone, reading none.  The
     Euclidean geometry, whose one solution is computed in closed form, reads
     neither ``max_iter`` nor those three.
     """
@@ -171,10 +171,11 @@ class SolverDiagnostics:
     iterations, stalls, doubled steps, merges and cells, and rank 1, the rank
     of the Jacobian at the translation, whose parallelism row vanishes there.
     On the Minkowski substrate ``starts_attempted`` counts the rows of the
-    main Newton pass: the translation guess, then either one root per
-    non-empty slope cell (``cells_examined`` cell pairs (i, j) of F walked,
-    ``cells_nonempty`` of them holding a surface or a tangent point) or the
-    random starts of the multistart, where both cell counts are 0.
+    main Newton pass: either one root per non-empty slope cell, so that it
+    equals ``cells_nonempty`` (``cells_examined`` cell pairs (i, j) of F
+    walked, ``cells_nonempty`` of them holding a surface or a tangent point),
+    or the multistart's translation guess and random starts, where both cell
+    counts are 0.
     ``iterations`` counts the step-ladder
     evaluations of the main Newton pass, ``stalled_count`` its starts that
     no rung of the ladder improved and ``doubled_steps`` its row steps
@@ -271,8 +272,8 @@ def _pinv_rows(J):
     """Moore-Penrose pseudo-inverses (m, n, 2) of Jacobian rows J (m, 2, n).
 
     Rows whose Gram matrix J J^T = [[a, b], [b, c]] is well conditioned take
-    the closed form J^T (J J^T)^-1; the rest, e.g. the rank-1 Jacobian at the
-    tangential Euclidean solution, fall back to the SVD of ``np.linalg.pinv``.
+    the closed form J^T (J J^T)^-1; the rest, e.g. the rank-1 Jacobian at a
+    substrate tangent point, fall back to the SVD of ``np.linalg.pinv``.
     """
     Jt = J.transpose(0, 2, 1)
     gram = J @ Jt
@@ -297,7 +298,7 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
     of step lengths 1 ... 1/16 in one residual call, and each row takes the
     first rung that lowers its max-norm residual: exactly a sequential
     halving capped at five trials, since residual rows do not depend on the
-    batch.  At a double root, such as the tangential Euclidean solution, a
+    batch.  At a double root, such as a substrate tangent point, a
     full step only halves the distance and the residual norm falls by 1/4 per
     step; a row whose last accepted ratio was that close to 1/4 evaluates
     the ladder scaled by 2 instead, and takes lambda = 2 only where it beats
@@ -551,18 +552,18 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     still checked by the pairwise test's residuals, and a translation that
     fails them at ``tol`` in float arithmetic raises ``SolverFailureError``.
 
-    On the Minkowski substrate the Newton rows start from the
-    chart-translation guess.  For a generic input (Q0 off the line P0P1, no
-    null P0P1, see ``_cell_starts``) the other rows are one exact root per
-    non-empty slope cell of F, so the result does not depend on ``starts``,
-    ``box_half_width`` or ``seed``; any other input keeps the multistart's
-    seeded random points in a box around Q0.  Converged solutions are
-    deduplicated (sorted, by chart distance), polished and classified by a
-    second-order test at each representative (``_manifold_dims``).  One
-    cover then merges the polished points, each covering the larger of the
-    dedupe radius and its tolerance-tube reach.  The reported residuals are
-    the rows Newton computed at the representatives, equal to
-    ``is_equivalent``'s (r_par, r_len) of P0P1 against Q0Q1 bit for bit:
+    On the Minkowski substrate, for a generic input (Q0 off the line P0P1,
+    no null P0P1, see ``_cell_starts``) the Newton rows are one exact root
+    per non-empty slope cell of F, so the result does not depend on
+    ``starts``, ``box_half_width`` or ``seed``; any other input keeps the
+    multistart: the chart-translation guess, then seeded random points in a
+    box around Q0.  Converged solutions are deduplicated (sorted, by chart
+    distance), polished and classified by a second-order test at each
+    representative (``_manifold_dims``).  One cover then merges the polished
+    points, each covering the larger of the dedupe radius and its
+    tolerance-tube reach.  The reported residuals are the rows Newton
+    computed at the representatives, equal to ``is_equivalent``'s (r_par,
+    r_len) of P0P1 against Q0Q1 bit for bit:
 
     * ``zero``   -- no solution found (an empty set is a valid outcome),
     * ``single`` -- one representative, an isolated root,
@@ -594,15 +595,13 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     if cells is None:
         rng = np.random.default_rng(cfg.seed)
         starts = np.empty((cfg.starts, g.dim))
+        starts[0] = q0 + u  # translation guess: exact in Minkowski
         starts[1:] = q0 + rng.uniform(-cfg.box_half_width, cfg.box_half_width,
                                       size=(cfg.starts - 1, g.dim))
         examined = nonempty = 0
     else:
-        roots, examined = cells
-        starts = np.empty((1 + len(roots), g.dim))
-        starts[1:] = roots
-        nonempty = len(roots)
-    starts[0] = q0 + u  # translation guess: exact in Minkowski
+        starts, examined = cells
+        nonempty = len(starts)
 
     X, res, conv, stalled, doubled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
     if not conv.any():
@@ -843,6 +842,8 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
     give thick tubes; a station where no direction brackets a crossing is empty.
     """
     cfg = TubeSamplerConfig._given(cfg)
+    if g.dim < 2:
+        raise InvalidInputError("tube sampling needs dim >= 2: a 1-d chart has no transverse direction")
     p0 = as_point(p0, dim=g.dim)
     p1 = as_point(p1, dim=g.dim)
     s_ab = sigma(g, p0, p1)

@@ -200,7 +200,7 @@ def _integral(name: str, value, minimum: float = -math.inf) -> int:
     smaller value or any other value raises InvalidInputError naming the field."""
     try:  # an int is its own Fraction, of denominator 1
         number = value if type(value) is int else Fraction(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):  # "0/0"
         number = None
     if number is None or isinstance(value, bool) or number.denominator != 1:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")

@@ -246,6 +246,17 @@ def test_verify_link_equivalence_matches_the_per_pair_loop_bitwise(g, make):
                 == np.array([rep.residual_parallel, rep.residual_length, rep.scale]).tobytes()
 
 
+@pytest.mark.parametrize("links, message", [
+    ((), "a world chain needs at least one link"),
+    (((np.zeros(4), np.ones(4)),), "chain links must be skeletons"),
+    ((Skeleton((np.zeros(4), np.ones(4))), Skeleton((np.ones(4), np.zeros(4), np.full(4, 2.0)))),
+     "all links must have the same skeleton size"),
+], ids=["no-links", "tuple-link", "mixed-sizes"])
+def test_worldchain_rejects_malformed_links(links, message):
+    with pytest.raises(wf.InvalidInputError, match=message):
+        WorldChain(links)
+
+
 def test_worldchain_rejects_broken_connectivity():
     a = Skeleton((np.zeros(4), np.array([1.0, 0, 0, 0])))
     b = Skeleton((np.array([2.0, 0, 0, 0]), np.array([3.0, 0, 0, 0])))

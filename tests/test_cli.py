@@ -77,6 +77,18 @@ def test_bad_geometry_exits_1(tmp_path):
                 "--out-dir", tmp_path]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eqv", "witness", "--geometry", "discrete:lambda0_sq"], "malformed geometry option 'lambda0_sq'"),
+    (["eqv", "solve", "--geometry", "minkowski", "--p0", "0,x,0,0", "--p1", "1,0,0,0",
+      "--q0", "0,0,0,0"], "bad point '0,x,0,0'"),
+], ids=["geometry-option-without-value", "bad-point"])
+def test_malformed_option_value_exits_1(tmp_path, capsys, argv, message):
+    assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_geometry_minilanguage():
     g = parse_geometry("euclidean:dim=5")
     assert g.kind == "euclidean" and g.dim == 5
@@ -300,8 +312,10 @@ def test_invalid_command_configuration_is_a_usage_error(tmp_path, capsys, argv, 
      "unknown point 'P7' at /args[0]"),
     (["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--envelope", "c.json"],
      "malformed envelope node at /: KeyError: 'value'"),
+    (["tube", "--geometry", "euclidean:dim=1", "--p0", "0", "--p1", "1"],
+     "a 1-d chart has no transverse direction"),
 ], ids=["nan-point", "spacelike-tube", "equal-solve-points", "3d-check-on-minkowski",
-        "envelope-P7", "envelope-const-without-value"])
+        "envelope-P7", "envelope-const-without-value", "1d-tube"])
 def test_input_the_library_rejects_exits_1(tmp_path, capsys, monkeypatch, argv, message):
     # an InvalidInputError is an input error wherever it is raised: exit 1, nothing written
     monkeypatch.chdir(tmp_path)
@@ -326,6 +340,7 @@ _BAD_POINT_FILES = {
     "number": ("5", "bad.json must hold a JSON array of points, not int"),
     "object": ('{"a": [0, 0, 0]}', "bad.json must hold a JSON array of points, not dict"),
     "string-coordinate": ('[[0, "x", 0], [1, 0, 0]]', "a point must be a flat list of numbers"),
+    "invalid-json": ("[[0, 0", "bad.json is not valid JSON"),
 }
 
 

@@ -618,6 +618,31 @@ def test_cell_starts_agree_with_the_multistart(g, monkeypatch):
         assert (sol.variance, sol.manifold_dim_estimate) == (box.variance, box.manifold_dim_estimate)
 
 
+@pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
+@pytest.mark.parametrize("p0, p1", [
+    ((0, 0, 0, 0), (1.001, 1, 0, 0)),  # timelike, near the cone
+    ((0.25, -0.5, 0.125, 1), (1.75, 0, -0.375, 0.75)),  # timelike
+    ((0, 0, 0, 0), (0.5, 1, 0, 0)),  # spacelike
+    ((0.25, -0.5, 0.125, 1), (0.5, 0.5, 0.75, 0.5)),  # spacelike
+])
+def test_solve_at_q0_equal_p0_is_the_closed_form_set(g, p0, p1):
+    # at q0 = p0, r_par = -sigma(p1, X): for every strictly increasing F the set
+    # is {sigma_M(p0, X) = sigma_M(p0, p1), sigma_M(p1, X) = 0}, the point p1
+    # for a timelike P0P1 (reverse Cauchy-Schwarz) and a 2-cone for a spacelike
+    # one.  Dyadic coordinates make q0 + (p1 - p0) exactly p1.
+    p0, p1 = np.array(p0, float), np.array(p1, float)
+    sol = wf.solve_equivalent(g, p0, p1, p0)
+    if mdot(p1 - p0, p1 - p0) > 0:
+        assert (sol.variance, sol.manifold_dim_estimate) == ("single", 0)
+        assert sol.representatives[0].tobytes() == p1.tobytes()
+        return
+    # the discrete F sees only p1 on the float cone (its jump at sigma_M = 0)
+    assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 2)
+    for x in sol.representatives:
+        assert abs(mdot(x - p0, x - p0) - mdot(p1 - p0, p1 - p0)) / 2 <= 1e-12
+        assert abs(mdot(x - p1, x - p1)) / 2 <= 1e-12
+
+
 def test_solve_requires_distinct_points():
     with pytest.raises(wf.InvalidInputError):
         wf.solve_equivalent(EUCLID3, (1, 1, 1), (1, 1, 1), (0, 0, 0))
@@ -1214,6 +1239,8 @@ def test_generic_solve_reads_no_random_box(g, p0, p1, q0, starts, seed, width):
     assume(sol.diagnostics.cells_examined > 0)
     other = wf.solve_equivalent(g, p0, p1, q0, SolverConfig(starts=starts, seed=seed, box_half_width=width))
     assert json.dumps(other.to_dict()) == json.dumps(sol.to_dict())
+    # the generic branch's Newton rows are its cell roots alone
+    assert sol.diagnostics.starts_attempted == sol.diagnostics.cells_nonempty
 
 
 def _multistart_reference(g, p0, p1, q0, cfg):
@@ -1447,6 +1474,13 @@ def test_tube_empty_stations_not_fatal():
 def test_tube_requires_positive_sigma():
     with pytest.raises(wf.InvalidInputError):
         wf.sample_segment_tube(MINK, ORIGIN4, (0, 1, 0, 0))
+
+
+def test_tube_needs_a_transverse_direction():
+    # a 1-d chart has none: the sampler used to repeat each station once per direction
+    with pytest.raises(wf.InvalidInputError, match="no transverse direction"):
+        wf.sample_segment_tube(Geometry.euclidean(1), (0,), (1,))
+    assert wf.sample_segment_tube(Geometry.euclidean(2), (0, 0), (1, 0)).points.shape[1] == 4
 
 
 def _scalar_defect(g, p0, p1, r):

@@ -192,8 +192,10 @@ def test_triangle_axiom_euclidean_random():
 
 
 def test_triangle_axiom_minkowski_collinear():
-    reports = wf.check_triangle_axiom(MINK, [((0, 0, 0, 0), (2, 0, 0, 0), (1, 0, 0, 0))])
+    triple = ((0, 0, 0, 0), (2, 0, 0, 0), (1, 0, 0, 0))
+    reports = wf.check_triangle_axiom(MINK, [triple])
     assert reports[0].holds and reports[0].slack == 0.0
+    assert wf.check_triangle_axiom(MINK, triple) == reports  # one (3, dim) triple: a batch of one
 
 
 def test_triangle_axiom_discrete_violation():

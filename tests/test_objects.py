@@ -76,6 +76,30 @@ def test_envelope_division_by_zero_reports_node():
     assert err.value.node_path == "/args[1]"
 
 
+def test_envelope_sum_negation_and_quotient():
+    # Euclidean sigma is |x|^2 / 2: sigma(P0, R) = 2 and sigma(P0, P1) = 0.5 at R = (2, 0, 0)
+    sk = Skeleton(((0, 0, 0), (1, 0, 0)))
+    s_r, s_1 = SigmaTerm("P0", "R"), SigmaTerm("P0", "P1")
+    for root, want in ((Op("+", (s_r, Const(1.0), s_1)), 3.5),
+                       (Op("-", (s_r,)), -2.0),
+                       (Op("/", (s_r, s_1)), 4.0)):
+        assert wf.evaluate_envelope(EUCLID3, sk, Envelope.from_expression(root), (2, 0, 0)) == want
+    batch = wf.evaluate_envelope(EUCLID3, sk, Envelope.from_expression(Op("/", (s_r, s_1))),
+                                 [(2, 0, 0), (0, 1, 0)])
+    assert batch.tolist() == [4.0, 1.0]
+
+
+@pytest.mark.parametrize("root, message", [
+    (Op("-", (Const(1.0), Const(2.0), Const(3.0))), "'-' takes one or two args at /"),
+    (Op("-", ()), "'-' takes one or two args at /"),
+    (Op("+", (Const(1.0), Op("/", (Const(1.0),)))), r"'/' takes two args at /args\[1\]"),
+])
+def test_envelope_op_arity_is_an_input_error(root, message):
+    sk = Skeleton(((0, 0, 0), (1, 0, 0)))
+    with pytest.raises(wf.InvalidInputError, match=message):
+        wf.evaluate_envelope(EUCLID3, sk, Envelope.from_expression(root), (0, 0, 0))
+
+
 def test_envelope_unknown_label_rejected():
     env = Envelope.from_expression(SigmaTerm("P7", "R"))
     sk = Skeleton(((0, 0, 0), (1, 0, 0)))
