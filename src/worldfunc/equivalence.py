@@ -18,9 +18,11 @@ P0), and ``solve_equivalent`` returns it in closed form.  On the Minkowski
 substrate F is piecewise linear, so in each slope cell of F the equations are
 a quadric cut by a hyperplane: for a generic input the solve takes one exact
 root per non-empty cell (``_cell_starts``), and otherwise it explores the
-structure with a multistart damped Newton iteration.  Either way it reports
-representatives, each classified in closed form by a second-order test at the
-root as isolated or on an (n - 2)-dimensional solution manifold;
+structure with a multistart damped Newton iteration, whose representatives
+alone a short Newton pass then polishes (a cell root is exact already).
+Either way it reports representatives, each classified in closed form by a
+second-order test at the root as isolated or on an (n - 2)-dimensional
+solution manifold;
 ``find_intransitivity_witness`` builds broken-transitivity
 witnesses from one exact null-shift template, confirmed by the batched residual
 kernel that also checks skeleton and chain-link equivalence; the segment/tube
@@ -80,6 +82,9 @@ _DOUBLE_BAND = 0.05
 # and each slope cell's normal n that far from null (Euclidean norms): the
 # cell points then carry ~1e-10 relative rounding, well inside tol
 _GENERIC_CUTOFF = 1e-6
+# coordinate differences per block of _sorted_dedupe (8 MB): up to 512 rows
+# of 4 coordinates, so a solve at the default 256 starts is one block
+_DEDUPE_BLOCK = 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +184,11 @@ class SolverDiagnostics:
     ``iterations`` counts the step-ladder
     evaluations of the main Newton pass, ``stalled_count`` its starts that
     no rung of the ladder improved and ``doubled_steps`` its row steps
-    accepted at the doubled step lambda = 2 (the polish pass is not
-    counted).  ``merged_count`` counts the polished representatives the
-    final cover dropped: those that collapsed onto another within the dedupe
-    radius, and those an isolated root absorbed into its tolerance tube.
+    accepted at the doubled step lambda = 2 (the polish pass, which runs on
+    the multistart's representatives only, is not counted).
+    ``merged_count`` counts the representatives the final cover dropped:
+    those that collapsed onto another within the dedupe radius, and those an
+    isolated root absorbed into its tolerance tube.
     """
 
     starts_attempted: int
@@ -231,17 +237,20 @@ class _ResidualMap:
 
     The rows are ``_equivalence_residuals``'s (r_par, r_len) of P0P1 against
     Q0X, bit for bit.  The sigma terms involving only p0, p1, q0 are
-    precomputed, so a batch needs one sigma call over the stacked reference
-    points and a Jacobian one ``sigma_gradient`` call over the same stack.
+    precomputed by one stacked sigma call, so a batch needs one sigma call
+    over the stacked reference points and a Jacobian one ``sigma_gradient``
+    call over the same stack.
     """
 
     def __init__(self, g, p0, p1, q0):
         self.g = g
         self.n = p0.shape[0]
-        self.refs = np.stack([p0, p1, q0])  # (3, n)
-        self.two_a = 2.0 * sigma(g, p0, p1)
-        self.s_p1q0 = sigma(g, p1, q0)
-        self.s_p0q0 = sigma(g, p0, q0)
+        self.refs = np.array([p0, p1, q0])  # (3, n)
+        # sigma(p0, p1), sigma(p1, q0), sigma(p0, q0): a row of a stacked call
+        # rounds as the scalar call does
+        s_p0p1, self.s_p1q0, self.s_p0q0 = sigma(g, np.array([p0, p1, p0]),
+                                                 np.array([p1, q0, q0])).tolist()
+        self.two_a = 2.0 * s_p0p1
 
     def __call__(self, X):
         """X of shape (m, n) -> residual rows (m, 2)."""
@@ -364,25 +373,38 @@ def _sorted_dedupe(points, radius, quality):
     order, so the best-converged point represents it: a point is kept when
     it lies farther than radius from every point kept before it.  radius is
     one scalar or a radius per row, the reach of the row as a kept point.
-    All pairwise distances come from one broadcast matrix.  The indices are
-    sorted lexicographically by point, so the merge order never shows in the
-    result and rows of other arrays can travel with their points.
+    The distances from the next rows of the greedy order that are still free
+    to all rows come from one broadcast block of at most ``_DEDUPE_BLOCK``
+    differences, so memory is linear in the row count; a default-size solve
+    fits in one block.  The indices are sorted lexicographically by point, so
+    the merge order never shows in the result and rows of other arrays can
+    travel with their points.
     """
+    m = len(points)
     order = np.lexsort(tuple(points.T[::-1]) + (quality,))
-    diff = points[:, None, :] - points[None, :, :]
+    radius = np.asarray(radius)
+    rows = max(1, _DEDUPE_BLOCK // max(1, points.size))
+    free = np.ones(m, dtype=bool)  # not near a kept point
+    kept = np.zeros(m, dtype=bool)
+    for start in range(0, m, rows):
+        block = order[start:start + rows]
+        block = block[free[block]]  # a covered row is never kept
+        for i, covers in zip(block.tolist(), _covers(points, block, radius)):
+            if free[i]:
+                kept[i] = True
+                free &= ~covers
+    kept = np.flatnonzero(kept)
+    return kept[np.lexsort(points[kept].T[::-1])]
+
+
+def _covers(points, block, radius):
+    """near[k, j]: row j lies within the radius of row block[k] (chart distance)."""
+    diff = points[block, None, :] - points[None, :, :]
     # matmul rounds each sum of squares like the BLAS dot behind a 1-D
     # np.linalg.norm, so a distance equal to the radius merges exactly as in
     # the per-pair loop the tests keep as reference
     dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    near = dist <= np.reshape(radius, (-1, 1))  # near[i, j]: kept point i covers j
-    free = np.ones(len(points), dtype=bool)  # not near a kept point
-    kept = np.zeros(len(points), dtype=bool)
-    for i in order:
-        if free[i]:
-            kept[i] = True
-            free &= ~near[i]
-    kept = np.flatnonzero(kept)
-    return kept[np.lexsort(points[kept].T[::-1])]
+    return dist <= (radius[block, None] if radius.ndim else radius)
 
 
 def _manifold_dims(rmap: _ResidualMap, reps, radius, tol_abs):
@@ -558,12 +580,14 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     ``starts``, ``box_half_width`` or ``seed``; any other input keeps the
     multistart: the chart-translation guess, then seeded random points in a
     box around Q0.  Converged solutions are deduplicated (sorted, by chart
-    distance), polished and classified by a second-order test at each
-    representative (``_manifold_dims``).  One cover then merges the polished
-    points, each covering the larger of the dedupe radius and its
-    tolerance-tube reach.  The reported residuals are the rows Newton
-    computed at the representatives, equal to ``is_equivalent``'s (r_par,
-    r_len) of P0P1 against Q0Q1 bit for bit:
+    distance); the multistart's representatives are polished by 12 more
+    Newton steps at tolerance 0, while a cell root, the closed-form point,
+    is not.  Each representative is classified by a second-order test
+    (``_manifold_dims``), and one cover then merges the representatives,
+    each covering the larger of the dedupe radius and its tolerance-tube
+    reach.  The reported residuals are the rows Newton computed at the
+    representatives, equal to ``is_equivalent``'s (r_par, r_len) of P0P1
+    against Q0Q1 bit for bit:
 
     * ``zero``   -- no solution found (an empty set is a valid outcome),
     * ``single`` -- one representative, an isolated root,
@@ -577,19 +601,18 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         raise InvalidInputError("p0 and p1 must differ")
 
     u = p1 - p0
-    chart_scale = max(1.0, float(np.linalg.norm(u)))
+    radius = cfg.dedupe_radius * max(1.0, float(np.linalg.norm(u)))
     rmap = _ResidualMap(g, p0, p1, q0)
     tol_abs = cfg.tol * max(1.0, abs(rmap.two_a))
-    radius = cfg.dedupe_radius * chart_scale
-    if g.kind == "euclidean":
+    if not g.has_minkowski_substrate:
         X = q0 + u
-        res = rmap(X[None])
-        if np.abs(res).max() > tol_abs:
+        [(r_par, r_len)] = rmap(X[None]).tolist()
+        if not (abs(r_par) <= tol_abs and abs(r_len) <= tol_abs):
             raise SolverFailureError(
                 "the translation q0 + (p1 - p0), this geometry's one solution, fails the "
                 "equivalence test at tol in float arithmetic")
         diags = SolverDiagnostics(0, 0, radius, 1, 0, 0, 0, 0, 0, 0)
-        return SolutionSet([X], "single", 0, list(map(tuple, res.tolist())), diags)
+        return SolutionSet([X], "single", 0, [(r_par, r_len)], diags)
 
     cells = _cell_starts(g, p0, p1, q0, rmap, tol_abs)
     if cells is None:
@@ -612,13 +635,17 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
                                   doubled, 0, examined, nonempty)
         return SolutionSet([], "zero", 0, [], diags)
 
-    # polish: at tangential solutions a residual of tol only pins the
-    # position to O(sqrt(tol)); iterate the cluster representatives on to the
-    # numerical floor.  Only steps that lower the residual are taken, so every
-    # polished row stays within tol_abs and passes the pairwise test.
     X, res = X[conv], res[conv]
     idx = _sorted_dedupe(X, radius, np.abs(res).max(axis=1))
-    reps, res, *_ = _newton(rmap, X[idx], 0.0, 12)
+    reps, res = X[idx], res[idx]
+    if cells is None:
+        # polish: at tangential solutions a residual of tol only pins the
+        # position to O(sqrt(tol)); iterate the cluster representatives on to
+        # the numerical floor.  Only steps that lower the residual are taken,
+        # so every polished row stays within tol_abs and passes the pairwise
+        # test.  A cell root needs none: it is the closed-form point, on the
+        # set to rounding (rho clamped to 0 at a tangent point)
+        reps, res, *_ = _newton(rmap, reps, 0.0, 12)
     dims, ranks, reach = _manifold_dims(rmap, reps, radius, tol_abs)
     # one cover merges whatever collapsed together, and a point left in the
     # tolerance tube of an isolated root is that root

@@ -63,7 +63,7 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
         raise InvalidInputError(f"a point must be a flat list of numbers, got {p!r}") from exc
     if arr.ndim != 1:
         raise InvalidInputError(f"point must be a flat coordinate tuple, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("point coordinates must be finite")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(f"point has dimension {arr.shape[0]}, expected {dim}")
@@ -233,11 +233,12 @@ class DeformationFunction:
                                     f"{self.lambda0_sq!r}: the ramp slope lambda0_sq / sigma0 "
                                     "overflows")
         self.table = None
+        self._cell_arrays = None  # _cells(self), computed on first use
         if table is not None:
             if self.lambda0_sq:
                 raise InvalidInputError("a table deformation takes no lambda0_sq or sigma0")
-            try:
-                tab = np.asarray(table, dtype=float)
+            try:  # a copy: F, and the cells _cells holds for it, never change
+                tab = np.array(table, dtype=float)
             except (TypeError, ValueError) as exc:
                 raise InvalidInputError(f"table must hold numbers: {exc}") from exc
             if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
@@ -255,6 +256,7 @@ class DeformationFunction:
                 raise InvalidInputError(f"table slope must be finite and > 0: segment {k} from "
                                         f"{tab[k].tolist()} to {tab[k + 1].tolist()} has slope "
                                         f"{m[k]}")
+            tab.flags.writeable = False
             self.table = tab
             if float(self(0.0)) != 0.0:
                 raise InvalidInputError(
@@ -323,18 +325,28 @@ def _cells(F: DeformationFunction | None):
     """Linear cells of F: (xs, m, xa, ya), F(x) = ya[k] + m[k] (x - xa[k]) on the open
     cell k = (xs[k - 1], xs[k]), with xs[-1] = -inf and xs[len(xs)] = inf.  The
     breakpoints are a table's (end segments extended) or the ramp edges +-sigma0,
-    and hold 0, so no cell crosses the light cone.  F None (Euclidean) is the identity."""
-    F = DeformationFunction.identity() if F is None else F
-    edges = [-F.sigma0, F.sigma0] if F.table is None else F.table[:, 0]
-    xs = np.sort(np.append(edges, 0.0))  # not np.union1d: np.unique imports numpy.ma
-    xs = xs[np.append(True, xs[1:] > xs[:-1])] + 0.0  # one 0, never -0.0
-    inner = np.concatenate([[xs[0] - 1.0], 0.5 * (xs[:-1] + xs[1:]), [xs[-1] + 1.0]])
-    if F.table is None:  # anchored at 0: outside the ramp ya + m x is F's own x + lambda0_sq sgn(x)
-        ya = np.where(np.abs(inner) > F.sigma0, F.lambda0_sq * np.sign(inner), 0.0)
-        return xs, F.slope(inner), np.zeros_like(inner), ya
-    tx, ty = F.table.T  # anchored where np.interp and the extended end segments anchor
-    a = np.clip(np.searchsorted(tx, inner, side="right") - 1, 0, len(tx) - 1)
-    return xs, (np.diff(ty) / np.diff(tx))[np.minimum(a, len(tx) - 2)], tx[a], ty[a]
+    and hold 0, so no cell crosses the light cone.  F None (Euclidean) is the identity.
+    They are computed once per F and held read-only: every caller shares the arrays."""
+    F = _IDENTITY if F is None else F
+    if F._cell_arrays is None:
+        edges = [-F.sigma0, F.sigma0] if F.table is None else F.table[:, 0]
+        xs = np.sort(np.append(edges, 0.0))  # not np.union1d: np.unique imports numpy.ma
+        xs = xs[np.append(True, xs[1:] > xs[:-1])] + 0.0  # one 0, never -0.0
+        inner = np.concatenate([[xs[0] - 1.0], 0.5 * (xs[:-1] + xs[1:]), [xs[-1] + 1.0]])
+        if F.table is None:  # anchored at 0: outside the ramp ya + m x is F's own x + lambda0_sq sgn(x)
+            ya = np.where(np.abs(inner) > F.sigma0, F.lambda0_sq * np.sign(inner), 0.0)
+            cells = xs, F.slope(inner), np.zeros_like(inner), ya
+        else:
+            tx, ty = F.table.T  # anchored where np.interp and the extended end segments anchor
+            a = np.clip(np.searchsorted(tx, inner, side="right") - 1, 0, len(tx) - 1)
+            cells = xs, (np.diff(ty) / np.diff(tx))[np.minimum(a, len(tx) - 2)], tx[a], ty[a]
+        for arr in cells:
+            arr.flags.writeable = False
+        F._cell_arrays = cells
+    return F._cell_arrays
+
+
+_IDENTITY = DeformationFunction.identity()
 
 
 def _piecewise_linear(x, xs, ys):
@@ -489,7 +501,7 @@ def _coords(g: Geometry, p) -> np.ndarray:
 def _mdot(x, y):
     """Minkowski scalar product (signature +,-,-,-) over the last axis."""
     xy = x * y  # one contiguous product; the strided per-slice products cost more
-    return xy[..., 0] - np.sum(xy[..., 1:], axis=-1)
+    return xy[..., 0] - np.add.reduce(xy[..., 1:], axis=-1)  # np.sum without its wrapper
 
 
 def _sigma_m(d):
@@ -506,7 +518,7 @@ def sigma(g: Geometry, p, q):
     q = _coords(g, q)
     d = p - q
     if g.deformation is None:
-        return _finish(0.5 * np.sum(d * d, axis=-1))
+        return _finish(0.5 * np.add.reduce(d * d, axis=-1))
     return g.deformation(_sigma_m(d))
 
 

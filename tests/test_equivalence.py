@@ -336,6 +336,14 @@ def test_euclidean_solve_refuses_a_translation_that_fails_the_test(p0, p1, q0):
     assert not _assert_closed_form(EUCLID3, *map(np.array, (p0, p1, q0)))
 
 
+def test_euclidean_solve_refuses_a_nan_residual():
+    # sigma overflows to inf at coordinates ~1e200 and inf - inf is a NaN
+    # residual, which fails the pairwise test; the solve returned it as `single`
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not _assert_closed_form(Geometry.euclidean(2), np.array([1e200, 0.0]),
+                                       np.array([-1e200, 1.0]), np.array([0.0, 1e200]))
+
+
 def test_euclidean_solve_diagnostics_say_no_newton_ran():
     cfgs = [None, SolverConfig(starts=1, max_iter=0, box_half_width=0.0, seed=9)]
     sols = [wf.solve_equivalent(EUCLID3, (0, 0, 0), (1, 2, -1), (0.5, -1, 2), cfg) for cfg in cfgs]
@@ -492,6 +500,35 @@ def test_solve_runs_newton_twice(monkeypatch):
     assert len(calls) == 2
 
 
+def test_generic_solve_runs_newton_once(monkeypatch):
+    # the main pass only: a cell root is the closed-form point, so nothing is
+    # polished, and the representatives are cell roots that passed at once
+    calls = []
+    newton = eqv._newton
+
+    def counted(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(eqv, "_newton", counted)
+    rng = np.random.default_rng(8)
+    for g in _CELL_GEOMS:
+        for cls in (0, 1, 2):
+            p0, p1, q0 = _class_input(rng, cls)
+            calls.clear()
+            sol = wf.solve_equivalent(g, p0, p1, q0)
+            assert sol.diagnostics.cells_examined > 0 and sol.diagnostics.iterations == 0
+            assert len(calls) == 1
+            rmap, roots, tol_abs, _ = calls[0]
+            res = rmap(roots)
+            passed = np.abs(res).max(axis=1) <= tol_abs
+            assert passed.all()
+            rows = {x.tobytes(): r.tobytes() for x, r in zip(roots, res)}
+            assert len(sol.representatives) >= 1
+            for x, r in zip(sol.representatives, sol.residuals):
+                assert rows[x.tobytes()] == np.array(r).tobytes()
+
+
 def test_solve_evaluates_each_residual_once(monkeypatch):
     # the reported residuals are Newton's own rows: the pairwise test is never re-run
     calls = []
@@ -616,6 +653,31 @@ def test_cell_starts_agree_with_the_multistart(g, monkeypatch):
         box = wf.solve_equivalent(g, *pts, SolverConfig(starts=1024))
         assert box.diagnostics.cells_examined == 0
         assert (sol.variance, sol.manifold_dim_estimate) == (box.variance, box.manifold_dim_estimate)
+
+
+@pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
+def test_polishing_cell_roots_moves_no_verdict(g):
+    # the polish the multistart's rows get, run on the generic branch's
+    # representatives: it moves an isolated root by rounding only and flips
+    # no verdict of _manifold_dims.  A root on a manifold may slide along it:
+    # under the identity and the discrete F the near-cone fourth draw's cell
+    # root carries r_par = -3.4e-11, and the polish moves it by 5.8e-6 to
+    # another root of the same 2-surface
+    rng = np.random.default_rng(6)
+    for cls in (0, 1, 2) * 2:
+        p0, p1, q0 = _class_input(rng, cls)
+        sol = wf.solve_equivalent(g, p0, p1, q0)
+        assert sol.diagnostics.cells_examined > 0
+        reps = np.array(sol.representatives).reshape(-1, 4)
+        rmap = _ResidualMap(g, p0, p1, q0)
+        tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+        radius = sol.diagnostics.dedupe_radius
+        polished, res, *_ = eqv._newton(rmap, reps, 0.0, 12)
+        assert (np.abs(res) <= tol_abs).all()
+        dims = eqv._manifold_dims(rmap, reps, radius, tol_abs)[0]
+        assert eqv._manifold_dims(rmap, polished, radius, tol_abs)[0].tolist() == dims.tolist()
+        move = np.abs(polished - reps).max(axis=1) / np.maximum(1.0, np.abs(reps).max(axis=1))
+        assert (move[dims == 0] <= 1e-9).all()
 
 
 @pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
@@ -957,6 +1019,23 @@ def test_sorted_dedupe_matches_reference_loop_bitwise():
         assert len(got) == len(want)
         for x, y in zip(got, want):
             assert x.tobytes() == y.tobytes()
+
+
+def test_sorted_dedupe_memory_is_linear_in_the_rows():
+    # one (m, m, n) difference array and its (m, m) distances peaked at
+    # 192 MB for m = 2000; blocks of the greedy order bound the peak whatever
+    # the row count
+    rng = np.random.default_rng(30)
+    points = rng.uniform(-1.0, 1.0, (2000, 4))
+    _sorted_dedupe(points[:8], 1e-4, np.zeros(8))  # first-call allocations
+    tracemalloc.start()
+    try:
+        kept = _sorted_dedupe(points, 1e-4, np.zeros(len(points)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == len(points)
+    assert peak < 24e6
 
 
 # ---------------------------------------------------------------------------
@@ -1474,6 +1553,22 @@ def test_tube_empty_stations_not_fatal():
 def test_tube_requires_positive_sigma():
     with pytest.raises(wf.InvalidInputError):
         wf.sample_segment_tube(MINK, ORIGIN4, (0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("make", [lambda: Geometry.discrete(0.02),
+                                  lambda: Geometry.deformed(DeformationFunction.from_table(_KINK_TABLE))],
+                         ids=["readme", "table"])
+def test_tube_reads_the_cells_held_for_its_F(make):
+    # the first tube of an F fills its cells and later ones read them: the
+    # samples are byte-identical, and sampling leaves the cells as a new F has them
+    g = make()
+    tubes = [wf.sample_segment_tube(g, ORIGIN4, (2, 0, 0, 0)) for _ in range(2)]
+    tubes.append(wf.sample_segment_tube(make(), ORIGIN4, (2, 0, 0, 0)))
+    assert np.isfinite(tubes[0].radii).any()
+    for name in ("fractions", "arc_positions", "base_points", "radii", "profile", "points"):
+        assert len({getattr(t, name).tobytes() for t in tubes}) == 1, name
+    fresh = eqv._cells(make().deformation)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(eqv._cells(g.deformation), fresh))
 
 
 def test_tube_needs_a_transverse_direction():

@@ -631,6 +631,28 @@ def test_cells_breakpoints():
     assert m.tolist() == [1.3] * 4 and xa.tolist() == [-1.0, -1.0, -1.0, 1.0]
 
 
+@pytest.mark.parametrize("F", _CELL_CASES, ids=_CELL_IDS)
+def test_cells_are_computed_once_and_read_only(F):
+    cells = _cells(F)
+    assert all(a is b for a, b in zip(_cells(F), cells))
+    for arr in cells:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    if F is not None and F.table is not None:
+        with pytest.raises(ValueError, match="read-only"):
+            F.table[0, 0] = -6.0
+
+
+def test_table_deformation_holds_its_own_table():
+    # F, and the cells held for it, do not change with the array it was built from
+    tab = np.array(_TABLE, dtype=float)
+    F = DeformationFunction.from_table(tab)
+    cells = [arr.copy() for arr in _cells(F)]
+    tab[:, 1] *= 2.0
+    assert F.table.tolist() == _TABLE and F(0.25) == 0.35
+    assert all(np.array_equal(a, b) for a, b in zip(_cells(F), cells))
+
+
 # ---------------------------------------------------------------------------
 # one deformation dispatch
 # ---------------------------------------------------------------------------
