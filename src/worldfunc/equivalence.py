@@ -17,12 +17,10 @@ In the Euclidean geometry the solution is exactly the translation Q0 + (P1 -
 P0), and ``solve_equivalent`` returns it in closed form.  On the Minkowski
 substrate F is piecewise linear, so in each slope cell of F the equations are
 a quadric cut by a hyperplane: for a generic input the solve takes one exact
-root per non-empty cell (``_cell_starts``), and otherwise it explores the
-structure with a multistart damped Newton iteration, whose representatives
-alone a short Newton pass then polishes (a cell root is exact already).
-Either way it reports representatives, each classified in closed form by a
-second-order test at the root as isolated or on an (n - 2)-dimensional
-solution manifold;
+root per non-empty cell (``_cell_starts``), classified by the walk as a
+tangent point or on an (n - 2)-dimensional surface; otherwise a multistart
+damped Newton iteration explores the structure, and a second-order test
+classifies its deduplicated, polished representatives;
 ``find_intransitivity_witness`` builds broken-transitivity
 witnesses from one exact null-shift template, confirmed by the batched residual
 kernel that also checks skeleton and chain-link equivalence; the segment/tube
@@ -147,14 +145,13 @@ def _skeleton_pair_reports(g, a, b, tol):
 class SolverConfig(_Config):
     """Settings of ``solve_equivalent``.
 
-    ``tol`` and ``dedupe_radius`` apply to every geometry.  On the Minkowski
-    substrate ``max_iter`` caps the main Newton pass of both branches.
-    ``starts``, ``box_half_width`` and ``seed`` place the multistart's rows
-    (the translation guess, then random starts), which run only where the
-    slope-cell walk does not apply (q0 on the line p0p1, a null P0P1, ...);
-    the generic branch's rows are its cell roots alone, reading none.  The
-    Euclidean geometry, whose one solution is computed in closed form, reads
-    neither ``max_iter`` nor those three.
+    ``tol`` applies to every geometry.  On the Minkowski substrate
+    ``max_iter`` caps the main Newton pass of both branches.  ``starts``,
+    ``box_half_width`` and ``seed`` place the multistart's rows (the
+    translation guess, then random starts) and ``dedupe_radius`` merges them.
+    The multistart runs only where the slope-cell walk does not apply (q0 on
+    the line p0p1, a null P0P1, ...); the generic branch reads none of the four.
+    The Euclidean closed form reads neither ``max_iter`` nor those four.
     """
 
     starts: int = 256
@@ -176,19 +173,18 @@ class SolverDiagnostics:
     iterations, stalls, doubled steps, merges and cells, and rank 1, the rank
     of the Jacobian at the translation, whose parallelism row vanishes there.
     On the Minkowski substrate ``starts_attempted`` counts the rows of the
-    main Newton pass: either one root per non-empty slope cell, so that it
-    equals ``cells_nonempty`` (``cells_examined`` cell pairs (i, j) of F
-    walked, ``cells_nonempty`` of them holding a surface or a tangent point),
-    or the multistart's translation guess and random starts, where both cell
-    counts are 0.
-    ``iterations`` counts the step-ladder
-    evaluations of the main Newton pass, ``stalled_count`` its starts that
-    no rung of the ladder improved and ``doubled_steps`` its row steps
-    accepted at the doubled step lambda = 2 (the polish pass, which runs on
-    the multistart's representatives only, is not counted).
-    ``merged_count`` counts the representatives the final cover dropped:
-    those that collapsed onto another within the dedupe radius, and those an
-    isolated root absorbed into its tolerance tube.
+    main Newton pass.  A generic solve's are one root per non-empty slope
+    cell (``cells_examined`` cell pairs (i, j) of F walked, ``cells_nonempty``
+    of them non-empty): ``starts_attempted - converged_count`` counts the
+    cells whose closed-form root missed ``tol`` and the main pass could not
+    pull in, and nothing is merged.  The multistart's (both cell counts 0)
+    are the translation guess and random starts; ``merged_count`` counts the
+    representatives its cover dropped, within the dedupe radius of another
+    or in the tolerance tube of an isolated root.  ``jacobian_rank`` is read
+    at the first representative of the highest dimension.  ``iterations``,
+    ``stalled_count`` and ``doubled_steps`` count the main pass's ladder
+    evaluations, starts that no rung improved and steps accepted at the
+    doubled step lambda = 2 (the multistart's polish is not counted).
     """
 
     starts_attempted: int
@@ -208,12 +204,12 @@ class SolutionSet:
     """Representative solutions of the equivalence equations at one point.
 
     ``manifold_dim_estimate`` is 0 when every representative is an isolated
-    root and n - 2 when one lies on a solution manifold (see
-    ``_manifold_dims``).  It takes no other value, so a null P0P1 reads
-    n - 2 where the set is a line: (0,0,0,0) -> (1,1,0,0) at q0 = 0 on
-    Minkowski is ``multi``, dimension 2, with every representative within
-    5e-11 of q0 + t (p1 - p0).  A Euclidean set is exact: ``single``,
-    dimension 0, the translation as its one representative.
+    root and n - 2 when one lies on a solution manifold: the cell walk's
+    verdict, one representative per non-empty cell, or ``_manifold_dims``'s.
+    It takes no other value, so a null P0P1 reads n - 2 where the set is a
+    line: (0,0,0,0) -> (1,1,0,0) at q0 = 0 on Minkowski is ``multi``,
+    dimension 2, with every representative within 5e-11 of q0 + t (p1 - p0).
+    A Euclidean set is exact: ``single``, dimension 0, the translation alone.
     """
 
     representatives: list
@@ -452,20 +448,21 @@ def _cell_starts(g, p0, p1, q0, rmap, tol_abs):
     Y_W = (L / <n, n>) n + s v of W, with v eta-orthogonal to n, the quadric
     reads <Y', Y'> = rho(s) = <u, u> - L^2 / <n, n> - s^2 <v, v>, whose
     extremum is s = 0.  With det G < 0 (G the eta-Gram matrix of w0, w1) the
-    complement is negative definite: the cell holds a surface where rho < 0
-    and a tangent point where rho only reaches 0 (within tol_rho, so that the
-    point passes at tol_abs).  With det G > 0 it is indefinite and every
-    point of the segment carries a hyperbola.  Each non-empty cell gives one
-    point, at ``_cell_point``'s s, with Y' along a fixed eta-eigendirection of
-    the complement.
+    complement is negative definite: the cell holds a surface where rho falls
+    below -tol_rho on its segment, else a tangent point where rho only reaches
+    0 (within tol_rho, so that the point passes at tol_abs).  With det G > 0
+    it is indefinite and every point of the segment carries a hyperbola.
+    Each non-empty cell gives one point, at ``_cell_point``'s s, with Y' along
+    a fixed eta-eigendirection of the complement.
 
     The branch needs q0 off the line p0p1 (w0, w1 independent), G
     non-singular and every n non-null (for i = j, n = m_i u: u is not null),
-    each by ``_GENERIC_CUTOFF``.  It returns the cells' points and the number
-    of cells examined.  None sends the solve to the multistart: q0 on (or
-    near) the line p0p1, a null W, u or n, or a cell whose verdict hangs on
-    an end of its segment, a breakpoint of F.  The sets where sigma_M(p_k, X)
-    is exactly 0, curves at the jump of the discrete F, are not walked.
+    each by ``_GENERIC_CUTOFF``.  It returns the cells' points, dimensions
+    (n - 2 or 0), Jacobian ranks and the number of cells examined.  None sends
+    the solve to the multistart: q0 on (or near) the line p0p1, a null W, u or
+    n, or a cell whose verdict hangs on an end of its segment, a breakpoint of
+    F.  The sets where sigma_M(p_k, X) is exactly 0, curves at the jump of the
+    discrete F, are not walked.
     """
     u = p1 - p0
     w = q0 - np.stack([p0, p1])
@@ -522,7 +519,11 @@ def _cell_starts(g, p0, p1, q0, rmap, tol_abs):
     E = V.T @ N
     side = (rho > 0.0).astype(int)  # lam[0] < 0 always; lam[1] > 0 only where indefinite
     Y += np.sqrt(np.maximum(rho / lam[side], 0.0))[:, None] * E[side]
-    return q0 + Y, len(m) ** 2
+    # the verdict reads rho's least on the segment, not at the point: |s| largest if A < 0
+    z = np.where(A[cells] < 0.0, np.maximum(-s_lo, s_hi)[cells], np.clip(0.0, s_lo, s_hi)[cells])
+    dims = np.where((det > 0.0) | (A[cells] * z * z + C[cells] < -tol_rho), len(q0) - 2, 0)
+    # Y is along n where rho = 0 at s = 0, a tangent point or an apex: rank 1
+    return q0 + Y, dims, np.where((rho == 0.0) & (s == 0.0), 1, 2), len(m) ** 2
 
 
 def _cell_point(lo, hi, A, C, definite, tol_rho):
@@ -577,17 +578,16 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     On the Minkowski substrate, for a generic input (Q0 off the line P0P1,
     no null P0P1, see ``_cell_starts``) the Newton rows are one exact root
     per non-empty slope cell of F, so the result does not depend on
-    ``starts``, ``box_half_width`` or ``seed``; any other input keeps the
-    multistart: the chart-translation guess, then seeded random points in a
-    box around Q0.  Converged solutions are deduplicated (sorted, by chart
-    distance); the multistart's representatives are polished by 12 more
-    Newton steps at tolerance 0, while a cell root, the closed-form point,
-    is not.  Each representative is classified by a second-order test
-    (``_manifold_dims``), and one cover then merges the representatives,
-    each covering the larger of the dedupe radius and its tolerance-tube
-    reach.  The reported residuals are the rows Newton computed at the
-    representatives, equal to ``is_equivalent``'s (r_par, r_len) of P0P1
-    against Q0Q1 bit for bit:
+    ``starts``, ``box_half_width`` or ``seed``.  The representatives are the
+    roots that meet ``tol``, one per cell, each classified by its cell's
+    verdict.  Any other input keeps the multistart: the chart-translation
+    guess, then seeded random points in a box around Q0.  Its converged
+    solutions are deduplicated (sorted, by chart distance), polished by 12
+    more Newton steps at tolerance 0 and classified by a second-order test
+    (``_manifold_dims``), and one cover then merges them, each covering the
+    larger of the dedupe radius and its tolerance-tube reach.  The reported
+    residuals are the rows Newton computed at the representatives, equal to
+    ``is_equivalent``'s (r_par, r_len) of P0P1 against Q0Q1 bit for bit:
 
     * ``zero``   -- no solution found (an empty set is a valid outcome),
     * ``single`` -- one representative, an isolated root,
@@ -623,7 +623,7 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
                                       size=(cfg.starts - 1, g.dim))
         examined = nonempty = 0
     else:
-        starts, examined = cells
+        starts, dims, ranks, examined = cells
         nonempty = len(starts)
 
     X, res, conv, stalled, doubled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
@@ -636,25 +636,25 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
         return SolutionSet([], "zero", 0, [], diags)
 
     X, res = X[conv], res[conv]
-    idx = _sorted_dedupe(X, radius, np.abs(res).max(axis=1))
-    reps, res = X[idx], res[idx]
     if cells is None:
-        # polish: at tangential solutions a residual of tol only pins the
-        # position to O(sqrt(tol)); iterate the cluster representatives on to
-        # the numerical floor.  Only steps that lower the residual are taken,
-        # so every polished row stays within tol_abs and passes the pairwise
-        # test.  A cell root needs none: it is the closed-form point, on the
-        # set to rounding (rho clamped to 0 at a tangent point)
-        reps, res, *_ = _newton(rmap, reps, 0.0, 12)
-    dims, ranks, reach = _manifold_dims(rmap, reps, radius, tol_abs)
-    # one cover merges whatever collapsed together, and a point left in the
-    # tolerance tube of an isolated root is that root
-    kept = _sorted_dedupe(reps, np.maximum(radius, reach), np.abs(res).max(axis=1))
-    reps, res, dims, ranks = reps[kept], res[kept], dims[kept], ranks[kept]
+        idx = _sorted_dedupe(X, radius, np.abs(res).max(axis=1))
+        # polish: at tangential solutions a residual of tol only pins the position
+        # to O(sqrt(tol)); iterate the cluster representatives on to the numerical
+        # floor.  Only steps that lower the residual are taken, so every polished
+        # row stays within tol_abs and passes the pairwise test
+        reps, res, *_ = _newton(rmap, X[idx], 0.0, 12)
+        dims, ranks, reach = _manifold_dims(rmap, reps, radius, tol_abs)
+        # one cover merges whatever collapsed together, and a point left in the
+        # tolerance tube of an isolated root is that root
+        kept = _sorted_dedupe(reps, np.maximum(radius, reach), np.abs(res).max(axis=1))
+        reps, res, dims, ranks = reps[kept], res[kept], dims[kept], ranks[kept]
+    else:  # one root per non-empty cell, on the set to rounding and classified by the walk
+        idx = np.lexsort(X.T[::-1])
+        reps, res, dims, ranks = X[idx], res[idx], dims[conv][idx], ranks[conv][idx]
 
     variance = "single" if len(reps) == 1 and dims[0] == 0 else "multi"
     diags = SolverDiagnostics(len(starts), int(conv.sum()), radius, int(ranks[np.argmax(dims)]),
-                              iterations, int(stalled.sum()), doubled, len(idx) - len(kept),
+                              iterations, int(stalled.sum()), doubled, len(idx) - len(reps),
                               examined, nonempty)
     return SolutionSet(list(reps), variance, int(dims.max()), list(map(tuple, res.tolist())), diags)
 

@@ -680,6 +680,83 @@ def test_polishing_cell_roots_moves_no_verdict(g):
         assert (move[dims == 0] <= 1e-9).all()
 
 
+# seed 103, job 139 of the solve benchmark (table F): two of its eleven cell
+# roots lie 1.3e4 and 3.4e4 from q0, their residuals round above tol and Newton
+# stalls on both; it pulls in four nearer roots that start above tol
+_FAR_ROOTS = (
+    np.array([0.5838061501050291, 0.5188971889187188, 0.6256168388273908, 0.4398661505435735]),
+    np.array([0.6422316059700038, 1.7445054791030155, 1.1973155134013878, 0.11478337693536733]),
+    np.array([-0.3708426841157513, 0.22225389790052086, 0.476349043007807, -0.4582411965749309]))
+# seed 246, job 445 (grainy): six cell roots, two of them 8.9e-5 apart, inside
+# the dedupe radius 1e-4, in neighbouring cells of the ramp
+_CLOSE_ROOTS = (
+    np.array([-0.8739612118803086, -0.8409465244714163, 0.2947369627141976, -0.5256700829088232]),
+    np.array([-0.7094954198059791, -0.6904381770349051, -0.3827259277648597, 0.10962489078016635]),
+    np.array([0.4036253684312341, -0.6207692159417744, 0.030972776116416023, 0.6801439636027373]))
+# a near-cone spacelike Minkowski input: its one root that meets tol is the
+# translation, the apex of a 2-cone (rho = 0 at s = 0), where the Jacobian has
+# rank 1; the two other cells' roots stall
+_CONE_APEX = (
+    np.array([-0.7794962424490839, -0.47510346125361824, -0.8273349515338939, 0.9716314646818183]),
+    np.array([-0.22009526374321375, -0.11624988120313468, -1.2568081011298686, 0.9757263035727672]),
+    np.array([-0.7561238513829629, 0.9621601125427315, 0.26833808567549133, 0.9154639179028854]))
+
+
+def test_generic_solve_reports_its_cell_walk(monkeypatch):
+    # one representative per non-empty cell that meets tol, classified by the
+    # walk: no dedupe, second-order test or cover runs
+    def refuse(*args):
+        raise AssertionError("a generic solve dedupes and classifies nothing")
+
+    monkeypatch.setattr(eqv, "_sorted_dedupe", refuse)
+    monkeypatch.setattr(eqv, "_manifold_dims", refuse)
+    rng = np.random.default_rng(3)
+    for g in _CELL_GEOMS:
+        for cls in (0, 1, 2):
+            sol = wf.solve_equivalent(g, *_class_input(rng, cls))
+            d = sol.diagnostics
+            assert d.cells_examined > 0 and d.merged_count == 0
+            assert len(sol.representatives) == d.converged_count
+            reps = np.array(sol.representatives)
+            assert np.lexsort(reps.T[::-1]).tolist() == list(range(len(reps)))
+    sol = wf.solve_equivalent(Geometry.deformed(DeformationFunction.from_table(_KINK_TABLE)),
+                              *_FAR_ROOTS)
+    d = sol.diagnostics
+    assert (d.starts_attempted, d.converged_count, d.iterations, d.stalled_count) == (11, 9, 4, 2)
+    assert len(sol.representatives) == 9
+    sol = wf.solve_equivalent(Geometry.grainy(0.01, 0.03), *_CLOSE_ROOTS)
+    assert len(sol.representatives) == sol.diagnostics.cells_nonempty == 6
+    reps = np.array(sol.representatives)
+    gaps = np.linalg.norm(reps[:, None] - reps[None], axis=2)[np.triu_indices(6, 1)]
+    assert gaps.min() < sol.diagnostics.dedupe_radius
+    sol = wf.solve_equivalent(MINK, *_CONE_APEX)
+    d = sol.diagnostics
+    assert (d.starts_attempted, d.converged_count, d.stalled_count) == (3, 1, 2)
+    assert (sol.variance, sol.manifold_dim_estimate, d.jacobian_rank) == ("multi", 2, 1)
+    p0, p1, q0 = _CONE_APEX
+    assert np.abs(sol.representatives[0] - (q0 + p1 - p0)).max() <= 1e-12
+
+
+def test_cell_walk_reports_a_surface_inside_the_dedupe_radius():
+    # the one criterion of the walk, rho below -tol_rho on a cell's segment, and
+    # the multistart's, a root ellipsoid within the dedupe radius, part at the
+    # tolerance scale.  Here one table-F cell's rho dips to -1.4 tol_rho: the
+    # walk reports the small 2-surface (Newton from nearby starts finds roots
+    # up to 6e-4 apart), the second-order test calls its root isolated
+    g = Geometry.deformed(DeformationFunction.from_table(_KINK_TABLE))
+    p0 = np.array([-0.5366232533000357, 0.8813367320473127, 0.5107420666813947, -0.027281167986849875])
+    p1 = np.array([-8.802471162699327, -1.9016165863262184, -2.5449246061123265, 0.33274452015220063])
+    q0 = np.array([0.6306467979910524, -0.934837808086459, 0.5659528049686713, 0.25661023441641806])
+    sol = wf.solve_equivalent(g, p0, p1, q0)
+    assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 2)
+    assert len(sol.representatives) == sol.diagnostics.cells_nonempty == 1
+    rmap = _ResidualMap(g, p0, p1, q0)
+    tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+    dims = eqv._manifold_dims(rmap, np.array(sol.representatives), sol.diagnostics.dedupe_radius,
+                              tol_abs)[0]
+    assert dims.tolist() == [0]
+
+
 @pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
 @pytest.mark.parametrize("p0, p1", [
     ((0, 0, 0, 0), (1.001, 1, 0, 0)),  # timelike, near the cone
@@ -1320,6 +1397,31 @@ def test_generic_solve_reads_no_random_box(g, p0, p1, q0, starts, seed, width):
     assert json.dumps(other.to_dict()) == json.dumps(sol.to_dict())
     # the generic branch's Newton rows are its cell roots alone
     assert sol.diagnostics.starts_attempted == sol.diagnostics.cells_nonempty
+
+
+_GENERIC_INPUTS = (st.tuples(_POINT4, _POINT4, _POINT4)
+                   | st.builds(lambda seed, cls: _class_input(np.random.default_rng(seed), cls),
+                               st.integers(0, 2 ** 32 - 1), st.integers(0, 2)))
+
+
+# the two criteria part at the tolerance scale
+# (test_cell_walk_reports_a_surface_inside_the_dedupe_radius), so the draws are fixed
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=_SUBSTRATES, pts=_GENERIC_INPUTS)
+@example(g=MINK, pts=_CONE_APEX)
+@example(g=Geometry.grainy(0.01, 0.03), pts=_CLOSE_ROOTS)
+def test_cell_verdicts_match_the_second_order_test(g, pts):
+    # the reference: the multistart's second-order test at the representatives
+    p0, p1, q0 = pts
+    assume(not np.array_equal(p0, p1))
+    sol = wf.solve_equivalent(g, p0, p1, q0)
+    assume(sol.diagnostics.cells_examined > 0 and sol.representatives)
+    rmap = _ResidualMap(g, p0, p1, q0)
+    tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+    dims = eqv._manifold_dims(rmap, np.array(sol.representatives), sol.diagnostics.dedupe_radius,
+                              tol_abs)[0]
+    assert sol.manifold_dim_estimate == dims.max()
+    assert sol.variance == ("single" if dims.tolist() == [0] else "multi")
 
 
 def _multistart_reference(g, p0, p1, q0, cfg):
