@@ -16,12 +16,10 @@ to a given one may yield no solution, exactly one, or a whole manifold.
 In the Euclidean geometry the solution is exactly the translation Q0 + (P1 -
 P0), and ``solve_equivalent`` returns it in closed form.  On the Minkowski
 substrate F is piecewise linear, so in each slope cell of F the equations are
-a quadric cut by a hyperplane: for a generic input the solve takes one exact
-root per non-empty cell (``_cell_starts``), classified by the walk as a
-tangent point or on an (n - 2)-dimensional surface; otherwise a multistart
-damped Newton iteration explores the structure, and a second-order test
-classifies its deduplicated, polished representatives;
-``find_intransitivity_witness`` builds broken-transitivity
+a quadric cut by a hyperplane: the solve walks every cell (``_cell_starts``)
+and takes one exact point per non-empty piece of the set with the piece's
+dimension, 0 to 3, then one damped Newton pass refines the points that miss
+``tol``; ``find_intransitivity_witness`` builds broken-transitivity
 witnesses from one exact null-shift template, confirmed by the batched residual
 kernel that also checks skeleton and chain-link equivalence; the segment/tube
 operations expose the thickness that straight lines acquire under deformation.
@@ -49,8 +47,8 @@ from .geometry import (
     _cells,
     _finite,
     _integral,
+    _mdot,
     _scalar_product_arrays,
-    _sigma_m,
     as_point,
     scalar_product,
     sigma,
@@ -59,7 +57,6 @@ from .geometry import (
     triangle_defect,
 )
 
-_RANK_CUTOFF = 1e-8
 # closed-form 2x2 normal equations are used while det(J J^T) > this times
 # (trace J J^T)^2, i.e. for condition numbers of J up to about 1e5; the
 # rounding of det then costs at most ~1e-6 relative in the pseudo-inverse
@@ -75,14 +72,11 @@ _WITNESS_BLOCK = 1024
 # ladder scaled by 2, i.e. 2 ... 1/8, in the same call.
 _LADDER = 0.5 ** np.arange(5)
 _DOUBLE_BAND = 0.05
-# the generic branch of solve_equivalent (_cell_starts) needs q0 farther than
-# sqrt(this) times the largest point from the line p0p1, and W = span(w0, u)
-# and each slope cell's normal n that far from null (Euclidean norms): the
-# cell points then carry ~1e-10 relative rounding, well inside tol
-_GENERIC_CUTOFF = 1e-6
-# coordinate differences per block of _sorted_dedupe (8 MB): up to 512 rows
-# of 4 coordinates, so a solve at the default 256 starts is one block
-_DEDUPE_BLOCK = 2 ** 20
+# the walk (_cell_starts) takes q0 to be on the line p0p1 where the map
+# Y -> (<Y, w0>, <Y, u>) has a singular value below this times its largest,
+# and W (or u) to be null where a Euclidean-unit direction of its kernel has
+# an eta-square within this of 0
+_DEGENERATE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +132,25 @@ def _skeleton_pair_reports(g, a, b, tol):
 
 
 # ---------------------------------------------------------------------------
-# multistart solver for the equivalence equations
+# the solution set of the equivalence equations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SolverConfig(_Config):
     """Settings of ``solve_equivalent``.
 
-    ``tol`` applies to every geometry.  On the Minkowski substrate
-    ``max_iter`` caps the main Newton pass of both branches.  ``starts``,
-    ``box_half_width`` and ``seed`` place the multistart's rows (the
-    translation guess, then random starts) and ``dedupe_radius`` merges them.
-    The multistart runs only where the slope-cell walk does not apply (q0 on
-    the line p0p1, a null P0P1, ...); the generic branch reads none of the four.
-    The Euclidean closed form reads neither ``max_iter`` nor those four.
+    ``tol`` applies to every geometry; on the Minkowski substrate
+    ``max_iter`` caps the Newton pass that refines the walk's points.  No
+    solve reads ``starts`` or ``seed``: they are still accepted and checked
+    because the benchmark's calls pass them, and go with its next revision.
     """
 
     starts: int = 256
     max_iter: int = 100
     tol: float = 1e-9
-    dedupe_radius: float = 1e-4
-    box_half_width: float = 5.0
     seed: int = 0
 
-    _MINIMUMS = {"starts": 1, "max_iter": 0, "tol": 0.0, "dedupe_radius": 0.0,
-                 "box_half_width": 0.0, "seed": 0}
+    _MINIMUMS = {"starts": 1, "max_iter": 0, "tol": 0.0, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -170,31 +158,27 @@ class SolverDiagnostics:
     """What the solver did.
 
     A Euclidean solve runs no Newton: it reports 0 starts, converged rows,
-    iterations, stalls, doubled steps, merges and cells, and rank 1, the rank
-    of the Jacobian at the translation, whose parallelism row vanishes there.
-    On the Minkowski substrate ``starts_attempted`` counts the rows of the
-    main Newton pass.  A generic solve's are one root per non-empty slope
-    cell (``cells_examined`` cell pairs (i, j) of F walked, ``cells_nonempty``
-    of them non-empty): ``starts_attempted - converged_count`` counts the
-    cells whose closed-form root missed ``tol`` and the main pass could not
-    pull in, and nothing is merged.  The multistart's (both cell counts 0)
-    are the translation guess and random starts; ``merged_count`` counts the
-    representatives its cover dropped, within the dedupe radius of another
-    or in the tolerance tube of an isolated root.  ``jacobian_rank`` is read
-    at the first representative of the highest dimension.  ``iterations``,
-    ``stalled_count`` and ``doubled_steps`` count the main pass's ladder
-    evaluations, starts that no rung improved and steps accepted at the
-    doubled step lambda = 2 (the multistart's polish is not counted).
+    iterations, stalls, doubled steps and cells, and rank 1, the rank of the
+    Jacobian at the translation, whose parallelism row vanishes there.  On
+    the Minkowski substrate ``cells_examined`` counts the cell pairs of F
+    walked (the knots and intervals of tau where q0 is on the line p0p1) and
+    ``starts_attempted`` = ``cells_nonempty`` the walk's points,
+    one per non-empty piece, which are the rows of one Newton pass:
+    ``starts_attempted - converged_count`` counts the pieces whose point
+    missed ``tol`` and the pass could not pull in.  ``iterations``,
+    ``stalled_count`` and ``doubled_steps`` count the pass's ladder
+    evaluations, rows that no rung improved and steps accepted at the
+    doubled step lambda = 2.  ``jacobian_rank`` is the walk's rank at the
+    first representative of the highest dimension: 2 at a smooth point of a
+    2-surface, else 1.
     """
 
     starts_attempted: int
     converged_count: int
-    dedupe_radius: float
     jacobian_rank: int
     iterations: int
     stalled_count: int
     doubled_steps: int
-    merged_count: int
     cells_examined: int
     cells_nonempty: int
 
@@ -203,13 +187,13 @@ class SolverDiagnostics:
 class SolutionSet:
     """Representative solutions of the equivalence equations at one point.
 
-    ``manifold_dim_estimate`` is 0 when every representative is an isolated
-    root and n - 2 when one lies on a solution manifold: the cell walk's
-    verdict, one representative per non-empty cell, or ``_manifold_dims``'s.
-    It takes no other value, so a null P0P1 reads n - 2 where the set is a
-    line: (0,0,0,0) -> (1,1,0,0) at q0 = 0 on Minkowski is ``multi``,
-    dimension 2, with every representative within 5e-11 of q0 + t (p1 - p0).
-    A Euclidean set is exact: ``single``, dimension 0, the translation alone.
+    On the Minkowski substrate the set is a union of pieces, one per
+    non-empty slope cell of F, and each representative stands for one piece:
+    ``manifold_dim_estimate`` is the largest piece dimension, 0 (isolated
+    points) to 3.  A null P0P1 at q0 on its line gives a line: (0,0,0,0) ->
+    (1,1,0,0) at q0 = 0 on Minkowski is ``multi``, dimension 1, represented
+    by a point of q0 + t (p1 - p0).  A Euclidean set is exact: ``single``,
+    dimension 0, the translation alone.
     """
 
     representatives: list
@@ -362,206 +346,253 @@ def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
     return X, res, converged, stalled, doubled_steps, iterations
 
 
-def _sorted_dedupe(points, radius, quality):
-    """Indices of the rows kept by a greedy chart-distance dedupe with a deterministic order.
-
-    Lower-quality values claim their cluster first, ties in coordinate
-    order, so the best-converged point represents it: a point is kept when
-    it lies farther than radius from every point kept before it.  radius is
-    one scalar or a radius per row, the reach of the row as a kept point.
-    The distances from the next rows of the greedy order that are still free
-    to all rows come from one broadcast block of at most ``_DEDUPE_BLOCK``
-    differences, so memory is linear in the row count; a default-size solve
-    fits in one block.  The indices are sorted lexicographically by point, so
-    the merge order never shows in the result and rows of other arrays can
-    travel with their points.
-    """
-    m = len(points)
-    order = np.lexsort(tuple(points.T[::-1]) + (quality,))
-    radius = np.asarray(radius)
-    rows = max(1, _DEDUPE_BLOCK // max(1, points.size))
-    free = np.ones(m, dtype=bool)  # not near a kept point
-    kept = np.zeros(m, dtype=bool)
-    for start in range(0, m, rows):
-        block = order[start:start + rows]
-        block = block[free[block]]  # a covered row is never kept
-        for i, covers in zip(block.tolist(), _covers(points, block, radius)):
-            if free[i]:
-                kept[i] = True
-                free &= ~covers
-    kept = np.flatnonzero(kept)
-    return kept[np.lexsort(points[kept].T[::-1])]
-
-
-def _covers(points, block, radius):
-    """near[k, j]: row j lies within the radius of row block[k] (chart distance)."""
-    diff = points[block, None, :] - points[None, :, :]
-    # matmul rounds each sum of squares like the BLAS dot behind a 1-D
-    # np.linalg.norm, so a distance equal to the radius merges exactly as in
-    # the per-pair loop the tests keep as reference
-    dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    return dist <= (radius[block, None] if radius.ndim else radius)
-
-
-def _manifold_dims(rmap: _ResidualMap, reps, radius, tol_abs):
-    """Solution-set dimension (0 or n - 2), Jacobian rank and tube reach at each representative.
-
-    With J = U S V^T, c = U[:, -1] and K the rows of V^T after the first, the
-    residual combination c . r on K is s_min y0 + y^T A y / 2 to second order,
-    A = K (c . H) K^T for the residual Hessians H.  On the Minkowski
-    substrate each sigma(ref_k, X) has the Hessian F'(sigma_M) eta off the
-    kinks of F, so c . H is the diagonal (c_0 (s_0 - s_1 - s_2) - 2 c_1 s_2) eta
-    for the slopes s_k, read at X - ref_k as ``sigma_gradient`` reads them:
-    at a kink or the discrete jump the slope Newton used.  A definite A keeps the
-    roots within 2 s_min / min|eig A| of the representative: it is isolated
-    when that is within the dedupe radius.  Otherwise the roots form an
-    (n - 2)-manifold: by the implicit function theorem at full rank, a cone
-    at rank 1 (Griewank, SIAM Review 27, 1985).  The reach of an isolated
-    root, sqrt(2 tol_abs / min|eig A|), bounds its tolerance tube: beyond it
-    the definite model puts the residual above tol_abs.  Manifold
-    representatives have reach 0.
-    """
-    J = rmap.jacobian(reps)
-    U, S, Vt = np.linalg.svd(J)
-    rank = (S > _RANK_CUTOFF * S[:, :1]).sum(axis=1)
-    K = Vt[:, 1:]
-    c = U[:, :, -1]
-    s = rmap.g.deformation.slope(_sigma_m(reps - rmap.refs[:, None, :]))  # (3, m)
-    cH = (c[:, 0] * ((s[0] - s[1]) - s[2]) + c[:, 1] * (-2.0 * s[2]))[:, None] * _ETA
-    eig = np.linalg.eigvalsh((K * cH[:, None, :]) @ K.transpose(0, 2, 1))
-    definite = (eig[:, 0] > 0.0) | (eig[:, -1] < 0.0)
-    eig_min = np.abs(eig).min(axis=1)
-    isolated = definite & (2.0 * S[:, -1] <= radius * eig_min)
-    reach = np.sqrt(2.0 * tol_abs / np.where(isolated, eig_min, np.inf))
-    return np.where(isolated, 0, rmap.n - 2), rank, reach
-
-
 def _cell_starts(g, p0, p1, q0, rmap, tol_abs):
-    """One root per non-empty slope cell of F, or None outside the generic branch.
+    """One point per non-empty piece of the solution set in the slope cells of F.
 
-    With Y = X - q0, u = p1 - p0 and w_k = q0 - p_k, the length equation is the
-    quadric <Y, Y> = <u, u> (F is injective), on which sigma_M(p_k, X) = c_k +
-    <Y, w_k> with c_k = sigma_M(u) + <w_k, w_k> / 2.  In the slope cell (i, j)
-    of ``_cells`` the parallelism equation is the hyperplane <Y, n> = L with
-    n = m_i w0 - m_j w1, cut by the cell's two intervals.  Write Y = Y_W + Y'
-    with Y_W in W = span(w0, w1) and Y' in its eta-complement.  On the line
-    Y_W = (L / <n, n>) n + s v of W, with v eta-orthogonal to n, the quadric
-    reads <Y', Y'> = rho(s) = <u, u> - L^2 / <n, n> - s^2 <v, v>, whose
-    extremum is s = 0.  With det G < 0 (G the eta-Gram matrix of w0, w1) the
-    complement is negative definite: the cell holds a surface where rho falls
-    below -tol_rho on its segment, else a tangent point where rho only reaches
-    0 (within tol_rho, so that the point passes at tol_abs).  With det G > 0
-    it is indefinite and every point of the segment carries a hyperbola.
-    Each non-empty cell gives one point, at ``_cell_point``'s s, with Y' along
-    a fixed eta-eigendirection of the complement.
+    With Y = X - q0, u = p1 - p0 and w_k = q0 - p_k, the length equation is
+    the quadric <Y, Y> = <u, u> (F is injective), on which sigma_M(p_k, X) =
+    c_k + <Y, w_k> with c_k = (<u, u> + <w_k, w_k>) / 2.  So the two sigma_M
+    depend on Y through t = (<Y, w0>, <Y, u>) only (through tau = <Y, u>
+    alone where q0 is on the line p0p1, w0 = f u), and in a slope cell of F
+    the parallelism equation F(sigma_M(p0, X)) - F(sigma_M(p1, X)) = K is
+    linear in t: ``_plane_pieces`` and ``_line_pieces`` give each non-empty
+    cell's t = t* + s d over an open range lo < s < hi, or one point (lo = hi).
 
-    The branch needs q0 off the line p0p1 (w0, w1 independent), G
-    non-singular and every n non-null (for i = j, n = m_i u: u is not null),
-    each by ``_GENERIC_CUTOFF``.  It returns the cells' points, dimensions
-    (n - 2 or 0), Jacobian ranks and the number of cells examined.  None sends
-    the solve to the multistart: q0 on (or near) the line p0p1, a null W, u or
-    n, or a cell whose verdict hangs on an end of its segment, a breakpoint of
-    F.  The sets where sigma_M(p_k, X) is exactly 0, curves at the jump of the
-    discrete F, are not walked.
+    Y is written as Y_c(s) + sum_k y_k E_k.  The E_k are a Euclidean-
+    orthonormal basis of the kernel of Y -> t, diagonal for eta (<E_a, E_b> =
+    lam_a delta_ab, lam ascending), and Y_c(s), affine in s, meets t(s): the
+    Euclidean least-norm point moved along every E_k but the last to its
+    eta-centre, or, where q0 is on the line and u is not null, the
+    eta-projection (tau / <u, u>) u, exact where the division is.  The
+    quadric then reads sum lam_k y_k^2 + 2 h y_-1 = <u, u> - <Y_c, Y_c> with
+    h = <E_-1, Y_c>, and about its eta-centre sum lam_k z_k^2 = rho(s), a
+    quadratic in s: a sphere where rho < 0 (every lam < 0; a point at rho =
+    0) or a hyperboloid for any rho (mixed signs).  Where W = span(w0, u)
+    (or u) is null, lam_-1 is 0 (within ``_DEGENERATE``): the piece is a
+    graph over the other directions where h != 0, and E_-1 is free where
+    h = 0.
+
+    ``_piece_points`` picks the point's s, the point of the range nearest q0
+    (within the part where rho < -tol_rho for a sphere), and the piece has
+    dimension len(E) - 1 (+ 1 over a range) where it holds a surface, 0 at a
+    tangent point, 1 on a curve of them (+ 1 along a free direction).  y is
+    0 at a tangent point, off the apex on a hyperboloid, the root nearest
+    Y_c along E_-1 elsewhere, and u's component along a free E_-1.  The one
+    exception: a piece pinned to the jump of the discrete F (sigma_M(p_k, X)
+    = 0 exactly) is represented by Y_c where rho = 0, the only point the
+    float cone holds, e.g. X = p1 at q0 = p0.  The curves on that jump where
+    q0 is off the line p0p1 are not walked.
+
+    Returns the points, their pieces' dimensions and the Jacobian ranks
+    there (2 at a smooth point of a 2-surface, else 1), and the number of
+    cells examined.
     """
     u = p1 - p0
-    w = q0 - np.stack([p0, p1])
-    # W = span(w0, u): its Gram determinants in that basis, free of the
-    # cancellation in w0 - w1 = u; det is the eta one of (w0, w1) too
-    basis = np.stack([w[0], u])
-    gram_e = basis @ basis.T
-    det_e = gram_e[0, 0] * gram_e[1, 1] - gram_e[0, 1] * gram_e[0, 1]
-    gram = (basis * _ETA) @ basis.T
-    det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[0, 1]
-    xs, m, xa, ya = _cells(g.deformation)
-    i, j = np.divmod(np.arange(len(m) ** 2), len(m))
-    n = m[i, None] * u + (m[i] - m[j])[:, None] * w[1]  # m_i w0 - m_j w1
-    nn = np.sum(n * n * _ETA, axis=1)
-    scale = max(float(p @ p) for p in (p0, p1, q0))
-    if not (det_e > _GENERIC_CUTOFF * gram_e[1, 1] * scale and abs(det) > _GENERIC_CUTOFF * det_e
-            and np.all(np.abs(nn) > _GENERIC_CUTOFF * np.sum(n * n, axis=1))):
-        return None
-    uu = gram[1, 1]
-    c = 0.5 * (uu + np.sum(w * w * _ETA, axis=1))
+    w = q0 - np.array([p0, p1])
+    uu = float(_mdot(u, u))
+    c = 0.5 * (uu + _mdot(w, w))
     # F(l0) - F(l1) = two_a + sigma(p0, q0) - sigma(p1, q0) on the quadric
     K = rmap.two_a + rmap.s_p0q0 - rmap.s_p1q0
-    L = K - (ya[i] - m[i] * xa[i]) + (ya[j] - m[j] * xa[j]) - m[i] * c[0] + m[j] * c[1]
-    nw = (n * _ETA) @ np.stack([w[0], w[1], u]).T  # <n, w0>, <n, w1>, <n, u>
-    # (<Y, w0>, <Y, w1>) is gv at s = 0 and moves by (m_j, m_i) per unit of s along v
-    gv = (L / nn)[:, None] * nw[:, :2]
-    step = np.stack([m[j], m[i]], axis=1)
-    edges = np.concatenate([[-np.inf], xs, [np.inf]])
-    s_lo = ((np.stack([edges[i], edges[j]], axis=1) - c - gv) / step).max(axis=1)
-    s_hi = ((np.stack([edges[i + 1], edges[j + 1]], axis=1) - c - gv) / step).min(axis=1)
-    v = (nw[:, 2:] * w[0] - nw[:, :1] * u) / det
-    A = -np.sum(v * v * _ETA, axis=1)
-    C = uu - L * L / nn
-    if not (np.isfinite(A).all() and np.isfinite(C).all()):
-        return None
-
+    xs, m, xa, ya = _cells(g.deformation)
+    b = ya - m * xa  # F(x) = m x + b on each open cell
     tol_rho = tol_abs / float(m.max())
-    cells, at = [], []
-    for p in np.flatnonzero(s_lo <= s_hi).tolist():
-        t = _cell_point(float(s_lo[p]), float(s_hi[p]), float(A[p]), float(C[p]), det < 0.0,
-                        tol_rho)
-        if t is None:
-            return None
-        if not math.isnan(t):
-            cells.append(p)
-            at.append(t)
-    s = np.array(at)
-    rho = A[cells] * s * s + C[cells]
-    rho[np.abs(rho) <= tol_rho] = 0.0  # a tangent point, within tol_abs of the quadric
-    Y = (L / nn)[cells, None] * n[cells] + s[:, None] * v[cells]
-    # the eta-complement of W, diagonalised: <e_a, e_b> = lam_a delta_ab, lam ascending
-    N = np.linalg.svd(basis * _ETA)[2][2:]
+    uu_e = float(u @ u)  # the Euclidean <u, u>
+    if not (uu_e >= np.finfo(float).tiny and np.isfinite(c).all()):
+        raise SolverFailureError("|p1 - p0|^2 underflows or a squared chart distance "
+                                 "overflows: the slope-cell walk cannot place its points")
+    U, S, Vt = np.linalg.svd(np.array([w[0], u]) * _ETA)
+    line = bool(S[1] <= _DEGENERATE * S[0])
+    N = Vt[1:] if line else Vt[2:]  # the kernel of Y -> t
     lam, V = np.linalg.eigh((N * _ETA) @ N.T)
     E = V.T @ N
-    side = (rho > 0.0).astype(int)  # lam[0] < 0 always; lam[1] > 0 only where indefinite
-    Y += np.sqrt(np.maximum(rho / lam[side], 0.0))[:, None] * E[side]
-    # the verdict reads rho's least on the segment, not at the point: |s| largest if A < 0
-    z = np.where(A[cells] < 0.0, np.maximum(-s_lo, s_hi)[cells], np.clip(0.0, s_lo, s_hi)[cells])
-    dims = np.where((det > 0.0) | (A[cells] * z * z + C[cells] < -tol_rho), len(q0) - 2, 0)
-    # Y is along n where rho = 0 at s = 0, a tangent point or an apex: rank 1
-    return q0 + Y, dims, np.where((rho == 0.0) & (s == 0.0), 1, 2), len(m) ** 2
+    null = bool(abs(lam[-1]) <= _DEGENERATE)  # the largest: every other lam is < 0 then
+    if line:
+        t, d, lo, hi, apex, examined = _line_pieces(g, xs, m, b, c, K, float(w[0] @ u) / uu_e, tol_abs)
+    else:
+        t, d, lo, hi = _plane_pieces(xs, m, b, c, K)
+        apex, examined = np.zeros(len(t), dtype=bool), len(m) ** 2
+    # Y_c is the eta-projection onto u where q0 is on the line and u is not
+    # null (tau / <u, u> divided: exact where it can be), else the Euclidean
+    # least-norm point t @ M, centred along every E but the last
+    h = np.zeros((2, len(t)))
+    if line and not null:
+        P, D = (x / uu * u for x in (t, d))
+    else:
+        M = (u * _ETA / uu_e)[None] if line else (U / S) @ Vt[:2]
+        M -= ((M * _ETA) @ E[:-1].T / lam[:-1]) @ E[:-1]
+        P, D = t @ M, d @ M
+        h = np.array([t, d]) @ ((M * _ETA) @ E[-1])
+    # rho = <u, u> - <Y_c, Y_c> = sum lam y^2 + 2 h y_-1 is A s^2 + B s + C,
+    # taken about the eta-centre (+ h^2 / lam) where lam[-1] is not 0
+    PD = np.array([P, D])
+    gram = np.einsum("ipk,jpk->ijp", PD * _ETA, PD)
+    if not null:
+        gram -= h[:, None] * h / lam[-1]
+    A, B, C = -gram[1, 1], -2.0 * gram[0, 1], uu - gram[0, 0]
+    dot, DD = np.einsum("ipk,pk->ip", PD, D)
+    inv = np.divide(1.0, DD, out=np.zeros_like(DD), where=DD > 0.0)
+    near, reach = -dot * inv, np.sqrt(inv)
+    graph = null & (np.abs(h).max(axis=0) > tol_rho)
+    hyperboloid = bool(lam[-1] > 0.0) and not null
+    s, kind = _piece_points(lo, hi, A, B, C, near, reach, hyperboloid, graph, tol_rho)
+    Y = P + s[:, None] * D
+    hs = h[0] + s * h[1]
+    r = uu - _mdot(Y, Y)
+    rho = r if null else r + hs * hs / lam[-1]
+    y = np.zeros((len(Y), len(E)))
+    if hyperboloid:  # off its apex along E[0]
+        y[:, 0] = np.sqrt((np.maximum(-rho, 0.0) + uu_e) / -lam[0])
+    elif null:  # the sphere on the other directions takes what it can of r
+        y[:, 0] = np.sqrt(np.maximum(np.where(kind == 2, r / lam[0], 0.0), 0.0))
+    else:  # a tangent point is the double root
+        r = np.where(kind == 2, r, -hs * hs / lam[-1])
+    r = r - lam[0] * y[:, 0] ** 2
+    # lam y^2 + 2 h y = r along E[-1]: the root nearer Y_c
+    q = hs + np.copysign(np.sqrt(np.maximum(hs * hs + lam[-1] * r, 0.0)), hs)
+    y[:, -1] = np.where(null & ~graph, E[-1] @ u, np.divide(r, q, out=np.zeros_like(q), where=q != 0.0))
+    at_apex = apex & (np.abs(rho) <= tol_rho)
+    y[at_apex] = 0.0
+    dims = np.where(kind == 2, len(E) - 1 + (lo < hi), (kind == 3) + (null & ~graph))
+    keep = kind > 0
+    ranks = np.where((dims == 2) & ~at_apex, 2, 1)[keep]
+    return (q0 + (Y + y @ E))[keep], dims[keep], ranks, examined
 
 
-def _cell_point(lo, hi, A, C, definite, tol_rho):
-    """s of one root on a cell's segment lo <= s <= hi, where <Y', Y'> = rho(s) = A s^2 + C.
+def _plane_pieces(xs, m, b, c, K):
+    """Cells (i, j) of F whose line in t = (<Y, w0>, <Y, u>) meets their box.
 
-    NaN where the cell is empty, None where its verdict hangs on an end of the
-    segment, a breakpoint of F.  An indefinite complement has roots over every
-    s, a definite (negative) one over every s with rho(s) <= 0.  The point is
-    the extremum s = 0 where it is inside the segment and, for a definite
-    complement, on the surface (rho < -tol_rho) or a minimum of rho within
-    tol_rho of 0 (a tangent point).  Otherwise it is the middle of the first
-    part of the segment, split at the roots of rho, with roots over it.
+    In cell (i, j), sigma_M(p0, X) = c0 + t0 in cell i and sigma_M(p1, X) =
+    c1 + t0 - t1 in cell j, the parallelism equation is (m_i - m_j) t0 + m_j t1
+    = L, and the line t = t* + s (m_j, m_j - m_i) moves the two sigma_M by
+    (m_j, m_i) per unit of s.  Returns t*, d and the open range (lo, hi) of s
+    of every cell where lo < hi.
     """
-    if lo == hi:  # the line meets the box at a corner only
-        return None if not definite or A * lo * lo + C <= tol_rho else math.nan
-    if lo < 0.0 < hi and (not definite or C < -tol_rho or (A >= 0.0 and C <= tol_rho)):
-        return 0.0
-    if not definite:
-        return _middle(lo, hi)
-    r = math.sqrt(-C / A) if A and -C / A >= 0.0 else math.nan
-    cuts = [lo, *(x for x in (-r, r) if lo < x < hi), hi]
-    for a, z in zip(cuts, cuts[1:]):
-        s = _middle(a, z)
-        if A * s * s + C < 0.0:
-            return s
-    ends = [A * e * e + C for e in (lo, hi) if math.isfinite(e)]
-    return None if min(ends, default=math.inf) <= tol_rho else math.nan
+    i, j = np.divmod(np.arange(len(m) ** 2), len(m))
+    mi, mj = m[i], m[j]
+    L = K - b[i] + b[j] - mi * c[0] + mj * c[1]
+    t = np.array([mi - mj, mj]) * (L / ((mi - mj) ** 2 + mj * mj))
+    o0, o1 = c[0] + t[0], c[1] + t[0] - t[1]  # the two sigma_M at s = 0
+    edges = np.concatenate([[-np.inf], xs, [np.inf]])
+    lo = np.maximum((edges[i] - o0) / mj, (edges[j] - o1) / mi)
+    hi = np.minimum((edges[i + 1] - o0) / mj, (edges[j + 1] - o1) / mi)
+    on = lo < hi
+    return t.T[on], np.array([mj, mj - mi]).T[on], lo[on], hi[on]
 
 
-def _middle(lo, hi):
-    """A point strictly inside (lo, hi), finite whatever the ends."""
-    if math.isinf(lo) and math.isinf(hi):
-        return 0.0
-    if math.isinf(hi):
-        return lo + max(1.0, abs(lo))
-    if math.isinf(lo):
-        return hi - max(1.0, abs(hi))
-    return 0.5 * (lo + hi)
+def _line_pieces(g, xs, m, b, c, K, f, tol_abs):
+    """The roots tau = <Y, u> of F(c0 + f tau) - F(c1 + (f - 1) tau) = K, q0 = p0 + f u.
+
+    The knots, where a sigma_M sits on a breakpoint of F, split the tau axis
+    into open intervals on which the equation is linear.  A knot is a root
+    where F itself, read at the breakpoint, meets the equation within
+    ``tol_abs``; an interval holds one root strictly inside, with the
+    equation off by more than ``tol_abs`` at its ends (a root nearer a knot
+    is the knot's), or, where the equation is constant and met, every tau
+    of the interval: a 3-dimensional piece.  Returns t = tau*, d, the range
+    (lo, hi) of each interval piece (lo = hi = 0 for a root), whether a root
+    is pinned to a jump of F, and the number of knots and intervals.
+    """
+    phi = np.array([f, f - 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knots = np.unique((xs - c[:, None]) / phi[:, None])
+        knots = knots[np.isfinite(knots)]
+        lo, hi = np.append(-np.inf, knots), np.append(knots, np.inf)
+        mid = np.where(np.isinf(lo), hi - 1.0, np.where(np.isinf(hi), lo + 1.0, 0.5 * (lo + hi)))
+    tau = np.append(knots, np.nan_to_num(mid, posinf=0.0))  # the whole axis: tau = 0
+    l = c[:, None] + phi[:, None] * tau
+    # a knot's sigma_M is its breakpoint up to rounding: put it there
+    x = xs[np.abs(l[..., None] - xs).argmin(axis=-1)]
+    snap = np.abs(l - x) <= 2.0 ** -50 * (np.abs(c)[:, None] + np.abs(x))
+    snap[:, len(knots):] = False
+    l = np.where(snap, x, l)
+    # the open cells and the breakpoints interleaved: F = ms l + bs on each
+    ms, bs = np.zeros(2 * len(xs) + 1), np.zeros(2 * len(xs) + 1)
+    ms[::2], bs[::2], bs[1::2] = m, b, g.deformation(xs)
+    pos = np.searchsorted(xs, l)
+    at = xs[np.minimum(pos, len(xs) - 1)] == l
+    k = 2 * pos + at
+    slope = ms[k[0]] * phi[0] - ms[k[1]] * phi[1]
+    const = ms[k[0]] * c[0] + bs[k[0]] - ms[k[1]] * c[1] - bs[k[1]] - K
+    nk = len(knots)
+    root = np.abs(slope[:nk] * knots + const[:nk]) <= tol_abs
+    a, z, sl, cn = lo, hi, slope[nk:], const[nk:]
+    flat = np.abs(sl) <= _DEGENERATE * (ms[k[0, nk:]] * abs(phi[0]) + ms[k[1, nk:]] * abs(phi[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = -cn / sl
+        inside = (~flat & (a < r) & (r < z) & (np.abs(sl * a + cn) > tol_abs)
+                  & (np.abs(sl * z + cn) > tol_abs))
+    flat &= np.abs(cn) <= tol_abs
+    # a root pinned to a breakpoint where the cells' lines jump
+    jump = np.abs((m[1:] - m[:-1]) * xs + b[1:] - b[:-1]) > tol_abs
+    pinned = (snap[:, :nk] & jump[np.minimum(pos[:, :nk], len(xs) - 1)]).any(axis=0)
+    roots = np.concatenate([knots[root], r[inside]])
+    count = len(roots)
+    t = np.concatenate([roots, np.zeros(flat.sum())])[:, None]
+    d = np.concatenate([np.zeros(count), np.ones(flat.sum())])[:, None]
+    lo = np.concatenate([np.zeros(count), a[flat]])
+    hi = np.concatenate([np.zeros(count), z[flat]])
+    apex = np.concatenate([pinned[root], np.zeros(len(t) - root.sum(), dtype=bool)])
+    return t, d, lo, hi, apex, len(tau)
+
+
+def _piece_points(lo, hi, A, B, C, near, reach, every, graph, tol_rho):
+    """(s, kind) of one point per piece over lo < s < hi (s = 0 where lo = hi).
+
+    kind is 2 where the piece holds a surface, 1 at a tangent point, 3 on a
+    curve of them (rho = A s^2 + B s + C within tol_rho of 0 along the
+    range), 0 where it is empty.  s is the point of the range nearest
+    ``near``, a quarter of the range or of ``reach`` in from its ends, where
+    that point is on the piece: wherever ``every`` s carries points (a
+    hyperboloid) or rho < -tol_rho there.  Otherwise ``_sphere_s`` searches
+    the range; a ``graph``, on which every s carries points too, keeps the
+    nearest point unless a part of its range has rho < 0.
+    """
+    margin = 0.25 * np.minimum(hi - lo, reach)
+    s = np.minimum(np.maximum(near, lo + margin), hi - margin)
+    kind = np.where(every | ((A * s + B) * s + C < -tol_rho), 2, 0)
+    for p in np.flatnonzero(kind == 0).tolist():
+        x, kind[p] = _sphere_s(*(float(v[p]) for v in (lo, hi, A, B, C, near, reach, s)), tol_rho)
+        s[p] = x if kind[p] or not graph[p] else s[p]
+    kind[graph] = 2
+    return s, kind
+
+
+def _sphere_s(lo, hi, A, B, C, near, reach, x, tol_rho):
+    """(s, kind) of a sphere whose nearest point x has rho(x) >= -tol_rho.
+
+    s is the point of the part of the range with rho < -tol_rho nearest
+    ``near`` (kind 2), else x on a curve of tangent points (3), else the
+    minimum of rho at a tangent point (1; a minimum on the upper end of the
+    range is the next cell's), else NaN (0, empty).
+    """
+    if lo == hi:
+        return 0.0, int(C <= tol_rho)
+    cuts = [lo, *sorted(r for r in _quadratic_roots(A, B, C + tol_rho) if lo < r < hi), hi]
+    on = [p for p in (_inner(a, z, near, reach) for a, z in zip(cuts, cuts[1:]))
+          if (A * p + B) * p + C < -tol_rho]
+    if on:
+        return min(on, key=lambda p: abs(p - near)), 2
+    if abs((A * x + B) * x + C) <= tol_rho and (abs(2.0 * A * x + B) + abs(A) * reach) * reach <= tol_rho:
+        return x, 3
+    x = -B / (2.0 * A) if A > 0.0 else math.nan
+    return (x, 1) if lo <= x < hi and abs((A * x + B) * x + C) <= tol_rho else (math.nan, 0)
+
+
+def _inner(lo, hi, x, reach):
+    """x moved into lo < x < hi, at least a quarter of the range or of reach from its ends."""
+    margin = 0.25 * min(hi - lo, reach)
+    return min(max(x, lo + margin), hi - margin)
+
+
+def _quadratic_roots(A, B, C):
+    """Real roots of A s^2 + B s + C = 0, by the stable formula."""
+    if A == 0.0:
+        return [-C / B] if B else []
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        return []
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    return [q / A, C / q] if q else [0.0]
 
 
 def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -> SolutionSet:
@@ -570,28 +601,21 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     In the Euclidean geometry, with Y = Q1 - Q0 and u = P1 - P0, the length
     equation is |Y|^2 = |u|^2 and the parallelism equation <Y, u> = |u|^2,
     so Cauchy-Schwarz equality forces Y = u: the result is the translation
-    Q0 + u, ``single``, found without Newton (``cfg``'s ``starts``,
-    ``max_iter``, ``box_half_width`` and ``seed`` are not read).  It is
-    still checked by the pairwise test's residuals, and a translation that
-    fails them at ``tol`` in float arithmetic raises ``SolverFailureError``.
+    Q0 + u, ``single``, found without Newton.  It is still checked by the
+    pairwise test's residuals, and a translation that fails them at ``tol``
+    in float arithmetic raises ``SolverFailureError``.
 
-    On the Minkowski substrate, for a generic input (Q0 off the line P0P1,
-    no null P0P1, see ``_cell_starts``) the Newton rows are one exact root
-    per non-empty slope cell of F, so the result does not depend on
-    ``starts``, ``box_half_width`` or ``seed``.  The representatives are the
-    roots that meet ``tol``, one per cell, each classified by its cell's
-    verdict.  Any other input keeps the multistart: the chart-translation
-    guess, then seeded random points in a box around Q0.  Its converged
-    solutions are deduplicated (sorted, by chart distance), polished by 12
-    more Newton steps at tolerance 0 and classified by a second-order test
-    (``_manifold_dims``), and one cover then merges them, each covering the
-    larger of the dedupe radius and its tolerance-tube reach.  The reported
-    residuals are the rows Newton computed at the representatives, equal to
-    ``is_equivalent``'s (r_par, r_len) of P0P1 against Q0Q1 bit for bit:
+    On the Minkowski substrate ``_cell_starts`` walks the slope cells of F
+    and gives one point per non-empty piece of the solution set with the
+    piece's dimension.  One damped Newton pass refines the points whose
+    residual rounds above ``tol``; the representatives are the points that
+    meet ``tol``, sorted lexicographically.  The reported residuals are the
+    rows Newton computed at them, equal to ``is_equivalent``'s (r_par,
+    r_len) of P0P1 against Q0Q1 bit for bit:
 
     * ``zero``   -- no solution found (an empty set is a valid outcome),
     * ``single`` -- one representative, an isolated root,
-    * ``multi``  -- several representatives or an (n - 2)-dimensional manifold.
+    * ``multi``  -- several representatives or a piece of dimension 1 to 3.
     """
     cfg = SolverConfig._given(cfg)
     p0 = as_point(p0, dim=g.dim)
@@ -600,62 +624,30 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     if np.array_equal(p0, p1):
         raise InvalidInputError("p0 and p1 must differ")
 
-    u = p1 - p0
-    radius = cfg.dedupe_radius * max(1.0, float(np.linalg.norm(u)))
     rmap = _ResidualMap(g, p0, p1, q0)
     tol_abs = cfg.tol * max(1.0, abs(rmap.two_a))
     if not g.has_minkowski_substrate:
-        X = q0 + u
+        X = q0 + (p1 - p0)
         [(r_par, r_len)] = rmap(X[None]).tolist()
         if not (abs(r_par) <= tol_abs and abs(r_len) <= tol_abs):
             raise SolverFailureError(
                 "the translation q0 + (p1 - p0), this geometry's one solution, fails the "
                 "equivalence test at tol in float arithmetic")
-        diags = SolverDiagnostics(0, 0, radius, 1, 0, 0, 0, 0, 0, 0)
-        return SolutionSet([X], "single", 0, [(r_par, r_len)], diags)
+        return SolutionSet([X], "single", 0, [(r_par, r_len)], SolverDiagnostics(0, 0, 1, 0, 0, 0, 0, 0))
 
-    cells = _cell_starts(g, p0, p1, q0, rmap, tol_abs)
-    if cells is None:
-        rng = np.random.default_rng(cfg.seed)
-        starts = np.empty((cfg.starts, g.dim))
-        starts[0] = q0 + u  # translation guess: exact in Minkowski
-        starts[1:] = q0 + rng.uniform(-cfg.box_half_width, cfg.box_half_width,
-                                      size=(cfg.starts - 1, g.dim))
-        examined = nonempty = 0
-    else:
-        starts, dims, ranks, examined = cells
-        nonempty = len(starts)
-
+    starts, dims, ranks, examined = _cell_starts(g, p0, p1, q0, rmap, tol_abs)
     X, res, conv, stalled, doubled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
+    counts = (iterations, int(stalled.sum()), doubled, examined, len(starts))
     if not conv.any():
         if g.kind == "minkowski":
             raise SolverFailureError(
                 "no start converged although this geometry has an analytic solution")
-        diags = SolverDiagnostics(len(starts), 0, radius, 0, iterations, int(stalled.sum()),
-                                  doubled, 0, examined, nonempty)
-        return SolutionSet([], "zero", 0, [], diags)
+        return SolutionSet([], "zero", 0, [], SolverDiagnostics(len(starts), 0, 0, *counts))
 
-    X, res = X[conv], res[conv]
-    if cells is None:
-        idx = _sorted_dedupe(X, radius, np.abs(res).max(axis=1))
-        # polish: at tangential solutions a residual of tol only pins the position
-        # to O(sqrt(tol)); iterate the cluster representatives on to the numerical
-        # floor.  Only steps that lower the residual are taken, so every polished
-        # row stays within tol_abs and passes the pairwise test
-        reps, res, *_ = _newton(rmap, X[idx], 0.0, 12)
-        dims, ranks, reach = _manifold_dims(rmap, reps, radius, tol_abs)
-        # one cover merges whatever collapsed together, and a point left in the
-        # tolerance tube of an isolated root is that root
-        kept = _sorted_dedupe(reps, np.maximum(radius, reach), np.abs(res).max(axis=1))
-        reps, res, dims, ranks = reps[kept], res[kept], dims[kept], ranks[kept]
-    else:  # one root per non-empty cell, on the set to rounding and classified by the walk
-        idx = np.lexsort(X.T[::-1])
-        reps, res, dims, ranks = X[idx], res[idx], dims[conv][idx], ranks[conv][idx]
-
+    idx = np.flatnonzero(conv)[np.lexsort(X[conv].T[::-1])]
+    reps, res, dims, ranks = X[idx], res[idx], dims[idx], ranks[idx]
     variance = "single" if len(reps) == 1 and dims[0] == 0 else "multi"
-    diags = SolverDiagnostics(len(starts), int(conv.sum()), radius, int(ranks[np.argmax(dims)]),
-                              iterations, int(stalled.sum()), doubled, len(idx) - len(reps),
-                              examined, nonempty)
+    diags = SolverDiagnostics(len(starts), len(idx), int(ranks[np.argmax(dims)]), *counts)
     return SolutionSet(list(reps), variance, int(dims.max()), list(map(tuple, res.tolist())), diags)
 
 

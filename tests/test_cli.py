@@ -203,9 +203,8 @@ def test_eqv_solve(tmp_path, capsys):
                 "--p0", "0,0,0,0", "--p1", "0,1,0,0", "--q0", "0,0,0,0",
                 "--starts", 32, "--out-dir", tmp_path]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["variance"] == "multi"
-    assert payload["manifold_dim_estimate"] >= 1
-    assert len(payload["representatives"]) >= 3
+    assert (payload["variance"], payload["manifold_dim_estimate"]) == ("multi", 2)
+    assert len(payload["representatives"]) == payload["diagnostics"]["cells_nonempty"] == 1
 
 
 def _ids(cases):
@@ -215,7 +214,7 @@ def _ids(cases):
 
 _NON_FINITE = [
     (["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "1,0,0,0",
-      "--q0", "0,0,0,0", "--box-half-width", "inf"], "box_half_width must be finite"),
+      "--q0", "0,0,0,0", "--tol", "inf"], "tol must be finite"),
     (["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", "1,0,0,0",
       "--q0", "0,0,0,0", "--tol", "nan"], "tol must be finite"),
     (["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0", "--p1", "2,0,0,0",
@@ -411,18 +410,23 @@ def test_tube_has_no_scan_points_option(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    _SOLVE + ["--dedupe-radius", "-1", "--starts", "4"],
-    _SOLVE + ["--box-half-width", "-1"],
-    ["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--box-half-width", "-1"],
-])
-def test_negative_width_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
-    # --dedupe-radius -1 used to exit 0 with multi (nothing merged), a negative
-    # --box-half-width ended in numpy's "high - low < 0" traceback
+_WIDTHS = [
+    (_SOLVE + ["--dedupe-radius", "-1", "--starts", "4"], "unrecognized arguments: --dedupe-radius"),
+    (_SOLVE + ["--box-half-width", "-1"], "unrecognized arguments: --box-half-width"),
+    (["object", "--geometry", "euclidean:dim=3", "--skeleton", "sk.json", "--box-half-width", "-1"],
+     "must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _WIDTHS, ids=_ids(_WIDTHS))
+def test_negative_width_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    # a negative --box-half-width ended in numpy's "high - low < 0" traceback;
+    # eqv solve has no radius or box since it walks F's cells, so both are
+    # unknown options there
     monkeypatch.chdir(tmp_path)
     write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
     assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
-    assert "must be >= 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,5 @@
-"""Equivalence relation, multistart solver, spacelike family, intransitivity,
-collinearity, segments and tube sampling."""
+"""Equivalence relation, the solution-set solver, spacelike family,
+intransitivity, collinearity, segments and tube sampling."""
 
 import itertools
 import json
@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 import worldfunc as wf
 from worldfunc import DeformationFunction, Geometry, GeomVector, SolverConfig, TubeSamplerConfig
 import worldfunc.equivalence as eqv
-from worldfunc.equivalence import _WITNESS_BLOCK, _pinv_rows, _ResidualMap, _sorted_dedupe
+from worldfunc.equivalence import _WITNESS_BLOCK, _pinv_rows, _ResidualMap
 
 
 MINK = Geometry.minkowski()
@@ -151,25 +151,23 @@ def test_solve_minkowski_timelike_unique():
 
 
 def test_solve_minkowski_spacelike_multivariant():
+    # one piece, the 2-dimensional family x = (alpha, 1, alpha cos t, alpha sin t),
+    # represented by a smooth point of it, off the apex x = p1 (alpha = 0)
     sol = wf.solve_equivalent(MINK, ORIGIN4, (0, 1, 0, 0), ORIGIN4,
                               SolverConfig(starts=64, seed=0))
-    assert sol.variance == "multi"
-    assert sol.manifold_dim_estimate >= 1
-    assert len(sol.representatives) >= 3
-    # all representatives lie on the closed-form family manifold
-    # x = (alpha, 1, alpha cos t, alpha sin t)
-    for r in sol.representatives:
-        assert abs(r[1] - 1.0) < 1e-6
-        assert abs(r[0] ** 2 - r[2] ** 2 - r[3] ** 2) < 1e-6
-    # a mutually non-equivalent subset of size >= 3 exists (greedy pick)
-    reps = [GeomVector(ORIGIN4, r) for r in sol.representatives]
-    chosen = []
-    for v in reps:
-        if all(not wf.is_equivalent(MINK, v, w).equivalent for w in chosen):
-            chosen.append(v)
-        if len(chosen) >= 3:
-            break
-    assert len(chosen) >= 3
+    assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 2)
+    assert len(sol.representatives) == sol.diagnostics.cells_nonempty == 1
+    assert sol.diagnostics.jacobian_rank == 2
+    [r] = sol.representatives
+    assert abs(r[1] - 1.0) < 1e-12 and abs(r[0] ** 2 - r[2] ** 2 - r[3] ** 2) < 1e-12
+    assert r[0] != 0.0
+    # its turns about the x axis are three mutually non-equivalent members
+    members = [GeomVector(ORIGIN4, (r[0], 1.0, r[0] * math.cos(t), r[0] * math.sin(t)))
+               for t in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
+    y = GeomVector(ORIGIN4, (0, 1, 0, 0))
+    assert all(wf.is_equivalent(MINK, v, y).equivalent for v in members)
+    assert not any(wf.is_equivalent(MINK, v, w).equivalent
+                   for v, w in itertools.combinations(members, 2))
 
 
 def test_solve_spacelike_brute_force_grid_oracle():
@@ -192,22 +190,22 @@ def test_solve_multivariant_in_continuous_deformation():
     g = Geometry.grainy(0.02, 0.5)
     sol = wf.solve_equivalent(g, ORIGIN4, (0, 1, 0, 0), ORIGIN4,
                               SolverConfig(starts=48, seed=2))
-    assert sol.variance == "multi"
-    assert len(sol.representatives) >= 3
+    assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 2)
+    assert len(sol.representatives) == 1 and sol.diagnostics.jacobian_rank == 2
     for x, (r_par, r_len) in zip(sol.representatives, sol.residuals):
         assert abs(r_par) <= 1e-9 and abs(r_len) <= 1e-9
 
 
 def test_solve_zero_variance_reported_not_raised():
-    # with no iterations allowed and no start a solution, the (possibly empty)
-    # outcome must classify as zero-variance, not raise; q0 on the line p0p1
-    # keeps the multistart, whose starts are not roots
-    g = Geometry.discrete(0.01)
-    sol = wf.solve_equivalent(g, ORIGIN4, (0, 1, 0, 0), (0, 0.5, 0, 0),
+    # the empty set is an outcome, not a failure: no slope cell of this
+    # discrete F holds a piece
+    g = Geometry.discrete(0.25)
+    sol = wf.solve_equivalent(g, (-1, 0.5, -0.75, 0), (1, 1, -0.5, -1), (0, 0.75, 0.25, -1),
                               SolverConfig(starts=4, max_iter=0, seed=0))
     assert sol.variance == "zero"
-    assert sol.representatives == []
-    assert (sol.diagnostics.starts_attempted, sol.diagnostics.cells_examined) == (4, 0)
+    assert sol.representatives == [] and sol.residuals == []
+    d = sol.diagnostics
+    assert (d.starts_attempted, d.cells_nonempty, d.cells_examined) == (0, 0, 4)
 
 
 def test_solver_deterministic_for_fixed_seed():
@@ -282,10 +280,11 @@ def test_euclidean_solves_converge_in_few_iterations():
         assert iterations <= 8
         doubled += steps
     assert doubled > 0
-    # the timelike Minkowski root is a substrate tangent point the solve reaches by doubled steps
-    sol = wf.solve_equivalent(MINK, ORIGIN4, (1.001, 1, 0, 0), ORIGIN4, SolverConfig(starts=64))
-    assert sol.diagnostics.doubled_steps > 0
-    assert sol.to_dict()["diagnostics"]["doubled_steps"] == sol.diagnostics.doubled_steps
+    # the timelike Minkowski root is a substrate tangent point, reached by doubled steps
+    p1 = np.array([1.001, 1.0, 0.0, 0.0])
+    rmap = _ResidualMap(MINK, np.zeros(4), p1, np.zeros(4))
+    X, _, conv, _, steps, _ = eqv._newton(rmap, [p1 + [0.0, 0.0, 0.01, 0.0]], 1e-9, 100)
+    assert conv.all() and steps > 0 and np.abs(X - p1).max() < 1e-12
 
 
 _COORD = st.floats(-1e3, 1e3, allow_subnormal=False)
@@ -345,17 +344,16 @@ def test_euclidean_solve_refuses_a_nan_residual():
 
 
 def test_euclidean_solve_diagnostics_say_no_newton_ran():
-    cfgs = [None, SolverConfig(starts=1, max_iter=0, box_half_width=0.0, seed=9)]
+    cfgs = [None, SolverConfig(starts=1, max_iter=0, seed=9)]
     sols = [wf.solve_equivalent(EUCLID3, (0, 0, 0), (1, 2, -1), (0.5, -1, 2), cfg) for cfg in cfgs]
     d = sols[0].diagnostics
     assert (d.starts_attempted, d.converged_count, d.iterations) == (0, 0, 0)
-    assert (d.stalled_count, d.doubled_steps, d.merged_count, d.jacobian_rank) == (0, 0, 0, 1)
+    assert (d.stalled_count, d.doubled_steps, d.jacobian_rank) == (0, 0, 1)
     assert (d.cells_examined, d.cells_nonempty) == (0, 0)
-    assert d.dedupe_radius == 1e-4 * math.sqrt(6.0)
     out = sols[0].to_dict()
     assert out["diagnostics"]["starts_attempted"] == 0 and out["diagnostics"]["iterations"] == 0
     assert out["representatives"] == [[1.5, 1.0, 1.0]]
-    # starts, max_iter, box_half_width and seed are not read
+    # starts, max_iter and seed are not read
     assert sols[1].to_dict() == out
 
 
@@ -369,10 +367,51 @@ def test_config_argument_must_be_the_config_class(call, cfg):
         call(cfg)
 
 
+_RANK_CUTOFF = 1e-8
+
+
+def _radius(p0, p1):
+    """The chart distance within which the multistart merged roots."""
+    return 1e-4 * max(1.0, float(np.linalg.norm(np.subtract(p1, p0))))
+
+
+def _manifold_dims(rmap, reps, radius, tol_abs):
+    """Solution-set dimension (0 or n - 2), Jacobian rank and tube reach at each
+    representative: the second-order test the multistart classified its roots
+    by, kept as the reference for the cell walk's verdicts.
+
+    With J = U S V^T, c = U[:, -1] and K the rows of V^T after the first, the
+    residual combination c . r on K is s_min y0 + y^T A y / 2 to second order,
+    A = K (c . H) K^T for the residual Hessians H.  On the Minkowski
+    substrate each sigma(ref_k, X) has the Hessian F'(sigma_M) eta off the
+    kinks of F, so c . H is the diagonal (c_0 (s_0 - s_1 - s_2) - 2 c_1 s_2) eta
+    for the slopes s_k, read at X - ref_k as ``sigma_gradient`` reads them.
+    A definite A keeps the roots within 2 s_min / min|eig A| of the
+    representative: it is isolated when that is within radius.  Otherwise the
+    roots form an (n - 2)-manifold: by the implicit function theorem at full
+    rank, a cone at rank 1 (Griewank, SIAM Review 27, 1985).  The reach of an
+    isolated root, sqrt(2 tol_abs / min|eig A|), bounds its tolerance tube.
+    """
+    J = rmap.jacobian(reps)
+    U, S, Vt = np.linalg.svd(J)
+    rank = (S > _RANK_CUTOFF * S[:, :1]).sum(axis=1)
+    K = Vt[:, 1:]
+    c = U[:, :, -1]
+    d = reps[None, :, :] - rmap.refs[:, None, :]
+    s = rmap.g.deformation.slope(0.5 * (d[..., 0] ** 2 - np.sum(d[..., 1:] ** 2, axis=-1)))
+    cH = (c[:, 0] * ((s[0] - s[1]) - s[2]) + c[:, 1] * (-2.0 * s[2]))[:, None] * eqv._ETA
+    eig = np.linalg.eigvalsh((K * cH[:, None, :]) @ K.transpose(0, 2, 1))
+    definite = (eig[:, 0] > 0.0) | (eig[:, -1] < 0.0)
+    eig_min = np.abs(eig).min(axis=1)
+    isolated = definite & (2.0 * S[:, -1] <= radius * eig_min)
+    reach = np.sqrt(2.0 * tol_abs / np.where(isolated, eig_min, np.inf))
+    return np.where(isolated, 0, rmap.n - 2), rank, reach
+
+
 def test_isolated_root_reach_keeps_a_distinct_root():
-    # the translation answer is an isolated tangent point of one slope cell; the
-    # root of another cell, 0.218 away (max norm), lies on a solution manifold
-    # far outside the isolated root's reach
+    # the translation answer is an isolated tangent point of one slope cell;
+    # another cell's piece is a 2-surface, its point far outside the isolated
+    # root's reach
     p0 = np.array([-0.8165807124878153, 0.14862374614827378, 0.4798234986473213, 0.029716628985286375])
     p1 = np.array([0.4196950711205416, 0.6205046280559159, 0.48847170140365115, 0.47754936645513846])
     q0 = np.array([-0.10638926858575526, -0.8764879816358493, 0.6690337363294017, 0.10649896836813677])
@@ -383,42 +422,19 @@ def test_isolated_root_reach_keeps_a_distinct_root():
     reps = np.array(sol.representatives)
     rmap = _ResidualMap(g, p0, p1, q0)
     tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
-    dims, _, reach = eqv._manifold_dims(rmap, reps, sol.diagnostics.dedupe_radius, tol_abs)
+    dims, _, reach = _manifold_dims(rmap, reps, _radius(p0, p1), tol_abs)
     assert sorted(dims.tolist()) == [0, 2]
     assert np.abs(reps[dims == 0] - (q0 + p1 - p0)).max() <= 1e-12
-    assert np.abs(np.subtract(*reps)).max() == pytest.approx(0.218, abs=1e-3)
     assert np.linalg.norm(np.subtract(*reps)) > 10.0 * reach.max()
-    assert np.abs(sol.residuals).max() <= 1e-15
-    assert sol.diagnostics.merged_count == 0
-
-
-def test_isolated_root_absorbs_its_tolerance_tube():
-    # a point 1e-6 from the near-cone timelike root still passes the residual
-    # test; the root's reach absorbs it into one isolated representative
-    p0, p1, q0 = np.zeros(4), np.array([1.001, 1.0, 0.0, 0.0]), np.zeros(4)
-    rmap = _ResidualMap(MINK, p0, p1, q0)
-    tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
-    tube_point = p1 + np.array([0.0, 0.0, 1e-6, 0.0])
-    assert np.abs(rmap(tube_point[None])).max() <= tol_abs
-    reps = np.array([p1, tube_point])
-    dims, _, reach = eqv._manifold_dims(rmap, reps, 1e-4, tol_abs)
-    assert dims[0] == 0 and reach[0] > 1e-6
-    # the one cover, each point reaching only as far as its tube
-    assert eqv._sorted_dedupe(reps, reach, np.abs(rmap(reps)).max(axis=1)).tolist() == [0]
-    # manifold representatives have no reach: the spacelike family keeps every point
-    rmap = _ResidualMap(MINK, p0, np.array([0.0, 1.0, 0.0, 0.0]), q0)
-    family = np.array([[a, 1.0, a, 0.0] for a in (0.0, 1e-6, 2e-6)])
-    dims, _, reach = eqv._manifold_dims(rmap, family, 1e-4, 1e-9)
-    assert dims.tolist() == [2, 2, 2] and not reach.any()
-    assert eqv._sorted_dedupe(family, reach, np.zeros(3)).tolist() == [0, 1, 2]
+    assert np.abs(sol.residuals).max() <= 1e-14  # rounding: the walk's points are exact
 
 
 def _manifold_dims_from_hessian_stacks(rmap, reps, radius, tol_abs):
     """The second-order test as it contracted (m, 2, n, n) residual Hessian
-    stacks with c = U[:, :, -1], kept as reference for ``_manifold_dims``."""
+    stacks with c = U[:, :, -1], kept as the reference of ``_manifold_dims``."""
     J = rmap.jacobian(reps)
     U, S, Vt = np.linalg.svd(J)
-    rank = (S > eqv._RANK_CUTOFF * S[:, :1]).sum(axis=1)
+    rank = (S > _RANK_CUTOFF * S[:, :1]).sum(axis=1)
     K = Vt[:, 1:]
     d = reps[None, :, :] - rmap.refs[:, None, :]
     sm = 0.5 * (d[..., 0] * d[..., 0] - np.sum(d[..., 1:] * d[..., 1:], axis=-1))
@@ -470,7 +486,7 @@ def test_manifold_dims_match_the_hessian_stack_contraction(g):
     for p0, p1, q0, X in cases:
         rmap = _ResidualMap(g, p0, p1, q0)
         for radius, tol_abs in ((1e-4, 1e-9), (1e-2, 1e-6)):
-            got = eqv._manifold_dims(rmap, X, radius, tol_abs)
+            got = _manifold_dims(rmap, X, radius, tol_abs)
             want = _manifold_dims_from_hessian_stacks(rmap, X, radius, tol_abs)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -486,8 +502,9 @@ def test_solve_euclidean_low_dims_single(dim):
         assert np.linalg.norm(sol.representatives[0] - (q0 + p1 - p0)) < 1e-6
 
 
-def test_solve_runs_newton_twice(monkeypatch):
-    # the main pass and the polish; classification re-solves nothing
+def _assert_one_newton_pass_on_passing_roots(monkeypatch, cases):
+    # one pass on the walk's points, which pass at once; the representatives
+    # and their residuals are rows of that pass
     calls = []
     newton = eqv._newton
 
@@ -496,37 +513,31 @@ def test_solve_runs_newton_twice(monkeypatch):
         return newton(*args)
 
     monkeypatch.setattr(eqv, "_newton", counted)
-    wf.solve_equivalent(MINK, ORIGIN4, (0, 1, 0, 0), ORIGIN4, SolverConfig(starts=16))
-    assert len(calls) == 2
+    for g, (p0, p1, q0) in cases:
+        calls.clear()
+        sol = wf.solve_equivalent(g, p0, p1, q0)
+        assert sol.diagnostics.cells_examined > 0 and sol.diagnostics.iterations == 0
+        assert len(calls) == 1
+        rmap, roots, tol_abs, _ = calls[0]
+        res = rmap(roots)
+        passed = np.abs(res).max(axis=1) <= tol_abs
+        assert passed.all()
+        rows = {x.tobytes(): r.tobytes() for x, r in zip(roots, res)}
+        assert len(sol.representatives) >= 1
+        for x, r in zip(sol.representatives, sol.residuals):
+            assert rows[x.tobytes()] == np.array(r).tobytes()
 
 
 def test_generic_solve_runs_newton_once(monkeypatch):
-    # the main pass only: a cell root is the closed-form point, so nothing is
-    # polished, and the representatives are cell roots that passed at once
-    calls = []
-    newton = eqv._newton
-
-    def counted(*args):
-        calls.append(args)
-        return newton(*args)
-
-    monkeypatch.setattr(eqv, "_newton", counted)
     rng = np.random.default_rng(8)
-    for g in _CELL_GEOMS:
-        for cls in (0, 1, 2):
-            p0, p1, q0 = _class_input(rng, cls)
-            calls.clear()
-            sol = wf.solve_equivalent(g, p0, p1, q0)
-            assert sol.diagnostics.cells_examined > 0 and sol.diagnostics.iterations == 0
-            assert len(calls) == 1
-            rmap, roots, tol_abs, _ = calls[0]
-            res = rmap(roots)
-            passed = np.abs(res).max(axis=1) <= tol_abs
-            assert passed.all()
-            rows = {x.tobytes(): r.tobytes() for x, r in zip(roots, res)}
-            assert len(sol.representatives) >= 1
-            for x, r in zip(sol.representatives, sol.residuals):
-                assert rows[x.tobytes()] == np.array(r).tobytes()
+    cases = [(g, _class_input(rng, cls)) for g in _CELL_GEOMS for cls in (0, 1, 2)]
+    _assert_one_newton_pass_on_passing_roots(monkeypatch, cases)
+
+
+def test_solve_with_q0_at_p0_runs_newton_once(monkeypatch):
+    # q0 on the line p0p1 (the README's q0 = p0) is walked like any other input
+    cases = [(g, (ORIGIN4, (0, 1, 0, 0), ORIGIN4)) for g in _CELL_GEOMS]
+    _assert_one_newton_pass_on_passing_roots(monkeypatch, cases)
 
 
 def test_solve_evaluates_each_residual_once(monkeypatch):
@@ -578,16 +589,17 @@ def test_solver_config_rejects_a_negative_iteration_count():
 
 
 def test_near_cone_discrete_solve_reports_stalled_starts():
-    # near the cone of the discrete geometry starts crawl and stall at the 1/16
-    # rung; q0 = p0 keeps the multistart's random starts
-    p0, p1, _ = _near_cone_input(np.random.default_rng(25))
-    sol = wf.solve_equivalent(Geometry.discrete(0.01), p0, p1, p0, SolverConfig(starts=64))
+    # seed 142 of the solve benchmark, a near-cone discrete input (<u, u> / |u|^2 =
+    # -2.9e-6): one cell's piece lies wholly ~1e4 from q0, where the residual of
+    # its point rounds above tol and Newton stalls on it
+    p0 = np.array([0.6542571592589956, 0.059778921214089786, 0.6214190897969623, 0.6372187023268399])
+    p1 = np.array([1.348249950173909, 0.35575520625062507, 1.0013729822862862, 1.1368804083023898])
+    q0 = np.array([-0.8602615890295631, -0.41444232765715383, -0.16589625102675432, -0.12167664450449833])
+    sol = wf.solve_equivalent(Geometry.discrete(0.01), p0, p1, q0)
     diags = sol.diagnostics
-    assert diags.stalled_count > 0
-    assert diags.converged_count + diags.stalled_count <= diags.starts_attempted
-    assert diags.iterations > 0
+    assert (diags.starts_attempted, diags.converged_count, diags.stalled_count) == (3, 2, 1)
+    assert diags.iterations > 0 and len(sol.representatives) == 2
     assert sol.to_dict()["diagnostics"]["stalled_count"] == diags.stalled_count
-    assert sol.to_dict()["diagnostics"]["merged_count"] == diags.merged_count
 
 
 # ---------------------------------------------------------------------------
@@ -604,24 +616,37 @@ _GRAINY_MISS = (
 
 
 @pytest.mark.parametrize("segment, definite, want", [
-    ((-math.inf, math.inf, 1.0, -4.0), True, 0.0),  # surface, its deepest point
-    ((-math.inf, math.inf, 1.0, 1e-12), True, 0.0),  # tangent point within tol_rho
-    ((1.0, 2.0, 1.0, -4.0), True, 1.5),  # surface off the extremum: the middle
-    ((1.0, 5.0, -1.0, 4.0), True, 3.5),  # rho < 0 beyond its root 2
-    ((-math.inf, math.inf, -1.0, 0.0), True, -1.0),  # rho = -s^2: not at the apex
-    ((3.0, 5.0, 1.0, -4.0), True, math.nan),  # rho > 0 on the whole segment: empty
-    ((2.0, 5.0, 1.0, -4.0), True, None),  # rho reaches 0 only at a breakpoint
-    ((1.0, math.inf, 2.0, 3.0), False, 2.0),  # indefinite: every point is on a hyperbola
-    ((1.0, 1.0, 2.0, 3.0), False, None),  # the line meets the box at a corner
+    # segment: (lo, hi, A, B, C, near, reach, kind wanted), rho(s) = A s^2 + B s + C
+    # on lo < s < hi; definite: a sphere, else every s carries points
+    ((-math.inf, math.inf, 1.0, 0.0, -4.0, 0.0, 1.0, 2), True, 0.0),  # surface, its deepest point
+    ((-math.inf, math.inf, 1.0, 0.0, 1e-12, 3.0, 1.0, 1), True, 0.0),  # tangent point within tol_rho
+    ((1.0, 2.0, 1.0, 0.0, -4.0, 1.5, 10.0, 2), True, 1.5),  # surface off the extremum: s = near
+    ((1.0, 5.0, -1.0, 0.0, 4.0, 3.5, 1.0, 2), True, 3.5),  # rho < 0 beyond its root 2
+    ((-math.inf, math.inf, -1.0, 0.0, 0.0, -1.0, 1.0, 2), True, -1.0),  # rho = -s^2: not at the apex
+    ((3.0, 5.0, 1.0, 0.0, -4.0, 4.0, 1.0, 0), True, math.nan),  # rho > 0 on the whole segment: empty
+    # rho reaches 0 only at the lower end, a breakpoint of F: the root is the
+    # boundary of the previous cell's surface, which reports it
+    ((2.0, 5.0, 1.0, 0.0, -4.0, 3.0, 1.0, 0), True, None),
+    ((1.0, math.inf, 2.0, 0.0, 3.0, 2.0, 1.0, 2), False, 2.0),  # indefinite: every point is on a hyperbola
+    ((1.0, 2.0, 1.0, 0.0, -4.0, 0.0, 10.0, 2), True, 1.25),  # near outside: a quarter of the segment in
+    ((1.0, 5.0, -1.0, 0.0, 4.0, 0.0, 1.0, 2), True, 2.25),  # beyond the root by a quarter of reach
+    ((-math.inf, math.inf, -1.0, 0.0, 0.0, 1e-6, 4.0, 2), True, 1.0),  # near the apex: the nearest part
+    ((0.0, 5.0, 1.0, 0.0, 0.0, 3.0, 1.0, 1), True, 0.0),  # tangent at the lower end
+    ((-5.0, 0.0, 1.0, 0.0, 0.0, 3.0, 1.0, 0), True, None),  # at the upper end: the next cell's
+    ((-math.inf, math.inf, 0.0, 0.0, 0.0, 3.0, 1.0, 3), True, 3.0),  # rho = 0 all along: a curve
+    ((0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 2), True, 0.0),  # one s: a sphere
+    ((0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0), True, 0.0),  # one s: rho > 0, empty
+    ((0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 2), False, 0.0),  # one s: a hyperboloid
 ])
 def test_cell_point_verdicts(segment, definite, want):
-    got = eqv._cell_point(*segment, definite, 1e-9)
-    if want is None:
-        assert got is None
-    elif math.isnan(want):
+    *piece, kind = segment
+    s, got_kind = eqv._piece_points(*np.array(piece)[:, None], not definite, np.array([False]), 1e-9)
+    got = float(s[0])
+    assert got_kind.tolist() == [kind]
+    if want is None or math.isnan(want):
         assert math.isnan(got)
     else:
-        assert got == want
+        assert got == pytest.approx(want, abs=1e-4)
 
 
 @pytest.mark.parametrize("starts", [1, 64, 1024])
@@ -641,28 +666,50 @@ def test_grainy_surface_is_found_whatever_the_start_count(starts):
 
 
 @pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
-def test_cell_starts_agree_with_the_multistart(g, monkeypatch):
-    # the oracle: the unchanged multistart at 1024 starts, run by taking the
-    # cell walk away
+def test_cell_starts_agree_with_the_multistart(g):
+    # the oracle: the multistart the walk replaced, at 1024 starts
     rng = np.random.default_rng(8)
-    inputs = [_class_input(rng, cls) for cls in (0, 1, 2, 0, 1, 2)]
-    cells = [wf.solve_equivalent(g, *pts) for pts in inputs]
-    monkeypatch.setattr(eqv, "_cell_starts", lambda *args: None)
-    for pts, sol in zip(inputs, cells):
+    for pts in [_class_input(rng, cls) for cls in (0, 1, 2, 0, 1, 2)]:
+        sol = wf.solve_equivalent(g, *pts)
         assert sol.diagnostics.cells_examined == len(eqv._cells(g.deformation)[1]) ** 2
-        box = wf.solve_equivalent(g, *pts, SolverConfig(starts=1024))
-        assert box.diagnostics.cells_examined == 0
-        assert (sol.variance, sol.manifold_dim_estimate) == (box.variance, box.manifold_dim_estimate)
+        assert (sol.variance, sol.manifold_dim_estimate) == _multistart_verdict(g, *pts, 1024)
+
+
+def _multistart_verdict(g, p0, p1, q0, starts, seed=0):
+    """(variance, dimension) as the multistart the cell walk replaced found them:
+    Newton from the translation guess and seeded starts in a box of half-width
+    5 around q0, a dedupe, 12 more steps at tolerance 0, the second-order test
+    and one cover of the isolated roots' reach."""
+    rmap = _ResidualMap(g, p0, p1, q0)
+    tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+    radius = _radius(p0, p1)
+    X0 = np.vstack([q0 + (p1 - p0), q0 + np.random.default_rng(seed).uniform(-5, 5, (starts - 1, 4))])
+    X, res, conv, *_ = eqv._newton(rmap, X0, tol_abs, 100)
+    if not conv.any():
+        return "zero", 0
+    X, res = X[conv], res[conv]
+    reps, res, *_ = eqv._newton(rmap, X[_greedy(X, np.full(len(X), radius), res)], 0.0, 12)
+    dims, _, reach = _manifold_dims(rmap, reps, radius, tol_abs)
+    kept = _greedy(reps, np.maximum(radius, reach), res)
+    return "single" if dims[kept].tolist() == [0] else "multi", int(dims[kept].max())
+
+
+def _greedy(points, reach, res):
+    """Indices of the points a greedy cover keeps: from the lowest residual up,
+    each kept point absorbs every point within its reach."""
+    kept = []
+    for i in np.lexsort(tuple(points.T[::-1]) + (np.abs(res).max(axis=1),)).tolist():
+        if not kept or (np.linalg.norm(points[kept] - points[i], axis=1) > reach[kept]).all():
+            kept.append(i)
+    return kept
 
 
 @pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
 def test_polishing_cell_roots_moves_no_verdict(g):
-    # the polish the multistart's rows get, run on the generic branch's
+    # the polish the multistart gave its rows, run on the walk's
     # representatives: it moves an isolated root by rounding only and flips
-    # no verdict of _manifold_dims.  A root on a manifold may slide along it:
-    # under the identity and the discrete F the near-cone fourth draw's cell
-    # root carries r_par = -3.4e-11, and the polish moves it by 5.8e-6 to
-    # another root of the same 2-surface
+    # no verdict of the second-order test; a root on a manifold may slide
+    # along it
     rng = np.random.default_rng(6)
     for cls in (0, 1, 2) * 2:
         p0, p1, q0 = _class_input(rng, cls)
@@ -671,70 +718,65 @@ def test_polishing_cell_roots_moves_no_verdict(g):
         reps = np.array(sol.representatives).reshape(-1, 4)
         rmap = _ResidualMap(g, p0, p1, q0)
         tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
-        radius = sol.diagnostics.dedupe_radius
+        radius = _radius(p0, p1)
         polished, res, *_ = eqv._newton(rmap, reps, 0.0, 12)
         assert (np.abs(res) <= tol_abs).all()
-        dims = eqv._manifold_dims(rmap, reps, radius, tol_abs)[0]
-        assert eqv._manifold_dims(rmap, polished, radius, tol_abs)[0].tolist() == dims.tolist()
+        dims = _manifold_dims(rmap, reps, radius, tol_abs)[0]
+        assert _manifold_dims(rmap, polished, radius, tol_abs)[0].tolist() == dims.tolist()
         move = np.abs(polished - reps).max(axis=1) / np.maximum(1.0, np.abs(reps).max(axis=1))
         assert (move[dims == 0] <= 1e-9).all()
 
 
-# seed 103, job 139 of the solve benchmark (table F): two of its eleven cell
-# roots lie 1.3e4 and 3.4e4 from q0, their residuals round above tol and Newton
-# stalls on both; it pulls in four nearer roots that start above tol
+# seed 103, job 139 of the solve benchmark (table F): W is nearly null (the
+# eta-square of a unit direction of its complement is 1.2e-4), so the
+# eta-projection onto W lies ~1e4 from q0; the walk starts each of its eleven
+# cells from near the Euclidean least-norm point instead
 _FAR_ROOTS = (
     np.array([0.5838061501050291, 0.5188971889187188, 0.6256168388273908, 0.4398661505435735]),
     np.array([0.6422316059700038, 1.7445054791030155, 1.1973155134013878, 0.11478337693536733]),
     np.array([-0.3708426841157513, 0.22225389790052086, 0.476349043007807, -0.4582411965749309]))
-# seed 246, job 445 (grainy): six cell roots, two of them 8.9e-5 apart, inside
-# the dedupe radius 1e-4, in neighbouring cells of the ramp
+# seed 246, job 445 (grainy): six cell pieces, two of them meeting within
+# 1e-4 of each other in neighbouring cells of the ramp
 _CLOSE_ROOTS = (
     np.array([-0.8739612118803086, -0.8409465244714163, 0.2947369627141976, -0.5256700829088232]),
     np.array([-0.7094954198059791, -0.6904381770349051, -0.3827259277648597, 0.10962489078016635]),
     np.array([0.4036253684312341, -0.6207692159417744, 0.030972776116416023, 0.6801439636027373]))
-# a near-cone spacelike Minkowski input: its one root that meets tol is the
-# translation, the apex of a 2-cone (rho = 0 at s = 0), where the Jacobian has
-# rank 1; the two other cells' roots stall
+# a near-cone spacelike Minkowski input whose translation is the apex of a
+# 2-cone (rho = 0 at the extremum of rho), where the Jacobian has rank 1
 _CONE_APEX = (
     np.array([-0.7794962424490839, -0.47510346125361824, -0.8273349515338939, 0.9716314646818183]),
     np.array([-0.22009526374321375, -0.11624988120313468, -1.2568081011298686, 0.9757263035727672]),
     np.array([-0.7561238513829629, 0.9621601125427315, 0.26833808567549133, 0.9154639179028854]))
 
 
-def test_generic_solve_reports_its_cell_walk(monkeypatch):
-    # one representative per non-empty cell that meets tol, classified by the
-    # walk: no dedupe, second-order test or cover runs
-    def refuse(*args):
-        raise AssertionError("a generic solve dedupes and classifies nothing")
-
-    monkeypatch.setattr(eqv, "_sorted_dedupe", refuse)
-    monkeypatch.setattr(eqv, "_manifold_dims", refuse)
+def test_generic_solve_reports_its_cell_walk():
+    # one representative per non-empty cell that meets tol, sorted
     rng = np.random.default_rng(3)
     for g in _CELL_GEOMS:
         for cls in (0, 1, 2):
             sol = wf.solve_equivalent(g, *_class_input(rng, cls))
             d = sol.diagnostics
-            assert d.cells_examined > 0 and d.merged_count == 0
+            assert d.cells_examined > 0
             assert len(sol.representatives) == d.converged_count
             reps = np.array(sol.representatives)
             assert np.lexsort(reps.T[::-1]).tolist() == list(range(len(reps)))
-    sol = wf.solve_equivalent(Geometry.deformed(DeformationFunction.from_table(_KINK_TABLE)),
-                              *_FAR_ROOTS)
+    p0, p1, q0 = _FAR_ROOTS
+    sol = wf.solve_equivalent(Geometry.deformed(DeformationFunction.from_table(_KINK_TABLE)), p0, p1, q0)
     d = sol.diagnostics
-    assert (d.starts_attempted, d.converged_count, d.iterations, d.stalled_count) == (11, 9, 4, 2)
-    assert len(sol.representatives) == 9
+    assert (d.starts_attempted, d.converged_count, d.iterations, d.stalled_count) == (11, 11, 0, 0)
+    assert np.abs(np.array(sol.representatives) - q0).max() < 10.0
     sol = wf.solve_equivalent(Geometry.grainy(0.01, 0.03), *_CLOSE_ROOTS)
     assert len(sol.representatives) == sol.diagnostics.cells_nonempty == 6
-    reps = np.array(sol.representatives)
-    gaps = np.linalg.norm(reps[:, None] - reps[None], axis=2)[np.triu_indices(6, 1)]
-    assert gaps.min() < sol.diagnostics.dedupe_radius
+    # the point of a surface is a smooth one, not the apex of its cone
     sol = wf.solve_equivalent(MINK, *_CONE_APEX)
     d = sol.diagnostics
-    assert (d.starts_attempted, d.converged_count, d.stalled_count) == (3, 1, 2)
-    assert (sol.variance, sol.manifold_dim_estimate, d.jacobian_rank) == ("multi", 2, 1)
+    assert (d.starts_attempted, d.converged_count, d.stalled_count) == (3, 3, 0)
+    assert (sol.variance, sol.manifold_dim_estimate, d.jacobian_rank) == ("multi", 2, 2)
     p0, p1, q0 = _CONE_APEX
-    assert np.abs(sol.representatives[0] - (q0 + p1 - p0)).max() <= 1e-12
+    assert all(np.abs(x - (q0 + p1 - p0)).max() > 0.1 for x in sol.representatives)
+    rmap = _ResidualMap(MINK, p0, p1, q0)
+    S = np.linalg.svd(rmap.jacobian(np.array(sol.representatives)), compute_uv=False)
+    assert (S[:, 1] > _RANK_CUTOFF * S[:, 0]).all()
 
 
 def test_cell_walk_reports_a_surface_inside_the_dedupe_radius():
@@ -752,8 +794,7 @@ def test_cell_walk_reports_a_surface_inside_the_dedupe_radius():
     assert len(sol.representatives) == sol.diagnostics.cells_nonempty == 1
     rmap = _ResidualMap(g, p0, p1, q0)
     tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
-    dims = eqv._manifold_dims(rmap, np.array(sol.representatives), sol.diagnostics.dedupe_radius,
-                              tol_abs)[0]
+    dims = _manifold_dims(rmap, np.array(sol.representatives), _radius(p0, p1), tol_abs)[0]
     assert dims.tolist() == [0]
 
 
@@ -788,10 +829,9 @@ def test_solve_requires_distinct_points():
 
 
 def test_solver_config_from_combined_dict():
-    d = {"starts": 256, "max_iter": 100, "tol": 1e-9, "dedupe_radius": 1e-4,
-         "box_half_width": 5.0, "stations": 64, "directions": 16, "seed": 0}
+    d = {"starts": 256, "max_iter": 100, "tol": 1e-9, "stations": 64, "directions": 16, "seed": 0}
     cfg = SolverConfig.from_dict(d)
-    assert cfg.starts == 256 and cfg.box_half_width == 5.0
+    assert cfg.starts == 256 and cfg.max_iter == 100
     tcfg = TubeSamplerConfig.from_dict(d)
     assert tcfg.stations == 64 and tcfg.directions == 16
 
@@ -825,9 +865,8 @@ def test_config_from_dict_rejects_non_integral_counts(cls, field, value):
         cls.from_dict({field: value})
 
 
-@pytest.mark.parametrize("cls,field", [(SolverConfig, "tol"), (SolverConfig, "dedupe_radius"),
-                                       (SolverConfig, "box_half_width"),
-                                       (TubeSamplerConfig, "tol"), (TubeSamplerConfig, "max_radius")])
+@pytest.mark.parametrize("cls,field", [(SolverConfig, "tol"), (TubeSamplerConfig, "tol"),
+                                       (TubeSamplerConfig, "max_radius")])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_floats(cls, field, value):
     with pytest.raises(wf.InvalidInputError, match=field):
@@ -854,7 +893,7 @@ def test_tube_max_radius_may_be_none_or_zero():
 
 
 # ---------------------------------------------------------------------------
-# solver internals: Jacobian, pseudo-inverse, dedupe
+# solver internals: Jacobian, pseudo-inverse
 # ---------------------------------------------------------------------------
 
 def test_residual_jacobian_matches_central_differences():
@@ -1047,72 +1086,6 @@ def test_pinv_falls_back_to_svd_on_rank_one_rows(monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], J[rank_one])
     assert np.array_equal(P[rank_one], want[rank_one])
     np.testing.assert_allclose(P, want, rtol=1e-10, atol=1e-12)
-
-
-def _reference_dedupe(points, radius, quality):
-    """The per-pair greedy loop that _sorted_dedupe replaced, kept as the reference."""
-    order = np.lexsort(tuple(points.T[::-1]) + (np.asarray(quality),))
-    accepted = []
-    for idx in order:
-        p = points[idx]
-        if all(np.linalg.norm(p - a) > radius for a in accepted):
-            accepted.append(p)
-    accepted.sort(key=lambda p: tuple(p))
-    return accepted
-
-
-def _dedupe_clouds():
-    rng = np.random.default_rng(16)
-    base = rng.uniform(-1, 1, (12, 4))
-    dup = np.concatenate([base, base[::2], base[:3], base[:1]])
-    yield dup, 1e-4, rng.integers(0, 3, len(dup)).astype(float)
-    yield dup, 1e-4, np.zeros(len(dup))
-    # spacings of exactly the radius (dyadic, so every distance is exact):
-    # a point at the radius merges, one at twice the radius survives
-    line = np.array([[0.25 * k, 0.0, 0.0] for k in range(7)])
-    yield line, 0.25, np.zeros(7)
-    yield line[::-1].copy(), 0.25, np.zeros(7)
-    yield line, 0.25, np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-    diag = np.array([[0.0, 0.0], [0.375, 0.5], [0.75, 1.0], [0.375, 0.0], [0.0, 0.5]])
-    yield diag, 0.625, np.array([0.5, 0.5, 0.25, 0.5, 0.25])
-    yield diag, 0.5, np.full(5, 0.5)
-    for k in range(40):
-        centers = rng.uniform(-2, 2, (rng.integers(1, 6), 3 + k % 2))
-        pick = centers[rng.integers(0, len(centers), 30)]
-        pts = pick + rng.normal(scale=0.02, size=pick.shape) * rng.integers(0, 2, (30, 1))
-        yield pts, 0.03, rng.integers(0, 4, 30) * 1e-10
-    # the radius is a pairwise distance itself: its pair must still merge,
-    # which needs each distance rounded exactly as the loop rounds it
-    for k in range(1000):
-        pts = rng.uniform(-1, 1, (rng.integers(2, 30), 3 + k % 2)) * 10.0 ** rng.uniform(-6, 1)
-        i, j = rng.choice(len(pts), 2, replace=False)
-        yield pts, np.linalg.norm(pts[i] - pts[j]), rng.integers(0, 3, len(pts)).astype(float)
-
-
-def test_sorted_dedupe_matches_reference_loop_bitwise():
-    for points, radius, quality in _dedupe_clouds():
-        got = points[_sorted_dedupe(points, radius, quality)]
-        want = _reference_dedupe(points, radius, quality)
-        assert len(got) == len(want)
-        for x, y in zip(got, want):
-            assert x.tobytes() == y.tobytes()
-
-
-def test_sorted_dedupe_memory_is_linear_in_the_rows():
-    # one (m, m, n) difference array and its (m, m) distances peaked at
-    # 192 MB for m = 2000; blocks of the greedy order bound the peak whatever
-    # the row count
-    rng = np.random.default_rng(30)
-    points = rng.uniform(-1.0, 1.0, (2000, 4))
-    _sorted_dedupe(points[:8], 1e-4, np.zeros(8))  # first-call allocations
-    tracemalloc.start()
-    try:
-        kept = _sorted_dedupe(points, 1e-4, np.zeros(len(points)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(kept) == len(points)
-    assert peak < 24e6
 
 
 # ---------------------------------------------------------------------------
@@ -1380,22 +1353,26 @@ def test_witness_is_exact_on_every_increasing_deformation(g, seed):
     assert not all(np.array_equal(x.end, y.end) for x, y in zip((a, b, c), other))
 
 
-# solve_equivalent on every increasing deformation: the cell walk reads no
-# random box, and an input it leaves keeps the multistart
+# solve_equivalent on every increasing deformation: the walk reads no random
+# box, and its verdicts match the multistart's second-order test
 
 _POINT4 = st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=4, max_size=4).map(np.array)
 
 
 @settings(max_examples=60, deadline=None)
 @given(g=_SUBSTRATES, p0=_POINT4, p1=_POINT4, q0=_POINT4, starts=st.integers(1, 64),
-       seed=st.integers(0, 2 ** 32 - 1), width=st.floats(0.0, 100.0))
-def test_generic_solve_reads_no_random_box(g, p0, p1, q0, starts, seed, width):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generic_solve_reads_no_random_box(g, p0, p1, q0, starts, seed):
     assume(not np.array_equal(p0, p1))
+    if (p1 - p0) @ (p1 - p0) < np.finfo(float).tiny:  # test_solve_refuses_a_p0p1_whose_square_underflows
+        with pytest.raises(wf.SolverFailureError, match="underflows"):
+            wf.solve_equivalent(g, p0, p1, q0)
+        return
     sol = wf.solve_equivalent(g, p0, p1, q0)
-    assume(sol.diagnostics.cells_examined > 0)
-    other = wf.solve_equivalent(g, p0, p1, q0, SolverConfig(starts=starts, seed=seed, box_half_width=width))
+    other = wf.solve_equivalent(g, p0, p1, q0, SolverConfig(starts=starts, seed=seed))
     assert json.dumps(other.to_dict()) == json.dumps(sol.to_dict())
-    # the generic branch's Newton rows are its cell roots alone
+    # Newton's rows are the walk's points alone
+    assert sol.diagnostics.cells_examined > 0
     assert sol.diagnostics.starts_attempted == sol.diagnostics.cells_nonempty
 
 
@@ -1415,59 +1392,137 @@ def test_cell_verdicts_match_the_second_order_test(g, pts):
     p0, p1, q0 = pts
     assume(not np.array_equal(p0, p1))
     sol = wf.solve_equivalent(g, p0, p1, q0)
-    assume(sol.diagnostics.cells_examined > 0 and sol.representatives)
+    assume(sol.representatives)
     rmap = _ResidualMap(g, p0, p1, q0)
     tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
-    dims = eqv._manifold_dims(rmap, np.array(sol.representatives), sol.diagnostics.dedupe_radius,
-                              tol_abs)[0]
+    dims = _manifold_dims(rmap, np.array(sol.representatives), _radius(p0, p1), tol_abs)[0]
     assert sol.manifold_dim_estimate == dims.max()
     assert sol.variance == ("single" if dims.tolist() == [0] else "multi")
 
 
-def _multistart_reference(g, p0, p1, q0, cfg):
-    """``solve_equivalent``'s ``to_dict()`` as the multistart computed it before
-    the cell walk: the translation guess, then seeded starts in a box around q0.
-    None where it raises.  Kept as reference for the inputs the walk leaves."""
-    u = p1 - p0
-    rmap = _ResidualMap(g, p0, p1, q0)
-    tol_abs = cfg.tol * max(1.0, abs(rmap.two_a))
-    radius = cfg.dedupe_radius * max(1.0, float(np.linalg.norm(u)))
-    box = np.random.default_rng(cfg.seed).uniform(-cfg.box_half_width, cfg.box_half_width,
-                                                  size=(cfg.starts - 1, g.dim))
-    X, res, conv, stalled, doubled, iterations = eqv._newton(rmap, np.vstack([q0 + u, q0 + box]),
-                                                             tol_abs, cfg.max_iter)
-    diags = dict(starts_attempted=cfg.starts, converged_count=int(conv.sum()), dedupe_radius=radius,
-                 jacobian_rank=0, iterations=iterations, stalled_count=int(stalled.sum()),
-                 doubled_steps=doubled, merged_count=0, cells_examined=0, cells_nonempty=0)
-    if not conv.any():
-        return None if g.kind == "minkowski" else {
-            "variance": "zero", "manifold_dim_estimate": 0, "representatives": [], "residuals": [],
-            "diagnostics": diags}
-    X, res = X[conv], res[conv]
-    idx = _sorted_dedupe(X, radius, np.abs(res).max(axis=1))
-    reps, res, *_ = eqv._newton(rmap, X[idx], 0.0, 12)
-    dims, ranks, reach = eqv._manifold_dims(rmap, reps, radius, tol_abs)
-    kept = _sorted_dedupe(reps, np.maximum(radius, reach), np.abs(res).max(axis=1))
-    reps, res, dims, ranks = reps[kept], res[kept], dims[kept], ranks[kept]
-    diags.update(jacobian_rank=int(ranks[np.argmax(dims)]), merged_count=len(idx) - len(kept))
-    return {"variance": "single" if len(reps) == 1 and dims[0] == 0 else "multi",
-            "manifold_dim_estimate": int(dims.max()), "representatives": reps.tolist(),
-            "residuals": res.tolist(), "diagnostics": diags}
+_DYADIC4 = st.lists(st.integers(-16, 16).map(lambda k: k / 8.0), min_size=4, max_size=4).map(np.array)
+_FRACS = st.sampled_from([0.0, 1.0, 0.5, -1.5, 2.0])
+_SIGN = st.sampled_from([-1.0, 1.0])
 
 
-@settings(max_examples=30, deadline=None)
-@given(g=_SUBSTRATES, p0=_POINT4, p1=_POINT4, frac=st.sampled_from([0.0, 1.0, 0.5, -1.5, 2.0]),
-       starts=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
-def test_solve_with_q0_on_the_line_p0p1_is_the_multistart(g, p0, p1, frac, starts, seed):
+@st.composite
+def _degenerate_inputs(draw):
+    """(p0, p1, q0) on the dyadic grid with q0 = p0 + frac (p1 - p0) on the line
+    p0p1, a null P0P1 (a, a, 0, 0) under a signed permutation of the spatial
+    axes (on the line too, or not), or a null W (<w0, u> = 0)."""
+    p0 = draw(_DYADIC4)
+    case = draw(st.sampled_from(["line", "null u", "null u, line", "null W"]))
+    if case == "line":
+        u = draw(_DYADIC4)
+        return p0, p0 + u, p0 + draw(_FRACS) * u
+    a = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0]))
+    u = np.zeros(4)
+    u[0], u[draw(st.integers(1, 3))] = a * draw(_SIGN), a * draw(_SIGN)
+    w0 = draw(_FRACS) * u if case == "null u, line" else draw(_DYADIC4)
+    if case == "null W":
+        w0[0] -= eqv._mdot(w0, u) / u[0]
+    return p0, p0 + u, p0 + w0
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_SUBSTRATES, pts=_degenerate_inputs())
+def test_every_representative_of_a_degenerate_input_meets_tol(g, pts):
+    # q0 on the line p0p1, a null P0P1 or a null W are walked like any other
+    # input: every representative passes the pairwise test at tol, with the
+    # reported residual rows bit for bit
+    p0, p1, q0 = pts
     assume(not np.array_equal(p0, p1))
-    q0 = p0 + frac * (p1 - p0)
-    cfg = SolverConfig(starts=starts, seed=seed)
-    want = _multistart_reference(g, p0, p1, q0, cfg)
-    if want is None:
-        with pytest.raises(wf.SolverFailureError):
-            wf.solve_equivalent(g, p0, p1, q0, cfg)
-        return
-    assert json.dumps(wf.solve_equivalent(g, p0, p1, q0, cfg).to_dict()) == json.dumps(want)
+    sol = wf.solve_equivalent(g, p0, p1, q0)
+    d = sol.diagnostics
+    assert d.cells_examined > 0 and d.starts_attempted == d.cells_nonempty
+    assert 0 <= sol.manifold_dim_estimate <= 3
+    assert len(sol.representatives) == len(sol.residuals) == d.converged_count
+    for x, r in zip(sol.representatives, sol.residuals):
+        rep = wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x))
+        assert rep.equivalent
+        assert np.array([rep.residual_parallel, rep.residual_length]).tobytes() == np.array(r).tobytes()
+
+
+@pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
+def test_null_p0p1_at_q0_on_its_line_is_a_line(g):
+    # at q0 = p0, sigma_M(p1, X) = 0 and <Y, Y> = <u, u> = 0 with u null: Y is a
+    # multiple of u.  Under the discrete F the line sits on the jump, and its
+    # point is q0 itself, where sigma_M(p1, X) = 0 in floats
+    sol = wf.solve_equivalent(g, ORIGIN4, (1, 1, 0, 0), ORIGIN4)
+    assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 1)
+    [x] = sol.representatives
+    assert x[0] == x[1] and x[2] == x[3] == 0.0
+    assert (x[0] == 0.0) == (g.kind == "discrete")
+    assert sol.diagnostics.jacobian_rank == 1
+
+
+@pytest.mark.parametrize("p1, q0", [((0.0, 0.0, 0.0, 4e-185), ORIGIN4), ((1e-200, 0, 0, 0), (1, 2, 3, 4)),
+                                    ((1.0, 0.0, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0))])
+def test_solve_refuses_a_p0p1_whose_square_underflows(p1, q0):
+    # a subnormal |p1 - p0|^2 or an overflowing |q0 - p_k|^2 leaves the walk no scale
+    # for its points: a numerical failure, not a ZeroDivisionError or a NaN point
+    with np.errstate(over="ignore"), pytest.raises(wf.SolverFailureError, match="underflows or a squared"):
+        wf.solve_equivalent(MINK, ORIGIN4, p1, q0)
+
+
+def test_null_p0p1_off_its_line_is_a_line():
+    # under the identity F, <Y, Y> = 0 and <Y, u> = <u, u> = 0 for null u: the
+    # line q0 + t u again, now cut by F's breakpoint 0 into three cells' pieces
+    p1, q0 = np.array([-0.125, -0.125, 0.0, 0.0]), np.array([0.0, 0.5, 0.0, 0.0])
+    sol = wf.solve_equivalent(MINK, ORIGIN4, p1, q0)
+    assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 1)
+    assert len(sol.representatives) == sol.diagnostics.cells_nonempty == 3
+    for x in sol.representatives:
+        assert abs((x - q0)[0] - (x - q0)[1]) <= 1e-15 and x[2] == x[3] == 0.0
+
+
+def test_a_cell_parallel_to_the_line_holds_a_3_dimensional_piece():
+    # q0 = p0 - u: sigma_M(p0, X) = -1 - tau and sigma_M(p1, X) = -2.5 - 2 tau, and
+    # where F has slope 2 and 1 on them (-1 < sigma_M(p0, X) < -0.75) the
+    # parallelism equation reads 1 = K for every tau: over -0.25 < tau < 0 each
+    # tau carries a 2-dimensional hyperboloid of u's complement
+    g = Geometry.deformed(DeformationFunction.from_table(
+        [[-3, -3.5], [-2.5, -3], [-2, -2.5], [-1, -2], [-0.75, -1.5], [-0.5, -0.5], [0, 0], [1, 1]]))
+    p0, p1, q0 = np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, -1.0, 0.0, 0.0])
+    sol = wf.solve_equivalent(g, p0, p1, q0)
+    assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 3)
+    assert sol.diagnostics.jacobian_rank == 1
+    rng = np.random.default_rng(27)
+    for tau, y2, y3 in zip(rng.uniform(-0.25, 0.0, 50), *rng.uniform(1.0, 2.0, (2, 50))):
+        y0 = math.sqrt(tau * tau - 1.0 + y2 * y2 + y3 * y3)  # <Y', Y'> = <u, u> - tau^2 / <u, u>
+        x = GeomVector(q0, q0 - tau * p1 + np.array([y0, 0.0, y2, -y3]))
+        assert wf.is_equivalent(g, GeomVector(p0, p1), x).equivalent
+
+
+def test_q0_near_the_line_p0p1_is_walked_in_its_plane():
+    # q0 1e-9 off the line: the plane's map is ill-conditioned, but its
+    # Euclidean least-norm point comes from the SVD, never from a Gram matrix
+    # that squares the condition number (1e18 rounds it singular)
+    for g in _CELL_GEOMS:
+        p0, p1, q0 = ORIGIN4, (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1e-9, 1.0)
+        sol = wf.solve_equivalent(g, p0, p1, q0)
+        assert sol.diagnostics.cells_examined == len(eqv._cells(g.deformation)[1]) ** 2
+        assert sol.representatives
+        for x in sol.representatives:
+            assert wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x)).equivalent
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=_SUBSTRATES, pts=_GENERIC_INPUTS)
+@example(g=MINK, pts=_CONE_APEX)
+def test_the_point_of_a_surface_is_a_smooth_one(g, pts):
+    # never the apex of a cone: the Jacobian has rank 2 at the point of every
+    # 2-dimensional piece.  An apex reads s2 / s1 <= 4e-16, rounding; a
+    # surface's point ~1e4 from q0 reads ~1e-8, both rows tending to eta X
+    p0, p1, q0 = pts
+    assume(not np.array_equal(p0, p1))
+    rmap = _ResidualMap(g, p0, p1, q0)
+    X, dims, ranks, _ = eqv._cell_starts(g, p0, p1, q0, rmap, 1e-9 * max(1.0, abs(rmap.two_a)))
+    assert (ranks[dims != 2] == 1).all()
+    # the one exception: the discrete F's jump, whose piece is represented by its apex
+    assert (ranks[dims == 2] == 2).all() or g.kind == "discrete"
+    S = np.linalg.svd(rmap.jacobian(X[ranks == 2]), compute_uv=False).reshape(-1, 2)
+    assert (S[:, 1] > 1e-12 * S[:, 0]).all()
 
 
 @pytest.mark.parametrize("arg", ["budget", "seed"])
@@ -1597,11 +1652,9 @@ def test_tube_config_rejects_counts_the_sampler_cannot_use(field, value):
 
 
 @pytest.mark.parametrize("cls,field,value", [
-    (SolverConfig, "dedupe_radius", -1.0), (SolverConfig, "box_half_width", -1.0),
     (SolverConfig, "seed", -1), (TubeSamplerConfig, "seed", -1)])
 def test_config_rejects_negative_widths_and_seeds(cls, field, value):
-    # a negative dedupe radius merged nothing and made every root a manifold;
-    # a negative box or seed ended in a numpy traceback
+    # a negative seed ended in a numpy traceback
     with pytest.raises(wf.InvalidInputError, match=f"{field} must be >= 0"):
         cls(**{field: value})
     with pytest.raises(wf.InvalidInputError, match=f"{field} must be >= 0"):
@@ -1800,8 +1853,7 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _INTS = st.integers(0, 2**63)
 # strategies of the valid values of each config field
 _CONFIG_FIELDS = {
-    SolverConfig: dict(starts=st.integers(1, 2**63), max_iter=_INTS, tol=_NONNEGATIVE,
-                       dedupe_radius=_NONNEGATIVE, box_half_width=_NONNEGATIVE, seed=_INTS),
+    SolverConfig: dict(starts=st.integers(1, 2**63), max_iter=_INTS, tol=_NONNEGATIVE, seed=_INTS),
     TubeSamplerConfig: dict(stations=_INTS, directions=_INTS, tol=_NONNEGATIVE, seed=_INTS,
                             max_radius=st.none() | _NONNEGATIVE),
     wf.UnitConstants: dict(hbar=_POSITIVE, c=_POSITIVE, b=_POSITIVE),
