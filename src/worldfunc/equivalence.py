@@ -14,9 +14,11 @@ Outside the Euclidean geometry the relation is generally intransitive:
 solving the two equations for the end point Q1 of a vector at Q0 equivalent
 to a given one may yield no solution, exactly one, or a whole manifold.
 In the Euclidean geometry the solution is exactly the translation Q0 + (P1 -
-P0), and ``solve_equivalent`` returns it in closed form.  On the Minkowski
-substrate F is piecewise linear, so in each slope cell of F the equations are
-a quadric cut by a hyperplane: the solve walks every cell (``_cell_starts``)
+P0), and ``solve_equivalent`` returns it in closed form, checked by a
+residual row from one stacked sigma call over its six point pairs, bit for
+bit ``is_equivalent``'s.  On the Minkowski substrate F is piecewise linear,
+so in each slope cell of F the equations are a quadric cut by a
+hyperplane: the solve walks every cell (``_cell_starts``)
 and takes one exact point per non-empty piece of the set with the piece's
 dimension, 0 to 3, then one damped Newton pass refines the points that miss
 ``tol``; ``find_intransitivity_witness`` builds broken-transitivity
@@ -49,7 +51,7 @@ from .geometry import (
     _integral,
     _mdot,
     _scalar_product_arrays,
-    as_point,
+    as_points,
     scalar_product,
     sigma,
     sigma_gradient,
@@ -236,10 +238,7 @@ class _ResidualMap:
         """X of shape (m, n) -> residual rows (m, 2)."""
         s = sigma(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m)
         res = np.empty((X.shape[0], 2))
-        two_b = 2.0 * s[2]
-        # (a.b) associated as in _scalar_product_arrays
-        res[:, 0] = (((s[0] + self.s_p1q0) - self.s_p0q0) - s[1]) - 0.5 * (self.two_a + two_b)
-        res[:, 1] = self.two_a - two_b
+        res[:, 0], res[:, 1] = _residual_row(self.two_a, self.s_p1q0, self.s_p0q0, *s)
         return res
 
     def jacobian(self, X):
@@ -255,6 +254,16 @@ class _ResidualMap:
         J[:, 0] -= G[2]
         np.multiply(-2.0, G[2], out=J[:, 1])
         return J
+
+
+def _residual_row(two_a, s_p1q0, s_p0q0, s_p0x, s_p1x, s_q0x):
+    """(r_par, r_len) of P0P1 against Q0X from its sigma terms, floats or arrays.
+
+    (a.b) is associated as in ``_scalar_product_arrays``, so the row is
+    ``_equivalence_residuals``'s bit for bit.
+    """
+    two_b = 2.0 * s_q0x
+    return (((s_p0x + s_p1q0) - s_p0q0) - s_p1x) - 0.5 * (two_a + two_b), two_a - two_b
 
 
 def _pinv_rows(J):
@@ -595,6 +604,12 @@ def _quadratic_roots(A, B, C):
     return [q / A, C / q] if q else [0.0]
 
 
+# rows of (p0, p1, q0, X) paired in a Euclidean solve's one sigma call:
+# sigma(p0, p1), (p1, q0), (p0, q0), then (p0, X), (p1, X), (q0, X) as in _ResidualMap
+_TRANSLATION_PAIRS = np.array([[0, 1, 0, 0, 1, 2], [1, 2, 2, 3, 3, 3]])
+_TRANSLATION_DIAGNOSTICS = SolverDiagnostics(0, 0, 1, 0, 0, 0, 0, 0)
+
+
 def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -> SolutionSet:
     """Find end points Q1 such that the vector Q0Q1 is equivalent to P0P1.
 
@@ -602,8 +617,11 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     equation is |Y|^2 = |u|^2 and the parallelism equation <Y, u> = |u|^2,
     so Cauchy-Schwarz equality forces Y = u: the result is the translation
     Q0 + u, ``single``, found without Newton.  It is still checked by the
-    pairwise test's residuals, and a translation that fails them at ``tol``
-    in float arithmetic raises ``SolverFailureError``.
+    pairwise test: its residual row comes from one stacked sigma call over
+    the six pairs of p0, p1, q0 and Q0 + u, bit for bit ``is_equivalent``'s,
+    and a translation that fails it at ``tol`` in float arithmetic raises
+    ``SolverFailureError``.  The points are checked as one stacked array
+    (``as_points``); a malformed one raises ``as_point``'s error.
 
     On the Minkowski substrate ``_cell_starts`` walks the slope cells of F
     and gives one point per non-empty piece of the solution set with the
@@ -618,23 +636,28 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     * ``multi``  -- several representatives or a piece of dimension 1 to 3.
     """
     cfg = SolverConfig._given(cfg)
-    p0 = as_point(p0, dim=g.dim)
-    p1 = as_point(p1, dim=g.dim)
-    q0 = as_point(q0, dim=g.dim)
-    if np.array_equal(p0, p1):
+    points = as_points(g.dim, p0, p1, q0)
+    p0, p1, q0 = points
+    u = p1 - p0
+    if not np.count_nonzero(u):  # a - b == 0 exactly where a == b, -0.0 == 0.0 included
         raise InvalidInputError("p0 and p1 must differ")
 
-    rmap = _ResidualMap(g, p0, p1, q0)
-    tol_abs = cfg.tol * max(1.0, abs(rmap.two_a))
     if not g.has_minkowski_substrate:
-        X = q0 + (p1 - p0)
-        [(r_par, r_len)] = rmap(X[None]).tolist()
+        P = points.take([0, 1, 2, 2], axis=0)
+        P[3] += u  # rows p0, p1, q0, X = q0 + u
+        X = P[3]
+        s_p0p1, *terms = sigma(g, *P.take(_TRANSLATION_PAIRS, axis=0)).tolist()
+        two_a = 2.0 * s_p0p1
+        r_par, r_len = _residual_row(two_a, *terms)
+        tol_abs = cfg.tol * max(1.0, abs(two_a))
         if not (abs(r_par) <= tol_abs and abs(r_len) <= tol_abs):
             raise SolverFailureError(
                 "the translation q0 + (p1 - p0), this geometry's one solution, fails the "
                 "equivalence test at tol in float arithmetic")
-        return SolutionSet([X], "single", 0, [(r_par, r_len)], SolverDiagnostics(0, 0, 1, 0, 0, 0, 0, 0))
+        return SolutionSet([X], "single", 0, [(r_par, r_len)], _TRANSLATION_DIAGNOSTICS)
 
+    rmap = _ResidualMap(g, p0, p1, q0)
+    tol_abs = cfg.tol * max(1.0, abs(rmap.two_a))
     starts, dims, ranks, examined = _cell_starts(g, p0, p1, q0, rmap, tol_abs)
     X, res, conv, stalled, doubled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
     counts = (iterations, int(stalled.sum()), doubled, examined, len(starts))
@@ -801,9 +824,7 @@ def segment_membership(g: Geometry, p0, p1, r, tol: float = 1e-9) -> SegmentRepo
     p0 = (0,0,0,0), p1 = (2,0,0,0), and translated by (0.1,0,0,0) all three are in.
     """
     _finite("tol", tol, 0.0)
-    p0 = as_point(p0, dim=g.dim)
-    p1 = as_point(p1, dim=g.dim)
-    r = as_point(r, dim=g.dim)
+    p0, p1, r = as_points(g.dim, p0, p1, r)
     s_ab = sigma(g, p0, p1)
     defect = triangle_defect(g, p0, p1, r)
     if s_ab <= 0 or math.isnan(defect):
@@ -863,8 +884,8 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
     cfg = TubeSamplerConfig._given(cfg)
     if g.dim < 2:
         raise InvalidInputError("tube sampling needs dim >= 2: a 1-d chart has no transverse direction")
-    p0 = as_point(p0, dim=g.dim)
-    p1 = as_point(p1, dim=g.dim)
+    ends = as_points(g.dim, p0, p1)
+    p0, p1 = ends
     s_ab = sigma(g, p0, p1)
     if s_ab <= 0:
         raise InvalidInputError("tube sampling requires sigma(p0, p1) > 0")
@@ -886,7 +907,7 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
 
     # sigma_M(p0, R) and sigma_M(R, p1) are c0 + c1 r + c2 r^2 on axes (side, station, direction, r)
     metric = _ETA if g.has_minkowski_substrate else np.ones(g.dim)
-    w = bases - np.stack([p0, p1])[:, None, :]
+    w = bases - ends[:, None, :]
     c0 = 0.5 * np.sum(w * w * metric, axis=-1)[..., None, None]
     c1 = ((w * metric) @ dirs.T)[..., None]
     c2 = 0.5 * np.sum(dirs * dirs * metric, axis=-1)[:, None]

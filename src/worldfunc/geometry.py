@@ -70,6 +70,24 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_points(dim: int, *points) -> np.ndarray:
+    """The points as rows of one new (k, dim) float array, checked like ``as_point``.
+
+    One stacked conversion and one finiteness check; where either fails,
+    ``as_point`` runs on each point in order and raises its error for the
+    first malformed one.  The check is that the Python sum of the
+    coordinates is finite: an inf or NaN never sums to a finite value, and a
+    sum that overflows on finite points only sends them through ``as_point``.
+    """
+    try:
+        arr = np.array(points, dtype=float)
+        if arr.shape == (len(points), dim) and math.isfinite(sum(arr.ravel().tolist())):
+            return arr
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return np.array([as_point(p, dim=dim) for p in points])
+
+
 @dataclass(frozen=True, eq=False)
 class GeomVector:
     """A vector is an ordered pair of points (origin, end)."""

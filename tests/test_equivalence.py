@@ -325,6 +325,37 @@ def _no_newton(*args):
     raise AssertionError("a Euclidean solve ran Newton")
 
 
+@pytest.mark.parametrize("dim", [8, 9, 16, 40])
+def test_euclidean_solve_is_the_translation_past_the_unrolled_reduction(dim):
+    # numpy's add.reduce unrolls by 8: the stacked sigma call's rows still
+    # round as is_equivalent's scalar calls do
+    g = Geometry.euclidean(dim)
+    rng = np.random.default_rng(dim)
+    for _ in range(50):
+        p0, p1, q0 = rng.uniform(-3, 3, (3, dim))
+        assert _assert_closed_form(g, p0, p1, q0)
+    for _ in range(50):  # far origins, short P0P1: some refused, as the pairwise test says
+        p0, q0 = rng.uniform(-1e3, 1e3, (2, dim))
+        _assert_closed_form(g, p0, p0 + rng.uniform(-0.1, 0.1, dim), q0)
+
+
+def test_euclidean_solve_makes_one_sigma_call_and_no_residual_map(monkeypatch):
+    calls = []
+
+    def spy(g, p, q):
+        calls.append(np.broadcast_shapes(np.shape(p), np.shape(q)))
+        return wf.sigma(g, p, q)
+
+    def no_residual_map(*args):
+        raise AssertionError("a Euclidean solve built a _ResidualMap")
+
+    monkeypatch.setattr(eqv, "sigma", spy)
+    monkeypatch.setattr(eqv, "_ResidualMap", no_residual_map)
+    sol = wf.solve_equivalent(EUCLID3, (0.1, 0.2, 0.3), (1.7, -0.4, 2.2), (2.3, 0.1, -0.9))
+    assert sol.variance == "single"
+    assert calls == [(6, 3)]  # the six pairs of p0, p1, q0 and the translation
+
+
 @pytest.mark.parametrize("p0, p1, q0", [
     ((1e8, 0, 0), (1e8 + 0.1, 0.3, 0.7), (0.1, 0.2, 0.3)),
     ((1e3, -1e3, 1e3), (1e3 + 1e-4, -1e3 + 1e-4, 1e3), (-1e3, 1e3, -1e3)),
@@ -355,6 +386,70 @@ def test_euclidean_solve_diagnostics_say_no_newton_ran():
     assert out["representatives"] == [[1.5, 1.0, 1.0]]
     # starts, max_iter and seed are not read
     assert sols[1].to_dict() == out
+
+
+# malformed points by slot (0, 1, 2 = p0, p1, q0) in dimension n, with the
+# error of the first bad one in slot order
+_BAD_POINTS = {
+    "dimension": ({2: lambda n: [0.5] * (n - 1)}, wf.DimensionMismatchError,
+                  lambda n: f"point has dimension {n - 1}, expected {n}"),
+    "nan": ({1: lambda n: [math.nan] + [1.0] * (n - 1)}, wf.InvalidInputError,
+            lambda n: "point coordinates must be finite"),
+    "inf": ({2: lambda n: [0.5] * (n - 1) + [math.inf]}, wf.InvalidInputError,
+            lambda n: "point coordinates must be finite"),
+    "nested": ({0: lambda n: [[0] * n]}, wf.InvalidInputError,
+               lambda n: f"point must be a flat coordinate tuple, got shape (1, {n})"),
+    "string": ({1: lambda n: "abc"}, wf.InvalidInputError,
+               lambda n: "a point must be a flat list of numbers, got 'abc'"),
+    "ragged": ({0: lambda n: (1, [0], 0)}, wf.InvalidInputError,
+               lambda n: "a point must be a flat list of numbers, got (1, [0], 0)"),
+    "none": ({2: lambda n: None}, wf.InvalidInputError,
+             lambda n: "point must be a flat coordinate tuple, got shape ()"),
+    "scalar": ({2: lambda n: 5.0}, wf.InvalidInputError,
+               lambda n: "point must be a flat coordinate tuple, got shape ()"),
+    "first_wins": ({0: lambda n: [0.0] * (n + 1), 1: lambda n: "abc"}, wf.DimensionMismatchError,
+                   lambda n: f"point has dimension {n + 1}, expected {n}"),
+    "nan_before_overflow": ({0: lambda n: [math.nan] * n, 1: lambda n: [10 ** 400] * n},
+                            wf.InvalidInputError, lambda n: "point coordinates must be finite"),
+}
+
+
+def _bad_points(g, case, slots=3):
+    """The points of a _BAD_POINTS case, the first ``slots`` of p0, p1, q0, and its error."""
+    bad, exc, msg = _BAD_POINTS[case]
+    n = g.dim
+    points = [[0.0] * n, [1.0] * n, [0.5] * n]
+    for slot, make in bad.items():
+        points[min(slot, slots - 1)] = make(n)
+    return points[:slots], exc, msg(n)
+
+
+@pytest.mark.parametrize("g", [EUCLID3, MINK], ids=["euclidean", "minkowski"])
+@pytest.mark.parametrize("case", list(_BAD_POINTS))
+def test_solve_rejects_malformed_points(g, case):
+    points, exc, msg = _bad_points(g, case)
+    _assert_raises_exactly(exc, msg, wf.solve_equivalent, g, *points)
+
+
+@pytest.mark.parametrize("g", [EUCLID3, MINK], ids=["euclidean", "minkowski"])
+@pytest.mark.parametrize("case", list(_BAD_POINTS))
+def test_segment_operations_reject_malformed_points(g, case):
+    for call, slots in ((wf.segment_membership, 3), (wf.sample_segment_tube, 2)):
+        points, exc, msg = _bad_points(g, case, slots)
+        _assert_raises_exactly(exc, msg, call, g, *points)
+
+
+@pytest.mark.parametrize("g", [EUCLID3, MINK], ids=["euclidean", "minkowski"])
+def test_solve_rejects_p0_equal_to_p1_up_to_the_sign_of_zero(g):
+    p0, p1 = [0.0] * g.dim, [-0.0] + [0.0] * (g.dim - 1)
+    _assert_raises_exactly(wf.InvalidInputError, "p0 and p1 must differ",
+                           wf.solve_equivalent, g, p0, p1, [0.5] * g.dim)
+
+
+def _assert_raises_exactly(exc, msg, call, *args):
+    with pytest.raises(exc) as info:
+        call(*args)
+    assert type(info.value) is exc and str(info.value) == msg
 
 
 @pytest.mark.parametrize("call", [
