@@ -84,6 +84,14 @@ class ChainParams(_Config):
             raise InvalidInputError("chain dynamics needs a Minkowski-substrate geometry")
         if not self.link_sigma_m > 0:
             raise InvalidInputError("link_sigma_m must be positive (timelike links)")
+        try:  # cosh >= sinh, so a finite cosh keeps the tilt's sinh finite too
+            finite = (math.isfinite(math.sqrt(2.0 * self.link_sigma_m))
+                      and math.isfinite(math.cosh(self.deflection)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidInputError(f"link_sigma_m = {self.link_sigma_m!r} gives a link length "
+                                    "or tilt that is not finite")
 
     @property
     def deformation_strength(self) -> float:
@@ -111,9 +119,10 @@ class ChainStats:
     ((1 + 1.5 sinh^2 dphi)^k - 1) (E - 1)/E: near-linear in k only while
     k sinh^2(dphi) << 1, exponential beyond, and heavy-tailed at late steps.
 
-    mean_angle is measured from the stored velocities, whose absolute rounding
-    is about u0 * 2^-52: once that approaches sinh(dphi) (u0 ~ 1e8 at
-    dphi ~ 0.3) a chain's tilt is no longer resolved and its angle is off.
+    mean_angle is measured from the stored velocities by the hyperbolic law of
+    haversines, which cancels nothing; their absolute rounding is about
+    u0 * 2^-52, and once that approaches sinh(dphi) (u0 ~ 1e8 at dphi ~ 0.3)
+    a chain's tilt is no longer resolved and its angle is off.
     """
 
     step: np.ndarray
@@ -186,21 +195,29 @@ def _tilt(v, u0, cosh_dphi, sinh_dphi, cos_a, sin_a, out=None):
     return nxt
 
 
-def _angle(v, vv, v_next):
-    """Hyperbolic angles between unit directions of (..., 3, m) velocities v, v'.
+def _angle(v, vv):
+    """Hyperbolic angles between consecutive rows of (k + 1, 3, m) spatial
+    velocities v with |v|^2 rows vv: row s of the (k, m) result is the angle
+    between the unit directions of rows s and s + 1.
 
-    v' is split along and across v; with m = sqrt(1 + |v'_perp|^2) the angle
-    is asinh(|(m sinh(asinh(v'_par / m) - asinh|v|), v'_perp)|), which never
-    forms the cancelling u0 u0' - v.v'.
+    By the hyperbolic law of haversines (Ratcliffe, Foundations of Hyperbolic
+    Manifolds, 3.5), with rapidity eta = asinh|v| and sinh eta = |v|,
+
+        sinh^2(phi/2) = sinh^2((eta' - eta)/2) + 1/4 |v||v'| |w' - w|^2,
+
+    where w = v/|v| (0 at v = 0) and |w' - w| = 2 sin(Delta/2) is the chord
+    between the two directions.  Both terms are non-negative, so nothing
+    cancels, and each row's speed, rapidity and direction are computed once
+    for the two angles it borders.  The stored velocities round by about
+    u0 * 2^-52, which bounds the accuracy of the result, not this formula.
     """
     speed = np.sqrt(vv)
-    unit = v / np.where(speed > 0.0, speed, 1.0)[..., None, :]  # v = 0: all of v' is transverse
-    par = np.einsum("...im,...im->...m", unit, v_next)
-    perp = v_next - par[..., None, :] * unit
-    pp = np.einsum("...im,...im->...m", perp, perp)
-    m = np.sqrt(1.0 + pp)
-    along = m * np.sinh(np.arcsinh(par / m) - np.arcsinh(speed))
-    return np.arcsinh(np.hypot(along, np.sqrt(pp)))
+    eta = np.arcsinh(speed)
+    unit = v / np.where(speed > 0.0, speed, 1.0)[:, None]
+    chord = unit[1:] - unit[:-1]
+    half = np.sinh(0.5 * (eta[1:] - eta[:-1]))
+    across = 0.25 * speed[:-1] * speed[1:] * np.einsum("kim,kim->km", chord, chord)
+    return 2.0 * np.arcsinh(np.sqrt(half * half + across))
 
 
 def step_chain(state, params: ChainParams, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +365,7 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
         if not finite.all():
             raise InvalidStateError(f"chain state overflowed at step {s0 + finite.argmin() + 1} "
                                     "(u0 beyond 1e154)")
-        mean_angle[block] = _angle(v[:b], vv[:b], v_new).mean(axis=1)
+        mean_angle[block] = _angle(v[:b + 1], vv[:b + 1]).mean(axis=1)
         var_transverse[block] = length * length * v_new.var(axis=2).sum(axis=1)
         u0_sq = u0_new * u0_new
         np.maximum(drift, (np.abs(u0_sq - vv_new - 1.0) / u0_sq).max(axis=0), out=drift)

@@ -1,6 +1,7 @@
 """World-chain dynamics: deflection law, stepping, link verification,
 ensembles and their determinism."""
 
+import itertools
 import json
 import math
 
@@ -362,6 +363,15 @@ def test_chain_params_validation():
         ChainParams(geometry=MINK, link_sigma_m=math.inf, steps=5)
 
 
+@pytest.mark.parametrize("link_sigma_m", [1e308, 1e-320, 1.67e-311])
+def test_chain_params_reject_a_link_whose_length_or_tilt_is_not_finite(link_sigma_m):
+    # 1e308: length sqrt(2 sigma) = inf at deflection 0.0; 1e-320: deflection inf, so
+    # simulate_ensemble reported an overflow at step 1; 1.67e-311: deflection 710.99,
+    # whose cosh raised OverflowError
+    with pytest.raises(wf.InvalidInputError, match="link_sigma_m"):
+        ChainParams(geometry=Geometry.discrete(0.005), link_sigma_m=link_sigma_m, steps=5)
+
+
 def test_chain_params_roundtrip_and_derived():
     params = ChainParams(geometry=Geometry.discrete(0.005), link_sigma_m=0.5,
                          steps=10, ensemble=2, seed=3)
@@ -439,13 +449,13 @@ def test_angle_has_no_cancellation_at_high_boost():
     from worldfunc.chains import _angle, _gamma, _tilt
     mpmath.mp.dps = 60
     rng = np.random.default_rng(8)
-    dphi = wf.deflection_angle(0.02, 0.5)
-    for scale in (0.0, 1e-3, 1.0, 1e2, 1e4):
+    for lam, scale in itertools.product((0.02, 0.005, 1e-5), (0.0, 1e-3, 1.0, 1e2, 1e4, 1e6, 1e8)):
+        dphi = wf.deflection_angle(lam, 0.5)
         v = rng.normal(size=(3, 50)) * scale
         vv, u0 = _gamma(v)
         azimuth = rng.uniform(0, 2 * math.pi, 50)
         nxt = _tilt(v, u0, math.cosh(dphi), math.sinh(dphi), np.cos(azimuth), np.sin(azimuth))
-        got = _angle(v, vv, nxt)
+        got = _angle(np.stack((v, nxt)), np.stack((vv, _gamma(nxt)[0])))[0]
         for i in range(50):
             a = [mpmath.mpf(float(x)) for x in v[:, i]]
             b = [mpmath.mpf(float(x)) for x in nxt[:, i]]
@@ -454,6 +464,27 @@ def test_angle_has_no_cancellation_at_high_boost():
             want = mpmath.acosh(a0 * b0 - sum(x * y for x, y in zip(a, b)))
             assert abs(got[i] - float(want)) <= 1e-15 * (1.0 + float(a0))
             assert abs(float(want) - dphi) <= 1e-15 * (1.0 + float(a0))
+
+
+@pytest.mark.parametrize("lam,scale", [(0.005, 1.0), (0.02, 1e6), (1e-5, 0.0)])
+def test_angle_of_a_row_run_equals_its_row_pairs_bitwise(lam, scale):
+    # each row's speed, rapidity and direction are shared by the two angles it
+    # borders; one (k + 1)-row call gives the k two-row calls' angles bit for bit
+    from worldfunc.chains import _angle, _gamma, _tilt
+    rng = np.random.default_rng(5)
+    dphi = wf.deflection_angle(lam, 0.5)
+    k, m = 9, 37
+    v = np.empty((k + 1, 3, m))
+    v[0] = rng.normal(size=(3, m)) * scale
+    for s in range(k):
+        azimuth = rng.uniform(0, 2 * math.pi, m)
+        _tilt(v[s], _gamma(v[s])[1], math.cosh(dphi), math.sinh(dphi), np.cos(azimuth),
+              np.sin(azimuth), out=v[s + 1])
+    vv = _gamma(v)[0]
+    got = _angle(v, vv)
+    assert got.shape == (k, m)
+    for s in range(k):
+        assert np.array_equal(got[s], _angle(v[s:s + 2], vv[s:s + 2])[0])
 
 
 def test_past_directed_step_stays_past_directed():
@@ -550,7 +581,7 @@ def _reference_ensemble(params, keep_chains=False):
         mean_t[s] = length * u0.mean()
         if not math.isfinite(mean_t[s]):
             raise wf.InvalidStateError(f"chain state overflowed at step {s + 1} (u0 beyond 1e154)")
-        mean_angle[s] = _angle(v, vv, v_next).mean()
+        mean_angle[s] = _angle(np.stack((v, v_next)), np.stack((vv, vv_next)))[0].mean()
         v, vv = v_next, vv_next
         var_transverse[s] = length * length * v.var(axis=1).sum()
         np.maximum(drift, np.abs(u0 * u0 - vv - 1.0) / (u0 * u0), out=drift)

@@ -290,6 +290,9 @@ def test_eqv_check_is_reflexive_at_zero_tolerance(tmp_path, capsys):
      "needs a Minkowski-substrate geometry"),
     (["density", "--lambda0-sq", "-0.01", "--sigma0", "0.03", "--grid=-0.1:0.1:5"],
      "lambda0_sq must be >= 0"),
+    # a deflection of 710.99, whose cosh overflows: a traceback before it was checked
+    (["chain", "--geometry", "discrete:lambda0_sq=0.005", "--link-sigma-m", "1.67e-311",
+      "--steps", "3"], "link_sigma_m = 1.67e-311"),
 ])
 def test_invalid_command_configuration_is_a_usage_error(tmp_path, capsys, argv, message):
     # the library's InvalidInputError on a command's own options exits 1, not 2

@@ -1952,7 +1952,9 @@ _CONFIG_FIELDS = {
     TubeSamplerConfig: dict(stations=_INTS, directions=_INTS, tol=_NONNEGATIVE, seed=_INTS,
                             max_radius=st.none() | _NONNEGATIVE),
     wf.UnitConstants: dict(hbar=_POSITIVE, c=_POSITIVE, b=_POSITIVE),
-    wf.ChainParams: dict(geometry=st.sampled_from(EVERY_KIND[1:]), link_sigma_m=_POSITIVE,
+    # a link_sigma_m whose link length sqrt(2 sigma) or tilt cosh is not finite is invalid
+    wf.ChainParams: dict(geometry=st.sampled_from(EVERY_KIND[1:]),
+                         link_sigma_m=st.floats(1e-300, sys.float_info.max / 2),
                          steps=st.integers(1, 2**63), ensemble=st.integers(1, 2**63),
                          seed=_INTS),
 }
