@@ -241,9 +241,10 @@ def cmd_tube(args, g):
     coords = ",".join(f"x{i}" for i in range(g.dim))
     _write_csv(cloud, f"t,r,{coords}", *tube.points.T)
     profile = out_dir / args.out_profile
-    _write_csv(profile, "t,radius", tube.arc_positions, tube.profile)
+    found = np.isfinite(tube.profile)  # an empty station has no radius: no row
+    _write_csv(profile, "t,radius", tube.arc_positions[found], tube.profile[found])
     message = f"wrote {tube.points.shape[0]} member points to {cloud}, profile to {profile}"
-    return [cloud, profile], message, None
+    return [cloud, profile], message, {"empty_stations": int((~found).sum())}
 
 
 def cmd_object(args, g):
@@ -295,8 +296,8 @@ def cmd_density(args, _g):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise UsageError(f"bad grid {args.grid!r}, expected MIN:MAX:COUNT") from exc
-    if not (np.isfinite(lo) and np.isfinite(hi) and count >= 0):
-        raise UsageError(f"bad grid {args.grid!r}: MIN and MAX must be finite, COUNT >= 0")
+    if not (np.isfinite(hi - lo) and count >= 0):  # a non-finite MIN or MAX makes it inf or nan
+        raise UsageError(f"bad grid {args.grid!r}: MIN, MAX and MAX - MIN must be finite, COUNT >= 0")
     grid = np.linspace(lo, hi, count)
     rho = relative_density(args.lambda0_sq, args.sigma0, grid)
     out = Path(args.out_dir) / args.out

@@ -20,8 +20,8 @@ bit ``is_equivalent``'s.  On the Minkowski substrate F is piecewise linear,
 so in each slope cell of F the equations are a quadric cut by a
 hyperplane: the solve walks every cell (``_cell_starts``)
 and takes one exact point per non-empty piece of the set with the piece's
-dimension, 0 to 3, then one damped Newton pass refines the points that miss
-``tol``; ``find_intransitivity_witness`` builds broken-transitivity
+dimension, 0 to 3, and keeps the points whose residual row meets ``tol``;
+``find_intransitivity_witness`` builds broken-transitivity
 witnesses from one exact null-shift template, confirmed by the batched residual
 kernel that also checks skeleton and chain-link equivalence; the segment/tube
 operations expose the thickness that straight lines acquire under deformation.
@@ -40,6 +40,7 @@ from .errors import (
     InvalidDirectionError,
     InvalidInputError,
     SolverFailureError,
+    WorldFunctionError,
 )
 from .geometry import (
     Geometry,
@@ -54,26 +55,12 @@ from .geometry import (
     as_points,
     scalar_product,
     sigma,
-    sigma_gradient,
     squared_length,
     triangle_defect,
 )
 
-# closed-form 2x2 normal equations are used while det(J J^T) > this times
-# (trace J J^T)^2, i.e. for condition numbers of J up to about 1e5; the
-# rounding of det then costs at most ~1e-6 relative in the pseudo-inverse
-_GRAM_CUTOFF = 1e-10
 # candidate triples per block of the witness search: its memory is independent of the budget
 _WITNESS_BLOCK = 1024
-# Newton line-search step lengths, all tried in one residual call.  Near the
-# light cone a start can crawl for dozens of iterations at steps of
-# 1/128-1/32, each gaining under 1 %; such a start stalls at 1/16.  A floor
-# of 1/8 or 1/4 would lose 11 or 14 % of the converged near-cone starts
-# where 1/16 loses 6 %.  A row approaching a double root (its last accepted
-# step cut the residual norm by a ratio within _DOUBLE_BAND of 1/4) tries the
-# ladder scaled by 2, i.e. 2 ... 1/8, in the same call.
-_LADDER = 0.5 ** np.arange(5)
-_DOUBLE_BAND = 0.05
 # the walk (_cell_starts) takes q0 to be on the line p0p1 where the map
 # Y -> (<Y, w0>, <Y, u>) has a singular value below this times its largest,
 # and W (or u) to be null where a Euclidean-unit direction of its kernel has
@@ -141,10 +128,9 @@ def _skeleton_pair_reports(g, a, b, tol):
 class SolverConfig(_Config):
     """Settings of ``solve_equivalent``.
 
-    ``tol`` applies to every geometry; on the Minkowski substrate
-    ``max_iter`` caps the Newton pass that refines the walk's points.  No
-    solve reads ``starts`` or ``seed``: they are still accepted and checked
-    because the benchmark's calls pass them, and go with its next revision.
+    ``tol`` is the one setting a solve reads.  ``starts``, ``max_iter`` and
+    ``seed`` are accepted, checked and read by nothing: the benchmark's calls
+    pass them, and they go with its next revision.
     """
 
     starts: int = 256
@@ -159,28 +145,21 @@ class SolverConfig(_Config):
 class SolverDiagnostics:
     """What the solver did.
 
-    A Euclidean solve runs no Newton: it reports 0 starts, converged rows,
-    iterations, stalls, doubled steps and cells, and rank 1, the rank of the
-    Jacobian at the translation, whose parallelism row vanishes there.  On
-    the Minkowski substrate ``cells_examined`` counts the cell pairs of F
-    walked (the knots and intervals of tau where q0 is on the line p0p1) and
-    ``starts_attempted`` = ``cells_nonempty`` the walk's points,
-    one per non-empty piece, which are the rows of one Newton pass:
-    ``starts_attempted - converged_count`` counts the pieces whose point
-    missed ``tol`` and the pass could not pull in.  ``iterations``,
-    ``stalled_count`` and ``doubled_steps`` count the pass's ladder
-    evaluations, rows that no rung improved and steps accepted at the
-    doubled step lambda = 2.  ``jacobian_rank`` is the walk's rank at the
-    first representative of the highest dimension: 2 at a smooth point of a
-    2-surface, else 1.
+    A Euclidean solve walks nothing: it reports 0 starts, converged rows
+    and cells, and rank 1, the rank of the Jacobian at the translation,
+    whose parallelism row vanishes there.  On the Minkowski substrate
+    ``cells_examined`` counts the cell pairs of F walked (the knots and
+    intervals of tau where q0 is on the line p0p1) and ``starts_attempted``
+    = ``cells_nonempty`` the walk's points, one per non-empty piece:
+    ``starts_attempted - converged_count`` counts the pieces whose point's
+    residual row rounds above ``tol``.  ``jacobian_rank`` is the walk's rank
+    at the first representative of the highest dimension: 2 at a smooth
+    point of a 2-surface, else 1.
     """
 
     starts_attempted: int
     converged_count: int
     jacobian_rank: int
-    iterations: int
-    stalled_count: int
-    doubled_steps: int
     cells_examined: int
     cells_nonempty: int
 
@@ -220,13 +199,11 @@ class _ResidualMap:
     The rows are ``_equivalence_residuals``'s (r_par, r_len) of P0P1 against
     Q0X, bit for bit.  The sigma terms involving only p0, p1, q0 are
     precomputed by one stacked sigma call, so a batch needs one sigma call
-    over the stacked reference points and a Jacobian one ``sigma_gradient``
-    call over the same stack.
+    over the stacked reference points.
     """
 
     def __init__(self, g, p0, p1, q0):
         self.g = g
-        self.n = p0.shape[0]
         self.refs = np.array([p0, p1, q0])  # (3, n)
         # sigma(p0, p1), sigma(p1, q0), sigma(p0, q0): a row of a stacked call
         # rounds as the scalar call does
@@ -241,20 +218,6 @@ class _ResidualMap:
         res[:, 0], res[:, 1] = _residual_row(self.two_a, self.s_p1q0, self.s_p0q0, *s)
         return res
 
-    def jacobian(self, X):
-        """Analytic Jacobian rows (m, 2, n) of the residuals at X of shape (m, n).
-
-        The residuals are sums of sigma(ref, X), so with
-        G_k = d sigma(ref_k, X) / dX the rows are G_0 - G_1 - G_2 (parallelism)
-        and -2 G_2 (length).
-        """
-        G = sigma_gradient(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m, n)
-        J = np.empty((X.shape[0], 2, X.shape[1]))
-        np.subtract(G[0], G[1], out=J[:, 0])
-        J[:, 0] -= G[2]
-        np.multiply(-2.0, G[2], out=J[:, 1])
-        return J
-
 
 def _residual_row(two_a, s_p1q0, s_p0q0, s_p0x, s_p1x, s_q0x):
     """(r_par, r_len) of P0P1 against Q0X from its sigma terms, floats or arrays.
@@ -264,95 +227,6 @@ def _residual_row(two_a, s_p1q0, s_p0q0, s_p0x, s_p1x, s_q0x):
     """
     two_b = 2.0 * s_q0x
     return (((s_p0x + s_p1q0) - s_p0q0) - s_p1x) - 0.5 * (two_a + two_b), two_a - two_b
-
-
-def _pinv_rows(J):
-    """Moore-Penrose pseudo-inverses (m, n, 2) of Jacobian rows J (m, 2, n).
-
-    Rows whose Gram matrix J J^T = [[a, b], [b, c]] is well conditioned take
-    the closed form J^T (J J^T)^-1; the rest, e.g. the rank-1 Jacobian at a
-    substrate tangent point, fall back to the SVD of ``np.linalg.pinv``.
-    """
-    Jt = J.transpose(0, 2, 1)
-    gram = J @ Jt
-    a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-    det = a * c - b * b
-    closed = det > _GRAM_CUTOFF * (a + c) ** 2
-    adj = np.empty_like(gram)  # adjugate: (J J^T)^-1 = adj / det
-    adj[:, 0, 0], adj[:, 1, 1] = c, a
-    adj[:, 0, 1] = adj[:, 1, 0] = -b
-    P = Jt @ (adj / np.where(closed, det, 1.0)[:, None, None])
-    if not closed.all():
-        P[~closed] = np.linalg.pinv(J[~closed])
-    return P
-
-
-def _newton(rmap: _ResidualMap, X0, tol_abs, max_iter):
-    """Damped pseudo-inverse Newton on the 2-equation residual map.
-
-    Runs all rows of X0 simultaneously, stepping with the analytic Jacobian
-    and ``_pinv_rows`` (closed-form 2x2 normal equations, SVD only for
-    ill-conditioned rows).  The line search evaluates the whole ``_LADDER``
-    of step lengths 1 ... 1/16 in one residual call, and each row takes the
-    first rung that lowers its max-norm residual: exactly a sequential
-    halving capped at five trials, since residual rows do not depend on the
-    batch.  At a double root, such as a substrate tangent point, a
-    full step only halves the distance and the residual norm falls by 1/4 per
-    step; a row whose last accepted ratio was that close to 1/4 evaluates
-    the ladder scaled by 2 instead, and takes lambda = 2 only where it beats
-    lambda = 1 (Decker, Keller & Kelley, SIAM J. Numer. Anal. 20, 1983).
-    A row that no rung improves, such as a start that could only crawl to a
-    near-cone root by shorter steps, stalls out unconverged rather than
-    raising; an accepted trial keeps the residual row and norm the ladder
-    computed.
-
-    Returns (points, residual_rows, converged_mask, stalled_mask,
-    doubled_steps, iterations), iterations counting the ladder evaluations
-    and doubled_steps the row steps accepted at lambda = 2.
-    """
-    X = np.array(X0, dtype=float)
-    res = rmap(X)
-    rnorm = np.abs(res).max(axis=1)
-    converged = rnorm <= tol_abs
-    stalled = np.zeros(len(X), dtype=bool)
-    active = ~converged
-    ratio = np.ones(len(X))  # last accepted residual norm over the one before
-    doubled_steps = iterations = 0
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        ia = np.flatnonzero(active)
-        Xa = X[ia]
-        J = rmap.jacobian(Xa)
-        bad = ~np.all(np.isfinite(J), axis=(1, 2))
-        if bad.any():
-            active[ia[bad]] = False
-            ia, Xa, J = ia[~bad], Xa[~bad], J[~bad]
-            if ia.size == 0:
-                break
-        iterations += 1
-        step = -np.einsum("mij,mj->mi", _pinv_rows(J), res[ia])
-        double = np.abs(ratio[ia] - 0.25) < _DOUBLE_BAND
-        lam = _LADDER[:, None] * np.where(double, 2.0, 1.0)  # (rungs, rows)
-        trial = Xa + lam[..., None] * step
-        tres = rmap(trial.reshape(-1, X.shape[1])).reshape(len(_LADDER), ia.size, 2)
-        tnorm = np.abs(tres).max(axis=2)
-        ok = tnorm < rnorm[ia]
-        ok[0] &= ~double | (tnorm[0] < tnorm[1])  # lambda = 2 only where it beats 1
-        accepted = ok.any(axis=0)
-        rung = ok.argmax(axis=0)[accepted]
-        moved = ia[accepted]
-        doubled_steps += int(np.count_nonzero(double[accepted] & (rung == 0)))
-        ratio[moved] = tnorm[rung, accepted] / rnorm[moved]
-        X[moved] = trial[rung, accepted]
-        res[moved] = tres[rung, accepted]
-        rnorm[moved] = tnorm[rung, accepted]
-        stalled[ia[~accepted]] = True
-        active[ia[~accepted]] = False
-        newly = moved[rnorm[moved] <= tol_abs]
-        converged[newly] = True
-        active[newly] = False
-    return X, res, converged, stalled, doubled_steps, iterations
 
 
 def _cell_starts(g, p0, p1, q0, rmap, tol_abs):
@@ -607,7 +481,7 @@ def _quadratic_roots(A, B, C):
 # rows of (p0, p1, q0, X) paired in a Euclidean solve's one sigma call:
 # sigma(p0, p1), (p1, q0), (p0, q0), then (p0, X), (p1, X), (q0, X) as in _ResidualMap
 _TRANSLATION_PAIRS = np.array([[0, 1, 0, 0, 1, 2], [1, 2, 2, 3, 3, 3]])
-_TRANSLATION_DIAGNOSTICS = SolverDiagnostics(0, 0, 1, 0, 0, 0, 0, 0)
+_TRANSLATION_DIAGNOSTICS = SolverDiagnostics(0, 0, 1, 0, 0)
 
 
 def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -> SolutionSet:
@@ -616,7 +490,7 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     In the Euclidean geometry, with Y = Q1 - Q0 and u = P1 - P0, the length
     equation is |Y|^2 = |u|^2 and the parallelism equation <Y, u> = |u|^2,
     so Cauchy-Schwarz equality forces Y = u: the result is the translation
-    Q0 + u, ``single``, found without Newton.  It is still checked by the
+    Q0 + u, ``single``, in closed form.  It is still checked by the
     pairwise test: its residual row comes from one stacked sigma call over
     the six pairs of p0, p1, q0 and Q0 + u, bit for bit ``is_equivalent``'s,
     and a translation that fails it at ``tol`` in float arithmetic raises
@@ -625,11 +499,12 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
 
     On the Minkowski substrate ``_cell_starts`` walks the slope cells of F
     and gives one point per non-empty piece of the solution set with the
-    piece's dimension.  One damped Newton pass refines the points whose
-    residual rounds above ``tol``; the representatives are the points that
-    meet ``tol``, sorted lexicographically.  The reported residuals are the
-    rows Newton computed at them, equal to ``is_equivalent``'s (r_par,
-    r_len) of P0P1 against Q0Q1 bit for bit:
+    piece's dimension, and one ``_ResidualMap`` call gives their residual
+    rows.  The representatives are the points whose row meets ``tol``,
+    sorted lexicographically, and the reported residuals are those rows,
+    equal to ``is_equivalent``'s (r_par, r_len) of P0P1 against Q0Q1 bit
+    for bit.  A piece lying wholly far from q0, where that rounding exceeds
+    ``tol``, is dropped (``converged_count`` < ``starts_attempted``):
 
     * ``zero``   -- no solution found (an empty set is a valid outcome),
     * ``single`` -- one representative, an isolated root,
@@ -658,19 +533,19 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
 
     rmap = _ResidualMap(g, p0, p1, q0)
     tol_abs = cfg.tol * max(1.0, abs(rmap.two_a))
-    starts, dims, ranks, examined = _cell_starts(g, p0, p1, q0, rmap, tol_abs)
-    X, res, conv, stalled, doubled, iterations = _newton(rmap, starts, tol_abs, cfg.max_iter)
-    counts = (iterations, int(stalled.sum()), doubled, examined, len(starts))
+    X, dims, ranks, examined = _cell_starts(g, p0, p1, q0, rmap, tol_abs)
+    res = rmap(X)
+    conv = np.abs(res).max(axis=1) <= tol_abs
     if not conv.any():
         if g.kind == "minkowski":
             raise SolverFailureError(
-                "no start converged although this geometry has an analytic solution")
-        return SolutionSet([], "zero", 0, [], SolverDiagnostics(len(starts), 0, 0, *counts))
+                "no point of the walk met tol although this geometry has an analytic solution")
+        return SolutionSet([], "zero", 0, [], SolverDiagnostics(len(X), 0, 0, examined, len(X)))
 
     idx = np.flatnonzero(conv)[np.lexsort(X[conv].T[::-1])]
     reps, res, dims, ranks = X[idx], res[idx], dims[idx], ranks[idx]
     variance = "single" if len(reps) == 1 and dims[0] == 0 else "multi"
-    diags = SolverDiagnostics(len(starts), len(idx), int(ranks[np.argmax(dims)]), *counts)
+    diags = SolverDiagnostics(len(X), len(idx), int(ranks[np.argmax(dims)]), examined, len(X))
     return SolutionSet(list(reps), variance, int(dims.max()), list(map(tuple, res.tolist())), diags)
 
 
@@ -880,18 +755,24 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
     increases), so a cell whose ends are both negative may hold two roots; it is
     not searched.  The Euclidean and Minkowski profiles vanish, deformed geometries
     give thick tubes; a station where no direction brackets a crossing is empty.
+    A sigma(p0, p1) or chart length |p1 - p0| that overflows raises
+    ``WorldFunctionError``.
     """
     cfg = TubeSamplerConfig._given(cfg)
     if g.dim < 2:
         raise InvalidInputError("tube sampling needs dim >= 2: a 1-d chart has no transverse direction")
     ends = as_points(g.dim, p0, p1)
     p0, p1 = ends
-    s_ab = sigma(g, p0, p1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        u = p1 - p0
+        s_ab = sigma(g, p0, p1)
+        length = float(np.linalg.norm(u))
+    if not (math.isfinite(s_ab) and math.isfinite(length)):
+        raise WorldFunctionError("sigma(p0, p1) or the chart length |p1 - p0| overflows: "
+                                 "the tube cannot place its stations")
     if s_ab <= 0:
         raise InvalidInputError("tube sampling requires sigma(p0, p1) > 0")
 
-    u = p1 - p0
-    length = float(np.linalg.norm(u))
     r_max = cfg.max_radius if cfg.max_radius is not None else length
     # orthonormal complement of the segment direction in the chart
     _, _, vt = np.linalg.svd((u / length)[None, :])

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -551,6 +552,29 @@ def test_tube_command(tmp_path):
     assert rows
 
 
+def test_readme_tube_profile_leaves_out_its_empty_stations(tmp_path):
+    # 12 of the 64 stations bracket no crossing: they used to write NaN radius rows
+    assert run(["tube", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0",
+                "--p1", "2,0,0,0", "--out-dir", tmp_path]) == 0
+    assert "nan" not in (tmp_path / "tube_profile.csv").read_text()
+    _, rows = read_csv(tmp_path / "tube_profile.csv")
+    manifest = json.loads((tmp_path / "tube_manifest.json").read_text())
+    assert (len(rows), manifest["empty_stations"]) == (52, 12)
+    assert all(math.isfinite(r) for _, r in rows)
+
+
+@pytest.mark.parametrize("p0, p1", [("0,0,0,0", "1e300,0,0,0"), ("-1e308,0,0,0", "1e308,0,0,0")])
+def test_overflowing_tube_exits_2_and_writes_nothing(tmp_path, capsys, p0, p1):
+    # it used to exit 0 with a NaN profile, an empty cloud and RuntimeWarnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["tube", "--geometry", "discrete:lambda0_sq=0.02", f"--p0={p0}", f"--p1={p1}",
+                    "--out-dir", tmp_path]) == 2
+    assert caught == []
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*"))
+
+
 def test_tube_spacelike_exits_1(tmp_path):
     assert run(["tube", "--geometry", "minkowski", "--p0", "0,0,0,0",
                 "--p1", "0,1,0,0", "--out-dir", tmp_path]) == 1
@@ -708,7 +732,8 @@ def test_density_bad_grid_exits_1(tmp_path):
                 "--grid", "oops", "--out-dir", tmp_path]) == 1
 
 
-@pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "0:inf:3", "-inf:1:3", "0:1:-2"])
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "0:inf:3", "-inf:1:3", "0:1:-2",
+                                  "-1e308:1e308:3"])
 def test_density_non_finite_grid_exits_1(tmp_path, capsys, grid):
     assert run(["density", "--lambda0-sq", 0.01, "--sigma0", 0.03,
                 f"--grid={grid}", "--out-dir", tmp_path]) == 1
@@ -912,8 +937,9 @@ def test_sigma_tube_object_density_match_per_value_writer(tmp_path):
                                                        tol=1e-9))
     assert (tmp_path / "tube_cloud.csv").read_text() == _ref_csv(
         "t,r,x0,x1,x2,x3", tube.points)
+    found = np.isfinite(tube.profile)  # an empty station writes no row
     assert (tmp_path / "tube_profile.csv").read_text() == _ref_csv(
-        "t,radius", zip(tube.arc_positions, tube.profile))
+        "t,radius", zip(tube.arc_positions[found], tube.profile[found]))
 
     sk = write_points(tmp_path / "sk.json", [[0, 0, 0], [0, 0, 1], [1, 0, 0]])
     probes = [[-0.0, 0.0, 0.5], [1.0, -0.0, 0.25], [0.0, 2.0, -0.0]]
