@@ -38,7 +38,6 @@ from .geometry import (
     scalar_product,
     sigma,
     sigma_coordinates,
-    sigma_gradient,
     squared_length,
     triangle_defect,
 )

@@ -126,11 +126,16 @@ def _write_csv(path: Path, header: str, *columns) -> None:
     """CSV of equal-length 1-D columns: integer columns as ``str``, every
     other column as the round-trip ``repr`` of its float64 values.
 
-    Rows are formatted from ``tolist()`` by one ``%`` template per row, a
-    block at a time, so the Python objects alive at once stay bounded.
+    A non-finite value is a numerical failure, as in ``_write_json``: it
+    raises naming the file and the column, and nothing is written.  Rows are
+    formatted from ``tolist()`` by one ``%`` template per row, a block at a
+    time, so the Python objects alive at once stay bounded.
     """
     cols = [c if c.dtype.kind in "iu" else np.asarray(c, dtype=float)
             for c in map(np.asarray, columns)]
+    for name, c in zip(header.split(","), cols):
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
+            raise WorldFunctionError(f"{path.name} would hold a non-finite value in column {name}")
     row = ",".join("%d" if c.dtype.kind in "iu" else "%r" for c in cols) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -390,7 +395,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         started = _utcnow()
         g = parse_geometry(args.geometry) if "geometry" in args else None
-        outputs, message, extras = args.func(args, g)
+        # an overflow reaches the user as the writers' or the library's error
+        # (exit 2), not as numpy's warnings; the library's values are unchanged
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            outputs, message, extras = args.func(args, g)
         _write_manifest(args, g, outputs, started, extras)
         print(message)
         return 0

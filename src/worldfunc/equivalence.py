@@ -51,7 +51,6 @@ from .geometry import (
     _finite,
     _integral,
     _mdot,
-    _scalar_product_arrays,
     as_points,
     scalar_product,
     sigma,
@@ -97,11 +96,10 @@ def is_equivalent(g: Geometry, a: GeomVector, b: GeomVector, tol: float = 1e-9) 
 def _equivalence_residuals(g, a0, a1, b0, b1, tol):
     """(equivalent, residual_parallel, residual_length, scale) of a0a1 vs b0b1; broadcasts."""
     two_a = 2.0 * np.asarray(sigma(g, a0, a1))
-    two_b = 2.0 * np.asarray(sigma(g, b0, b1))
-    ab = np.asarray(_scalar_product_arrays(g, a0, a1, b0, b1))
-    r_len = two_a - two_b
-    r_par = ab - 0.5 * (two_a + two_b)
-    scale = np.maximum(1.0, np.maximum(np.abs(two_a), np.abs(two_b)))
+    s_b = sigma(g, b0, b1)
+    r_par, r_len = _residual_row(two_a, sigma(g, a1, b0), sigma(g, a0, b0),
+                                 sigma(g, a0, b1), sigma(g, a1, b1), s_b)
+    scale = np.maximum(1.0, np.maximum(np.abs(two_a), np.abs(2.0 * s_b)))
     eq = (np.abs(r_par) <= tol * scale) & (np.abs(r_len) <= tol * scale)
     return eq, r_par, r_len, scale
 
@@ -193,43 +191,18 @@ class SolutionSet:
         }
 
 
-class _ResidualMap:
-    """Residuals of the two equivalence equations as a function of the end point.
-
-    The rows are ``_equivalence_residuals``'s (r_par, r_len) of P0P1 against
-    Q0X, bit for bit.  The sigma terms involving only p0, p1, q0 are
-    precomputed by one stacked sigma call, so a batch needs one sigma call
-    over the stacked reference points.
-    """
-
-    def __init__(self, g, p0, p1, q0):
-        self.g = g
-        self.refs = np.array([p0, p1, q0])  # (3, n)
-        # sigma(p0, p1), sigma(p1, q0), sigma(p0, q0): a row of a stacked call
-        # rounds as the scalar call does
-        s_p0p1, self.s_p1q0, self.s_p0q0 = sigma(g, np.array([p0, p1, p0]),
-                                                 np.array([p1, q0, q0])).tolist()
-        self.two_a = 2.0 * s_p0p1
-
-    def __call__(self, X):
-        """X of shape (m, n) -> residual rows (m, 2)."""
-        s = sigma(self.g, self.refs[:, None, :], X[None, :, :])  # (3, m)
-        res = np.empty((X.shape[0], 2))
-        res[:, 0], res[:, 1] = _residual_row(self.two_a, self.s_p1q0, self.s_p0q0, *s)
-        return res
-
-
 def _residual_row(two_a, s_p1q0, s_p0q0, s_p0x, s_p1x, s_q0x):
     """(r_par, r_len) of P0P1 against Q0X from its sigma terms, floats or arrays.
 
-    (a.b) is associated as in ``_scalar_product_arrays``, so the row is
-    ``_equivalence_residuals``'s bit for bit.
+    The one place the row is assembled: r_par = (a.b) - (|a|^2 + |b|^2) / 2
+    with (a.b) = sigma(p0, x) + sigma(p1, q0) - sigma(p0, q0) - sigma(p1, x),
+    r_len = |a|^2 - |b|^2, two_a = |a|^2 = 2 sigma(p0, p1).
     """
     two_b = 2.0 * s_q0x
     return (((s_p0x + s_p1q0) - s_p0q0) - s_p1x) - 0.5 * (two_a + two_b), two_a - two_b
 
 
-def _cell_starts(g, p0, p1, q0, rmap, tol_abs):
+def _cell_starts(g, p0, p1, q0, K, tol_abs):
     """One point per non-empty piece of the solution set in the slope cells of F.
 
     With Y = X - q0, u = p1 - p0 and w_k = q0 - p_k, the length equation is
@@ -237,9 +210,10 @@ def _cell_starts(g, p0, p1, q0, rmap, tol_abs):
     c_k + <Y, w_k> with c_k = (<u, u> + <w_k, w_k>) / 2.  So the two sigma_M
     depend on Y through t = (<Y, w0>, <Y, u>) only (through tau = <Y, u>
     alone where q0 is on the line p0p1, w0 = f u), and in a slope cell of F
-    the parallelism equation F(sigma_M(p0, X)) - F(sigma_M(p1, X)) = K is
-    linear in t: ``_plane_pieces`` and ``_line_pieces`` give each non-empty
-    cell's t = t* + s d over an open range lo < s < hi, or one point (lo = hi).
+    the parallelism equation F(sigma_M(p0, X)) - F(sigma_M(p1, X)) = K, with
+    K = 2 sigma(p0, p1) + sigma(p0, q0) - sigma(p1, q0), is linear in t:
+    ``_plane_pieces`` and ``_line_pieces`` give each non-empty cell's
+    t = t* + s d over an open range lo < s < hi, or one point (lo = hi).
 
     Y is written as Y_c(s) + sum_k y_k E_k.  The E_k are a Euclidean-
     orthonormal basis of the kernel of Y -> t, diagonal for eta (<E_a, E_b> =
@@ -274,8 +248,6 @@ def _cell_starts(g, p0, p1, q0, rmap, tol_abs):
     w = q0 - np.array([p0, p1])
     uu = float(_mdot(u, u))
     c = 0.5 * (uu + _mdot(w, w))
-    # F(l0) - F(l1) = two_a + sigma(p0, q0) - sigma(p1, q0) on the quadric
-    K = rmap.two_a + rmap.s_p0q0 - rmap.s_p1q0
     xs, m, xa, ya = _cells(g.deformation)
     b = ya - m * xa  # F(x) = m x + b on each open cell
     tol_rho = tol_abs / float(m.max())
@@ -478,8 +450,8 @@ def _quadratic_roots(A, B, C):
     return [q / A, C / q] if q else [0.0]
 
 
-# rows of (p0, p1, q0, X) paired in a Euclidean solve's one sigma call:
-# sigma(p0, p1), (p1, q0), (p0, q0), then (p0, X), (p1, X), (q0, X) as in _ResidualMap
+# rows of (p0, p1, q0, X) paired in a Euclidean solve's one sigma call: the
+# fixed terms sigma(p0, p1), (p1, q0), (p0, q0), then (p0, X), (p1, X), (q0, X)
 _TRANSLATION_PAIRS = np.array([[0, 1, 0, 0, 1, 2], [1, 2, 2, 3, 3, 3]])
 _TRANSLATION_DIAGNOSTICS = SolverDiagnostics(0, 0, 1, 0, 0)
 
@@ -499,9 +471,11 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
 
     On the Minkowski substrate ``_cell_starts`` walks the slope cells of F
     and gives one point per non-empty piece of the solution set with the
-    piece's dimension, and one ``_ResidualMap`` call gives their residual
-    rows.  The representatives are the points whose row meets ``tol``,
-    sorted lexicographically, and the reported residuals are those rows,
+    piece's dimension.  The three fixed sigma terms, one stacked call, set
+    the walk's parallelism constant K, and with one sigma call at the walk's
+    points they give the points' residual rows (``_residual_row``).  The
+    representatives are the points whose row meets ``tol``, sorted
+    lexicographically, and the reported residuals are those rows,
     equal to ``is_equivalent``'s (r_par, r_len) of P0P1 against Q0Q1 bit
     for bit.  A piece lying wholly far from q0, where that rounding exceeds
     ``tol``, is dropped (``converged_count`` < ``starts_attempted``):
@@ -531,10 +505,11 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
                 "equivalence test at tol in float arithmetic")
         return SolutionSet([X], "single", 0, [(r_par, r_len)], _TRANSLATION_DIAGNOSTICS)
 
-    rmap = _ResidualMap(g, p0, p1, q0)
-    tol_abs = cfg.tol * max(1.0, abs(rmap.two_a))
-    X, dims, ranks, examined = _cell_starts(g, p0, p1, q0, rmap, tol_abs)
-    res = rmap(X)
+    s_p0p1, s_p1q0, s_p0q0 = sigma(g, *points.take(_TRANSLATION_PAIRS[:, :3], axis=0)).tolist()
+    two_a = 2.0 * s_p0p1
+    tol_abs = cfg.tol * max(1.0, abs(two_a))
+    X, dims, ranks, examined = _cell_starts(g, p0, p1, q0, two_a + s_p0q0 - s_p1q0, tol_abs)
+    res = np.column_stack(_residual_row(two_a, s_p1q0, s_p0q0, *sigma(g, points[:, None], X[None])))
     conv = np.abs(res).max(axis=1) <= tol_abs
     if not conv.any():
         if g.kind == "minkowski":

@@ -26,8 +26,7 @@ variant.  The discrete geometry admits no point pairs with squared distance
 in (0, 2*lambda0_sq): distances below sqrt(2)*lambda0 do not occur.
 
 All sigma implementations are symmetric by construction and broadcast over
-leading axes of the coordinate arrays; ``sigma_gradient`` gives their exact
-derivative in the end point, F'(sigma_M) eta (q - p).
+leading axes of the coordinate arrays.
 """
 
 from __future__ import annotations
@@ -315,35 +314,14 @@ class DeformationFunction:
             return _finish(_piecewise_linear(x, *self.table.T))
         return _finish(x + self._shift(x))
 
-    def slope(self, sigma_m):
-        """Derivative F'(sigma_M).
-
-        1 outside the ramp of a built-in, and everywhere for the identity and
-        the discrete shift (whose jump at sigma_M = 0 has no derivative; 1 is
-        returned there too); 1 + lambda0_sq/sigma0 inside |sigma_M| <= sigma0;
-        the segment slope for tables, with the end segments extended
-        linearly.  At a table breakpoint the right segment's slope is
-        returned.  Every slope is finite and > 0: the constructor rejects a
-        sigma0 so small that lambda0_sq / sigma0 overflows, and a table
-        segment whose slope overflows or underflows to 0.
-        """
-        x = np.asarray(sigma_m, dtype=float)
-        if self.table is not None:
-            xs, ys = self.table.T
-            seg = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-            out = (np.diff(ys) / np.diff(xs))[seg]
-        elif self.sigma0 == 0.0:
-            out = np.ones_like(x)
-        else:
-            out = np.where(np.abs(x) > self.sigma0, 1.0, 1.0 + self.lambda0_sq / self.sigma0)
-        return _finish(out)
-
 
 def _cells(F: DeformationFunction | None):
     """Linear cells of F: (xs, m, xa, ya), F(x) = ya[k] + m[k] (x - xa[k]) on the open
     cell k = (xs[k - 1], xs[k]), with xs[-1] = -inf and xs[len(xs)] = inf.  The
     breakpoints are a table's (end segments extended) or the ramp edges +-sigma0,
-    and hold 0, so no cell crosses the light cone.  F None (Euclidean) is the identity.
+    and hold 0, so no cell crosses the light cone.  The slopes m are F's: a table's
+    segment slopes, else 1 outside the ramp and 1 + lambda0_sq / sigma0 inside it,
+    each finite and > 0 by the constructor's checks.  F None (Euclidean) is the identity.
     They are computed once per F and held read-only: every caller shares the arrays."""
     F = _IDENTITY if F is None else F
     if F._cell_arrays is None:
@@ -352,8 +330,10 @@ def _cells(F: DeformationFunction | None):
         xs = xs[np.append(True, xs[1:] > xs[:-1])] + 0.0  # one 0, never -0.0
         inner = np.concatenate([[xs[0] - 1.0], 0.5 * (xs[:-1] + xs[1:]), [xs[-1] + 1.0]])
         if F.table is None:  # anchored at 0: outside the ramp ya + m x is F's own x + lambda0_sq sgn(x)
-            ya = np.where(np.abs(inner) > F.sigma0, F.lambda0_sq * np.sign(inner), 0.0)
-            cells = xs, F.slope(inner), np.zeros_like(inner), ya
+            out = np.abs(inner) > F.sigma0
+            ramp = 1.0 + F.lambda0_sq / F.sigma0 if F.sigma0 else 1.0  # sigma0 = 0: no ramp cell
+            ya = np.where(out, F.lambda0_sq * np.sign(inner), 0.0)
+            cells = xs, np.where(out, 1.0, ramp), np.zeros_like(inner), ya
         else:
             tx, ty = F.table.T  # anchored where np.interp and the extended end segments anchor
             a = np.clip(np.searchsorted(tx, inner, side="right") - 1, 0, len(tx) - 1)
@@ -541,25 +521,6 @@ def sigma(g: Geometry, p, q):
 
 
 _ETA = np.array([1.0, -1.0, -1.0, -1.0])  # Minkowski metric diagonal
-
-
-def sigma_gradient(g: Geometry, p, q):
-    """Gradient of sigma(p, q) in the end point q; broadcasts like ``sigma``.
-
-    Every world function here is a function F of the flat one, so the
-    gradient is exact: F'(sigma_M) eta (q - p), with eta the Minkowski
-    metric diagonal and F' from ``DeformationFunction.slope``; in the
-    Euclidean geometry it is q - p.  The discrete shift jumps at sigma_M = 0
-    and has no derivative on the cone; slope 1 is used there.  By symmetry
-    of sigma the gradient in p is
-    ``sigma_gradient(g, q, p)``, which is exactly ``-sigma_gradient(g, p, q)``.
-    """
-    p = _coords(g, p)
-    q = _coords(g, q)
-    d = q - p
-    if g.deformation is None:
-        return d
-    return np.asarray(g.deformation.slope(_sigma_m(d)))[..., None] * (d * _ETA)
 
 
 def deformation_value(g: Geometry, sigma_m):

@@ -1,5 +1,7 @@
 """CLI contract: outputs, manifests, reproducibility, exit codes."""
 
+import contextlib
+import io
 import json
 import hashlib
 import math
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import worldfunc as wf
 from worldfunc.cli import UsageError, _build_parser, _write_csv, main, parse_geometry
@@ -849,6 +852,93 @@ def test_manifest_is_canonical_strict_json(tmp_path):
     assert manifest["schema_version"] == 1 and manifest["command"] == "density"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # sigma_M at 1e200 overflows to inf, and the object's Gram term to NaN:
+    # both used to be written with exit 0 after numpy's RuntimeWarnings
+    (["sigma", "--geometry", "minkowski", "--points", "pts.json"],
+     "sigma.csv would hold a non-finite value in column sigma"),
+    (["object", "--geometry", "minkowski", "--envelope", "cylinder", "--skeleton", "sk.json",
+      "--probes", "probes.json"], "object_probes.csv would hold a non-finite value in column envelope_value"),
+    # these exited 2 before, but printed numpy's RuntimeWarnings first
+    (["eqv", "solve", "--geometry", "discrete:lambda0_sq=0.02", "--p0", "0,0,0,0",
+      "--p1", "1e300,0,0,0", "--q0", "0,0,0,0"], "squared chart distance overflows"),
+    (["eqv", "check", "--geometry", "minkowski", "--a-origin", "0,0,0,0", "--a-end", "1e200,0,0,0",
+      "--b-origin", "0,0,0,0", "--b-end", "1,0,0,0"], "eqv_check.json would hold a non-finite value"),
+], ids=["sigma", "object", "eqv-solve", "eqv-check"])
+def test_overflow_exits_2_with_its_message_alone(tmp_path, capsys, argv, message):
+    write_points(tmp_path / "pts.json", [[0, 0, 0, 0], [1e200, 0, 0, 0]])
+    write_points(tmp_path / "sk.json", [[0, 0, 0, 0], [1e200, 0, 0, 0], [0, 1, 0, 0]])
+    write_points(tmp_path / "probes.json", [[1, 0, 0, 0]])
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["--out-dir", tmp_path / "out"]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and message in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+    # the library itself still returns inf, with numpy's warning
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert wf.sigma(wf.Geometry.minkowski(), (0, 0, 0, 0), (1e200, 0, 0, 0)) == math.inf
+
+
+_EXTREME = [0.0, 1.0, -1.0, 5e-324, 1e150, -1e150, 1e200, -1e200, 1e300, -1e300]
+
+
+@st.composite
+def _extreme_points(draw):
+    """Four 4-d points with coordinates from _EXTREME, none past a cap drawn per
+    example, so that some examples stay at unit scale, where commands succeed."""
+    cap = draw(st.sampled_from([1.0, 1e150, 1e200, 1e300]))
+    coord = st.sampled_from([x for x in _EXTREME if abs(x) <= cap])
+    return draw(st.lists(st.lists(coord, min_size=4, max_size=4), min_size=4, max_size=4))
+
+
+def _finite_outputs(out_dir):
+    """Whether every CSV value and every JSON number under out_dir is finite."""
+    for path in out_dir.iterdir():
+        text = path.read_text()
+        if path.suffix == ".csv":
+            values = [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
+            if not all(map(math.isfinite, values)):
+                return False
+        else:  # strict JSON: NaN and Infinity are not numbers there
+            json.loads(text, parse_constant=lambda name: pytest.fail(f"{path.name} holds {name}"))
+    return True
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=st.sampled_from(["minkowski", "discrete:lambda0_sq=0.02",
+                             "grainy:lambda0_sq=0.01,sigma0=0.03", "euclidean:dim=4"]),
+       pts=_extreme_points())
+def test_extreme_coordinates_exit_0_with_finite_outputs_or_fail_quietly(tmp_path_factory, spec, pts):
+    # every command on coordinates up to 1e300 and down to 5e-324: where it
+    # exits 0 its outputs are finite, and no run prints a numpy warning
+    base = tmp_path_factory.mktemp("extreme")
+    points = write_points(base / "pts.json", pts)
+    skeleton = write_points(base / "sk.json", pts[:3])
+    probes = write_points(base / "probes.json", pts[3:])
+    p = [",".join(map(repr, x)) for x in pts]
+    commands = [
+        ["sigma", "--points", points],
+        ["eqv", "check", f"--a-origin={p[0]}", f"--a-end={p[1]}", f"--b-origin={p[2]}", f"--b-end={p[3]}"],
+        ["eqv", "solve", f"--p0={p[0]}", f"--p1={p[1]}", f"--q0={p[2]}"],
+        ["tube", f"--p0={p[0]}", f"--p1={p[1]}", "--stations", "8", "--directions", "4"],
+        ["object", "--skeleton", skeleton, "--probes", probes],
+    ]
+    for k, command in enumerate(commands):
+        out = base / f"out{k}"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = run([*command, "--geometry", spec, "--out-dir", out])
+        assert caught == [] and "Warning" not in err.getvalue(), (command, err.getvalue())
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert _finite_outputs(out), command
+
+
 def test_eqv_check_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
     # the residuals overflow to inf and NaN, which strict JSON cannot hold
     with np.errstate(all="ignore"):
@@ -888,15 +978,23 @@ def _ref_csv(header, rows):
 
 
 def test_write_csv_matches_per_value_writer(tmp_path):
-    floats = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-310, -1.5e300, 0.1, 1 / 3])
+    floats = np.array([0.0, -0.0, 5e-324, 1.7976931348623157e308, -1e-310, 1e-310, -1.5e300, 0.1, 1 / 3])
     ints = np.arange(-4, 5, dtype=np.int64)
     flags = floats > 0
     _write_csv(tmp_path / "t.csv", "a,b,c,d", ints, floats, flags, floats[::-1])
     want = _ref_csv("a,b,c,d", zip(ints, floats, flags.astype(float), floats[::-1]))
     assert (tmp_path / "t.csv").read_text() == want
-    assert "-0.0" in want and "nan" in want and "-inf" in want
+    assert "-0.0" in want and "5e-324" in want and "1.7976931348623157e+308" in want
     _write_csv(tmp_path / "empty.csv", "a,b", ints[:0], floats[:0])
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_csv_refuses_a_non_finite_value(tmp_path, bad):
+    # as _write_json does: a numerical failure naming the file and the column, nothing written
+    with pytest.raises(wf.WorldFunctionError, match="t.csv would hold a non-finite value in column b$"):
+        _write_csv(tmp_path / "t.csv", "a,b,c", np.arange(3), np.array([0.5, bad, 1.0]), np.ones(3))
+    assert not list(tmp_path.glob("*"))
 
 
 def test_chain_raw_and_stats_match_per_value_writer(tmp_path):

@@ -1,6 +1,7 @@
 """Equivalence relation, the solution-set solver, spacelike family,
 intransitivity, collinearity, segments and tube sampling."""
 
+import contextlib
 import itertools
 import json
 import math
@@ -19,7 +20,8 @@ from scipy.optimize import brentq
 import worldfunc as wf
 from worldfunc import DeformationFunction, Geometry, GeomVector, SolverConfig, TubeSamplerConfig
 import worldfunc.equivalence as eqv
-from worldfunc.equivalence import _WITNESS_BLOCK, _ResidualMap
+from worldfunc.equivalence import _WITNESS_BLOCK
+from test_geometry import _sigma_gradient, _slope
 
 
 MINK = Geometry.minkowski()
@@ -277,18 +279,20 @@ def test_euclidean_solve_is_the_translation_in_closed_form(data, dim):
 
 def _assert_closed_form(g, p0, p1, q0):
     """|Y|^2 = <Y, u> = |u|^2 forces Y = u: the translation is the one solution,
-    returned, without a residual map, exactly when it passes the pairwise test at tol."""
+    returned, its row from one stacked sigma call, exactly when it passes the
+    pairwise test at tol."""
     X = q0 + (p1 - p0)
     rep = wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, X))
     passes = (max(abs(rep.residual_parallel), abs(rep.residual_length))
               <= 1e-9 * max(1.0, abs(2.0 * wf.sigma(g, p0, p1))))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eqv, "_ResidualMap", _no_residual_map)
+        sigma_calls, rows = _spy_on_the_residual_row(mp)
         if not passes:
             with pytest.raises(wf.SolverFailureError, match="translation"):
                 wf.solve_equivalent(g, p0, p1, q0)
             return False
         sol = wf.solve_equivalent(g, p0, p1, q0)
+    assert sigma_calls == [(6, g.dim)] and len(rows) == 1
     assert (sol.variance, sol.manifold_dim_estimate) == ("single", 0)
     assert len(sol.representatives) == 1
     assert sol.representatives[0].tobytes() == X.tobytes()
@@ -297,8 +301,23 @@ def _assert_closed_form(g, p0, p1, q0):
     return True
 
 
-def _no_residual_map(*args):
-    raise AssertionError("a Euclidean solve built a _ResidualMap")
+def _spy_on_the_residual_row(mp):
+    """Record the broadcast shape of each sigma call of a solve and each row
+    ``_residual_row`` returns; mp is a pytest MonkeyPatch."""
+    sigma_calls, rows = [], []
+    sigma, residual_row = eqv.sigma, eqv._residual_row
+
+    def sigma_spy(g, p, q):
+        sigma_calls.append(np.broadcast_shapes(np.shape(p), np.shape(q)))
+        return sigma(g, p, q)
+
+    def row_spy(*terms):
+        rows.append(residual_row(*terms))
+        return rows[-1]
+
+    mp.setattr(eqv, "sigma", sigma_spy)
+    mp.setattr(eqv, "_residual_row", row_spy)
+    return sigma_calls, rows
 
 
 @pytest.mark.parametrize("dim", [8, 9, 16, 40])
@@ -316,17 +335,11 @@ def test_euclidean_solve_is_the_translation_past_the_unrolled_reduction(dim):
 
 
 def test_euclidean_solve_makes_one_sigma_call_and_no_residual_map(monkeypatch):
-    calls = []
-
-    def spy(g, p, q):
-        calls.append(np.broadcast_shapes(np.shape(p), np.shape(q)))
-        return wf.sigma(g, p, q)
-
-    monkeypatch.setattr(eqv, "sigma", spy)
-    monkeypatch.setattr(eqv, "_ResidualMap", _no_residual_map)
+    calls, rows = _spy_on_the_residual_row(monkeypatch)
     sol = wf.solve_equivalent(EUCLID3, (0.1, 0.2, 0.3), (1.7, -0.4, 2.2), (2.3, 0.1, -0.9))
     assert sol.variance == "single"
     assert calls == [(6, 3)]  # the six pairs of p0, p1, q0 and the translation
+    assert sol.residuals == [tuple(rows[0])]  # one row, of floats
 
 
 @pytest.mark.parametrize("p0, p1, q0", [
@@ -443,14 +456,27 @@ def _radius(p0, p1):
     return 1e-4 * max(1.0, float(np.linalg.norm(np.subtract(p1, p0))))
 
 
+class _ResidualRows:
+    """P0P1 at q0 for the references below: the points, the tolerance and,
+    called on end points X (m, n), the pairwise test's residual rows (m, 2)."""
+
+    def __init__(self, g, p0, p1, q0):
+        self.g = g
+        self.refs = np.array([p0, p1, q0], dtype=float)  # (3, n)
+        self.tol_abs = 1e-9 * max(1.0, abs(2.0 * wf.sigma(g, p0, p1)))
+
+    def __call__(self, X):
+        return np.column_stack(eqv._equivalence_residuals(self.g, *self.refs, X, 0.0)[1:3])
+
+
 def _jacobian(rmap, X):
     """Residual Jacobian rows (m, 2, n) at X (m, n) for the references below.
 
     The residuals are sums of sigma(ref, X), so with G_k = d sigma(ref_k, X) /
-    dX, one stacked ``sigma_gradient`` call, the rows are G_0 - G_1 - G_2
-    (parallelism) and -2 G_2 (length).
+    dX, one stacked ``_sigma_gradient`` call (F' from F's cells), the rows are
+    G_0 - G_1 - G_2 (parallelism) and -2 G_2 (length).
     """
-    G = wf.sigma_gradient(rmap.g, rmap.refs[:, None, :], X[None, :, :])
+    G = _sigma_gradient(rmap.g, rmap.refs[:, None, :], X[None, :, :])
     return np.stack([G[0] - G[1] - G[2], -2.0 * G[2]], axis=1)
 
 
@@ -464,7 +490,7 @@ def _manifold_dims(rmap, reps, radius, tol_abs):
     A = K (c . H) K^T for the residual Hessians H.  On the Minkowski
     substrate each sigma(ref_k, X) has the Hessian F'(sigma_M) eta off the
     kinks of F, so c . H is the diagonal (c_0 (s_0 - s_1 - s_2) - 2 c_1 s_2) eta
-    for the slopes s_k, read at X - ref_k as ``sigma_gradient`` reads them.
+    for the slopes s_k, read at X - ref_k as ``_sigma_gradient`` reads them.
     A definite A keeps the roots within 2 s_min / min|eig A| of the
     representative: it is isolated when that is within radius.  Otherwise the
     roots form an (n - 2)-manifold: by the implicit function theorem at full
@@ -477,7 +503,7 @@ def _manifold_dims(rmap, reps, radius, tol_abs):
     K = Vt[:, 1:]
     c = U[:, :, -1]
     d = reps[None, :, :] - rmap.refs[:, None, :]
-    s = rmap.g.deformation.slope(0.5 * (d[..., 0] ** 2 - np.sum(d[..., 1:] ** 2, axis=-1)))
+    s = _slope(rmap.g.deformation, 0.5 * (d[..., 0] ** 2 - np.sum(d[..., 1:] ** 2, axis=-1)))
     cH = (c[:, 0] * ((s[0] - s[1]) - s[2]) + c[:, 1] * (-2.0 * s[2]))[:, None] * eqv._ETA
     eig = np.linalg.eigvalsh((K * cH[:, None, :]) @ K.transpose(0, 2, 1))
     definite = (eig[:, 0] > 0.0) | (eig[:, -1] < 0.0)
@@ -499,8 +525,8 @@ def test_isolated_root_reach_keeps_a_distinct_root():
     assert sol.variance == "multi"
     assert len(sol.representatives) == 2
     reps = np.array(sol.representatives)
-    rmap = _ResidualMap(g, p0, p1, q0)
-    tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+    rmap = _ResidualRows(g, p0, p1, q0)
+    tol_abs = rmap.tol_abs
     dims, _, reach = _manifold_dims(rmap, reps, _radius(p0, p1), tol_abs)
     assert sorted(dims.tolist()) == [0, 2]
     assert np.abs(reps[dims == 0] - (q0 + p1 - p0)).max() <= 1e-12
@@ -517,7 +543,7 @@ def _manifold_dims_from_hessian_stacks(rmap, reps, radius, tol_abs):
     K = Vt[:, 1:]
     d = reps[None, :, :] - rmap.refs[:, None, :]
     sm = 0.5 * (d[..., 0] * d[..., 0] - np.sum(d[..., 1:] * d[..., 1:], axis=-1))
-    H = rmap.g.deformation.slope(sm)[..., None, None] * np.diag([1.0, -1.0, -1.0, -1.0])
+    H = _slope(rmap.g.deformation, sm)[..., None, None] * np.diag([1.0, -1.0, -1.0, -1.0])
     H = np.stack([H[0] - H[1] - H[2], -2.0 * H[2]], axis=1)
     cH = np.einsum("mi,mijk->mjk", U[:, :, -1], H)
     eig = np.linalg.eigvalsh(K @ cH @ K.transpose(0, 2, 1))
@@ -563,7 +589,7 @@ def test_manifold_dims_match_the_hessian_stack_contraction(g):
     cases.append((np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4), kinks))
     cases.append((np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0, 0.0]), kinks))
     for p0, p1, q0, X in cases:
-        rmap = _ResidualMap(g, p0, p1, q0)
+        rmap = _ResidualRows(g, p0, p1, q0)
         for radius, tol_abs in ((1e-4, 1e-9), (1e-2, 1e-6)):
             got = _manifold_dims(rmap, X, radius, tol_abs)
             want = _manifold_dims_from_hessian_stacks(rmap, X, radius, tol_abs)
@@ -582,39 +608,32 @@ def test_solve_euclidean_low_dims_single(dim):
 
 
 def _assert_one_residual_call_on_the_walk(monkeypatch, cases):
-    # one residual call, on the walk's points, which pass at once, and no
-    # gradient: the representatives and their residuals are rows of that call
-    walks, calls = [], []
-    walk, call = eqv._cell_starts, _ResidualMap.__call__
+    # one sigma call for the three fixed terms, one at the walk's points and
+    # one residual row, whose rows pass at once: the representatives and
+    # their residuals are rows of that call
+    walks = []
+    walk = eqv._cell_starts
 
     def walk_spy(*args):
         walks.append(walk(*args))
         return walks[-1]
 
-    def call_spy(self, X):
-        calls.append((X.copy(), call(self, X)))
-        return calls[-1][1]
-
-    def no_gradient(*args):
-        raise AssertionError("a substrate solve evaluated sigma_gradient")
-
     monkeypatch.setattr(eqv, "_cell_starts", walk_spy)
-    monkeypatch.setattr(_ResidualMap, "__call__", call_spy)
-    monkeypatch.setattr(wf.geometry, "sigma_gradient", no_gradient)
-    monkeypatch.setattr(eqv, "sigma_gradient", no_gradient, raising=False)
+    sigma_calls, rows = _spy_on_the_residual_row(monkeypatch)
     for g, (p0, p1, q0) in cases:
-        walks.clear()
-        calls.clear()
+        for calls in (walks, sigma_calls, rows):
+            calls.clear()
         sol = wf.solve_equivalent(g, p0, p1, q0)
         assert sol.diagnostics.cells_examined > 0
-        assert len(walks) == len(calls) == 1
-        roots, res = calls[0]
-        assert roots.tobytes() == walks[0][0].tobytes()
+        assert len(walks) == len(rows) == 1
+        roots = walks[0][0]
+        assert sigma_calls == [(3, 4), (3, len(roots), 4)]
+        res = np.column_stack(rows[0])
         assert (np.abs(res).max(axis=1) <= 1e-9 * max(1.0, abs(2.0 * wf.sigma(g, p0, p1)))).all()
-        rows = {x.tobytes(): r.tobytes() for x, r in zip(roots, res)}
+        by_root = {x.tobytes(): r.tobytes() for x, r in zip(roots, res)}
         assert len(sol.representatives) == len(roots) >= 1
         for x, r in zip(sol.representatives, sol.residuals):
-            assert rows[x.tobytes()] == np.array(r).tobytes()
+            assert by_root[x.tobytes()] == np.array(r).tobytes()
 
 
 def test_generic_solve_runs_newton_once(monkeypatch):
@@ -768,8 +787,8 @@ def _multistart_verdict(g, p0, p1, q0, starts, seed=0):
     Newton from the translation guess and seeded starts in a box of half-width
     5 around q0, a dedupe, 12 more steps at tolerance 0, the second-order test
     and one cover of the isolated roots' reach."""
-    rmap = _ResidualMap(g, p0, p1, q0)
-    tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+    rmap = _ResidualRows(g, p0, p1, q0)
+    tol_abs = rmap.tol_abs
     radius = _radius(p0, p1)
     X0 = np.vstack([q0 + (p1 - p0), q0 + np.random.default_rng(seed).uniform(-5, 5, (starts - 1, 4))])
     X, res, conv, _ = _reference_newton(rmap, X0, tol_abs, 100)
@@ -868,8 +887,8 @@ def test_polishing_cell_roots_moves_no_verdict(g):
         sol = wf.solve_equivalent(g, p0, p1, q0)
         assert sol.diagnostics.cells_examined > 0
         reps = np.array(sol.representatives).reshape(-1, 4)
-        rmap = _ResidualMap(g, p0, p1, q0)
-        tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+        rmap = _ResidualRows(g, p0, p1, q0)
+        tol_abs = rmap.tol_abs
         radius = _radius(p0, p1)
         polished, res, *_ = _reference_newton(rmap, reps, 0.0, 12)
         assert (np.abs(res) <= tol_abs).all()
@@ -926,7 +945,7 @@ def test_generic_solve_reports_its_cell_walk():
     assert (sol.variance, sol.manifold_dim_estimate, d.jacobian_rank) == ("multi", 2, 2)
     p0, p1, q0 = _CONE_APEX
     assert all(np.abs(x - (q0 + p1 - p0)).max() > 0.1 for x in sol.representatives)
-    rmap = _ResidualMap(MINK, p0, p1, q0)
+    rmap = _ResidualRows(MINK, p0, p1, q0)
     S = np.linalg.svd(_jacobian(rmap, np.array(sol.representatives)), compute_uv=False)
     assert (S[:, 1] > _RANK_CUTOFF * S[:, 0]).all()
 
@@ -944,8 +963,8 @@ def test_cell_walk_reports_a_surface_inside_the_dedupe_radius():
     sol = wf.solve_equivalent(g, p0, p1, q0)
     assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 2)
     assert len(sol.representatives) == sol.diagnostics.cells_nonempty == 1
-    rmap = _ResidualMap(g, p0, p1, q0)
-    tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+    rmap = _ResidualRows(g, p0, p1, q0)
+    tol_abs = rmap.tol_abs
     dims = _manifold_dims(rmap, np.array(sol.representatives), _radius(p0, p1), tol_abs)[0]
     assert dims.tolist() == [0]
 
@@ -1053,15 +1072,17 @@ _SOLVER_GEOMS = [EUCLID3, MINK, Geometry.discrete(0.01), Geometry.grainy(0.2, 1.
 
 
 def test_residual_map_fills_the_rows_of_the_stacked_form():
+    # a substrate solve's rows, from the three fixed terms of one stacked
+    # sigma call and one call at the end points, are the pairwise test's
+    # (r_par, r_len) of P0P1 against Q0X, from six broadcast calls
     rng = np.random.default_rng(20)
     for g in _SOLVER_GEOMS:
-        p0, p1, q0 = rng.uniform(-2, 2, (3, g.dim))
-        rmap = _ResidualMap(g, p0, p1, q0)
+        refs = rng.uniform(-2, 2, (3, g.dim))
         X = rng.uniform(-2, 2, (7, g.dim))
-        # the rows are the pairwise test's (r_par, r_len) of P0P1 against Q0X
-        _, r_par, r_len, _ = eqv._equivalence_residuals(g, p0, p1, q0, X, 1e-9)
-        want = np.stack([r_par, r_len], axis=-1)
-        assert rmap(X).tobytes() == want.tobytes()
+        s_p0p1, s_p1q0, s_p0q0 = wf.sigma(g, refs[[0, 1, 0]], refs[[1, 2, 2]])
+        got = eqv._residual_row(2.0 * s_p0p1, s_p1q0, s_p0q0, *wf.sigma(g, refs[:, None], X[None]))
+        _, r_par, r_len, _ = eqv._equivalence_residuals(g, *refs, X, 1e-9)
+        assert np.stack(got, axis=-1).tobytes() == np.stack([r_par, r_len], axis=-1).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1369,8 +1390,8 @@ def test_cell_verdicts_match_the_second_order_test(g, pts):
     assume(not np.array_equal(p0, p1))
     sol = wf.solve_equivalent(g, p0, p1, q0)
     assume(sol.representatives)
-    rmap = _ResidualMap(g, p0, p1, q0)
-    tol_abs = 1e-9 * max(1.0, abs(rmap.two_a))
+    rmap = _ResidualRows(g, p0, p1, q0)
+    tol_abs = rmap.tol_abs
     dims = _manifold_dims(rmap, np.array(sol.representatives), _radius(p0, p1), tol_abs)[0]
     assert sol.manifold_dim_estimate == dims.max()
     assert sol.variance == ("single" if dims.tolist() == [0] else "multi")
@@ -1483,6 +1504,18 @@ def test_q0_near_the_line_p0p1_is_walked_in_its_plane():
             assert wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x)).equivalent
 
 
+def _walk(g, p0, p1, q0):
+    """(points, dimensions, ranks, cells examined) of the slope-cell walk, as
+    one solve ran it: a spy on ``_cell_starts``, whatever the solve concluded."""
+    walks = []
+    walk = eqv._cell_starts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eqv, "_cell_starts", lambda *args: walks.append(walk(*args)) or walks[-1])
+        with contextlib.suppress(wf.SolverFailureError):
+            wf.solve_equivalent(g, p0, p1, q0)
+    return walks[0]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(g=_SUBSTRATES, pts=_GENERIC_INPUTS)
 @example(g=MINK, pts=_CONE_APEX)
@@ -1493,12 +1526,12 @@ def test_the_point_of_a_surface_is_a_smooth_one(g, pts):
     p0, p1, q0 = pts
     # a P0P1 whose square underflows is refused (test_solve_refuses_a_p0p1_whose_square_underflows)
     assume((p1 - p0) @ (p1 - p0) >= np.finfo(float).tiny)
-    rmap = _ResidualMap(g, p0, p1, q0)
-    X, dims, ranks, _ = eqv._cell_starts(g, p0, p1, q0, rmap, 1e-9 * max(1.0, abs(rmap.two_a)))
+    X, dims, ranks, _ = _walk(g, p0, p1, q0)
     assert (ranks[dims != 2] == 1).all()
     # the one exception: the discrete F's jump, whose piece is represented by its apex
     assert (ranks[dims == 2] == 2).all() or g.kind == "discrete"
-    S = np.linalg.svd(_jacobian(rmap, X[ranks == 2]), compute_uv=False).reshape(-1, 2)
+    S = np.linalg.svd(_jacobian(_ResidualRows(g, p0, p1, q0), X[ranks == 2]),
+                      compute_uv=False).reshape(-1, 2)
     assert (S[:, 1] > 1e-12 * S[:, 0]).all()
 
 

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import worldfunc as wf
 from worldfunc import Geometry, GeomVector, UnitConstants, DeformationFunction
-from worldfunc.geometry import _cells
+from worldfunc.geometry import _ETA, _cells
 
 
 EUCLID3 = Geometry.euclidean(3)
@@ -479,8 +479,27 @@ def test_deformation_value():
 
 
 # ---------------------------------------------------------------------------
-# sigma gradient
+# sigma gradient: the reference Jacobian of the equivalence tests
 # ---------------------------------------------------------------------------
+
+def _slope(F, x):
+    """F'(x) read from F's cells (``_cells``): the slope of the cell right of x."""
+    xs, m, _, _ = _cells(F)
+    return m[np.searchsorted(xs, x, side="right")]
+
+
+def _sigma_gradient(g, p, q):
+    """Gradient of sigma(p, q) in the end point q; broadcasts like ``sigma``.
+
+    Every world function here is a function F of the flat one, so the
+    gradient is F'(sigma_M) eta (q - p), F' from ``_slope``, and q - p in the
+    Euclidean geometry.  The discrete shift's jump at sigma_M = 0 reads slope 1.
+    """
+    d = np.subtract(q, p)
+    if g.deformation is None:
+        return d
+    return np.asarray(_slope(g.deformation, wf.sigma(MINK, p, q)))[..., None] * (d * _ETA)
+
 
 _TABLE = [[-5, -5.5], [-1, -1.2], [0, 0], [0.5, 0.7], [5, 5.5]]
 
@@ -520,7 +539,7 @@ def test_sigma_gradient_matches_central_differences(g, kinks, data):
     h = 1e-6
     fd = np.array([(wf.sigma(g, p, q + h * e) - wf.sigma(g, p, q - h * e)) / (2 * h)
                    for e in np.eye(g.dim)])
-    np.testing.assert_allclose(wf.sigma_gradient(g, p, q), fd, rtol=1e-7, atol=1e-7)
+    np.testing.assert_allclose(_sigma_gradient(g, p, q), fd, rtol=1e-7, atol=1e-7)
 
 
 @pytest.mark.parametrize("g,kinks", GRADIENT_CASES, ids=_CASE_IDS)
@@ -533,13 +552,13 @@ def test_sigma_hessian_matches_central_differences(g, kinks, data):
     # the gradient is linear in q between F's kinks, so its central differences are exact there
     assume(all(abs(sm - k) > 1e-3 for k in kinks))
     h = 1e-6
-    fd = np.array([(wf.sigma_gradient(g, p, q + h * e) - wf.sigma_gradient(g, p, q - h * e)) / (2 * h)
+    fd = np.array([(_sigma_gradient(g, p, q + h * e) - _sigma_gradient(g, p, q - h * e)) / (2 * h)
                    for e in np.eye(g.dim)])
-    # the Hessian the solver's second-order test reads: F'(sigma_M) eta, the identity if Euclidean
+    # the Hessian the reference second-order test reads: F'(sigma_M) eta, the identity if Euclidean
     if g.deformation is None:
         hessian = np.eye(g.dim)
     else:
-        hessian = g.deformation.slope(sm) * np.diag([1.0, -1.0, -1.0, -1.0])
+        hessian = _slope(g.deformation, sm) * np.diag(_ETA)
     np.testing.assert_allclose(hessian, fd, rtol=1e-7, atol=1e-7)
 
 
@@ -548,8 +567,8 @@ def test_sigma_hessian_matches_central_differences(g, kinks, data):
 @given(data=st.data())
 def test_sigma_gradient_in_origin_is_negated(g, kinks, data):
     p, q = _draw_pair(data, g.dim)
-    # sigma is symmetric, so d sigma/dp = sigma_gradient(g, q, p); exact, kinks included
-    assert np.array_equal(wf.sigma_gradient(g, q, p), -wf.sigma_gradient(g, p, q))
+    # sigma is symmetric, so d sigma/dp = _sigma_gradient(g, q, p); exact, kinks included
+    assert np.array_equal(_sigma_gradient(g, q, p), -_sigma_gradient(g, p, q))
 
 
 def test_grainy_ramp_with_a_tiny_sigma0_does_not_warn():
@@ -563,35 +582,31 @@ def test_grainy_ramp_with_a_tiny_sigma0_does_not_warn():
 
 
 def test_deformation_slopes():
-    x = np.array([-7.0, -5.0, -2.0, -1.0, -0.01, 0.0, 0.2, 0.5, 3.0, 9.0])
-    assert np.array_equal(DeformationFunction.identity().slope(x), np.ones_like(x))
-    # the discrete shift jumps at 0; slope 1 is used there as everywhere else
-    assert np.array_equal(DeformationFunction.discrete_shift(0.01).slope(x), np.ones_like(x))
-    ramp = DeformationFunction.grainy_ramp(0.01, 0.5)
-    assert np.array_equal(ramp.slope(x), np.where(np.abs(x) <= 0.5, 1.02, 1.0))
-    table = DeformationFunction.from_table(_TABLE)
-    seg = [4.3 / 4, 4.3 / 4, 4.3 / 4, 1.2, 1.2, 1.4, 1.4, 4.8 / 4.5, 4.8 / 4.5, 4.8 / 4.5]
-    np.testing.assert_allclose(table.slope(x), seg, rtol=1e-15)
-    assert table.slope(-100.0) == table.slope(-6.0)  # first segment extended
-    assert isinstance(table.slope(0.25), float)
+    # the slopes F's cells hold, one per open cell between the breakpoints
+    assert _cells(DeformationFunction.identity())[1].tolist() == [1.0, 1.0]
+    # the discrete shift jumps at 0; both of its cells have slope 1
+    assert _cells(DeformationFunction.discrete_shift(0.01))[1].tolist() == [1.0, 1.0]
+    # 1 outside the ramp, 1 + lambda0_sq / sigma0 inside it
+    assert _cells(DeformationFunction.grainy_ramp(0.01, 0.5))[1].tolist() == [1.0, 1.02, 1.02, 1.0]
+    seg = [4.3 / 4, 4.3 / 4, 1.2, 1.4, 4.8 / 4.5, 4.8 / 4.5]  # the end segments extended
+    np.testing.assert_allclose(_cells(DeformationFunction.from_table(_TABLE))[1], seg, rtol=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
 @given(lam=st.floats(0.0, 1e300), sigma0=st.floats(0.0, 1e300), dy=st.floats(0.0, 1e300),
-       dx=st.floats(0.0, 1e300), x=st.floats(allow_nan=False))
-def test_every_accepted_deformation_has_finite_positive_slopes(lam, sigma0, dy, dx, x):
-    # a built-in F or a table with one drawn segment, wherever sigma_M lies
+       dx=st.floats(0.0, 1e300))
+def test_every_accepted_deformation_has_finite_positive_slopes(lam, sigma0, dy, dx):
+    # a built-in F or a table with one drawn segment: every cell's slope
     for make in (lambda: DeformationFunction.grainy_ramp(lam, sigma0),
                  lambda: DeformationFunction.from_table([[-1, -1], [0, 0], [dx, dy]])):
         try:
             F = make()
         except wf.InvalidInputError:
             continue
-        assert 0.0 < F.slope(x) < math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = np.asarray(wf.sigma_gradient(Geometry.deformed(F), ORIGIN4, (1.0, 1.0, 0.0, 0.0)))
-        assert np.all(np.isfinite(g))
+            m = _cells(F)[1]
+        assert np.all((0.0 < m) & (m < math.inf))
 
 
 # F's linear cells, one per (sigma_M breakpoint) interval; the Euclidean
@@ -612,12 +627,17 @@ def test_cells_are_F_line_by_line(F, x):
     assume(x not in xs)  # the cells are open
     k = np.searchsorted(xs, x)
     line = ya[k] + m[k] * (x - xa[k])
-    want = x if F is None else F(x)
+    f = (lambda v: v) if F is None else F
+    want = f(x)
     if F is not None and F.table is not None:
         assert line == want  # anchored where np.interp is
     else:
         assert abs(line - want) <= 2 * np.spacing(abs(want))
-    assert m[k] == (1.0 if F is None else F.slope(x))
+    # the slope is F's own difference quotient across the cell: x and the
+    # point halfway to the cell's farther end (an end cell reaches 2 past x)
+    lo, hi = xs[k - 1] if k else x - 2.0, xs[k] if k < len(xs) else x + 2.0
+    y = 0.5 * (x + (lo if x - lo > hi - x else hi))
+    assert m[k] == pytest.approx((f(y) - f(x)) / (y - x), rel=1e-9)
 
 
 def test_cells_breakpoints():
@@ -698,7 +718,6 @@ def test_builtin_kinds_equal_their_deformed_twins_bitwise(g, F, ref, data):
         p = np.array(data.draw(st.lists(st.integers(-24, 24), min_size=4, max_size=4))) / 8.0
         q = p + np.array([3.0, 2.0, -2.0, 1.0]) / 8.0 if kind == "null" else p.copy()
     assert _bits(wf.sigma(g, p, q)) == _bits(wf.sigma(twin, p, q))
-    assert _bits(wf.sigma_gradient(g, p, q)) == _bits(wf.sigma_gradient(twin, p, q))
     sm = wf.sigma(MINK, p, q)
     x = np.array([sm, data.draw(st.floats(-3.0, 3.0))])
     assert np.array_equal(wf.deformation_value(g, x), ref(x))
@@ -775,7 +794,7 @@ def test_builtin_deformation_ignores_parameters_of_other_kinds():
     (lambda: DeformationFunction.from_table([(-2, -2), (0, 0), (0.5, 0.5), (1, 0.4), (2, 1.5)]),
      "strictly increasing: segment 2"),
     (lambda: DeformationFunction.from_table([["a", 0], [0, 0]]), "table must hold numbers"),
-    # a slope that is not a finite positive float would make sigma_gradient inf or NaN
+    # a slope that is not a finite positive float would put an inf or 0 slope in F's cells
     (lambda: Geometry.grainy(0.01, 5e-324), r"sigma0 = 5e-324 is too small for lambda0_sq"),
     (lambda: DeformationFunction.from_table([[-1, -1], [0, 0], [5e-324, 1], [2, 3]]),
      r"table slope must be finite and > 0: segment 1 from \[0.0, 0.0\] to \[5e-324, 1.0\]"),
@@ -842,7 +861,7 @@ def test_geometry_carries_a_deformation_exactly_off_the_euclidean_kind():
 
 
 def test_geometry_checks_its_dimension_however_built():
-    # every kind but euclidean is four-dimensional, which sigma_gradient relies on
+    # every kind but euclidean is four-dimensional, which the slope-cell walk relies on
     with pytest.raises(wf.InvalidInputError, match="dimension 4, not 3"):
         Geometry(dim=3, deformation=DeformationFunction.identity())
     with pytest.raises(wf.InvalidInputError, match="dimension 4, not 5"):
