@@ -29,9 +29,11 @@ operations expose the thickness that straight lines acquire under deformation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,136 +204,278 @@ def _residual_row(two_a, s_p1q0, s_p0q0, s_p0x, s_p1x, s_q0x):
     return (((s_p0x + s_p1q0) - s_p0q0) - s_p1x) - 0.5 * (two_a + two_b), two_a - two_b
 
 
-def _cell_starts(g, p0, p1, q0, K, tol_abs):
+def _cell_starts(g, q0, diffs, sq, uu_e, K, tol_abs):
     """One point per non-empty piece of the solution set in the slope cells of F.
 
-    With Y = X - q0, u = p1 - p0 and w_k = q0 - p_k, the length equation is
-    the quadric <Y, Y> = <u, u> (F is injective), on which sigma_M(p_k, X) =
-    c_k + <Y, w_k> with c_k = (<u, u> + <w_k, w_k>) / 2.  So the two sigma_M
-    depend on Y through t = (<Y, w0>, <Y, u>) only (through tau = <Y, u>
-    alone where q0 is on the line p0p1, w0 = f u), and in a slope cell of F
-    the parallelism equation F(sigma_M(p0, X)) - F(sigma_M(p1, X)) = K, with
-    K = 2 sigma(p0, p1) + sigma(p0, q0) - sigma(p1, q0), is linear in t:
-    ``_plane_pieces`` and ``_line_pieces`` give each non-empty cell's
-    t = t* + s d over an open range lo < s < hi, or one point (lo = hi).
+    With Y = X - q0, u = p1 - p0 and w_k = q0 - p_k (the rows of ``diffs``,
+    whose Minkowski squares are ``sq`` and Euclidean |u|^2 is ``uu_e``), the
+    length equation is the quadric <Y, Y> = <u, u> (F is injective), on which
+    sigma_M(p_k, X) = c_k + <Y, w_k> with c_k = (<u, u> + <w_k, w_k>) / 2.  So
+    the two sigma_M depend on Y through t = (<Y, w0>, <Y, u>) only (through
+    tau = <Y, u> alone where q0 is on the line p0p1, w0 = f u), and in a slope
+    cell of F the parallelism equation F(sigma_M(p0, X)) - F(sigma_M(p1, X)) =
+    K, with K = 2 sigma(p0, p1) + sigma(p0, q0) - sigma(p1, q0), is linear in
+    t: ``_plane_pieces`` and ``_line_pieces`` give each non-empty cell's t =
+    t* + s d over an open range lo < s < hi, or one point (lo = hi).
 
     Y is written as Y_c(s) + sum_k y_k E_k.  The E_k are a Euclidean-
     orthonormal basis of the kernel of Y -> t, diagonal for eta (<E_a, E_b> =
     lam_a delta_ab, lam ascending), and Y_c(s), affine in s, meets t(s): the
     Euclidean least-norm point moved along every E_k but the last to its
     eta-centre, or, where q0 is on the line and u is not null, the
-    eta-projection (tau / <u, u>) u, exact where the division is.  The
-    quadric then reads sum lam_k y_k^2 + 2 h y_-1 = <u, u> - <Y_c, Y_c> with
-    h = <E_-1, Y_c>, and about its eta-centre sum lam_k z_k^2 = rho(s), a
-    quadratic in s: a sphere where rho < 0 (every lam < 0; a point at rho =
-    0) or a hyperboloid for any rho (mixed signs).  Where W = span(w0, u)
-    (or u) is null, lam_-1 is 0 (within ``_DEGENERATE``): the piece is a
-    graph over the other directions where h != 0, and E_-1 is free where
-    h = 0.
+    eta-projection (tau / <u, u>) u, exact where the division is.  Off the
+    line the kernel and the least-norm map come in closed form from the six
+    2 x 2 minors of the map (``_plane_frame``); on it, from ``svd`` and
+    ``eigh``.  The quadric then reads sum lam_k y_k^2 + 2 h y_-1 = <u, u> -
+    <Y_c, Y_c> with h = <E_-1, Y_c>, and about its eta-centre sum lam_k z_k^2
+    = rho(s), a quadratic in s: a sphere where rho < 0 (every lam < 0; a point
+    at rho = 0) or a hyperboloid for any rho (mixed signs).  Where W =
+    span(w0, u) (or u) is null, lam_-1 is 0 (within ``_DEGENERATE``): the
+    piece is a graph over the other directions where h != 0 on its range,
+    and E_-1 is free where h = 0 there (within tol_rho).
 
     ``_piece_points`` picks the point's s, the point of the range nearest q0
     (within the part where rho < -tol_rho for a sphere), and the piece has
     dimension len(E) - 1 (+ 1 over a range) where it holds a surface, 0 at a
-    tangent point, 1 on a curve of them (+ 1 along a free direction).  y is
-    0 at a tangent point, off the apex on a hyperboloid, the root nearest
-    Y_c along E_-1 elsewhere, and u's component along a free E_-1.  The one
-    exception: a piece pinned to the jump of the discrete F (sigma_M(p_k, X)
-    = 0 exactly) is represented by Y_c where rho = 0, the only point the
-    float cone holds, e.g. X = p1 at q0 = p0.  The curves on that jump where
-    q0 is off the line p0p1 are not walked.
+    tangent point, 1 on a curve of them (+ 1 along a free direction).  A
+    graph with no part where rho < -tol_rho takes the s whose point of the
+    graph is nearest q0 (``_graph_s``).  y is 0 at a tangent point, off the
+    apex along E[0] on a hyperboloid, the root nearest Y_c along E_-1
+    elsewhere, and u's component along a free E_-1.  The one exception: a
+    piece pinned to the jump of the discrete F (sigma_M(p_k, X) = 0 exactly)
+    is represented by Y_c where rho = 0, the only point the float cone holds,
+    e.g. X = p1 at q0 = p0.  The curves on that jump where q0 is off the line
+    p0p1 are not walked.
 
     Returns the points, their pieces' dimensions and the Jacobian ranks
     there (2 at a smooth point of a 2-surface, else 1), and the number of
     cells examined.
     """
-    u = p1 - p0
-    w = q0 - np.array([p0, p1])
-    uu = float(_mdot(u, u))
-    c = 0.5 * (uu + _mdot(w, w))
-    xs, m, xa, ya = _cells(g.deformation)
-    b = ya - m * xa  # F(x) = m x + b on each open cell
-    tol_rho = tol_abs / float(m.max())
-    uu_e = float(u @ u)  # the Euclidean <u, u>
-    if not (uu_e >= np.finfo(float).tiny and np.isfinite(c).all()):
-        raise SolverFailureError("|p1 - p0|^2 underflows or a squared chart distance "
-                                 "overflows: the slope-cell walk cannot place its points")
-    U, S, Vt = np.linalg.svd(np.array([w[0], u]) * _ETA)
-    line = bool(S[1] <= _DEGENERATE * S[0])
-    N = Vt[1:] if line else Vt[2:]  # the kernel of Y -> t
-    lam, V = np.linalg.eigh((N * _ETA) @ N.T)
-    E = V.T @ N
-    null = bool(abs(lam[-1]) <= _DEGENERATE)  # the largest: every other lam is < 0 then
-    if line:
-        t, d, lo, hi, apex, examined = _line_pieces(g, xs, m, b, c, K, float(w[0] @ u) / uu_e, tol_abs)
+    u, w0 = diffs[0], diffs[1]
+    uu, ww0, ww1 = sq
+    c0, c1 = 0.5 * (uu + ww0), 0.5 * (uu + ww1)
+    pairs = _cell_pairs(g.deformation)
+    tol_rho = tol_abs / pairs.m_max
+    frame = _plane_frame(w0.tolist(), u.tolist())
+    apex = None
+    if frame is None:  # q0 on the line p0p1
+        N = np.linalg.svd(np.array([w0, u]) * _ETA)[2][1:]  # the kernel of Y -> tau
+        lam, V = np.linalg.eigh((N * _ETA) @ N.T)
+        E = V.T @ N
+        lam0, lam1 = lam[0], lam[-1]
+        null = bool(abs(lam1) <= _DEGENERATE)  # the largest: every other lam is < 0 then
+        xs, m, xa, ya = _cells(g.deformation)
+        t, d, lo, hi, apex, examined = _line_pieces(g, xs, m, pairs.b, np.array([c0, c1]), K,
+                                                    float(w0 @ u) / uu_e, tol_abs)
+        td = np.array([t, d])
+        if null:  # the Euclidean least-norm point, centred along every E but the last
+            M = (u * _ETA / uu_e)[None]
+            M -= ((M * _ETA) @ E[:-1].T / lam[:-1]) @ E[:-1]
+            PD, h = td @ M, td @ ((M * _ETA) @ E[-1])
+        else:  # the eta-projection onto u (tau / <u, u> divided: exact where it can be)
+            PD, h = td / uu * u, np.zeros(td.shape[:2])
     else:
-        t, d, lo, hi = _plane_pieces(xs, m, b, c, K)
-        apex, examined = np.zeros(len(t), dtype=bool), len(m) ** 2
-    # Y_c is the eta-projection onto u where q0 is on the line and u is not
-    # null (tau / <u, u> divided: exact where it can be), else the Euclidean
-    # least-norm point t @ M, centred along every E but the last
-    h = np.zeros((2, len(t)))
-    if line and not null:
-        P, D = (x / uu * u for x in (t, d))
-    else:
-        M = (u * _ETA / uu_e)[None] if line else (U / S) @ Vt[:2]
-        M -= ((M * _ETA) @ E[:-1].T / lam[:-1]) @ E[:-1]
-        P, D = t @ M, d @ M
-        h = np.array([t, d]) @ ((M * _ETA) @ E[-1])
+        lam0, lam1, E, Mh = frame
+        null = abs(lam1) <= _DEGENERATE
+        td, lo, hi = _plane_pieces(pairs, c0, c1, K)
+        PDh = td @ Mh  # (P, D) of every piece and h = <E_-1, (P, D)> as a fifth column
+        PD, h = PDh[..., :4], PDh[..., 4]
+        examined = len(pairs.m_i)
     # rho = <u, u> - <Y_c, Y_c> = sum lam y^2 + 2 h y_-1 is A s^2 + B s + C,
     # taken about the eta-centre (+ h^2 / lam) where lam[-1] is not 0
-    PD = np.array([P, D])
-    gram = np.einsum("ipk,jpk->ijp", PD * _ETA, PD)
-    if not null:
-        gram -= h[:, None] * h / lam[-1]
+    G = (PD[:, None] * PD[None]) @ _METRICS  # the eta and the Euclidean products of P and D
+    gram = G[..., 0] if null else G[..., 0] - h[:, None] * h / lam1
     A, B, C = -gram[1, 1], -2.0 * gram[0, 1], uu - gram[0, 0]
-    dot, DD = np.einsum("ipk,pk->ip", PD, D)
+    dot, DD = G[0, 1, :, 1], G[1, 1, :, 1]
     inv = np.divide(1.0, DD, out=np.zeros_like(DD), where=DD > 0.0)
     near, reach = -dot * inv, np.sqrt(inv)
-    graph = null & (np.abs(h).max(axis=0) > tol_rho)
-    hyperboloid = bool(lam[-1] > 0.0) and not null
-    s, kind = _piece_points(lo, hi, A, B, C, near, reach, hyperboloid, graph, tol_rho)
-    Y = P + s[:, None] * D
+    hyperboloid = bool(lam1 > 0.0) and not null
+    s, kind = _piece_points(lo, hi, A, B, C, near, reach, hyperboloid, tol_rho)
+    free = False  # the pieces along a free E_-1
+    if null:
+        with np.errstate(invalid="ignore"):  # h at the ends of the range; 0 * inf is h0
+            ends = h[0] + np.where(h[1] != 0.0, np.array([lo, hi]) * h[1], 0.0)
+        graph = (np.abs(ends) > tol_rho).any(axis=0)  # h != 0 on the range
+        far = graph & (kind != 2)  # no part of the range has rho < -tol_rho
+        if far.any():
+            s[far] = _graph_s(PD[:, far], h[:, far], lo[far], hi[far], A[far], B[far], C[far],
+                              near[far], reach[far], s[far], E)
+        kind[graph] = 2
+        free = ~graph
+    Y = PD[0] + s[:, None] * PD[1]
     hs = h[0] + s * h[1]
     r = uu - _mdot(Y, Y)
-    rho = r if null else r + hs * hs / lam[-1]
+    rho = r if null else r + hs * hs / lam1
     y = np.zeros((len(Y), len(E)))
     if hyperboloid:  # off its apex along E[0]
-        y[:, 0] = np.sqrt((np.maximum(-rho, 0.0) + uu_e) / -lam[0])
+        y[:, 0] = np.sqrt((np.maximum(-rho, 0.0) + uu_e) / -lam0)
+        r = r - lam0 * y[:, 0] ** 2
     elif null:  # the sphere on the other directions takes what it can of r
-        y[:, 0] = np.sqrt(np.maximum(np.where(kind == 2, r / lam[0], 0.0), 0.0))
+        y[:, 0] = np.sqrt(np.maximum(np.where(kind == 2, r / lam0, 0.0), 0.0))
+        r = r - lam0 * y[:, 0] ** 2
     else:  # a tangent point is the double root
-        r = np.where(kind == 2, r, -hs * hs / lam[-1])
-    r = r - lam[0] * y[:, 0] ** 2
+        r = np.where(kind == 2, r, -hs * hs / lam1)
     # lam y^2 + 2 h y = r along E[-1]: the root nearer Y_c
-    q = hs + np.copysign(np.sqrt(np.maximum(hs * hs + lam[-1] * r, 0.0)), hs)
-    y[:, -1] = np.where(null & ~graph, E[-1] @ u, np.divide(r, q, out=np.zeros_like(q), where=q != 0.0))
-    at_apex = apex & (np.abs(rho) <= tol_rho)
-    y[at_apex] = 0.0
-    dims = np.where(kind == 2, len(E) - 1 + (lo < hi), (kind == 3) + (null & ~graph))
+    q = hs + np.copysign(np.sqrt(np.maximum(hs * hs + lam1 * r, 0.0)), hs)
+    y[:, -1] = np.where(free, E[-1] @ u, np.divide(r, q, out=np.zeros_like(q), where=q != 0.0))
+    smooth = True
+    if apex is not None:
+        at_apex = apex & (np.abs(rho) <= tol_rho)
+        y[at_apex] = 0.0
+        smooth = ~at_apex
+    dims = np.where(kind == 2, len(E) - 1 + (lo < hi), (kind == 3) + free)
     keep = kind > 0
-    ranks = np.where((dims == 2) & ~at_apex, 2, 1)[keep]
+    ranks = np.where((dims == 2) & smooth, 2, 1)[keep]
     return (q0 + (Y + y @ E))[keep], dims[keep], ranks, examined
 
 
-def _plane_pieces(xs, m, b, c, K):
+# the eta and the Euclidean metric as the columns of one matrix
+_METRICS = np.array([_ETA, np.ones(4)]).T
+
+
+def _plane_frame(w0, u):
+    """(lam0, lam1, E, Mh) of the map Y -> t = (<Y, w0>, <Y, u>) in closed form;
+    None where it has rank 1 (q0 on the line p0p1).  w0, u: lists of 4 floats.
+
+    The rows a = eta w0 and b = eta u, scaled by one power of 2, give the six
+    2 x 2 minors m_ij = a_i b_j - a_j b_i.  Their squares sum to the
+    determinant of the rows' Gram without its cancellation, so the rank is 1
+    where sqrt(sum m^2) <= _DEGENERATE (|a|^2 + |b|^2): the map's singular
+    values s1 <= _DEGENERATE s0.  Otherwise each row of the Hodge dual of m
+    lies in the kernel: the largest, e1, and its image e2 = dual(m) e1,
+    normalised, are a Euclidean-orthonormal basis of it, which one Jacobi
+    rotation turns eta-diagonal: E (2 x 4), lam0 <= lam1, E[0]'s last
+    component >= 0 (a hyperboloid's point lies along E[0]; LAPACK's sign
+    agreed with this in 3 of 4 solves).  The least-norm map t -> Y has the rows (m b, -m a) /
+    sum m^2 (the pseudo-inverse), centred along E[0] to its eta-centre; Mh is
+    that 2 x 4 map with h = <., E[1]> of its rows as a fifth column.
+    """
+    a = [w0[0], -w0[1], -w0[2], -w0[3]]
+    b = [u[0], -u[1], -u[2], -u[3]]
+    scale = math.ldexp(1.0, -math.frexp(max(map(abs, a + b)))[1])
+    a0, a1, a2, a3 = [x * scale for x in a]
+    b0, b1, b2, b3 = [x * scale for x in b]
+    m01, m02, m03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    m12, m13, m23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    det = m01 * m01 + m02 * m02 + m03 * m03 + m12 * m12 + m13 * m13 + m23 * m23
+    if math.sqrt(det) <= _DEGENERATE * (a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+                                        + b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3):
+        return None
+    dual = ((0.0, m23, -m13, m12), (-m23, 0.0, m03, -m02),
+            (m13, -m03, 0.0, m01), (-m12, m02, -m01, 0.0))
+    e1 = max(dual, key=lambda row: row[0] * row[0] + row[1] * row[1] + row[2] * row[2] + row[3] * row[3])
+    e1 = _unit(e1)
+    e2 = _unit([x * e1[0] + y * e1[1] + z * e1[2] + w * e1[3] for x, y, z, w in dual])
+    ga, gb, gc = _mink(e1, e1), _mink(e1, e2), _mink(e2, e2)
+    # the rotation by the angle that zeroes the off-diagonal eta-product
+    tau = (gc - ga) / (2.0 * gb) if gb else math.inf
+    t = math.copysign(1.0 / (abs(tau) + math.hypot(1.0, tau)), tau)
+    cs = 1.0 / math.hypot(1.0, t)
+    sn = t * cs
+    lam0, lam1 = ga - t * gb, gc + t * gb
+    v_lo = [cs * x - sn * y for x, y in zip(e1, e2)]
+    v_hi = [sn * x + cs * y for x, y in zip(e1, e2)]
+    if lam0 > lam1:
+        lam0, lam1, v_lo, v_hi = lam1, lam0, v_hi, v_lo
+    if v_lo[3] < 0.0:
+        v_lo = [-x for x in v_lo]
+    inv = scale / det
+    rows = ([(m01 * b1 + m02 * b2 + m03 * b3) * inv, (m12 * b2 + m13 * b3 - m01 * b0) * inv,
+             (m23 * b3 - m02 * b0 - m12 * b1) * inv, -(m03 * b0 + m13 * b1 + m23 * b2) * inv],
+            [-(m01 * a1 + m02 * a2 + m03 * a3) * inv, (m01 * a0 - m12 * a2 - m13 * a3) * inv,
+             (m02 * a0 + m12 * a1 - m23 * a3) * inv, (m03 * a0 + m13 * a1 + m23 * a2) * inv])
+    Mh = []
+    for row in rows:
+        f = _mink(row, v_lo) / lam0
+        row = [x - f * e for x, e in zip(row, v_lo)]
+        Mh.append(row + [_mink(row, v_hi)])
+    return lam0, lam1, np.array([v_lo, v_hi]), np.array(Mh)
+
+
+def _mink(x, y):
+    """<x, y> of two 4-sequences of floats."""
+    return x[0] * y[0] - x[1] * y[1] - x[2] * y[2] - x[3] * y[3]
+
+
+def _unit(x):
+    n = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3])
+    return [v / n for v in x]
+
+
+class _CellPairs(NamedTuple):
+    """The constants of ``_plane_pieces`` over the pairs (i, j) of F's cells, i = p // n, j = p % n."""
+    b: np.ndarray  # F(x) = m x + b on each open cell
+    b_i: np.ndarray
+    b_j: np.ndarray
+    m_i: np.ndarray
+    m_j: np.ndarray
+    norm: np.ndarray  # (m_i - m_j)^2 + m_j^2
+    rows: np.ndarray  # rows t* / (L / norm) = (m_i - m_j, m_j), d = (m_j, m_j - m_i), and two to fill
+    edges: np.ndarray  # (lower, upper) x (cell i, cell j)
+    slopes: np.ndarray  # (m_j, m_i): the moves of the two sigma_M per unit of s
+    m_max: float
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_pairs(F):
+    xs, m, xa, ya = _cells(F)
+    b = ya - m * xa
+    i, j = np.divmod(np.arange(len(m) ** 2), len(m))
+    mi, mj = m[i], m[j]
+    edges = np.concatenate([[-np.inf], xs, [np.inf]])
+    rows = np.zeros((6, len(i)))
+    rows[:4] = mi - mj, mj, mj, mj - mi
+    return _CellPairs(b, b[i], b[j], mi, mj, (mi - mj) ** 2 + mj * mj, rows,
+                      np.array([[edges[i], edges[j]], [edges[i + 1], edges[j + 1]]]),
+                      np.array([mj, mi]), float(m.max()))
+
+
+def _plane_pieces(pairs, c0, c1, K):
     """Cells (i, j) of F whose line in t = (<Y, w0>, <Y, u>) meets their box.
 
     In cell (i, j), sigma_M(p0, X) = c0 + t0 in cell i and sigma_M(p1, X) =
     c1 + t0 - t1 in cell j, the parallelism equation is (m_i - m_j) t0 + m_j t1
     = L, and the line t = t* + s (m_j, m_j - m_i) moves the two sigma_M by
-    (m_j, m_i) per unit of s.  Returns t*, d and the open range (lo, hi) of s
-    of every cell where lo < hi.
+    (m_j, m_i) per unit of s.  Returns (t*, d) of every cell where lo < hi as
+    one (2, cells, 2) array, and the open range (lo, hi) of s.
     """
-    i, j = np.divmod(np.arange(len(m) ** 2), len(m))
-    mi, mj = m[i], m[j]
-    L = K - b[i] + b[j] - mi * c[0] + mj * c[1]
-    t = np.array([mi - mj, mj]) * (L / ((mi - mj) ** 2 + mj * mj))
-    o0, o1 = c[0] + t[0], c[1] + t[0] - t[1]  # the two sigma_M at s = 0
-    edges = np.concatenate([[-np.inf], xs, [np.inf]])
-    lo = np.maximum((edges[i] - o0) / mj, (edges[j] - o1) / mi)
-    hi = np.minimum((edges[i + 1] - o0) / mj, (edges[j + 1] - o1) / mi)
-    on = lo < hi
-    return t.T[on], np.array([mj, mj - mi]).T[on], lo[on], hi[on]
+    L = K - pairs.b_i + pairs.b_j - pairs.m_i * c0 + pairs.m_j * c1
+    rows = pairs.rows.copy()
+    rows[:2] *= L / pairs.norm  # t*
+    o = rows[0] + np.array([[c0], [c1]])
+    o[1] -= rows[1]  # the two sigma_M at s = 0
+    ends = (pairs.edges - o) / pairs.slopes
+    np.maximum(ends[0, 0], ends[0, 1], out=rows[4])
+    np.minimum(ends[1, 0], ends[1, 1], out=rows[5])
+    rows = rows[:, rows[4] < rows[5]]
+    return rows[:4].reshape(2, 2, -1).transpose(0, 2, 1), rows[4], rows[5]
+
+
+# offsets 2^j from a graph's pole at which _graph_s measures its points
+_GRAPH_STEPS = np.ldexp(1.0, np.arange(-40, 41))
+
+
+def _graph_s(PD, h, lo, hi, A, B, C, near, reach, x, E):
+    """The s of each graph piece whose point of the graph is nearest q0.
+
+    Where W is null and rho = r = A s^2 + B s + C > 0 on the whole range, the
+    point at s is Y_c(s) + r / (2 h(s)) E_-1, far from q0 near the pole h = 0
+    and far again for large s.  Measured at the nearest point of the range
+    to ``near``, at ``x`` (a tangent point or a curve's point of
+    ``_piece_points``, NaN for none) and at 2^-40 ... 2^40 on both sides of
+    the pole (or of the nearest point where h is constant), each but x a
+    quarter of the range or of ``reach`` in from its ends, the nearest of
+    those points is taken.
+    """
+    margin = 0.25 * np.minimum(hi - lo, reach)
+    s0 = np.minimum(np.maximum(near, lo + margin), hi - margin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pole = np.where(h[1] != 0.0, -h[0] / h[1], s0)
+        s = np.concatenate([s0[None], pole + _GRAPH_STEPS[:, None], pole - _GRAPH_STEPS[:, None]])
+        s = np.concatenate([x[None], np.minimum(np.maximum(s, lo + margin), hi - margin)])
+        Z = PD[0] + s[..., None] * PD[1] + ((A * s + B) * s + C)[..., None] / (2.0 * (h[0] + s * h[1]))[..., None] * E[-1]
+        dist = np.where(np.isfinite(Z).all(axis=-1), np.einsum("...k,...k->...", Z, Z), np.inf)
+    return np.take_along_axis(s, dist.argmin(axis=0)[None], axis=0)[0]
 
 
 def _line_pieces(g, xs, m, b, c, K, f, tol_abs):
@@ -390,7 +534,7 @@ def _line_pieces(g, xs, m, b, c, K, f, tol_abs):
     return t, d, lo, hi, apex, len(tau)
 
 
-def _piece_points(lo, hi, A, B, C, near, reach, every, graph, tol_rho):
+def _piece_points(lo, hi, A, B, C, near, reach, every, tol_rho):
     """(s, kind) of one point per piece over lo < s < hi (s = 0 where lo = hi).
 
     kind is 2 where the piece holds a surface, 1 at a tangent point, 3 on a
@@ -399,16 +543,16 @@ def _piece_points(lo, hi, A, B, C, near, reach, every, graph, tol_rho):
     ``near``, a quarter of the range or of ``reach`` in from its ends, where
     that point is on the piece: wherever ``every`` s carries points (a
     hyperboloid) or rho < -tol_rho there.  Otherwise ``_sphere_s`` searches
-    the range; a ``graph``, on which every s carries points too, keeps the
-    nearest point unless a part of its range has rho < 0.
+    the range, on the pieces' floats read in one ``tolist``.
     """
     margin = 0.25 * np.minimum(hi - lo, reach)
     s = np.minimum(np.maximum(near, lo + margin), hi - margin)
     kind = np.where(every | ((A * s + B) * s + C < -tol_rho), 2, 0)
-    for p in np.flatnonzero(kind == 0).tolist():
-        x, kind[p] = _sphere_s(*(float(v[p]) for v in (lo, hi, A, B, C, near, reach, s)), tol_rho)
-        s[p] = x if kind[p] or not graph[p] else s[p]
-    kind[graph] = 2
+    search = np.flatnonzero(kind == 0)
+    if len(search):
+        rows = np.array([lo, hi, A, B, C, near, reach, s])[:, search].T.tolist()
+        for p, row in zip(search.tolist(), rows):
+            s[p], kind[p] = _sphere_s(*row, tol_rho)
     return s, kind
 
 
@@ -454,6 +598,9 @@ def _quadratic_roots(A, B, C):
 # fixed terms sigma(p0, p1), (p1, q0), (p0, q0), then (p0, X), (p1, X), (q0, X)
 _TRANSLATION_PAIRS = np.array([[0, 1, 0, 0, 1, 2], [1, 2, 2, 3, 3, 3]])
 _TRANSLATION_DIAGNOSTICS = SolverDiagnostics(0, 0, 1, 0, 0)
+# rows minuend, subtrahend of the walk's differences u = p1 - p0, w0 = q0 - p0, w1 = q0 - p1
+_WALK_ROWS = np.array([[1, 2, 2], [0, 0, 1]])
+_TINY = np.finfo(float).tiny
 
 
 def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -> SolutionSet:
@@ -471,9 +618,13 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
 
     On the Minkowski substrate ``_cell_starts`` walks the slope cells of F
     and gives one point per non-empty piece of the solution set with the
-    piece's dimension.  The three fixed sigma terms, one stacked call, set
-    the walk's parallelism constant K, and with one sigma call at the walk's
-    points they give the points' residual rows (``_residual_row``).  The
+    piece's dimension.  The three fixed sigma terms are F of half the
+    Minkowski squares of u, q0 - p0 and q0 - p1, the walk's own products and
+    bit for bit sigma's; they set the walk's parallelism constant K, and
+    with the solve's one sigma call, at the walk's points, they give the
+    points' residual rows (``_residual_row``).  A squared chart distance or
+    a sigma term that overflows, or a |u|^2 that underflows, raises
+    ``SolverFailureError`` without a numpy warning.  The
     representatives are the points whose row meets ``tol``, sorted
     lexicographically, and the reported residuals are those rows,
     equal to ``is_equivalent``'s (r_par, r_len) of P0P1 against Q0Q1 bit
@@ -487,11 +638,11 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     cfg = SolverConfig._given(cfg)
     points = as_points(g.dim, p0, p1, q0)
     p0, p1, q0 = points
-    u = p1 - p0
-    if not np.count_nonzero(u):  # a - b == 0 exactly where a == b, -0.0 == 0.0 included
+    if p0.tolist() == p1.tolist():  # -0.0 == 0.0 included
         raise InvalidInputError("p0 and p1 must differ")
 
     if not g.has_minkowski_substrate:
+        u = p1 - p0
         P = points.take([0, 1, 2, 2], axis=0)
         P[3] += u  # rows p0, p1, q0, X = q0 + u
         X = P[3]
@@ -505,23 +656,40 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
                 "equivalence test at tol in float arithmetic")
         return SolutionSet([X], "single", 0, [(r_par, r_len)], _TRANSLATION_DIAGNOSTICS)
 
-    s_p0p1, s_p1q0, s_p0q0 = sigma(g, *points.take(_TRANSLATION_PAIRS[:, :3], axis=0)).tolist()
+    # u = p1 - p0 and w_k = q0 - p_k, their Minkowski squares, and F of half
+    # those: sigma(p0, p1), sigma(p0, q0) and sigma(p1, q0) bit for bit, as a
+    # negated difference squares alike.  An overflow raises without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.subtract(*points[_WALK_ROWS])
+        sq = _mdot(diffs, diffs)
+        s_p0p1, s_p0q0, s_p1q0 = g.deformation(0.5 * sq).tolist()
+        uu_e = float(diffs[0] @ diffs[0])
+    sq = sq.tolist()
+    if not (math.isfinite(uu_e) and uu_e >= _TINY
+            and all(map(math.isfinite, [*sq, 0.5 * (sq[0] + sq[1]), 0.5 * (sq[0] + sq[2]),
+                                        s_p0p1, s_p0q0, s_p1q0]))):
+        raise SolverFailureError("|p1 - p0|^2 underflows or a squared chart distance "
+                                 "overflows: the slope-cell walk cannot place its points")
     two_a = 2.0 * s_p0p1
     tol_abs = cfg.tol * max(1.0, abs(two_a))
-    X, dims, ranks, examined = _cell_starts(g, p0, p1, q0, two_a + s_p0q0 - s_p1q0, tol_abs)
-    res = np.column_stack(_residual_row(two_a, s_p1q0, s_p0q0, *sigma(g, points[:, None], X[None])))
-    conv = np.abs(res).max(axis=1) <= tol_abs
-    if not conv.any():
+    X, dims, ranks, examined = _cell_starts(g, q0, diffs, sq, uu_e, two_a + s_p0q0 - s_p1q0, tol_abs)
+    r_par, r_len = _residual_row(two_a, s_p1q0, s_p0q0, *sigma(g, points[:, None], X[None]))
+    rows = list(zip(r_par.tolist(), r_len.tolist()))
+    keys = X.tolist()
+    idx = sorted((i for i, (a, b) in enumerate(rows) if abs(a) <= tol_abs and abs(b) <= tol_abs),
+                 key=keys.__getitem__)
+    if not idx:
         if g.kind == "minkowski":
             raise SolverFailureError(
                 "no point of the walk met tol although this geometry has an analytic solution")
         return SolutionSet([], "zero", 0, [], SolverDiagnostics(len(X), 0, 0, examined, len(X)))
 
-    idx = np.flatnonzero(conv)[np.lexsort(X[conv].T[::-1])]
-    reps, res, dims, ranks = X[idx], res[idx], dims[idx], ranks[idx]
-    variance = "single" if len(reps) == 1 and dims[0] == 0 else "multi"
-    diags = SolverDiagnostics(len(X), len(idx), int(ranks[np.argmax(dims)]), examined, len(X))
-    return SolutionSet(list(reps), variance, int(dims.max()), list(map(tuple, res.tolist())), diags)
+    dims, ranks = dims.tolist(), ranks.tolist()
+    dims = [dims[i] for i in idx]
+    top = max(dims)
+    variance = "single" if len(idx) == 1 and top == 0 else "multi"
+    diags = SolverDiagnostics(len(X), len(idx), ranks[idx[dims.index(top)]], examined, len(X))
+    return SolutionSet(list(X[idx]), variance, top, [rows[i] for i in idx], diags)
 
 
 # ---------------------------------------------------------------------------

@@ -939,6 +939,32 @@ def test_extreme_coordinates_exit_0_with_finite_outputs_or_fail_quietly(tmp_path
             assert _finite_outputs(out), command
 
 
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(link=st.sampled_from(_EXTREME), grid=st.tuples(st.sampled_from(_EXTREME), st.sampled_from(_EXTREME)),
+       spec=st.sampled_from(["minkowski", "discrete:lambda0_sq=0.02", "grainy:lambda0_sq=0.01,sigma0=0.03"]))
+def test_extreme_chain_and_density_exit_0_with_finite_outputs_or_fail_quietly(tmp_path_factory, link, grid, spec):
+    # chain at an extreme --link-sigma-m and density on a grid with extreme
+    # bounds: exit 0 with finite outputs, or exit 1 or 2 with no numpy
+    # warning and nothing written
+    base = tmp_path_factory.mktemp("extreme")
+    commands = [
+        ["chain", "--geometry", spec, "--link-sigma-m", repr(link), "--steps", "4", "--ensemble", "2"],
+        ["density", "--lambda0-sq", "0.01", "--sigma0", "0.03", f"--grid={grid[0]!r}:{grid[1]!r}:5"],
+    ]
+    for k, command in enumerate(commands):
+        out = base / f"out{k}"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = run([*command, "--out-dir", out])
+        assert caught == [] and "Warning" not in err.getvalue(), (command, err.getvalue())
+        if code == 0:
+            assert _finite_outputs(out), command
+        else:
+            assert code in (1, 2) and not (out.exists() and list(out.iterdir())), (command, code)
+
+
 def test_eqv_check_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
     # the residuals overflow to inf and NaN, which strict JSON cannot hold
     with np.errstate(all="ignore"):

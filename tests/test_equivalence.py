@@ -608,9 +608,9 @@ def test_solve_euclidean_low_dims_single(dim):
 
 
 def _assert_one_residual_call_on_the_walk(monkeypatch, cases):
-    # one sigma call for the three fixed terms, one at the walk's points and
-    # one residual row, whose rows pass at once: the representatives and
-    # their residuals are rows of that call
+    # the three fixed terms come from the walk's own squares, then one sigma
+    # call at the walk's points and one residual row, whose rows pass at
+    # once: the representatives and their residuals are rows of that call
     walks = []
     walk = eqv._cell_starts
 
@@ -627,7 +627,7 @@ def _assert_one_residual_call_on_the_walk(monkeypatch, cases):
         assert sol.diagnostics.cells_examined > 0
         assert len(walks) == len(rows) == 1
         roots = walks[0][0]
-        assert sigma_calls == [(3, 4), (3, len(roots), 4)]
+        assert sigma_calls == [(3, len(roots), 4)]
         res = np.column_stack(rows[0])
         assert (np.abs(res).max(axis=1) <= 1e-9 * max(1.0, abs(2.0 * wf.sigma(g, p0, p1)))).all()
         by_root = {x.tobytes(): r.tobytes() for x, r in zip(roots, res)}
@@ -637,9 +637,19 @@ def _assert_one_residual_call_on_the_walk(monkeypatch, cases):
 
 
 def test_generic_solve_runs_newton_once(monkeypatch):
+    # off the line p0p1 the walk's kernel, least-norm map and eta-diagonal
+    # basis are closed forms: no svd or eigh runs
+    linalg = []
+    for name in ("svd", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=real, _n=name, **k: linalg.append(_n) or _f(*a, **k))
     rng = np.random.default_rng(8)
     cases = [(g, _class_input(rng, cls)) for g in _CELL_GEOMS for cls in (0, 1, 2)]
     _assert_one_residual_call_on_the_walk(monkeypatch, cases)
+    assert linalg == []
+    # on the line the walk still diagonalises its 3 x 3 eta-Gram by eigh
+    wf.solve_equivalent(MINK, ORIGIN4, (0, 1, 0, 0), ORIGIN4)
+    assert linalg == ["svd", "eigh"]
 
 
 def test_solve_with_q0_at_p0_runs_newton_once(monkeypatch):
@@ -747,7 +757,7 @@ _GRAINY_MISS = (
 ])
 def test_cell_point_verdicts(segment, definite, want):
     *piece, kind = segment
-    s, got_kind = eqv._piece_points(*np.array(piece)[:, None], not definite, np.array([False]), 1e-9)
+    s, got_kind = eqv._piece_points(*np.array(piece)[:, None], not definite, 1e-9)
     got = float(s[0])
     assert got_kind.tolist() == [kind]
     if want is None or math.isnan(want):
@@ -1460,6 +1470,80 @@ def test_solve_refuses_a_p0p1_whose_square_underflows(p1, q0):
     # for its points: a numerical failure, not a ZeroDivisionError or a NaN point
     with np.errstate(over="ignore"), pytest.raises(wf.SolverFailureError, match="underflows or a squared"):
         wf.solve_equivalent(MINK, ORIGIN4, p1, q0)
+
+
+_NULL_W = (ORIGIN4, np.array([0.5, 0.0, 0.5, 0.0]), np.array([0.25, 0.25, 0.25, 0.0]))
+
+
+@pytest.mark.parametrize("g", _CELL_GEOMS + [Geometry.deformed(DeformationFunction.from_table(_DEFORMED_TABLE))],
+                         ids=["minkowski", "discrete", "grainy", "kink-table", "table"])
+def test_null_w_line_is_represented_near_q0(g):
+    # u is null and <w0, u> = 0, so W = span(w0, u) is null and K = 0: F's
+    # injectivity forces sigma_M(p0, X) = sigma_M(p1, X), i.e. <Y, u> = 0, and
+    # <Y, Y> = 0 then leaves the line q0 + t u under every F.  The walk used to
+    # take rounding slivers of F's cells for 2-dimensional graph pieces and
+    # represent them 5e5 (grainy) and 1e7-2e8 (table) from q0
+    p0, p1, q0 = _NULL_W
+    sol = wf.solve_equivalent(g, p0, p1, q0)
+    assert (sol.variance, sol.manifold_dim_estimate) == ("multi", 1)
+    bound = 10.0 * (np.linalg.norm(p1 - p0) + np.linalg.norm(q0 - p0))
+    for x in sol.representatives:
+        assert np.linalg.norm(x - q0) <= bound
+        assert wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x)).equivalent
+
+
+def _null_w_graph_input(rng):
+    # a spacelike u and w0 = n + a u with n null and <n, u> = 0: W is null, K != 0
+    u, n = np.zeros(4), np.zeros(4)
+    k, j = rng.permutation([1, 2, 3])[:2]
+    u[k] = rng.integers(1, 9) / 8.0
+    n[0] = n[j] = rng.integers(1, 9) / 8.0
+    p0 = rng.integers(-8, 9, 4) / 8.0
+    return p0, p0 + u, p0 + n + rng.integers(-8, 9) / 8.0 * u
+
+
+def test_graph_piece_takes_its_point_nearest_q0(monkeypatch):
+    # where rho >= -tol_rho on a graph piece's whole range its point is the
+    # nearest measured point of the graph, never farther than the point over
+    # the nearest Y_c that the walk used to take (1e5-1e8 from q0 near h = 0)
+    graph_s, seen = eqv._graph_s, []
+
+    def spy(PD, h, lo, hi, A, B, C, near, reach, x, E):
+        s = graph_s(PD, h, lo, hi, A, B, C, near, reach, x, E)
+        margin = 0.25 * np.minimum(hi - lo, reach)
+        s0 = np.minimum(np.maximum(near, lo + margin), hi - margin)
+        for x in (s, s0):
+            with np.errstate(divide="ignore", invalid="ignore"):  # s0 may sit on the pole h = 0
+                y = ((A * x + B) * x + C) / (2.0 * (h[0] + x * h[1]))
+                Z = PD[0] + x[:, None] * PD[1] + y[:, None] * E[-1]
+            seen.append(np.where(np.isfinite(Z).all(axis=1), np.linalg.norm(Z, axis=1), np.inf))
+        return s
+
+    monkeypatch.setattr(eqv, "_graph_s", spy)
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        p0, p1, q0 = _null_w_graph_input(rng)
+        for g in _CELL_GEOMS:
+            sol = wf.solve_equivalent(g, p0, p1, q0)
+            for x in sol.representatives:
+                assert wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x)).equivalent
+    assert len(seen) >= 20
+    for got, old in zip(seen[::2], seen[1::2]):
+        assert np.isfinite(got).all() and (got <= old).all()
+
+
+@pytest.mark.parametrize("p0, p1, q0", [
+    (ORIGIN4, (1e300, 0, 0, 0), ORIGIN4),  # sigma(p0, p1) overflows
+    ((-1e308, 0, 0, 0), (1e308, 0, 0, 0), ORIGIN4),  # so does p1 - p0
+    (ORIGIN4, (1.2e154, 1.1e154, 0, 0), ORIGIN4),  # sigma_M is finite, |p1 - p0|^2 is not
+    (ORIGIN4, (1, 0, 0, 0), (1e200, 0, 0, 0)),  # |q0 - p0|^2 overflows
+])
+def test_overflowing_solve_raises_without_a_warning(p0, p1, q0):
+    # it used to print numpy's overflow RuntimeWarnings before it raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wf.SolverFailureError, match="overflows"):
+            wf.solve_equivalent(Geometry.discrete(0.02), p0, p1, q0)
 
 
 def test_null_p0p1_off_its_line_is_a_line():
