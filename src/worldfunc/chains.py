@@ -178,20 +178,30 @@ def _gamma(v, vv=None, u0=None):
     return vv, np.sqrt(1.0 + vv, out=u0)
 
 
-def _tilt(v, u0, cosh_dphi, sinh_dphi, cos_a, sin_a, out=None):
+def _tilt(v, u0, cosh_dphi, sinh_dphi, cos_a, sin_a, out=None, push=None, tmp=None):
     """Tilt the (3, m) spatial velocities v (u0 = sqrt(1 + |v|^2)) by dphi
     towards n = (cos a, sin a, 0) of their rest frames, given the (m,) rows
     cos a and sin a of the azimuths; the result is written into out if given.
+    push holds the rows sinh dphi (cos a, sin a) where they are precomputed,
+    and tmp two (m,) rows of scratch space.
 
     The pure boost of velocity v (Jackson, Classical Electrodynamics, 11.3)
     gives v' = (cosh dphi + sinh dphi (v.n) / (1 + u0)) v + sinh dphi n in
     closed form: the coefficient of v lies in [e^-dphi, e^dphi], so nothing
     cancels and no intermediate value exceeds O(u0).
     """
-    nxt = np.multiply(cosh_dphi + sinh_dphi * (v[0] * cos_a + v[1] * sin_a) / (1.0 + u0), v,
-                      out=out)
-    nxt[0] += sinh_dphi * cos_a
-    nxt[1] += sinh_dphi * sin_a
+    if push is None:
+        push = (sinh_dphi * cos_a, sinh_dphi * sin_a)
+    coef, den = (np.empty_like(u0), np.empty_like(u0)) if tmp is None else tmp
+    np.multiply(v[0], cos_a, out=coef)
+    np.multiply(v[1], sin_a, out=den)
+    coef += den
+    coef *= sinh_dphi
+    np.add(1.0, u0, out=den)
+    coef /= den
+    coef += cosh_dphi
+    nxt = np.multiply(coef, v, out=out)
+    nxt[:2] += push
     return nxt
 
 
@@ -315,16 +325,18 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
 
     The steps run in blocks of B = max(1, _BLOCK_CHAIN_STEPS // ensemble).
     Row i of the chain-major (ensemble, steps) azimuth table is chain i's
-    stream; each block takes the cosines and sines of its B columns at once.
-    Within a block a step only tilts and re-derives u0: the velocities go
-    into component-major (B + 1, 3, ensemble) rows, |v|^2 and u0 into
+    stream, drawn in place and scaled by 2 pi once; each block takes the
+    cosines and sines of its B columns, and their sinh dphi multiples, at
+    once.  Within a block a step only tilts and re-derives u0: the velocities
+    go into component-major (B + 1, 3, ensemble) rows, |v|^2 and u0 into
     (B + 1, ensemble) rows, row 0 holding the block's incoming link.  The
     statistics, drift, max_gamma and kept points are then reduced over the
     whole block, each row in the same order as one step at a time (the points
-    by a cumulative sum from the block's first point), so they and reruns are
-    bit-identical to a step-by-step loop.  A state that is no longer finite
-    (|v|^2 overflows near |v| = 1e154) raises InvalidStateError naming the
-    first such step.
+    by a cumulative sum along the steps of a step-major (B + 1, 4, ensemble)
+    stage from the block's first point, copied into the points once per
+    block), so they and reruns are bit-identical to a step-by-step loop.  A
+    state that is no longer finite (|v|^2 overflows near |v| = 1e154) raises
+    InvalidStateError naming the first such step.
 
     Returns ChainStats, or (ChainStats, points) with chain points of shape
     (ensemble, steps + 2, 4) when keep_chains is set: points[i, k] is the
@@ -336,12 +348,13 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
     cosh_dphi, sinh_dphi = math.cosh(params.deflection), math.sinh(params.deflection)
 
     azimuths = np.empty((E, S))
-    for i in range(E):
-        azimuths[i] = chain_rng(params.seed, i).uniform(0.0, 2.0 * math.pi, S)
+    for i in range(E):  # uniform(0, 2 pi) is 2 pi random(), bit for bit
+        chain_rng(params.seed, i).random(out=azimuths[i])
+    azimuths *= 2.0 * math.pi
 
     # row 0: the initial link along the time axis, shared by all chains
     v, vv, u0 = np.zeros((B + 1, 3, E)), np.zeros((B + 1, E)), np.ones((B + 1, E))
-    cos_a, sin_a = np.empty((2, B, E))
+    trig, push, tmp = np.empty((2, B, E)), np.empty((2, B, E)), np.empty((2, E))
     mean_t, var_transverse, mean_angle = np.empty((3, S))
     drift = np.zeros(E)
     max_gamma = np.ones(E)
@@ -349,14 +362,18 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
     if keep_chains:
         points = np.zeros((E, S + 2, 4))
         points[:, 1, 0] = length
+        stage = np.zeros((B + 1, 4, E))  # row 0: the block's first point
+        stage[0, 0] = length
 
     for s0 in range(0, S, B):
         b = min(B, S - s0)
-        np.cos(azimuths.T[s0:s0 + b], out=cos_a[:b])
-        np.sin(azimuths.T[s0:s0 + b], out=sin_a[:b])
+        np.cos(azimuths.T[s0:s0 + b], out=trig[0, :b])
+        np.sin(azimuths.T[s0:s0 + b], out=trig[1, :b])
+        np.multiply(sinh_dphi, trig[:, :b], out=push[:, :b])
         with np.errstate(over="ignore", invalid="ignore"):  # raised after the block
             for k in range(b):
-                _tilt(v[k], u0[k], cosh_dphi, sinh_dphi, cos_a[k], sin_a[k], out=v[k + 1])
+                _tilt(v[k], u0[k], cosh_dphi, sinh_dphi, trig[0, k], trig[1, k], v[k + 1],
+                      push[:, k], tmp)
                 _gamma(v[k + 1], vv[k + 1], u0[k + 1])
         block = slice(s0, s0 + b)
         v_new, vv_new, u0_new = v[1:b + 1], vv[1:b + 1], u0[1:b + 1]
@@ -371,10 +388,11 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
         np.maximum(drift, (np.abs(u0_sq - vv_new - 1.0) / u0_sq).max(axis=0), out=drift)
         np.maximum(max_gamma, u0_new.max(axis=0), out=max_gamma)
         if keep_chains:
-            run = points[:, s0 + 1:s0 + b + 2]  # run[:, 0] is the block's first point
-            run[:, 1:, 0] = length * u0_new.T
-            run[:, 1:, 1:] = length * v_new.transpose(2, 0, 1)
-            np.cumsum(run, axis=1, out=run)
+            np.multiply(length, u0_new, out=stage[1:b + 1, 0])
+            np.multiply(length, v_new, out=stage[1:b + 1, 1:])
+            np.cumsum(stage[:b + 1], axis=0, out=stage[:b + 1])
+            points[:, s0 + 2:s0 + b + 2] = stage[1:b + 1].transpose(2, 0, 1)
+            stage[0] = stage[b]
         v[0], vv[0], u0[0] = v[b], vv[b], u0[b]
 
     stats = ChainStats(np.arange(1, S + 1), mean_t, var_transverse, mean_angle, drift, max_gamma)

@@ -249,7 +249,7 @@ def cmd_tube(args, g):
     found = np.isfinite(tube.profile)  # an empty station has no radius: no row
     _write_csv(profile, "t,radius", tube.arc_positions[found], tube.profile[found])
     message = f"wrote {tube.points.shape[0]} member points to {cloud}, profile to {profile}"
-    return [cloud, profile], message, {"empty_stations": int((~found).sum())}
+    return [cloud, profile], message, {"empty_stations": tube.empty_stations}
 
 
 def cmd_object(args, g):

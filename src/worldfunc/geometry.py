@@ -199,6 +199,9 @@ def _finish(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+_FLOAT64 = np.dtype(float)
+
+
 def _finite(name: str, value, minimum: float = -math.inf) -> float:
     try:
         v = float(value)
@@ -275,6 +278,10 @@ class DeformationFunction:
                                         f"{m[k]}")
             tab.flags.writeable = False
             self.table = tab
+            # the contiguous columns and the end segments' (x, y, slope), held for every call
+            self._columns = tab[:, 0].copy(), tab[:, 1].copy()
+            self._ends = (float(tab[0, 0]), float(tab[0, 1]), float(m[0]),
+                          float(tab[-1, 0]), float(tab[-1, 1]), float(m[-1]))
             if float(self(0.0)) != 0.0:
                 raise InvalidInputError(
                     "deformation must satisfy F(0) = 0 exactly; add a (0, 0) breakpoint")
@@ -298,7 +305,7 @@ class DeformationFunction:
     def _shift(self, x):
         """F(x) - x; exactly lambda0_sq * ramp(x; sigma0) for the built-ins."""
         if self.table is not None:
-            return _piecewise_linear(x, *self.table.T) - x
+            return _piecewise_linear(x, *self._columns, self._ends) - x
         if self.sigma0 == 0.0:  # the discrete shift exactly, not a 0/0 ramp
             ramp = np.sign(x)
         else:
@@ -308,11 +315,16 @@ class DeformationFunction:
 
     def __call__(self, sigma_m):
         # [()] makes a 0-d input a numpy scalar: scalar sigma calls stay on
-        # the cheap scalar arithmetic instead of 0-d array ufuncs
-        x = np.asarray(sigma_m, dtype=float)[()]
+        # the cheap scalar arithmetic instead of 0-d array ufuncs.  A float64
+        # array of values is used as it is
+        x = sigma_m
+        if not (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim):
+            x = np.asarray(x, dtype=float)[()]
         if self.table is not None:
-            return _finish(_piecewise_linear(x, *self.table.T))
-        return _finish(x + self._shift(x))
+            v = _piecewise_linear(x, *self._columns, self._ends)
+        else:
+            v = x + self._shift(x)
+        return float(v) if v.ndim == 0 else v
 
 
 def _cells(F: DeformationFunction | None):
@@ -347,16 +359,17 @@ def _cells(F: DeformationFunction | None):
 _IDENTITY = DeformationFunction.identity()
 
 
-def _piecewise_linear(x, xs, ys):
+def _piecewise_linear(x, xs, ys, ends):
+    """np.interp on the table (xs, ys), its end segments extended: ends holds
+    the first and the last breakpoint's (x, y, slope of its segment)."""
+    x_lo, y_lo, m_lo, x_hi, y_hi, m_hi = ends
     v = np.interp(x, xs, ys)
-    lo = x < xs[0]
-    hi = x > xs[-1]
-    if np.any(lo):
-        s = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        v = np.where(lo, ys[0] + (x - xs[0]) * s, v)
-    if np.any(hi):
-        s = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        v = np.where(hi, ys[-1] + (x - xs[-1]) * s, v)
+    lo = x < x_lo
+    hi = x > x_hi
+    if lo.any():
+        v = np.where(lo, y_lo + (x - x_lo) * m_lo, v)
+    if hi.any():
+        v = np.where(hi, y_hi + (x - x_hi) * m_hi, v)
     return v
 
 

@@ -2,6 +2,7 @@
 intransitivity, collinearity, segments and tube sampling."""
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -757,13 +758,80 @@ _GRAINY_MISS = (
 ])
 def test_cell_point_verdicts(segment, definite, want):
     *piece, kind = segment
-    s, got_kind = eqv._piece_points(*np.array(piece)[:, None], not definite, 1e-9)
-    got = float(s[0])
-    assert got_kind.tolist() == [kind]
+    got, got_kind = eqv._piece_s(*piece, not definite, 1e-9)
+    assert got_kind == kind
     if want is None or math.isnan(want):
         assert math.isnan(got)
     else:
         assert got == pytest.approx(want, abs=1e-4)
+
+
+# the structure of the walk's solves on the solve benchmark's input classes
+# (_class_input: near-cone, timelike, spacelike P0P1), seeds 0-3 each, as the
+# masked-array post-walk stage gave it: (variance, dimension, representatives,
+# starts_attempted, converged_count, jacobian_rank, cells_examined, cells_nonempty)
+_PINNED_WALKS = {
+    "minkowski": [
+        # near-cone, seeds 0-3
+        ("single", 0, 1, 1, 1, 1, 4, 1), ("multi", 2, 3, 3, 3, 2, 4, 3),
+        ("multi", 2, 3, 3, 3, 2, 4, 3), ("multi", 2, 3, 3, 3, 2, 4, 3),
+        # timelike, seeds 0-3
+        ("single", 0, 1, 1, 1, 1, 4, 1), ("single", 0, 1, 1, 1, 1, 4, 1),
+        ("single", 0, 1, 1, 1, 1, 4, 1), ("single", 0, 1, 1, 1, 1, 4, 1),
+        # spacelike, seeds 0-3
+        ("multi", 2, 3, 3, 3, 2, 4, 3), ("multi", 2, 3, 3, 3, 2, 4, 3),
+        ("multi", 2, 3, 3, 3, 2, 4, 3), ("multi", 2, 3, 3, 3, 2, 4, 3),
+    ],
+    "discrete": [
+        # near-cone, seeds 0-3
+        ("multi", 2, 2, 2, 2, 2, 4, 2), ("multi", 2, 3, 3, 3, 2, 4, 3),
+        ("multi", 2, 3, 3, 3, 2, 4, 3), ("multi", 2, 2, 2, 2, 2, 4, 2),
+        # timelike, seeds 0-3
+        ("multi", 2, 1, 1, 1, 2, 4, 1), ("multi", 2, 1, 1, 1, 2, 4, 1),
+        ("multi", 2, 1, 1, 1, 2, 4, 1), ("single", 0, 1, 1, 1, 1, 4, 1),
+        # spacelike, seeds 0-3
+        ("multi", 2, 3, 3, 3, 2, 4, 3), ("multi", 2, 3, 3, 3, 2, 4, 3),
+        ("multi", 2, 3, 3, 3, 2, 4, 3), ("multi", 2, 3, 3, 3, 2, 4, 3),
+    ],
+    "grainy": [
+        # near-cone, seeds 0-3
+        ("multi", 2, 1, 1, 1, 2, 16, 1), ("multi", 2, 4, 4, 4, 2, 16, 4),
+        ("multi", 2, 4, 4, 4, 2, 16, 4), ("multi", 2, 2, 2, 2, 2, 16, 2),
+        # timelike, seeds 0-3
+        ("multi", 2, 1, 1, 1, 2, 16, 1), ("multi", 2, 1, 1, 1, 2, 16, 1),
+        ("multi", 2, 1, 1, 1, 2, 16, 1), ("single", 0, 1, 1, 1, 1, 16, 1),
+        # spacelike, seeds 0-3
+        ("multi", 2, 7, 7, 7, 2, 16, 7), ("multi", 2, 7, 7, 7, 2, 16, 7),
+        ("multi", 2, 7, 7, 7, 2, 16, 7), ("multi", 2, 7, 7, 7, 2, 16, 7),
+    ],
+    "deformed": [
+        # near-cone, seeds 0-3
+        ("multi", 2, 8, 8, 8, 2, 36, 8), ("multi", 2, 11, 11, 11, 2, 36, 11),
+        ("multi", 2, 11, 11, 11, 2, 36, 11), ("multi", 2, 10, 10, 10, 2, 36, 10),
+        # timelike, seeds 0-3
+        ("multi", 2, 1, 1, 1, 2, 36, 1), ("multi", 2, 2, 2, 2, 2, 36, 2),
+        ("multi", 2, 2, 2, 2, 2, 36, 2), ("multi", 2, 2, 2, 2, 2, 36, 2),
+        # spacelike, seeds 0-3
+        ("multi", 2, 11, 11, 11, 2, 36, 11), ("multi", 2, 11, 11, 11, 2, 36, 11),
+        ("multi", 2, 11, 11, 11, 2, 36, 11), ("multi", 2, 11, 11, 11, 2, 36, 11),
+    ],
+}
+
+
+@pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
+def test_the_walk_keeps_its_structure(g):
+    got = []
+    for cls in (0, 1, 2):
+        for seed in range(4):
+            p0, p1, q0 = _class_input(np.random.default_rng(seed), cls)
+            sol = wf.solve_equivalent(g, p0, p1, q0)
+            got.append((sol.variance, sol.manifold_dim_estimate, len(sol.representatives),
+                        *dataclasses.astuple(sol.diagnostics)))
+            for x, r in zip(sol.representatives, sol.residuals):
+                rep = wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x))
+                assert rep.equivalent
+                assert np.array([rep.residual_parallel, rep.residual_length]).tobytes() == np.array(r).tobytes()
+    assert got == _PINNED_WALKS[g.kind]
 
 
 @pytest.mark.parametrize("starts", [1, 64, 1024])
@@ -1508,15 +1576,15 @@ def test_graph_piece_takes_its_point_nearest_q0(monkeypatch):
     # the nearest Y_c that the walk used to take (1e5-1e8 from q0 near h = 0)
     graph_s, seen = eqv._graph_s, []
 
-    def spy(PD, h, lo, hi, A, B, C, near, reach, x, E):
-        s = graph_s(PD, h, lo, hi, A, B, C, near, reach, x, E)
-        margin = 0.25 * np.minimum(hi - lo, reach)
-        s0 = np.minimum(np.maximum(near, lo + margin), hi - margin)
+    def spy(P, D, h0, h1, lo, hi, A, B, C, near, reach, x, e):
+        s = graph_s(P, D, h0, h1, lo, hi, A, B, C, near, reach, x, e)
+        margin = 0.25 * min(hi - lo, reach)
+        s0 = min(max(near, lo + margin), hi - margin)
         for x in (s, s0):
             with np.errstate(divide="ignore", invalid="ignore"):  # s0 may sit on the pole h = 0
-                y = ((A * x + B) * x + C) / (2.0 * (h[0] + x * h[1]))
-                Z = PD[0] + x[:, None] * PD[1] + y[:, None] * E[-1]
-            seen.append(np.where(np.isfinite(Z).all(axis=1), np.linalg.norm(Z, axis=1), np.inf))
+                y = np.divide((A * x + B) * x + C, 2.0 * (h0 + x * h1))
+                Z = np.add(P, x * np.array(D)) + y * np.array(e)
+            seen.append(np.linalg.norm(Z) if np.isfinite(Z).all() else np.inf)
         return s
 
     monkeypatch.setattr(eqv, "_graph_s", spy)
@@ -1529,7 +1597,7 @@ def test_graph_piece_takes_its_point_nearest_q0(monkeypatch):
                 assert wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x)).equivalent
     assert len(seen) >= 20
     for got, old in zip(seen[::2], seen[1::2]):
-        assert np.isfinite(got).all() and (got <= old).all()
+        assert np.isfinite(got) and got <= old
 
 
 @pytest.mark.parametrize("p0, p1, q0", [
@@ -1597,7 +1665,8 @@ def _walk(g, p0, p1, q0):
         mp.setattr(eqv, "_cell_starts", lambda *args: walks.append(walk(*args)) or walks[-1])
         with contextlib.suppress(wf.SolverFailureError):
             wf.solve_equivalent(g, p0, p1, q0)
-    return walks[0]
+    X, dims, ranks, examined = walks[0]
+    return X, np.array(dims, dtype=int), np.array(ranks, dtype=int), examined
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1797,6 +1866,16 @@ def test_tube_empty_stations_not_fatal():
     tube = wf.sample_segment_tube(g, ORIGIN4, (2, 0, 0, 0), cfg)
     assert np.isnan(tube.profile[4])
     assert np.isfinite(tube.profile[0])  # end stations sit on the object
+    assert tube.empty_stations == np.isnan(tube.profile).sum() >= 1
+    assert tube.rays_without_crossing == np.isnan(tube.radii).sum() >= 4
+
+
+def test_readme_tube_counts_its_empty_stations_and_rays():
+    # stations 1-6 and 57-62 of 64: every ray there sees the defect jump at
+    # F's breakpoint, never cross 0 inside a cell
+    tube = wf.sample_segment_tube(Geometry.discrete(0.02), ORIGIN4, (2, 0, 0, 0))
+    assert (tube.empty_stations, tube.rays_without_crossing) == (12, 192)
+    assert np.flatnonzero(np.isnan(tube.profile)).tolist() == [*range(1, 7), *range(57, 63)]
 
 
 def test_tube_requires_positive_sigma():

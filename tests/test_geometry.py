@@ -673,6 +673,31 @@ def test_table_deformation_holds_its_own_table():
     assert all(np.array_equal(a, b) for a, b in zip(_cells(F), cells))
 
 
+_F_VALUES = st.floats(-50.0, 50.0) | st.sampled_from([-5.0, -1.0, -0.03, 0.0, -0.0, 0.03, 0.5, 5.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(make=st.sampled_from([DeformationFunction.identity, lambda: DeformationFunction.discrete_shift(0.01),
+                             lambda: DeformationFunction.grainy_ramp(0.01, 0.03),
+                             lambda: DeformationFunction.from_table(_TABLE)]),
+       values=st.lists(_F_VALUES, min_size=3, max_size=3),
+       at=st.lists(st.integers(0, 999), min_size=3, max_size=3, unique=True), seed=st.integers(0, 99))
+def test_F_gives_the_same_bits_on_any_shape(make, values, at, seed):
+    # a 0-d value, a (3,) array and the same values inside a (1000,) array: F's
+    # short paths for a few values, and a table's end segments, keep every bit
+    F = make()
+    x = np.array(values)
+    big = np.random.default_rng(seed).uniform(-10.0, 10.0, 1000)
+    big[at] = x
+    three = F(x)
+    assert type(three) is np.ndarray and three.shape == (3,)
+    for v, want in zip(values, three):
+        for arg in (v, np.float64(v), np.array(v)):
+            got = F(arg)
+            assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+    assert F(big)[at].tobytes() == F(x.tolist()).tobytes() == three.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # one deformation dispatch
 # ---------------------------------------------------------------------------
