@@ -9,10 +9,12 @@ its Minkowski length and to tilt by a fixed hyperbolic angle
 
 where d is the deformation strength at the link.  The tilt axis is left
 open by the dynamics, so the chain wobbles: here the tilt direction is
-drawn by a uniform azimuth in the (x, y) plane of the previous link's rest
+drawn by a uniform azimuth a in the (x, y) plane of the previous link's rest
 frame, isolated behind the rng stream so alternative cone distributions can
-be injected.  A step carries the spatial velocity v alone; u0 = sqrt(1 +
-|v|^2) is derived, so every direction lies on the unit hyperboloid.
+be injected.  The stream gives the half-angle a/2 = pi u, and the direction
+(cos a, sin a) comes from its tangent (``_direction``).  A step carries the
+spatial velocity v alone; u0 = sqrt(1 + |v|^2) is derived, so every
+direction lies on the unit hyperboloid.
 
 Ensembles use counter-based per-chain rng streams derived from
 (seed, chain index), so results are reproducible bit for bit under any
@@ -205,6 +207,31 @@ def _tilt(v, u0, cosh_dphi, sinh_dphi, cos_a, sin_a, out=None, push=None, tmp=No
     return nxt
 
 
+def _direction(half, out=None):
+    """(cos a, sin a) rows of the azimuths a = 2 half, written into the
+    (2, ...) buffer out if given, by the half-angle tangent t = tan(half):
+
+        cos a = (1 - t^2) / (1 + t^2),    sin a = 2t / (1 + t^2).
+
+    One tan costs less than a cos and a sin.  For half in [0, pi) t is finite
+    (|t| < 1.7e16, so t^2 cannot overflow) and both rows lie within 2^-51 of
+    cos a and sin a.  A strided block must give the bits of its rows taken
+    one at a time, or the ensemble and step_chain would disagree; the tests
+    check it, since numpy's SIMD and scalar-tail paths could round apart.
+    """
+    if out is None:
+        out = np.empty((2,) + np.shape(half))
+    cos, sin = out
+    np.tan(half, out=sin)
+    np.multiply(sin, sin, out=cos)
+    den = 1.0 + cos
+    np.subtract(1.0, cos, out=cos)
+    cos /= den
+    sin *= 2.0
+    sin /= den
+    return out
+
+
 def _angle(v, vv):
     """Hyperbolic angles between consecutive rows of (k + 1, 3, m) spatial
     velocities v with |v|^2 rows vv: row s of the (k, m) result is the angle
@@ -233,7 +260,9 @@ def _angle(v, vv):
 def step_chain(state, params: ChainParams, rng) -> tuple[np.ndarray, np.ndarray]:
     """Advance one link: the next link starts at the previous end, keeps the
     Minkowski length, and tilts by the deflection angle about a uniformly
-    drawn azimuth.  A past-directed link stays past-directed."""
+    drawn azimuth a: the stream gives a/2 = pi random(), and the tilt
+    direction comes from its tangent.  A past-directed link stays
+    past-directed."""
     p0 = as_point(state[0], dim=4)
     p1 = as_point(state[1], dim=4)
     disp = p1 - p0
@@ -246,9 +275,8 @@ def step_chain(state, params: ChainParams, rng) -> tuple[np.ndarray, np.ndarray]
     sigma_m = 0.5 * two_sm
     d = float(deformation_value(params.geometry, sigma_m))
     dphi = deflection_angle(d, sigma_m)
-    azimuth = np.array([rng.uniform(0.0, 2.0 * math.pi)])
-    v_next = _tilt(v, _gamma(v)[1], math.cosh(dphi), math.sinh(dphi),
-                   np.cos(azimuth), np.sin(azimuth))
+    cos_a, sin_a = _direction(np.array([math.pi * rng.random()]))
+    v_next = _tilt(v, _gamma(v)[1], math.cosh(dphi), math.sinh(dphi), cos_a, sin_a)
     return p1, p1 + scale * np.concatenate([_gamma(v_next)[1], v_next[:, 0]])
 
 
@@ -324,16 +352,17 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
     for a given (params, seed) under any schedule.
 
     The steps run in blocks of B = max(1, _BLOCK_CHAIN_STEPS // ensemble).
-    Row i of the chain-major (ensemble, steps) azimuth table is chain i's
-    stream, drawn in place and scaled by 2 pi once; each block takes the
-    cosines and sines of its B columns, and their sinh dphi multiples, at
-    once.  Within a block a step only tilts and re-derives u0: the velocities
-    go into component-major (B + 1, 3, ensemble) rows, |v|^2 and u0 into
+    Row i of the chain-major (ensemble, steps) half-azimuth table is chain
+    i's stream, drawn in place and scaled by pi once; each block takes the
+    directions (cos a, sin a) of its B columns by the half-angle tangent
+    (``_direction``), and their sinh dphi multiples, at once.  Within a
+    block a step only tilts and re-derives u0: the velocities go into
+    component-major (B + 1, 3, ensemble) rows, |v|^2 and u0 into
     (B + 1, ensemble) rows, row 0 holding the block's incoming link.  The
     statistics, drift, max_gamma and kept points are then reduced over the
     whole block, each row in the same order as one step at a time (the points
-    by a cumulative sum along the steps of a step-major (B + 1, 4, ensemble)
-    stage from the block's first point, copied into the points once per
+    by adding each row of a step-major (B + 1, 4, ensemble) stage to the
+    next, from the block's first point, copied into the points once per
     block), so they and reruns are bit-identical to a step-by-step loop.  A
     state that is no longer finite (|v|^2 overflows near |v| = 1e154) raises
     InvalidStateError naming the first such step.
@@ -347,10 +376,10 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
     length = math.sqrt(2.0 * params.link_sigma_m)
     cosh_dphi, sinh_dphi = math.cosh(params.deflection), math.sinh(params.deflection)
 
-    azimuths = np.empty((E, S))
-    for i in range(E):  # uniform(0, 2 pi) is 2 pi random(), bit for bit
-        chain_rng(params.seed, i).random(out=azimuths[i])
-    azimuths *= 2.0 * math.pi
+    halves = np.empty((E, S))
+    for i in range(E):  # the half-azimuths pi random(), as step_chain draws them
+        chain_rng(params.seed, i).random(out=halves[i])
+    halves *= math.pi
 
     # row 0: the initial link along the time axis, shared by all chains
     v, vv, u0 = np.zeros((B + 1, 3, E)), np.zeros((B + 1, E)), np.ones((B + 1, E))
@@ -367,8 +396,7 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
 
     for s0 in range(0, S, B):
         b = min(B, S - s0)
-        np.cos(azimuths.T[s0:s0 + b], out=trig[0, :b])
-        np.sin(azimuths.T[s0:s0 + b], out=trig[1, :b])
+        _direction(halves.T[s0:s0 + b], out=trig[:, :b])
         np.multiply(sinh_dphi, trig[:, :b], out=push[:, :b])
         with np.errstate(over="ignore", invalid="ignore"):  # raised after the block
             for k in range(b):
@@ -390,7 +418,8 @@ def simulate_ensemble(params: ChainParams, keep_chains: bool = False):
         if keep_chains:
             np.multiply(length, u0_new, out=stage[1:b + 1, 0])
             np.multiply(length, v_new, out=stage[1:b + 1, 1:])
-            np.cumsum(stage[:b + 1], axis=0, out=stage[:b + 1])
+            for k in range(b):  # an axis-0 cumsum runs one short loop per column
+                np.add(stage[k], stage[k + 1], out=stage[k + 1])
             points[:, s0 + 2:s0 + b + 2] = stage[1:b + 1].transpose(2, 0, 1)
             stage[0] = stage[b]
         v[0], vv[0], u0[0] = v[b], vv[b], u0[b]

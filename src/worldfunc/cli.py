@@ -249,7 +249,8 @@ def cmd_tube(args, g):
     found = np.isfinite(tube.profile)  # an empty station has no radius: no row
     _write_csv(profile, "t,radius", tube.arc_positions[found], tube.profile[found])
     message = f"wrote {tube.points.shape[0]} member points to {cloud}, profile to {profile}"
-    return [cloud, profile], message, {"empty_stations": tube.empty_stations}
+    return [cloud, profile], message, {"empty_stations": tube.empty_stations,
+                                       "rays_without_crossing": tube.rays_without_crossing}
 
 
 def cmd_object(args, g):

@@ -310,7 +310,8 @@ class DeformationFunction:
             ramp = np.sign(x)
         else:
             # |quotient| <= 1 cannot overflow; outside the ramp it is sgn(x) exactly
-            ramp = np.clip(x, -self.sigma0, self.sigma0) / self.sigma0
+            # (np.minimum/np.maximum skip np.clip's Python wrappers, same bits)
+            ramp = np.minimum(np.maximum(x, -self.sigma0), self.sigma0) / self.sigma0
         return self.lambda0_sq * ramp
 
     def __call__(self, sigma_m):

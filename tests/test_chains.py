@@ -466,6 +466,51 @@ def test_angle_has_no_cancellation_at_high_boost():
             assert abs(float(want) - dphi) <= 1e-15 * (1.0 + float(a0))
 
 
+@settings(max_examples=300, deadline=None)
+@given(half=st.floats(0.0, math.pi, exclude_max=True))
+def test_direction_is_within_two_ulps_of_cos_and_sin(half):
+    # the half-angle tangent form against cos and sin of the azimuth 2 half
+    from worldfunc.chains import _direction
+    mpmath.mp.dps = 40
+    cos_a, sin_a = _direction(np.array([half]))[:, 0]
+    azimuth = 2 * mpmath.mpf(half)
+    assert abs(cos_a - float(mpmath.cos(azimuth))) <= 2.0 ** -51
+    assert abs(sin_a - float(mpmath.sin(azimuth))) <= 2.0 ** -51
+    assert abs(cos_a * cos_a + sin_a * sin_a - 1.0) <= 1e-15
+
+
+def test_direction_exact_cases():
+    from worldfunc.chains import _direction
+    below_pi = np.nextafter(math.pi, 0.0)
+    (c0, c1, c2), (s0, s1, s2) = _direction(np.array([0.0, math.pi / 2, below_pi]))
+    assert (c0, s0) == (1.0, 0.0) and math.copysign(1.0, s0) == 1.0
+    # t = tan(float(pi/2)) ~ 1.6e16: t^2 stays finite and the direction is (-1, ~0)
+    assert c1 == -1.0 and 0.0 < s1 <= 2.0 ** -51
+    # the azimuth just below 2 pi: cos rounds to 1, sin is tiny and negative
+    assert c2 == 1.0 and s2 == pytest.approx(float(mpmath.sin(2 * mpmath.mpf(below_pi))),
+                                             rel=1e-15)
+    # an out buffer is filled and returned
+    out = np.empty((2, 3))
+    assert _direction(np.array([0.0, math.pi / 2, below_pi]), out=out) is out
+    assert np.array_equal(out, [[c0, c1, c2], [s0, s1, s2]])
+
+
+@pytest.mark.parametrize("rows,chains", [(8, 1000), (3, 17), (1, 1)])
+def test_direction_of_a_strided_block_equals_its_rows_bitwise(rows, chains):
+    # simulate_ensemble takes strided (B, E) column blocks of its chain-major
+    # table, the reference loop contiguous rows and step_chain one value:
+    # SIMD and scalar-tail paths must not round differently
+    from worldfunc.chains import _direction
+    halves = math.pi * np.random.default_rng(rows).random((chains, 50))
+    block = halves.T[5:5 + rows]
+    assert not block.flags.c_contiguous or rows == 1
+    got = _direction(block, out=np.empty((2, rows, chains)))
+    for k in range(rows):
+        _assert_same_bits(got[:, k], _direction(np.ascontiguousarray(block[k])))
+        for i in range(chains):
+            _assert_same_bits(got[:, k, i:i + 1], _direction(block[k, i:i + 1]))
+
+
 @pytest.mark.parametrize("lam,scale", [(0.005, 1.0), (0.02, 1e6), (1e-5, 0.0)])
 def test_angle_of_a_row_run_equals_its_row_pairs_bitwise(lam, scale):
     # each row's speed, rapidity and direction are shared by the two angles it
@@ -557,14 +602,14 @@ def test_chain_params_serialization_round_trips(kind, lam, sigma0, link_sigma_m,
 
 def _reference_ensemble(params, keep_chains=False):
     # the per-step loop that the blocked simulate_ensemble replaced, kept as
-    # reference: an (S, E) azimuth table, every statistic reduced per step
-    from worldfunc.chains import ChainStats, _angle, _gamma, _tilt
+    # reference: an (S, E) half-azimuth table, every statistic reduced per step
+    from worldfunc.chains import ChainStats, _angle, _direction, _gamma, _tilt
     E, S = params.ensemble, params.steps
     length = math.sqrt(2.0 * params.link_sigma_m)
     cosh_dphi, sinh_dphi = math.cosh(params.deflection), math.sinh(params.deflection)
-    azimuths = np.empty((S, E))
+    halves = np.empty((S, E))  # half-azimuths, as step_chain draws them
     for i in range(E):
-        azimuths[:, i] = wf.chain_rng(params.seed, i).uniform(0.0, 2.0 * math.pi, S)
+        halves[:, i] = math.pi * wf.chain_rng(params.seed, i).random(S)
     v = np.zeros((3, E))
     vv, u0 = _gamma(v)
     mean_t, var_transverse, mean_angle = np.empty((3, S))
@@ -575,7 +620,7 @@ def _reference_ensemble(params, keep_chains=False):
         points = np.zeros((E, S + 2, 4))
         points[:, 1, 0] = length
     for s in range(S):
-        v_next = _tilt(v, u0, cosh_dphi, sinh_dphi, np.cos(azimuths[s]), np.sin(azimuths[s]))
+        v_next = _tilt(v, u0, cosh_dphi, sinh_dphi, *_direction(halves[s]))
         with np.errstate(over="ignore", invalid="ignore"):
             vv_next, u0 = _gamma(v_next)
         mean_t[s] = length * u0.mean()

@@ -564,6 +564,10 @@ def test_readme_tube_profile_leaves_out_its_empty_stations(tmp_path):
     manifest = json.loads((tmp_path / "tube_manifest.json").read_text())
     assert (len(rows), manifest["empty_stations"]) == (52, 12)
     assert all(math.isfinite(r) for _, r in rows)
+    # the manifest's counts are the returned tube's
+    tube = wf.sample_segment_tube(wf.Geometry.discrete(0.02), [0, 0, 0, 0], [2, 0, 0, 0])
+    assert manifest["rays_without_crossing"] == tube.rays_without_crossing == 192
+    assert manifest["empty_stations"] == tube.empty_stations
 
 
 @pytest.mark.parametrize("p0, p1", [("0,0,0,0", "1e300,0,0,0"), ("-1e308,0,0,0", "1e308,0,0,0")])

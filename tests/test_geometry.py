@@ -581,6 +581,23 @@ def test_grainy_ramp_with_a_tiny_sigma0_does_not_warn():
         assert wf.deformation_value(Geometry.deformed(F), 1e300) == 0.01
 
 
+@pytest.mark.parametrize("sigma0", [0.5, 1e-310])
+def test_grainy_shift_is_the_clipped_ramp_bitwise(sigma0):
+    # lambda0_sq * clip(x, -sigma0, sigma0) / sigma0 on the edge values,
+    # array and numpy scalar alike: NaN stays NaN, the sign of zero is kept
+    F = DeformationFunction.grainy_ramp(0.01, sigma0)
+    x = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300,
+                  0.25, -0.25])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # 5e-324 underflows
+        want = 0.01 * (np.clip(x, -sigma0, sigma0) / sigma0)
+        got = F._shift(x)
+        assert got.tobytes() == want.tobytes()
+        for xi, wi in zip(x, want):
+            assert np.array(F._shift(xi)).tobytes() == np.array(wi).tobytes()
+    assert np.isnan(got[0]) and math.copysign(1.0, got[2]) == -1.0
+    assert got[[1, 3, 4, 7, 8]].tolist() == [0.0, 0.01, -0.01, 0.01, -0.01]
+
+
 def test_deformation_slopes():
     # the slopes F's cells hold, one per open cell between the breakpoints
     assert _cells(DeformationFunction.identity())[1].tolist() == [1.0, 1.0]
