@@ -162,6 +162,12 @@ def test_verify_straight_minkowski_chain_zero_residuals():
     assert max(r.max_abs_residual for r in reports) == 0.0
 
 
+def test_verify_needs_a_minkowski_substrate():
+    chain = WorldChain((Skeleton(((0, 0, 0), (1, 0, 0))), Skeleton(((1, 0, 0), (2, 0, 0)))))
+    with pytest.raises(wf.WorldFunctionError, match="needs a Minkowski-substrate geometry"):
+        wf.verify_link_equivalence(Geometry.euclidean(3), chain)
+
+
 def test_verify_discrete_chain_reports_connectivity_offset():
     # the cone construction solves the deflection law, but the shared chain
     # point sees d(0) = 0, so the parallel residual in the full deformed

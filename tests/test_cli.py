@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import worldfunc as wf
-from worldfunc.cli import UsageError, _build_parser, _write_csv, main, parse_geometry
+from worldfunc.cli import UsageError, _build_parser, _write_csv, entry, main, parse_geometry
 
 
 def run(argv):
@@ -181,6 +181,32 @@ def test_geometry_from_serialized_spec_file(tmp_path):
     assert wf.sigma(g, (0, 0, 0, 0), (2, 0, 0, 0)) == 2.02
 
 
+@pytest.mark.parametrize("form, content, message", [
+    ("@{}", {"kind": "discrete"}, "a discrete geometry needs lambda0_sq"),
+    # a flat segment solves the length equation on a whole sigma_M interval
+    ("deformed:file={}", {"F_table": [[-2, -2], [0, 0], [0.5, 0.5], [1, 0.5], [2, 1.5]]},
+     "table must be strictly increasing: segment 2"),
+], ids=["spec-without-its-key", "flat-table-file"])
+def test_geometry_file_the_library_rejects_names_the_fault(tmp_path, capsys, form, content, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(content))
+    pts = write_points(tmp_path / "p.json", [[0, 0, 0, 0], [1, 0.5, 0, 0]])
+    assert run(["sigma", "--geometry", form.format(spec), "--points", pts,
+                "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad geometry spec") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grainy_spec_without_a_ramp_is_recorded_as_discrete(tmp_path):
+    # the kind is read from F, and sigma0 = 0 leaves the discrete shift
+    pts = write_points(tmp_path / "p.json", [[0, 0, 0, 0], [1, 0.5, 0, 0]])
+    assert run(["sigma", "--geometry", "grainy:lambda0_sq=0.01,sigma0=0", "--points", pts,
+                "--out-dir", tmp_path]) == 0
+    manifest = json.loads((tmp_path / "sigma_manifest.json").read_text())
+    assert manifest["config"]["geometry"] == wf.Geometry.discrete(0.01).to_dict()
+
+
 # ---------------------------------------------------------------------------
 # eqv
 # ---------------------------------------------------------------------------
@@ -320,8 +346,10 @@ def test_invalid_command_configuration_is_a_usage_error(tmp_path, capsys, argv, 
      "malformed envelope node at /: KeyError: 'value'"),
     (["tube", "--geometry", "euclidean:dim=1", "--p0", "0", "--p1", "1"],
      "a 1-d chart has no transverse direction"),
+    (["eqv", "solve", "--geometry", "euclidean:dim=3", "--p0", "0,0,0", "--p1", "1,2,-1",
+      "--q0", "0,0"], "point has dimension 2, expected 3"),
 ], ids=["nan-point", "spacelike-tube", "equal-solve-points", "3d-check-on-minkowski",
-        "envelope-P7", "envelope-const-without-value", "1d-tube"])
+        "envelope-P7", "envelope-const-without-value", "1d-tube", "2d-q0-in-3d-solve"])
 def test_input_the_library_rejects_exits_1(tmp_path, capsys, monkeypatch, argv, message):
     # an InvalidInputError is an input error wherever it is raised: exit 1, nothing written
     monkeypatch.chdir(tmp_path)
@@ -367,7 +395,7 @@ def test_malformed_point_file_is_an_input_error(tmp_path, capsys, monkeypatch, r
 def test_overflowing_chain_is_a_numerical_failure(tmp_path, capsys):
     assert run(["chain", "--geometry", "discrete:lambda0_sq=50", "--link-sigma-m", "0.5",
                 "--steps", "400", "--ensemble", "4", "--out-dir", tmp_path / "out"]) == 2
-    assert "overflowed at step 82" in capsys.readouterr().err
+    assert "overflowed at step 82 " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -538,6 +566,137 @@ def test_eqv_witness_none_euclidean(tmp_path, capsys):
     assert payload["found"] is False
 
 
+_F_TABLE = [[-2, -2.1], [-0.5, -0.52], [0, 0], [0.5, 0.53], [2, 2.1]]
+
+
+def _vector_args(witness, a, b):
+    """eqv check's four vector options for the witness vectors named a and b."""
+    return [f"--{v}-{k}=" + ",".join(map(repr, witness[name][k]))
+            for v, name in (("a", a), ("b", b)) for k in ("origin", "end")]
+
+
+@pytest.mark.parametrize("spec", ["discrete:lambda0_sq=0.01", "grainy:lambda0_sq=0.01,sigma0=0.03",
+                                  "deformed:file=F.json"], ids=["discrete", "grainy", "table"])
+def test_eqv_witness_is_exact_under_every_deformation_kind(tmp_path, capsys, monkeypatch, spec):
+    # the exact template, a spacelike base and two null shifts of it on a dyadic
+    # grid: eqv check reads a ~ b and b ~ c with both residuals exactly 0.0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F.json").write_text(json.dumps({"F_table": _F_TABLE}))
+    assert run(["eqv", "witness", "--geometry", spec, "--seed", 7, "--out-dir", tmp_path]) == 0
+    witness = json.loads(capsys.readouterr().out)
+    assert witness["found"] is True
+    for a, b, holds in (("a", "b", True), ("b", "c", True), ("a", "c", False)):
+        assert run(["eqv", "check", "--geometry", spec, *_vector_args(witness, a, b),
+                    "--out-dir", tmp_path / (a + b)]) == 0
+        check = json.loads(capsys.readouterr().out)
+        assert check["equivalent"] is holds, (a, b, check)
+        if holds:
+            assert check["residual_parallel"] == check["residual_length"] == 0.0, (a, b, check)
+
+
+@pytest.mark.parametrize("p1, starts, variance, dim", [
+    ("1.001,1,0,0", [], "single", 0),  # timelike, however near the cone: one isolated equivalent
+    ("0,1,0,0", ["--starts", 1], "multi", 2),  # spacelike: a 2-dimensional family
+    ("1,1,0,0", [], "multi", 1),  # null: a line
+], ids=["near-cone", "spacelike", "null"])
+def test_eqv_solve_classifies_the_solution_set(tmp_path, capsys, p1, starts, variance, dim):
+    assert run(["eqv", "solve", "--geometry", "minkowski", "--p0", "0,0,0,0", "--p1", p1,
+                "--q0", "0,0,0,0", *starts, "--out-dir", tmp_path]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["variance"], d["manifold_dim_estimate"]) == (variance, dim)
+    assert sorted(d["diagnostics"]) == ["cells_examined", "cells_nonempty", "converged_count",
+                                        "jacobian_rank", "starts_attempted"]
+    if variance == "single":  # at q0 = p0 the equivalent is p1 itself, exactly
+        assert d["representatives"] == [[1.001, 1.0, 0.0, 0.0]]
+    else:
+        assert d["diagnostics"]["cells_nonempty"] >= 1
+
+
+# eqv solve inputs by name: geometry, p0, p1, q0 and any further options
+_SOLVES = {
+    # the Euclidean solution in closed form, on the dyadic grid and off it
+    "euclidean": ("euclidean:dim=3", "0,0,0", "1,2,-1", "0.5,-1,2", "--starts", 4),
+    "euclidean-rounded": ("euclidean:dim=3", "0.1,0.2,0.3", "1.7,-0.4,2.2", "2.3,0.1,-0.9"),
+    # a spacelike P0P1, walked through the cells of F
+    "discrete": ("discrete:lambda0_sq=0.01", "0,0,0,0", "0.3,1,0,0", "0.1,0.2,0,0", "--starts", 16),
+    "table": ("deformed:file=F.json", "0,0,0,0", "0.3,1,0,0", "0.1,0.2,0.3,0"),
+    # a generic grainy timelike 2-surface, which a 64-start random box missed
+    "grainy": ("grainy:lambda0_sq=0.01,sigma0=0.03",
+               "0.7870774673541412,-0.42096038727593643,-0.1987541200403926,0.5526787106043458",
+               "-0.6662348606024622,-1.0563405586902288,0.28764262323083434,0.2176592551078591",
+               "-0.4625623196756994,0.5075521068720097,0.13645920048634874,-0.5242619354361382"),
+    # a null W (u null, <w0, u> = 0): the line q0 + t u under every F
+    "null-w": ("grainy:lambda0_sq=0.01,sigma0=0.03", "0,0,0,0", "0.5,0,0.5,0", "0.25,0.25,0.25,0"),
+}
+
+
+def _solve(tmp_path, capsys, monkeypatch, case):
+    """The eqv solve payload of a _SOLVES input, run in tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F.json").write_text(json.dumps({"F_table": _F_TABLE}))
+    spec, p0, p1, q0, *more = _SOLVES[case]
+    assert run(["eqv", "solve", "--geometry", spec, f"--p0={p0}", f"--p1={p1}", f"--q0={q0}", *more,
+                "--out-dir", tmp_path / case]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _solve_points(case):
+    """p0, p1 and q0 of a _SOLVES input as float lists."""
+    return [[float(v) for v in s.split(",")] for s in _SOLVES[case][1:4]]
+
+
+@pytest.mark.parametrize("case", list(_SOLVES))
+def test_eqv_check_of_each_solve_representative_prints_its_residuals(tmp_path, capsys, monkeypatch,
+                                                                     case):
+    # the solver reports the pairwise test's residuals: eqv check on any
+    # representative prints equivalent and the solve's residual floats
+    solve = _solve(tmp_path, capsys, monkeypatch, case)
+    spec, p0, p1, q0 = _SOLVES[case][:4]
+    assert solve["representatives"] and len(solve["residuals"]) == len(solve["representatives"])
+    for k, (x, row) in enumerate(zip(solve["representatives"], solve["residuals"])):
+        assert run(["eqv", "check", "--geometry", spec, f"--a-origin={p0}", f"--a-end={p1}",
+                    f"--b-origin={q0}", "--b-end=" + ",".join(map(repr, x)),
+                    "--out-dir", tmp_path / f"check{k}"]) == 0
+        check = json.loads(capsys.readouterr().out)
+        assert check["equivalent"] is True, (k, check)
+        assert [check["residual_parallel"], check["residual_length"]] == row, (k, check, row)
+
+
+@pytest.mark.parametrize("case, exact", [("euclidean", True), ("euclidean-rounded", False)])
+def test_euclidean_solve_is_the_translation_in_float_arithmetic(tmp_path, capsys, monkeypatch, case,
+                                                                exact):
+    # one translation q0 + (p1 - p0) and no start or cell: on the dyadic grid its
+    # residuals are 0.0, off it they are the rounding of the same float arithmetic
+    d = _solve(tmp_path, capsys, monkeypatch, case)
+    p0, p1, q0 = _solve_points(case)
+    assert d["variance"] == "single"
+    assert d["representatives"] == [[q + (b - a) for a, b, q in zip(p0, p1, q0)]]
+    assert (d["residuals"] == [[0.0, 0.0]]) is exact, d
+    diag = d["diagnostics"]
+    assert diag["starts_attempted"] == diag["cells_examined"] == diag["cells_nonempty"] == 0
+
+
+@pytest.mark.parametrize("case, dim, pieces", [("discrete", 2, 2), ("table", 2, 2), ("grainy", 2, 1),
+                                               ("null-w", 1, 1)])
+def test_substrate_solve_keeps_one_representative_per_converged_piece(tmp_path, capsys, monkeypatch,
+                                                                      case, dim, pieces):
+    # one start per non-empty slope cell of F, one representative per start that meets tol
+    d = _solve(tmp_path, capsys, monkeypatch, case)
+    diag = d["diagnostics"]
+    assert (d["variance"], d["manifold_dim_estimate"]) == ("multi", dim)
+    assert diag["starts_attempted"] == diag["cells_nonempty"] >= 1
+    assert len(d["representatives"]) == diag["converged_count"] >= pieces
+
+
+def test_null_w_solve_stays_near_q0(tmp_path, capsys, monkeypatch):
+    # every representative of the line q0 + t u lies within 10 (|u| + |w0|) of
+    # q0, not on a rounding sliver ~1e5 away
+    d = _solve(tmp_path, capsys, monkeypatch, "null-w")
+    p0, p1, q0 = (np.array(p) for p in _solve_points("null-w"))
+    bound = 10.0 * (np.linalg.norm(p1 - p0) + np.linalg.norm(q0 - p0))
+    assert max(np.linalg.norm(np.array(x) - q0) for x in d["representatives"]) <= bound
+
+
 # ---------------------------------------------------------------------------
 # tube
 # ---------------------------------------------------------------------------
@@ -568,6 +727,12 @@ def test_readme_tube_profile_leaves_out_its_empty_stations(tmp_path):
     tube = wf.sample_segment_tube(wf.Geometry.discrete(0.02), [0, 0, 0, 0], [2, 0, 0, 0])
     assert manifest["rays_without_crossing"] == tube.rays_without_crossing == 192
     assert manifest["empty_stations"] == tube.empty_stations
+    # every cloud point is a segment member: none sits on F's jump at the light cone
+    _, cloud = read_csv(tmp_path / "tube_cloud.csv")
+    assert len(cloud) > 800
+    g = wf.Geometry.discrete(0.02)
+    for row in cloud:
+        assert wf.segment_membership(g, (0, 0, 0, 0), (2, 0, 0, 0), row[2:]).member, row
 
 
 @pytest.mark.parametrize("p0, p1", [("0,0,0,0", "1e300,0,0,0"), ("-1e308,0,0,0", "1e308,0,0,0")])
@@ -686,6 +851,23 @@ def test_chain_command_and_reproducibility(tmp_path):
     digest = hashlib.sha256(stats_a).hexdigest()
     assert manifest["outputs"]["chain_stats.csv"]["sha256"] == digest
     assert manifest["outputs"]["chains.npy"]["sha256"] == hashlib.sha256(raw_a).hexdigest()
+
+
+def test_readme_chain_raw_points_and_angles(tmp_path):
+    # the README chain with --raw: its points as one exact float64 .npy covered by
+    # the manifest's digest, and the measured angles (law of haversines) equal to
+    # the deflection law at every one of its 1000 steps
+    assert run(["chain", "--geometry", "discrete:lambda0_sq=0.005", "--link-sigma-m", 0.5,
+                "--steps", 1000, "--ensemble", 64, "--seed", 42, "--raw", "--out-dir", tmp_path]) == 0
+    points = np.load(tmp_path / "chains.npy", allow_pickle=False)
+    assert points.dtype == np.float64 and points.shape == (64, 1002, 4)
+    assert np.all(np.isfinite(points)) and np.all(points[:, 0] == 0.0)
+    manifest = json.loads((tmp_path / "chain_manifest.json").read_text())
+    digest = hashlib.sha256((tmp_path / "chains.npy").read_bytes()).hexdigest()
+    assert manifest["outputs"]["chains.npy"]["sha256"] == digest
+    _, rows = read_csv(tmp_path / "chain_stats.csv")
+    want = wf.deflection_angle(0.005, 0.5)
+    assert len(rows) == 1000 and max(abs(r[3] - want) for r in rows) <= 1e-11
 
 
 def test_chain_raw_writes_exactly_the_named_file(tmp_path):
@@ -824,6 +1006,17 @@ def test_module_entry_point_runs(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "density_manifest.json").is_file()
+
+
+def test_console_script_entry_exits_with_mains_code(monkeypatch, capsys):
+    # the [project.scripts] worldfunc entry: main's return code becomes the exit status
+    for argv, code in ((["--version"], 0), (["sigma"], 1)):
+        monkeypatch.setattr(sys, "argv", ["worldfunc", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code, argv
+    out, err = capsys.readouterr()
+    assert out == f"worldfunc {wf.__version__}\n" and err.startswith("error: ")
 
 
 def test_manifest_digests_and_full_precision(tmp_path):
@@ -981,16 +1174,19 @@ def test_eqv_check_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
 
 
 def test_high_boost_chain_manifest_is_strict_json(tmp_path):
-    # the README example at 64 chains used to write "max_link_length_drift": NaN
-    argv = ["chain", "--geometry", "discrete:lambda0_sq=0.005", "--link-sigma-m", 0.5,
-            "--steps", 1000, "--ensemble", 64, "--seed", 42, "--out-dir", tmp_path]
-    assert run(argv) == 0
-    manifest = _strict_json((tmp_path / "chain_manifest.json").read_text())
-    assert manifest["max_link_length_drift"] <= 1e-12
-    config = manifest["config"]
-    stats = wf.simulate_ensemble(wf.ChainParams.from_dict({**config["args"],
-                                                           "geometry": config["geometry"]}))
-    assert manifest["max_gamma"] == stats.max_gamma.max() > 1e3
+    # the README example at 64 chains used to write "max_link_length_drift": NaN;
+    # at lambda0_sq = 0.02 the same ensemble boosts to u0 ~ 3e15
+    for lambda0_sq in (0.005, 0.02):
+        out = tmp_path / str(lambda0_sq)
+        argv = ["chain", "--geometry", f"discrete:lambda0_sq={lambda0_sq}", "--link-sigma-m", 0.5,
+                "--steps", 1000, "--ensemble", 64, "--seed", 42, "--out-dir", out]
+        assert run(argv) == 0
+        manifest = _strict_json((out / "chain_manifest.json").read_text())
+        assert manifest["max_link_length_drift"] <= 1e-12
+        config = manifest["config"]
+        stats = wf.simulate_ensemble(wf.ChainParams.from_dict({**config["args"],
+                                                               "geometry": config["geometry"]}))
+        assert manifest["max_gamma"] == stats.max_gamma.max() > 1e3
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,8 @@ def test_solve_minkowski_near_cone_timelike_is_single():
     # reverse Cauchy-Schwarz: the timelike solution is unique however close to the cone
     sol = wf.solve_equivalent(MINK, ORIGIN4, (1.001, 1, 0, 0), ORIGIN4, SolverConfig(seed=0))
     assert (sol.variance, sol.manifold_dim_estimate) == ("single", 0)
-    assert np.abs(sol.representatives[0] - np.array([1.001, 1, 0, 0])).max() < 1e-9
+    # at q0 = p0 the equivalent is p1 itself, exactly
+    assert np.array_equal(sol.representatives, [[1.001, 1, 0, 0]])
 
 
 def test_solve_spacelike_single_start_sees_the_family():
@@ -1185,6 +1186,13 @@ def test_family_invalid_direction():
         wf.minkowski_spacelike_family(y, 0.7, (1, 0, 0))
     with pytest.raises(wf.InvalidDirectionError):
         wf.minkowski_spacelike_family(y, 0.7, (0, 0, 2))
+    with pytest.raises(wf.InvalidDirectionError, match="n_hat must be a 3-direction"):
+        wf.minkowski_spacelike_family(y, 0.7, (0, 1))
+
+
+def test_family_lives_in_the_4d_chart():
+    with pytest.raises(wf.InvalidInputError, match="4-d Minkowski chart"):
+        wf.minkowski_spacelike_family(GeomVector((0, 0, 0), (0, 1, 0)), 0.7, (0, 0, 1))
 
 
 def test_family_rejects_timelike():
@@ -1751,6 +1759,12 @@ def test_line_membership_euclidean():
 def test_line_membership_zero_vector_convention():
     axis = GeomVector((0, 0, 0), (1, 0, 0))
     assert wf.line_membership(EUCLID3, (0, 0, 1), axis, (0, 0, 1))
+
+
+def test_line_membership_needs_a_direction():
+    # a zero direction vector spans no straight: collinearity to it holds for every r
+    with pytest.raises(wf.InvalidInputError, match="distinct points"):
+        wf.line_membership(EUCLID3, (0, 0, 1), GeomVector((1, 0, 0), (1, 0, 0)), (2, 0, 1))
 
 
 def test_line_membership_minkowski_thick_straight():

@@ -99,6 +99,10 @@ def test_deformed_identity_is_minkowski():
 # scalar product and lengths
 # ---------------------------------------------------------------------------
 
+def test_geom_vector_repr_shows_its_chart_points():
+    assert repr(GeomVector((0, 0.5), (1, 2))) == "GeomVector([0.0, 0.5] -> [1.0, 2.0])"
+
+
 def test_scalar_product_orthogonal_unit_vectors():
     a = GeomVector((0, 0, 0), (1, 0, 0))
     b = GeomVector((0, 0, 0), (0, 1, 0))
@@ -268,6 +272,12 @@ def test_metric_tensor_euclidean_identity():
 def test_metric_tensor_degenerate_basis():
     with pytest.raises(wf.DegenerateBasisError):
         wf.metric_tensor(Geometry.euclidean(2), (0, 0), [(1, 0), (1, 0)])
+
+
+def test_metric_tensor_near_degenerate_basis():
+    # invertible, but its inverse reproduces the identity only to 6.1e-7
+    with pytest.raises(wf.DegenerateBasisError, match=r"inverse defect 6\.1\d\de-07"):
+        wf.metric_tensor(EUCLID3, (0, 0, 0), [(1, 0, 0), (1, 1e-5, 0), (0.3, 0.7, 1)])
 
 
 def test_sigma_coordinates_minkowski():
@@ -836,6 +846,9 @@ def test_builtin_deformation_ignores_parameters_of_other_kinds():
     (lambda: DeformationFunction.from_table([(-2, -2), (0, 0), (0.5, 0.5), (1, 0.4), (2, 1.5)]),
      "strictly increasing: segment 2"),
     (lambda: DeformationFunction.from_table([["a", 0], [0, 0]]), "table must hold numbers"),
+    (lambda: DeformationFunction.from_table([[0, 0]]), "at least two"),
+    (lambda: DeformationFunction.from_table([[-1, -1], [0, 0], [math.nan, 1]]),
+     "table breakpoints must be finite"),
     # a slope that is not a finite positive float would put an inf or 0 slope in F's cells
     (lambda: Geometry.grainy(0.01, 5e-324), r"sigma0 = 5e-324 is too small for lambda0_sq"),
     (lambda: DeformationFunction.from_table([[-1, -1], [0, 0], [5e-324, 1], [2, 3]]),
@@ -843,7 +856,8 @@ def test_builtin_deformation_ignores_parameters_of_other_kinds():
     (lambda: DeformationFunction.from_table([[-1e308, -1e308], [0, 0], [1e308, 1e-300]]),
      "table slope must be finite and > 0: segment 1"),
 ], ids=["negative-l", "negative-s", "grainy-negative-s", "density-negative-s", "table-and-l",
-        "flat-table", "falling-table", "table-of-text", "ramp-slope-overflows",
+        "flat-table", "falling-table", "table-of-text", "one-row-table", "nan-table",
+        "ramp-slope-overflows",
         "table-slope-overflows", "table-slope-underflows"])
 def test_deformation_rejects_parameters_it_cannot_use(make, match):
     with pytest.raises(wf.InvalidInputError, match=match):

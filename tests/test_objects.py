@@ -125,6 +125,31 @@ def test_malformed_envelope_dict_names_the_node(d, message):
     assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize("kind, root, message", [
+    ("sphere", None, "unknown envelope kind 'sphere'"),
+    ("expression", None, "expression envelope needs a root node"),
+], ids=["unknown-kind", "expression-without-root"])
+def test_envelope_kind_and_root_checked(kind, root, message):
+    with pytest.raises(wf.InvalidInputError, match=message):
+        Envelope(kind, root)
+
+
+def test_envelope_root_that_is_not_a_node_is_an_input_error():
+    # a bare label where a SigmaTerm belongs: neither serialised nor evaluated
+    env = Envelope.from_expression("P0")
+    sk = Skeleton(((0, 0, 0), (0, 0, 1), (1, 0, 0)))
+    with pytest.raises(wf.InvalidInputError, match="not an envelope node: 'P0'"):
+        env.to_dict()
+    with pytest.raises(wf.InvalidInputError, match="not an envelope node at /: 'P0'"):
+        wf.evaluate_envelope(EUCLID3, sk, env, (1, 1, 1))
+
+
+def test_probe_batch_of_the_wrong_dimension_is_rejected():
+    sk = Skeleton(((0, 0, 0), (0, 0, 1), (1, 0, 0)))
+    with pytest.raises(wf.DimensionMismatchError, match="dimension 2 against a skeleton of dimension 3"):
+        wf.evaluate_envelope(EUCLID3, sk, Envelope.cylinder(), np.zeros((5, 2)))
+
+
 def test_cylinder_envelope_needs_three_point_skeleton():
     sk = Skeleton(((0, 0, 0), (0, 0, 1)))
     with pytest.raises(wf.InvalidInputError):
