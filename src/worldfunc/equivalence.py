@@ -15,7 +15,8 @@ solving the two equations for the end point Q1 of a vector at Q0 equivalent
 to a given one may yield no solution, exactly one, or a whole manifold.
 In the Euclidean geometry the solution is exactly the translation Q0 + (P1 -
 P0), and ``solve_equivalent`` returns it in closed form, checked by a
-residual row from one stacked sigma call over its six point pairs, bit for
+residual row whose six sigma terms are in-order sums in Python floats (one
+stacked sigma call from 8 coordinates, where numpy sums pairwise), bit for
 bit ``is_equivalent``'s.  On the Minkowski substrate F is piecewise linear,
 so in each slope cell of F the equations are a quadric cut by a
 hyperplane: the solve walks every cell (``_cell_starts``)
@@ -32,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -48,8 +50,10 @@ from .geometry import (
     Geometry,
     GeomVector,
     _ETA,
+    _IN_ORDER,
     _Config,
     _cells,
+    _euclidean_sigma,
     _finite,
     _integral,
     _mdot,
@@ -231,8 +235,9 @@ def _cell_starts(g, q0, diffs, sq, uu_e, K, tol_abs):
     one pass in Python floats (``_piece``): its quadric, its point's s, its
     point, dimension and Jacobian rank.
 
-    Returns the points as an (n, 4) array, their pieces' dimensions and the
-    Jacobian ranks there as lists, and the number of cells examined.
+    q0 is a list of 4 floats.  Returns the points as an (n, 4) array, their
+    pieces' dimensions and the Jacobian ranks there as lists, and the number
+    of cells examined.
     """
     u, w0 = diffs[0], diffs[1]
     uu, ww0, ww1 = sq
@@ -265,7 +270,7 @@ def _cell_starts(g, q0, diffs, sq, uu_e, K, tol_abs):
         examined = len(pairs.m_i)
     free_y = float(np.dot(E[-1], u)) if null else 0.0
     consts = (lam0, lam1, E, null, lam1 > 0.0 and not null, uu, uu_e, free_y,
-              tol_abs / pairs.m_max, q0.tolist())
+              tol_abs / pairs.m_max, q0)
     points, dims, ranks = [], [], []
     for row in zip(*PDh.tolist(), lo.tolist(), hi.tolist(), apex):
         if piece := _piece(*row, consts):
@@ -603,8 +608,10 @@ def _quadratic_roots(A, B, C):
     return [q / A, C / q] if q else [0.0]
 
 
-# rows of (p0, p1, q0, X) paired in a Euclidean solve's one sigma call: the
-# fixed terms sigma(p0, p1), (p1, q0), (p0, q0), then (p0, X), (p1, X), (q0, X)
+# rows of (p0, p1, q0, X) paired in a Euclidean solve's one sigma call from 8
+# coordinates, where numpy's sums are pairwise and Python's in-order sums
+# would differ in their last bits: the fixed terms sigma(p0, p1), (p1, q0),
+# (p0, q0), then (p0, X), (p1, X), (q0, X)
 _TRANSLATION_PAIRS = np.array([[0, 1, 0, 0, 1, 2], [1, 2, 2, 3, 3, 3]])
 _TRANSLATION_DIAGNOSTICS = SolverDiagnostics(0, 0, 1, 0, 0)
 # rows minuend, subtrahend of the walk's differences u = p1 - p0, w0 = q0 - p0, w1 = q0 - p1
@@ -619,10 +626,13 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     equation is |Y|^2 = |u|^2 and the parallelism equation <Y, u> = |u|^2,
     so Cauchy-Schwarz equality forces Y = u: the result is the translation
     Q0 + u, ``single``, in closed form.  It is still checked by the
-    pairwise test: its residual row comes from one stacked sigma call over
-    the six pairs of p0, p1, q0 and Q0 + u, bit for bit ``is_equivalent``'s,
-    and a translation that fails it at ``tol`` in float arithmetic raises
-    ``SolverFailureError``.  The points are checked as one stacked array
+    pairwise test: its residual row comes from the sigma terms of the six
+    pairs of p0, p1, q0 and Q0 + u, bit for bit ``is_equivalent``'s, and a
+    translation that fails it at ``tol`` in float arithmetic, an overflow
+    included, raises ``SolverFailureError`` without a numpy warning.  Below 8
+    coordinates the terms are sums in Python floats in numpy's order
+    (``_euclidean_sigma``); from 8 up numpy sums pairwise, so they come from
+    one stacked sigma call.  The points are checked as one stacked array
     (``as_points``); a malformed one raises ``as_point``'s error.
 
     On the Minkowski substrate ``_cell_starts`` walks the slope cells of F
@@ -646,16 +656,21 @@ def solve_equivalent(g: Geometry, p0, p1, q0, cfg: SolverConfig | None = None) -
     """
     cfg = SolverConfig._given(cfg)
     points = as_points(g.dim, p0, p1, q0)
-    p0, p1, q0 = points
-    if p0.tolist() == p1.tolist():  # -0.0 == 0.0 included
+    p0, p1, q0 = points.tolist()
+    if p0 == p1:  # -0.0 == 0.0 included
         raise InvalidInputError("p0 and p1 must differ")
 
     if not g.has_minkowski_substrate:
-        u = p1 - p0
-        P = points.take([0, 1, 2, 2], axis=0)
-        P[3] += u  # rows p0, p1, q0, X = q0 + u
-        X = P[3]
-        s_p0p1, *terms = sigma(g, *P.take(_TRANSLATION_PAIRS, axis=0)).tolist()
+        if g.dim < _IN_ORDER:
+            X = list(map(operator.add, q0, map(operator.sub, p1, p0)))  # q0 + (p1 - p0)
+            s_p0p1, *terms = map(_euclidean_sigma, (p0, p1, p0, p0, p1, q0), (p1, q0, q0, X, X, X))
+            X = np.array(X)
+        else:  # summed pairwise: sigma's own bits; an overflow is refused below, unwarned
+            with np.errstate(over="ignore", invalid="ignore"):
+                P = points.take([0, 1, 2, 2], axis=0)
+                P[3] += P[1] - P[0]  # rows p0, p1, q0, X = q0 + (p1 - p0)
+                X = P[3]
+                s_p0p1, *terms = sigma(g, *P.take(_TRANSLATION_PAIRS, axis=0)).tolist()
         two_a = 2.0 * s_p0p1
         r_par, r_len = _residual_row(two_a, *terms)
         tol_abs = cfg.tol * max(1.0, abs(two_a))
@@ -752,8 +767,9 @@ def find_intransitivity_witness(g: Geometry, seed: int = 0, budget: int = 10000,
     template, a base b and two null shifts a, c of it: a~b and b~c hold with
     residuals exactly 0.0 under every F, and a~c has r_par = -F(sigma_M(s1 -
     s2)) != 0 for every strictly increasing F.  ``seed`` draws the placements
-    and up to ``budget`` are tested, ``_WITNESS_BLOCK`` per batched residual
-    call; the first witness in draw order is returned, whatever the block size.
+    and up to ``budget`` are tested: one first, which under the default
+    ``tol`` is a witness, then ``_WITNESS_BLOCK`` per batched residual call;
+    the first witness in draw order is returned, whatever the block size.
     In the Euclidean geometry equivalence is translation (``solve_equivalent``),
     which is transitive: None, with nothing drawn or tested.
     """
@@ -763,14 +779,17 @@ def find_intransitivity_witness(g: Geometry, seed: int = 0, budget: int = 10000,
     if not g.has_minkowski_substrate:
         return None
     rng = np.random.default_rng(seed)
-    for start in range(0, budget, _WITNESS_BLOCK):
-        o, e, a1, c1 = _witness_block(rng, min(_WITNESS_BLOCK, budget - start))
+    start, block = 0, 1
+    while start < budget:
+        o, e, a1, c1 = _witness_block(rng, min(block, budget - start))
         hit = (_equivalence_residuals(g, o, a1, o, e, tol)[0]
                & _equivalence_residuals(g, o, e, o, c1, tol)[0]
                & ~_equivalence_residuals(g, o, a1, o, c1, tol)[0])
         if hit.any():
             i = int(np.argmax(hit))
             return GeomVector(o[i], a1[i]), GeomVector(o[i], e[i]), GeomVector(o[i], c1[i])
+        start += len(o)
+        block = _WITNESS_BLOCK
     return None
 
 

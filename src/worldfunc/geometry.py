@@ -534,6 +534,26 @@ def sigma(g: Geometry, p, q):
     return g.deformation(_sigma_m(d))
 
 
+# numpy's add.reduce sums fewer values than this in order, and more pairwise
+_IN_ORDER = 8
+
+
+def _euclidean_sigma(p, q):
+    """Euclidean sigma(p, q) of two lists of Python floats, summed in order:
+    0.5 * (((d0 d0 + d1 d1) + d2 d2) + ...).
+
+    Below ``_IN_ORDER`` coordinates that is numpy's order, so the result is
+    ``sigma``'s bit for bit.  Builtin ``sum`` would not do: from Python 3.12
+    it compensates a float sum.  An overflow gives inf without a warning.
+    """
+    d = p[0] - q[0]
+    acc = d * d
+    for i in range(1, len(p)):
+        d = p[i] - q[i]
+        acc += d * d
+    return 0.5 * acc
+
+
 _ETA = np.array([1.0, -1.0, -1.0, -1.0])  # Minkowski metric diagonal
 
 

@@ -22,7 +22,7 @@ import worldfunc as wf
 from worldfunc import DeformationFunction, Geometry, GeomVector, SolverConfig, TubeSamplerConfig
 import worldfunc.equivalence as eqv
 from worldfunc.equivalence import _WITNESS_BLOCK
-from test_geometry import _sigma_gradient, _slope
+from test_geometry import COORD_CLASSES, _sigma_gradient, _slope
 
 
 MINK = Geometry.minkowski()
@@ -267,13 +267,10 @@ def test_solve_near_cone_timelike_draws_are_single():
     assert variances.count("single") == 40
 
 
-_COORD = st.floats(-1e3, 1e3, allow_subnormal=False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 7))
 def test_euclidean_solve_is_the_translation_in_closed_form(data, dim):
-    p0, p1, q0 = (np.array(data.draw(st.lists(_COORD, min_size=dim, max_size=dim)))
+    p0, p1, q0 = (np.array(data.draw(st.lists(COORD_CLASSES, min_size=dim, max_size=dim)))
                   for _ in range(3))
     if not np.array_equal(p0, p1):
         _assert_closed_form(Geometry.euclidean(dim), p0, p1, q0)
@@ -281,8 +278,9 @@ def test_euclidean_solve_is_the_translation_in_closed_form(data, dim):
 
 def _assert_closed_form(g, p0, p1, q0):
     """|Y|^2 = <Y, u> = |u|^2 forces Y = u: the translation is the one solution,
-    returned, its row from one stacked sigma call, exactly when it passes the
-    pairwise test at tol."""
+    returned, exactly when it passes the pairwise test at tol, with one
+    residual row whose sigma terms are Python-float sums below 8 coordinates
+    and one stacked sigma call from 8 up."""
     X = q0 + (p1 - p0)
     rep = wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, X))
     passes = (max(abs(rep.residual_parallel), abs(rep.residual_length))
@@ -294,7 +292,7 @@ def _assert_closed_form(g, p0, p1, q0):
                 wf.solve_equivalent(g, p0, p1, q0)
             return False
         sol = wf.solve_equivalent(g, p0, p1, q0)
-    assert sigma_calls == [(6, g.dim)] and len(rows) == 1
+    assert sigma_calls == ([] if g.dim < 8 else [(6, g.dim)]) and len(rows) == 1
     assert (sol.variance, sol.manifold_dim_estimate) == ("single", 0)
     assert len(sol.representatives) == 1
     assert sol.representatives[0].tobytes() == X.tobytes()
@@ -336,12 +334,16 @@ def test_euclidean_solve_is_the_translation_past_the_unrolled_reduction(dim):
         _assert_closed_form(g, p0, p0 + rng.uniform(-0.1, 0.1, dim), q0)
 
 
-def test_euclidean_solve_makes_one_sigma_call_and_no_residual_map(monkeypatch):
+def test_euclidean_solve_makes_one_residual_row_and_a_sigma_call_only_from_dim_8(monkeypatch):
     calls, rows = _spy_on_the_residual_row(monkeypatch)
     sol = wf.solve_equivalent(EUCLID3, (0.1, 0.2, 0.3), (1.7, -0.4, 2.2), (2.3, 0.1, -0.9))
     assert sol.variance == "single"
-    assert calls == [(6, 3)]  # the six pairs of p0, p1, q0 and the translation
+    assert calls == []  # the six sigma terms are sums in Python floats
     assert sol.residuals == [tuple(rows[0])]  # one row, of floats
+    p0, p1, q0 = np.random.default_rng(8).uniform(-3, 3, (3, 8))
+    sol = wf.solve_equivalent(Geometry.euclidean(8), p0, p1, q0)
+    assert calls == [(6, 8)]  # the six pairs of p0, p1, q0 and the translation
+    assert len(rows) == 2 and sol.residuals == [tuple(rows[1])]
 
 
 @pytest.mark.parametrize("p0, p1, q0", [
@@ -360,6 +362,19 @@ def test_euclidean_solve_refuses_a_nan_residual():
     with np.errstate(over="ignore", invalid="ignore"):
         assert not _assert_closed_form(Geometry.euclidean(2), np.array([1e200, 0.0]),
                                        np.array([-1e200, 1.0]), np.array([0.0, 1e200]))
+
+
+@pytest.mark.parametrize("big", [1e200, 1e308])  # the squares overflow; also p1 - p0
+@pytest.mark.parametrize("dim", [2, 8])
+def test_overflowing_euclidean_solve_raises_without_a_warning(dim, big):
+    # Python floats overflow to inf silently; from 8 coordinates the numpy
+    # stage runs under np.errstate, as the substrate solve's does
+    p0, p1, q0 = np.zeros((3, dim))
+    p0[0], p1[0], p1[-1], q0[-1] = big, -big, 1.0, big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wf.SolverFailureError, match="translation"):
+            wf.solve_equivalent(Geometry.euclidean(dim), p0, p1, q0)
 
 
 def test_euclidean_solve_diagnostics_say_no_newton_ran():
@@ -1321,7 +1336,7 @@ def test_witness_blocks_replay_the_per_candidate_stream(monkeypatch):
     monkeypatch.setattr(eqv, "_equivalence_residuals", spy)
     budget = 2 * _WITNESS_BLOCK + 7
     assert wf.find_intransitivity_witness(MINK, seed=11, budget=budget, tol=100) is None
-    assert len(seen) == 9  # three tests (a~b, b~c, a~c) per block
+    assert len(seen) == 12  # three tests (a~b, b~c, a~c) per block: 1, 1024, 1024, 6
     # each candidate placed from its own integer draw, kept as reference
     rng = np.random.default_rng(11)
     y, s1, s2 = np.array([[2, 3, 1, -2], [3, 2, 2, 1], [3, 2, -2, -1]], dtype=float)

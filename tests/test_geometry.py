@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import worldfunc as wf
 from worldfunc import Geometry, GeomVector, UnitConstants, DeformationFunction
-from worldfunc.geometry import _ETA, _cells
+from worldfunc.geometry import _ETA, _cells, _euclidean_sigma
 
 
 EUCLID3 = Geometry.euclidean(3)
@@ -74,6 +74,25 @@ def test_sigma_broadcasts():
     pts = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [2, 0, 0, 0]])
     out = wf.sigma(MINK, np.zeros(4), pts)
     assert np.array_equal(out, [0.5, -0.5, 2.0])
+
+
+# coordinates of every class a float sum of squares meets: signed zeros,
+# subnormals, the unit scale and magnitudes to 1e150, whose squares stay finite
+COORD_CLASSES = (st.floats(-1e3, 1e3) | st.floats(-1e150, 1e150) | st.floats(-1e-300, 1e-300)
+                 | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pq=st.integers(1, 7).flatmap(lambda dim: arrays(float, (2, 6, dim), elements=COORD_CLASSES)))
+@example(pq=np.array([[[0.0, -0.0, 5e-324, 1e150, -1e150, 2.5e-310, 3.0]] * 6,
+                      [[-0.0, 0.0, -5e-324, -1e150, 1e150, 1.0, -3.0]] * 6]))
+def test_python_float_sigma_is_sigma_bit_for_bit_below_8_coordinates(pq):
+    # numpy's add.reduce sums fewer than 8 values in order, as _euclidean_sigma does
+    p, q = pq
+    g = Geometry.euclidean(p.shape[-1])
+    got = np.array([_euclidean_sigma(a, b) for a, b in zip(p.tolist(), q.tolist())])
+    assert got.tobytes() == wf.sigma(g, p, q).tobytes()  # one stacked call
+    assert got.tobytes() == np.array([wf.sigma(g, a, b) for a, b in zip(p, q)]).tobytes()
 
 
 def test_grainy_with_zero_sigma0_equals_discrete():
