@@ -896,15 +896,17 @@ class TubeSamplerConfig(_Config):
 class TubeSample:
     """Sampled tube of a segment: per-station transverse radii and a point cloud.
 
-    ``radii[s, d]`` is the first radius at which the triangle defect crosses
-    zero along direction d at station s, NaN where ``sample_segment_tube``
-    brackets none; ``profile[s]`` averages the directions that found one.  A
-    station where no direction did is empty: its profile is NaN and it has
-    no points.  ``points`` holds rows (t, r, coords...) of sampled members,
-    t being the chart arc length of the station from p0.
-    ``rays_without_crossing`` counts the NaN radii and ``empty_stations``
-    the empty stations (192 and 12 on the README tube, where the defect only
-    jumps at F's breakpoint).
+    ``radii[s, d]`` is the root of the triangle defect along direction d at
+    station s in the first in-domain cell interval of the ray whose ends differ
+    in sign (0 where the station's base is already on the segment), NaN where
+    ``sample_segment_tube`` brackets none; an earlier interval whose ends are
+    both negative may hold two roots and is not searched.  ``profile[s]``
+    averages the directions that found one.  A station where no direction did
+    is empty: its profile is NaN and it has no points.  ``points`` holds rows
+    (t, r, coords...) of sampled members, t being the chart arc length of the
+    station from p0.  ``rays_without_crossing`` counts the NaN radii and
+    ``empty_stations`` the empty stations (192 and 12 on the README tube, where
+    the defect only jumps at F's breakpoint).
     """
 
     fractions: np.ndarray
@@ -924,12 +926,17 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
     chart directions d (seeded, orthogonal to the segment).  On a ray sigma_M(p0, .)
     and sigma_M(., p1) are quadratics in r whose closed-form crossings of F's
     breakpoints (``_cells``) split it into intervals where the defect follows F's
-    linear cells.  The first interval in the domain whose ends differ in sign is
-    bisected on those lines to a width of 1e-13, all rays at once: a jump of F is
-    never bracketed.  The defect is concave within a cell (<d, d> < 0 and F
-    increases), so a cell whose ends are both negative may hold two roots; it is
-    not searched.  The Euclidean and Minkowski profiles vanish, deformed geometries
-    give thick tubes; a station where no direction brackets a crossing is empty.
+    linear cells: a jump of F is never bracketed.  The first interval in the domain
+    whose ends differ in sign holds the radius, all rays at once.  There 2 F of each
+    side is a quadratic A_k(r), and sqrt(A_0) + sqrt(A_1) = sqrt(2 sigma(p0, p1))
+    squares to a quadratic in r where F's two slopes are equal: its stable roots,
+    less the root of the squaring, give the radius in closed form.  Where they differ
+    (a grainy ramp's or a table's edge) the radius is a safeguarded Newton iteration
+    from the interval's negative end, bisecting where a step fails.  The defect is
+    concave within a cell (<d, d> < 0 and F increases), so a cell whose ends are
+    both negative may hold two roots; it is not searched.  The Euclidean and
+    Minkowski profiles vanish, deformed geometries give thick tubes; a station where
+    no direction brackets a crossing is empty.
     A sigma(p0, p1) or chart length |p1 - p0| that overflows raises
     ``WorldFunctionError``.
     """
@@ -991,15 +998,52 @@ def sample_segment_tube(g: Geometry, p0, p1, cfg: TubeSamplerConfig | None = Non
         lo, hi, f_lo = (np.take_along_axis(a, j, axis=-1) for a in (lo, hi, f_lo))
         k = np.take_along_axis(k, j[None], axis=-1)
 
-        # bisect every bracket at once to a width of 1e-13
-        width = float(np.max((hi - lo)[found], initial=0.0))
-        for _ in range(math.ceil(math.log2(max(width, 1e-13) / 1e-13))):
-            mid = 0.5 * (lo + hi)
-            f_mid = defect(mid, k)
-            left = f_lo * f_mid <= 0.0
-            hi = np.where(left, mid, hi)
-            lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
-    radii = np.where(found, 0.5 * (lo + hi)[..., 0], np.where(at_zero[:, None], 0.0, np.nan))
+        # on its bracket's cells a ray's side k is A_k = 2 F / S^2 = a + b r + c r^2,
+        # S^2 = 2 sigma(p0, p1), and the boundary sqrt(A_0) + sqrt(A_1) = 1 squares to
+        # (A_0 - A_1)^2 - 2 (A_0 + A_1) + 1 = 0: one quadratic where the slopes, so the
+        # c, are equal
+        mk = m[k] / s_ab
+        a, b, c = ya[k] / s_ab + mk * (c0 - xa[k]), mk * c1, mk * c2
+        da, db = a[0] - a[1], b[0] - b[1]
+        A, B = db * db - 4.0 * c[0], 2.0 * (da * db - b[0] - b[1])
+        C = da * da - 2.0 * (a[0] + a[1]) + 1.0
+        q = -0.5 * (B + np.copysign(np.sqrt(B * B - 4.0 * A * C), B))
+        r = np.stack([q / A, C / q])
+        # a root of the squaring has A_0 + A_1 > 1; of two alike, the one nearer the bracket
+        spurious = ~(a[0] + a[1] + r * (b[0] + b[1] + 2.0 * r * c[0]) <= 1.0)
+        miss = np.maximum(lo - r, r - hi)
+        pick = np.where(spurious[0] == spurious[1], miss[1] < miss[0], spurious[0])
+        r = np.clip(np.where(pick, r[1], r[0]), lo, hi)
+
+        # unequal slopes: Newton on sqrt(A_0) + sqrt(A_1) - 1 from the bracket's negative
+        # end, monotone as the defect is concave in a cell.  A step that is not finite,
+        # leaves the bracket, is 0 (A_k = 0 at a light-cone end) or does not halve the
+        # last one bisects; one below 2^-46 r_max ends the search
+        mixed = found & (mk[0] != mk[1])[..., 0]
+        if mixed.any():
+            i = np.nonzero(mixed)
+            a, b, c = a[:, i[0], i[1]], b[:, i[0], i[1]], c[:, i[0], i[1]]
+            start = f_lo[i] <= 0.0
+            x = below = np.where(start, lo[i], hi[i])
+            above = np.where(start, hi[i], lo[i])
+            done = np.zeros(x.shape, bool)
+            last, tol = np.abs(above - below), 2.0 ** -46 * r_max
+            for _ in range(math.ceil(math.log2(max(float(np.max(last)), 1e-13) / 1e-13))):
+                root = np.sqrt(np.maximum(a + x * (b + x * c), 0.0))
+                f = root[0] + root[1] - 1.0
+                step = -f / np.sum((0.5 * b + x * c) / root, axis=0)
+                low = f <= 0.0
+                below, above = np.where(low, x, below), np.where(low, above, x)
+                gap = np.where(low, above, below) - x
+                into = step / gap
+                newton = (0.0 < into) & (into < 1.0) & (np.abs(step) <= np.maximum(0.5 * last, tol))
+                step = np.where(f == 0.0, 0.0, np.where(newton, step, 0.5 * gap))
+                x, done = np.where(done, x, x + step), done | (np.abs(step) <= tol)
+                last = np.abs(step)
+                if done.all():
+                    break
+            r[i] = x
+    radii = np.where(found, r[..., 0], np.where(at_zero[:, None], 0.0, np.nan))
 
     found = np.isfinite(radii)
     counts = found.sum(axis=1)

@@ -2007,11 +2007,33 @@ def test_tube_radii_match_brentq_reference(g, p0, p1, cfg):
     assert np.nanmax(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("g,p0,p1,cfg", [
+    (Geometry.deformed(DeformationFunction.from_table(_KINK_TABLE)), ORIGIN4, (2, 0, 0, 0),
+     TubeSamplerConfig(stations=17, directions=8)),
+    (Geometry.grainy(0.01, 0.03), (0.1, 0.2, -0.3, 0.1), (3, 0.5, 0.2, -0.4),
+     TubeSamplerConfig(stations=17, directions=6, seed=3)),
+    (Geometry.grainy(0.01, 0.03), ORIGIN4, (2, 0, 0, 0), TubeSamplerConfig()),
+], ids=["table", "grainy-tilted", "grainy-readme"])
+def test_mixed_slope_tube_radii_match_brentq_reference(g, p0, p1, cfg):
+    # where the two sides of a ray sit in cells of F of unequal slopes the
+    # boundary is a quartic in r, found by the sampler's safeguarded Newton;
+    # the table's brackets end on the light cone, where the defect's slope is unbounded
+    tube = wf.sample_segment_tube(g, p0, p1, cfg)
+    want = _brentq_tube_radii(g, p0, p1, cfg)
+    assert np.array_equal(np.isnan(tube.radii), np.isnan(want))
+    assert np.nanmax(np.abs(tube.radii - want)) <= 1e-12
+    xs, m, _, _ = eqv._cells(g.deformation)
+    on = tube.points[tube.points[:, 1] > 0.0, 2:]
+    sm = np.array([wf.sigma(MINK, p0, on), wf.sigma(MINK, on, p1)])
+    mixed = m[np.searchsorted(xs, sm[0])] != m[np.searchsorted(xs, sm[1])]
+    assert mixed.any()
+
+
 @pytest.mark.parametrize("g", [Geometry.discrete(0.02), Geometry.discrete(0.01)],
                          ids=["readme", "discrete-0.01"])
 def test_every_tube_point_is_a_segment_member(g):
-    # a ray meeting the light cone of p0 or p1 at a scan radius used to be
-    # bisected onto F's jump there: 57 of 889 README points had |defect| up to 0.17
+    # a ray meeting the light cone of p0 or p1 at a scan radius used to have
+    # its root placed on F's jump there: 57 of 889 README points had |defect| up to 0.17
     tube = wf.sample_segment_tube(g, ORIGIN4, (2, 0, 0, 0))
     assert tube.points.shape[0] > 800
     for row in tube.points:

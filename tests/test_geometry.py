@@ -1,6 +1,7 @@
 """Kernel tests: world functions, scalar products, density, triangle axiom,
 metric tensor, sigma coordinates, angles."""
 
+import bisect
 import dataclasses
 import math
 import warnings
@@ -1019,3 +1020,86 @@ def test_sigma_of_a_point_with_itself_is_exactly_zero(g, data):
     pts = data.draw(arrays(np.float64, (5, g.dim), elements=_FINITE))
     assert wf.sigma(g, pts[0], pts[0]) == 0.0
     assert np.array_equal(wf.sigma(g, pts, pts), np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# tube radii against an exact oracle
+# ---------------------------------------------------------------------------
+
+def _exact_F(F, x):
+    """F(x) in rationals, F's parameters and breakpoints read as the floats they are."""
+    if F is None:
+        return x
+    if F.table is not None:  # the end segments extended
+        tx, ty = ([Fraction(v) for v in col] for col in F.table.T.tolist())
+        k = min(max(bisect.bisect_right(tx, x) - 1, 0), len(tx) - 2)
+        return ty[k] + (x - tx[k]) * (ty[k + 1] - ty[k]) / (tx[k + 1] - tx[k])
+    s0 = Fraction(F.sigma0)
+    ramp = x / s0 if s0 and abs(x) <= s0 else (x > 0) - (x < 0)
+    return x + Fraction(F.lambda0_sq) * ramp
+
+
+def _exact_sigma(g, p, q):
+    eta = (1, -1, -1, -1) if g.has_minkowski_substrate else (1,) * g.dim
+    return _exact_F(g.deformation, sum(e * (a - b) ** 2 for e, a, b in zip(eta, p, q)) / 2)
+
+
+def _exact_defect_sign(g, p0, p1, r):
+    """The sign of sqrt(A_0) + sqrt(A_1) - S, A_0 = 2 sigma(p0, r), A_1 = 2 sigma(r, p1)
+    and S^2 = 2 sigma(p0, p1), decided without a square root: the defect is
+    negative iff S^2 - A_0 - A_1 > 0 and 4 A_0 A_1 < (S^2 - A_0 - A_1)^2.
+    None off the real-distance domain."""
+    a0, a1, s2 = (2 * _exact_sigma(g, *pair) for pair in ((p0, r), (r, p1), (p0, p1)))
+    if a0 < 0 or a1 < 0:
+        return None
+    gap = s2 - a0 - a1
+    return 1 if gap < 0 else (4 * a0 * a1 > gap * gap) - (4 * a0 * a1 < gap * gap)
+
+
+@pytest.mark.parametrize("g,cfg,positive", [
+    (Geometry.discrete(0.02), wf.TubeSamplerConfig(), 800),
+    (Geometry.grainy(0.01, 0.03), wf.TubeSamplerConfig(stations=17, directions=8), 120),
+], ids=["readme", "grainy"])
+def test_tube_radii_bracket_the_exact_crossing(g, cfg, positive):
+    # each ray b + r d is rebuilt in rationals from the sampler's float base and
+    # direction; 1e-12 either side of every positive radius the exact defect
+    # changes sign (a zero radius is an end station's, whose base meets tol)
+    p0, p1 = np.zeros(4), np.array([2.0, 0.0, 0.0, 0.0])
+    tube = wf.sample_segment_tube(g, p0, p1, cfg)
+    _, _, vt = np.linalg.svd((p1 / 2.0)[None, :])  # the sampler's directions, drawn as it draws them
+    raw = np.random.default_rng(cfg.seed).normal(size=(cfg.directions, 3))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    dirs = raw @ vt[1:]
+    ends = [[Fraction(v) for v in p.tolist()] for p in (p0, p1)]
+    delta = Fraction(1, 10**12)
+    stations, rays = np.nonzero(tube.radii > 0.0)
+    assert len(rays) == positive
+    for s, d in zip(stations, rays):
+        b, e = ([Fraction(v) for v in row.tolist()] for row in (tube.base_points[s], dirs[d]))
+        r = Fraction(float(tube.radii[s, d]))
+        signs = [_exact_defect_sign(g, *ends, [bi + t * ei for bi, ei in zip(b, e)])
+                 for t in (r - delta, r + delta)]
+        assert None not in signs and signs[0] * signs[1] <= 0, (s, d, signs)
+
+
+_TABLE_F = Geometry.deformed(DeformationFunction.from_table(
+    [[-2.0, -2.1], [-0.5, -0.52], [0.0, 0.0], [0.5, 0.53], [2.0, 2.1]]))
+
+
+@pytest.mark.parametrize("g,p1,cfg", [
+    (Geometry.discrete(0.02), (2, 0, 0, 0), None),
+    (Geometry.grainy(0.01, 0.03), (2, 0, 0, 0), None),
+    (_TABLE_F, (2, 0, 0, 0), None),
+    (EUCLID3, (2, 0, 0), None),
+    (Geometry.discrete(0.02), (2, 0, 0, 0), wf.TubeSamplerConfig(stations=0)),
+    (Geometry.discrete(0.02), (2, 0, 0, 0), wf.TubeSamplerConfig(directions=0)),
+    (_TABLE_F, (2, 0, 0, 0), wf.TubeSamplerConfig(max_radius=0.0)),
+], ids=["readme", "grainy", "table", "euclidean", "no-stations", "no-directions", "no-radius"])
+def test_tube_sampling_raises_no_numpy_warning(g, p1, cfg):
+    # the README's and the Euclidean unbracketed rays have quadratics of negative
+    # discriminant; the grainy and table brackets end on the light cone, where
+    # Newton meets a side A_k = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tube = wf.sample_segment_tube(g, (0,) * g.dim, p1, cfg)
+    assert tube.rays_without_crossing == np.isnan(tube.radii).sum()
