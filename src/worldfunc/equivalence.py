@@ -222,18 +222,17 @@ def _cell_starts(g, q0, diffs, sq, uu_e, K, tol_abs):
     t: ``_plane_pieces`` and ``_line_pieces`` give each non-empty cell's t =
     t* + s d over an open range lo < s < hi, or one point (lo = hi).
 
-    Y is written as Y_c(s) + sum_k y_k E_k.  The E_k are a Euclidean-
-    orthonormal basis of the kernel of Y -> t, diagonal for eta (<E_a, E_b> =
-    lam_a delta_ab, lam ascending), and Y_c(s), affine in s, meets t(s): the
-    Euclidean least-norm point moved along every E_k but the last to its
-    eta-centre, or, where q0 is on the line and u is not null, the
-    eta-projection (tau / <u, u>) u, exact where the division is.  Off the
-    line the kernel and the least-norm map come in closed form from the six
-    2 x 2 minors of the map (``_plane_frame``); on it, from ``svd`` and
-    ``eigh``.  Y_c(s) = P + s D and h(s) = <E_-1, Y_c(s)> = h0 + s h1 come
-    for all pieces from one product with the map, and each piece is then
-    one pass in Python floats (``_piece``): its quadric, its point's s, its
-    point, dimension and Jacobian rank.
+    Y is written as Y_c(s) + sum_k y_k E_k, the E_k a Euclidean-orthonormal
+    basis of the kernel of Y -> t that eta = 2 e0 e0^T - I diagonalises:
+    every E_k but the last spatial (lam = -1), the last the unit projection
+    of e0, in closed form off the line (``_plane_frame``) and on it
+    (``_line_frame``).  Y_c(s), affine in s, meets t(s): the Euclidean
+    least-norm point, or, where q0 is on the line and u is not null, the
+    eta-projection (tau / <u, u>) u, exact where the division is.  Y_c(s) =
+    P + s D and h(s) = <E_-1, Y_c(s)> = h0 + s h1 come for all pieces from
+    one product with the map, and each piece is then one pass in Python
+    floats (``_piece``): its quadric, its point's s, its point, dimension
+    and Jacobian rank.
 
     q0 is a list of 4 floats.  Returns the points as an (n, 4) array, their
     pieces' dimensions and the Jacobian ranks there as lists, and the number
@@ -246,30 +245,27 @@ def _cell_starts(g, q0, diffs, sq, uu_e, K, tol_abs):
     frame = _plane_frame(w0.tolist(), u.tolist())
     apex = itertools.repeat(False)
     if frame is None:  # q0 on the line p0p1
-        N = np.linalg.svd(np.array([w0, u]) * _ETA)[2][1:]  # the kernel of Y -> tau
-        lam, V = np.linalg.eigh((N * _ETA) @ N.T)
-        E = V.T @ N
-        null = bool(abs(lam[-1]) <= _DEGENERATE)  # the largest: every other lam is < 0 then
+        E, lam1 = _line_frame(u.tolist()), -uu / uu_e
+        null = abs(lam1) <= _DEGENERATE
         xs, m, xa, ya = _cells(g.deformation)
         t, d, lo, hi, apex, examined = _line_pieces(g, xs, m, pairs.b, np.array([c0, c1]), K,
                                                     float(w0 @ u) / uu_e, tol_abs)
         td = np.array([t, d])
-        if null:  # the Euclidean least-norm point, centred along every E but the last
-            M = (u * _ETA / uu_e)[None]
-            M -= ((M * _ETA) @ E[:-1].T / lam[:-1]) @ E[:-1]
-            PDh = td @ np.append(M, (M * _ETA) @ E[-1:].T, axis=1)
+        if null:  # the Euclidean least-norm point, h = <E_-1, .> as a fifth column
+            M = (u * _ETA / uu_e).tolist()
+            PDh = td @ np.array([M + [_mink(M, E[-1])]])
         else:  # the eta-projection onto u (tau / <u, u> divided: exact where it can be), h = 0
             PDh = np.zeros(td.shape[:2] + (5,))
             PDh[..., :4] = td / uu * u
-        lam0, lam1, E, apex = float(lam[0]), float(lam[-1]), E.tolist(), apex.tolist()
+        apex = apex.tolist()
     else:
-        lam0, lam1, E, Mh = frame
+        lam1, E, Mh = frame
         null = abs(lam1) <= _DEGENERATE
         td, lo, hi = _plane_pieces(pairs, c0, c1, K)
         PDh = td @ Mh  # (P, D) of every piece and h = <E_-1, (P, D)> as a fifth column
         examined = len(pairs.m_i)
     free_y = float(np.dot(E[-1], u)) if null else 0.0
-    consts = (lam0, lam1, E, null, lam1 > 0.0 and not null, uu, uu_e, free_y,
+    consts = (lam1, E, null, lam1 > 0.0 and not null, uu, uu_e, free_y,
               tol_abs / pairs.m_max, q0)
     points, dims, ranks = [], [], []
     for row in zip(*PDh.tolist(), lo.tolist(), hi.tolist(), apex):
@@ -285,29 +281,29 @@ def _piece(Ph, Dh, lo, hi, apex, consts):
 
     Ph, Dh: (P, h0) and (D, h1) of Y_c(s) = P + s D and h(s) = h0 + s h1, 5
     floats each; lo < s < hi the piece's range (lo = hi: one s); apex: the
-    piece is pinned to a jump of F.  consts: lam0, lam1, E, whether W (or u)
-    is null (lam_-1 = 0 within ``_DEGENERATE``), whether the quadric is a
-    hyperboloid, <u, u>, |u|^2, <E_-1, u>_Euclidean, tol_rho and q0.
+    piece is pinned to a jump of F.  consts: lam1 = <E_-1, E_-1>, E, whether
+    W (or u) is null (lam1 = 0 within ``_DEGENERATE``), whether the quadric
+    is a hyperboloid, <u, u>, |u|^2, <E_-1, u>_Euclidean, tol_rho and q0.
 
-    The quadric reads sum lam_k y_k^2 + 2 h y_-1 = <u, u> - <Y_c, Y_c>, and
-    about its eta-centre sum lam_k z_k^2 = rho(s) = A s^2 + B s + C: a sphere
-    where rho < 0 (every lam < 0; a point at rho = 0) or a hyperboloid for any
-    rho (mixed signs).  Where W is null the piece is a graph over the other
+    The quadric reads lam1 y_-1^2 + 2 h y_-1 - sum y_k^2 = <u, u> - <Y_c,
+    Y_c>, about its eta-centre sum lam_k z_k^2 = rho(s) = A s^2 + B s + C: a
+    sphere where rho < 0 (lam1 < 0; a point at rho = 0) or a hyperboloid
+    (lam1 > 0).  Where W is null the piece is a graph over the other
     directions where h != 0 on its range, and E_-1 is free where h = 0 there
     (within tol_rho).  ``_piece_s`` picks the point's s, and the piece has
     dimension len(E) - 1 (+ 1 over a range) where it holds a surface, 0 at a
     tangent point, 1 on a curve of them (+ 1 along a free direction).  A
     graph with no part where rho < -tol_rho takes the s whose point of the
-    graph is nearest q0 (``_graph_s``).  y is 0 at a tangent point, off the
-    apex along E[0] on a hyperboloid, the root nearest Y_c along E_-1
-    elsewhere, and u's component along a free E_-1.  The one exception: a
-    piece pinned to the jump of the discrete F (sigma_M(p_k, X) = 0 exactly)
-    is represented by Y_c where rho = 0, the only point the float cone holds,
-    e.g. X = p1 at q0 = p0, with rank 1.  The curves on that jump where q0 is
-    off the line p0p1 are not walked.  The rank is 2 at a smooth point of a
-    2-surface, else 1.
+    graph is nearest q0 (``_graph_s``).  y is off the apex along E[0] on a
+    hyperboloid; along E_-1, the double root -h / lam1 at a tangent point,
+    u's component where E_-1 is free, else the root nearer Y_c (of two
+    alike, the one nearer q0).  A piece pinned to the jump of the discrete F
+    (sigma_M(p_k, X) = 0 exactly) is represented by Y_c where rho = 0, the
+    only point the float cone holds, e.g. X = p1 at q0 = p0, with rank 1;
+    the curves on that jump where q0 is off the line p0p1 are not walked.
+    The rank is 2 at a smooth point of a 2-surface, else 1.
     """
-    lam0, lam1, E, null, every, uu, uu_e, free_y, tol_rho, q0 = consts
+    lam1, E, null, every, uu, uu_e, free_y, tol_rho, q0 = consts
     P0, P1, P2, P3, h0 = Ph
     D0, D1, D2, D3, h1 = Dh
     # rho = <u, u> - <Y_c, Y_c> (+ h^2 / lam1 where lam1 is not 0): A s^2 + B s + C
@@ -340,16 +336,15 @@ def _piece(Ph, Dh, lo, hi, apex, consts):
     rho = r if null else r + hs * hs / lam1
     y0 = 0.0
     if every:  # off its apex along E[0]
-        y0 = math.sqrt((max(-rho, 0.0) + uu_e) / -lam0)
-        r -= lam0 * (y0 * y0)
-    elif null:  # the sphere on the other directions takes what it can of r
-        y0 = math.sqrt(max(r / lam0, 0.0)) if kind == 2 else 0.0
-        r -= lam0 * (y0 * y0)
-    elif kind != 2:  # a tangent point is the double root
-        r = -hs * hs / lam1
-    # lam y^2 + 2 h y = r along E[-1]: the root nearer Y_c
-    q = hs + math.copysign(math.sqrt(max(hs * hs + lam1 * r, 0.0)), hs)
-    y1 = free_y if free else (r / q if q else 0.0)
+        y0 = math.sqrt(max(-rho, 0.0) + uu_e)
+    elif null and kind == 2:  # the sphere on the other directions takes what it can of r
+        y0 = math.sqrt(max(-r, 0.0))
+    r += y0 * y0
+    # lam1 y^2 + 2 h y = r along E[-1]: the root nearer Y_c (of two alike, h = 0,
+    # the one nearer q0), the double root at a tangent point
+    e, q = E[-1], math.sqrt(max(hs * hs + lam1 * r, 0.0))
+    q = hs + math.copysign(q, hs or -lam1 * (Y[0] * e[0] + Y[1] * e[1] + Y[2] * e[2] + Y[3] * e[3]))
+    y1 = free_y if free else ((r / q if q else 0.0) if kind == 2 else -hs / lam1)
     smooth = True
     if apex and abs(rho) <= tol_rho:
         y0 = y1 = 0.0
@@ -360,21 +355,17 @@ def _piece(Ph, Dh, lo, hi, apex, consts):
 
 
 def _plane_frame(w0, u):
-    """(lam0, lam1, E, Mh) of the map Y -> t = (<Y, w0>, <Y, u>) in closed form;
+    """(lam1, E, Mh) of the map Y -> t = (<Y, w0>, <Y, u>) in closed form;
     None where it has rank 1 (q0 on the line p0p1).  w0, u: lists of 4 floats.
 
     The rows a = eta w0 and b = eta u, scaled by one power of 2, give the six
-    2 x 2 minors m_ij = a_i b_j - a_j b_i.  Their squares sum to the
-    determinant of the rows' Gram without its cancellation, so the rank is 1
-    where sqrt(sum m^2) <= _DEGENERATE (|a|^2 + |b|^2): the map's singular
-    values s1 <= _DEGENERATE s0.  Otherwise each row of the Hodge dual of m
-    lies in the kernel: the largest, e1, and its image e2 = dual(m) e1,
-    normalised, are a Euclidean-orthonormal basis of it, which one Jacobi
-    rotation turns eta-diagonal: E (2 x 4), lam0 <= lam1, E[0]'s last
-    component >= 0 (a hyperboloid's point lies along E[0]; LAPACK's sign
-    agreed with this in 3 of 4 solves).  The least-norm map t -> Y has the rows (m b, -m a) /
-    sum m^2 (the pseudo-inverse), centred along E[0] to its eta-centre; Mh is
-    that 2 x 4 map with h = <., E[1]> of its rows as a fifth column.
+    2 x 2 minors m_ij = a_i b_j - a_j b_i, whose squares sum to the Gram
+    determinant without its cancellation: the rank is 1 where sqrt(sum m^2)
+    <= _DEGENERATE (|a|^2 + |b|^2).  Otherwise the largest row e1 of the
+    Hodge dual of m and its image e2 = dual(m) e1, normalised, span the
+    kernel; E (2 x 4) is them rotated by their time components, E[0]'s last
+    component >= 0 (a hyperboloid's point lies along E[0]).  Mh is the
+    least-norm map t -> Y, rows (m b, -m a) / sum m^2, and h = <., E[1]>.
     """
     a = [w0[0], -w0[1], -w0[2], -w0[3]]
     b = [u[0], -u[1], -u[2], -u[3]]
@@ -392,17 +383,12 @@ def _plane_frame(w0, u):
     e1 = max(dual, key=lambda row: row[0] * row[0] + row[1] * row[1] + row[2] * row[2] + row[3] * row[3])
     e1 = _unit(e1)
     e2 = _unit([x * e1[0] + y * e1[1] + z * e1[2] + w * e1[3] for x, y, z, w in dual])
-    ga, gb, gc = _mink(e1, e1), _mink(e1, e2), _mink(e2, e2)
-    # the rotation by the angle that zeroes the off-diagonal eta-product
-    tau = (gc - ga) / (2.0 * gb) if gb else math.inf
-    t = math.copysign(1.0 / (abs(tau) + math.hypot(1.0, tau)), tau)
-    cs = 1.0 / math.hypot(1.0, t)
-    sn = t * cs
-    lam0, lam1 = ga - t * gb, gc + t * gb
-    v_lo = [cs * x - sn * y for x, y in zip(e1, e2)]
-    v_hi = [sn * x + cs * y for x, y in zip(e1, e2)]
-    if lam0 > lam1:
-        lam0, lam1, v_lo, v_hi = lam1, lam0, v_hi, v_lo
+    k = max(abs(e1[0]), abs(e2[0]))  # the time components may be subnormal: divided by k first
+    v_lo, v_hi = e1, e2
+    if k:  # else the kernel is spatial
+        c, s = e1[0] / k, e2[0] / k
+        v_lo = _unit([0.0] + [c * y - s * x for x, y in zip(e1[1:], e2[1:])])
+        v_hi = _unit([c * x + s * y for x, y in zip(e1, e2)])
     if v_lo[3] < 0.0:
         v_lo = [-x for x in v_lo]
     inv = scale / det
@@ -410,12 +396,25 @@ def _plane_frame(w0, u):
              (m23 * b3 - m02 * b0 - m12 * b1) * inv, -(m03 * b0 + m13 * b1 + m23 * b2) * inv],
             [-(m01 * a1 + m02 * a2 + m03 * a3) * inv, (m01 * a0 - m12 * a2 - m13 * a3) * inv,
              (m02 * a0 + m12 * a1 - m23 * a3) * inv, (m03 * a0 + m13 * a1 + m23 * a2) * inv])
-    Mh = []
-    for row in rows:
-        f = _mink(row, v_lo) / lam0
-        row = [x - f * e for x, e in zip(row, v_lo)]
-        Mh.append(row + [_mink(row, v_hi)])
-    return lam0, lam1, [v_lo, v_hi], np.array(Mh)
+    return _mink(v_hi, v_hi), [v_lo, v_hi], np.array([row + [_mink(row, v_hi)] for row in rows])
+
+
+def _line_frame(u):
+    """E (3 x 4) of the kernel of Y -> <Y, u> in closed form; u: 4 floats.
+
+    E[0], E[1]: spatial unit vectors across u's spatial part s n (Duff et al.
+    2017, "Building an orthonormal basis, revisited"; n = e3 where s = 0),
+    E[2] = (s, u0 n) / |u|, of eta-square -<u, u> / |u|^2.
+    """
+    u0, u1, u2, u3 = u
+    s = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
+    n1, n2, n3 = (u1 / s, u2 / s, u3 / s) if s else (0.0, 0.0, 1.0)
+    sign = math.copysign(1.0, n3)
+    a = -1.0 / (sign + n3)
+    b = n1 * n2 * a
+    return [[0.0, 1.0 + sign * n1 * n1 * a, sign * b, -sign * n1],
+            [0.0, b, sign + n2 * n2 * a, -n2],
+            _unit([s, u0 * n1, u0 * n2, u0 * n3])]
 
 
 def _mink(x, y):

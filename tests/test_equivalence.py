@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -653,26 +654,105 @@ def _assert_one_residual_call_on_the_walk(monkeypatch, cases):
             assert by_root[x.tobytes()] == np.array(r).tobytes()
 
 
-def test_generic_solve_runs_newton_once(monkeypatch):
-    # off the line p0p1 the walk's kernel, least-norm map and eta-diagonal
-    # basis are closed forms: no svd or eigh runs
-    linalg = []
-    for name in ("svd", "eigh"):
+def _spy_on_linalg(monkeypatch):
+    """The names of the np.linalg functions called from now on."""
+    calls = []
+    for name in np.linalg.__all__:
         real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _f=real, _n=name, **k: linalg.append(_n) or _f(*a, **k))
+        if callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+def test_generic_solve_makes_one_residual_call_and_no_linalg_call(monkeypatch):
+    # off the line p0p1 the walk's kernel, least-norm map and eta-diagonal
+    # basis are closed forms
     rng = np.random.default_rng(8)
     cases = [(g, _class_input(rng, cls)) for g in _CELL_GEOMS for cls in (0, 1, 2)]
+    linalg = _spy_on_linalg(monkeypatch)
     _assert_one_residual_call_on_the_walk(monkeypatch, cases)
     assert linalg == []
-    # on the line the walk still diagonalises its 3 x 3 eta-Gram by eigh
-    wf.solve_equivalent(MINK, ORIGIN4, (0, 1, 0, 0), ORIGIN4)
-    assert linalg == ["svd", "eigh"]
 
 
-def test_solve_with_q0_at_p0_runs_newton_once(monkeypatch):
-    # q0 on the line p0p1 (the README's q0 = p0) is walked like any other input
-    cases = [(g, (ORIGIN4, (0, 1, 0, 0), ORIGIN4)) for g in _CELL_GEOMS]
+@pytest.mark.parametrize("p1", [(0, 1, 0, 0), (1, 1, 0, 0), (1, 0, 0, 0), (0.5, 0.2, -0.3, 0.6)],
+                         ids=["spacelike", "null", "temporal", "timelike"])
+def test_solve_on_the_line_makes_one_residual_call_and_no_linalg_call(monkeypatch, p1):
+    # q0 on the line p0p1 (the README's q0 = p0) is walked like any other
+    # input, its frame a closed form of u alone
+    linalg = _spy_on_linalg(monkeypatch)
+    cases = [(g, (ORIGIN4, p1, q0)) for g in _CELL_GEOMS for q0 in (ORIGIN4, np.multiply(p1, 0.5))]
     _assert_one_residual_call_on_the_walk(monkeypatch, cases)
+    assert linalg == []
+
+
+_FRAME_COORD = st.floats(-4.0, 4.0) | st.integers(-32, 32).map(lambda k: k / 8.0)
+_FRAME_VECTOR = st.lists(_FRAME_COORD, min_size=4, max_size=4).map(np.array)
+
+
+@st.composite
+def _frame_inputs(draw):
+    """(w0, u): generic, with parallel spatial parts, u purely temporal, null
+    (a dyadic (3, 2, -2, 1) under a signed permutation of the spatial axes)
+    or near-null, or w0 = f u (q0 on the line p0p1)."""
+    w0, u = draw(_FRAME_VECTOR), draw(_FRAME_VECTOR)
+    case = draw(st.sampled_from(["generic", "parallel", "temporal", "null", "near-null", "line"]))
+    if case == "parallel":
+        u[1:] = draw(_FRAME_COORD) * w0[1:]
+    elif case == "temporal":
+        u[1:] = 0.0
+    elif case == "null":
+        u = _NULL * 2.0 ** draw(st.integers(-3, 3))
+        u[1:] = u[1:][list(draw(st.permutations([0, 1, 2])))] * [draw(_SIGN) for _ in range(3)]
+    elif case == "near-null":
+        u[0] = math.sqrt(u[1:] @ u[1:]) * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+    elif case == "line":
+        w0 = draw(_FRAME_COORD) * u
+    assume((u != 0.0).any() and abs(u).max() > 1e-3)
+    return w0, u
+
+
+@settings(max_examples=500, deadline=None)
+@given(pts=_frame_inputs())
+@example(pts=(np.array([0.5, 1.0, 0.0, 0.0]), np.array([1.0, 2.0, 0.0, 0.0])))
+@example(pts=(np.array([0.5, 0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])))
+@example(pts=(np.array([-2.5, -2.125, -1.0, 2.2250738585e-313]),  # subnormal time components
+              np.array([0.25, 6.109375, 2.875, -6.39708734326e-313])))
+def test_the_walk_frame_is_eta_diagonal_in_the_kernel(pts):
+    # eta = 2 e0 e0^T - I: every E but the last is spatial (eta-square -1),
+    # and the last is the unit projection of e0, on and off the line p0p1
+    w0, u = pts
+    frame = eqv._plane_frame(w0.tolist(), u.tolist())
+    if frame is None:
+        E, lam1, rows = eqv._line_frame(u.tolist()), -mdot(u, u) / (u @ u), [u]
+    else:
+        lam1, E, _ = frame
+        rows = [w0, u]
+    E = np.array(E)
+    assert E.shape == (3 if frame is None else 2, 4)
+    assert (E[:-1, 0] == 0.0).all()
+    eps = 2.0 ** -52
+    assert np.abs(E @ E.T - np.eye(len(E))).max() <= 8 * eps
+    lam = np.append(-np.ones(len(E) - 1), lam1)
+    assert np.abs((E * np.array([1.0, -1.0, -1.0, -1.0])) @ E.T - np.diag(lam)).max() <= 8 * eps
+    # in the kernel of Y -> (<Y, w0>, <Y, u>), to rounding times the map's condition number
+    S = np.linalg.svd(np.array(rows) * [1.0, -1.0, -1.0, -1.0], compute_uv=False)
+    for row in rows:
+        assert max(abs(mdot(e, row)) for e in E) <= 32 * eps * S[0] / S[-1] * np.linalg.norm(row)
+
+
+def test_timelike_minkowski_solves_are_the_exact_translation():
+    # a tangent point's root along E[-1] is the double root -h / lam, not a
+    # square root of a cancelled discriminant (which left sqrt(eps) errors)
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        p0, p1, q0 = _class_input(rng, 1)
+        sol = wf.solve_equivalent(MINK, p0, p1, q0)
+        assert sol.variance == "single"
+        exact = [Fraction(c) + Fraction(b) - Fraction(a) for a, b, c in zip(p0, p1, q0)]
+        scale = max(1.0, *np.abs([p0, p1, q0]).ravel())
+        err = max(abs(Fraction(x) - e) for x, e in zip(sol.representatives[0].tolist(), exact))
+        assert err <= Fraction(1e-13) * Fraction(scale)
 
 
 def test_solve_evaluates_each_residual_once(monkeypatch):
@@ -715,6 +795,17 @@ def test_solve_reports_the_starts_it_ran():
             SolverConfig(starts=starts)
     sol = wf.solve_equivalent(MINK, ORIGIN4, (1, 0, 0, 0), ORIGIN4, SolverConfig(starts=1))
     assert sol.diagnostics.starts_attempted == 1
+
+
+def test_the_benchmark_equivalence_layer_reads_finite_values():
+    # the traced solve run of the benchmark calls this layer: it builds
+    # SolverConfig(starts=, max_iter=, seed=), divides converged_count by
+    # starts_attempted and reads the span of geometry's sigma as bound in
+    # worldfunc.equivalence
+    from perfbench.layers import equivalence_layer
+
+    out = equivalence_layer(wf, np.random.default_rng(1), 1)
+    assert out and all(math.isfinite(v) for v in out.values())
 
 
 def test_solver_config_rejects_a_negative_iteration_count():
@@ -1539,6 +1630,22 @@ def test_every_representative_of_a_degenerate_input_meets_tol(g, pts):
         rep = wf.is_equivalent(g, GeomVector(p0, p1), GeomVector(q0, x))
         assert rep.equivalent
         assert np.array([rep.residual_parallel, rep.residual_length]).tobytes() == np.array(r).tobytes()
+
+
+@pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
+def test_a_representative_on_the_line_is_the_root_nearer_q0(g):
+    # on the line p0p1 with u not null a piece is centred on the eta-projection
+    # P = (tau / <u, u>) u (h = 0), so its two roots along E[-1] are equally
+    # near P: the one nearer q0 (Y = 0) is taken, (Y - P) . P <= 0
+    rng = np.random.default_rng(4)
+    for k in range(300):
+        p0, p1, _ = _class_input(rng, k % 3)
+        u = p1 - p0
+        q0 = p0 + rng.uniform(-2.0, 2.0) * u
+        for x in wf.solve_equivalent(g, p0, p1, q0).representatives:
+            Y = x - q0
+            P = mdot(Y, u) / mdot(u, u) * u
+            assert (Y - P) @ P <= 1e-12 * (P @ P + (Y - P) @ (Y - P))
 
 
 @pytest.mark.parametrize("g", _CELL_GEOMS, ids=["minkowski", "discrete", "grainy", "table"])
