@@ -239,8 +239,8 @@ class DeformationFunction:
     must be finite and >= 0, and lambda0_sq / sigma0 finite; sigma0 is held
     at 0 when lambda0_sq is, so equal F have equal parameters.  User
     functions are piecewise linear tables of (sigma_M, sigma) breakpoints,
-    strictly increasing in both, every segment slope finite, whose end
-    segments are extended linearly beyond the table.
+    strictly increasing in both, every slope finite, -0.0 held as 0.0, and
+    evaluated on their ``_cells``: end segments extended, breakpoints exact.
     """
 
     def __init__(self, *, lambda0_sq: float = 0.0, sigma0: float = 0.0,
@@ -258,7 +258,7 @@ class DeformationFunction:
             if self.lambda0_sq:
                 raise InvalidInputError("a table deformation takes no lambda0_sq or sigma0")
             try:  # a copy: F, and the cells _cells holds for it, never change
-                tab = np.array(table, dtype=float)
+                tab = np.array(table, dtype=float) + 0.0  # -0.0 becomes 0.0
             except (TypeError, ValueError) as exc:
                 raise InvalidInputError(f"table must hold numbers: {exc}") from exc
             if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
@@ -278,10 +278,6 @@ class DeformationFunction:
                                         f"{m[k]}")
             tab.flags.writeable = False
             self.table = tab
-            # the contiguous columns and the end segments' (x, y, slope), held for every call
-            self._columns = tab[:, 0].copy(), tab[:, 1].copy()
-            self._ends = (float(tab[0, 0]), float(tab[0, 1]), float(m[0]),
-                          float(tab[-1, 0]), float(tab[-1, 1]), float(m[-1]))
             if float(self(0.0)) != 0.0:
                 raise InvalidInputError(
                     "deformation must satisfy F(0) = 0 exactly; add a (0, 0) breakpoint")
@@ -305,7 +301,7 @@ class DeformationFunction:
     def _shift(self, x):
         """F(x) - x; exactly lambda0_sq * ramp(x; sigma0) for the built-ins."""
         if self.table is not None:
-            return _piecewise_linear(x, *self._columns, self._ends) - x
+            return self(x) - x
         if self.sigma0 == 0.0:  # the discrete shift exactly, not a 0/0 ramp
             ramp = np.sign(x)
         else:
@@ -321,8 +317,10 @@ class DeformationFunction:
         x = sigma_m
         if not (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim):
             x = np.asarray(x, dtype=float)[()]
-        if self.table is not None:
-            v = _piecewise_linear(x, *self._columns, self._ends)
+        if self.table is not None:  # side="right": a breakpoint reads the cell it anchors
+            xs, m, xa, ya = _cells(self)
+            k = np.searchsorted(xs, x, side="right")
+            v = ya[k] + m[k] * (x - xa[k])
         else:
             v = x + self._shift(x)
         return float(v) if v.ndim == 0 else v
@@ -335,7 +333,8 @@ def _cells(F: DeformationFunction | None):
     and hold 0, so no cell crosses the light cone.  The slopes m are F's: a table's
     segment slopes, else 1 outside the ramp and 1 + lambda0_sq / sigma0 inside it,
     each finite and > 0 by the constructor's checks.  F None (Euclidean) is the identity.
-    They are computed once per F and held read-only: every caller shares the arrays."""
+    A table F is evaluated on its cells, so the walk and the tube read F itself.  They
+    are computed once per F and held read-only: every caller shares the arrays."""
     F = _IDENTITY if F is None else F
     if F._cell_arrays is None:
         edges = [-F.sigma0, F.sigma0] if F.table is None else F.table[:, 0]
@@ -348,7 +347,7 @@ def _cells(F: DeformationFunction | None):
             ya = np.where(out, F.lambda0_sq * np.sign(inner), 0.0)
             cells = xs, np.where(out, 1.0, ramp), np.zeros_like(inner), ya
         else:
-            tx, ty = F.table.T  # anchored where np.interp and the extended end segments anchor
+            tx, ty = F.table.T  # anchored at the last breakpoint at or below the cell, else the first
             a = np.clip(np.searchsorted(tx, inner, side="right") - 1, 0, len(tx) - 1)
             cells = xs, (np.diff(ty) / np.diff(tx))[np.minimum(a, len(tx) - 2)], tx[a], ty[a]
         for arr in cells:
@@ -358,20 +357,6 @@ def _cells(F: DeformationFunction | None):
 
 
 _IDENTITY = DeformationFunction.identity()
-
-
-def _piecewise_linear(x, xs, ys, ends):
-    """np.interp on the table (xs, ys), its end segments extended: ends holds
-    the first and the last breakpoint's (x, y, slope of its segment)."""
-    x_lo, y_lo, m_lo, x_hi, y_hi, m_hi = ends
-    v = np.interp(x, xs, ys)
-    lo = x < x_lo
-    hi = x > x_hi
-    if lo.any():
-        v = np.where(lo, y_lo + (x - x_lo) * m_lo, v)
-    if hi.any():
-        v = np.where(hi, y_hi + (x - x_hi) * m_hi, v)
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -166,12 +166,18 @@ def _eval_node(node, lookup, path):
 
 
 def _running_point(r, dim):
-    arr = np.asarray(r, dtype=float)
-    if arr.ndim == 1:
+    """r as a float array: one point, or a batch along leading axes checked like one."""
+    try:
+        arr = np.asarray(r, dtype=float)
+    except (TypeError, ValueError):
+        return as_point(r, dim=dim)  # not numbers: as_point raises its InvalidInputError
+    if arr.ndim < 2:
         return as_point(arr, dim=dim)
     if arr.shape[-1] != dim:
         raise DimensionMismatchError(
             f"running points of dimension {arr.shape[-1]} against a skeleton of dimension {dim}")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("point coordinates must be finite")
     return arr
 
 

@@ -797,15 +797,22 @@ def test_solve_reports_the_starts_it_ran():
     assert sol.diagnostics.starts_attempted == 1
 
 
-def test_the_benchmark_equivalence_layer_reads_finite_values():
-    # the traced solve run of the benchmark calls this layer: it builds
-    # SolverConfig(starts=, max_iter=, seed=), divides converged_count by
-    # starts_attempted and reads the span of geometry's sigma as bound in
-    # worldfunc.equivalence
-    from perfbench.layers import equivalence_layer
+def test_the_benchmark_traced_pass_is_correct_and_finite(tmp_path):
+    # the benchmark's --trace 1 pass, in process: the layers alone, then an
+    # untraced and a traced pass of every workload.  It divides by
+    # starts_attempted and by the sigma calls of the solve and cli traces and
+    # reads the ("equivalence", "geometry.sigma") span, so an exception there
+    # fails the run; every per-layer metric BENCHMARK.json names must come out
+    import argparse
 
-    out = equivalence_layer(wf, np.random.default_rng(1), 1)
-    assert out and all(math.isfinite(v) for v in out.values())
+    import worldfunc.cli  # noqa: F401  (the cli workload calls wf.cli.main)
+    from perfbench.run import traced
+
+    tally, all_correct, metrics = traced(wf, argparse.Namespace(seed=1), tmp_path)
+    assert all_correct and tally.attempted > 0 and tally.failed == 0
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    assert sorted(metrics) == sorted(m["name"] for m in spec["per_layer"])
+    assert all(math.isfinite(v) for v in metrics.values())
 
 
 def test_solver_config_rejects_a_negative_iteration_count():

@@ -677,7 +677,7 @@ def test_cells_are_F_line_by_line(F, x):
     f = (lambda v: v) if F is None else F
     want = f(x)
     if F is not None and F.table is not None:
-        assert line == want  # anchored where np.interp is
+        assert line == want  # a table F is evaluated on these cells
     else:
         assert abs(line - want) <= 2 * np.spacing(abs(want))
     # the slope is F's own difference quotient across the cell: x and the
@@ -696,6 +696,37 @@ def test_cells_breakpoints():
     # 0 splits the one segment into two cells on its own line; both ends extended
     assert xs.tolist() == [-1.0, 0.0, 1.0]
     assert m.tolist() == [1.3] * 4 and xa.tolist() == [-1.0, -1.0, -1.0, 1.0]
+
+
+@st.composite
+def _increasing_tables(draw):
+    # (0, 0), either zero signed, between increasing negative and positive breakpoints
+    def mags(n_min, n_max):
+        return sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=n_min, max_size=n_max, unique=True)))
+    nx, px = mags(0, 4), mags(1, 4)
+    ny, py = mags(len(nx), len(nx)), mags(len(px), len(px))
+    zero = [draw(st.sampled_from([0.0, -0.0])) for _ in range(2)]
+    return [[-x, -y] for x, y in zip(nx[::-1], ny[::-1])] + [zero] + [[x, y] for x, y in zip(px, py)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_increasing_tables())
+@example(table=_TABLE)
+@example(table=[[-1, -1.3], [1, 1.3]])  # 0 inside a segment
+@example(table=[[0.5, 0.75], [1, 1.5], [4, 3]])  # 0 on the extended first segment
+def test_table_breakpoints_give_their_own_sigma(table):
+    # one value or a batch; the ends of the line stay infinite, NaN stays NaN
+    # and -0.0 gives 0.0, as F(0) does
+    F = DeformationFunction.from_table(table)
+    tx, ty = F.table.T
+    assert F.table.tolist() == np.array(table, dtype=float).tolist()
+    assert not np.signbit(F.table[F.table == 0.0]).any()  # a -0.0 entry is held as 0.0
+    assert F(tx).tobytes() == ty.tobytes()
+    for x, y in zip(tx.tolist(), ty.tolist()):
+        assert F(x).hex() == y.hex()
+    got = F(np.array([math.inf, -math.inf, math.nan, -0.0]))
+    assert got[:2].tolist() == [math.inf, -math.inf] and math.isnan(got[2])
+    assert got[3].hex() == F(-0.0).hex() == F(0.0).hex() == "0x0.0p+0"
 
 
 @pytest.mark.parametrize("F", _CELL_CASES, ids=_CELL_IDS)

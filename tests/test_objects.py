@@ -150,6 +150,33 @@ def test_probe_batch_of_the_wrong_dimension_is_rejected():
         wf.evaluate_envelope(EUCLID3, sk, Envelope.cylinder(), np.zeros((5, 2)))
 
 
+_AXIS_SK = Skeleton(((0, 0, 0), (0, 0, 1), (1, 0, 0)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda r: wf.object_membership(EUCLID3, _AXIS_SK, Envelope.cylinder(), r),
+    lambda r: wf.evaluate_envelope(EUCLID3, _AXIS_SK, Envelope.cylinder(), r),
+    lambda r: wf.evaluate_envelope(EUCLID3, _AXIS_SK, sphere_envelope(), r),
+    lambda r: wf.gram_F2(EUCLID3, (0, 0, 0), (0, 0, 1), r),
+], ids=["object_membership", "evaluate_envelope", "evaluate_envelope-expression", "gram_F2"])
+def test_a_batch_with_a_non_finite_probe_is_rejected_like_that_probe(call, bad):
+    # a batch holding a probe that alone is refused is refused, not answered False or NaN
+    for probes in ([bad, 0, 0], [[bad, 0, 0], [0, 1, 0]], [[[0, 1, 0]], [[0, 0, bad]]]):
+        with pytest.raises(wf.InvalidInputError, match="point coordinates must be finite"):
+            call(probes)
+
+
+@pytest.mark.parametrize("probes, match", [
+    (5.0, r"point must be a flat coordinate tuple, got shape \(\)"),
+    ("abc", "a point must be a flat list of numbers"),
+    ([[0, "x", 0], [0, 1, 0]], "a point must be a flat list of numbers"),
+], ids=["scalar", "string", "batch-with-a-string"])
+def test_a_running_point_that_is_no_point_is_an_input_error(probes, match):
+    with pytest.raises(wf.InvalidInputError, match=match):
+        wf.object_membership(EUCLID3, _AXIS_SK, Envelope.cylinder(), probes)
+
+
 def test_cylinder_envelope_needs_three_point_skeleton():
     sk = Skeleton(((0, 0, 0), (0, 0, 1)))
     with pytest.raises(wf.InvalidInputError):
